@@ -19,6 +19,7 @@ import numpy as np
 from .harness import (
     CSV_HEADER,
     ExperimentConfig,
+    curve_mean_stderr,
     run_many,
     save_runs,
     summarize_runs,
@@ -96,20 +97,54 @@ def _read_curve(path: str) -> np.ndarray:
         return np.array([float(line.split(",")[col]) for line in fh if line.strip()])
 
 
+# Config keys that say which seeds ran and where they were written; runs
+# that differ only in these belong to the same experiment.
+_RUN_SELECTORS = ("seeds", "out_dir")
+
+
+def _mismatch(paths: list[str], curves: list[np.ndarray]) -> str | None:
+    """Why the run CSVs cannot be aggregated, or None when they can."""
+    if len({len(c) for c in curves}) > 1:
+        listing = ", ".join(f"{p} ({len(c)} rounds)" for p, c in zip(paths, curves))
+        return f"run CSVs have different lengths: {listing}"
+    configs = {}
+    for p in paths:
+        meta = os.path.splitext(p)[0] + ".json"
+        if os.path.exists(meta):
+            with open(meta) as fh:
+                cfg = json.load(fh)["config"]
+            configs[meta] = {k: v for k, v in cfg.items() if k not in _RUN_SELECTORS}
+    if not configs:
+        return None
+    ref_path, ref = next(iter(configs.items()))
+    diffs = [
+        f"{meta} differs from {ref_path} in "
+        + ", ".join(sorted(k for k in ref.keys() | cfg.keys() if ref.get(k) != cfg.get(k)))
+        for meta, cfg in configs.items()
+        if cfg != ref
+    ]
+    if diffs:
+        return "runs were produced under different configs: " + "; ".join(diffs)
+    return None
+
+
 def cmd_summarize(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.runs_dir, "*.csv")))
     if not paths:
         print(f"no run CSVs under {args.runs_dir}", file=sys.stderr)
         return 1
     curves = [_read_curve(p) for p in paths]
-    T = min(len(c) for c in curves)
-    stack = np.vstack([c[:T] for c in curves])
-    mean = stack.mean(axis=0)
+    problem = _mismatch(paths, curves)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 1
+    mean, stderr = curve_mean_stderr(np.vstack(curves))
+    T = mean.size
     out = {
         "n_runs": len(paths),
         "T": T,
         "final_mean_regret": float(mean[-1]) if T else 0.0,
-        "final_stderr": float(stack[:, -1].std(ddof=1) / np.sqrt(len(paths))) if len(paths) > 1 and T else 0.0,
+        "final_stderr": float(stderr[-1]) if T else 0.0,
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -43,7 +43,6 @@ __all__ = [
     "build_confidence_state",
     "in_set_C",
     "in_set_E",
-    "e_boundary_along",
     "e_boundary_multi",
     "max_revenue_over_E",
 ]
@@ -259,16 +258,6 @@ def e_boundary_multi(
         hi[cols] = np.where(ok, hi[cols], mid)
         active[cols] = hi[cols] - lo[cols] > 1e-3 * np.maximum(s_ball[cols], 1e-12)
     return base + lo[:, None] * v
-
-
-def e_boundary_along(
-    history: History,
-    cfg: ConfidenceConfig,
-    state: ConfidenceState,
-    direction: np.ndarray,
-) -> np.ndarray:
-    """Single-direction convenience wrapper around ``e_boundary_multi``."""
-    return e_boundary_multi(history, cfg, state, np.atleast_2d(direction))[0]
 
 
 def _pull_feasible(

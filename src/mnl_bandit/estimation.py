@@ -34,7 +34,6 @@ __all__ = [
     "MleResult",
     "DesignMatrix",
     "penalized_log_likelihood",
-    "penalized_log_likelihood_multi",
     "score",
     "fit_mle",
     "g_vector",
@@ -50,7 +49,7 @@ _ALPHA_FALLBACK_TOL = 1e-10
 class MleResult:
     theta_hat: np.ndarray
     score_norm: float
-    iterations: int
+    iterations: int  # Newton steps actually taken
     converged: bool
 
 
@@ -68,9 +67,6 @@ class DesignMatrix:
     def inv_quad(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float)
         return float(v @ np.linalg.solve(self.matrix, v))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 class History:
@@ -187,28 +183,6 @@ def penalized_log_likelihood(history: History, theta: np.ndarray, lam: float) ->
     return float((cu - lse).sum()) + base
 
 
-def penalized_log_likelihood_multi(
-    history: History, thetas: np.ndarray, lam: float
-) -> np.ndarray:
-    """Penalized log-likelihood of many parameters in one vectorized pass."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if thetas.shape[1] != history.dim:
-        raise ValueError(
-            f"dimension mismatch: history is d={history.dim}, thetas are d={thetas.shape[1]}"
-        )
-    base = -0.5 * lam * np.einsum("md,md->m", thetas, thetas)
-    if history.n_items == 0:
-        return base
-    u = history.ctx_flat @ thetas.T  # (n, M)
-    m = np.maximum.reduceat(u, history.starts, axis=0)
-    np.maximum(m, 0.0, out=m)
-    ez = np.exp(u - m[history.seg_ids])
-    lse = m + np.log(np.exp(-m) + np.add.reduceat(ez, history.starts, axis=0))
-    chosen = history.chosen_rows
-    cu = np.where((chosen >= 0)[:, None], u[np.maximum(chosen, 0)], 0.0)
-    return (cu - lse).sum(axis=0) + base
-
-
 def score(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Gradient of the penalized log-likelihood; zero exactly at the MLE."""
     theta = _check_theta(history, theta)
@@ -308,11 +282,12 @@ def fit_mle(
     else:
         theta = np.array(theta0, dtype=float).reshape(-1).copy()
     f = penalized_log_likelihood(history, theta, lam)
-    for it in range(max_iter):
+    steps = 0
+    while steps < max_iter:
         s = score(history, theta, lam)
         s_norm = float(np.linalg.norm(s))
         if s_norm <= tol:
-            return MleResult(theta, s_norm, it, True)
+            return MleResult(theta, s_norm, steps, True)
         hess = _nll_hessian(history, theta, lam)
         try:
             step = np.linalg.solve(hess, s)
@@ -337,5 +312,6 @@ def fit_mle(
             a *= 0.5
         if not moved:
             break  # line search hit the numerical floor
+        steps += 1
     s_norm = float(np.linalg.norm(score(history, theta, lam)))
-    return MleResult(theta, s_norm, max_iter, s_norm <= tol)
+    return MleResult(theta, s_norm, steps, s_norm <= tol)

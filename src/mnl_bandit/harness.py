@@ -65,6 +65,7 @@ __all__ = [
     "run_many",
     "elliptical_potential_check",
     "summarize_runs",
+    "curve_mean_stderr",
     "save_runs",
     "loglog_slope",
     "CSV_HEADER",
@@ -512,11 +513,7 @@ def summarize_runs(logs: list[RunLog]) -> RunSummary:
         if log.cfg.to_dict() != ref:
             raise ValueError("runs were produced under different configs")
     curves = np.vstack([log.cum_regret_curve() for log in logs])
-    mean = curves.mean(axis=0)
-    if len(logs) > 1:
-        stderr = curves.std(axis=0, ddof=1) / math.sqrt(len(logs))
-    else:
-        stderr = np.zeros_like(mean)
+    mean, stderr = curve_mean_stderr(curves)
     coverage = sum(log.coverage_all for log in logs) / len(logs)
     return RunSummary(
         n_runs=len(logs),
@@ -527,6 +524,18 @@ def summarize_runs(logs: list[RunLog]) -> RunSummary:
         final_mean_regret=float(mean[-1]) if mean.size else 0.0,
         loglog_slope=loglog_slope(mean),
     )
+
+
+def curve_mean_stderr(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round mean and standard error of equal-length curves, one per row.
+
+    The standard error is zero for a single curve.
+    """
+    n = curves.shape[0]
+    mean = curves.mean(axis=0)
+    if n > 1:
+        return mean, curves.std(axis=0, ddof=1) / math.sqrt(n)
+    return mean, np.zeros_like(mean)
 
 
 def save_runs(logs: list[RunLog], out_dir) -> list[str]:

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .choice import AssortmentContexts, expected_revenue
+from .choice import AssortmentContexts
 from .confidence import (
     ConfidenceConfig,
     ConfidenceState,
@@ -84,30 +84,36 @@ def _argmax_lex(values: dict[tuple[int, ...], float]) -> tuple[int, ...]:
 
 def _revenues_at_candidates(
     pool: np.ndarray,
-    prices: np.ndarray,
+    prices: np.ndarray | None,
     assortments: list[tuple[int, ...]],
     thetas: np.ndarray,
-) -> dict[tuple[int, ...], tuple[float, int]]:
-    """Best revenue over candidate parameters for every assortment.
+) -> tuple[dict[tuple[int, ...], float], dict[tuple[int, ...], int]]:
+    """Best expected revenue over candidate parameters for every assortment.
 
-    Returns per assortment the (value, candidate index) pair.  Candidates
-    come from the parameter ball, so utilities are bounded and raw
-    exponentials are safe; assortments are processed in one vectorized
-    pass per cardinality.
+    ``thetas`` holds one candidate per row (a single parameter vector is one
+    row); ``prices=None`` means unit prices.  Returns the best value per
+    assortment and the index of the candidate attaining it.  Assortments are
+    scored in one vectorized pass per cardinality from raw, unshifted
+    exponentials, which stay finite while every |x . theta| is below about
+    709 (exp overflows float64 past that).  With ||x|| <= 1 any candidate
+    of norm below 709 qualifies: confidence-set and S-ball points,
+    theta_star and the ridge-regularized MLE all sit far inside that.
     """
-    ez = np.exp(pool @ thetas.T)  # (N, n_cand)
-    pez = prices[:, None] * ez
-    out: dict[tuple[int, ...], tuple[float, int]] = {}
+    pool = np.asarray(pool, dtype=float)
+    ez = np.exp(pool @ np.atleast_2d(thetas).T)  # (N, n_cand)
+    pez = ez if prices is None else np.asarray(prices, dtype=float)[:, None] * ez
+    values: dict[tuple[int, ...], float] = {}
+    which: dict[tuple[int, ...], int] = {}
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for a in assortments:
         by_size.setdefault(len(a), []).append(a)
-    for k, group in by_size.items():
+    for group in by_size.values():
         idx = np.array(group, dtype=np.intp)  # (P, k)
         rev = pez[idx].sum(axis=1) / (1.0 + ez[idx].sum(axis=1))  # (P, n_cand)
-        js = np.argmax(rev, axis=1)
-        for a, j, row in zip(group, js, rev):
-            out[a] = (float(row[j]), int(j))
-    return out
+        js = rev.argmax(axis=1)
+        values.update(zip(group, rev[np.arange(len(group)), js].tolist()))
+        which.update(zip(group, js.tolist()))
+    return values, which
 
 
 def cb_mnl_step(
@@ -137,15 +143,9 @@ def cb_mnl_step(
     sampling ``c_samples`` candidates from an ellipsoid around the MLE and
     keeping the members; ascent is unreliable there.
     """
-    pool = np.asarray(pool, dtype=float)
-    N = pool.shape[0]
-    if prices is None:
-        prices = np.ones(N)
-    else:
-        prices = np.asarray(prices, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)
-    assortments = enumerate_assortments(N, cfg.K)
+    assortments = enumerate_assortments(len(pool), cfg.K)
 
     if set_kind == "C":
         cands = [state.anchor]
@@ -159,12 +159,10 @@ def cb_mnl_step(
             if in_set_C(cand, history, cfg, state):
                 cands.append(cand)
         thetas = np.vstack(cands)
-        scored = _revenues_at_candidates(pool, prices, assortments, thetas)
-        values = {a: v for a, (v, _) in scored.items()}
+        values, which = _revenues_at_candidates(pool, prices, assortments, thetas)
         best = _argmax_lex(values)
-        theta_used = thetas[scored[best][1]]
         return Decision(
-            AssortmentContexts.from_pool(pool, best, prices), theta_used, values[best]
+            AssortmentContexts.from_pool(pool, best, prices), thetas[which[best]], values[best]
         )
 
     if set_kind != "E":
@@ -191,9 +189,8 @@ def cb_mnl_step(
     dirs = rng.standard_normal((n_dirs, history.dim))
     boundary = e_boundary_multi(history, cfg, state, dirs)
     thetas = np.vstack([state.anchor[None, :], boundary])
-    scored = _revenues_at_candidates(pool, prices, assortments, thetas)
-    values = {a: v for a, (v, _) in scored.items()}
-    thetas_opt = {a: thetas[j] for a, (_, j) in scored.items()}
+    values, which = _revenues_at_candidates(pool, prices, assortments, thetas)
+    thetas_opt = {a: thetas[j] for a, j in which.items()}
     leaders = sorted(assortments, key=lambda a: (-values[a], a))[:refine_top]
     for a in leaders:
         ass = AssortmentContexts.from_pool(pool, a, prices)
@@ -231,29 +228,21 @@ def bonus_ucb_step(
              + 4 kappa_hat (1+2S)^2 M gamma^2 sum_i ||x_i||^2_{V^-1}.
     """
     pool = np.asarray(pool, dtype=float)
-    N = pool.shape[0]
-    if prices is None:
-        prices = np.ones(N)
-    else:
-        prices = np.asarray(prices, dtype=float)
     if m_const is None:
         m_const = cfg.L_const
-    assortments = enumerate_assortments(N, cfg.K)
-
     h_norms = np.sqrt(
         np.einsum("nd,nd->n", pool, np.linalg.solve(state.H_hat.matrix, pool.T).T)
     )
     v_norms_sq = np.einsum("nd,nd->n", pool, np.linalg.solve(state.V.matrix, pool.T).T)
     c1 = (2.0 + 4.0 * cfg.S) * state.gamma
     c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * m_const * state.gamma**2
+    item_bonus = c1 * h_norms + c2 * v_norms_sq
 
     theta_hat = state.theta_hat
-    values: dict[tuple[int, ...], float] = {}
-    for a in assortments:
-        ass = AssortmentContexts.from_pool(pool, a, prices)
-        base = expected_revenue(ass, theta_hat)
-        idx = list(a)
-        values[a] = base + c1 * float(h_norms[idx].sum()) + c2 * float(v_norms_sq[idx].sum())
+    base, _ = _revenues_at_candidates(
+        pool, prices, enumerate_assortments(len(pool), cfg.K), theta_hat
+    )
+    values = {a: rev + float(item_bonus[list(a)].sum()) for a, rev in base.items()}
     best = _argmax_lex(values)
     return Decision(
         AssortmentContexts.from_pool(pool, best, prices), theta_hat.copy(), values[best]
@@ -267,16 +256,9 @@ def oracle_assortment(
     prices: np.ndarray | None = None,
 ) -> tuple[int, ...]:
     """Brute-force revenue maximizer under the true parameter (simulator only)."""
-    pool = np.asarray(pool, dtype=float)
-    N = pool.shape[0]
-    if prices is None:
-        prices = np.ones(N)
-    else:
-        prices = np.asarray(prices, dtype=float)
-    values = {
-        a: expected_revenue(AssortmentContexts.from_pool(pool, a, prices), theta_star)
-        for a in enumerate_assortments(N, K)
-    }
+    values, _ = _revenues_at_candidates(
+        pool, prices, enumerate_assortments(len(pool), K), theta_star
+    )
     return _argmax_lex(values)
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from mnl_bandit.cli import main, parse_seeds
-from mnl_bandit.harness import CSV_HEADER
+from mnl_bandit.harness import CSV_HEADER, ExperimentConfig, run_experiment, summarize_runs
 
 
 class TestParseSeeds:
@@ -85,6 +85,49 @@ class TestSummarizeCommand:
         assert data["n_runs"] == 3
         assert data["T"] == 12
         assert "final_mean_regret" in printed
+
+    def test_mean_and_stderr_match_summarize_runs(self, tmp_path, config_file, capsys):
+        out = tmp_path / "runs"
+        main(["run", "--config", str(config_file), "--seeds", "0..2", "--out", str(out)])
+        cfg = json.loads(config_file.read_text())
+        logs = [run_experiment(ExperimentConfig(**cfg), s) for s in range(3)]
+        summary = summarize_runs(logs)
+        capsys.readouterr()
+        assert main(["summarize", str(out)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["final_mean_regret"] == float(summary.mean_cum_regret[-1])
+        assert data["final_stderr"] == float(summary.stderr_cum_regret[-1])
+
+    def test_runs_of_different_lengths_fail(self, tmp_path, config_file, capsys):
+        out = tmp_path / "runs"
+        main(["run", "--config", str(config_file), "--seeds", "0", "--out", str(out)])
+        main(["run", "--config", str(config_file), "--seeds", "1", "--T", "7", "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["summarize", str(out), "--out", str(tmp_path / "summary")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "different lengths" in err
+        assert "run_cb_mnl_e_seed0.csv (12 rounds)" in err
+        assert "run_cb_mnl_e_seed1.csv (7 rounds)" in err
+        assert not (tmp_path / "summary").exists()
+
+    def test_runs_of_different_configs_fail(self, tmp_path, config_file, capsys):
+        out = tmp_path / "runs"
+        main(["run", "--config", str(config_file), "--seeds", "0", "--out", str(out)])
+        main(["run", "--config", str(config_file), "--seeds", "1", "--delta", "0.05",
+              "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["summarize", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "run_cb_mnl_e_seed1.json differs from" in err
+        assert err.rstrip().endswith("in delta")
+
+    def test_seed_lists_may_differ(self, tmp_path, config_file, capsys):
+        out = tmp_path / "runs"
+        main(["run", "--config", str(config_file), "--seeds", "0", "--out", str(out)])
+        main(["run", "--config", str(config_file), "--seeds", "1..2", "--out", str(out)])
+        assert main(["summarize", str(out)]) == 0
 
     def test_missing_directory_fails(self, tmp_path, capsys):
         rc = main(["summarize", str(tmp_path / "nope")])

@@ -2,11 +2,17 @@
 import numpy as np
 import pytest
 
-from mnl_bandit.choice import AssortmentContexts, expected_revenue
+from mnl_bandit.choice import (
+    AssortmentContexts,
+    choice_probabilities,
+    expected_revenue,
+    sample_choice,
+)
 from mnl_bandit.confidence import ConfidenceConfig, build_confidence_state, in_set_E
 from mnl_bandit.estimation import History, matrix_V
 from mnl_bandit.policy import (
     ConfigurationError,
+    _argmax_lex,
     bonus_ucb_step,
     cb_mnl_step,
     enumerate_assortments,
@@ -79,8 +85,6 @@ class TestCbMnlStep:
         rng = np.random.default_rng(seed)
         hist = History(2)
         theta_star = np.array([0.8, -0.3])
-        from mnl_bandit.choice import choice_probabilities, sample_choice
-
         for _ in range(rounds):
             a = random_assortment(pool.shape[0], 2, rng)
             ass = AssortmentContexts.from_pool(pool, a)
@@ -198,6 +202,60 @@ class TestBonusUcb:
             hist.append(ass, 0)
         late = v_term(hist)
         assert late < early
+
+
+def reference_revenues(pool, prices, K, theta):
+    """Expected revenue of every feasible assortment, one object at a time."""
+    return {
+        a: expected_revenue(AssortmentContexts.from_pool(pool, a, prices), theta)
+        for a in enumerate_assortments(pool.shape[0], K)
+    }
+
+
+class TestScorerAgainstReference:
+    """Scorer-backed steps against a per-assortment loop, non-unit prices."""
+
+    def test_oracle_matches_reference_argmax(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            d = int(rng.integers(1, 5))
+            N = int(rng.integers(1, 8))
+            K = int(rng.integers(1, N + 1))
+            pool = sample_ball(rng, N, d)
+            prices = rng.uniform(0.1, 5.0, N)
+            theta = sample_ball(rng, 1, d, radius=3.0)[0]
+            expected = _argmax_lex(reference_revenues(pool, prices, K, theta))
+            assert oracle_assortment(pool, theta, K, prices) == expected
+
+    def test_bonus_value_is_mle_revenue_plus_bonus(self):
+        cfg = ConfidenceConfig(d=3, K=3, T=50, delta=0.1, lam=2.0, S=1.0)
+        rng = np.random.default_rng(32)
+        N = 6
+        for _ in range(30):
+            pool = sample_ball(rng, N, 3)
+            prices = rng.uniform(0.1, 5.0, N)
+            theta_star = sample_ball(rng, 1, 3)[0]
+            hist = History(3)
+            for _ in range(int(rng.integers(0, 30))):
+                a = random_assortment(N, cfg.K, rng)
+                ass = AssortmentContexts.from_pool(pool, a, prices)
+                hist.append(ass, sample_choice(choice_probabilities(ass, theta_star), rng))
+            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            kappa_hat = float(rng.uniform(1.0, 10.0))
+            c1 = (2.0 + 4.0 * cfg.S) * state.gamma
+            c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * cfg.L_const * state.gamma**2
+            expected = {
+                a: rev
+                + c1 * sum(np.sqrt(state.H_hat.inv_quad(pool[i])) for i in a)
+                + c2 * sum(state.V.inv_quad(pool[i]) for i in a)
+                for a, rev in reference_revenues(pool, prices, cfg.K, state.theta_hat).items()
+            }
+            decision = bonus_ucb_step(pool, hist, cfg, state, kappa_hat=kappa_hat, prices=prices)
+            got = decision.assortment.indices
+            assert got == _argmax_lex(expected)
+            # Values reach a few thousand here, so the tolerance is relative.
+            assert decision.optimistic_value == pytest.approx(expected[got], rel=1e-12)
+            np.testing.assert_array_equal(decision.assortment.prices, prices[list(got)])
 
 
 class TestRandomAssortment:
