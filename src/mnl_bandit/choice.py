@@ -102,10 +102,11 @@ class ChoiceDistribution:
         object.__setattr__(self, "item_probs", probs)
         object.__setattr__(self, "no_purchase_prob", float(self.no_purchase_prob))
         total = float(probs.sum()) + self.no_purchase_prob
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if self.no_purchase_prob <= 0.0 or (probs.size and (probs <= 0.0).any()):
-            raise ValueError("degenerate choice probability")
+        # Zero is allowed: at extreme utilities a probability underflows.
+        if self.no_purchase_prob < 0.0 or (probs.size and (probs < 0.0).any()):
+            raise ValueError("negative choice probability")
 
     def outcome_probs(self) -> np.ndarray:
         """Probabilities indexed by outcome: slot 0 is no purchase."""

@@ -1,20 +1,29 @@
 """Regularized maximum-likelihood estimation over assortment histories.
 
-The history stores every offered assortment together with the observed
-outcome (0 = no purchase).  The penalized log-likelihood is the full
-multinomial one: each round contributes the log-probability of the outcome
-that actually occurred, including the no-purchase slot, minus a ridge term
-(lambda/2)||theta||^2.  Its stationarity condition is
+The history is count-compressed.  Rounds whose offered context rows are
+bitwise equal share one block, which keeps its rows once, the number of
+rounds n it was offered in, and per row the number of purchases c it drew.
+The penalized log-likelihood is the full multinomial one (each round
+contributes the log-probability of its outcome, including the no-purchase
+slot), so it is a count-weighted sum over stored rows and blocks,
 
-    sum_s sum_i (r_si - mu_i(X_s theta)) x_si - lambda theta = 0,
+    sum_rows c u - sum_blocks n log(1 + sum_{i in block} exp(u_i)),
 
-which ``fit_mle`` solves by damped Newton iteration.
+with u = x . theta, minus a ridge term (lambda/2)||theta||^2.  One
+max-shifted segment kernel gives every likelihood quantity its per-block
+log-normalizers and per-row probabilities mu, so a pass costs the number of
+distinct blocks, not the number of rounds.  The stationarity condition
+
+    sum_rows (c - n mu_i(theta)) x_i - lambda theta = 0,
+
+with n the offer count of the row's block, is solved by ``fit_mle`` with
+damped Newton iteration.
 
 Design matrices:
 
-    H(theta) = sum mu_i(1-mu_i) x x^T + lambda I      (curvature-weighted)
-    V        = sum x x^T + lambda I                   (unweighted)
-    G(th1, th2) = sum alpha_i x x^T + lambda I
+    H(theta) = sum_rows n mu_i(1-mu_i) x x^T + lambda I   (curvature-weighted)
+    V        = sum_rounds sum_i x x^T + lambda I         (unweighted)
+    G(th1, th2) = sum_rows n alpha_i x x^T + lambda I
 
 where alpha_i is the per-item difference quotient
 (mu_i(u2) - mu_i(u1)) / (u2_i - u1_i), falling back to mu_i(1-mu_i) at u1
@@ -70,23 +79,27 @@ class DesignMatrix:
 
 
 class History:
-    """Append-only log of (assortment, outcome) rounds.
+    """Append-only log of (assortment, outcome) rounds, count-compressed.
 
-    Alongside the exact per-round records, flat arrays over all offered
-    items are maintained so likelihood quantities evaluate in a handful of
-    vectorized passes.  Rounds with empty assortments are kept in the log
-    but contribute nothing to any estimate.
+    ``rounds`` keeps every round exactly as offered.  For the likelihood,
+    rounds whose context arrays are bitwise equal (whatever their item
+    indices) share one block: its rows are stored once (``ctx_flat``, with
+    ``seg_ids`` and ``starts`` marking the blocks), with the number of
+    rounds it was offered in (``offers``, per block) and the purchases each
+    row drew (``purchases``, per row).  With fresh contexts every block is
+    offered once.  Rounds with empty assortments are kept in the log but
+    contribute nothing to any estimate.
     """
 
     def __init__(self, dim: int):
         self.dim = int(dim)
         self.rounds: list[tuple[AssortmentContexts, int]] = []
-        self._ctx = np.empty((64, self.dim))
-        self._seg = np.empty(64, dtype=np.int64)
-        self._n = 0
-        self._starts = np.empty(64, dtype=np.int64)
-        self._chosen = np.empty(64, dtype=np.int64)  # flat row of purchase, -1 if none
-        self._nseg = 0
+        self._blocks: dict[bytes, int] = {}
+        self.ctx_flat = np.empty((0, self.dim))
+        self.seg_ids = np.empty(0, dtype=np.int64)
+        self.purchases = np.empty(0)
+        self.starts = np.empty(0, dtype=np.int64)
+        self.offers = np.empty(0)
         self._vsum = np.zeros((self.dim, self.dim))
 
     @property
@@ -107,42 +120,32 @@ class History:
         k = assortment.cardinality
         if k == 0:
             return
-        if self._n + k > self._ctx.shape[0]:
-            grow = max(2 * self._ctx.shape[0], self._n + k)
-            self._ctx = np.resize(self._ctx, (grow, self.dim))
-            self._seg = np.resize(self._seg, grow)
-        if self._nseg + 1 > self._starts.shape[0]:
-            grow = 2 * self._starts.shape[0]
-            self._starts = np.resize(self._starts, grow)
-            self._chosen = np.resize(self._chosen, grow)
-        self._ctx[self._n : self._n + k] = assortment.contexts
-        self._seg[self._n : self._n + k] = self._nseg
-        self._starts[self._nseg] = self._n
-        self._chosen[self._nseg] = self._n + outcome - 1 if outcome > 0 else -1
-        self._vsum += assortment.contexts.T @ assortment.contexts
-        self._n += k
-        self._nseg += 1
-
-    # Flat views used by the likelihood machinery.
-    @property
-    def ctx_flat(self) -> np.ndarray:
-        return self._ctx[: self._n]
+        ctx = assortment.contexts
+        self._vsum += ctx.T @ ctx
+        g = self._blocks.setdefault(ctx.tobytes(), self.n_blocks)
+        if g == self.n_blocks:  # first offer of this block
+            self.starts = np.append(self.starts, self.n_items)
+            self.offers = np.append(self.offers, 0.0)
+            self.seg_ids = np.append(self.seg_ids, np.full(k, g))
+            self.purchases = np.append(self.purchases, np.zeros(k))
+            self.ctx_flat = np.vstack([self.ctx_flat, ctx])
+        self.offers[g] += 1.0
+        if outcome:
+            self.purchases[self.starts[g] + outcome - 1] += 1.0
 
     @property
-    def seg_ids(self) -> np.ndarray:
-        return self._seg[: self._n]
-
-    @property
-    def starts(self) -> np.ndarray:
-        return self._starts[: self._nseg]
-
-    @property
-    def chosen_rows(self) -> np.ndarray:
-        return self._chosen[: self._nseg]
+    def row_offers(self) -> np.ndarray:
+        """Offer count of each stored row's block."""
+        return self.offers[self.seg_ids]
 
     @property
     def n_items(self) -> int:
-        return self._n
+        """Stored context rows; a block offered many times counts once."""
+        return self.ctx_flat.shape[0]
+
+    @property
+    def n_blocks(self) -> int:
+        return self.offers.shape[0]
 
     def context_sum_matrix(self) -> np.ndarray:
         return self._vsum.copy()
@@ -157,74 +160,73 @@ def _check_theta(history: History, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _flat_mu(history: History, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Utilities and softmax probabilities for every offered item, flat."""
-    u = history.ctx_flat @ theta
-    m = np.maximum.reduceat(u, history.starts)
-    np.maximum(m, 0.0, out=m)
+def _segment_exp(history: History, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segment kernel: per-block shift, shifted exponentials, normalizers.
+
+    ``u`` holds one utility per stored row, or an (n, m) matrix with one
+    column per parameter.  Each block is shifted by m = max(0, its largest
+    utility), so ``exp(u - m)`` per row and ``total = exp(-m) + sum exp(u -
+    m)`` per block stay finite for any utility float64 can hold; the block's
+    log(1 + sum exp u) is ``m + log(total)`` and a row's probability is its
+    exponential over its block's total.
+    """
+    starts = history.starts
+    m = np.maximum(np.maximum.reduceat(u, starts, axis=0), 0.0)
     ez = np.exp(u - m[history.seg_ids])
-    denom = np.exp(-m) + np.add.reduceat(ez, history.starts)
-    return u, ez / denom[history.seg_ids]
+    return m, ez, np.exp(-m) + np.add.reduceat(ez, starts, axis=0)
+
+
+def _log_likelihood(history: History, u: np.ndarray) -> np.ndarray | float:
+    """Unpenalized log-likelihood at stored-row utilities ``u`` (see above)."""
+    m, _, total = _segment_exp(history, u)
+    return history.purchases @ u - history.offers @ (m + np.log(total))
+
+
+def _row_mu(history: History, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Utilities and softmax probabilities of every stored row."""
+    u = history.ctx_flat @ theta
+    _, ez, total = _segment_exp(history, u)
+    return u, ez / total[history.seg_ids]
 
 
 def penalized_log_likelihood(history: History, theta: np.ndarray, lam: float) -> float:
     """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
     theta = _check_theta(history, theta)
-    base = -0.5 * lam * float(theta @ theta)
-    if history.n_items == 0:
-        return base
-    u = history.ctx_flat @ theta
-    m = np.maximum.reduceat(u, history.starts)
-    np.maximum(m, 0.0, out=m)
-    ez = np.exp(u - m[history.seg_ids])
-    lse = m + np.log(np.exp(-m) + np.add.reduceat(ez, history.starts))
-    chosen = history.chosen_rows
-    cu = np.where(chosen >= 0, u[np.maximum(chosen, 0)], 0.0)
-    return float((cu - lse).sum()) + base
+    ll = _log_likelihood(history, history.ctx_flat @ theta)
+    return float(ll) - 0.5 * lam * float(theta @ theta)
 
 
 def score(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Gradient of the penalized log-likelihood; zero exactly at the MLE."""
     theta = _check_theta(history, theta)
-    if history.n_items == 0:
-        return -lam * theta
-    _, mu = _flat_mu(history, theta)
-    r = np.zeros(history.n_items)
-    chosen = history.chosen_rows
-    r[chosen[chosen >= 0]] = 1.0
-    return (r - mu) @ history.ctx_flat - lam * theta
+    _, mu = _row_mu(history, theta)
+    return (history.purchases - history.row_offers * mu) @ history.ctx_flat - lam * theta
 
 
 def g_vector(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """sum_s sum_i mu_i(X_s theta) x_si + lam theta."""
     theta = _check_theta(history, theta)
-    if history.n_items == 0:
-        return lam * theta
-    _, mu = _flat_mu(history, theta)
-    return mu @ history.ctx_flat + lam * theta
+    _, mu = _row_mu(history, theta)
+    return (history.row_offers * mu) @ history.ctx_flat + lam * theta
 
 
 def reward_vector(history: History) -> np.ndarray:
     """sum_s sum_i r_si x_si, the value g takes at the MLE."""
-    if history.n_items == 0:
-        return np.zeros(history.dim)
-    chosen = history.chosen_rows
-    rows = chosen[chosen >= 0]
-    if rows.size == 0:
-        return np.zeros(history.dim)
-    return history.ctx_flat[rows].sum(axis=0)
+    return history.purchases @ history.ctx_flat
+
+
+def _weighted_gram(history: History, w: np.ndarray, lam: float) -> DesignMatrix:
+    """sum_rows n w x x^T + lam I."""
+    ctx = history.ctx_flat
+    w = history.row_offers * w
+    return DesignMatrix(ctx.T @ (w[:, None] * ctx) + lam * np.eye(history.dim), lam)
 
 
 def matrix_H(history: History, theta: np.ndarray, lam: float) -> DesignMatrix:
     """Curvature-weighted design matrix sum mu(1-mu) x x^T + lam I."""
     theta = _check_theta(history, theta)
-    eye = lam * np.eye(history.dim)
-    if history.n_items == 0:
-        return DesignMatrix(eye, lam)
-    _, mu = _flat_mu(history, theta)
-    w = mu * (1.0 - mu)
-    ctx = history.ctx_flat
-    return DesignMatrix(ctx.T @ (w[:, None] * ctx) + eye, lam)
+    _, mu = _row_mu(history, theta)
+    return _weighted_gram(history, mu * (1.0 - mu), lam)
 
 
 def matrix_V(history: History, lam: float) -> DesignMatrix:
@@ -236,30 +238,23 @@ def matrix_G(
     history: History, theta1: np.ndarray, theta2: np.ndarray, lam: float
 ) -> DesignMatrix:
     """Difference-quotient design matrix linking g(th1) - g(th2)."""
-    theta1 = _check_theta(history, theta1)
-    theta2 = _check_theta(history, theta2)
-    eye = lam * np.eye(history.dim)
-    if history.n_items == 0:
-        return DesignMatrix(eye, lam)
-    u1, mu1 = _flat_mu(history, theta1)
-    u2, mu2 = _flat_mu(history, theta2)
+    u1, mu1 = _row_mu(history, _check_theta(history, theta1))
+    u2, mu2 = _row_mu(history, _check_theta(history, theta2))
     den = u2 - u1
     small = np.abs(den) < _ALPHA_FALLBACK_TOL
     alpha = np.where(small, mu1 * (1.0 - mu1), (mu2 - mu1) / np.where(small, 1.0, den))
-    ctx = history.ctx_flat
-    return DesignMatrix(ctx.T @ (alpha[:, None] * ctx) + eye, lam)
+    return _weighted_gram(history, alpha, lam)
 
 
 def _nll_hessian(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
-    """Exact Hessian of the negative penalized log-likelihood (PD for lam > 0)."""
-    eye = lam * np.eye(history.dim)
-    if history.n_items == 0:
-        return eye
-    _, mu = _flat_mu(history, theta)
-    ctx = history.ctx_flat
-    diag_part = ctx.T @ ((mu[:, None]) * ctx)
-    seg_means = np.add.reduceat(mu[:, None] * ctx, history.starts, axis=0)
-    return diag_part - seg_means.T @ seg_means + eye
+    """Exact Hessian of the negative penalized log-likelihood (PD for lam > 0).
+
+    Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i.
+    """
+    _, mu = _row_mu(history, theta)
+    diag_part = _weighted_gram(history, mu, lam).matrix
+    seg_means = np.add.reduceat(mu[:, None] * history.ctx_flat, history.starts, axis=0)
+    return diag_part - seg_means.T @ (history.offers[:, None] * seg_means)
 
 
 def fit_mle(

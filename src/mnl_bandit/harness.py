@@ -257,6 +257,9 @@ class RunLog:
             "mle_failures": self.mle_failures,
             "wall_time_s": self.wall_time,
             "version": __version__,
+            # Count-compressed history size: distinct context blocks and their rows.
+            "history_blocks": None if self.history is None else self.history.n_blocks,
+            "history_rows": None if self.history is None else self.history.n_items,
         }
 
     def save_metadata(self, path) -> None:

@@ -6,7 +6,9 @@ parallelize without shared state.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,9 @@ TAG_CONTEXTS = 1
 TAG_OUTCOME = 2
 TAG_POLICY = 3
 TAG_KAPPA = 4
+
+# Assortments scored per batch in the kappa search.
+_KAPPA_CHUNK = 8
 
 FIXED_POOL = "fixed_pool"
 FRESH_IID = "fresh_iid"
@@ -181,7 +186,11 @@ def environment_step(
 
 @dataclass
 class KappaEstimate:
-    """Largest observed reciprocal curvature 1 / (mu (1 - mu))."""
+    """Largest observed reciprocal curvature 1 / (mu (1 - mu)).
+
+    ``inf`` when mu (1 - mu) underflows to zero, which takes utilities
+    beyond about 745 in absolute value.
+    """
 
     value: float
     argmax_theta: np.ndarray
@@ -203,13 +212,33 @@ def kappa_theta_candidates(instance: Instance, grid_size: int, pool: np.ndarray)
     return np.vstack([np.atleast_2d(c) for c in cands])
 
 
+def _sum_of_others(ez: np.ndarray) -> np.ndarray:
+    """For each item (axis 0), the sum over the other items, from running
+    prefix and suffix sums so nothing cancels."""
+    out = np.empty_like(ez)
+    acc = np.zeros_like(ez[0])
+    for i in range(ez.shape[0]):
+        out[i] = acc
+        acc = acc + ez[i]
+    acc = np.zeros_like(ez[0])
+    for i in reversed(range(ez.shape[0])):
+        out[i] += acc
+        acc = acc + ez[i]
+    return out
+
+
 def kappa_over_candidates(
     instance: Instance,
     thetas: np.ndarray,
     pool: np.ndarray,
     max_assortments: int = 1000,
 ) -> KappaEstimate:
-    """Evaluate 1/(mu(1-mu)) over assortments x items x candidate thetas."""
+    """Evaluate 1/(mu(1-mu)) over assortments x items x candidate thetas.
+
+    Assortments of one size are scored ``_KAPPA_CHUNK`` at a time, which
+    bounds the temporaries; ties keep the first assortment in enumeration
+    order.
+    """
     assortments = enumerate_assortments(instance.N, instance.K)
     if len(assortments) > max_assortments:
         rng = stream(instance.seed, TAG_KAPPA, 1)
@@ -221,20 +250,27 @@ def kappa_over_candidates(
     arg_theta = thetas[0]
     arg_ctx = pool[0]
     arg_a: tuple[int, ...] = ()
-    for a in assortments:
-        u = U[list(a)]
-        shift = np.maximum(u.max(axis=0), 0.0)
-        ez = np.exp(u - shift)
-        mu = ez / (np.exp(-shift) + ez.sum(axis=0))
-        w = mu * (1.0 - mu)
-        i_flat = int(np.argmin(w))
-        i_item, i_cand = np.unravel_index(i_flat, w.shape)
-        val = 1.0 / float(w[i_item, i_cand])
-        if val > best:
-            best = val
-            arg_theta = thetas[i_cand]
-            arg_ctx = pool[a[i_item]]
-            arg_a = a
+    for _, group in itertools.groupby(assortments, len):
+        idx = np.array(list(group))
+        for lo in range(0, idx.shape[0], _KAPPA_CHUNK):
+            rows = idx[lo : lo + _KAPPA_CHUNK]
+            u = U[rows.T]  # (items, assortments, n_cand)
+            shift = np.maximum(u.max(axis=0), 0.0)
+            ez = np.exp(u - shift)
+            e0 = np.exp(-shift)
+            denom = e0 + ez.sum(axis=0)
+            # 1 - mu_i is summed from the other terms of the denominator: by
+            # subtraction it cancels to 0 once mu_i rounds to 1.
+            w = (ez / denom) * ((e0 + _sum_of_others(ez)) / denom)
+            w = w.transpose(1, 0, 2)  # assortment-major, for the tie rule
+            i_a, i_item, i_cand = np.unravel_index(int(np.argmin(w)), w.shape)
+            w_min = float(w[i_a, i_item, i_cand])
+            val = 1.0 / w_min if w_min > 0.0 else math.inf  # mu (1 - mu) underflowed
+            if val > best:
+                best = val
+                arg_theta = thetas[i_cand]
+                arg_ctx = pool[rows[i_a, i_item]]
+                arg_a = tuple(int(i) for i in rows[i_a])
     return KappaEstimate(best, arg_theta.copy(), arg_ctx.copy(), arg_a)
 
 

@@ -75,6 +75,20 @@ class TestChoiceProbabilities:
         assert np.isfinite(dist.item_probs).all()
         assert dist.item_probs[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("u, item, none", [(-800.0, 0.0, 1.0), (800.0, 1.0, 0.0)])
+    def test_underflowed_probabilities_accepted(self, u, item, none):
+        dist = choice_probabilities(make_assortment([[1.0]]), np.array([u]))
+        assert dist.item_probs[0] == item
+        assert dist.no_purchase_prob == none
+
+    def test_negative_or_unnormalized_probabilities_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            ChoiceDistribution(np.array([1.5]), -0.5)
+        with pytest.raises(ValueError, match="sum"):
+            ChoiceDistribution(np.array([0.5]), 0.5 + 1e-11)
+        with pytest.raises(ValueError, match="sum"):
+            ChoiceDistribution(np.array([np.nan]), 0.0)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension"):
             choice_probabilities(TWO_ITEM, np.array([1.0, 2.0]))

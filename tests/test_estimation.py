@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from mnl_bandit.choice import AssortmentContexts
+from mnl_bandit.choice import AssortmentContexts, choice_probabilities
+from mnl_bandit.confidence import ConfidenceConfig, build_confidence_state, e_boundary_multi
 from mnl_bandit.estimation import (
     DesignMatrix,
     History,
+    _nll_hessian,
     fit_mle,
     g_vector,
     matrix_G,
@@ -333,3 +335,144 @@ class TestHistory:
             total += k
         assert hist.n_items == total
         assert hist.ctx_flat.shape == (total, 2)
+
+
+def mixed_history(rng, d=2, rounds=300):
+    """Repeated pool assortments, equal blocks under other indices, fresh
+    blocks and empty rounds, with outcomes drawn at a fixed parameter."""
+    pool = sample_ball(rng, 5, d)
+    theta = sample_ball(rng, 1, d, radius=1.5)[0]
+    repeated = [(0, 1), (2,), (1, 3, 4)]
+    hist = History(d)
+    for t in range(rounds):
+        kind = t % 5
+        if kind == 0:
+            ass = AssortmentContexts((), np.zeros((0, d)), np.zeros(0))
+        elif kind in (1, 2):
+            ass = AssortmentContexts.from_pool(pool, repeated[int(rng.integers(3))])
+        elif kind == 3:
+            # Same rows as the pool pair (0, 1), offered under other indices.
+            ass = AssortmentContexts((7, 9), pool[[0, 1]], np.ones(2))
+        else:
+            ass = make_assortment(sample_ball(rng, int(rng.integers(1, 4)), d))
+        probs = choice_probabilities(ass, theta).outcome_probs()
+        hist.append(ass, int(rng.choice(probs.size, p=probs)))
+    return hist
+
+
+def per_round_reference(hist, theta, lam):
+    """Likelihood quantities summed one round at a time from ``hist.rounds``."""
+    eye = np.eye(hist.dim)
+    ll, s, g, r = -0.5 * lam * float(theta @ theta), -lam * theta, lam * theta, 0.0 * theta
+    h, hess = lam * eye, lam * eye
+    for ass, y in hist.rounds:
+        if not ass.cardinality:
+            continue
+        dist = choice_probabilities(ass, theta)
+        mu, x = dist.item_probs, ass.contexts
+        ll += math.log(dist.outcome_probs()[y])
+        if y:
+            s = s + x[y - 1]
+            r = r + x[y - 1]
+        s = s - mu @ x
+        g = g + mu @ x
+        h = h + x.T @ ((mu * (1.0 - mu))[:, None] * x)
+        m = mu @ x
+        hess = hess + x.T @ (mu[:, None] * x) - np.outer(m, m)
+    return dict(ll=ll, score=s, g=g, reward=r, H=h, hess=hess)
+
+
+def per_round_G(hist, th1, th2, lam):
+    out = lam * np.eye(hist.dim)
+    for ass, _ in hist.rounds:
+        if not ass.cardinality:
+            continue
+        x = ass.contexts
+        u1, u2 = x @ th1, x @ th2
+        mu1 = choice_probabilities(ass, th1).item_probs
+        mu2 = choice_probabilities(ass, th2).item_probs
+        alpha = (mu2 - mu1) / (u2 - u1)
+        out = out + x.T @ (alpha[:, None] * x)
+    return out
+
+
+def assert_rel(actual, expect, rel=1e-10):
+    actual, expect = np.asarray(actual, dtype=float), np.asarray(expect, dtype=float)
+    assert float(np.linalg.norm(actual - expect)) <= rel * float(np.linalg.norm(expect))
+
+
+class TestCompressedHistoryAgainstPerRoundReference:
+    LAM = 2.0
+
+    def test_blocks_merge_by_contents(self):
+        hist = mixed_history(np.random.default_rng(5))
+        fresh = sum(1 for t in range(300) if t % 5 == 4)
+        # Three pool assortments (the re-indexed pair merges into (0, 1))
+        # plus one block per fresh round.
+        assert hist.n_blocks == 3 + fresh
+        assert hist.t == 300
+        assert float(hist.offers.sum()) == 240.0
+        assert float(hist.purchases.sum()) == sum(1 for _, y in hist.rounds if y)
+
+    def test_likelihood_family_matches(self):
+        rng = np.random.default_rng(6)
+        hist = mixed_history(rng)
+        for theta in sample_ball(rng, 4, 2, radius=2.0):
+            ref = per_round_reference(hist, theta, self.LAM)
+            assert_rel(penalized_log_likelihood(hist, theta, self.LAM), ref["ll"])
+            assert_rel(score(hist, theta, self.LAM), ref["score"])
+            assert_rel(g_vector(hist, theta, self.LAM), ref["g"])
+            assert_rel(reward_vector(hist), ref["reward"])
+            assert_rel(matrix_H(hist, theta, self.LAM).matrix, ref["H"])
+            assert_rel(_nll_hessian(hist, theta, self.LAM), ref["hess"])
+        th1, th2 = sample_ball(rng, 2, 2, radius=2.0)
+        assert_rel(matrix_G(hist, th1, th2, self.LAM).matrix, per_round_G(hist, th1, th2, self.LAM))
+
+    def test_fit_matches_per_round_newton(self):
+        hist = mixed_history(np.random.default_rng(7))
+        theta = np.zeros(2)
+        for _ in range(50):
+            ref = per_round_reference(hist, theta, self.LAM)
+            theta = theta + np.linalg.solve(ref["hess"], ref["score"])
+        res = fit_mle(hist, self.LAM, tol=1e-11)
+        assert res.converged
+        assert_rel(res.theta_hat, theta)
+
+    def test_boundary_points_match(self):
+        hist = mixed_history(np.random.default_rng(8))
+        cfg = ConfidenceConfig(d=2, K=3, T=300, lam=self.LAM, S=2.0)
+        state = build_confidence_state(hist, cfg, t=301)
+        dirs = np.random.default_rng(9).standard_normal((12, 2))
+        got = e_boundary_multi(hist, cfg, state, dirs)
+
+        def gap(th):
+            return -per_round_reference(hist, th, self.LAM)["ll"] - state.loss_at_hat
+
+        hess = per_round_reference(hist, state.theta_hat, self.LAM)["hess"]
+        beta_sq, base = state.beta**2, state.anchor
+        for v, point in zip(dirs / np.linalg.norm(dirs, axis=1)[:, None], got):
+            b, c = float(v @ base), float(base @ base) - cfg.S**2
+            s_ball = max(-b + math.sqrt(max(b * b - c, 0.0)), 0.0)
+            s0 = min(math.sqrt(2.0 * beta_sq / max(float(v @ hess @ v), 1e-12)), s_ball)
+            lo, hi = (s0, min(1.3 * s0, s_ball)) if gap(base + s0 * v) <= beta_sq else (0.0, s0)
+            if gap(base + hi * v) <= beta_sq:
+                lo = hi
+            active = hi > lo
+            for _ in range(5):
+                if not active:
+                    break
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if gap(base + mid * v) <= beta_sq else (lo, mid)
+                active = hi - lo > 1e-3 * max(s_ball, 1e-12)
+            assert lo > 0.0
+            assert_rel(point, base + lo * v)
+
+    def test_repeated_assortments_stay_three_blocks(self):
+        rng = np.random.default_rng(10)
+        pool = sample_ball(rng, 4, 2)
+        hist = History(2)
+        for t in range(3000):
+            hist.append(AssortmentContexts.from_pool(pool, [(0,), (1, 2), (0, 3)][t % 3]), t % 2)
+        assert hist.n_blocks == 3
+        assert hist.n_items == 5
+        assert float(hist.offers.sum()) == 3000.0

@@ -193,6 +193,20 @@ class TestPersistence:
         assert meta["kappa_hat"] >= 4.0
         assert meta["config"]["T"] == 10
         assert "wall_time_s" in meta and "version" in meta
+        assert meta["history_blocks"] == run.history.n_blocks
+        assert meta["history_rows"] == run.history.n_items
+
+    def test_history_size_fixed_pool_bounded_by_assortment_count(self):
+        run = run_experiment(small_cfg(N=4, K=2, T=60), seed=2)
+        meta = run.metadata()
+        assert 1 <= meta["history_blocks"] <= math.comb(4, 1) + math.comb(4, 2)
+        assert meta["history_rows"] <= 2 * meta["history_blocks"]
+
+    def test_history_size_fresh_iid_one_block_per_round(self):
+        run = run_experiment(small_cfg(T=25, context_mode="fresh_iid"), seed=4)
+        meta = run.metadata()
+        assert meta["history_blocks"] == 25
+        assert meta["history_rows"] == sum(len(r.assortment) for r in run.records)
 
     def test_save_runs_layout(self, tmp_path):
         logs = run_many(small_cfg(T=8, seeds=[0, 1]), jobs=1)

@@ -128,6 +128,32 @@ class TestKappa:
         sig = 1.0 / (1.0 + math.exp(-2.0))
         assert est.value == pytest.approx(1.0 / (sig * (1.0 - sig)), rel=1e-9)
 
+    def test_large_norm_bound_two_item_hand_value(self):
+        # At theta = 40 the pair {x=1, x=-1} has mu_1 within 1e-17 of 1, so
+        # 1 - mu_1 computed by subtraction is 0.  The extreme is item 2:
+        # mu_2 = e^-40 / D and 1 - mu_2 = (1 + e^40) / D, D = 1 + e^40 + e^-40.
+        inst = Instance(
+            d=1, N=2, K=2, S=40.0, S_true=1.0,
+            theta_star=np.zeros(1), context_mode=FIXED_POOL,
+            pool=np.array([[1.0], [-1.0]]), prices=np.ones(2), seed=0,
+        )
+        est = estimate_kappa(inst, grid_size=16)
+        big, small = math.exp(40.0), math.exp(-40.0)
+        den = 1.0 + big + small
+        expect = den * den / (small * (1.0 + big))
+        assert math.isfinite(est.value)
+        assert est.value == pytest.approx(expect, rel=1e-12)
+        assert est.argmax_assortment == (0, 1)
+
+    def test_underflowed_curvature_reports_inf(self):
+        thetas = np.array([[800.0]])
+        inst = Instance(
+            d=1, N=1, K=1, S=800.0, S_true=1.0,
+            theta_star=np.zeros(1), context_mode=FIXED_POOL,
+            pool=np.array([[1.0]]), prices=np.ones(1), seed=0,
+        )
+        assert kappa_over_candidates(inst, thetas, inst.pool).value == math.inf
+
     def test_always_at_least_four(self):
         for seed in range(20):
             inst = make_instance(InstanceConfig(d=2, N=4, K=2, S=1.0), seed)
