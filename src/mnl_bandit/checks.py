@@ -1,8 +1,11 @@
-"""Numerical property and lemma suites, runnable from the CLI.
+"""The numerical property and lemma library, shared by the CLI and the gate.
 
-Each check returns (name, passed, detail).  Scales are desk-sized so the
-whole suite finishes in about a minute; the pytest acceptance module runs
-the same statements at their full published scales.
+Each property is one function whose scale, seed and data are arguments
+and which returns a ``CheckResult``: the verdict, a one-line detail and
+its headline number.  ``mnl-bandit check`` calls every property at desk
+scale through ``run_checks``; the acceptance gate in
+``tests/test_acceptance.py`` calls the same functions at its published
+scales and seeds, so each statement and its bar exist once.
 """
 from __future__ import annotations
 
@@ -17,12 +20,40 @@ from .choice import (
     diag_derivative,
     diag_second_derivative,
 )
-from .confidence import build_confidence_state, in_set_C, in_set_E
+from .confidence import (
+    ConfidenceConfig,
+    build_confidence_state,
+    default_lambda,
+    in_set_C,
+    in_set_E,
+)
 from .estimation import History, fit_mle, g_vector, matrix_G, matrix_H, score
-from .harness import ExperimentConfig, elliptical_potential_check, run_experiment
-from .simulator import sample_ball
+from .harness import ExperimentConfig, RunLog, elliptical_potential_check, run_experiment
+from .policy import random_assortment
+from .simulator import (
+    TAG_OUTCOME,
+    InstanceConfig,
+    environment_step,
+    make_instance,
+    sample_ball,
+    stream,
+)
 
-__all__ = ["CheckResult", "run_checks", "ALL_CHECKS"]
+__all__ = [
+    "CheckResult",
+    "CHECKS",
+    "run_checks",
+    "derivative_identities",
+    "self_concordance",
+    "probability_normalization",
+    "mle_stationarity",
+    "psd_ordering",
+    "g_identity",
+    "convex_set_contains_norm_set",
+    "deviation_bound",
+    "elliptical_potential",
+    "coverage",
+]
 
 
 @dataclass
@@ -30,6 +61,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    value: float  # the headline number the detail reports
 
 
 def _random_assortment(rng, d, k_max=5) -> AssortmentContexts:
@@ -38,46 +70,57 @@ def _random_assortment(rng, d, k_max=5) -> AssortmentContexts:
     return AssortmentContexts(tuple(range(k)), ctx, np.ones(k))
 
 
-def _softmax_ref(u: np.ndarray) -> np.ndarray:
-    z = np.exp(u - max(float(u.max()), 0.0))
-    return z / (math.exp(-max(float(u.max()), 0.0)) + z.sum())
+def _random_draw(rng) -> tuple[AssortmentContexts, np.ndarray, int]:
+    """An assortment of 1-5 items in dimension 1-10, a parameter of norm <= 3, an item."""
+    d = int(rng.integers(1, 11))
+    ass = _random_assortment(rng, d)
+    theta = sample_ball(rng, 1, d, radius=3.0)[0]
+    return ass, theta, int(rng.integers(ass.cardinality))
 
 
-def check_derivative_identities(n_draws: int = 2000, seed: int = 7) -> CheckResult:
+def _softmax_ref(utilities: list[float]) -> list[float]:
+    den = 1.0 + sum(math.exp(u) for u in utilities)
+    return [math.exp(u) / den for u in utilities]
+
+
+def derivative_identities(n_draws: int, seed: int) -> CheckResult:
+    """mu_i' against central differences of a pure-Python softmax."""
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst = 0.0
     for _ in range(n_draws):
-        d = int(rng.integers(1, 11))
-        ass = _random_assortment(rng, d)
-        theta = sample_ball(rng, 1, d, radius=3.0)[0]
-        i = int(rng.integers(ass.cardinality))
-        u = ass.contexts @ theta
+        ass, theta, i = _random_draw(rng)
+        u = list(ass.contexts @ theta)
         up, um = u.copy(), u.copy()
         up[i] += h
         um[i] -= h
         fd = (_softmax_ref(up)[i] - _softmax_ref(um)[i]) / (2.0 * h)
         an = diag_derivative(ass, theta, i)
-        worst = max(worst, abs(fd - an) / max(abs(an), 1e-12))
+        worst = max(worst, abs(fd - an) / abs(an))
     return CheckResult(
-        "derivative finite differences", worst < 1e-6, f"worst rel err {worst:.3g}"
+        "derivative finite differences",
+        worst < 1e-6,
+        f"worst fin-diff rel err {worst:.2e} over {n_draws} draws",
+        worst,
     )
 
 
-def check_self_concordance(n_draws: int = 5000, seed: int = 11) -> CheckResult:
+def self_concordance(n_draws: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(n_draws):
-        d = int(rng.integers(1, 11))
-        ass = _random_assortment(rng, d)
-        theta = sample_ball(rng, 1, d, radius=3.0)[0]
-        i = int(rng.integers(ass.cardinality))
-        if abs(diag_second_derivative(ass, theta, i)) > diag_derivative(ass, theta, i) + 1e-15:
+        ass, theta, i = _random_draw(rng)
+        if abs(diag_second_derivative(ass, theta, i)) > diag_derivative(ass, theta, i):
             violations += 1
-    return CheckResult("self-concordance |mu''| <= mu'", violations == 0, f"{violations} violations")
+    return CheckResult(
+        "self-concordance |mu''| <= mu'",
+        violations == 0,
+        f"{violations} violations of |mu''| <= mu' on {n_draws} draws",
+        violations,
+    )
 
 
-def check_probability_normalization(n_draws: int = 2000, seed: int = 13) -> CheckResult:
+def probability_normalization(n_draws: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_draws):
@@ -86,32 +129,36 @@ def check_probability_normalization(n_draws: int = 2000, seed: int = 13) -> Chec
         theta = sample_ball(rng, 1, d, radius=3.0)[0]
         dist = choice_probabilities(ass, theta)
         worst = max(worst, abs(float(dist.item_probs.sum()) + dist.no_purchase_prob - 1.0))
-    return CheckResult("probability normalization", worst < 1e-12, f"worst gap {worst:.3g}")
+    return CheckResult("probability normalization", worst < 1e-12, f"worst gap {worst:.3g}", worst)
 
 
-def _random_history(rng, d, K, rounds) -> History:
+def _random_history(rng, d, rounds, k_max) -> History:
+    """Rounds of 1..k_max random items with uniform outcomes."""
     hist = History(d)
     for _ in range(rounds):
-        k = int(rng.integers(1, K + 1))
+        k = int(rng.integers(1, k_max + 1))
         ctx = sample_ball(rng, k, d)
         ass = AssortmentContexts(tuple(range(k)), ctx, np.ones(k))
         hist.append(ass, int(rng.integers(0, k + 1)))
     return hist
 
 
-def check_mle_stationarity(n_fits: int = 20, seed: int = 17) -> CheckResult:
+def mle_stationarity(n_fits: int, seed: int) -> CheckResult:
+    """The score vanishes at the fitted MLE on random histories of up to 39 rounds."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_fits):
         d = int(rng.integers(1, 6))
-        hist = _random_history(rng, d, 3, int(rng.integers(1, 30)))
-        lam = float(rng.uniform(1.0, 5.0))
+        hist = _random_history(rng, d, int(rng.integers(1, 40)), 3)
+        lam = float(rng.uniform(1.0, 10.0))
         res = fit_mle(hist, lam)
         worst = max(worst, float(np.linalg.norm(score(hist, res.theta_hat, lam))))
-    return CheckResult("MLE stationarity", worst <= 1e-8, f"worst score norm {worst:.3g}")
+    return CheckResult(
+        "MLE stationarity", worst <= 1e-8, f"score norm {worst:.2e} over {n_fits} fits", worst
+    )
 
 
-def check_lemma2_psd(n_configs: int = 200, seed: int = 19, S: float = 1.0) -> CheckResult:
+def psd_ordering(n_configs: int, seed: int, S: float = 1.0) -> CheckResult:
     """G(th1, th2) dominates (1+2S)^-1 H(th_j) on single-item histories.
 
     The difference quotient behind G mixes in cross-item effects once an
@@ -123,125 +170,154 @@ def check_lemma2_psd(n_configs: int = 200, seed: int = 19, S: float = 1.0) -> Ch
     worst = math.inf
     for _ in range(n_configs):
         d = int(rng.integers(1, 6))
-        hist = _random_history(rng, d, 1, int(rng.integers(1, 21)))
+        hist = History(d)
+        for _ in range(int(rng.integers(1, 21))):
+            ass = AssortmentContexts((0,), sample_ball(rng, 1, d), np.ones(1))
+            hist.append(ass, int(rng.integers(0, 2)))
         lam = float(rng.uniform(1.0, 20.0))
         th1 = sample_ball(rng, 1, d, radius=S)[0]
         th2 = sample_ball(rng, 1, d, radius=S)[0]
         g = matrix_G(hist, th1, th2, lam).matrix
         for th in (th1, th2):
-            h = matrix_H(hist, th, lam).matrix
-            diff = g - h / (1.0 + 2.0 * S)
+            diff = g - matrix_H(hist, th, lam).matrix / (1.0 + 2.0 * S)
             worst = min(worst, float(np.linalg.eigvalsh(diff)[0]))
-    return CheckResult("PSD ordering of G against H", worst >= -1e-9, f"min eigenvalue {worst:.3g}")
+    return CheckResult(
+        "PSD ordering of G against H",
+        worst >= -1e-9,
+        f"min eigenvalue {worst:.3e} over {n_configs} configurations",
+        worst,
+    )
 
 
-def check_g_identity(n_configs: int = 100, seed: int = 23) -> CheckResult:
+def g_identity(n_configs: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_configs):
         d = int(rng.integers(1, 5))
-        hist = _random_history(rng, d, 3, int(rng.integers(1, 15)))
+        hist = _random_history(rng, d, int(rng.integers(1, 15)), 3)
         lam = float(rng.uniform(1.0, 3.0))
         th1 = sample_ball(rng, 1, d, radius=2.0)[0]
         th2 = sample_ball(rng, 1, d, radius=2.0)[0]
         lhs = g_vector(hist, th1, lam) - g_vector(hist, th2, lam)
         rhs = matrix_G(hist, th1, th2, lam).matrix @ (th1 - th2)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return CheckResult("difference-quotient identity for g", worst < 1e-8, f"worst gap {worst:.3g}")
+    return CheckResult(
+        "difference-quotient identity for g", worst < 1e-8, f"worst gap {worst:.3g}", worst
+    )
 
 
-def check_lemma8_inclusion(n_snapshots: int = 10, per_snapshot: int = 20, seed: int = 29) -> CheckResult:
+def convex_set_contains_norm_set(
+    n_snapshots: int, per_snapshot: int, seed: int, instance_seed0: int, max_tries: int = 6000
+) -> CheckResult:
+    """Every sampled member of the norm-based set C lies in its relaxation E.
+
+    Snapshot s is a d=2, N=4, K=2 instance (seed ``instance_seed0 + s``)
+    after T = 15 + 9 (s mod 6) uniformly random assortments.  Members of C
+    are rejection-sampled from the ellipsoid of radius 1.5 gamma around
+    the MLE in the H_hat^-1 metric; a snapshot that yields fewer than
+    ``per_snapshot`` members in ``max_tries`` draws fails the check.
+    """
     rng = np.random.default_rng(seed)
-    cfg = ExperimentConfig(d=2, N=4, K=2, T=40, policy="random", seeds=[0])
-    violations = 0
     tested = 0
+    violations = 0
     for snap in range(n_snapshots):
-        run = run_experiment(cfg, seed=100 + snap)
-        hist = run.history
-        ccfg = cfg.confidence_config()
-        state = build_confidence_state(hist, ccfg, t=hist.t + 1)
-        members = _sample_c_members(rng, hist, ccfg, state, per_snapshot)
-        for th in members:
-            tested += 1
-            if not in_set_E(th, hist, ccfg, state):
-                violations += 1
+        inst_seed = instance_seed0 + snap
+        inst = make_instance(InstanceConfig(d=2, N=4, K=2), inst_seed)
+        T = 15 + 9 * (snap % 6)
+        hist = History(2)
+        rng_a = stream(inst_seed, 7)  # a tag no run uses
+        for t in range(1, T + 1):
+            ass = AssortmentContexts.from_pool(inst.pool, random_assortment(4, 2, rng_a), inst.prices)
+            hist.append(ass, environment_step(inst, ass, stream(inst_seed, TAG_OUTCOME, t)))
+        cfg = ConfidenceConfig(d=2, K=2, T=T, delta=0.1, lam=default_lambda(2, 2, T), S=1.0)
+        state = build_confidence_state(hist, cfg, t=T + 1)
+        chol = np.linalg.cholesky(np.linalg.inv(state.H_hat.matrix))
+        members = 0
+        tries = 0
+        while members < per_snapshot and tries < max_tries:
+            tries += 1
+            z = rng.standard_normal(2)
+            z *= 1.5 * state.gamma * math.sqrt(rng.random()) / float(np.linalg.norm(z))
+            cand = state.theta_hat + chol @ z
+            if in_set_C(cand, hist, cfg, state):
+                members += 1
+                tested += 1
+                if not in_set_E(cand, hist, cfg, state):
+                    violations += 1
     return CheckResult(
         "convex set contains the norm-based set",
-        violations == 0 and tested > 0,
+        violations == 0 and tested == n_snapshots * per_snapshot,
         f"{violations} violations over {tested} members",
+        violations,
     )
 
 
-def _sample_c_members(rng, hist, ccfg, state, want, max_tries=4000):
-    """Rejection-sample members of the norm-based set around the MLE."""
-    d = hist.dim
-    h_hat = state.H_hat.matrix
-    chol = np.linalg.cholesky(np.linalg.inv(h_hat))
-    members = []
-    radius = 1.5 * state.gamma
-    tries = 0
-    while len(members) < want and tries < max_tries:
-        tries += 1
-        z = rng.standard_normal(d)
-        z *= radius * rng.random() ** (1.0 / d) / float(np.linalg.norm(z))
-        cand = state.theta_hat + chol @ z
-        if in_set_C(cand, hist, ccfg, state):
-            members.append(cand)
-    return members
+def deviation_bound(logs: list[RunLog]) -> CheckResult:
+    """dev_H <= dev_bound in every round whose confidence set held theta_star."""
+    checked = 0
+    violations = 0
+    for log in logs:
+        for r in log.records:
+            if r.covered:
+                checked += 1
+                if r.dev_H > r.dev_bound + 1e-9:
+                    violations += 1
+    return CheckResult(
+        "deviation bound in the H(theta_star) norm",
+        violations == 0 and checked > 0,
+        f"{violations} violations of the H(theta_star) deviation bound over {checked} covered rounds",
+        violations,
+    )
 
 
-def check_elliptical_potential(seed: int = 31) -> CheckResult:
-    cfg = ExperimentConfig(d=2, N=4, K=2, T=80, policy="random", seeds=[0])
-    run = run_experiment(cfg, seed=seed)
-    rep = elliptical_potential_check(run, run.history)
+def elliptical_potential(logs: list[RunLog]) -> CheckResult:
+    """Smallest slack of the potential and determinant-trace inequalities."""
+    worst_pot = math.inf
+    worst_det = math.inf
+    for run in logs:
+        rep = run.elliptical or elliptical_potential_check(run, run.history)
+        worst_pot = min(worst_pot, rep.potential_rhs - rep.potential_lhs)
+        worst_det = min(worst_det, rep.det_trace_rhs - rep.det_trace_lhs)
+    n = len(logs)
     return CheckResult(
         "elliptical potential and determinant-trace",
-        rep.ok,
-        f"potential {rep.potential_lhs:.3f} <= {rep.potential_rhs:.3f}, "
-        f"det {rep.det_trace_lhs:.3f} <= {rep.det_trace_rhs:.3f}",
+        worst_pot >= -1e-9 and worst_det >= -1e-9,
+        f"min potential slack {worst_pot:.3f}, min determinant slack {worst_det:.3f} "
+        f"over {n} run{'s' * (n != 1)}",
+        min(worst_pot, worst_det),
     )
 
 
-def check_coverage_smoke(n_runs: int = 10, seed0: int = 300) -> CheckResult:
-    cfg = ExperimentConfig(d=2, N=3, K=2, T=60, policy="cb_mnl_e", refine_top=1, n_dirs=8, seeds=[0])
-    covered = sum(run_experiment(cfg, seed0 + i).coverage_all for i in range(n_runs))
+def coverage(logs: list[RunLog]) -> CheckResult:
+    """At least 85% of runs keep theta_star in the confidence set every round."""
+    frac = sum(log.coverage_all for log in logs) / len(logs)
     return CheckResult(
-        "coverage smoke test", covered >= int(0.8 * n_runs), f"{covered}/{n_runs} runs fully covered"
+        "coverage smoke test",
+        frac >= 0.85,
+        f"full-horizon coverage {frac:.3f} over {len(logs)} runs",
+        frac,
     )
 
 
-def check_lemma5_bound(seed: int = 37) -> CheckResult:
-    cfg = ExperimentConfig(d=2, N=3, K=2, T=60, policy="cb_mnl_e", refine_top=1, n_dirs=8, seeds=[0])
-    run = run_experiment(cfg, seed=seed)
-    bad = [
-        r.t
-        for r in run.records
-        if r.covered_C and r.theta_in_C and r.dev_H > r.dev_bound + 1e-9
-    ]
-    return CheckResult(
-        "deviation bound in the H(theta_star) norm", not bad, f"{len(bad)} violating rounds"
-    )
+# Desk-scale runs: a short optimistic config and a uniform-policy config.
+_SMOKE = ExperimentConfig(d=2, N=3, K=2, T=60, policy="cb_mnl_e", refine_top=1, n_dirs=8)
+_RANDOM = ExperimentConfig(d=2, N=4, K=2, T=80, policy="random")
 
-
-ALL_CHECKS = [
-    check_probability_normalization,
-    check_derivative_identities,
-    check_self_concordance,
-    check_mle_stationarity,
-    check_g_identity,
-    check_lemma2_psd,
-    check_lemma8_inclusion,
-    check_lemma5_bound,
-    check_elliptical_potential,
-    check_coverage_smoke,
-]
+# The `check` suite: every property at desk scale, in report order.
+CHECKS = {
+    "probability_normalization": lambda: probability_normalization(2000, seed=13),
+    "derivative_identities": lambda: derivative_identities(2000, seed=7),
+    "self_concordance": lambda: self_concordance(5000, seed=11),
+    "mle_stationarity": lambda: mle_stationarity(20, seed=17),
+    "g_identity": lambda: g_identity(100, seed=23),
+    "lemma2_psd": lambda: psd_ordering(200, seed=19),
+    "lemma8_inclusion": lambda: convex_set_contains_norm_set(10, 20, seed=29, instance_seed0=100),
+    "lemma5_bound": lambda: deviation_bound([run_experiment(_SMOKE, seed=37)]),
+    "elliptical_potential": lambda: elliptical_potential([run_experiment(_RANDOM, seed=31)]),
+    "coverage_smoke": lambda: coverage([run_experiment(_SMOKE, 300 + i) for i in range(10)]),
+}
 
 
 def run_checks(names: list[str] | None = None) -> list[CheckResult]:
-    results = []
-    for fn in ALL_CHECKS:
-        short = fn.__name__.removeprefix("check_")
-        if names and short not in names:
-            continue
-        results.append(fn())
-    return results
+    """Run the named checks, or all of them in report order; unknown names raise KeyError."""
+    return [CHECKS[name]() for name in (names or CHECKS)]

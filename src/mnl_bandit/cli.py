@@ -25,7 +25,7 @@ from .harness import (
     summarize_runs,
 )
 from .simulator import Instance, make_instance
-from .checks import run_checks
+from .checks import CHECKS, run_checks
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -78,6 +78,13 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     names = args.only.split(",") if args.only else None
+    unknown = sorted(set(names or ()) - CHECKS.keys())
+    if unknown:
+        print(
+            f"unknown check name(s): {', '.join(unknown)}; valid names: {', '.join(CHECKS)}",
+            file=sys.stderr,
+        )
+        return 1
     results = run_checks(names)
     failed = 0
     for res in results:

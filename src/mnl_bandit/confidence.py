@@ -256,7 +256,7 @@ def _pull_feasible(
     state: ConfidenceState,
     n_bisect: int = 10,
 ) -> np.ndarray:
-    """Bisect the segment anchor -> candidate to its last feasible point."""
+    """The candidate if it lies in E, else the last feasible point of anchor -> candidate."""
     base = state.anchor
     if in_set_E(candidate, history, cfg, state):
         return candidate
@@ -312,9 +312,7 @@ def max_revenue_over_E(
             g_norm = float(np.linalg.norm(grad))
             if g_norm < 1e-12:
                 break
-            cand = theta + eta * grad
-            if not in_set_E(cand, history, cfg, state):
-                cand = _pull_feasible(cand, history, cfg, state)
+            cand = _pull_feasible(theta + eta * grad, history, cfg, state)
             cand_val = expected_revenue(assortment, cand)
             if cand_val > val + 1e-6:
                 theta, val = cand, cand_val

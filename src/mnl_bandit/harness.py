@@ -115,6 +115,12 @@ class ExperimentConfig:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.refine_top is not None and self.refine_top < 0:
+            raise ValueError(f"refine_top must be None or >= 0, got {self.refine_top}")
+        if self.n_dirs < 0:
+            raise ValueError(f"n_dirs must be >= 0, got {self.n_dirs}")
         PolicyKind(self.policy)  # raises on unknown kinds
 
     @property
@@ -188,18 +194,6 @@ class EllipticalReport:
     det_trace_lhs: float
     det_trace_rhs: float
 
-    @property
-    def potential_ok(self) -> bool:
-        return self.potential_lhs <= self.potential_rhs + 1e-9
-
-    @property
-    def det_trace_ok(self) -> bool:
-        return self.det_trace_lhs <= self.det_trace_rhs * (1.0 + 1e-12) + 1e-9
-
-    @property
-    def ok(self) -> bool:
-        return self.potential_ok and self.det_trace_ok
-
 
 @dataclass
 class RunLog:
@@ -213,6 +207,7 @@ class RunLog:
     wall_time: float
     coverage_all: bool
     mle_failures: int
+    newton_steps: int = 0  # Newton iterations summed over the run's MLE fits
     elliptical: EllipticalReport | None = None
     history: History | None = None
 
@@ -255,6 +250,7 @@ class RunLog:
             "total_regret": self.total_regret,
             "coverage_all": self.coverage_all,
             "mle_failures": self.mle_failures,
+            "newton_steps": self.newton_steps,
             "wall_time_s": self.wall_time,
             "version": __version__,
             # Count-compressed history size: distinct context blocks and their rows.
@@ -321,6 +317,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     cum = 0.0
     coverage_all = True
     mle_failures = 0
+    newton_steps = 0
     theta_warm = None
 
     # Running H(theta_star) over played rounds, for deviation norms.
@@ -342,6 +339,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         )
         if not state.mle.converged:
             mle_failures += 1
+        newton_steps += state.mle.iterations
         theta_warm = state.theta_hat
 
         rng_policy = stream(seed, TAG_POLICY, t)
@@ -416,6 +414,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         wall_time=time.perf_counter() - t_start,
         coverage_all=coverage_all,
         mle_failures=mle_failures,
+        newton_steps=newton_steps,
         history=history,
     )
     run.elliptical = elliptical_potential_check(run, history)

@@ -162,6 +162,15 @@ class TestCheckCommand:
         assert rc == 0
         assert out.count("[PASS]") == 2
 
+    def test_unknown_name_fails_and_lists_valid_names(self, capsys):
+        rc = main(["check", "--only", "g_identity,bogus"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "bogus" in captured.err
+        for name in ("probability_normalization", "lemma8_inclusion", "coverage_smoke"):
+            assert name in captured.err
+        assert "[PASS]" not in captured.out
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mnl_bandit.checks import elliptical_potential
 from mnl_bandit.choice import AssortmentContexts
 from mnl_bandit.estimation import History
 from mnl_bandit.harness import (
@@ -87,7 +88,7 @@ class TestRunExperiment:
     def test_fresh_iid_contexts(self):
         run = run_experiment(small_cfg(context_mode="fresh_iid", T=25), seed=7)
         assert len(run.records) == 25
-        assert run.elliptical.ok
+        assert elliptical_potential([run]).passed
 
 
 class TestEllipticalCheck:
@@ -97,7 +98,7 @@ class TestEllipticalCheck:
         rep = elliptical_potential_check(run, run.history)
         assert rep.potential_lhs == 0.0
         assert rep.potential_rhs == pytest.approx(0.0, abs=1e-12)
-        assert rep.ok
+        assert elliptical_potential([run]).passed
 
     def test_single_round_boundary_equality(self):
         # One unit context with lam=1: det V_2 = 2 equals the bound exactly.
@@ -111,7 +112,7 @@ class TestEllipticalCheck:
         rep = elliptical_potential_check(run, hist)
         assert rep.det_trace_lhs == pytest.approx(2.0, rel=1e-12)
         assert rep.det_trace_rhs == pytest.approx(2.0, rel=1e-12)
-        assert rep.ok
+        assert elliptical_potential([run]).passed
 
     def test_holds_on_completed_runs(self):
         for policy in ("cb_mnl_e", "random"):
@@ -195,6 +196,8 @@ class TestPersistence:
         assert "wall_time_s" in meta and "version" in meta
         assert meta["history_blocks"] == run.history.n_blocks
         assert meta["history_rows"] == run.history.n_items
+        assert meta["newton_steps"] == run.newton_steps > 0
+        assert run_experiment(small_cfg(T=0), seed=11).metadata()["newton_steps"] == 0
 
     def test_history_size_fixed_pool_bounded_by_assortment_count(self):
         run = run_experiment(small_cfg(N=4, K=2, T=60), seed=2)
@@ -248,3 +251,15 @@ class TestConfig:
             small_cfg(seeds=[])
         with pytest.raises(ValueError):
             small_cfg(policy="nonsense")
+
+    @pytest.mark.parametrize(
+        "field, value", [("restarts", 0), ("refine_top", -1), ("n_dirs", -1)]
+    )
+    def test_rejects_bad_search_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**{field: value})
+
+    def test_accepts_edge_search_settings(self):
+        for kw in ({"refine_top": None}, {"refine_top": 0}, {"n_dirs": 0}, {"restarts": 1}):
+            run = run_experiment(small_cfg(T=3, **kw), seed=0)
+            assert len(run.records) == 3
