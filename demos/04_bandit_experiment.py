@@ -4,7 +4,7 @@ Run:  python demos/04_bandit_experiment.py
 """
 import numpy as np
 
-from mnl_bandit import ExperimentConfig, run_many, summarize_runs
+from mnl_bandit import ExperimentConfig, elliptical_potential_check, run_many, summarize_runs
 
 SEEDS = [0, 1, 2, 3]
 BASE = dict(d=2, N=6, K=2, T=400, S=1.0, S_true=1.0, delta=0.1,
@@ -26,7 +26,7 @@ print("\nrun diagnostics (seed 0):")
 print("  kappa estimate:", round(run.kappa_hat, 3))
 print(f"  final radii: gamma={last.gamma:.3f} beta={last.beta:.3f}")
 print(f"  deviation {last.dev_H:.3f} <= bound {last.dev_bound:.3f}")
-rep = run.elliptical
+rep = elliptical_potential_check(run)
 print(f"  potential {rep.potential_lhs:.3f} <= {rep.potential_rhs:.3f}")
 print(f"  det(V) {rep.det_trace_lhs:.3f} <= {rep.det_trace_rhs:.3f}")
 

@@ -275,7 +275,7 @@ def elliptical_potential(logs: list[RunLog]) -> CheckResult:
     worst_pot = math.inf
     worst_det = math.inf
     for run in logs:
-        rep = run.elliptical or elliptical_potential_check(run, run.history)
+        rep = elliptical_potential_check(run)
         worst_pot = min(worst_pot, rep.potential_rhs - rep.potential_lhs)
         worst_det = min(worst_det, rep.det_trace_rhs - rep.det_trace_lhs)
     n = len(logs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choice import AssortmentContexts, expected_revenue, revenue_gradient
+from .choice import AssortmentContexts
 from .estimation import (
     DesignMatrix,
     History,
@@ -168,15 +168,25 @@ def in_set_C(
     return h.inv_quad(dg) <= state.gamma**2
 
 
+def _in_E(
+    thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
+) -> np.ndarray:
+    """Membership in E intersect Theta of one parameter (d,) or of every row of (m, d).
+
+    One likelihood pass covers all rows, and the squared norms serve both
+    the ridge term of the loss and the ball test.
+    """
+    sq = np.einsum("...d,...d->...", thetas, thetas)
+    ll = _log_likelihood(history, history.ctx_flat @ thetas.T)
+    gap = 0.5 * cfg.lam * sq - ll - state.loss_at_hat
+    return (np.sqrt(sq) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2)
+
+
 def in_set_E(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
-    """Membership in the convex log-loss sublevel set."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if float(np.linalg.norm(theta)) > cfg.S * (1.0 + 1e-12):
-        return False
-    gap = -penalized_log_likelihood(history, theta, cfg.lam) - state.loss_at_hat
-    return gap <= state.beta**2
+    """Membership in the convex log-loss sublevel set; False outside the parameter ball."""
+    return bool(_in_E(np.asarray(theta, dtype=float).reshape(-1), history, cfg, state))
 
 
 def _hessian_at_hat(
@@ -187,12 +197,16 @@ def _hessian_at_hat(
     return state.hess_at_hat
 
 
+_BOUNDARY_BISECT = 5  # bisection steps per ray in e_boundary_multi
+_PULL_BISECT = 10  # halvings toward the anchor when an ascent step leaves E
+_STEP0 = 0.1  # initial ascent step of every start in max_revenue_over_E
+
+
 def e_boundary_multi(
     history: History,
     cfg: ConfidenceConfig,
     state: ConfidenceState,
     directions: np.ndarray,
-    n_bisect: int = 5,
 ) -> np.ndarray:
     """Feasible near-boundary points of E intersect Theta along rays from the anchor.
 
@@ -200,8 +214,7 @@ def e_boundary_multi(
     ray from the anchor is an interval.  A quadratic model of the loss at
     the MLE gives the initial radius guess, which a short verified bracket
     search corrects; every returned point passes the true feasibility test.
-    Utilities are affine in the radius, so context products are computed
-    once and only the exponentials rerun per probe.
+    All rays are probed together, one likelihood pass per probe round.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     norms = np.linalg.norm(dirs, axis=1)
@@ -214,60 +227,67 @@ def e_boundary_multi(
     s_ball = -b + np.sqrt(np.maximum(b * b - c, 0.0))
     s_ball = np.where(keep, np.maximum(s_ball, 0.0), 0.0)
 
-    beta_sq = state.beta**2
-    lam = cfg.lam
-    u_base = history.ctx_flat @ base
-    u_v = history.ctx_flat @ v.T  # (n, m)
-
-    def gaps(s: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        vv = v if cols is None else v[cols]
-        thetas = base + s[:, None] * vv
-        ridge = 0.5 * lam * np.einsum("md,md->m", thetas, thetas)
-        uv = u_v if cols is None else u_v[:, cols]
-        ll = _log_likelihood(history, u_base[:, None] + uv * s[None, :])
-        return ridge - ll - state.loss_at_hat
-
     hess = _hessian_at_hat(history, cfg, state)
     quad = np.einsum("md,de,me->m", v, hess, v)
-    s_quad = np.sqrt(2.0 * beta_sq / np.maximum(quad, 1e-12))
+    s_quad = np.sqrt(2.0 * state.beta**2 / np.maximum(quad, 1e-12))
     s0 = np.minimum(s_quad, s_ball)
-    f0 = gaps(s0) <= beta_sq
+    f0 = _in_E(base + s0[:, None] * v, history, cfg, state)
     lo = np.where(f0, s0, 0.0)
     hi = np.where(f0, np.minimum(1.3 * s0, s_ball), s0)
-    f_hi = gaps(hi) <= beta_sq
+    f_hi = _in_E(base + hi[:, None] * v, history, cfg, state)
     lo = np.where(f_hi, hi, lo)
     active = ~f_hi & (hi > lo)
-    for _ in range(n_bisect):
+    for _ in range(_BOUNDARY_BISECT):
         cols = np.flatnonzero(active)
         if cols.size == 0:
             break
         mid = 0.5 * (lo[cols] + hi[cols])
-        ok = gaps(mid, cols) <= beta_sq
+        ok = _in_E(base + mid[:, None] * v[cols], history, cfg, state)
         lo[cols] = np.where(ok, mid, lo[cols])
         hi[cols] = np.where(ok, hi[cols], mid)
         active[cols] = hi[cols] - lo[cols] > 1e-3 * np.maximum(s_ball[cols], 1e-12)
     return base + lo[:, None] * v
 
 
-def _pull_feasible(
-    candidate: np.ndarray,
-    history: History,
-    cfg: ConfidenceConfig,
-    state: ConfidenceState,
-    n_bisect: int = 10,
+def _pull_back(
+    cands: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> np.ndarray:
-    """The candidate if it lies in E, else the last feasible point of anchor -> candidate."""
+    """Each row of ``cands`` if it lies in E, else the last feasible point of anchor -> row.
+
+    E is convex and holds the anchor, so feasibility along the segment is an
+    interval; every infeasible row is halved toward the anchor together.
+    Overwrites and returns ``cands``.
+    """
     base = state.anchor
-    if in_set_E(candidate, history, cfg, state):
-        return candidate
-    lo, hi = 0.0, 1.0
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        if in_set_E(base + mid * (candidate - base), history, cfg, state):
-            lo = mid
-        else:
-            hi = mid
-    return base + lo * (candidate - base)
+    bad = np.flatnonzero(~_in_E(cands, history, cfg, state))
+    if bad.size:
+        step = cands[bad] - base
+        lo = np.zeros(bad.size)
+        hi = np.ones(bad.size)
+        for _ in range(_PULL_BISECT):
+            mid = 0.5 * (lo + hi)
+            ok = _in_E(base + mid[:, None] * step, history, cfg, state)
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        cands[bad] = base + lo[:, None] * step
+    return cands
+
+
+def _revenue_and_gradient(
+    assortment: AssortmentContexts, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``expected_revenue`` and ``revenue_gradient`` at every row of ``thetas``.
+
+    The same max-shifted softmax as ``choice.choice_probabilities``, with one
+    row of utilities per parameter.
+    """
+    ctx, prices = assortment.contexts, assortment.prices
+    u = thetas @ ctx.T  # (m, k)
+    shift = np.max(u, axis=1, initial=0.0)
+    ez = np.exp(u - shift[:, None])
+    mu = ez / (np.exp(-shift) + ez.sum(axis=1))[:, None]
+    rev = mu @ prices
+    return rev, (mu * (prices - rev[:, None])) @ ctx
 
 
 def max_revenue_over_E(
@@ -277,7 +297,6 @@ def max_revenue_over_E(
     state: ConfidenceState,
     restarts: int = 5,
     rng: np.random.Generator | None = None,
-    step0: float = 0.1,
     max_iter: int = 200,
     extra_starts: list[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
@@ -285,10 +304,13 @@ def max_revenue_over_E(
 
     Multi-start projected ascent: one start at the anchor (theta_hat when
     feasible), restarts-1 random boundary starts, plus any caller-supplied
-    feasible starts.  Steps that leave the set are pulled back by bisection
-    toward the anchor, which is valid because E is convex.  The returned
-    value is attained by the returned parameter, so it never overstates
-    the optimum.
+    feasible starts.  All starts advance together, but each keeps its own
+    step: a step that leaves the set is pulled back by bisection toward the
+    anchor (valid because E is convex) and is taken only if it gains more
+    than 1e-6, otherwise the step halves; a start stops at a vanishing
+    gradient, a step below 1e-4 or ``max_iter`` steps.  The best start
+    wins, the earliest among equals.  The returned value is attained by
+    the returned parameter, so it never overstates the optimum.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -297,29 +319,23 @@ def max_revenue_over_E(
     starts = [state.anchor]
     if restarts > 1:
         dirs = rng.standard_normal((restarts - 1, history.dim))
-        starts.extend(e_boundary_multi(history, cfg, state, dirs))
-    if extra_starts:
-        starts.extend(extra_starts)
-
-    best_val = expected_revenue(assortment, state.anchor)
-    best_theta = state.anchor.copy()
-    for start in starts:
-        theta = np.asarray(start, dtype=float).copy()
-        val = expected_revenue(assortment, theta)
-        eta = step0
-        for _ in range(max_iter):
-            grad = revenue_gradient(assortment, theta)
-            g_norm = float(np.linalg.norm(grad))
-            if g_norm < 1e-12:
-                break
-            cand = _pull_feasible(theta + eta * grad, history, cfg, state)
-            cand_val = expected_revenue(assortment, cand)
-            if cand_val > val + 1e-6:
-                theta, val = cand, cand_val
-            else:
-                eta *= 0.5
-                if eta < 1e-4:
-                    break
-        if val > best_val:
-            best_val, best_theta = val, theta
-    return best_val, best_theta
+        starts.append(e_boundary_multi(history, cfg, state, dirs))
+    starts.extend(extra_starts or [])
+    theta = np.vstack(starts)
+    val, grad = _revenue_and_gradient(assortment, theta)
+    eta = np.full(len(theta), _STEP0)
+    live = np.ones(len(theta), dtype=bool)
+    for _ in range(max_iter):
+        live &= np.linalg.norm(grad, axis=1) >= 1e-12
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        cand = _pull_back(theta[rows] + eta[rows, None] * grad[rows], history, cfg, state)
+        cand_val, cand_grad = _revenue_and_gradient(assortment, cand)
+        up = cand_val > val[rows] + 1e-6
+        taken, kept = rows[up], rows[~up]
+        theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]
+        eta[kept] *= 0.5
+        live[kept] = eta[kept] >= 1e-4
+    best = int(np.argmax(val))
+    return float(val[best]), theta[best].copy()

@@ -99,12 +99,12 @@ class ExperimentConfig:
     L_const: float = 0.25
     restarts: int = 5
     n_dirs: int = 16
-    refine_top: int | None = 1
+    refine_top: int = 1  # assortments refined by ascent after screening
     refine_iters: int = 40
     mle_tol: float = 1e-8
     mle_max_iter: int = 100
     kappa_grid: int = 256
-    track_c_stats: bool = True  # per-round membership diagnostics for the norm-based set
+    track_c_stats: bool = True  # per-round coverage of the norm-based set (covered_C)
     seeds: list[int] = field(default_factory=lambda: [0])
     out_dir: str | None = None
 
@@ -117,8 +117,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.refine_top is not None and self.refine_top < 0:
-            raise ValueError(f"refine_top must be None or >= 0, got {self.refine_top}")
+        if not isinstance(self.refine_top, int) or self.refine_top < 0:
+            raise ValueError(f"refine_top must be an integer >= 0, got {self.refine_top!r}")
         if self.n_dirs < 0:
             raise ValueError(f"n_dirs must be >= 0, got {self.n_dirs}")
         PolicyKind(self.policy)  # raises on unknown kinds
@@ -183,7 +183,6 @@ class RoundRecord:
     dev_H: float
     dev_bound: float
     covered_C: bool | None = None  # theta_star in the norm-based set (not in the CSV)
-    theta_in_C: bool | None = None  # the played parameter lies in the norm-based set
     pred_error: float = 0.0
 
 
@@ -208,7 +207,6 @@ class RunLog:
     coverage_all: bool
     mle_failures: int
     newton_steps: int = 0  # Newton iterations summed over the run's MLE fits
-    elliptical: EllipticalReport | None = None
     history: History | None = None
 
     def cum_regret_curve(self) -> np.ndarray:
@@ -373,7 +371,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         dtheta = decision.theta_used - theta_star
         dev_h = math.sqrt(max(float(dtheta @ j_mat @ dtheta), 0.0))
         dev_bound = bound_factor * state.gamma
-        theta_in_c = in_set_C(decision.theta_used, history, ccfg, state) if track_c else None
         pred_error = abs(played_value - expected_revenue(decision.assortment, decision.theta_used))
 
         records.append(
@@ -391,7 +388,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
                 dev_H=dev_h,
                 dev_bound=dev_bound,
                 covered_C=covered_c,
-                theta_in_C=theta_in_c,
                 pred_error=pred_error,
             )
         )
@@ -403,7 +399,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             ctx = decision.assortment.contexts
             j_sum += ctx.T @ (w[:, None] * ctx)
 
-    run = RunLog(
+    return RunLog(
         cfg=cfg,
         seed=seed,
         lam=lam,
@@ -417,8 +413,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         newton_steps=newton_steps,
         history=history,
     )
-    run.elliptical = elliptical_potential_check(run, history)
-    return run
 
 
 def _run_one(args) -> RunLog:

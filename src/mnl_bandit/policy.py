@@ -126,18 +126,20 @@ def cb_mnl_step(
     prices: np.ndarray | None = None,
     restarts: int = 5,
     n_dirs: int = 16,
-    refine_top: int | None = None,
+    refine_top: int = 1,
     refine_iters: int = 200,
     c_samples: int = 512,
 ) -> Decision:
     """Optimistic decision over all feasible assortments.
 
-    With ``set_kind="E"`` the inner maximization runs over the convex set.
-    ``refine_top=None`` runs the full multi-start ascent on every
-    assortment; an integer k instead screens all assortments against a
-    shared pool of boundary candidates (n_dirs seeded directions) and
-    refines only the k best (k=0 keeps the screening values as-is), which
-    is the tractable mode for long horizons.
+    With ``set_kind="E"`` every assortment is screened against a shared
+    pool of candidates in the convex set: the anchor and the boundary
+    points along ``n_dirs`` seeded directions.  The ``refine_top`` best
+    assortments are then refined by the multi-start ascent of
+    ``max_revenue_over_E``, seeded with their screening parameter (0 keeps
+    the screening values as they are; a count at least the number of
+    assortments refines every one).  Refinement only raises a value, so
+    with ``refine_top <= 1`` it never changes the assortment played.
 
     With ``set_kind="C"`` the non-convex set is handled by rejection
     sampling ``c_samples`` candidates from an ellipsoid around the MLE and
@@ -168,24 +170,7 @@ def cb_mnl_step(
     if set_kind != "E":
         raise ValueError(f"unknown set kind {set_kind!r}")
 
-    if refine_top is None:
-        values: dict[tuple[int, ...], float] = {}
-        thetas_opt: dict[tuple[int, ...], np.ndarray] = {}
-        for a in assortments:
-            ass = AssortmentContexts.from_pool(pool, a, prices)
-            val, th = max_revenue_over_E(
-                ass, history, cfg, state, restarts=restarts, rng=rng, max_iter=refine_iters
-            )
-            values[a] = val
-            thetas_opt[a] = th
-        best = _argmax_lex(values)
-        return Decision(
-            AssortmentContexts.from_pool(pool, best, prices),
-            thetas_opt[best],
-            values[best],
-        )
-
-    # Screening mode: shared boundary candidates, then refine the leaders.
+    # Screen against shared boundary candidates, then refine the leaders.
     dirs = rng.standard_normal((n_dirs, history.dim))
     boundary = e_boundary_multi(history, cfg, state, dirs)
     thetas = np.vstack([state.anchor[None, :], boundary])
@@ -220,22 +205,21 @@ def bonus_ucb_step(
     state: ConfidenceState,
     kappa_hat: float,
     prices: np.ndarray | None = None,
-    m_const: float | None = None,
 ) -> Decision:
     """Baseline that inflates the MLE revenue with an explicit bonus.
 
     bonus(A) = (2+4S) gamma sum_i ||x_i||_{H_hat^-1}
-             + 4 kappa_hat (1+2S)^2 M gamma^2 sum_i ||x_i||^2_{V^-1}.
+             + 4 kappa_hat (1+2S)^2 M gamma^2 sum_i ||x_i||^2_{V^-1},
+
+    with M = ``cfg.L_const``.
     """
     pool = np.asarray(pool, dtype=float)
-    if m_const is None:
-        m_const = cfg.L_const
     h_norms = np.sqrt(
         np.einsum("nd,nd->n", pool, np.linalg.solve(state.H_hat.matrix, pool.T).T)
     )
     v_norms_sq = np.einsum("nd,nd->n", pool, np.linalg.solve(state.V.matrix, pool.T).T)
     c1 = (2.0 + 4.0 * cfg.S) * state.gamma
-    c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * m_const * state.gamma**2
+    c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * cfg.L_const * state.gamma**2
     item_bonus = c1 * h_norms + c2 * v_norms_sq
 
     theta_hat = state.theta_hat

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from mnl_bandit.choice import AssortmentContexts, expected_revenue
+from mnl_bandit.choice import AssortmentContexts, expected_revenue, revenue_gradient
 from mnl_bandit.confidence import (
     ConfidenceConfig,
+    _in_E,
     beta_radius,
     build_confidence_state,
     default_lambda,
@@ -254,7 +255,102 @@ class TestDifferenceQuotientBounds:
         assert checked > 100
 
 
+def reference_ascent(ass, hist, cfg, state, restarts, rng, max_iter, extra_starts):
+    """The per-start ascent: one start, one step and one scalar membership test at a time."""
+    base = state.anchor
+
+    def pull(cand):
+        if in_set_E(cand, hist, cfg, state):
+            return cand
+        lo, hi = 0.0, 1.0
+        for _ in range(10):
+            mid = 0.5 * (lo + hi)
+            if in_set_E(base + mid * (cand - base), hist, cfg, state):
+                lo = mid
+            else:
+                hi = mid
+        return base + lo * (cand - base)
+
+    starts = [base]
+    if restarts > 1:
+        dirs = rng.standard_normal((restarts - 1, hist.dim))
+        starts.extend(e_boundary_multi(hist, cfg, state, dirs))
+    starts.extend(extra_starts)
+    best_val, best_theta = expected_revenue(ass, base), base.copy()
+    for start in starts:
+        theta = np.asarray(start, dtype=float).copy()
+        val = expected_revenue(ass, theta)
+        eta = 0.1
+        for _ in range(max_iter):
+            grad = revenue_gradient(ass, theta)
+            if float(np.linalg.norm(grad)) < 1e-12:
+                break
+            cand = pull(theta + eta * grad)
+            cand_val = expected_revenue(ass, cand)
+            if cand_val > val + 1e-6:
+                theta, val = cand, cand_val
+            else:
+                eta *= 0.5
+                if eta < 1e-4:
+                    break
+        if val > best_val:
+            best_val, best_theta = val, theta
+    return best_val, best_theta
+
+
 class TestMaxRevenueOverE:
+    def test_matches_per_start_reference(self):
+        rng = np.random.default_rng(36)
+        inside_ball = 0
+        for draw in range(50):
+            d = int(rng.integers(1, 4))
+            S = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+            lam = float(rng.uniform(1.0, 4.0))
+            cfg = ConfidenceConfig(d=d, K=3, T=200, delta=0.1, lam=lam, S=S)
+            hist = random_history(rng, d, K=3, rounds=int(rng.integers(0, 80)))
+            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            k = int(rng.integers(1, 4))
+            ctx = sample_ball(rng, k, d)
+            ass = AssortmentContexts(tuple(range(k)), ctx, rng.uniform(0.2, 3.0, k))
+            restarts = int(rng.integers(1, 7))
+            extra_dirs = rng.standard_normal((int(rng.integers(0, 3)), d))
+            extra = list(e_boundary_multi(hist, cfg, state, extra_dirs))
+            max_iter = int(rng.choice([5, 40, 200]))
+            want_val, want_theta = reference_ascent(
+                ass, hist, cfg, state, restarts, np.random.default_rng(draw), max_iter, extra
+            )
+            val, theta = max_revenue_over_E(
+                ass, hist, cfg, state, restarts=restarts, rng=np.random.default_rng(draw),
+                max_iter=max_iter, extra_starts=extra,
+            )
+            assert val == pytest.approx(want_val, abs=1e-12)
+            np.testing.assert_allclose(theta, want_theta, rtol=0.0, atol=1e-12)
+            inside_ball += float(np.linalg.norm(theta)) < 0.9 * S
+        assert inside_ball > 0  # in some draws E, not the ball, binds the ascent
+
+    def test_batched_membership_matches_scalar(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            S = float(rng.choice([1.0, 3.0]))
+            cfg = ConfidenceConfig(d=2, K=2, T=100, delta=0.1, lam=2.0, S=S)
+            hist = random_history(rng, 2, rounds=int(rng.integers(0, 60)))
+            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            dirs = rng.standard_normal((8, 2))
+            edge = e_boundary_multi(hist, cfg, state, dirs)
+            unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+            thetas = np.vstack([
+                state.anchor,
+                edge,  # on the boundary of E intersect Theta, inside
+                state.anchor + 1.05 * (edge - state.anchor),  # just past it
+                cfg.S * unit,  # on the ball's sphere
+                1.5 * cfg.S * unit,  # outside the ball
+                sample_ball(rng, 8, 2, radius=cfg.S),
+            ])
+            got = _in_E(thetas, hist, cfg, state)
+            want = [in_set_E(th, hist, cfg, state) for th in thetas]
+            assert got.tolist() == want
+            assert all(want[1:9]) and not any(want[25:33])
+
     def test_never_below_anchor_value(self):
         rng = np.random.default_rng(34)
         cfg = ConfidenceConfig(d=2, K=2, T=50, delta=0.1, lam=2.0, S=1.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mnl_bandit.checks import elliptical_potential
+from mnl_bandit.checks import deviation_bound, elliptical_potential
 from mnl_bandit.choice import AssortmentContexts
 from mnl_bandit.estimation import History
 from mnl_bandit.harness import (
@@ -59,7 +59,8 @@ class TestRunExperiment:
         assert run.total_regret == pytest.approx(cum, abs=1e-9)
 
     def test_regret_bounded_by_prediction_error_when_covered(self):
-        run = run_experiment(small_cfg(T=120, refine_top=None, restarts=3), seed=3)
+        # refine_top=6 refines every assortment of N=3, K=2.
+        run = run_experiment(small_cfg(T=120, refine_top=6, restarts=3), seed=3)
         for r in run.records:
             if r.covered:
                 # Optimism holds up to the precision of the non-concave
@@ -69,9 +70,7 @@ class TestRunExperiment:
 
     def test_deviation_bound_when_in_set(self):
         run = run_experiment(small_cfg(T=120), seed=4)
-        for r in run.records:
-            if r.covered_C and r.theta_in_C:
-                assert r.dev_H <= r.dev_bound + 1e-9
+        assert deviation_bound([run]).passed
 
     def test_gamma_beta_columns(self):
         run = run_experiment(small_cfg(T=30), seed=5)
@@ -117,7 +116,7 @@ class TestEllipticalCheck:
     def test_holds_on_completed_runs(self):
         for policy in ("cb_mnl_e", "random"):
             run = run_experiment(small_cfg(policy=policy, T=150), seed=8)
-            rep = run.elliptical
+            rep = elliptical_potential_check(run)
             assert rep.potential_lhs <= rep.potential_rhs + 1e-9
             assert rep.det_trace_lhs <= rep.det_trace_rhs * (1 + 1e-12) + 1e-9
 
@@ -253,13 +252,14 @@ class TestConfig:
             small_cfg(policy="nonsense")
 
     @pytest.mark.parametrize(
-        "field, value", [("restarts", 0), ("refine_top", -1), ("n_dirs", -1)]
+        "field, value",
+        [("restarts", 0), ("refine_top", -1), ("refine_top", None), ("n_dirs", -1)],
     )
     def test_rejects_bad_search_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_cfg(**{field: value})
 
     def test_accepts_edge_search_settings(self):
-        for kw in ({"refine_top": None}, {"refine_top": 0}, {"n_dirs": 0}, {"restarts": 1}):
+        for kw in ({"refine_top": 6}, {"refine_top": 0}, {"n_dirs": 0}, {"restarts": 1}):
             run = run_experiment(small_cfg(T=3, **kw), seed=0)
             assert len(run.records) == 3

@@ -111,7 +111,8 @@ class TestCbMnlStep:
         pool = sample_ball(self.rng, 4, 2)
         hist, _ = self._burn_in(pool, 12)
         state = self._state(hist)
-        for refine_top in (None, 1, 0):
+        refine_all = len(enumerate_assortments(len(pool), self.cfg.K))
+        for refine_top in (refine_all, 1, 0):
             decision = cb_mnl_step(pool, hist, self.cfg, state,
                                    rng=np.random.default_rng(4),
                                    refine_top=refine_top, n_dirs=6, restarts=2)
@@ -127,8 +128,9 @@ class TestCbMnlStep:
             pytest.skip("reference parameter not covered in this draw")
         best = oracle_assortment(pool, theta_star, 2)
         truth = expected_revenue(AssortmentContexts.from_pool(pool, best), theta_star)
+        refine_all = len(enumerate_assortments(len(pool), self.cfg.K))
         decision = cb_mnl_step(pool, hist, self.cfg, state,
-                               rng=np.random.default_rng(7), refine_top=None, restarts=4)
+                               rng=np.random.default_rng(7), refine_top=refine_all, restarts=4)
         assert decision.optimistic_value >= truth - 1e-9
 
     def test_deterministic_given_seed(self):
