@@ -5,7 +5,6 @@ Run:  python demos/02_estimation.py
 import numpy as np
 
 from mnl_bandit import AssortmentContexts, History, fit_mle, g_vector, matrix_H, score
-from mnl_bandit.estimation import reward_vector
 from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import InstanceConfig, environment_step, make_instance, stream
 
@@ -30,12 +29,13 @@ for t in range(1, 2001):
             f"error={err:.4f}  newton_iters={result.iterations}"
         )
 
-# The fitted parameter zeroes the score, and g matches the reward sum there.
+# The fitted parameter zeroes the score, and g matches the reward sum there
+# (purchase counts times contexts, summed over the history).
 final = fit_mle(history, lam)
 print("score norm at MLE:", np.linalg.norm(score(history, final.theta_hat, lam)))
 print(
     "g(theta_hat) vs observed reward sum:",
     np.round(g_vector(history, final.theta_hat, lam), 4),
-    np.round(reward_vector(history), 4),
+    np.round(history.purchases @ history.ctx_flat, 4),
 )
 print("design matrix H(theta_hat):\n", np.round(matrix_H(history, final.theta_hat, lam).matrix, 3))

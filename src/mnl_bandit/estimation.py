@@ -210,11 +210,6 @@ def g_vector(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     return (history.row_offers * mu) @ history.ctx_flat + lam * theta
 
 
-def reward_vector(history: History) -> np.ndarray:
-    """sum_s sum_i r_si x_si, the value g takes at the MLE."""
-    return history.purchases @ history.ctx_flat
-
-
 def _weighted_gram(history: History, w: np.ndarray, lam: float) -> DesignMatrix:
     """sum_rows n w x x^T + lam I."""
     ctx = history.ctx_flat

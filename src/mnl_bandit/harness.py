@@ -81,6 +81,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Smallest value each integer field of ExperimentConfig accepts.
+_INT_MINIMA = dict(
+    d=1, N=1, K=1, T=0, restarts=1, n_dirs=0,
+    refine_top=0, refine_iters=0, mle_max_iter=1, kappa_grid=0,
+)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs besides the seed; JSON round-trippable."""
@@ -109,18 +116,14 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
+        for name, least in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not isinstance(self.refine_top, int) or self.refine_top < 0:
-            raise ValueError(f"refine_top must be an integer >= 0, got {self.refine_top!r}")
-        if self.n_dirs < 0:
-            raise ValueError(f"n_dirs must be >= 0, got {self.n_dirs}")
         PolicyKind(self.policy)  # raises on unknown kinds
 
     @property
@@ -357,7 +360,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             if cfg.context_mode == FIXED_POOL:
                 oracle_cache = (best_a, oracle_value)
 
-        played_value = expected_revenue(decision.assortment, theta_star)
+        # theta_star's probabilities on the played assortment serve both the
+        # regret and the deviation matrix update below.
+        mu = choice_probabilities(decision.assortment, theta_star).item_probs
+        played_value = float(mu @ decision.assortment.prices)
         inst_regret = oracle_value - played_value
         cum += inst_regret
 
@@ -393,11 +399,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         )
 
         history.append(decision.assortment, outcome)
-        mu = choice_probabilities(decision.assortment, theta_star).item_probs
-        if mu.size:
-            w = mu * (1.0 - mu)
-            ctx = decision.assortment.contexts
-            j_sum += ctx.T @ (w[:, None] * ctx)
+        w = mu * (1.0 - mu)
+        ctx = decision.assortment.contexts
+        j_sum += ctx.T @ (w[:, None] * ctx)
 
     return RunLog(
         cfg=cfg,

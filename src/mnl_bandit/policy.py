@@ -2,11 +2,14 @@
 
 The optimistic step scores every feasible assortment (all nonempty index
 sets of size up to K) by the largest expected revenue any parameter in the
-current confidence set can give it, then plays the argmax.  Ties are broken
-by lexicographic order of the index tuples so reruns are reproducible.
+current confidence set can give it, then plays the argmax.  Assortments are
+the rows of one integer matrix (see ``enumerate_assortments``).  Ties go to
+the lexicographically smaller index tuple, a prefix before its extensions,
+so reruns are reproducible.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,11 +60,13 @@ class Decision:
     optimistic_value: float
 
 
-def enumerate_assortments(N: int, K: int) -> list[tuple[int, ...]]:
-    """All nonempty subsets of range(N) with at most K items.
+@functools.lru_cache(maxsize=8)
+def enumerate_assortments(N: int, K: int) -> np.ndarray:
+    """All nonempty subsets of range(N) with at most K items, one per row.
 
-    Ordered by size then lexicographically.  Guarded against combinatorial
-    blow-up: the total count must not exceed 10**6.
+    A read-only ``(P, K)`` integer matrix, rows ordered by size then
+    lexicographically and padded with -1 on the right; cached per (N, K).
+    Guarded against combinatorial blow-up: P must not exceed 10**6.
     """
     if not 1 <= K <= N:
         raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
@@ -71,49 +76,69 @@ def enumerate_assortments(N: int, K: int) -> list[tuple[int, ...]]:
             f"{total} assortments exceed the enumeration guard ({ENUMERATION_GUARD}); "
             "reduce N or K"
         )
-    out: list[tuple[int, ...]] = []
+    rows = np.full((total, K), -1, dtype=np.intp)
+    start = 0
     for k in range(1, K + 1):
-        out.extend(itertools.combinations(range(N), k))
-    return out
+        n_k = math.comb(N, k)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(N), k))
+        rows[start : start + n_k, :k] = np.fromiter(flat, np.intp, n_k * k).reshape(n_k, k)
+        start += n_k
+    rows.flags.writeable = False
+    return rows
 
 
-def _argmax_lex(values: dict[tuple[int, ...], float]) -> tuple[int, ...]:
-    """Assortment with the largest value; exact ties go to the smaller tuple."""
-    return min(values, key=lambda a: (-values[a], a))
+def _as_tuple(row: np.ndarray) -> tuple[int, ...]:
+    """The item indices of one assortment row, padding dropped."""
+    return tuple(int(i) for i in row if i >= 0)
+
+
+def _gather_sum(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-row sums of ``table`` over items (axis 0); -1 reads a zero row."""
+    padded = np.concatenate([table, np.zeros((1,) + table.shape[1:])])
+    return padded[rows].sum(axis=1)
+
+
+def _ranked(rows: np.ndarray, values: np.ndarray, top: int) -> np.ndarray:
+    """Indices of the ``top`` best assortments, best first.
+
+    Ranked by (-value, index tuple): exact ties go to the lexicographically
+    smaller tuple, and since the -1 padding sorts before every item, a
+    prefix comes before its extensions as it does for tuples.
+    """
+    top = min(top, len(values))
+    if top <= 0:
+        return np.zeros(0, dtype=np.intp)
+    cut = np.partition(values, len(values) - top)[len(values) - top]
+    cand = np.flatnonzero(values >= cut)
+    order = np.lexsort((*rows[cand].T[::-1], -values[cand]))
+    return cand[order[:top]]
 
 
 def _revenues_at_candidates(
     pool: np.ndarray,
     prices: np.ndarray | None,
-    assortments: list[tuple[int, ...]],
+    rows: np.ndarray,
     thetas: np.ndarray,
-) -> tuple[dict[tuple[int, ...], float], dict[tuple[int, ...], int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best expected revenue over candidate parameters for every assortment.
 
-    ``thetas`` holds one candidate per row (a single parameter vector is one
-    row); ``prices=None`` means unit prices.  Returns the best value per
-    assortment and the index of the candidate attaining it.  Assortments are
-    scored in one vectorized pass per cardinality from raw, unshifted
-    exponentials, which stay finite while every |x . theta| is below about
-    709 (exp overflows float64 past that).  With ||x|| <= 1 any candidate
-    of norm below 709 qualifies: confidence-set and S-ball points,
-    theta_star and the ridge-regularized MLE all sit far inside that.
+    ``rows`` is an assortment matrix in the format of
+    ``enumerate_assortments``; ``thetas`` holds one candidate per row (a
+    single parameter vector is one row); ``prices=None`` means unit prices.
+    Returns the best value per assortment and the index of the candidate
+    attaining it (the first among equals).  Assortments are scored in one
+    vectorized pass from raw, unshifted exponentials, which stay finite
+    while every |x . theta| is below about 709 (exp overflows float64 past
+    that).  With ||x|| <= 1 any candidate of norm below 709 qualifies:
+    confidence-set and S-ball points, theta_star and the ridge-regularized
+    MLE all sit far inside that.
     """
     pool = np.asarray(pool, dtype=float)
     ez = np.exp(pool @ np.atleast_2d(thetas).T)  # (N, n_cand)
     pez = ez if prices is None else np.asarray(prices, dtype=float)[:, None] * ez
-    values: dict[tuple[int, ...], float] = {}
-    which: dict[tuple[int, ...], int] = {}
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for a in assortments:
-        by_size.setdefault(len(a), []).append(a)
-    for group in by_size.values():
-        idx = np.array(group, dtype=np.intp)  # (P, k)
-        rev = pez[idx].sum(axis=1) / (1.0 + ez[idx].sum(axis=1))  # (P, n_cand)
-        js = rev.argmax(axis=1)
-        values.update(zip(group, rev[np.arange(len(group)), js].tolist()))
-        which.update(zip(group, js.tolist()))
-    return values, which
+    rev = _gather_sum(pez, rows) / (1.0 + _gather_sum(ez, rows))  # (P, n_cand)
+    which = rev.argmax(axis=1)
+    return rev[np.arange(len(rows)), which], which
 
 
 def cb_mnl_step(
@@ -147,7 +172,7 @@ def cb_mnl_step(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    assortments = enumerate_assortments(len(pool), cfg.K)
+    rows = enumerate_assortments(len(pool), cfg.K)
 
     if set_kind == "C":
         cands = [state.anchor]
@@ -161,40 +186,36 @@ def cb_mnl_step(
             if in_set_C(cand, history, cfg, state):
                 cands.append(cand)
         thetas = np.vstack(cands)
-        values, which = _revenues_at_candidates(pool, prices, assortments, thetas)
-        best = _argmax_lex(values)
-        return Decision(
-            AssortmentContexts.from_pool(pool, best, prices), thetas[which[best]], values[best]
-        )
-
-    if set_kind != "E":
+    elif set_kind == "E":
+        dirs = rng.standard_normal((n_dirs, history.dim))
+        boundary = e_boundary_multi(history, cfg, state, dirs)
+        thetas = np.vstack([state.anchor[None, :], boundary])
+    else:
         raise ValueError(f"unknown set kind {set_kind!r}")
 
-    # Screen against shared boundary candidates, then refine the leaders.
-    dirs = rng.standard_normal((n_dirs, history.dim))
-    boundary = e_boundary_multi(history, cfg, state, dirs)
-    thetas = np.vstack([state.anchor[None, :], boundary])
-    values, which = _revenues_at_candidates(pool, prices, assortments, thetas)
-    thetas_opt = {a: thetas[j] for a, j in which.items()}
-    leaders = sorted(assortments, key=lambda a: (-values[a], a))[:refine_top]
-    for a in leaders:
-        ass = AssortmentContexts.from_pool(pool, a, prices)
-        val, th = max_revenue_over_E(
-            ass,
-            history,
-            cfg,
-            state,
-            restarts=restarts,
-            rng=rng,
-            max_iter=refine_iters,
-            extra_starts=[thetas_opt[a]],
-        )
-        if val > values[a]:
-            values[a] = val
-            thetas_opt[a] = th
-    best = _argmax_lex(values)
+    values, which = _revenues_at_candidates(pool, prices, rows, thetas)
+    if set_kind == "E":
+        # Refine the leaders; a refined parameter joins the candidates.
+        for p in _ranked(rows, values, refine_top):
+            val, th = max_revenue_over_E(
+                AssortmentContexts.from_pool(pool, _as_tuple(rows[p]), prices),
+                history,
+                cfg,
+                state,
+                restarts=restarts,
+                rng=rng,
+                max_iter=refine_iters,
+                extra_starts=[thetas[which[p]]],
+            )
+            if val > values[p]:
+                values[p] = val
+                which[p] = len(thetas)
+                thetas = np.vstack([thetas, th])
+    best = _ranked(rows, values, 1)[0]
     return Decision(
-        AssortmentContexts.from_pool(pool, best, prices), thetas_opt[best], values[best]
+        AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices),
+        thetas[which[best]],
+        float(values[best]),
     )
 
 
@@ -222,14 +243,14 @@ def bonus_ucb_step(
     c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * cfg.L_const * state.gamma**2
     item_bonus = c1 * h_norms + c2 * v_norms_sq
 
-    theta_hat = state.theta_hat
-    base, _ = _revenues_at_candidates(
-        pool, prices, enumerate_assortments(len(pool), cfg.K), theta_hat
-    )
-    values = {a: rev + float(item_bonus[list(a)].sum()) for a, rev in base.items()}
-    best = _argmax_lex(values)
+    rows = enumerate_assortments(len(pool), cfg.K)
+    base, _ = _revenues_at_candidates(pool, prices, rows, state.theta_hat)
+    values = base + _gather_sum(item_bonus, rows)
+    best = _ranked(rows, values, 1)[0]
     return Decision(
-        AssortmentContexts.from_pool(pool, best, prices), theta_hat.copy(), values[best]
+        AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices),
+        state.theta_hat.copy(),
+        float(values[best]),
     )
 
 
@@ -240,13 +261,12 @@ def oracle_assortment(
     prices: np.ndarray | None = None,
 ) -> tuple[int, ...]:
     """Brute-force revenue maximizer under the true parameter (simulator only)."""
-    values, _ = _revenues_at_candidates(
-        pool, prices, enumerate_assortments(len(pool), K), theta_star
-    )
-    return _argmax_lex(values)
+    rows = enumerate_assortments(len(pool), K)
+    values, _ = _revenues_at_candidates(pool, prices, rows, theta_star)
+    return _as_tuple(rows[_ranked(rows, values, 1)[0]])
 
 
 def random_assortment(N: int, K: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform draw over the enumerated feasible assortments."""
-    assortments = enumerate_assortments(N, K)
-    return assortments[int(rng.integers(len(assortments)))]
+    rows = enumerate_assortments(N, K)
+    return _as_tuple(rows[int(rng.integers(len(rows)))])

@@ -6,15 +6,13 @@ parallelize without shared state.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .choice import AssortmentContexts, choice_probabilities, sample_choice
-from .policy import enumerate_assortments
 
 __all__ = [
     "Instance",
@@ -33,9 +31,6 @@ TAG_CONTEXTS = 1
 TAG_OUTCOME = 2
 TAG_POLICY = 3
 TAG_KAPPA = 4
-
-# Assortments scored per batch in the kappa search.
-_KAPPA_CHUNK = 8
 
 FIXED_POOL = "fixed_pool"
 FRESH_IID = "fresh_iid"
@@ -195,7 +190,7 @@ class KappaEstimate:
     value: float
     argmax_theta: np.ndarray
     argmax_context: np.ndarray
-    argmax_assortment: tuple[int, ...] = field(default=())
+    argmax_assortment: tuple[int, ...]
 
 
 def kappa_theta_candidates(instance: Instance, grid_size: int, pool: np.ndarray) -> np.ndarray:
@@ -212,75 +207,59 @@ def kappa_theta_candidates(instance: Instance, grid_size: int, pool: np.ndarray)
     return np.vstack([np.atleast_2d(c) for c in cands])
 
 
-def _sum_of_others(ez: np.ndarray) -> np.ndarray:
-    """For each item (axis 0), the sum over the other items, from running
-    prefix and suffix sums so nothing cancels."""
-    out = np.empty_like(ez)
-    acc = np.zeros_like(ez[0])
-    for i in range(ez.shape[0]):
-        out[i] = acc
-        acc = acc + ez[i]
-    acc = np.zeros_like(ez[0])
-    for i in reversed(range(ez.shape[0])):
-        out[i] += acc
-        acc = acc + ez[i]
-    return out
+def kappa_over_candidates(instance: Instance, thetas: np.ndarray, pool: np.ndarray) -> KappaEstimate:
+    """Exact max of 1/(mu(1-mu)) over feasible assortments x items x thetas.
 
-
-def kappa_over_candidates(
-    instance: Instance,
-    thetas: np.ndarray,
-    pool: np.ndarray,
-    max_assortments: int = 1000,
-) -> KappaEstimate:
-    """Evaluate 1/(mu(1-mu)) over assortments x items x candidate thetas.
-
-    Assortments of one size are scored ``_KAPPA_CHUNK`` at a time, which
-    bounds the temporaries; ties keep the first assortment in enumeration
-    order.
+    For a fixed theta, item i's probability is largest when it is offered
+    alone and smallest beside the K-1 other items of highest utility; every
+    other assortment holding i gives a probability in between.  mu (1 - mu)
+    is concave in mu, so its minimum over that range sits at one of these
+    two assortments, and no assortment is enumerated.  Ties keep the
+    singleton, then the first item, then the first candidate.
     """
-    assortments = enumerate_assortments(instance.N, instance.K)
-    if len(assortments) > max_assortments:
-        rng = stream(instance.seed, TAG_KAPPA, 1)
-        keep = rng.choice(len(assortments), size=max_assortments, replace=False)
-        assortments = [assortments[i] for i in sorted(keep)]
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     U = pool @ thetas.T  # (N, n_cand)
-    best = -np.inf
-    arg_theta = thetas[0]
-    arg_ctx = pool[0]
-    arg_a: tuple[int, ...] = ()
-    for _, group in itertools.groupby(assortments, len):
-        idx = np.array(list(group))
-        for lo in range(0, idx.shape[0], _KAPPA_CHUNK):
-            rows = idx[lo : lo + _KAPPA_CHUNK]
-            u = U[rows.T]  # (items, assortments, n_cand)
-            shift = np.maximum(u.max(axis=0), 0.0)
-            ez = np.exp(u - shift)
-            e0 = np.exp(-shift)
-            denom = e0 + ez.sum(axis=0)
-            # 1 - mu_i is summed from the other terms of the denominator: by
-            # subtraction it cancels to 0 once mu_i rounds to 1.
-            w = (ez / denom) * ((e0 + _sum_of_others(ez)) / denom)
-            w = w.transpose(1, 0, 2)  # assortment-major, for the tie rule
-            i_a, i_item, i_cand = np.unravel_index(int(np.argmin(w)), w.shape)
-            w_min = float(w[i_a, i_item, i_cand])
-            val = 1.0 / w_min if w_min > 0.0 else math.inf  # mu (1 - mu) underflowed
-            if val > best:
-                best = val
-                arg_theta = thetas[i_cand]
-                arg_ctx = pool[rows[i_a, i_item]]
-                arg_a = tuple(int(i) for i in rows[i_a])
-    return KappaEstimate(best, arg_theta.copy(), arg_ctx.copy(), arg_a)
+    K = instance.K
+    # Offered alone: mu = e^u / (1 + e^u) and 1 - mu = 1 / (1 + e^u).
+    shift = np.maximum(U, 0.0)
+    ez, e0 = np.exp(U - shift), np.exp(-shift)
+    w = [(ez / (e0 + ez)) * (e0 / (e0 + ez))]
+    if K > 1:
+        # Beside the K-1 other items of highest utility.  Each such
+        # assortment holds the top item, so one shift per candidate serves
+        # all.  1 - mu is summed from the other terms of the denominator: by
+        # subtraction it cancels to 0 once mu rounds to 1.
+        top = np.argsort(-U, axis=0, kind="stable")[:K]  # (K, n_cand)
+        shift = np.maximum(U.max(axis=0), 0.0)
+        ez, e0 = np.exp(U - shift), np.exp(-shift)
+        # others[r]: the top K but position r.  An item ranked r < K-1 drops
+        # itself; any other item sits beside the top K-1 (r = K-1).
+        others = (1.0 - np.eye(K)) @ np.take_along_axis(ez, top, axis=0)
+        rank = np.full(U.shape, K - 1)
+        np.put_along_axis(rank, top[: K - 1], np.arange(K - 1)[:, None], axis=0)
+        rest = e0 + np.take_along_axis(others, rank, axis=0)
+        w.append((ez / (ez + rest)) * (rest / (ez + rest)))
+    w = np.stack(w)  # (alone / crowded, item, candidate)
+    crowded, item, cand = np.unravel_index(int(np.argmin(w)), w.shape)
+    w_min = float(w[crowded, item, cand])
+    value = 1.0 / w_min if w_min > 0.0 else math.inf  # mu (1 - mu) underflowed
+    members = {int(item)}
+    if crowded:
+        members.update(top[: K - 1, cand].tolist())
+        if len(members) < K:  # the item is itself among the top K-1
+            members = set(top[:K, cand].tolist())
+    return KappaEstimate(value, thetas[cand].copy(), pool[item].copy(), tuple(sorted(members)))
 
 
 def estimate_kappa(instance: Instance, grid_size: int = 512) -> KappaEstimate:
-    """Grid/random search for the instance's curvature constant.
+    """Grid/random search over theta for the instance's curvature constant.
 
     The infimum over an unbounded parameter space would be zero, so the
     search is restricted to the ball of radius S and the instance's own
     contexts and feasible assortments, which is how the constant enters
-    every bound that uses it.
+    every bound that uses it.  Only theta is sampled: for each candidate
+    the max over assortments and items is exact at every N and K (see
+    ``kappa_over_candidates``).
     """
     if instance.context_mode == FIXED_POOL:
         pool = instance.pool

@@ -16,7 +16,6 @@ from mnl_bandit.estimation import (
     matrix_H,
     matrix_V,
     penalized_log_likelihood,
-    reward_vector,
     score,
 )
 from mnl_bandit.simulator import sample_ball
@@ -192,7 +191,7 @@ class TestGVector:
             hist = random_history(rng, 2, rounds=25)
             res = fit_mle(hist, 1.0, tol=1e-10)
             np.testing.assert_allclose(
-                g_vector(hist, res.theta_hat, 1.0), reward_vector(hist), atol=1e-8
+                g_vector(hist, res.theta_hat, 1.0), hist.purchases @ hist.ctx_flat, atol=1e-8
             )
 
 
@@ -422,7 +421,7 @@ class TestCompressedHistoryAgainstPerRoundReference:
             assert_rel(penalized_log_likelihood(hist, theta, self.LAM), ref["ll"])
             assert_rel(score(hist, theta, self.LAM), ref["score"])
             assert_rel(g_vector(hist, theta, self.LAM), ref["g"])
-            assert_rel(reward_vector(hist), ref["reward"])
+            assert_rel(hist.purchases @ hist.ctx_flat, ref["reward"])
             assert_rel(matrix_H(hist, theta, self.LAM).matrix, ref["H"])
             assert_rel(_nll_hessian(hist, theta, self.LAM), ref["hess"])
         th1, th2 = sample_ball(rng, 2, 2, radius=2.0)

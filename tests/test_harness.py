@@ -253,7 +253,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("restarts", 0), ("refine_top", -1), ("refine_top", None), ("n_dirs", -1)],
+        [
+            ("restarts", 0), ("refine_top", -1), ("refine_top", None), ("n_dirs", -1),
+            ("T", None), ("restarts", None), ("n_dirs", None), ("refine_iters", None),
+            ("kappa_grid", None), ("mle_max_iter", None), ("N", None), ("restarts", 2.5),
+            ("refine_iters", -1), ("kappa_grid", -1), ("mle_max_iter", 0), ("d", 0),
+            ("K", 0), ("refine_top", True),
+        ],
     )
     def test_rejects_bad_search_settings(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -1,9 +1,12 @@
 """The benchmark's tracer still finds every function it wraps."""
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
+
+from mnl_bandit.harness import ExperimentConfig, run_experiment
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -26,3 +29,20 @@ def test_traced_names_resolve():
             if obj is None:
                 pytest.fail(f"perfbench traces mnl_bandit.{module}.{attr}, which does not exist")
         assert callable(obj), f"mnl_bandit.{module}.{attr} is not callable"
+
+
+@pytest.mark.parametrize("policy", ["cb_mnl_e", "random"])
+def test_tracer_counts_assortments_per_round(policy):
+    # The tracer reads the return value of `policy.enumerate_assortments`;
+    # this fails if a change to that value breaks the count it reports.
+    tracer_mod = load_tracer()
+    N, K, T = 5, 3, 4
+    tracer = tracer_mod.Tracer(run_id=0)
+    tracer.install()
+    try:
+        run_experiment(
+            ExperimentConfig(d=2, N=N, K=K, T=T, policy=policy, n_dirs=4, restarts=1), seed=0
+        )
+    finally:
+        tracer.uninstall()
+    assert tracer.policy_assortments / T == sum(math.comb(N, k) for k in range(1, K + 1))

@@ -12,7 +12,8 @@ from mnl_bandit.confidence import ConfidenceConfig, build_confidence_state, in_s
 from mnl_bandit.estimation import History, matrix_V
 from mnl_bandit.policy import (
     ConfigurationError,
-    _argmax_lex,
+    _as_tuple,
+    _ranked,
     bonus_ucb_step,
     cb_mnl_step,
     enumerate_assortments,
@@ -27,16 +28,31 @@ def make_assortment(contexts):
     return AssortmentContexts(tuple(range(contexts.shape[0])), contexts, np.ones(contexts.shape[0]))
 
 
+def as_tuples(rows):
+    return [_as_tuple(row) for row in rows]
+
+
 class TestEnumeration:
     def test_three_choose_up_to_two(self):
         got = enumerate_assortments(3, 2)
-        assert got == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+        np.testing.assert_array_equal(
+            got, [[0, -1], [1, -1], [2, -1], [0, 1], [0, 2], [1, 2]]
+        )
+        assert as_tuples(got) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 
     def test_single_item_universe(self):
-        assert enumerate_assortments(1, 1) == [(0,)]
+        np.testing.assert_array_equal(enumerate_assortments(1, 1), [[0]])
 
     def test_ten_choose_up_to_three_counts(self):
-        assert len(enumerate_assortments(10, 3)) == 10 + 45 + 120
+        rows = enumerate_assortments(10, 3)
+        assert rows.shape == (10 + 45 + 120, 3)
+        assert len(set(as_tuples(rows))) == rows.shape[0]
+
+    def test_matrix_is_read_only(self):
+        rows = enumerate_assortments(4, 2)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 3
 
     def test_guard_trips_on_blowup(self):
         with pytest.raises(ConfigurationError, match="guard"):
@@ -47,6 +63,29 @@ class TestEnumeration:
             enumerate_assortments(3, 0)
         with pytest.raises(ValueError):
             enumerate_assortments(3, 4)
+
+
+class TestRanking:
+    def test_cross_size_tie_goes_to_smaller_tuple(self):
+        # (0, 1) < (1,) as tuples, although (1,) comes first in row order.
+        rows = enumerate_assortments(2, 2)  # (0,), (1,), (0, 1)
+        values = np.array([0.1, 0.5, 0.5])
+        assert _as_tuple(rows[_ranked(rows, values, 1)[0]]) == (0, 1)
+        assert as_tuples(rows[_ranked(rows, values, 3)]) == [(0, 1), (1,), (0,)]
+        # A prefix wins a tie with its extension, as it does for tuples.
+        values = np.array([0.5, 0.1, 0.5])
+        assert as_tuples(rows[_ranked(rows, values, 2)]) == [(0,), (0, 1)]
+
+    def test_matches_tuple_sort_on_random_ties(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            N = int(rng.integers(1, 7))
+            rows = enumerate_assortments(N, int(rng.integers(1, N + 1)))
+            values = rng.integers(0, 3, len(rows)) / 2.0  # many exact ties
+            top = int(rng.integers(0, len(rows) + 2))
+            tuples = as_tuples(rows)
+            order = sorted(range(len(rows)), key=lambda p: (-values[p], tuples[p]))
+            assert as_tuples(rows[_ranked(rows, values, top)]) == [tuples[p] for p in order[:top]]
 
 
 class TestOracle:
@@ -210,8 +249,13 @@ def reference_revenues(pool, prices, K, theta):
     """Expected revenue of every feasible assortment, one object at a time."""
     return {
         a: expected_revenue(AssortmentContexts.from_pool(pool, a, prices), theta)
-        for a in enumerate_assortments(pool.shape[0], K)
+        for a in as_tuples(enumerate_assortments(pool.shape[0], K))
     }
+
+
+def _argmax_lex(values):
+    """Assortment with the largest value; exact ties go to the smaller tuple."""
+    return min(values, key=lambda a: (-values[a], a))
 
 
 class TestScorerAgainstReference:
@@ -267,4 +311,4 @@ class TestRandomAssortment:
         assert picks1 == picks2
         rng = np.random.default_rng(8)
         seen = {random_assortment(3, 2, rng) for _ in range(500)}
-        assert seen == set(enumerate_assortments(3, 2))
+        assert seen == set(as_tuples(enumerate_assortments(3, 2)))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mnl_bandit.choice import AssortmentContexts
+from mnl_bandit.choice import AssortmentContexts, choice_probabilities
+from mnl_bandit.policy import enumerate_assortments
 from mnl_bandit.simulator import (
     FIXED_POOL,
     FRESH_IID,
@@ -96,6 +97,61 @@ class TestEnvironmentStep:
             [environment_step(inst, ass, rng) for _ in range(100_000)], minlength=4
         )
         np.testing.assert_allclose(counts / 100_000, 0.25, atol=0.01)
+
+
+def brute_force_kappa(instance, thetas, pool):
+    """max of 1/(mu(1-mu)) over every feasible assortment, item and theta.
+
+    Each assortment is shifted by its largest utility, and 1 - mu is summed
+    from the other terms of the denominator.
+    """
+    U = pool @ np.atleast_2d(thetas).T
+    best = -math.inf
+    for row in enumerate_assortments(instance.N, instance.K):
+        u = U[row[row >= 0]]  # (k, n_cand)
+        shift = np.maximum(u.max(axis=0), 0.0)
+        ez, e0 = np.exp(u - shift), np.exp(-shift)
+        denom = e0 + ez.sum(axis=0)
+        for j in range(u.shape[0]):
+            rest = e0 + np.delete(ez, j, axis=0).sum(axis=0)
+            w = float(((ez[j] / denom) * (rest / denom)).min())
+            best = max(best, 1.0 / w if w > 0.0 else math.inf)
+    return best
+
+
+class TestKappaAgainstEnumeration:
+    def test_random_instances(self):
+        rng = np.random.default_rng(50)
+        for trial in range(40):
+            N = int(rng.integers(3, 8))
+            K = int(rng.integers(3, N + 1))
+            S = float(rng.choice([1.0, 3.0, 10.0, 40.0]))
+            d = int(rng.integers(1, 4))
+            inst = make_instance(InstanceConfig(d=d, N=N, K=K, S=S), trial)
+            thetas = kappa_theta_candidates(inst, 16, inst.pool)
+            got = kappa_over_candidates(inst, thetas, inst.pool).value
+            assert got == pytest.approx(brute_force_kappa(inst, thetas, inst.pool), rel=1e-12)
+
+    def test_more_than_a_thousand_assortments(self):
+        # 2516 assortments; a subsample of them can miss the extreme.
+        inst = make_instance(InstanceConfig(d=4, N=16, K=4, context_mode=FRESH_IID), 0)
+        pool = serve_contexts(inst, 1)
+        thetas = kappa_theta_candidates(inst, 256, pool)
+        got = kappa_over_candidates(inst, thetas, pool).value
+        assert got == pytest.approx(brute_force_kappa(inst, thetas, pool), rel=1e-12)
+        assert estimate_kappa(inst, grid_size=256).value == got
+
+    def test_argmax_fields_attain_the_value(self):
+        rng = np.random.default_rng(51)
+        for trial in range(20):
+            N = int(rng.integers(2, 7))
+            inst = make_instance(InstanceConfig(d=2, N=N, K=int(rng.integers(1, N + 1)), S=3.0), trial)
+            est = estimate_kappa(inst, grid_size=16)
+            ass = AssortmentContexts.from_pool(inst.pool, est.argmax_assortment)
+            mu = choice_probabilities(ass, est.argmax_theta).item_probs
+            i = next(k for k, row in enumerate(ass.contexts) if np.array_equal(row, est.argmax_context))
+            assert 1 <= len(est.argmax_assortment) <= inst.K
+            assert est.value == pytest.approx(1.0 / (mu[i] * (1.0 - mu[i])), rel=1e-9)
 
 
 class TestKappa:
