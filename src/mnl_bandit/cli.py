@@ -29,35 +29,46 @@ from .checks import CHECKS, run_checks
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """'a..b' (inclusive), 'a,b,c', or a single integer."""
+    """'a..b' (inclusive), 'a,b,c', or a single integer; never empty."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty seed range {spec!r}")
-        return list(range(lo, hi + 1))
-    if "," in spec:
-        return [int(s) for s in spec.split(",") if s.strip()]
-    return [int(spec)]
+    try:
+        if ".." in spec:
+            lo, hi = (int(s) for s in spec.split("..", 1))
+            seeds = list(range(lo, hi + 1))
+        else:
+            seeds = [int(s) for s in spec.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(f"seeds must be 'a..b', 'a,b,c' or one integer, got {spec!r}") from None
+    if not seeds:
+        raise ValueError(f"seeds must name at least one seed, got {spec!r}")
+    return seeds
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the command-line overrides, validated once.
+
+    Exits with a message naming the field when the result is invalid, before
+    anything runs or is written.
+    """
+    data = {}
     if args.config:
-        cfg = ExperimentConfig.load(args.config)
-    else:
-        cfg = ExperimentConfig()
-    if getattr(args, "policy", None):
-        cfg.policy = args.policy
-    if getattr(args, "T", None) is not None:
-        cfg.T = args.T
-    if getattr(args, "delta", None) is not None:
-        cfg.delta = args.delta
-    if getattr(args, "seeds", None):
-        cfg.seeds = parse_seeds(args.seeds)
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    return cfg
+        with open(args.config) as fh:
+            data = json.load(fh)
+    try:
+        if getattr(args, "policy", None):
+            data["policy"] = args.policy
+        if getattr(args, "T", None) is not None:
+            data["T"] = args.T
+        if getattr(args, "delta", None) is not None:
+            data["delta"] = args.delta
+        if getattr(args, "seeds", None) is not None:
+            data["seeds"] = parse_seeds(args.seeds)
+        if getattr(args, "out", None):
+            data["out_dir"] = args.out
+        return ExperimentConfig.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        print(f"mnl-bandit: invalid config: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_run(args) -> int:

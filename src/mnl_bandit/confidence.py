@@ -198,8 +198,15 @@ def _hessian_at_hat(
 
 
 _BOUNDARY_BISECT = 5  # bisection steps per ray in e_boundary_multi
-_PULL_BISECT = 10  # halvings toward the anchor when an ascent step leaves E
+_PULL_BISECT = 10  # halvings toward the anchor when an ascent step leaves E, not only the ball
 _STEP0 = 0.1  # initial ascent step of every start in max_revenue_over_E
+
+
+def _ball_exit(base: np.ndarray, v: np.ndarray, S: float) -> np.ndarray:
+    """Exact distance from ``base`` to the sphere ||theta|| = S along each unit row of ``v``."""
+    b = v @ base
+    c = float(base @ base) - S**2
+    return np.maximum(-b + np.sqrt(np.maximum(b * b - c, 0.0)), 0.0)
 
 
 def e_boundary_multi(
@@ -221,11 +228,7 @@ def e_boundary_multi(
     keep = norms > 0.0
     v = np.where(keep[:, None], dirs / np.where(keep, norms, 1.0)[:, None], 0.0)
     base = state.anchor
-    # Exact exit points of the Theta ball along each ray.
-    b = v @ base
-    c = float(base @ base) - cfg.S**2
-    s_ball = -b + np.sqrt(np.maximum(b * b - c, 0.0))
-    s_ball = np.where(keep, np.maximum(s_ball, 0.0), 0.0)
+    s_ball = np.where(keep, _ball_exit(base, v, cfg.S), 0.0)
 
     hess = _hessian_at_hat(history, cfg, state)
     quad = np.einsum("md,de,me->m", v, hess, v)
@@ -252,16 +255,24 @@ def e_boundary_multi(
 def _pull_back(
     cands: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> np.ndarray:
-    """Each row of ``cands`` if it lies in E, else the last feasible point of anchor -> row.
+    """Each row of ``cands`` if it is feasible, else the last feasible point of anchor -> row.
 
-    E is convex and holds the anchor, so feasibility along the segment is an
-    interval; every infeasible row is halved toward the anchor together.
-    Overwrites and returns ``cands``.
+    A row past the ball's sphere moves first to the sphere's exact exit point
+    on its segment; one membership pass then finds the rows that also leave
+    E, and only those are halved toward the anchor, together, over the
+    shortened segment.  E is convex and holds the anchor, so feasibility
+    along a segment is an interval.  Overwrites and returns ``cands``.
     """
     base = state.anchor
+    step = cands - base
+    length = np.linalg.norm(step, axis=1)
+    exit_ = _ball_exit(base, step / np.where(length > 0.0, length, 1.0)[:, None], cfg.S)
+    out = exit_ < length
+    step[out] *= (exit_[out] / length[out])[:, None]
+    cands[out] = base + step[out]
     bad = np.flatnonzero(~_in_E(cands, history, cfg, state))
     if bad.size:
-        step = cands[bad] - base
+        step = step[bad]
         lo = np.zeros(bad.size)
         hi = np.ones(bad.size)
         for _ in range(_PULL_BISECT):
@@ -305,8 +316,10 @@ def max_revenue_over_E(
     Multi-start projected ascent: one start at the anchor (theta_hat when
     feasible), restarts-1 random boundary starts, plus any caller-supplied
     feasible starts.  All starts advance together, but each keeps its own
-    step: a step that leaves the set is pulled back by bisection toward the
-    anchor (valid because E is convex) and is taken only if it gains more
+    step: a step that leaves the set is pulled back along its chord to the
+    anchor, exactly to the ball's sphere when only the ball is left and by
+    bisection when E is (valid because E is convex), so a step costs one
+    likelihood pass unless E binds.  It is taken only if it gains more
     than 1e-6, otherwise the step halves; a start stops at a vanishing
     gradient, a step below 1e-4 or ``max_iter`` steps.  The best start
     wins, the earliest among equals.  The returned value is attained by

@@ -124,7 +124,9 @@ class ExperimentConfig:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        PolicyKind(self.policy)  # raises on unknown kinds
+        kinds = [kind.value for kind in PolicyKind]
+        if self.policy not in kinds:
+            raise ValueError(f"policy must be one of {', '.join(kinds)}, got {self.policy!r}")
 
     @property
     def lam(self) -> float:

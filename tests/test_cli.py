@@ -64,6 +64,23 @@ class TestRunCommand:
         assert meta["config"]["T"] == 7
         assert meta["seed"] == 3
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--T", "-3", "T"), ("--delta", "7", "delta"), ("--policy", "bogus", "policy"),
+         ("--seeds", ",", "seeds")],
+    )
+    def test_invalid_override_fails_before_running(
+        self, tmp_path, config_file, capsys, flag, value, field
+    ):
+        out = tmp_path / "runs"
+        args = ["run", "--config", str(config_file), "--seeds", "0", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag, value])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert f"{field} must" in err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, config_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -260,16 +260,26 @@ def reference_ascent(ass, hist, cfg, state, restarts, rng, max_iter, extra_start
     base = state.anchor
 
     def pull(cand):
+        # Exit of the ball along the chord: the root s >= 0 of ||base + s v||^2 = S^2.
+        step = cand - base
+        length = float(np.linalg.norm(step))
+        if length > 0.0:
+            v = step / length
+            b = float(v @ base)
+            s = max(-b + math.sqrt(max(b * b - (float(base @ base) - cfg.S**2), 0.0)), 0.0)
+            if s < length:
+                step = step * (s / length)
+                cand = base + step
         if in_set_E(cand, hist, cfg, state):
             return cand
         lo, hi = 0.0, 1.0
         for _ in range(10):
             mid = 0.5 * (lo + hi)
-            if in_set_E(base + mid * (cand - base), hist, cfg, state):
+            if in_set_E(base + mid * step, hist, cfg, state):
                 lo = mid
             else:
                 hi = mid
-        return base + lo * (cand - base)
+        return base + lo * step
 
     starts = [base]
     if restarts > 1:
@@ -350,6 +360,29 @@ class TestMaxRevenueOverE:
             want = [in_set_E(th, hist, cfg, state) for th in thetas]
             assert got.tolist() == want
             assert all(want[1:9]) and not any(want[25:33])
+
+    def test_ball_bound_step_costs_one_membership_pass(self, monkeypatch):
+        import mnl_bandit.confidence as confidence
+
+        # With no history E is the ball of radius beta * sqrt(2 / lam), about 9.1,
+        # so only Theta (S = 0.5) can bind and its exit is exact.
+        cfg = ConfidenceConfig(d=3, K=2, T=100, delta=0.1, lam=4.0, S=0.5)
+        hist = History(3)
+        state = build_confidence_state(hist, cfg, t=1)
+        assert state.beta * math.sqrt(2.0 / cfg.lam) > 9.0
+        passes = []
+        in_e = confidence._in_E
+
+        def counted(*args):
+            passes.append(1)
+            return in_e(*args)
+
+        monkeypatch.setattr(confidence, "_in_E", counted)
+        ass = make_assortment([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        _, theta = max_revenue_over_E(ass, hist, cfg, state, restarts=1, max_iter=40)
+        assert len(passes) == 40
+        assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
+        assert in_set_E(theta, hist, cfg, state)
 
     def test_never_below_anchor_value(self):
         rng = np.random.default_rng(34)
