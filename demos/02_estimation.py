@@ -38,4 +38,4 @@ print(
     np.round(g_vector(history, final.theta_hat, lam), 4),
     np.round(history.purchases @ history.ctx_flat, 4),
 )
-print("design matrix H(theta_hat):\n", np.round(matrix_H(history, final.theta_hat, lam).matrix, 3))
+print("design matrix H(theta_hat):\n", np.round(matrix_H(history, final.theta_hat, lam), 3))

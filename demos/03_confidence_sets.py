@@ -18,7 +18,7 @@ from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import InstanceConfig, environment_step, make_instance, stream
 
 instance = make_instance(InstanceConfig(d=2, N=5, K=2, S=1.0), seed=3)
-cfg = ConfidenceConfig(d=2, K=2, T=300, delta=0.1, lam=5.0, S=1.0)
+cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=5.0, S=1.0)
 
 print("radius growth over rounds (gamma is monotone in t):")
 for t in (1, 10, 100, 300):
@@ -38,7 +38,7 @@ print("hidden parameter in the convex set:  ", in_set_E(instance.theta_star, his
 
 # Membership sampling: every norm-set member must lie in the convex set.
 rng = np.random.default_rng(0)
-chol = np.linalg.cholesky(np.linalg.inv(state.H_hat.matrix))
+chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
 inside = 0
 for _ in range(3000):
     z = rng.standard_normal(2)

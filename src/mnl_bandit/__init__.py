@@ -19,7 +19,6 @@ from .choice import (
     sample_choice,
 )
 from .estimation import (
-    DesignMatrix,
     History,
     MleResult,
     fit_mle,

@@ -177,9 +177,9 @@ def psd_ordering(n_configs: int, seed: int, S: float = 1.0) -> CheckResult:
         lam = float(rng.uniform(1.0, 20.0))
         th1 = sample_ball(rng, 1, d, radius=S)[0]
         th2 = sample_ball(rng, 1, d, radius=S)[0]
-        g = matrix_G(hist, th1, th2, lam).matrix
+        g = matrix_G(hist, th1, th2, lam)
         for th in (th1, th2):
-            diff = g - matrix_H(hist, th, lam).matrix / (1.0 + 2.0 * S)
+            diff = g - matrix_H(hist, th, lam) / (1.0 + 2.0 * S)
             worst = min(worst, float(np.linalg.eigvalsh(diff)[0]))
     return CheckResult(
         "PSD ordering of G against H",
@@ -199,7 +199,7 @@ def g_identity(n_configs: int, seed: int) -> CheckResult:
         th1 = sample_ball(rng, 1, d, radius=2.0)[0]
         th2 = sample_ball(rng, 1, d, radius=2.0)[0]
         lhs = g_vector(hist, th1, lam) - g_vector(hist, th2, lam)
-        rhs = matrix_G(hist, th1, th2, lam).matrix @ (th1 - th2)
+        rhs = matrix_G(hist, th1, th2, lam) @ (th1 - th2)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return CheckResult(
         "difference-quotient identity for g", worst < 1e-8, f"worst gap {worst:.3g}", worst
@@ -229,9 +229,9 @@ def convex_set_contains_norm_set(
         for t in range(1, T + 1):
             ass = AssortmentContexts.from_pool(inst.pool, random_assortment(4, 2, rng_a), inst.prices)
             hist.append(ass, environment_step(inst, ass, stream(inst_seed, TAG_OUTCOME, t)))
-        cfg = ConfidenceConfig(d=2, K=2, T=T, delta=0.1, lam=default_lambda(2, 2, T), S=1.0)
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=default_lambda(2, 2, T), S=1.0)
         state = build_confidence_state(hist, cfg, t=T + 1)
-        chol = np.linalg.cholesky(np.linalg.inv(state.H_hat.matrix))
+        chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
         members = 0
         tries = 0
         while members < per_snapshot and tries < max_tries:

@@ -12,6 +12,8 @@ representable in float64.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,13 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+
+
+def finite_number(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -47,14 +47,20 @@ def parse_seeds(spec: str) -> list[int]:
 def _load_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the command-line overrides, validated once.
 
-    Exits with a message naming the field when the result is invalid, before
-    anything runs or is written.
+    Exits with a message naming the field when the result is invalid, or
+    the file when it cannot be read as one JSON object, before anything
+    runs or is written.
     """
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
     try:
+        data = {}
+        if args.config:
+            with open(args.config) as fh:
+                try:
+                    data = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{args.config} is not valid JSON: {exc}") from None
+            if not isinstance(data, dict):
+                raise ValueError(f"{args.config} must hold one JSON object")
         if getattr(args, "policy", None):
             data["policy"] = args.policy
         if getattr(args, "T", None) is not None:
@@ -66,7 +72,7 @@ def _load_config(args) -> ExperimentConfig:
         if getattr(args, "out", None):
             data["out_dir"] = args.out
         return ExperimentConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"mnl-bandit: invalid config: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

@@ -17,13 +17,12 @@ an upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import AssortmentContexts
+from .choice import AssortmentContexts, finite_number
 from .estimation import (
-    DesignMatrix,
     History,
     MleResult,
     _log_likelihood,
@@ -36,6 +35,7 @@ from .estimation import (
 )
 
 __all__ = [
+    "L_CONST",
     "ConfidenceConfig",
     "ConfidenceState",
     "default_lambda",
@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 
+# Upper bound L on the diagonal derivative mu(1 - mu) <= 1/4, used by the
+# radius gamma and by the bonus baseline.
+L_CONST = 0.25
+
+
 def default_lambda(d: int, K: int, T: int) -> float:
     """Horizon-tuned ridge weight, held constant over a run."""
     return max(1.0, d * math.log(K * T))
@@ -60,20 +65,16 @@ class ConfidenceConfig:
 
     d: int
     K: int
-    T: int
     delta: float = 0.1
     lam: float = 1.0
     S: float = 1.0
-    L_const: float = 0.25  # upper bound on the diagonal derivative used in gamma
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta <= 1.0:
+        if not 0.0 < finite_number("delta", self.delta) <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.lam < 1.0:
+        if finite_number("lam", self.lam) < 1.0:
             raise ValueError(f"lam must be >= 1, got {self.lam}")
-        if not 0.0 < self.L_const <= 1.0:
-            raise ValueError(f"L_const must be in (0, 1], got {self.L_const}")
-        if self.S <= 0.0:
+        if finite_number("S", self.S) <= 0.0:
             raise ValueError(f"S must be positive, got {self.S}")
 
 
@@ -83,7 +84,7 @@ def gamma_radius(cfg: ConfidenceConfig, t: int) -> float:
         raise ValueError(f"round index must be >= 1, got {t}")
     lam = cfg.lam
     rl = math.sqrt(lam)
-    log_det = 0.5 * cfg.d * math.log1p(cfg.L_const * cfg.K * t / (cfg.d * lam))
+    log_det = 0.5 * cfg.d * math.log1p(L_CONST * cfg.K * t / (cfg.d * lam))
     return rl / 2.0 + (2.0 / rl) * (log_det - math.log(cfg.delta)) + (2.0 * cfg.d / rl) * math.log(2.0)
 
 
@@ -103,34 +104,24 @@ class ConfidenceState:
     theta_hat: np.ndarray
     gamma: float
     beta: float
-    H_hat: DesignMatrix
-    V: DesignMatrix
+    H_hat: np.ndarray
+    V: np.ndarray
     loss_at_hat: float
     g_at_hat: np.ndarray
     t: int
-    mle: MleResult | None = None
-    anchor: np.ndarray = field(default=None)  # feasible base point for projections
+    mle: MleResult
+    anchor: np.ndarray  # feasible base point for projections: theta_hat pulled into Theta
     hess_at_hat: np.ndarray | None = None  # lazily cached loss Hessian at the MLE
-
-    def __post_init__(self) -> None:
-        if self.anchor is None:
-            self.anchor = self.theta_hat
 
 
 def build_confidence_state(
     history: History,
     cfg: ConfidenceConfig,
-    t: int | None = None,
-    mle: MleResult | None = None,
+    t: int,
     theta0: np.ndarray | None = None,
-    mle_tol: float = 1e-8,
-    mle_max_iter: int = 100,
 ) -> ConfidenceState:
-    """Fit the MLE (unless given) and assemble the round's snapshot."""
-    if t is None:
-        t = history.t + 1
-    if mle is None:
-        mle = fit_mle(history, cfg.lam, tol=mle_tol, max_iter=mle_max_iter, theta0=theta0)
+    """Fit the MLE, warm-started at ``theta0``, and assemble the snapshot for round t."""
+    mle = fit_mle(history, cfg.lam, theta0=theta0)
     theta_hat = mle.theta_hat
     gamma = gamma_radius(cfg, t)
     beta = beta_radius(gamma, cfg.lam)
@@ -165,7 +156,7 @@ def in_set_C(
         return False
     dg = g_vector(history, theta, cfg.lam) - state.g_at_hat
     h = matrix_H(history, theta, cfg.lam)
-    return h.inv_quad(dg) <= state.gamma**2
+    return float(dg @ np.linalg.solve(h, dg)) <= state.gamma**2
 
 
 def _in_E(
@@ -308,7 +299,7 @@ def max_revenue_over_E(
     state: ConfidenceState,
     restarts: int = 5,
     rng: np.random.Generator | None = None,
-    max_iter: int = 200,
+    max_iter: int = 40,
     extra_starts: list[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Heuristic maximization of expected revenue over E intersect Theta.

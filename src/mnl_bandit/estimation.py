@@ -41,7 +41,6 @@ from .choice import AssortmentContexts
 __all__ = [
     "History",
     "MleResult",
-    "DesignMatrix",
     "penalized_log_likelihood",
     "score",
     "fit_mle",
@@ -60,22 +59,6 @@ class MleResult:
     score_norm: float
     iterations: int  # Newton steps actually taken
     converged: bool
-
-
-@dataclass
-class DesignMatrix:
-    """Symmetric d x d matrix carrying its ridge weight."""
-
-    matrix: np.ndarray
-    lam: float
-
-    def quad(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(v @ self.matrix @ v)
-
-    def inv_quad(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(v @ np.linalg.solve(self.matrix, v))
 
 
 class History:
@@ -210,28 +193,28 @@ def g_vector(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     return (history.row_offers * mu) @ history.ctx_flat + lam * theta
 
 
-def _weighted_gram(history: History, w: np.ndarray, lam: float) -> DesignMatrix:
+def _weighted_gram(history: History, w: np.ndarray, lam: float) -> np.ndarray:
     """sum_rows n w x x^T + lam I."""
     ctx = history.ctx_flat
     w = history.row_offers * w
-    return DesignMatrix(ctx.T @ (w[:, None] * ctx) + lam * np.eye(history.dim), lam)
+    return ctx.T @ (w[:, None] * ctx) + lam * np.eye(history.dim)
 
 
-def matrix_H(history: History, theta: np.ndarray, lam: float) -> DesignMatrix:
+def matrix_H(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Curvature-weighted design matrix sum mu(1-mu) x x^T + lam I."""
     theta = _check_theta(history, theta)
     _, mu = _row_mu(history, theta)
     return _weighted_gram(history, mu * (1.0 - mu), lam)
 
 
-def matrix_V(history: History, lam: float) -> DesignMatrix:
+def matrix_V(history: History, lam: float) -> np.ndarray:
     """Unweighted design matrix sum x x^T + lam I."""
-    return DesignMatrix(history.context_sum_matrix() + lam * np.eye(history.dim), lam)
+    return history.context_sum_matrix() + lam * np.eye(history.dim)
 
 
 def matrix_G(
     history: History, theta1: np.ndarray, theta2: np.ndarray, lam: float
-) -> DesignMatrix:
+) -> np.ndarray:
     """Difference-quotient design matrix linking g(th1) - g(th2)."""
     u1, mu1 = _row_mu(history, _check_theta(history, theta1))
     u2, mu2 = _row_mu(history, _check_theta(history, theta2))
@@ -247,7 +230,7 @@ def _nll_hessian(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i.
     """
     _, mu = _row_mu(history, theta)
-    diag_part = _weighted_gram(history, mu, lam).matrix
+    diag_part = _weighted_gram(history, mu, lam)
     seg_means = np.add.reduceat(mu[:, None] * history.ctx_flat, history.starts, axis=0)
     return diag_part - seg_means.T @ (history.offers[:, None] * seg_means)
 

@@ -19,12 +19,12 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .choice import AssortmentContexts, choice_probabilities, expected_revenue
+from .choice import AssortmentContexts, choice_probabilities, expected_revenue, finite_number
 from .confidence import (
     ConfidenceConfig,
     ConfidenceState,
@@ -82,15 +82,17 @@ def _fmt(x: float) -> str:
 
 
 # Smallest value each integer field of ExperimentConfig accepts.
-_INT_MINIMA = dict(
-    d=1, N=1, K=1, T=0, restarts=1, n_dirs=0,
-    refine_top=0, refine_iters=0, mle_max_iter=1, kappa_grid=0,
-)
+_INT_MINIMA = dict(d=1, N=1, K=1, T=0, restarts=1, n_dirs=0, refine_top=0)
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs besides the seed; JSON round-trippable."""
+    """Everything a run needs besides the seed; JSON round-trippable.
+
+    Construction validates every field, including the instance and
+    confidence settings derived from them, and raises a ``ValueError``
+    that names the field.
+    """
 
     d: int = 2
     N: int = 8
@@ -103,14 +105,9 @@ class ExperimentConfig:
     policy: str = PolicyKind.CB_MNL_E.value
     delta: float = 0.1
     lambda_override: float | None = None
-    L_const: float = 0.25
     restarts: int = 5
     n_dirs: int = 16
     refine_top: int = 1  # assortments refined by ascent after screening
-    refine_iters: int = 40
-    mle_tol: float = 1e-8
-    mle_max_iter: int = 100
-    kappa_grid: int = 256
     track_c_stats: bool = True  # per-round coverage of the norm-based set (covered_C)
     seeds: list[int] = field(default_factory=lambda: [0])
     out_dir: str | None = None
@@ -120,13 +117,25 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
+        if self.lambda_override is not None:
+            if finite_number("lambda_override", self.lambda_override) < 1.0:
+                raise ValueError(f"lambda_override must be >= 1 or null, got {self.lambda_override}")
         kinds = [kind.value for kind in PolicyKind]
         if self.policy not in kinds:
             raise ValueError(f"policy must be one of {', '.join(kinds)}, got {self.policy!r}")
+        if not isinstance(self.track_c_stats, bool):
+            raise ValueError(f"track_c_stats must be true or false, got {self.track_c_stats!r}")
+        if (
+            not isinstance(self.seeds, (list, tuple))
+            or not self.seeds
+            or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in self.seeds)
+        ):
+            raise ValueError(f"seeds must be a nonempty list of integers >= 0, got {self.seeds!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path or null, got {self.out_dir!r}")
+        # delta, lam and S are checked here, then the instance's own fields.
+        self.confidence_config()
+        self.instance_config()
 
     @property
     def lam(self) -> float:
@@ -146,21 +155,16 @@ class ExperimentConfig:
         )
 
     def confidence_config(self) -> ConfidenceConfig:
-        return ConfidenceConfig(
-            d=self.d,
-            K=self.K,
-            T=max(self.T, 1),
-            delta=self.delta,
-            lam=self.lam,
-            S=self.S,
-            L_const=self.L_const,
-        )
+        return ConfidenceConfig(d=self.d, K=self.K, delta=self.delta, lam=self.lam, S=self.S)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{', '.join(unknown)} is not a config field")
         return cls(**data)
 
     @classmethod
@@ -290,7 +294,6 @@ def _policy_decision(
             restarts=cfg.restarts,
             n_dirs=cfg.n_dirs,
             refine_top=cfg.refine_top,
-            refine_iters=cfg.refine_iters,
         )
     if kind is PolicyKind.BONUS_UCB:
         return bonus_ucb_step(pool, history, ccfg, state, kappa_hat=kappa_hat, prices=prices)
@@ -312,7 +315,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     instance = make_instance(cfg.instance_config(), seed)
     ccfg = cfg.confidence_config()
     lam = ccfg.lam
-    kappa = estimate_kappa(instance, grid_size=cfg.kappa_grid)
+    kappa = estimate_kappa(instance)
 
     history = History(cfg.d)
     records: list[RoundRecord] = []
@@ -332,14 +335,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
 
     for t in range(1, cfg.T + 1):
         pool = serve_contexts(instance, t)
-        state = build_confidence_state(
-            history,
-            ccfg,
-            t=t,
-            theta0=theta_warm,
-            mle_tol=cfg.mle_tol,
-            mle_max_iter=cfg.mle_max_iter,
-        )
+        state = build_confidence_state(history, ccfg, t, theta0=theta_warm)
         if not state.mle.converged:
             mle_failures += 1
         newton_steps += state.mle.iterations
@@ -466,7 +462,7 @@ def elliptical_potential_check(run: RunLog, history: History | None = None) -> E
     _, logdet = np.linalg.slogdet(j_mat)
     rhs = 2.0 * (logdet - d * math.log(lam))
 
-    det_v = float(np.linalg.det(matrix_V(history, lam).matrix))
+    det_v = float(np.linalg.det(matrix_V(history, lam)))
     n_rounds = sum(1 for a, _ in history.rounds if a.cardinality)
     k_max = max((a.cardinality for a, _ in history.rounds), default=0)
     dt_rhs = (lam + n_rounds * k_max / d) ** d
@@ -483,22 +479,13 @@ class RunSummary:
     final_mean_regret: float
     loglog_slope: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "T": self.T,
-            "coverage_rate": self.coverage_rate,
-            "final_mean_regret": self.final_mean_regret,
-            "loglog_slope": self.loglog_slope,
-        }
 
-
-def loglog_slope(curve: np.ndarray, lo_frac: float = 0.5) -> float:
-    """Least-squares slope of log cum-regret against log t on the tail window."""
+def loglog_slope(curve: np.ndarray) -> float:
+    """Least-squares slope of log cum-regret against log t on the second half of the rounds."""
     curve = np.asarray(curve, dtype=float)
     T = curve.shape[0]
     ts = np.arange(1, T + 1)
-    lo = max(int(lo_frac * T), 1)
+    lo = max(int(0.5 * T), 1)
     sel = (ts >= lo) & (curve > 0)
     if sel.sum() < 2:
         return float("nan")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .choice import AssortmentContexts
 from .confidence import (
+    L_CONST,
     ConfidenceConfig,
     ConfidenceState,
     e_boundary_multi,
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**6
+_SET_C_DRAWS = 512  # ellipsoid draws screened for members of the norm-based set C
 
 
 class ConfigurationError(ValueError):
@@ -152,8 +154,6 @@ def cb_mnl_step(
     restarts: int = 5,
     n_dirs: int = 16,
     refine_top: int = 1,
-    refine_iters: int = 200,
-    c_samples: int = 512,
 ) -> Decision:
     """Optimistic decision over all feasible assortments.
 
@@ -161,13 +161,13 @@ def cb_mnl_step(
     pool of candidates in the convex set: the anchor and the boundary
     points along ``n_dirs`` seeded directions.  The ``refine_top`` best
     assortments are then refined by the multi-start ascent of
-    ``max_revenue_over_E``, seeded with their screening parameter (0 keeps
-    the screening values as they are; a count at least the number of
-    assortments refines every one).  Refinement only raises a value, so
+    ``max_revenue_over_E`` (its default 40 steps), seeded with their
+    screening parameter (0 keeps the screening values as they are; a count
+    at least the number of assortments refines every one).  Refinement only raises a value, so
     with ``refine_top <= 1`` it never changes the assortment played.
 
     With ``set_kind="C"`` the non-convex set is handled by rejection
-    sampling ``c_samples`` candidates from an ellipsoid around the MLE and
+    sampling 512 candidates from an ellipsoid around the MLE and
     keeping the members; ascent is unreliable there.
     """
     if rng is None:
@@ -177,9 +177,8 @@ def cb_mnl_step(
     if set_kind == "C":
         cands = [state.anchor]
         radius = 2.0 * (1.0 + 2.0 * cfg.S) * state.gamma
-        h_hat = state.H_hat.matrix
-        chol = np.linalg.cholesky(np.linalg.inv(h_hat))
-        for _ in range(c_samples):
+        chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
+        for _ in range(_SET_C_DRAWS):
             z = rng.standard_normal(history.dim)
             z *= radius * rng.random() ** (1.0 / history.dim) / float(np.linalg.norm(z))
             cand = state.theta_hat + chol @ z
@@ -204,7 +203,6 @@ def cb_mnl_step(
                 state,
                 restarts=restarts,
                 rng=rng,
-                max_iter=refine_iters,
                 extra_starts=[thetas[which[p]]],
             )
             if val > values[p]:
@@ -232,15 +230,13 @@ def bonus_ucb_step(
     bonus(A) = (2+4S) gamma sum_i ||x_i||_{H_hat^-1}
              + 4 kappa_hat (1+2S)^2 M gamma^2 sum_i ||x_i||^2_{V^-1},
 
-    with M = ``cfg.L_const``.
+    with M = ``L_CONST``.
     """
     pool = np.asarray(pool, dtype=float)
-    h_norms = np.sqrt(
-        np.einsum("nd,nd->n", pool, np.linalg.solve(state.H_hat.matrix, pool.T).T)
-    )
-    v_norms_sq = np.einsum("nd,nd->n", pool, np.linalg.solve(state.V.matrix, pool.T).T)
+    h_norms = np.sqrt(np.einsum("nd,nd->n", pool, np.linalg.solve(state.H_hat, pool.T).T))
+    v_norms_sq = np.einsum("nd,nd->n", pool, np.linalg.solve(state.V, pool.T).T)
     c1 = (2.0 + 4.0 * cfg.S) * state.gamma
-    c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * cfg.L_const * state.gamma**2
+    c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * L_CONST * state.gamma**2
     item_bonus = c1 * h_norms + c2 * v_norms_sq
 
     rows = enumerate_assortments(len(pool), cfg.K)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import AssortmentContexts, choice_probabilities, sample_choice
+from .choice import AssortmentContexts, choice_probabilities, finite_number, sample_choice
 
 __all__ = [
     "Instance",
@@ -62,12 +62,23 @@ class InstanceConfig:
     prices: list[float] | None = None
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.N < 1 or not 1 <= self.K <= self.N:
-            raise ValueError(f"bad dimensions d={self.d}, N={self.N}, K={self.K}")
-        if self.S_true > self.S:
-            raise ValueError(f"S_true={self.S_true} exceeds the bound S={self.S} given to the learner")
+        if self.d < 1 or self.N < 1:
+            raise ValueError(f"d and N must be >= 1, got d={self.d}, N={self.N}")
+        if not 1 <= self.K <= self.N:
+            raise ValueError(f"K must be in [1, N={self.N}], got {self.K}")
+        if not 0.0 <= finite_number("S_true", self.S_true) <= finite_number("S", self.S):
+            raise ValueError(
+                f"S_true must be in [0, S={self.S}], the bound given to the learner, got {self.S_true}"
+            )
         if self.context_mode not in (FIXED_POOL, FRESH_IID):
-            raise ValueError(f"unknown context mode {self.context_mode!r}")
+            raise ValueError(
+                f"context_mode must be {FIXED_POOL!r} or {FRESH_IID!r}, got {self.context_mode!r}"
+            )
+        if self.prices is not None:
+            if not isinstance(self.prices, (list, tuple, np.ndarray)) or len(self.prices) != self.N:
+                raise ValueError(f"prices must be null or a list of N={self.N} numbers, got {self.prices!r}")
+            if any(finite_number("prices", p) < 0.0 for p in self.prices):
+                raise ValueError(f"prices must be nonnegative, got {self.prices!r}")
 
 
 @dataclass
@@ -158,15 +169,13 @@ def make_instance(cfg: InstanceConfig, seed: int) -> Instance:
     )
 
 
-def serve_contexts(instance: Instance, t: int, rng: np.random.Generator | None = None) -> np.ndarray:
+def serve_contexts(instance: Instance, t: int) -> np.ndarray:
     """Contexts for round t: the fixed pool, or fresh draws keyed by (seed, t)."""
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     if instance.context_mode == FIXED_POOL:
         return instance.pool
-    if rng is None:
-        rng = stream(instance.seed, TAG_CONTEXTS, t)
-    return sample_ball(rng, instance.N, instance.d)
+    return sample_ball(stream(instance.seed, TAG_CONTEXTS, t), instance.N, instance.d)
 
 
 def environment_step(
@@ -251,7 +260,7 @@ def kappa_over_candidates(instance: Instance, thetas: np.ndarray, pool: np.ndarr
     return KappaEstimate(value, thetas[cand].copy(), pool[item].copy(), tuple(sorted(members)))
 
 
-def estimate_kappa(instance: Instance, grid_size: int = 512) -> KappaEstimate:
+def estimate_kappa(instance: Instance, grid_size: int = 256) -> KappaEstimate:
     """Grid/random search over theta for the instance's curvature constant.
 
     The infimum over an unbounded parameter space would be zero, so the

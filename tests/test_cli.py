@@ -1,12 +1,16 @@
 """Command line surface: run, summarize, instance, check, seed parsing."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from mnl_bandit.cli import main, parse_seeds
 from mnl_bandit.harness import CSV_HEADER, ExperimentConfig, run_experiment, summarize_runs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParseSeeds:
@@ -79,6 +83,31 @@ class TestRunCommand:
         assert exc.value.code != 0
         err = capsys.readouterr().err
         assert f"{field} must" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"d": 2, "N": 3, "K": 5, "T": 4}', "K must"),
+            ('{"d": 2, "N": 3, "K": 2, "T": 4, "prices": [1.0, NaN, 1.0]}', "prices must"),
+            ('{"d": 2, "N": 3, "K": 2, "T": 4, "kappa_grid": 256}', "kappa_grid is not a config field"),
+            ('{"d": 2, "N": 3,', "is not valid JSON"),
+            ('[2, 3]', "must hold one JSON object"),
+            (None, "No such file"),
+        ],
+        ids=["bad-field", "nan-price", "removed-field", "not-json", "not-object", "missing"],
+    )
+    def test_bad_config_file_fails_before_running(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mnl-bandit: invalid config: ")
+        assert problem in err
         assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, config_file):
@@ -191,9 +220,11 @@ class TestCheckCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "mnl_bandit", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "run" in proc.stdout and "summarize" in proc.stdout

@@ -36,7 +36,7 @@ def random_history(rng, d, K=2, rounds=10):
 
 def sample_c_members(rng, hist, cfg, state, want, max_tries=5000):
     """Rejection sampler for the norm-based set, proposing around the MLE."""
-    chol = np.linalg.cholesky(np.linalg.inv(state.H_hat.matrix))
+    chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
     members = []
     tries = 0
     while len(members) < want and tries < max_tries:
@@ -51,21 +51,21 @@ def sample_c_members(rng, hist, cfg, state, want, max_tries=5000):
 
 class TestGammaRadius:
     def test_hand_value_delta_point_one(self):
-        cfg = ConfidenceConfig(d=1, K=1, T=10, delta=0.1, lam=1.0, S=1.0, L_const=0.25)
+        cfg = ConfidenceConfig(d=1, K=1, delta=0.1, lam=1.0, S=1.0)
         # 0.5 + 2 (0.5 ln 1.25 + ln 10) + 2 ln 2
         assert gamma_radius(cfg, 1) == pytest.approx(6.714608098422192, abs=1e-9)
 
     def test_hand_value_delta_one(self):
-        cfg = ConfidenceConfig(d=1, K=1, T=10, delta=1.0, lam=1.0, S=1.0, L_const=0.25)
+        cfg = ConfidenceConfig(d=1, K=1, delta=1.0, lam=1.0, S=1.0)
         assert gamma_radius(cfg, 1) == pytest.approx(2.1094379124341005, abs=1e-9)
 
     def test_monotone_in_round(self):
-        cfg = ConfidenceConfig(d=3, K=2, T=10_000, delta=0.05, lam=2.0, S=1.0)
+        cfg = ConfidenceConfig(d=3, K=2, delta=0.05, lam=2.0, S=1.0)
         values = [gamma_radius(cfg, t) for t in range(1, 10_001, 97)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_rejects_round_zero(self):
-        cfg = ConfidenceConfig(d=1, K=1, T=10)
+        cfg = ConfidenceConfig(d=1, K=1)
         with pytest.raises(ValueError):
             gamma_radius(cfg, 0)
 
@@ -92,7 +92,7 @@ class TestBetaRadius:
             assert beta_radius(g, lam) >= g
 
     def test_state_invariant(self):
-        cfg = ConfidenceConfig(d=2, K=2, T=100, delta=0.1, lam=2.0, S=1.0)
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=2.0, S=1.0)
         state = build_confidence_state(History(2), cfg, t=5)
         assert state.beta == pytest.approx(state.gamma + state.gamma**2 / cfg.lam, rel=1e-12)
 
@@ -100,7 +100,7 @@ class TestBetaRadius:
 class TestSetMembership:
     def setup_method(self):
         self.rng = np.random.default_rng(30)
-        self.cfg = ConfidenceConfig(d=2, K=2, T=100, delta=0.1, lam=2.0, S=1.5)
+        self.cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=2.0, S=1.5)
         self.hist = random_history(self.rng, 2, rounds=25)
         self.state = build_confidence_state(self.hist, self.cfg, t=self.hist.t + 1)
 
@@ -135,7 +135,7 @@ class TestSetMembership:
 
     def test_empty_history_e_ball_boundary(self):
         for S, lam in ((200.0, 1.0), (50.0, 1.0), (3.0, 2.0)):
-            cfg = ConfidenceConfig(d=2, K=1, T=10, delta=0.1, lam=lam, S=S)
+            cfg = ConfidenceConfig(d=2, K=1, delta=0.1, lam=lam, S=S)
             hist = History(2)
             state = build_confidence_state(hist, cfg, t=1)
             radius = min(S, state.beta * math.sqrt(2.0 / lam))
@@ -157,7 +157,7 @@ class TestDeviationBounds:
         for _ in range(10):
             d = 2
             theta_star = sample_ball(rng, 1, d, radius=1.0)[0]
-            cfg = ConfidenceConfig(d=d, K=2, T=100, delta=0.1, lam=2.0, S=1.0)
+            cfg = ConfidenceConfig(d=d, K=2, delta=0.1, lam=2.0, S=1.0)
             hist = random_history(rng, d, rounds=30)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             if not in_set_C(theta_star, hist, cfg, state):
@@ -165,7 +165,7 @@ class TestDeviationBounds:
             h_star = matrix_H(hist, theta_star, cfg.lam)
             bound = 2.0 * (1.0 + 2.0 * cfg.S) * state.gamma
             for th in sample_c_members(rng, hist, cfg, state, 20):
-                dev = math.sqrt(h_star.quad(th - theta_star))
+                dev = math.sqrt((th - theta_star) @ h_star @ (th - theta_star))
                 assert dev <= bound
                 checked += 1
         assert checked > 0
@@ -178,7 +178,7 @@ class TestDeviationBounds:
         for _ in range(10):
             d = 2
             theta_star = sample_ball(rng, 1, d, radius=1.0)[0]
-            cfg = ConfidenceConfig(d=d, K=2, T=100, delta=0.1, lam=2.0, S=1.0)
+            cfg = ConfidenceConfig(d=d, K=2, delta=0.1, lam=2.0, S=1.0)
             hist = random_history(rng, d, rounds=30)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             if not in_set_C(theta_star, hist, cfg, state):
@@ -188,7 +188,7 @@ class TestDeviationBounds:
             dirs = rng.standard_normal((40, d))
             for th in e_boundary_multi(hist, cfg, state, dirs):
                 assert in_set_E(th, hist, cfg, state)
-                dev = math.sqrt(h_star.quad(th - theta_star))
+                dev = math.sqrt((th - theta_star) @ h_star @ (th - theta_star))
                 assert dev <= bound
                 checked += 1
         assert checked > 0
@@ -206,7 +206,7 @@ class TestDifferenceQuotientBounds:
     def _setup(self, seed):
         rng = np.random.default_rng(seed)
         theta_star = sample_ball(rng, 1, 2, radius=1.0)[0]
-        cfg = ConfidenceConfig(d=2, K=1, T=100, delta=0.1, lam=2.0, S=1.0)
+        cfg = ConfidenceConfig(d=2, K=1, delta=0.1, lam=2.0, S=1.0)
         hist = random_history(rng, 2, K=1, rounds=30)
         state = build_confidence_state(hist, cfg, t=hist.t + 1)
         return rng, theta_star, cfg, hist, state
@@ -230,7 +230,8 @@ class TestDifferenceQuotientBounds:
                     mu_t = float(choice_probabilities(ass, theta).item_probs[0])
                     mu_s = float(choice_probabilities(ass, theta_star).item_probs[0])
                     alpha = (mu_t - mu_s) / du
-                    x_norm = math.sqrt(h_star.inv_quad(ass.contexts[0]))
+                    x = ass.contexts[0]
+                    x_norm = math.sqrt(x @ np.linalg.solve(h_star, x))
                     bound = (
                         diag_derivative(ass, theta_star, 0)
                         + 2.0 * (1.0 + 2.0 * cfg.S) * m_const * state.gamma * x_norm
@@ -249,7 +250,7 @@ class TestDifferenceQuotientBounds:
             for theta in sample_c_members(rng, hist, cfg, state, 25):
                 dg = g_vector(hist, theta, cfg.lam) - state.g_at_hat
                 g_mat = matrix_G(hist, theta, state.theta_hat, cfg.lam)
-                dev = math.sqrt(g_mat.inv_quad(dg))
+                dev = math.sqrt(dg @ np.linalg.solve(g_mat, dg))
                 assert dev <= cap + 1e-9
                 checked += 1
         assert checked > 100
@@ -316,7 +317,7 @@ class TestMaxRevenueOverE:
             d = int(rng.integers(1, 4))
             S = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
             lam = float(rng.uniform(1.0, 4.0))
-            cfg = ConfidenceConfig(d=d, K=3, T=200, delta=0.1, lam=lam, S=S)
+            cfg = ConfidenceConfig(d=d, K=3, delta=0.1, lam=lam, S=S)
             hist = random_history(rng, d, K=3, rounds=int(rng.integers(0, 80)))
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             k = int(rng.integers(1, 4))
@@ -342,7 +343,7 @@ class TestMaxRevenueOverE:
         rng = np.random.default_rng(37)
         for _ in range(10):
             S = float(rng.choice([1.0, 3.0]))
-            cfg = ConfidenceConfig(d=2, K=2, T=100, delta=0.1, lam=2.0, S=S)
+            cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=2.0, S=S)
             hist = random_history(rng, 2, rounds=int(rng.integers(0, 60)))
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             dirs = rng.standard_normal((8, 2))
@@ -366,7 +367,7 @@ class TestMaxRevenueOverE:
 
         # With no history E is the ball of radius beta * sqrt(2 / lam), about 9.1,
         # so only Theta (S = 0.5) can bind and its exit is exact.
-        cfg = ConfidenceConfig(d=3, K=2, T=100, delta=0.1, lam=4.0, S=0.5)
+        cfg = ConfidenceConfig(d=3, K=2, delta=0.1, lam=4.0, S=0.5)
         hist = History(3)
         state = build_confidence_state(hist, cfg, t=1)
         assert state.beta * math.sqrt(2.0 / cfg.lam) > 9.0
@@ -386,7 +387,7 @@ class TestMaxRevenueOverE:
 
     def test_never_below_anchor_value(self):
         rng = np.random.default_rng(34)
-        cfg = ConfidenceConfig(d=2, K=2, T=50, delta=0.1, lam=2.0, S=1.0)
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=2.0, S=1.0)
         for _ in range(10):
             hist = random_history(rng, 2, rounds=15)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
@@ -398,7 +399,7 @@ class TestMaxRevenueOverE:
 
     def test_empty_history_single_item_reaches_sigma_S(self):
         for S in (0.5, 1.0):
-            cfg = ConfidenceConfig(d=1, K=1, T=10, delta=0.1, lam=1.0, S=S)
+            cfg = ConfidenceConfig(d=1, K=1, delta=0.1, lam=1.0, S=S)
             hist = History(1)
             state = build_confidence_state(hist, cfg, t=1)
             ass = make_assortment([[1.0]])
@@ -409,7 +410,7 @@ class TestMaxRevenueOverE:
 
     def test_dominates_any_feasible_parameter_value(self):
         rng = np.random.default_rng(35)
-        cfg = ConfidenceConfig(d=2, K=2, T=50, delta=0.1, lam=2.0, S=1.0)
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=2.0, S=1.0)
         hist = random_history(rng, 2, rounds=20)
         state = build_confidence_state(hist, cfg, t=hist.t + 1)
         ass = make_assortment(sample_ball(rng, 2, 2))
@@ -420,7 +421,7 @@ class TestMaxRevenueOverE:
                 assert val >= expected_revenue(ass, cand) - 5e-3
 
     def test_rejects_zero_restarts(self):
-        cfg = ConfidenceConfig(d=1, K=1, T=10)
+        cfg = ConfidenceConfig(d=1, K=1)
         hist = History(1)
         state = build_confidence_state(hist, cfg, t=1)
         with pytest.raises(ValueError):
@@ -430,12 +431,8 @@ class TestMaxRevenueOverE:
 class TestConfigValidation:
     def test_bad_delta(self):
         with pytest.raises(ValueError):
-            ConfidenceConfig(d=1, K=1, T=10, delta=0.0)
+            ConfidenceConfig(d=1, K=1, delta=0.0)
 
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
-            ConfidenceConfig(d=1, K=1, T=10, lam=0.5)
-
-    def test_bad_l_const(self):
-        with pytest.raises(ValueError):
-            ConfidenceConfig(d=1, K=1, T=10, L_const=1.5)
+            ConfidenceConfig(d=1, K=1, lam=0.5)

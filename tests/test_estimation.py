@@ -7,7 +7,6 @@ import pytest
 from mnl_bandit.choice import AssortmentContexts, choice_probabilities
 from mnl_bandit.confidence import ConfidenceConfig, build_confidence_state, e_boundary_multi
 from mnl_bandit.estimation import (
-    DesignMatrix,
     History,
     _nll_hessian,
     fit_mle,
@@ -198,13 +197,13 @@ class TestGVector:
 class TestDesignMatrices:
     def test_H_empty_is_ridge(self):
         h = matrix_H(History(2), np.zeros(2), 3.0)
-        np.testing.assert_array_equal(h.matrix, 3.0 * np.eye(2))
+        np.testing.assert_array_equal(h, 3.0 * np.eye(2))
 
     def test_H_single_item_quarter_weight(self):
         hist = History(1)
         hist.append(make_assortment([[1.0]]), 1)
         h = matrix_H(hist, np.zeros(1), 1.0)
-        assert h.matrix[0, 0] == pytest.approx(1.25, rel=1e-14)
+        assert h[0, 0] == pytest.approx(1.25, rel=1e-14)
 
     def test_H_minimum_eigenvalue_at_least_lambda(self):
         rng = np.random.default_rng(17)
@@ -213,13 +212,13 @@ class TestDesignMatrices:
             hist = random_history(rng, d, rounds=int(rng.integers(1, 12)))
             lam = float(rng.uniform(1.0, 4.0))
             theta = sample_ball(rng, 1, d, radius=2.0)[0]
-            assert np.linalg.eigvalsh(matrix_H(hist, theta, lam).matrix)[0] >= lam - 1e-9
+            assert np.linalg.eigvalsh(matrix_H(hist, theta, lam))[0] >= lam - 1e-9
 
     def test_V_single_item(self):
         hist = History(1)
         hist.append(make_assortment([[1.0]]), 0)
         v = matrix_V(hist, 1.0)
-        assert v.matrix[0, 0] == pytest.approx(2.0, rel=1e-14)
+        assert v[0, 0] == pytest.approx(2.0, rel=1e-14)
 
     def test_H_dominated_by_V(self):
         rng = np.random.default_rng(18)
@@ -227,15 +226,8 @@ class TestDesignMatrices:
             d = int(rng.integers(1, 5))
             hist = random_history(rng, d, rounds=int(rng.integers(1, 12)))
             theta = sample_ball(rng, 1, d, radius=2.0)[0]
-            diff = matrix_V(hist, 1.0).matrix - matrix_H(hist, theta, 1.0).matrix
+            diff = matrix_V(hist, 1.0) - matrix_H(hist, theta, 1.0)
             assert float(np.linalg.eigvalsh(diff)[0]) >= -1e-9
-
-    def test_design_matrix_helpers(self):
-        m = DesignMatrix(np.array([[2.0, 0.0], [0.0, 8.0]]), 1.0)
-        v = np.array([1.0, 1.0])
-        assert m.quad(v) == pytest.approx(10.0)
-        assert m.inv_quad(v) == pytest.approx(0.5 + 0.125)
-        assert np.linalg.eigvalsh(m.matrix)[0] == pytest.approx(2.0)
 
 
 class TestMatrixG:
@@ -243,8 +235,8 @@ class TestMatrixG:
         rng = np.random.default_rng(19)
         hist = random_history(rng, 3, rounds=10)
         theta = sample_ball(rng, 1, 3, radius=1.5)[0]
-        g = matrix_G(hist, theta, theta, 1.0).matrix
-        h = matrix_H(hist, theta, 1.0).matrix
+        g = matrix_G(hist, theta, theta, 1.0)
+        h = matrix_H(hist, theta, 1.0)
         np.testing.assert_allclose(g, h, atol=1e-8)
 
     def test_links_g_vector_differences_exactly(self):
@@ -256,7 +248,7 @@ class TestMatrixG:
             th1 = sample_ball(rng, 1, d, radius=2.0)[0]
             th2 = sample_ball(rng, 1, d, radius=2.0)[0]
             lhs = g_vector(hist, th1, lam) - g_vector(hist, th2, lam)
-            rhs = matrix_G(hist, th1, th2, lam).matrix @ (th1 - th2)
+            rhs = matrix_G(hist, th1, th2, lam) @ (th1 - th2)
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
     def test_psd_ordering_single_item_rounds(self):
@@ -272,9 +264,9 @@ class TestMatrixG:
             lam = float(rng.uniform(1.0, 20.0))
             th1 = sample_ball(rng, 1, d, radius=S)[0]
             th2 = sample_ball(rng, 1, d, radius=S)[0]
-            g = matrix_G(hist, th1, th2, lam).matrix
+            g = matrix_G(hist, th1, th2, lam)
             for th in (th1, th2):
-                diff = g - matrix_H(hist, th, lam).matrix / (1.0 + 2.0 * S)
+                diff = g - matrix_H(hist, th, lam) / (1.0 + 2.0 * S)
                 assert float(np.linalg.eigvalsh(diff)[0]) >= -1e-9
 
     def test_psd_ordering_counterexample_multi_item(self):
@@ -292,8 +284,8 @@ class TestMatrixG:
         th2 = np.array([0.29348879267686123, 0.38737379489188717])
         hist = History(2)
         hist.append(make_assortment(ctx), 1)
-        g = matrix_G(hist, th1, th2, 1.0).matrix
-        h = matrix_H(hist, th1, 1.0).matrix
+        g = matrix_G(hist, th1, th2, 1.0)
+        h = matrix_H(hist, th1, 1.0)
         assert float(np.linalg.eigvalsh(g - h / 3.0)[0]) < -1.0
 
 
@@ -422,10 +414,10 @@ class TestCompressedHistoryAgainstPerRoundReference:
             assert_rel(score(hist, theta, self.LAM), ref["score"])
             assert_rel(g_vector(hist, theta, self.LAM), ref["g"])
             assert_rel(hist.purchases @ hist.ctx_flat, ref["reward"])
-            assert_rel(matrix_H(hist, theta, self.LAM).matrix, ref["H"])
+            assert_rel(matrix_H(hist, theta, self.LAM), ref["H"])
             assert_rel(_nll_hessian(hist, theta, self.LAM), ref["hess"])
         th1, th2 = sample_ball(rng, 2, 2, radius=2.0)
-        assert_rel(matrix_G(hist, th1, th2, self.LAM).matrix, per_round_G(hist, th1, th2, self.LAM))
+        assert_rel(matrix_G(hist, th1, th2, self.LAM), per_round_G(hist, th1, th2, self.LAM))
 
     def test_fit_matches_per_round_newton(self):
         hist = mixed_history(np.random.default_rng(7))
@@ -439,7 +431,7 @@ class TestCompressedHistoryAgainstPerRoundReference:
 
     def test_boundary_points_match(self):
         hist = mixed_history(np.random.default_rng(8))
-        cfg = ConfidenceConfig(d=2, K=3, T=300, lam=self.LAM, S=2.0)
+        cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
         state = build_confidence_state(hist, cfg, t=301)
         dirs = np.random.default_rng(9).standard_normal((12, 2))
         got = e_boundary_multi(hist, cfg, state, dirs)

@@ -25,7 +25,7 @@ def small_cfg(**kw):
     base = dict(d=2, N=3, K=2, T=40, policy="cb_mnl_e", refine_top=0, n_dirs=6,
                 restarts=1, seeds=[0])
     base.update(kw)
-    return ExperimentConfig(**base)
+    return ExperimentConfig.from_dict(base)
 
 
 class TestRunExperiment:
@@ -259,9 +259,19 @@ class TestConfig:
             ("kappa_grid", None), ("mle_max_iter", None), ("N", None), ("restarts", 2.5),
             ("refine_iters", -1), ("kappa_grid", -1), ("mle_max_iter", 0), ("d", 0),
             ("K", 0), ("refine_top", True),
+            # Instance and confidence fields, checked at construction (N=3, S=1).
+            ("K", 5), ("S_true", 2.0), ("S_true", -0.5), ("S", 0.0), ("S", None),
+            ("S_true", None), ("S", "NaN"), ("S", math.nan), ("S", math.inf),
+            ("delta", None), ("delta", math.nan), ("lambda_override", 0.5),
+            ("lambda_override", "abc"), ("lambda_override", math.nan),
+            ("context_mode", None), ("context_mode", "bogus"),
+            ("prices", [1.0, 1.0]), ("prices", "abc"), ("prices", [1.0, math.nan, 1.0]),
+            ("prices", [1.0, -1.0, 1.0]), ("track_c_stats", "no"), ("seeds", [-1]),
         ],
     )
     def test_rejects_bad_search_settings(self, field, value):
+        # refine_iters, kappa_grid and mle_max_iter are no longer fields: a
+        # config that names one is rejected with its name.
         with pytest.raises(ValueError, match=field):
             small_cfg(**{field: value})
 
