@@ -27,6 +27,7 @@ from .estimation import (
     MleResult,
     _log_likelihood,
     _nll_hessian,
+    _row_mu,
     fit_mle,
     g_vector,
     matrix_H,
@@ -189,8 +190,9 @@ def _hessian_at_hat(
 
 
 _BOUNDARY_BISECT = 5  # bisection steps per ray in e_boundary_multi
-_PULL_BISECT = 10  # halvings toward the anchor when an ascent step leaves E, not only the ball
+_PULL_BISECT = 20  # halvings toward the anchor when an ascent step leaves E (1e-6 of the chord)
 _STEP0 = 0.1  # initial ascent step of every start in max_revenue_over_E
+_GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
 
 
 def _ball_exit(base: np.ndarray, v: np.ndarray, S: float) -> np.ndarray:
@@ -225,12 +227,13 @@ def e_boundary_multi(
     quad = np.einsum("md,de,me->m", v, hess, v)
     s_quad = np.sqrt(2.0 * state.beta**2 / np.maximum(quad, 1e-12))
     s0 = np.minimum(s_quad, s_ball)
-    f0 = _in_E(base + s0[:, None] * v, history, cfg, state)
-    lo = np.where(f0, s0, 0.0)
-    hi = np.where(f0, np.minimum(1.3 * s0, s_ball), s0)
-    f_hi = _in_E(base + hi[:, None] * v, history, cfg, state)
-    lo = np.where(f_hi, hi, lo)
-    active = ~f_hi & (hi > lo)
+    s1 = np.minimum(1.3 * s0, s_ball)
+    # Both bracket probes in one pass; s1 matters only where s0 is feasible.
+    probes = base + np.concatenate([s0, s1])[:, None] * np.vstack([v, v])
+    f0, f1 = _in_E(probes, history, cfg, state).reshape(2, -1)
+    lo = np.where(f0, np.where(f1, s1, s0), 0.0)
+    hi = np.where(f0, s1, s0)
+    active = hi > lo
     for _ in range(_BOUNDARY_BISECT):
         cols = np.flatnonzero(active)
         if cols.size == 0:
@@ -243,27 +246,46 @@ def e_boundary_multi(
     return base + lo[:, None] * v
 
 
+def _loss_gradient(thetas: np.ndarray, history: History, lam: float) -> np.ndarray:
+    """Gradient of the penalized log-loss at every row of ``thetas``.
+
+    At a point of E's boundary it is E's outward normal there.
+    """
+    _, mu = _row_mu(history, thetas.T)
+    resid = history.purchases[:, None] - history.row_offers[:, None] * mu
+    return lam * thetas - resid.T @ history.ctx_flat
+
+
+def _drop_outward(grads: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Each row of ``grads`` less its part along the matching row of ``normals``
+    where that part points outward; a zero normal leaves its row as it is."""
+    dot = np.einsum("md,md->m", grads, normals)
+    sq = np.einsum("md,md->m", normals, normals)
+    coef = np.where(dot > 0.0, dot / np.where(sq > 0.0, sq, 1.0), 0.0)
+    return grads - coef[:, None] * normals
+
+
 def _pull_back(
     cands: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> np.ndarray:
-    """Each row of ``cands`` if it is feasible, else the last feasible point of anchor -> row.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``cands`` projected onto Theta, if that lies in E, else
+    the last point of E on the chord from the anchor to it.
 
-    A row past the ball's sphere moves first to the sphere's exact exit point
-    on its segment; one membership pass then finds the rows that also leave
-    E, and only those are halved toward the anchor, together, over the
-    shortened segment.  E is convex and holds the anchor, so feasibility
-    along a segment is an interval.  Overwrites and returns ``cands``.
+    A row past the ball's sphere is scaled onto it (the exact projection);
+    one membership pass then finds the rows that leave E, and only those
+    are halved toward the anchor, together.  E is convex and holds the
+    anchor, so feasibility along a chord is an interval.  Overwrites and
+    returns ``cands``, with E's outward normal at the rows it pulled back
+    onto E's boundary and zero rows elsewhere.
     """
-    base = state.anchor
-    step = cands - base
-    length = np.linalg.norm(step, axis=1)
-    exit_ = _ball_exit(base, step / np.where(length > 0.0, length, 1.0)[:, None], cfg.S)
-    out = exit_ < length
-    step[out] *= (exit_[out] / length[out])[:, None]
-    cands[out] = base + step[out]
+    norm = np.linalg.norm(cands, axis=1)
+    out = norm > cfg.S
+    cands[out] *= (cfg.S / norm[out])[:, None]
+    normals = np.zeros_like(cands)
     bad = np.flatnonzero(~_in_E(cands, history, cfg, state))
     if bad.size:
-        step = step[bad]
+        base = state.anchor
+        step = cands[bad] - base
         lo = np.zeros(bad.size)
         hi = np.ones(bad.size)
         for _ in range(_PULL_BISECT):
@@ -272,7 +294,8 @@ def _pull_back(
             lo = np.where(ok, mid, lo)
             hi = np.where(ok, hi, mid)
         cands[bad] = base + lo[:, None] * step
-    return cands
+        normals[bad] = _loss_gradient(cands[bad], history, cfg.lam)
+    return cands, normals
 
 
 def _revenue_and_gradient(
@@ -307,14 +330,17 @@ def max_revenue_over_E(
     Multi-start projected ascent: one start at the anchor (theta_hat when
     feasible), restarts-1 random boundary starts, plus any caller-supplied
     feasible starts.  All starts advance together, but each keeps its own
-    step: a step that leaves the set is pulled back along its chord to the
-    anchor, exactly to the ball's sphere when only the ball is left and by
-    bisection when E is (valid because E is convex), so a step costs one
-    likelihood pass unless E binds.  It is taken only if it gains more
-    than 1e-6, otherwise the step halves; a start stops at a vanishing
-    gradient, a step below 1e-4 or ``max_iter`` steps.  The best start
-    wins, the earliest among equals.  The returned value is attained by
-    the returned parameter, so it never overstates the optimum.
+    step.  A step is projected onto Theta in closed form, and a row that
+    then leaves E is pulled back along its chord to the anchor by
+    bisection (valid because E is convex), so a step costs one likelihood
+    pass unless E binds.  A start the pull-back left on E's boundary steps
+    along it next: its gradient loses the part along E's outward normal.
+    A step is taken only if it gains more than 1e-6, and then the step
+    doubles; otherwise it halves.  A start stops when its projected
+    gradient (on the sphere, less an outward radial part) is shorter than
+    1e-3, its step falls below 1e-4, or after ``max_iter`` steps.  The
+    best start wins, the earliest among equals.  The returned value is
+    attained by the returned parameter, so it never overstates the optimum.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -327,18 +353,26 @@ def max_revenue_over_E(
     starts.extend(extra_starts or [])
     theta = np.vstack(starts)
     val, grad = _revenue_and_gradient(assortment, theta)
+    normal = np.zeros_like(theta)  # E's outward normal where a start lies on its boundary
     eta = np.full(len(theta), _STEP0)
     live = np.ones(len(theta), dtype=bool)
     for _ in range(max_iter):
-        live &= np.linalg.norm(grad, axis=1) >= 1e-12
+        step = _drop_outward(grad, normal)
+        on_sphere = np.einsum("md,md->m", theta, theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
+        sphere = np.where(on_sphere[:, None], theta, 0.0)
+        live &= np.linalg.norm(_drop_outward(step, sphere), axis=1) >= _GRAD_TOL
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        cand = _pull_back(theta[rows] + eta[rows, None] * grad[rows], history, cfg, state)
+        cand, cand_normal = _pull_back(
+            theta[rows] + eta[rows, None] * step[rows], history, cfg, state
+        )
         cand_val, cand_grad = _revenue_and_gradient(assortment, cand)
         up = cand_val > val[rows] + 1e-6
         taken, kept = rows[up], rows[~up]
         theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]
+        normal[taken] = cand_normal[up]
+        eta[taken] *= 2.0
         eta[kept] *= 0.5
         live[kept] = eta[kept] >= 1e-4
     best = int(np.argmax(val))

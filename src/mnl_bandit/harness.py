@@ -37,6 +37,7 @@ from .estimation import History, matrix_V
 from .policy import (
     Decision,
     PolicyKind,
+    assortment_count,
     bonus_ucb_step,
     cb_mnl_step,
     oracle_assortment,
@@ -133,9 +134,11 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be a nonempty list of integers >= 0, got {self.seeds!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path or null, got {self.out_dir!r}")
-        # delta, lam and S are checked here, then the instance's own fields.
+        # delta, lam and S are checked here, then the instance's own fields,
+        # then the number of assortments every round enumerates.
         self.confidence_config()
         self.instance_config()
+        assortment_count(self.N, self.K)
 
     @property
     def lam(self) -> float:

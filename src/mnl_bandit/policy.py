@@ -32,6 +32,7 @@ __all__ = [
     "PolicyKind",
     "Decision",
     "ConfigurationError",
+    "assortment_count",
     "enumerate_assortments",
     "cb_mnl_step",
     "bonus_ucb_step",
@@ -62,6 +63,23 @@ class Decision:
     optimistic_value: float
 
 
+def assortment_count(N: int, K: int) -> int:
+    """Number of nonempty subsets of range(N) with at most K items.
+
+    Raises ``ConfigurationError``, naming N and K, above the enumeration
+    guard of 10**6.
+    """
+    if not 1 <= K <= N:
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+    total = sum(math.comb(N, k) for k in range(1, K + 1))
+    if total > ENUMERATION_GUARD:
+        raise ConfigurationError(
+            f"N={N} and K={K} give {total} assortments, more than the enumeration "
+            f"guard ({ENUMERATION_GUARD}); reduce N or K"
+        )
+    return total
+
+
 @functools.lru_cache(maxsize=8)
 def enumerate_assortments(N: int, K: int) -> np.ndarray:
     """All nonempty subsets of range(N) with at most K items, one per row.
@@ -70,14 +88,7 @@ def enumerate_assortments(N: int, K: int) -> np.ndarray:
     lexicographically and padded with -1 on the right; cached per (N, K).
     Guarded against combinatorial blow-up: P must not exceed 10**6.
     """
-    if not 1 <= K <= N:
-        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
-    total = sum(math.comb(N, k) for k in range(1, K + 1))
-    if total > ENUMERATION_GUARD:
-        raise ConfigurationError(
-            f"{total} assortments exceed the enumeration guard ({ENUMERATION_GUARD}); "
-            "reduce N or K"
-        )
+    total = assortment_count(N, K)
     rows = np.full((total, K), -1, dtype=np.intp)
     start = 0
     for k in range(1, K + 1):

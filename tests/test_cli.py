@@ -94,8 +94,10 @@ class TestRunCommand:
             ('{"d": 2, "N": 3,', "is not valid JSON"),
             ('[2, 3]', "must hold one JSON object"),
             (None, "No such file"),
+            ('{"d": 2, "N": 30, "K": 10, "T": 1}', "N=30 and K=10 give 53009101 assortments"),
         ],
-        ids=["bad-field", "nan-price", "removed-field", "not-json", "not-object", "missing"],
+        ids=["bad-field", "nan-price", "removed-field", "not-json", "not-object", "missing",
+             "over-enumeration-guard"],
     )
     def test_bad_config_file_fails_before_running(self, tmp_path, capsys, text, problem):
         path = tmp_path / "cfg.json"

@@ -17,8 +17,15 @@ from mnl_bandit.confidence import (
     in_set_E,
     max_revenue_over_E,
 )
-from mnl_bandit.estimation import History
-from mnl_bandit.simulator import sample_ball
+from mnl_bandit.estimation import History, score
+from mnl_bandit.policy import random_assortment
+from mnl_bandit.simulator import (
+    InstanceConfig,
+    environment_step,
+    make_instance,
+    sample_ball,
+    stream,
+)
 
 
 def make_assortment(contexts):
@@ -261,26 +268,28 @@ def reference_ascent(ass, hist, cfg, state, restarts, rng, max_iter, extra_start
     base = state.anchor
 
     def pull(cand):
-        # Exit of the ball along the chord: the root s >= 0 of ||base + s v||^2 = S^2.
-        step = cand - base
-        length = float(np.linalg.norm(step))
-        if length > 0.0:
-            v = step / length
-            b = float(v @ base)
-            s = max(-b + math.sqrt(max(b * b - (float(base @ base) - cfg.S**2), 0.0)), 0.0)
-            if s < length:
-                step = step * (s / length)
-                cand = base + step
+        # Projection onto the ball, then bisection on the chord from the anchor
+        # if E is left; a pulled-back point also returns E's outward normal.
+        norm = float(np.linalg.norm(cand))
+        if norm > cfg.S:
+            cand = cand * (cfg.S / norm)
         if in_set_E(cand, hist, cfg, state):
-            return cand
+            return cand, None
+        step = cand - base
         lo, hi = 0.0, 1.0
-        for _ in range(10):
+        for _ in range(20):
             mid = 0.5 * (lo + hi)
             if in_set_E(base + mid * step, hist, cfg, state):
                 lo = mid
             else:
                 hi = mid
-        return base + lo * step
+        point = base + lo * step
+        return point, -score(hist, point, cfg.lam)
+
+    def drop_outward(vec, normal):
+        if normal is not None and float(vec @ normal) > 0.0:
+            vec = vec - (float(vec @ normal) / float(normal @ normal)) * normal
+        return vec
 
     starts = [base]
     if restarts > 1:
@@ -291,15 +300,19 @@ def reference_ascent(ass, hist, cfg, state, restarts, rng, max_iter, extra_start
     for start in starts:
         theta = np.asarray(start, dtype=float).copy()
         val = expected_revenue(ass, theta)
-        eta = 0.1
+        eta, normal = 0.1, None
         for _ in range(max_iter):
-            grad = revenue_gradient(ass, theta)
-            if float(np.linalg.norm(grad)) < 1e-12:
+            # Tangent to E's boundary where the start lies on it; the stop also
+            # drops an outward radial part on the ball's sphere.
+            step = drop_outward(revenue_gradient(ass, theta), normal)
+            on_sphere = float(theta @ theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
+            if np.linalg.norm(drop_outward(step, theta if on_sphere else None)) < 1e-3:
                 break
-            cand = pull(theta + eta * grad)
+            cand, cand_normal = pull(theta + eta * step)
             cand_val = expected_revenue(ass, cand)
             if cand_val > val + 1e-6:
-                theta, val = cand, cand_val
+                theta, val, normal = cand, cand_val, cand_normal
+                eta *= 2.0
             else:
                 eta *= 0.5
                 if eta < 1e-4:
@@ -309,6 +322,35 @@ def reference_ascent(ass, hist, cfg, state, restarts, rng, max_iter, extra_start
     return best_val, best_theta
 
 
+class TestBoundarySearch:
+    def test_bracket_probes_share_one_membership_pass(self, monkeypatch):
+        import mnl_bandit.confidence as confidence
+
+        rows = []
+        in_e = confidence._in_E
+
+        def counted(thetas, *args):
+            rows.append(len(thetas))
+            return in_e(thetas, *args)
+
+        monkeypatch.setattr(confidence, "_in_E", counted)
+        dirs = np.random.default_rng(38).standard_normal((8, 2))
+        # Only the ball binds: both probes of every ray lie on its sphere and pass.
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=4.0, S=0.5)
+        hist = History(2)
+        e_boundary_multi(hist, cfg, build_confidence_state(hist, cfg, t=1), dirs)
+        assert rows == [16]
+        # E binds (lam = 200): the bracket pass, then the five bisection rounds.
+        rows.clear()
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
+        hist = random_history(np.random.default_rng(38), 2, rounds=40)
+        state = build_confidence_state(hist, cfg, t=hist.t + 1)
+        edge = e_boundary_multi(hist, cfg, state, dirs)
+        assert rows[0] == 16 and len(rows) == 6
+        assert _in_E(edge, hist, cfg, state).all()
+        assert np.linalg.norm(edge, axis=1).max() < 0.9 * cfg.S
+
+
 class TestMaxRevenueOverE:
     def test_matches_per_start_reference(self):
         rng = np.random.default_rng(36)
@@ -316,7 +358,7 @@ class TestMaxRevenueOverE:
         for draw in range(50):
             d = int(rng.integers(1, 4))
             S = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
-            lam = float(rng.uniform(1.0, 4.0))
+            lam = float(np.exp(rng.uniform(0.0, 6.0)))  # up to about 400, where E binds
             cfg = ConfidenceConfig(d=d, K=3, delta=0.1, lam=lam, S=S)
             hist = random_history(rng, d, K=3, rounds=int(rng.integers(0, 80)))
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
@@ -381,9 +423,15 @@ class TestMaxRevenueOverE:
         monkeypatch.setattr(confidence, "_in_E", counted)
         ass = make_assortment([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
         _, theta = max_revenue_over_E(ass, hist, cfg, state, restarts=1, max_iter=40)
-        assert len(passes) == 40
+        # The doubling step (0.1, 0.2, 0.4, ...) reaches the sphere on the sixth
+        # pass; there the gradient is radial, so the start stops.
+        assert len(passes) == 6
         assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
         assert in_set_E(theta, hist, cfg, state)
+        grad = revenue_gradient(ass, theta)
+        assert grad @ theta > 0.0  # the ball binds
+        tangential = grad - (grad @ theta) / (theta @ theta) * theta
+        assert float(np.linalg.norm(tangential)) < 1e-3
 
     def test_never_below_anchor_value(self):
         rng = np.random.default_rng(34)
@@ -408,17 +456,67 @@ class TestMaxRevenueOverE:
             assert val == pytest.approx(1.0 / (1.0 + math.exp(-S)), abs=1e-6)
             assert theta[0] == pytest.approx(S, abs=1e-4)
 
-    def test_dominates_any_feasible_parameter_value(self):
-        rng = np.random.default_rng(35)
+    @staticmethod
+    def ball_bound_draw(seed):
+        """A short random history with lam = 2 and S = 1, where the ball, not E, binds."""
+        rng = np.random.default_rng(seed)
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=2.0, S=1.0)
         hist = random_history(rng, 2, rounds=20)
         state = build_confidence_state(hist, cfg, t=hist.t + 1)
         ass = make_assortment(sample_ball(rng, 2, 2))
-        val, _ = max_revenue_over_E(ass, hist, cfg, state, restarts=6, rng=rng)
-        for _ in range(200):
-            cand = sample_ball(rng, 1, 2, radius=cfg.S)[0]
-            if in_set_E(cand, hist, cfg, state):
-                assert val >= expected_revenue(ass, cand) - 5e-3
+        return rng, cfg, hist, state, ass
+
+    def test_dominates_any_feasible_parameter_value(self):
+        for seed in range(35, 75):
+            rng, cfg, hist, state, ass = self.ball_bound_draw(seed)
+            val, _ = max_revenue_over_E(ass, hist, cfg, state, restarts=6, rng=rng)
+            for _ in range(200):
+                cand = sample_ball(rng, 1, 2, radius=cfg.S)[0]
+                if in_set_E(cand, hist, cfg, state):
+                    assert val >= expected_revenue(ass, cand) - 1e-9, seed
+
+    def test_dominates_boundary_sweep_where_E_binds(self):
+        # With lam 30 or 100, E lies well inside the ball, so the optimum is
+        # on E's boundary; 720 rays from the anchor sample that boundary.
+        ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        rays = np.column_stack([np.cos(ang), np.sin(ang)])
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lam, S = float(rng.choice([30.0, 100.0])), float(rng.choice([1.0, 2.0]))
+            cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=lam, S=S)
+            hist = random_history(rng, 2, rounds=40)
+            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            ass = make_assortment(sample_ball(rng, 2, 2))
+            val, theta = max_revenue_over_E(ass, hist, cfg, state, restarts=5, rng=rng)
+            assert float(np.linalg.norm(theta)) < 0.9 * S
+            sweep = max(expected_revenue(ass, p) for p in e_boundary_multi(hist, cfg, state, rays))
+            assert val >= sweep - 1e-6, seed
+
+    def test_converges_within_the_step_cap(self):
+        cases = []
+        for seed in range(35, 45):
+            _, cfg, hist, state, ass = self.ball_bound_draw(seed)
+            cases.append((ass, hist, cfg, state, 6, seed))
+        # Demo 03: 200 random rounds on instance 3 (N=5), lam = 5, items (0, 1).
+        instance = make_instance(InstanceConfig(d=2, N=5, K=2, S=1.0), seed=3)
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=5.0, S=1.0)
+        hist = History(2)
+        rng_assort = stream(3, 7)
+        for t in range(1, 201):
+            picked = random_assortment(5, 2, rng_assort)
+            ass = AssortmentContexts.from_pool(instance.pool, picked, instance.prices)
+            hist.append(ass, environment_step(instance, ass, stream(3, 2, t)))
+        state = build_confidence_state(hist, cfg, t=201)
+        ass = AssortmentContexts.from_pool(instance.pool, (0, 1), instance.prices)
+        cases.append((ass, hist, cfg, state, 5, 1))
+        for ass, hist, cfg, state, restarts, seed in cases:
+            short, long_ = (
+                max_revenue_over_E(ass, hist, cfg, state, restarts=restarts,
+                                   rng=np.random.default_rng(seed), max_iter=max_iter)
+                for max_iter in (40, 400)
+            )
+            assert abs(float(np.linalg.norm(long_[1])) - cfg.S) <= 1e-9
+            assert short[0] == pytest.approx(long_[0], abs=1e-6)
 
     def test_rejects_zero_restarts(self):
         cfg = ConfidenceConfig(d=1, K=1)

@@ -267,6 +267,8 @@ class TestConfig:
             ("context_mode", None), ("context_mode", "bogus"),
             ("prices", [1.0, 1.0]), ("prices", "abc"), ("prices", [1.0, math.nan, 1.0]),
             ("prices", [1.0, -1.0, 1.0]), ("track_c_stats", "no"), ("seeds", [-1]),
+            # More assortments than the enumeration guard: 2000 + C(2000, 2) at K=2.
+            ("N", 2000),
         ],
     )
     def test_rejects_bad_search_settings(self, field, value):
