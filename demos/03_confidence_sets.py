@@ -14,6 +14,7 @@ from mnl_bandit import (
     in_set_E,
     max_revenue_over_E,
 )
+from mnl_bandit.confidence import e_boundary_multi
 from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import InstanceConfig, environment_step, make_instance, stream
 
@@ -51,8 +52,9 @@ print(f"sampled {inside} norm-set members; all were in the convex relaxation")
 
 # Optimistic inner maximization over the convex set for one assortment.
 assortment = AssortmentContexts.from_pool(instance.pool, (0, 1), instance.prices)
-value, theta_opt = max_revenue_over_E(
-    assortment, history, cfg, state, restarts=5, rng=np.random.default_rng(1)
-)
+# Five ascent starts: the anchor and four boundary points of the convex set.
+dirs = np.random.default_rng(1).standard_normal((4, 2))
+starts = np.vstack([state.anchor, e_boundary_multi(history, cfg, state, dirs)])
+value, theta_opt = max_revenue_over_E(assortment, history, cfg, state, starts)
 print("\noptimistic revenue for items (0, 1):", round(value, 4))
 print("achieved by parameter:", np.round(theta_opt, 4))

@@ -52,7 +52,6 @@ from .policy import (
 from .simulator import (
     Instance,
     InstanceConfig,
-    KappaEstimate,
     environment_step,
     estimate_kappa,
     make_instance,

@@ -78,6 +78,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"mnl-bandit: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     cfg = _load_config(args)
     logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
     out_dir = cfg.out_dir or "runs"
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--policy", help="cb_mnl_e | cb_mnl_c | bonus_ucb | oracle | random")
     p_run.add_argument("--T", type=int, help="horizon override")
     p_run.add_argument("--delta", type=float, help="confidence level override")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_run.add_argument("--jobs", type=int, default=1, help="worker processes, one per seed at most")
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run the property and lemma suites")

@@ -112,7 +112,6 @@ class ConfidenceState:
     t: int
     mle: MleResult
     anchor: np.ndarray  # feasible base point for projections: theta_hat pulled into Theta
-    hess_at_hat: np.ndarray | None = None  # lazily cached loss Hessian at the MLE
 
 
 def build_confidence_state(
@@ -181,14 +180,6 @@ def in_set_E(
     return bool(_in_E(np.asarray(theta, dtype=float).reshape(-1), history, cfg, state))
 
 
-def _hessian_at_hat(
-    history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> np.ndarray:
-    if state.hess_at_hat is None:
-        state.hess_at_hat = _nll_hessian(history, state.theta_hat, cfg.lam)
-    return state.hess_at_hat
-
-
 _BOUNDARY_BISECT = 5  # bisection steps per ray in e_boundary_multi
 _PULL_BISECT = 20  # halvings toward the anchor when an ascent step leaves E (1e-6 of the chord)
 _STEP0 = 0.1  # initial ascent step of every start in max_revenue_over_E
@@ -223,7 +214,7 @@ def e_boundary_multi(
     base = state.anchor
     s_ball = np.where(keep, _ball_exit(base, v, cfg.S), 0.0)
 
-    hess = _hessian_at_hat(history, cfg, state)
+    hess = _nll_hessian(history, state.theta_hat, cfg.lam)
     quad = np.einsum("md,de,me->m", v, hess, v)
     s_quad = np.sqrt(2.0 * state.beta**2 / np.maximum(quad, 1e-12))
     s0 = np.minimum(s_quad, s_ball)
@@ -320,16 +311,15 @@ def max_revenue_over_E(
     history: History,
     cfg: ConfidenceConfig,
     state: ConfidenceState,
-    restarts: int = 5,
-    rng: np.random.Generator | None = None,
+    starts: np.ndarray,
     max_iter: int = 40,
-    extra_starts: list[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Heuristic maximization of expected revenue over E intersect Theta.
 
-    Multi-start projected ascent: one start at the anchor (theta_hat when
-    feasible), restarts-1 random boundary starts, plus any caller-supplied
-    feasible starts.  All starts advance together, but each keeps its own
+    Multi-start projected ascent from the rows of ``starts``, feasible
+    points the caller supplies (``cb_mnl_step`` passes the anchor, the
+    first screening boundary points and the assortment's screening
+    winner).  All starts advance together, but each keeps its own
     step.  A step is projected onto Theta in closed form, and a row that
     then leaves E is pulled back along its chord to the anchor by
     bisection (valid because E is convex), so a step costs one likelihood
@@ -342,16 +332,9 @@ def max_revenue_over_E(
     best start wins, the earliest among equals.  The returned value is
     attained by the returned parameter, so it never overstates the optimum.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    starts = [state.anchor]
-    if restarts > 1:
-        dirs = rng.standard_normal((restarts - 1, history.dim))
-        starts.append(e_boundary_multi(history, cfg, state, dirs))
-    starts.extend(extra_starts or [])
-    theta = np.vstack(starts)
+    theta = np.atleast_2d(np.array(starts, dtype=float))  # a copy: rows move in place
+    if theta.size == 0:
+        raise ValueError("starts must hold at least one parameter")
     val, grad = _revenue_and_gradient(assortment, theta)
     normal = np.zeros_like(theta)  # E's outward normal where a start lies on its boundary
     eta = np.full(len(theta), _STEP0)

@@ -106,8 +106,8 @@ class ExperimentConfig:
     policy: str = PolicyKind.CB_MNL_E.value
     delta: float = 0.1
     lambda_override: float | None = None
-    restarts: int = 5
-    n_dirs: int = 16
+    restarts: int = 5  # ascent starts: the anchor and the first restarts-1 screening points
+    n_dirs: int = 16  # screening boundary points; at least restarts - 1
     refine_top: int = 1  # assortments refined by ascent after screening
     track_c_stats: bool = True  # per-round coverage of the norm-based set (covered_C)
     seeds: list[int] = field(default_factory=lambda: [0])
@@ -118,6 +118,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.restarts > self.n_dirs + 1:
+            raise ValueError(
+                f"restarts must be at most n_dirs + 1 = {self.n_dirs + 1}, got {self.restarts}"
+            )
         if self.lambda_override is not None:
             if finite_number("lambda_override", self.lambda_override) < 1.0:
                 raise ValueError(f"lambda_override must be >= 1 or null, got {self.lambda_override}")
@@ -346,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
 
         rng_policy = stream(seed, TAG_POLICY, t)
         decision = _policy_decision(
-            kind, pool, history, ccfg, state, instance, cfg, kappa.value, rng_policy
+            kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy
         )
 
         outcome = environment_step(instance, decision.assortment, stream(seed, TAG_OUTCOME, t))
@@ -410,7 +414,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         lam=lam,
         records=records,
         theta_star=theta_star,
-        kappa_hat=kappa.value,
+        kappa_hat=kappa,
         total_regret=cum,
         wall_time=time.perf_counter() - t_start,
         coverage_all=coverage_all,
@@ -426,13 +430,17 @@ def _run_one(args) -> RunLog:
 
 
 def run_many(cfg: ExperimentConfig, seeds=None, jobs: int = 1) -> list[RunLog]:
-    """Independent runs across seeds, optionally in parallel processes."""
+    """Independent runs across seeds, in up to ``jobs`` processes (at most one per seed)."""
     if seeds is None:
         seeds = cfg.seeds
     seeds = list(seeds)
-    if jobs <= 1 or len(seeds) <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    # Under fork the pool starts all its workers at the first submit: one per run at most.
+    workers = min(jobs, len(seeds))
+    if workers <= 1:
         return [run_experiment(cfg, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, [(cfg.to_dict(), s) for s in seeds]))
 
 

@@ -172,10 +172,13 @@ def cb_mnl_step(
     pool of candidates in the convex set: the anchor and the boundary
     points along ``n_dirs`` seeded directions.  The ``refine_top`` best
     assortments are then refined by the multi-start ascent of
-    ``max_revenue_over_E`` (its default 40 steps), seeded with their
-    screening parameter (0 keeps the screening values as they are; a count
-    at least the number of assortments refines every one).  Refinement only raises a value, so
-    with ``refine_top <= 1`` it never changes the assortment played.
+    ``max_revenue_over_E`` (its default 40 steps; 0 keeps the screening
+    values as they are, a count at least the number of assortments
+    refines every one).  Each ascent starts from the same pool: the
+    anchor, the first ``restarts - 1`` boundary points (so ``restarts``
+    may not exceed ``n_dirs + 1``) and that assortment's screening
+    winner.  Refinement only raises a value, so with ``refine_top <= 1``
+    it never changes the assortment played.
 
     With ``set_kind="C"`` the non-convex set is handled by rejection
     sampling 512 candidates from an ellipsoid around the MLE and
@@ -197,6 +200,8 @@ def cb_mnl_step(
                 cands.append(cand)
         thetas = np.vstack(cands)
     elif set_kind == "E":
+        if not 1 <= restarts <= n_dirs + 1:
+            raise ValueError(f"restarts must be in [1, n_dirs + 1 = {n_dirs + 1}], got {restarts}")
         dirs = rng.standard_normal((n_dirs, history.dim))
         boundary = e_boundary_multi(history, cfg, state, dirs)
         thetas = np.vstack([state.anchor[None, :], boundary])
@@ -212,9 +217,7 @@ def cb_mnl_step(
                 history,
                 cfg,
                 state,
-                restarts=restarts,
-                rng=rng,
-                extra_starts=[thetas[which[p]]],
+                np.vstack([thetas[:restarts], thetas[which[p]]]),
             )
             if val > values[p]:
                 values[p] = val

@@ -17,7 +17,6 @@ from .choice import AssortmentContexts, choice_probabilities, finite_number, sam
 __all__ = [
     "Instance",
     "InstanceConfig",
-    "KappaEstimate",
     "make_instance",
     "serve_contexts",
     "environment_step",
@@ -188,20 +187,6 @@ def environment_step(
     return sample_choice(dist, rng)
 
 
-@dataclass
-class KappaEstimate:
-    """Largest observed reciprocal curvature 1 / (mu (1 - mu)).
-
-    ``inf`` when mu (1 - mu) underflows to zero, which takes utilities
-    beyond about 745 in absolute value.
-    """
-
-    value: float
-    argmax_theta: np.ndarray
-    argmax_context: np.ndarray
-    argmax_assortment: tuple[int, ...]
-
-
 def kappa_theta_candidates(instance: Instance, grid_size: int, pool: np.ndarray) -> np.ndarray:
     """Search points for kappa: origin, directed extremes, seeded ball draws."""
     cands = [np.zeros(instance.d)]
@@ -216,15 +201,16 @@ def kappa_theta_candidates(instance: Instance, grid_size: int, pool: np.ndarray)
     return np.vstack([np.atleast_2d(c) for c in cands])
 
 
-def kappa_over_candidates(instance: Instance, thetas: np.ndarray, pool: np.ndarray) -> KappaEstimate:
+def kappa_over_candidates(instance: Instance, thetas: np.ndarray, pool: np.ndarray) -> float:
     """Exact max of 1/(mu(1-mu)) over feasible assortments x items x thetas.
 
     For a fixed theta, item i's probability is largest when it is offered
     alone and smallest beside the K-1 other items of highest utility; every
     other assortment holding i gives a probability in between.  mu (1 - mu)
     is concave in mu, so its minimum over that range sits at one of these
-    two assortments, and no assortment is enumerated.  Ties keep the
-    singleton, then the first item, then the first candidate.
+    two assortments, and no assortment is enumerated.  The result is
+    ``inf`` when mu (1 - mu) underflows to zero, which takes utilities
+    beyond about 745 in absolute value.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     U = pool @ thetas.T  # (N, n_cand)
@@ -248,19 +234,11 @@ def kappa_over_candidates(instance: Instance, thetas: np.ndarray, pool: np.ndarr
         np.put_along_axis(rank, top[: K - 1], np.arange(K - 1)[:, None], axis=0)
         rest = e0 + np.take_along_axis(others, rank, axis=0)
         w.append((ez / (ez + rest)) * (rest / (ez + rest)))
-    w = np.stack(w)  # (alone / crowded, item, candidate)
-    crowded, item, cand = np.unravel_index(int(np.argmin(w)), w.shape)
-    w_min = float(w[crowded, item, cand])
-    value = 1.0 / w_min if w_min > 0.0 else math.inf  # mu (1 - mu) underflowed
-    members = {int(item)}
-    if crowded:
-        members.update(top[: K - 1, cand].tolist())
-        if len(members) < K:  # the item is itself among the top K-1
-            members = set(top[:K, cand].tolist())
-    return KappaEstimate(value, thetas[cand].copy(), pool[item].copy(), tuple(sorted(members)))
+    w_min = float(np.stack(w).min())
+    return 1.0 / w_min if w_min > 0.0 else math.inf  # mu (1 - mu) underflowed
 
 
-def estimate_kappa(instance: Instance, grid_size: int = 256) -> KappaEstimate:
+def estimate_kappa(instance: Instance, grid_size: int = 256) -> float:
     """Grid/random search over theta for the instance's curvature constant.
 
     The infimum over an unbounded parameter space would be zero, so the

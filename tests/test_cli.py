@@ -112,6 +112,15 @@ class TestRunCommand:
         assert problem in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_fails_before_running(self, tmp_path, config_file, capsys, jobs):
+        out = tmp_path / "runs"
+        rc = main(["run", "--config", str(config_file), "--seeds", "0..1",
+                   "--out", str(out), "--jobs", jobs])
+        assert rc == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, config_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -263,7 +263,17 @@ class TestDifferenceQuotientBounds:
         assert checked > 100
 
 
-def reference_ascent(ass, hist, cfg, state, restarts, rng, max_iter, extra_starts):
+def ascent_starts(hist, cfg, state, restarts, rng, extra=()):
+    """The anchor, boundary points along ``restarts - 1`` directions drawn from
+    ``rng``, then ``extra``: the starts the ascent once built for itself."""
+    starts = [state.anchor]
+    if restarts > 1:
+        dirs = rng.standard_normal((restarts - 1, hist.dim))
+        starts.extend(e_boundary_multi(hist, cfg, state, dirs))
+    return np.vstack(starts + list(extra))
+
+
+def reference_ascent(ass, hist, cfg, state, starts, max_iter):
     """The per-start ascent: one start, one step and one scalar membership test at a time."""
     base = state.anchor
 
@@ -291,11 +301,6 @@ def reference_ascent(ass, hist, cfg, state, restarts, rng, max_iter, extra_start
             vec = vec - (float(vec @ normal) / float(normal @ normal)) * normal
         return vec
 
-    starts = [base]
-    if restarts > 1:
-        dirs = rng.standard_normal((restarts - 1, hist.dim))
-        starts.extend(e_boundary_multi(hist, cfg, state, dirs))
-    starts.extend(extra_starts)
     best_val, best_theta = expected_revenue(ass, base), base.copy()
     for start in starts:
         theta = np.asarray(start, dtype=float).copy()
@@ -369,13 +374,9 @@ class TestMaxRevenueOverE:
             extra_dirs = rng.standard_normal((int(rng.integers(0, 3)), d))
             extra = list(e_boundary_multi(hist, cfg, state, extra_dirs))
             max_iter = int(rng.choice([5, 40, 200]))
-            want_val, want_theta = reference_ascent(
-                ass, hist, cfg, state, restarts, np.random.default_rng(draw), max_iter, extra
-            )
-            val, theta = max_revenue_over_E(
-                ass, hist, cfg, state, restarts=restarts, rng=np.random.default_rng(draw),
-                max_iter=max_iter, extra_starts=extra,
-            )
+            starts = ascent_starts(hist, cfg, state, restarts, np.random.default_rng(draw), extra)
+            want_val, want_theta = reference_ascent(ass, hist, cfg, state, starts, max_iter)
+            val, theta = max_revenue_over_E(ass, hist, cfg, state, starts, max_iter=max_iter)
             assert val == pytest.approx(want_val, abs=1e-12)
             np.testing.assert_allclose(theta, want_theta, rtol=0.0, atol=1e-12)
             inside_ball += float(np.linalg.norm(theta)) < 0.9 * S
@@ -422,7 +423,7 @@ class TestMaxRevenueOverE:
 
         monkeypatch.setattr(confidence, "_in_E", counted)
         ass = make_assortment([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
-        _, theta = max_revenue_over_E(ass, hist, cfg, state, restarts=1, max_iter=40)
+        _, theta = max_revenue_over_E(ass, hist, cfg, state, state.anchor, max_iter=40)
         # The doubling step (0.1, 0.2, 0.4, ...) reaches the sphere on the sixth
         # pass; there the gradient is radial, so the start stops.
         assert len(passes) == 6
@@ -440,7 +441,8 @@ class TestMaxRevenueOverE:
             hist = random_history(rng, 2, rounds=15)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             ass = make_assortment(sample_ball(rng, 2, 2))
-            val, theta = max_revenue_over_E(ass, hist, cfg, state, restarts=3, rng=rng)
+            starts = ascent_starts(hist, cfg, state, 3, rng)
+            val, theta = max_revenue_over_E(ass, hist, cfg, state, starts)
             assert val >= expected_revenue(ass, state.anchor) - 1e-12
             assert val == pytest.approx(expected_revenue(ass, theta), abs=1e-12)
             assert in_set_E(theta, hist, cfg, state)
@@ -451,8 +453,8 @@ class TestMaxRevenueOverE:
             hist = History(1)
             state = build_confidence_state(hist, cfg, t=1)
             ass = make_assortment([[1.0]])
-            val, theta = max_revenue_over_E(ass, hist, cfg, state, restarts=3,
-                                            rng=np.random.default_rng(0))
+            starts = ascent_starts(hist, cfg, state, 3, np.random.default_rng(0))
+            val, theta = max_revenue_over_E(ass, hist, cfg, state, starts)
             assert val == pytest.approx(1.0 / (1.0 + math.exp(-S)), abs=1e-6)
             assert theta[0] == pytest.approx(S, abs=1e-4)
 
@@ -469,7 +471,8 @@ class TestMaxRevenueOverE:
     def test_dominates_any_feasible_parameter_value(self):
         for seed in range(35, 75):
             rng, cfg, hist, state, ass = self.ball_bound_draw(seed)
-            val, _ = max_revenue_over_E(ass, hist, cfg, state, restarts=6, rng=rng)
+            starts = ascent_starts(hist, cfg, state, 6, rng)
+            val, _ = max_revenue_over_E(ass, hist, cfg, state, starts)
             for _ in range(200):
                 cand = sample_ball(rng, 1, 2, radius=cfg.S)[0]
                 if in_set_E(cand, hist, cfg, state):
@@ -487,7 +490,8 @@ class TestMaxRevenueOverE:
             hist = random_history(rng, 2, rounds=40)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             ass = make_assortment(sample_ball(rng, 2, 2))
-            val, theta = max_revenue_over_E(ass, hist, cfg, state, restarts=5, rng=rng)
+            starts = ascent_starts(hist, cfg, state, 5, rng)
+            val, theta = max_revenue_over_E(ass, hist, cfg, state, starts)
             assert float(np.linalg.norm(theta)) < 0.9 * S
             sweep = max(expected_revenue(ass, p) for p in e_boundary_multi(hist, cfg, state, rays))
             assert val >= sweep - 1e-6, seed
@@ -510,9 +514,9 @@ class TestMaxRevenueOverE:
         ass = AssortmentContexts.from_pool(instance.pool, (0, 1), instance.prices)
         cases.append((ass, hist, cfg, state, 5, 1))
         for ass, hist, cfg, state, restarts, seed in cases:
+            starts = ascent_starts(hist, cfg, state, restarts, np.random.default_rng(seed))
             short, long_ = (
-                max_revenue_over_E(ass, hist, cfg, state, restarts=restarts,
-                                   rng=np.random.default_rng(seed), max_iter=max_iter)
+                max_revenue_over_E(ass, hist, cfg, state, starts, max_iter=max_iter)
                 for max_iter in (40, 400)
             )
             assert abs(float(np.linalg.norm(long_[1])) - cfg.S) <= 1e-9
@@ -522,8 +526,9 @@ class TestMaxRevenueOverE:
         cfg = ConfidenceConfig(d=1, K=1)
         hist = History(1)
         state = build_confidence_state(hist, cfg, t=1)
-        with pytest.raises(ValueError):
-            max_revenue_over_E(make_assortment([[1.0]]), hist, cfg, state, restarts=0)
+        for empty in (np.zeros((0, 1)), []):
+            with pytest.raises(ValueError, match="starts"):
+                max_revenue_over_E(make_assortment([[1.0]]), hist, cfg, state, empty)
 
 
 class TestConfigValidation:

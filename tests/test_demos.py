@@ -8,6 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Figures the README quotes, printed by the demo that computes them.
+PRINTS = {"03_confidence_sets.py": "optimistic revenue for items (0, 1): 0.8092\n"}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -21,3 +23,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert PRINTS.get(demo.name, "") in proc.stdout

@@ -220,6 +220,36 @@ class TestPersistence:
 
 
 class TestRunMany:
+    def test_pool_has_at_most_one_worker_per_seed(self, monkeypatch):
+        import mnl_bandit.harness as harness
+
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process, so no worker is started."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        logs = run_many(small_cfg(T=3, seeds=[0, 1]), jobs=64)
+        assert sizes == [2]
+        assert [log.seed for log in logs] == [0, 1]
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_many(small_cfg(T=3), jobs=jobs)
+
     def test_parallel_matches_serial(self):
         cfg = small_cfg(T=15, seeds=[0, 1, 2])
         serial = run_many(cfg, jobs=1)
@@ -259,6 +289,8 @@ class TestConfig:
             ("kappa_grid", None), ("mle_max_iter", None), ("N", None), ("restarts", 2.5),
             ("refine_iters", -1), ("kappa_grid", -1), ("mle_max_iter", 0), ("d", 0),
             ("K", 0), ("refine_top", True),
+            # The ascent starts from the anchor and restarts-1 of the n_dirs=6 screening points.
+            ("restarts", 8),
             # Instance and confidence fields, checked at construction (N=3, S=1).
             ("K", 5), ("S_true", 2.0), ("S_true", -0.5), ("S", 0.0), ("S", None),
             ("S_true", None), ("S", "NaN"), ("S", math.nan), ("S", math.inf),

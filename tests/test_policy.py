@@ -184,6 +184,31 @@ class TestCbMnlStep:
         assert d1.optimistic_value == d2.optimistic_value
         np.testing.assert_array_equal(d1.theta_used, d2.theta_used)
 
+    def test_one_boundary_search_per_round(self, monkeypatch):
+        # The ascent starts from the screening pool; it draws no boundary points of its own.
+        import mnl_bandit.confidence as confidence
+        import mnl_bandit.policy as policy
+
+        calls = []
+        search = confidence.e_boundary_multi
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return search(*args)
+
+        monkeypatch.setattr(confidence, "e_boundary_multi", counted)
+        monkeypatch.setattr(policy, "e_boundary_multi", counted)
+        pool = sample_ball(np.random.default_rng(15), 4, 2)
+        hist, _ = self._burn_in(pool, 10, seed=16)
+        cb_mnl_step(pool, hist, self.cfg, self._state(hist), rng=np.random.default_rng(17),
+                    refine_top=1, n_dirs=6, restarts=5)
+        assert calls == [6]
+
+    def test_rejects_more_restarts_than_screening_points(self):
+        hist = History(2)
+        with pytest.raises(ValueError, match="restarts"):
+            cb_mnl_step(np.eye(2), hist, self.cfg, self._state(hist), n_dirs=3, restarts=5)
+
     def test_c_set_variant_returns_member_value(self):
         from mnl_bandit.confidence import in_set_C
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mnl_bandit.choice import AssortmentContexts, choice_probabilities
+from mnl_bandit.choice import AssortmentContexts
 from mnl_bandit.policy import enumerate_assortments
 from mnl_bandit.simulator import (
     FIXED_POOL,
@@ -129,7 +129,7 @@ class TestKappaAgainstEnumeration:
             d = int(rng.integers(1, 4))
             inst = make_instance(InstanceConfig(d=d, N=N, K=K, S=S), trial)
             thetas = kappa_theta_candidates(inst, 16, inst.pool)
-            got = kappa_over_candidates(inst, thetas, inst.pool).value
+            got = kappa_over_candidates(inst, thetas, inst.pool)
             assert got == pytest.approx(brute_force_kappa(inst, thetas, inst.pool), rel=1e-12)
 
     def test_more_than_a_thousand_assortments(self):
@@ -137,21 +137,9 @@ class TestKappaAgainstEnumeration:
         inst = make_instance(InstanceConfig(d=4, N=16, K=4, context_mode=FRESH_IID), 0)
         pool = serve_contexts(inst, 1)
         thetas = kappa_theta_candidates(inst, 256, pool)
-        got = kappa_over_candidates(inst, thetas, pool).value
+        got = kappa_over_candidates(inst, thetas, pool)
         assert got == pytest.approx(brute_force_kappa(inst, thetas, pool), rel=1e-12)
-        assert estimate_kappa(inst, grid_size=256).value == got
-
-    def test_argmax_fields_attain_the_value(self):
-        rng = np.random.default_rng(51)
-        for trial in range(20):
-            N = int(rng.integers(2, 7))
-            inst = make_instance(InstanceConfig(d=2, N=N, K=int(rng.integers(1, N + 1)), S=3.0), trial)
-            est = estimate_kappa(inst, grid_size=16)
-            ass = AssortmentContexts.from_pool(inst.pool, est.argmax_assortment)
-            mu = choice_probabilities(ass, est.argmax_theta).item_probs
-            i = next(k for k, row in enumerate(ass.contexts) if np.array_equal(row, est.argmax_context))
-            assert 1 <= len(est.argmax_assortment) <= inst.K
-            assert est.value == pytest.approx(1.0 / (mu[i] * (1.0 - mu[i])), rel=1e-9)
+        assert estimate_kappa(inst, grid_size=256) == got
 
 
 class TestKappa:
@@ -161,8 +149,8 @@ class TestKappa:
             theta_star=np.zeros(1), context_mode=FIXED_POOL,
             pool=np.array([[1.0]]), prices=np.ones(1), seed=0,
         )
-        est = estimate_kappa(inst, grid_size=16)
-        assert est.value == pytest.approx(4.0, rel=1e-12)
+        kappa = estimate_kappa(inst, grid_size=16)
+        assert kappa == pytest.approx(4.0, rel=1e-12)
 
     def test_forced_origin_k_items(self):
         for K in (2, 3, 4):
@@ -171,8 +159,8 @@ class TestKappa:
                 theta_star=np.zeros(2), context_mode=FIXED_POOL,
                 pool=np.tile([[0.5, 0.0]], (K, 1)), prices=np.ones(K), seed=0,
             )
-            est = estimate_kappa(inst, grid_size=16)
-            assert est.value == pytest.approx((K + 1) ** 2 / K, rel=1e-12)
+            kappa = estimate_kappa(inst, grid_size=16)
+            assert kappa == pytest.approx((K + 1) ** 2 / K, rel=1e-12)
 
     def test_single_item_reaches_directed_extreme(self):
         inst = Instance(
@@ -180,9 +168,9 @@ class TestKappa:
             theta_star=np.zeros(1), context_mode=FIXED_POOL,
             pool=np.array([[1.0]]), prices=np.ones(1), seed=0,
         )
-        est = estimate_kappa(inst, grid_size=64)
+        kappa = estimate_kappa(inst, grid_size=64)
         sig = 1.0 / (1.0 + math.exp(-2.0))
-        assert est.value == pytest.approx(1.0 / (sig * (1.0 - sig)), rel=1e-9)
+        assert kappa == pytest.approx(1.0 / (sig * (1.0 - sig)), rel=1e-9)
 
     def test_large_norm_bound_two_item_hand_value(self):
         # At theta = 40 the pair {x=1, x=-1} has mu_1 within 1e-17 of 1, so
@@ -193,13 +181,12 @@ class TestKappa:
             theta_star=np.zeros(1), context_mode=FIXED_POOL,
             pool=np.array([[1.0], [-1.0]]), prices=np.ones(2), seed=0,
         )
-        est = estimate_kappa(inst, grid_size=16)
+        kappa = estimate_kappa(inst, grid_size=16)
         big, small = math.exp(40.0), math.exp(-40.0)
         den = 1.0 + big + small
         expect = den * den / (small * (1.0 + big))
-        assert math.isfinite(est.value)
-        assert est.value == pytest.approx(expect, rel=1e-12)
-        assert est.argmax_assortment == (0, 1)
+        assert math.isfinite(kappa)
+        assert kappa == pytest.approx(expect, rel=1e-12)
 
     def test_underflowed_curvature_reports_inf(self):
         thetas = np.array([[800.0]])
@@ -208,12 +195,12 @@ class TestKappa:
             theta_star=np.zeros(1), context_mode=FIXED_POOL,
             pool=np.array([[1.0]]), prices=np.ones(1), seed=0,
         )
-        assert kappa_over_candidates(inst, thetas, inst.pool).value == math.inf
+        assert kappa_over_candidates(inst, thetas, inst.pool) == math.inf
 
     def test_always_at_least_four(self):
         for seed in range(20):
             inst = make_instance(InstanceConfig(d=2, N=4, K=2, S=1.0), seed)
-            assert estimate_kappa(inst, grid_size=32).value >= 4.0
+            assert estimate_kappa(inst, grid_size=32) >= 4.0
 
     def test_nondecreasing_on_nested_candidate_sets(self):
         inst_small = make_instance(InstanceConfig(d=2, N=4, K=2, S=1.0, S_true=1.0), 11)
@@ -227,12 +214,12 @@ class TestKappa:
         thetas_big = np.vstack([thetas_small, extremes_big])
         k_small = kappa_over_candidates(inst_small, thetas_small, inst_small.pool)
         k_big = kappa_over_candidates(inst_big, thetas_big, inst_big.pool)
-        assert k_big.value >= k_small.value
+        assert k_big >= k_small
 
     def test_fresh_iid_uses_sampled_pool(self):
         inst = make_instance(InstanceConfig(d=2, N=4, K=2, context_mode=FRESH_IID), 3)
-        est = estimate_kappa(inst, grid_size=16)
-        assert est.value >= 4.0
+        kappa = estimate_kappa(inst, grid_size=16)
+        assert kappa >= 4.0
 
 
 class TestSerialization:
