@@ -289,8 +289,6 @@ class TestConfig:
             ("kappa_grid", None), ("mle_max_iter", None), ("N", None), ("restarts", 2.5),
             ("refine_iters", -1), ("kappa_grid", -1), ("mle_max_iter", 0), ("d", 0),
             ("K", 0), ("refine_top", True),
-            # The ascent starts from the anchor and restarts-1 of the n_dirs=6 screening points.
-            ("restarts", 8),
             # Instance and confidence fields, checked at construction (N=3, S=1).
             ("K", 5), ("S_true", 2.0), ("S_true", -0.5), ("S", 0.0), ("S", None),
             ("S_true", None), ("S", "NaN"), ("S", math.nan), ("S", math.inf),
@@ -308,6 +306,11 @@ class TestConfig:
         # config that names one is rejected with its name.
         with pytest.raises(ValueError, match=field):
             small_cfg(**{field: value})
+
+    def test_rejects_more_restarts_than_candidates(self):
+        # The ascent starts from the anchor and restarts-1 of the n_dirs=6 screening points.
+        with pytest.raises(ValueError, match="restarts"):
+            small_cfg(restarts=8)
 
     def test_accepts_edge_search_settings(self):
         for kw in ({"refine_top": 6}, {"refine_top": 0}, {"n_dirs": 0}, {"restarts": 1}):
