@@ -25,14 +25,11 @@ from .choice import AssortmentContexts, finite_number
 from .estimation import (
     History,
     MleResult,
+    _Evaluation,
     _log_likelihood,
-    _nll_hessian,
-    _row_mu,
+    _segment_exp,
     fit_mle,
-    g_vector,
-    matrix_H,
     matrix_V,
-    penalized_log_likelihood,
 )
 
 __all__ = [
@@ -100,18 +97,33 @@ def beta_radius(gamma: float, lam: float) -> float:
 
 @dataclass
 class ConfidenceState:
-    """Per-round snapshot: MLE, radii, cached matrices and loss level."""
+    """Per-round snapshot: MLE, radii, V, and the likelihood quantities at theta_hat.
+
+    ``loss_at_hat``, ``g_at_hat`` and ``H_hat`` read the fit's own
+    evaluation at theta_hat (``mle.evaluation``), each derived on first
+    read, so they make no pass over the history and describe it as it was
+    when the state was built.
+    """
 
     theta_hat: np.ndarray
     gamma: float
     beta: float
-    H_hat: np.ndarray
     V: np.ndarray
-    loss_at_hat: float
-    g_at_hat: np.ndarray
     t: int
     mle: MleResult
     anchor: np.ndarray  # feasible base point for projections: theta_hat pulled into Theta
+
+    @property
+    def loss_at_hat(self) -> float:
+        return -self.mle.evaluation.log_likelihood
+
+    @property
+    def g_at_hat(self) -> np.ndarray:
+        return self.mle.evaluation.g
+
+    @property
+    def H_hat(self) -> np.ndarray:
+        return self.mle.evaluation.H
 
 
 def build_confidence_state(
@@ -125,8 +137,6 @@ def build_confidence_state(
     theta_hat = mle.theta_hat
     gamma = gamma_radius(cfg, t)
     beta = beta_radius(gamma, cfg.lam)
-    loss_at_hat = -penalized_log_likelihood(history, theta_hat, cfg.lam)
-    g_at_hat = g_vector(history, theta_hat, cfg.lam)
     anchor = theta_hat
     norm = float(np.linalg.norm(theta_hat))
     if norm > cfg.S:
@@ -137,10 +147,7 @@ def build_confidence_state(
         theta_hat=theta_hat,
         gamma=gamma,
         beta=beta,
-        H_hat=matrix_H(history, theta_hat, cfg.lam),
         V=matrix_V(history, cfg.lam),
-        loss_at_hat=loss_at_hat,
-        g_at_hat=g_at_hat,
         t=t,
         mle=mle,
         anchor=anchor,
@@ -150,13 +157,16 @@ def build_confidence_state(
 def in_set_C(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
-    """Membership in the norm-based set; False outside the parameter ball."""
+    """Membership in the norm-based set; False outside the parameter ball.
+
+    One likelihood pass at ``theta`` gives both g(theta) and H(theta).
+    """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if float(np.linalg.norm(theta)) > cfg.S * (1.0 + 1e-12):
         return False
-    dg = g_vector(history, theta, cfg.lam) - state.g_at_hat
-    h = matrix_H(history, theta, cfg.lam)
-    return float(dg @ np.linalg.solve(h, dg)) <= state.gamma**2
+    at = _Evaluation(history, theta, cfg.lam)
+    dg = at.g - state.g_at_hat
+    return float(dg @ np.linalg.solve(at.H, dg)) <= state.gamma**2
 
 
 def _in_E(
@@ -203,7 +213,8 @@ def e_boundary_multi(
 
     The loss is convex with its minimum at theta_hat, so feasibility along a
     ray from the anchor is an interval.  A quadratic model of the loss at
-    the MLE gives the initial radius guess, which a short verified bracket
+    the MLE, with the Hessian of the fit's own evaluation there, gives the
+    initial radius guess, which a short verified bracket
     search corrects; every returned point passes the true feasibility test.
     All rays are probed together, one likelihood pass per probe round.
     """
@@ -214,7 +225,7 @@ def e_boundary_multi(
     base = state.anchor
     s_ball = np.where(keep, _ball_exit(base, v, cfg.S), 0.0)
 
-    hess = _nll_hessian(history, state.theta_hat, cfg.lam)
+    hess = state.mle.evaluation.nll_hessian
     quad = np.einsum("md,de,me->m", v, hess, v)
     s_quad = np.sqrt(2.0 * state.beta**2 / np.maximum(quad, 1e-12))
     s0 = np.minimum(s_quad, s_ball)
@@ -242,7 +253,8 @@ def _loss_gradient(thetas: np.ndarray, history: History, lam: float) -> np.ndarr
 
     At a point of E's boundary it is E's outward normal there.
     """
-    _, mu = _row_mu(history, thetas.T)
+    _, ez, total = _segment_exp(history, history.ctx_flat @ thetas.T)
+    mu = ez / total[history.seg_ids]
     resid = history.purchases[:, None] - history.row_offers[:, None] * mu
     return lam * thetas - resid.T @ history.ctx_flat
 

@@ -12,7 +12,18 @@ slot), so it is a count-weighted sum over stored rows and blocks,
 with u = x . theta, minus a ridge term (lambda/2)||theta||^2.  One
 max-shifted segment kernel gives every likelihood quantity its per-block
 log-normalizers and per-row probabilities mu, so a pass costs the number of
-distinct blocks, not the number of rounds.  The stationarity condition
+distinct blocks, not the number of rounds.
+
+One pass per parameter: a private evaluation runs the kernel once at a
+theta, and the penalized log-likelihood, score, g, H and the Newton
+Hessian below are all derived from that pass, each on first read.  The
+public functions are thin readers of a fresh evaluation; ``fit_mle``
+evaluates each iterate once and returns the evaluation at theta_hat, which
+the confidence state and the boundary search read instead of passing over
+the history again.  An evaluation is a snapshot: rounds appended after it
+was made do not change what it reports.
+
+The stationarity condition
 
     sum_rows (c - n mu_i(theta)) x_i - lambda theta = 0,
 
@@ -32,7 +43,8 @@ g(th1) - g(th2) = G(th1, th2)(th1 - th2) exactly away from the fallback.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +71,7 @@ class MleResult:
     score_norm: float
     iterations: int  # Newton steps actually taken
     converged: bool
+    evaluation: "_Evaluation" = field(repr=False)  # every likelihood quantity at theta_hat
 
 
 class History:
@@ -165,46 +178,87 @@ def _log_likelihood(history: History, u: np.ndarray) -> np.ndarray | float:
     return history.purchases @ u - history.offers @ (m + np.log(total))
 
 
-def _row_mu(history: History, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Utilities and softmax probabilities of every stored row."""
-    u = history.ctx_flat @ theta
-    _, ez, total = _segment_exp(history, u)
-    return u, ez / total[history.seg_ids]
+def _gram(ctx: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
+    """sum_rows w x x^T + lam I, with each row's offer count already in ``w``."""
+    return ctx.T @ (w[:, None] * ctx) + lam * np.eye(ctx.shape[1])
+
+
+class _Evaluation:
+    """Every likelihood quantity at one parameter, from one kernel pass.
+
+    The penalized log-likelihood, the score, g, H and the Newton Hessian
+    are all read off one ``_segment_exp`` pass; each is derived on first
+    read and kept.  The evaluation is a snapshot of the history it was made
+    from: ``History.append`` updates the offer and purchase counts in
+    place, so those are copied, while the stored rows and block bounds are
+    arrays an append replaces and never writes into.
+    """
+
+    def __init__(self, history: History, theta: np.ndarray, lam: float):
+        self.theta = _check_theta(history, theta)
+        self.lam = lam
+        self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
+        self.offers = history.offers.copy()
+        self.purchases = history.purchases.copy()
+        self.u = self.ctx @ self.theta
+        self._m, self._ez, self._total = _segment_exp(history, self.u)
+
+    @cached_property
+    def log_likelihood(self) -> float:
+        """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
+        ll = self.purchases @ self.u - self.offers @ (self._m + np.log(self._total))
+        return float(ll) - 0.5 * self.lam * float(self.theta @ self.theta)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """Softmax probability of every stored row."""
+        return self._ez / self._total[self.seg_ids]
+
+    @cached_property
+    def _n_mu(self) -> np.ndarray:
+        """n mu per row, n the offer count of the row's block."""
+        return self.offers[self.seg_ids] * self.mu
+
+    @cached_property
+    def score(self) -> np.ndarray:
+        return (self.purchases - self._n_mu) @ self.ctx - self.lam * self.theta
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self._n_mu @ self.ctx + self.lam * self.theta
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        mu = self.mu
+        return _gram(self.ctx, self.offers[self.seg_ids] * (mu * (1.0 - mu)), self.lam)
+
+    @cached_property
+    def nll_hessian(self) -> np.ndarray:
+        """Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i, plus lam I."""
+        seg_means = np.add.reduceat(self.mu[:, None] * self.ctx, self.starts, axis=0)
+        return _gram(self.ctx, self._n_mu, self.lam) - seg_means.T @ (
+            self.offers[:, None] * seg_means
+        )
 
 
 def penalized_log_likelihood(history: History, theta: np.ndarray, lam: float) -> float:
     """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
-    theta = _check_theta(history, theta)
-    ll = _log_likelihood(history, history.ctx_flat @ theta)
-    return float(ll) - 0.5 * lam * float(theta @ theta)
+    return _Evaluation(history, theta, lam).log_likelihood
 
 
 def score(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Gradient of the penalized log-likelihood; zero exactly at the MLE."""
-    theta = _check_theta(history, theta)
-    _, mu = _row_mu(history, theta)
-    return (history.purchases - history.row_offers * mu) @ history.ctx_flat - lam * theta
+    return _Evaluation(history, theta, lam).score
 
 
 def g_vector(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """sum_s sum_i mu_i(X_s theta) x_si + lam theta."""
-    theta = _check_theta(history, theta)
-    _, mu = _row_mu(history, theta)
-    return (history.row_offers * mu) @ history.ctx_flat + lam * theta
-
-
-def _weighted_gram(history: History, w: np.ndarray, lam: float) -> np.ndarray:
-    """sum_rows n w x x^T + lam I."""
-    ctx = history.ctx_flat
-    w = history.row_offers * w
-    return ctx.T @ (w[:, None] * ctx) + lam * np.eye(history.dim)
+    return _Evaluation(history, theta, lam).g
 
 
 def matrix_H(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Curvature-weighted design matrix sum mu(1-mu) x x^T + lam I."""
-    theta = _check_theta(history, theta)
-    _, mu = _row_mu(history, theta)
-    return _weighted_gram(history, mu * (1.0 - mu), lam)
+    return _Evaluation(history, theta, lam).H
 
 
 def matrix_V(history: History, lam: float) -> np.ndarray:
@@ -216,23 +270,17 @@ def matrix_G(
     history: History, theta1: np.ndarray, theta2: np.ndarray, lam: float
 ) -> np.ndarray:
     """Difference-quotient design matrix linking g(th1) - g(th2)."""
-    u1, mu1 = _row_mu(history, _check_theta(history, theta1))
-    u2, mu2 = _row_mu(history, _check_theta(history, theta2))
-    den = u2 - u1
+    at1, at2 = _Evaluation(history, theta1, lam), _Evaluation(history, theta2, lam)
+    mu1, mu2 = at1.mu, at2.mu
+    den = at2.u - at1.u
     small = np.abs(den) < _ALPHA_FALLBACK_TOL
     alpha = np.where(small, mu1 * (1.0 - mu1), (mu2 - mu1) / np.where(small, 1.0, den))
-    return _weighted_gram(history, alpha, lam)
+    return _gram(history.ctx_flat, history.row_offers * alpha, lam)
 
 
 def _nll_hessian(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
-    """Exact Hessian of the negative penalized log-likelihood (PD for lam > 0).
-
-    Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i.
-    """
-    _, mu = _row_mu(history, theta)
-    diag_part = _weighted_gram(history, mu, lam)
-    seg_means = np.add.reduceat(mu[:, None] * history.ctx_flat, history.starts, axis=0)
-    return diag_part - seg_means.T @ (history.offers[:, None] * seg_means)
+    """Exact Hessian of the negative penalized log-likelihood (PD for lam > 0)."""
+    return _Evaluation(history, theta, lam).nll_hessian
 
 
 def fit_mle(
@@ -246,45 +294,40 @@ def fit_mle(
 
     Converged means the score norm is at most ``tol``; otherwise the best
     iterate found is returned with ``converged=False`` and the caller
-    decides what to do with it.
+    decides what to do with it.  Each iterate is evaluated once: the
+    evaluation of an accepted line-search candidate gives the next step's
+    score and Hessian, and the result carries the evaluation at theta_hat.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1 for a well-posed fit, got {lam}")
-    if theta0 is None:
-        theta = np.zeros(history.dim)
-    else:
-        theta = np.array(theta0, dtype=float).reshape(-1).copy()
-    f = penalized_log_likelihood(history, theta, lam)
+    theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
+    ev = _Evaluation(history, theta, lam)
     steps = 0
     while steps < max_iter:
-        s = score(history, theta, lam)
+        s = ev.score
         s_norm = float(np.linalg.norm(s))
         if s_norm <= tol:
-            return MleResult(theta, s_norm, steps, True)
-        hess = _nll_hessian(history, theta, lam)
+            return MleResult(ev.theta, s_norm, steps, True, ev)
         try:
-            step = np.linalg.solve(hess, s)
+            step = np.linalg.solve(ev.nll_hessian, s)
         except np.linalg.LinAlgError:
             step = s / lam
         slope = float(s @ step)
         a = 1.0
         moved = False
         while a >= 1e-12:
-            cand = theta + a * step
-            fc = penalized_log_likelihood(history, cand, lam)
-            if fc >= f + 1e-4 * a * slope:
-                theta, f = cand, fc
-                moved = True
+            cand = _Evaluation(history, ev.theta + a * step, lam)
+            if cand.log_likelihood >= ev.log_likelihood + 1e-4 * a * slope:
+                ev, moved = cand, True
                 break
-            if a == 1.0 and float(np.linalg.norm(score(history, cand, lam))) <= 0.9 * s_norm:
+            if a == 1.0 and float(np.linalg.norm(cand.score)) <= 0.9 * s_norm:
                 # Near the optimum the objective improvement drowns in
                 # rounding; a contracting score norm is still progress.
-                theta, f = cand, fc
-                moved = True
+                ev, moved = cand, True
                 break
             a *= 0.5
         if not moved:
             break  # line search hit the numerical floor
         steps += 1
-    s_norm = float(np.linalg.norm(score(history, theta, lam)))
-    return MleResult(theta, s_norm, steps, s_norm <= tol)
+    s_norm = float(np.linalg.norm(ev.score))
+    return MleResult(ev.theta, s_norm, steps, s_norm <= tol, ev)

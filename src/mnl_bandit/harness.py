@@ -24,7 +24,13 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .choice import AssortmentContexts, choice_probabilities, expected_revenue, finite_number
+from .choice import (
+    AssortmentContexts,
+    choice_probabilities,
+    expected_revenue,
+    finite_number,
+    sample_choice,
+)
 from .confidence import (
     ConfidenceConfig,
     ConfidenceState,
@@ -49,7 +55,6 @@ from .simulator import (
     InstanceConfig,
     TAG_OUTCOME,
     TAG_POLICY,
-    environment_step,
     estimate_kappa,
     make_instance,
     serve_contexts,
@@ -353,7 +358,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy
         )
 
-        outcome = environment_step(instance, decision.assortment, stream(seed, TAG_OUTCOME, t))
+        # theta_star's distribution on the played assortment draws the
+        # outcome (as ``environment_step`` does) and serves the regret and
+        # the deviation matrix update below.
+        dist = choice_probabilities(decision.assortment, theta_star)
+        outcome = sample_choice(dist, stream(seed, TAG_OUTCOME, t))
 
         if cfg.context_mode == FIXED_POOL and oracle_cache is not None:
             _, oracle_value = oracle_cache
@@ -365,9 +374,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             if cfg.context_mode == FIXED_POOL:
                 oracle_cache = (best_a, oracle_value)
 
-        # theta_star's probabilities on the played assortment serve both the
-        # regret and the deviation matrix update below.
-        mu = choice_probabilities(decision.assortment, theta_star).item_probs
+        mu = dist.item_probs
         played_value = float(mu @ decision.assortment.prices)
         inst_regret = oracle_value - played_value
         cum += inst_regret

@@ -17,7 +17,7 @@ from mnl_bandit.confidence import (
     in_set_E,
     max_revenue_over_E,
 )
-from mnl_bandit.estimation import History, score
+from mnl_bandit.estimation import History, _nll_hessian, penalized_log_likelihood, score
 from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import (
     InstanceConfig,
@@ -354,6 +354,56 @@ class TestBoundarySearch:
         assert rows[0] == 16 and len(rows) == 6
         assert _in_E(edge, hist, cfg, state).all()
         assert np.linalg.norm(edge, axis=1).max() < 0.9 * cfg.S
+
+
+
+class TestStateIsASnapshot:
+    def test_appends_after_the_build_leave_it_unchanged(self, monkeypatch):
+        # ``History.append`` updates offer and purchase counts in place, and
+        # the state derives its quantities at theta_hat on first read, so
+        # nothing is read from ``state`` before the appends.
+        import copy
+
+        import mnl_bandit.confidence as confidence
+
+        rng = np.random.default_rng(41)
+        pool = sample_ball(rng, 4, 2)
+        hist = History(2)
+        for t in range(60):
+            hist.append(AssortmentContexts.from_pool(pool, [(0, 1), (2,), (1, 3)][t % 3]), t % 2)
+        cfg = ConfidenceConfig(d=2, K=3, delta=0.1, lam=200.0, S=3.0)
+        dirs = rng.standard_normal((8, 2))
+
+        def first_probes(h, state):
+            # The bracket probes depend on the Hessian at theta_hat, not on h.
+            seen = []
+
+            def recorded(thetas, *args):
+                seen.append(thetas.copy())
+                return _in_E(thetas, *args)
+
+            with monkeypatch.context() as m:
+                m.setattr(confidence, "_in_E", recorded)
+                e_boundary_multi(h, cfg, state, dirs)
+            return seen[0]
+
+        before = copy.deepcopy(hist)
+        state = build_confidence_state(hist, cfg, t=61)
+        ref = build_confidence_state(before, cfg, t=61)
+        loss, g, h, probes = ref.loss_at_hat, ref.g_at_hat, ref.H_hat, first_probes(before, ref)
+        hess = ref.mle.evaluation.nll_hessian
+
+        hist.append(AssortmentContexts.from_pool(pool, (0, 1)), 1)  # repeats a block
+        hist.append(AssortmentContexts.from_pool(pool, (0, 2, 3)), 2)  # adds one
+        assert hist.n_blocks == before.n_blocks + 1
+        theta_hat = state.theta_hat
+        assert penalized_log_likelihood(hist, theta_hat, cfg.lam) != -loss
+        assert not np.array_equal(_nll_hessian(hist, theta_hat, cfg.lam), hess)
+
+        assert state.loss_at_hat == loss
+        np.testing.assert_array_equal(state.g_at_hat, g)
+        np.testing.assert_array_equal(state.H_hat, h)
+        np.testing.assert_array_equal(first_probes(hist, state), probes)
 
 
 class TestMaxRevenueOverE:

@@ -4,11 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from mnl_bandit import estimation
 from mnl_bandit.choice import AssortmentContexts, choice_probabilities
-from mnl_bandit.confidence import ConfidenceConfig, build_confidence_state, e_boundary_multi
+from mnl_bandit.confidence import (
+    ConfidenceConfig,
+    build_confidence_state,
+    e_boundary_multi,
+    in_set_C,
+)
 from mnl_bandit.estimation import (
     History,
     _nll_hessian,
+    _segment_exp,
     fit_mle,
     g_vector,
     matrix_G,
@@ -467,3 +474,135 @@ class TestCompressedHistoryAgainstPerRoundReference:
         assert hist.n_blocks == 3
         assert hist.n_items == 5
         assert float(hist.offers.sum()) == 3000.0
+
+
+def separate_pass_reference(hist, theta, lam):
+    """Each likelihood quantity from a kernel pass of its own, with the
+    formulas written out one by one as they stood before one evaluation
+    served them all.  The shared evaluation must match them bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    ctx, n_row = hist.ctx_flat, hist.row_offers
+
+    def row_mu():
+        _, ez, total = _segment_exp(hist, ctx @ theta)
+        return ez / total[hist.seg_ids]
+
+    def gram(w):
+        w = n_row * w
+        return ctx.T @ (w[:, None] * ctx) + lam * np.eye(hist.dim)
+
+    u = ctx @ theta
+    m, _, total = _segment_exp(hist, u)
+    ll = hist.purchases @ u - hist.offers @ (m + np.log(total))
+    mu = row_mu()
+    seg_means = np.add.reduceat(mu[:, None] * ctx, hist.starts, axis=0)
+    return dict(
+        ll=float(ll) - 0.5 * lam * float(theta @ theta),
+        score=(hist.purchases - n_row * row_mu()) @ ctx - lam * theta,
+        g=(n_row * row_mu()) @ ctx + lam * theta,
+        H=gram(mu * (1.0 - mu)),
+        hess=gram(mu) - seg_means.T @ (hist.offers[:, None] * seg_means),
+    )
+
+
+def assert_same_as_reference(ll, s, g, h, hess, ref):
+    assert ll == ref["ll"]
+    for got, key in ((s, "score"), (g, "g"), (h, "H"), (hess, "hess")):
+        assert np.array_equal(got, ref[key]), key
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Utilities handed to ``estimation._segment_exp``, one entry per pass."""
+    seen = []
+    real = estimation._segment_exp
+
+    def counting(history, u):
+        seen.append(np.array(u, copy=True))
+        return real(history, u)
+
+    monkeypatch.setattr(estimation, "_segment_exp", counting)
+    return seen
+
+
+class TestOneEvaluationPerParameter:
+    LAM = 2.0
+
+    def test_readers_equal_separate_pass_formulas_exactly(self):
+        rng = np.random.default_rng(31)
+        for seed in range(3):
+            hist = mixed_history(np.random.default_rng(seed))
+            for theta in sample_ball(rng, 4, 2, radius=2.0):
+                ref = separate_pass_reference(hist, theta, self.LAM)
+                assert_same_as_reference(
+                    penalized_log_likelihood(hist, theta, self.LAM),
+                    score(hist, theta, self.LAM),
+                    g_vector(hist, theta, self.LAM),
+                    matrix_H(hist, theta, self.LAM),
+                    _nll_hessian(hist, theta, self.LAM),
+                    ref,
+                )
+
+    def test_state_reads_the_fit_evaluation_exactly(self):
+        for seed in range(3):
+            hist = mixed_history(np.random.default_rng(seed))
+            cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
+            state = build_confidence_state(hist, cfg, t=301)
+            ref = separate_pass_reference(hist, state.theta_hat, self.LAM)
+            ev = state.mle.evaluation
+            assert np.array_equal(ev.theta, state.theta_hat)
+            assert state.loss_at_hat == -ref["ll"]
+            assert_same_as_reference(
+                ev.log_likelihood, ev.score, state.g_at_hat, state.H_hat, ev.nll_hessian, ref
+            )
+
+    def test_fit_makes_one_pass_per_iterate(self, kernel_passes):
+        # Newton from zero takes full steps on these histories, so the
+        # iterates are the start plus one accepted candidate per step.
+        for seed in range(3):
+            hist = mixed_history(np.random.default_rng(seed))
+            kernel_passes.clear()
+            res = fit_mle(hist, self.LAM)
+            assert res.converged and res.iterations >= 2
+            assert len(kernel_passes) == res.iterations + 1
+            assert np.array_equal(kernel_passes[-1], hist.ctx_flat @ res.theta_hat)
+
+    def test_state_and_boundary_search_add_no_pass_at_theta_hat(self, kernel_passes):
+        hist = mixed_history(np.random.default_rng(8))
+        cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
+        fit_mle(hist, cfg.lam)
+        fit_passes = len(kernel_passes)
+        kernel_passes.clear()
+        state = build_confidence_state(hist, cfg, t=301)
+        state.loss_at_hat, state.g_at_hat, state.H_hat
+        e_boundary_multi(hist, cfg, state, np.random.default_rng(9).standard_normal((12, 2)))
+        # The boundary search's membership passes take one column per probe.
+        single = [u for u in kernel_passes if u.ndim == 1]
+        assert len(single) == fit_passes
+        assert len(kernel_passes) > fit_passes
+
+    def test_norm_set_membership_is_one_pass(self, kernel_passes):
+        hist = mixed_history(np.random.default_rng(8))
+        cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
+        state = build_confidence_state(hist, cfg, t=301)
+        state.g_at_hat
+        kernel_passes.clear()
+        in_set_C(0.5 * state.anchor, hist, cfg, state)
+        assert len(kernel_passes) == 1
+
+
+class TestDimensionCheck:
+    @pytest.mark.parametrize("reader", [penalized_log_likelihood, score, g_vector, matrix_H])
+    @pytest.mark.parametrize("rounds", [0, 6])
+    def test_readers_reject_wrong_length_theta(self, reader, rounds):
+        hist = random_history(np.random.default_rng(3), 3, rounds=rounds)
+        for bad in (np.zeros(2), np.zeros(4)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                reader(hist, bad, 1.0)
+
+    @pytest.mark.parametrize("rounds", [0, 6])
+    def test_fit_rejects_wrong_length_start(self, rounds):
+        hist = random_history(np.random.default_rng(3), 3, rounds=rounds)
+        for bad in (np.zeros(2), np.zeros(4)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                fit_mle(hist, 1.0, theta0=bad)

@@ -1,4 +1,7 @@
 """Experiment loop, regret accounting, checks, persistence, aggregation."""
+import csv
+import hashlib
+import io
 import json
 import math
 
@@ -88,6 +91,28 @@ class TestRunExperiment:
         run = run_experiment(small_cfg(context_mode="fresh_iid", T=25), seed=7)
         assert len(run.records) == 25
         assert elliptical_potential([run]).passed
+
+
+
+class TestPlayedTrajectoryPin:
+    # SHA-256 of the CSV's assortment and outcome columns of the regret
+    # config at T=300, seed 0.  Both columns are integers, so last-bit
+    # float differences cannot move them; a change that alters the played
+    # trajectory updates these values and says so in CHANGES.md.
+    PINS = {
+        "cb_mnl_e": "92ce40d7eda2645c323f95af89d9975df632a8386c5a81624e92f7f96513a85c",
+        "random": "ab4b6635678967003bc61e2c72d6fd78b62b2f8ed2ca4249bcad54099d604fac",
+    }
+
+    @pytest.mark.parametrize("policy", sorted(PINS))
+    def test_regret_config_plays_the_pinned_trajectory(self, policy):
+        cfg = ExperimentConfig(
+            d=2, N=8, K=2, T=300, S=1.0, S_true=1.0, delta=0.1, lambda_override=40.0,
+            refine_top=0, n_dirs=8, restarts=1, track_c_stats=False, policy=policy,
+        )
+        rows = csv.DictReader(io.StringIO(run_experiment(cfg, seed=0).csv_text()))
+        played = "".join(f"{r['assortment']},{r['outcome']}\n" for r in rows)
+        assert hashlib.sha256(played.encode()).hexdigest() == self.PINS[policy]
 
 
 class TestEllipticalCheck:
