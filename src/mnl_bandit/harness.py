@@ -113,7 +113,10 @@ class ExperimentConfig:
     lambda_override: float | None = None
     restarts: int = 5  # ascent starts: the anchor and the first restarts-1 screening points
     n_dirs: int = 16  # screening boundary points; at least restarts - 1
-    refine_top: int = 1  # assortments refined by ascent after screening
+    # Assortments refined by ascent after screening.  At most 1, screening
+    # is one static solve per candidate; from 2 on, the leaders are ranked
+    # over every assortment, which enumerates them.
+    refine_top: int = 1
     track_c_stats: bool = True  # per-round coverage of the norm-based set (covered_C)
     seeds: list[int] = field(default_factory=lambda: [0])
     out_dir: str | None = None
@@ -144,10 +147,13 @@ class ExperimentConfig:
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path or null, got {self.out_dir!r}")
         # delta, lam and S are checked here, then the instance's own fields,
-        # then the number of assortments every round enumerates.
+        # then, for a policy that enumerates, the number of assortments.
         self.confidence_config()
         self.instance_config()
-        assortment_count(self.N, self.K)
+        if self.policy in (PolicyKind.BONUS_UCB, PolicyKind.RANDOM) or (
+            self.policy == PolicyKind.CB_MNL_E and self.refine_top >= 2
+        ):
+            assortment_count(self.N, self.K)
 
     @property
     def lam(self) -> float:
@@ -204,6 +210,9 @@ class RoundRecord:
     dev_H: float
     dev_bound: float
     covered_C: bool | None = None  # theta_star in the norm-based set (not in the CSV)
+    # |played revenue - optimistic_value|: the revenue gap between theta_star
+    # and theta_used on the played assortment, except under bonus_ucb, whose
+    # value includes its bonus (not in the CSV).
     pred_error: float = 0.0
 
 
@@ -389,7 +398,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         dtheta = decision.theta_used - theta_star
         dev_h = math.sqrt(max(float(dtheta @ j_mat @ dtheta), 0.0))
         dev_bound = bound_factor * state.gamma
-        pred_error = abs(played_value - expected_revenue(decision.assortment, decision.theta_used))
+        pred_error = abs(played_value - decision.optimistic_value)
 
         records.append(
             RoundRecord(

@@ -1,11 +1,15 @@
-"""Assortment enumeration and the optimistic decision step, plus baselines.
+"""The optimistic decision step, the static MNL solve, baselines, enumeration.
 
-The optimistic step scores every feasible assortment (all nonempty index
-sets of size up to K) by the largest expected revenue any parameter in the
-current confidence set can give it, then plays the argmax.  Assortments are
-the rows of one integer matrix (see ``enumerate_assortments``).  Ties go to
-the lexicographically smaller index tuple, a prefix before its extensions,
-so reruns are reproducible.
+The optimistic step plays the feasible assortment (a nonempty index set of
+size up to K) with the largest expected revenue any candidate parameter in
+the current confidence set gives it.  The max over assortments of the max
+over candidates is the max over candidates of the max over assortments, so
+screening makes one static revenue solve per candidate (``_static_optimum``)
+and enumerates nothing.  Only the bonus baseline, the random baseline and
+refinement of two or more leaders score every assortment, as rows of one
+integer matrix (see ``enumerate_assortments``).  Either way ties go to the
+lexicographically smaller index tuple, a prefix before its extensions, so
+reruns are reproducible.
 """
 from __future__ import annotations
 
@@ -42,6 +46,8 @@ __all__ = [
 
 ENUMERATION_GUARD = 10**6
 _SET_C_DRAWS = 512  # ellipsoid draws screened for members of the norm-based set C
+_NEAR_SETS = 10**4  # most sets within rounding of a static optimum that are scored
+_EPS = np.finfo(float).eps / 2  # unit roundoff
 
 
 class ConfigurationError(ValueError):
@@ -105,10 +111,26 @@ def _as_tuple(row: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in row if i >= 0)
 
 
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right whatever the shapes."""
+    total = table[..., 0]
+    for k in range(1, table.shape[-1]):
+        total = total + table[..., k]
+    return total
+
+
 def _gather_sum(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per-row sums of ``table`` over items (axis 0); -1 reads a zero row."""
-    padded = np.concatenate([table, np.zeros((1,) + table.shape[1:])])
-    return padded[rows].sum(axis=1)
+    """Per-row sums of ``table`` over items (its last axis); -1 reads a zero.
+
+    Each row is added in its column order, items ascending and padding
+    last, so a set's sum does not depend on which other rows are scored
+    beside it.
+    """
+    padded = np.concatenate([table, np.zeros(table.shape[:-1] + (1,))], axis=-1)
+    total = padded[..., rows[:, 0]]
+    for k in range(1, rows.shape[1]):
+        total = total + padded[..., rows[:, k]]
+    return total
 
 
 def _ranked(rows: np.ndarray, values: np.ndarray, top: int) -> np.ndarray:
@@ -123,35 +145,134 @@ def _ranked(rows: np.ndarray, values: np.ndarray, top: int) -> np.ndarray:
         return np.zeros(0, dtype=np.intp)
     cut = np.partition(values, len(values) - top)[len(values) - top]
     cand = np.flatnonzero(values >= cut)
+    if len(cand) == 1:
+        return cand
     order = np.lexsort((*rows[cand].T[::-1], -values[cand]))
     return cand[order[:top]]
 
 
-def _revenues_at_candidates(
-    pool: np.ndarray,
-    prices: np.ndarray | None,
-    rows: np.ndarray,
-    thetas: np.ndarray,
+def _attraction(
+    pool: np.ndarray, prices: np.ndarray | None, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best expected revenue over candidate parameters for every assortment.
+    """exp(x_i . theta) and its price-weighted copy, one row per candidate.
 
-    ``rows`` is an assortment matrix in the format of
-    ``enumerate_assortments``; ``thetas`` holds one candidate per row (a
-    single parameter vector is one row); ``prices=None`` means unit prices.
-    Returns the best value per assortment and the index of the candidate
-    attaining it (the first among equals).  Assortments are scored in one
-    vectorized pass from raw, unshifted exponentials, which stay finite
-    while every |x . theta| is below about 709 (exp overflows float64 past
-    that).  With ||x|| <= 1 any candidate of norm below 709 qualifies:
+    ``thetas`` holds one candidate per row (a single parameter vector is
+    one row); ``prices=None`` means unit prices.  Both tables are
+    ``(n_cand, N)`` raw, unshifted exponentials, which stay finite while
+    every |x . theta| is below about 709 (exp overflows float64 past that).
+    With ||x|| <= 1 any candidate of norm below 709 qualifies:
     confidence-set and S-ball points, theta_star and the ridge-regularized
     MLE all sit far inside that.
     """
-    pool = np.asarray(pool, dtype=float)
-    ez = np.exp(pool @ np.atleast_2d(thetas).T)  # (N, n_cand)
-    pez = ez if prices is None else np.asarray(prices, dtype=float)[:, None] * ez
-    rev = _gather_sum(pez, rows) / (1.0 + _gather_sum(ez, rows))  # (P, n_cand)
-    which = rev.argmax(axis=1)
-    return rev[np.arange(len(rows)), which], which
+    ez = np.exp(np.atleast_2d(thetas) @ np.asarray(pool, dtype=float).T)
+    return ez, ez if prices is None else np.asarray(prices, dtype=float) * ez
+
+
+def _revenues_at_candidates(
+    weights: tuple[np.ndarray, np.ndarray], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best expected revenue over candidate parameters for every assortment.
+
+    ``weights`` are the tables of ``_attraction``; ``rows`` is an
+    assortment matrix in the format of ``enumerate_assortments``.  Returns
+    the best value per assortment and the index of the candidate attaining
+    it (the first among equals).
+    """
+    ez, pez = weights
+    rev = _gather_sum(pez, rows) / (1.0 + _gather_sum(ez, rows))  # (n_cand, P)
+    which = rev.argmax(axis=0)
+    return rev[which, np.arange(len(rows))], which
+
+
+def _static_optimum(
+    weights: tuple[np.ndarray, np.ndarray], prices: np.ndarray | None, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Revenue-optimal assortment of at most K items under each candidate.
+
+    For a fixed parameter the capacitated MNL revenue problem needs no
+    enumeration: R(S) >= lam exactly when the sum over S of
+    v_i (p_i - lam) is at least lam, so the optimum is the K items with
+    the largest positive v_i (p_i - lam*) (Rusmevichientong, Shen and
+    Shmoys, Operations Research 2010).  Dinkelbach's iteration (Management
+    Science 1967) finds lam*: start at lam = 0, take those items (a stable
+    sort lets the lower index win a tie), set lam to their revenue, and
+    stop when the revenue stops rising.  With equal prices the first set is
+    final.  When no item earns, every assortment earns 0 and ``(0,)`` wins.
+
+    The answer is the one scoring every assortment gives: the largest
+    computed revenue, ties to the lexicographically smaller tuple.  A set
+    within rounding of the optimum can tie it or beat it by an ulp, for
+    example where a large utility absorbs a small one.  Such a set holds
+    every item whose score clears the (K+1)-th score (or 0) by more than
+    ``tau``, a bound on the rounding, and otherwise only items within
+    ``tau`` of the K-th and (K+1)-th scores.  A candidate with such near
+    items has those sets scored exactly, up to ``_NEAR_SETS`` of them.
+
+    Returns one row per candidate in the format of ``enumerate_assortments``
+    and its revenue, summed as ``_revenues_at_candidates`` sums it.
+    """
+    v, pv = weights
+    m, N = v.shape
+    p = np.ones(1) if prices is None else np.asarray(prices, dtype=float)
+    p_max = float(p.max())
+    equal_prices = float(p.min()) == p_max
+    earning = equal_prices and p_max > 0  # then every v_i p > 0
+    ez, pez = weights
+    if not earning:  # a set may hold fewer than K items: column N, 0, pads it
+        ez, pez = (np.concatenate([t, np.zeros((m, 1))], axis=1) for t in weights)
+    cand = np.arange(m)[:, None]
+    score, items = pv, None  # score = v_i (p_i - lam), at lam = 0 first
+    # lam rises with every new set, and the set changes only where two
+    # scores cross or one crosses 0.
+    for _ in range(N * (N + 1) // 2 + 2):
+        order = np.argsort(-score, axis=1, kind="stable")
+        top = order[:, :K]
+        if not earning:
+            keep = score[cand, top] > 0
+            keep[:, 0] = True  # the first item scores <= 0 only where all earn 0: (0,) wins
+            top = np.where(keep, top, N)  # N reads the 0 column
+        new = np.sort(top, axis=1)
+        value = _row_sums(pez[cand, new]) / (1.0 + _row_sums(ez[cand, new]))
+        if items is None:
+            items, lam = new, value
+        else:
+            # A set that earns no more ends the search; in exact arithmetic
+            # it is the set itself, but rounding can offer a worse one.
+            up = value > lam
+            if not up.any():
+                break
+            items[up], lam[up] = new[up], value[up]
+        score = pv - lam[:, None] * v
+        if equal_prices:
+            break  # sorting by v_i p sorts by v_i (p - lam)
+
+    rows = items if earning else np.where(items < N, items, -1)  # -1 pads a row
+    tau = 32 * (K + 2) * _EPS * p_max * (1.0 + K * float(v.max()))
+    bounds = np.maximum(score[cand, order[:, K - 1 : K + 1]], 0.0)
+    low, high = bounds[:, 0], bounds[:, 1] if K < N else np.zeros(m)
+    # An item is near when low - tau <= score <= high + tau, which needs
+    # low - high <= tau; where every price is 0, tau = 0 flags nothing.
+    flagged = np.flatnonzero(low - high < tau)
+    if flagged.size:
+        near = (score >= low[:, None] - tau) & (score <= high[:, None] + tau)
+        for j in flagged[near[flagged].any(axis=1)]:
+            sure = np.flatnonzero(score[j] > high[j] + tau)
+            maybe = np.flatnonzero(near[j])
+            free = K - len(sure)
+            if sum(math.comb(len(maybe), k) for k in range(free + 1)) > _NEAR_SETS:
+                continue
+            sets = [
+                sorted((*sure, *extra))
+                for k in range(0 if len(sure) else 1, free + 1)
+                for extra in itertools.combinations(maybe, k)
+            ]
+            local = np.full((len(sets), K), -1, dtype=np.intp)
+            for r, chosen in enumerate(sets):
+                local[r, : len(chosen)] = chosen
+            values, _ = _revenues_at_candidates((v[j : j + 1], pv[j : j + 1]), local)
+            best = _ranked(local, values, 1)[0]
+            rows[j], lam[j] = local[best], values[best]
+    return rows, lam
 
 
 def cb_mnl_step(
@@ -168,9 +289,14 @@ def cb_mnl_step(
 ) -> Decision:
     """Optimistic decision over all feasible assortments.
 
-    With ``set_kind="E"`` every assortment is screened against a shared
+    With ``set_kind="E"`` the assortments are screened against a shared
     pool of candidates in the convex set: the anchor and the boundary
-    points along ``n_dirs`` seeded directions.  The ``refine_top`` best
+    points along ``n_dirs`` seeded directions.  With ``refine_top <= 1``
+    screening is one static solve per candidate: candidate j's optimum
+    attains its value at j, so the leader is the best of those optima and
+    its candidate the first that attains it, as when every assortment is
+    scored against every candidate.  From 2 on, every assortment is
+    scored, so that leaders can be ranked.  The ``refine_top`` best
     assortments are then refined by the multi-start ascent of
     ``max_revenue_over_E`` (its default 40 steps; 0 keeps the screening
     values as they are, a count at least the number of assortments
@@ -182,11 +308,11 @@ def cb_mnl_step(
 
     With ``set_kind="C"`` the non-convex set is handled by rejection
     sampling 512 candidates from an ellipsoid around the MLE and
-    keeping the members; ascent is unreliable there.
+    keeping the members, each solved statically; ascent is unreliable
+    there.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    rows = enumerate_assortments(len(pool), cfg.K)
 
     if set_kind == "C":
         cands = [state.anchor]
@@ -208,7 +334,16 @@ def cb_mnl_step(
     else:
         raise ValueError(f"unknown set kind {set_kind!r}")
 
-    values, which = _revenues_at_candidates(pool, prices, rows, thetas)
+    weights = _attraction(pool, prices, thetas)
+    if set_kind == "E" and refine_top >= 2:
+        # Ranking several leaders needs every assortment's screening value.
+        rows = enumerate_assortments(len(pool), cfg.K)
+        values, which = _revenues_at_candidates(weights, rows)
+    else:
+        # The max over assortments of the max over candidates is the max
+        # over candidates of one static solve each.
+        rows, values = _static_optimum(weights, prices, cfg.K)
+        which = np.arange(len(rows))
     if set_kind == "E":
         # Refine the leaders; a refined parameter joins the candidates.
         for p in _ranked(rows, values, refine_top):
@@ -254,7 +389,7 @@ def bonus_ucb_step(
     item_bonus = c1 * h_norms + c2 * v_norms_sq
 
     rows = enumerate_assortments(len(pool), cfg.K)
-    base, _ = _revenues_at_candidates(pool, prices, rows, state.theta_hat)
+    base, _ = _revenues_at_candidates(_attraction(pool, prices, state.theta_hat), rows)
     values = base + _gather_sum(item_bonus, rows)
     best = _ranked(rows, values, 1)[0]
     return Decision(
@@ -270,10 +405,13 @@ def oracle_assortment(
     K: int,
     prices: np.ndarray | None = None,
 ) -> tuple[int, ...]:
-    """Brute-force revenue maximizer under the true parameter (simulator only)."""
-    rows = enumerate_assortments(len(pool), K)
-    values, _ = _revenues_at_candidates(pool, prices, rows, theta_star)
-    return _as_tuple(rows[_ranked(rows, values, 1)[0]])
+    """Revenue maximizer under the true parameter (simulator only).
+
+    One static solve (``_static_optimum``): the assortment that scoring
+    every one would pick, ties included.
+    """
+    rows, _ = _static_optimum(_attraction(pool, prices, theta_star), prices, K)
+    return _as_tuple(rows[0])
 
 
 def random_assortment(N: int, K: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -94,7 +94,8 @@ class TestRunCommand:
             ('{"d": 2, "N": 3,', "is not valid JSON"),
             ('[2, 3]', "must hold one JSON object"),
             (None, "No such file"),
-            ('{"d": 2, "N": 30, "K": 10, "T": 1}', "N=30 and K=10 give 53009101 assortments"),
+            ('{"d": 2, "N": 30, "K": 10, "T": 1, "policy": "random"}',
+             "N=30 and K=10 give 53009101 assortments"),
         ],
         ids=["bad-field", "nan-price", "removed-field", "not-json", "not-object", "missing",
              "over-enumeration-guard"],
@@ -120,6 +121,16 @@ class TestRunCommand:
         assert rc == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_runs_a_config_past_the_enumeration_guard(self, tmp_path):
+        # cb_mnl_e with refine_top <= 1 solves the static problem per
+        # candidate, so 53009101 assortments never get enumerated.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"d": 2, "N": 30, "K": 10, "T": 1}')
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)]) == 0
+        rows = (out / "run_cb_mnl_e_seed0.csv").read_text().splitlines()
+        assert len(rows) == 2
 
     def test_rerun_is_byte_identical(self, tmp_path, config_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -322,15 +322,27 @@ class TestConfig:
             ("context_mode", None), ("context_mode", "bogus"),
             ("prices", [1.0, 1.0]), ("prices", "abc"), ("prices", [1.0, math.nan, 1.0]),
             ("prices", [1.0, -1.0, 1.0]), ("track_c_stats", "no"), ("seeds", [-1]),
-            # More assortments than the enumeration guard: 2000 + C(2000, 2) at K=2.
+            # More assortments than the enumeration guard: 2000 + C(2000, 2) at
+            # K=2, under the random policy.
             ("N", 2000),
         ],
     )
     def test_rejects_bad_search_settings(self, field, value):
         # refine_iters, kappa_grid and mle_max_iter are no longer fields: a
-        # config that names one is rejected with its name.
+        # config that names one is rejected with its name.  The enumeration
+        # guard binds only a policy that enumerates, such as random.
+        policy = "random" if (field, value) == ("N", 2000) else "cb_mnl_e"
         with pytest.raises(ValueError, match=field):
-            small_cfg(**{field: value})
+            small_cfg(policy=policy, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"policy": "bonus_ucb"}, {"policy": "random"}, {"policy": "cb_mnl_e", "refine_top": 2}],
+        ids=["bonus_ucb", "random", "cb_mnl_e-refine_top-2"],
+    )
+    def test_enumerating_configs_keep_the_guard(self, kw):
+        with pytest.raises(ValueError, match="N=30 and K=10 give 53009101 assortments"):
+            small_cfg(N=30, K=10, T=1, **kw)
 
     def test_rejects_more_restarts_than_candidates(self):
         # The ascent starts from the anchor and restarts-1 of the n_dirs=6 screening points.

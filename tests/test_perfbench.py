@@ -31,18 +31,29 @@ def test_traced_names_resolve():
         assert callable(obj), f"mnl_bandit.{module}.{attr} is not callable"
 
 
+def traced_assortments(**cfg) -> int:
+    """Assortments the tracer counts as enumerated by policy steps in one run."""
+    tracer = load_tracer().Tracer(run_id=0)
+    tracer.install()
+    try:
+        run_experiment(ExperimentConfig(d=2, n_dirs=4, restarts=1, **cfg), seed=0)
+    finally:
+        tracer.uninstall()
+    return tracer.policy_assortments
+
+
 @pytest.mark.parametrize("policy", ["cb_mnl_e", "random"])
 def test_tracer_counts_assortments_per_round(policy):
     # The tracer reads the return value of `policy.enumerate_assortments`;
     # this fails if a change to that value breaks the count it reports.
-    tracer_mod = load_tracer()
+    # refine_top=2 ranks leaders over every assortment, the one cb_mnl_e
+    # path that still enumerates.
     N, K, T = 5, 3, 4
-    tracer = tracer_mod.Tracer(run_id=0)
-    tracer.install()
-    try:
-        run_experiment(
-            ExperimentConfig(d=2, N=N, K=K, T=T, policy=policy, n_dirs=4, restarts=1), seed=0
-        )
-    finally:
-        tracer.uninstall()
-    assert tracer.policy_assortments / T == sum(math.comb(N, k) for k in range(1, K + 1))
+    count = traced_assortments(N=N, K=K, T=T, policy=policy, refine_top=2)
+    assert count / T == sum(math.comb(N, k) for k in range(1, K + 1))
+
+
+@pytest.mark.parametrize("policy", ["cb_mnl_e", "cb_mnl_c", "oracle"])
+def test_tracer_counts_no_assortments_for_the_static_solve(policy):
+    # The default config (refine_top=1) screens by one static solve per candidate.
+    assert traced_assortments(N=5, K=3, T=4, policy=policy) == 0

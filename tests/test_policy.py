@@ -8,12 +8,21 @@ from mnl_bandit.choice import (
     expected_revenue,
     sample_choice,
 )
-from mnl_bandit.confidence import L_CONST, ConfidenceConfig, build_confidence_state, in_set_E
+from mnl_bandit.confidence import (
+    L_CONST,
+    ConfidenceConfig,
+    build_confidence_state,
+    in_set_E,
+    max_revenue_over_E,
+)
 from mnl_bandit.estimation import History, matrix_V
+from mnl_bandit.harness import ExperimentConfig, run_experiment
 from mnl_bandit.policy import (
     ConfigurationError,
     _as_tuple,
+    _attraction,
     _ranked,
+    _revenues_at_candidates,
     bonus_ucb_step,
     cb_mnl_step,
     enumerate_assortments,
@@ -337,3 +346,144 @@ class TestRandomAssortment:
         rng = np.random.default_rng(8)
         seen = {random_assortment(3, 2, rng) for _ in range(500)}
         assert seen == set(as_tuples(enumerate_assortments(3, 2)))
+
+
+def enumerated_oracle(pool, theta, K, prices=None):
+    """The oracle by brute force: every assortment scored, ties to the smaller tuple."""
+    rows = enumerate_assortments(len(pool), K)
+    values, _ = _revenues_at_candidates(_attraction(pool, prices, theta), rows)
+    return _as_tuple(rows[_ranked(rows, values, 1)[0]])
+
+
+def enumerated_decision(pool, history, cfg, state, thetas, set_kind, prices, restarts, refine_top):
+    """The optimistic step's enumeration path, given its candidates.
+
+    Every assortment is scored against every candidate; the ``refine_top``
+    leaders are refined by ascent as ``cb_mnl_step`` refines them.
+    """
+    rows = enumerate_assortments(len(pool), cfg.K)
+    values, which = _revenues_at_candidates(_attraction(pool, prices, thetas), rows)
+    if set_kind == "E":
+        for p in _ranked(rows, values, refine_top):
+            val, th = max_revenue_over_E(
+                AssortmentContexts.from_pool(pool, _as_tuple(rows[p]), prices),
+                history, cfg, state, np.vstack([thetas[:restarts], thetas[which[p]]]),
+            )
+            if val > values[p]:
+                values[p], which[p] = val, len(thetas)
+                thetas = np.vstack([thetas, th])
+    best = _ranked(rows, values, 1)[0]
+    return _as_tuple(rows[best]), float(values[best]), thetas[which[best]]
+
+
+def draw_prices(rng, N):
+    """Unit, equal non-unit, random, zero-containing or all-zero prices."""
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return None
+    if kind == 1:
+        return np.full(N, float(rng.uniform(0.2, 3.0)))
+    prices = rng.uniform(0.1, 5.0, N)
+    if kind == 3:
+        prices[rng.random(N) < 0.4] = 0.0
+    return prices if kind < 4 else np.zeros(N)
+
+
+def draw_pool(rng, N, d):
+    """Contexts in the unit ball; a third of the draws repeat rows, so items tie."""
+    pool = sample_ball(rng, N, d)
+    if rng.random() < 1 / 3:
+        pool = pool[np.sort(rng.integers(0, N, N))]
+    return pool
+
+
+class TestStaticSolveAgainstEnumeration:
+    """The static solve plays what scoring every assortment plays, bit for bit."""
+
+    def test_oracle_matches_brute_force(self):
+        rng = np.random.default_rng(50)
+        for _ in range(600):
+            d = int(rng.integers(1, 5))
+            N = int(rng.integers(1, 9))
+            K = int(rng.integers(1, N + 1))
+            pool = draw_pool(rng, N, d)
+            prices = draw_prices(rng, N)
+            # Up to |x . theta| = 50, where a large utility absorbs small ones.
+            theta = sample_ball(rng, 1, d, radius=float(rng.choice([1.0, 5.0, 20.0, 50.0])))[0]
+            expected = enumerated_oracle(pool, theta, K, prices)
+            assert oracle_assortment(pool, theta, K, prices) == expected
+
+    def test_saturated_utilities_follow_the_tie_rule(self):
+        # exp(45) absorbs the other items: every set holding item 0 earns
+        # exactly 1.0, and (0,) is the smallest such tuple.
+        pool = np.array([[0.9, 0.0], [0.5, 0.5], [0.6, 0.2], [-0.3, 0.1]])
+        theta = np.array([50.0, 0.0])
+        assert enumerated_oracle(pool, theta, 3) == (0,)
+        assert oracle_assortment(pool, theta, 3) == (0,)
+
+    def test_rounding_cannot_lower_the_search(self):
+        # exp(45) makes item 2 earn its price 4.4, to rounding, alone or
+        # beside item 0 or 1; (0, 2) is the smallest tuple of those that
+        # round highest.  At that revenue item 2 scores 0, so the next set
+        # is item 3 alone, worth about 3e-15: the search stops rather than
+        # step down to it.
+        pool = np.array([[-0.5], [0.1], [0.9], [-0.7]])
+        prices = np.array([2.1, 3.3, 4.4, 5.0])
+        theta = np.array([50.0])
+        assert enumerated_oracle(pool, theta, 2, prices) == (0, 2)
+        assert oracle_assortment(pool, theta, 2, prices) == (0, 2)
+
+    @pytest.mark.parametrize("set_kind, refine_top", [("E", 0), ("E", 1), ("C", 0)])
+    def test_step_matches_enumeration_path(self, monkeypatch, set_kind, refine_top):
+        import mnl_bandit.policy as policy
+
+        seen = []
+
+        def recording(pool, prices, thetas):
+            seen.append(np.array(thetas))
+            return _attraction(pool, prices, thetas)
+
+        monkeypatch.setattr(policy, "_attraction", recording)
+        rng = np.random.default_rng(51)
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            N = int(rng.integers(1, 8))
+            K = int(rng.integers(1, N + 1))
+            pool = draw_pool(rng, N, d)
+            prices = draw_prices(rng, N)
+            # A large S and a small history put boundary points near norm S.
+            S = float(rng.choice([1.0, 5.0, 50.0]))
+            cfg = ConfidenceConfig(d=d, K=K, delta=0.1, lam=float(rng.uniform(1.0, 4.0)), S=S)
+            theta_star = sample_ball(rng, 1, d)[0]
+            hist = History(d)
+            for _ in range(int(rng.integers(0, 12))):
+                ass = AssortmentContexts.from_pool(pool, random_assortment(N, K, rng), prices)
+                hist.append(ass, sample_choice(choice_probabilities(ass, theta_star), rng))
+            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            n_dirs = int(rng.integers(0, 8))
+            restarts = 1 + min(n_dirs, 2)
+            seen.clear()
+            decision = cb_mnl_step(pool, hist, cfg, state, set_kind=set_kind,
+                                   rng=np.random.default_rng(int(rng.integers(1 << 30))),
+                                   prices=prices, restarts=restarts, n_dirs=n_dirs,
+                                   refine_top=refine_top)
+            indices, value, theta = enumerated_decision(
+                pool, hist, cfg, state, seen[0], set_kind, prices, restarts, refine_top
+            )
+            assert decision.assortment.indices == indices
+            assert decision.optimistic_value == value
+            np.testing.assert_array_equal(decision.theta_used, theta)
+
+    def test_decision_path_never_enumerates(self, monkeypatch):
+        import mnl_bandit.policy as policy
+
+        def refuse(N, K):
+            raise AssertionError(f"enumerated N={N}, K={K}")
+
+        monkeypatch.setattr(policy, "enumerate_assortments", refuse)
+        # N=30, K=10 gives 53009101 assortments, past the enumeration guard,
+        # which binds none of these configs.
+        for kw in ({"policy": "cb_mnl_e", "refine_top": 0}, {"policy": "cb_mnl_e", "refine_top": 1},
+                   {"policy": "cb_mnl_c"}, {"policy": "oracle"}):
+            cfg = ExperimentConfig(d=2, N=30, K=10, T=3, n_dirs=6, restarts=2, **kw)
+            assert len(run_experiment(cfg, seed=0).records) == 3
