@@ -373,7 +373,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         dist = choice_probabilities(decision.assortment, theta_star)
         outcome = sample_choice(dist, stream(seed, TAG_OUTCOME, t))
 
-        if cfg.context_mode == FIXED_POOL and oracle_cache is not None:
+        if kind is PolicyKind.ORACLE:
+            # The decision is this pool's oracle solve and its value at theta_star.
+            oracle_value = decision.optimistic_value
+        elif cfg.context_mode == FIXED_POOL and oracle_cache is not None:
             _, oracle_value = oracle_cache
         else:
             best_a = oracle_assortment(pool, theta_star, instance.K, instance.prices)

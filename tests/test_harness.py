@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from mnl_bandit.checks import deviation_bound, elliptical_potential
-from mnl_bandit.choice import AssortmentContexts
+from mnl_bandit.choice import AssortmentContexts, expected_revenue
+from mnl_bandit.confidence import in_set_E
 from mnl_bandit.estimation import History
 from mnl_bandit.harness import (
     CSV_HEADER,
@@ -91,6 +92,66 @@ class TestRunExperiment:
         run = run_experiment(small_cfg(context_mode="fresh_iid", T=25), seed=7)
         assert len(run.records) == 25
         assert elliptical_potential([run]).passed
+
+    def test_oracle_policy_solves_the_oracle_once_a_round(self, monkeypatch):
+        import mnl_bandit.harness as harness
+
+        calls = []
+        solve = harness.oracle_assortment
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(harness, "oracle_assortment", counted)
+        cfg = ExperimentConfig(policy="oracle", context_mode="fresh_iid", T=50)
+        run = run_experiment(cfg, seed=0)
+        assert len(calls) == 50
+        assert run.total_regret == 0.0
+
+
+class TestRefinedRounds:
+    # Every round refines its leader by ascent (refine_top=1).  The played
+    # parameter must lie in E, and the reported value must be its revenue.
+    CONFIGS = {
+        # The wide_fresh benchmark shape, shortened; the ball binds.
+        "wide_fresh": dict(d=4, N=16, K=4, T=20, context_mode="fresh_iid"),
+        # A large ridge keeps E well inside the ball, so E binds.
+        "E_bound": dict(T=20, lambda_override=100.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_played_parameter_is_feasible_and_attains_the_value(self, name, monkeypatch):
+        import mnl_bandit.harness as harness
+        import mnl_bandit.policy as policy
+
+        cfg = ExperimentConfig(**self.CONFIGS[name])
+        refined, decisions = [], []
+        ascent, step = policy.max_revenue_over_E, harness.cb_mnl_step
+
+        def counted(*args, **kw):
+            refined.append(1)
+            return ascent(*args, **kw)
+
+        def checked(pool, history, ccfg, state, **kw):
+            decision = step(pool, history, ccfg, state, **kw)
+            # The history is appended to only after the decision.
+            assert in_set_E(decision.theta_used, history, ccfg, state)
+            decisions.append(decision)
+            return decision
+
+        monkeypatch.setattr(policy, "max_revenue_over_E", counted)
+        monkeypatch.setattr(harness, "cb_mnl_step", checked)
+        run = run_experiment(cfg, seed=0)
+        assert len(refined) == len(decisions) == cfg.T
+        for record, decision in zip(run.records, decisions):
+            value = expected_revenue(decision.assortment, decision.theta_used)
+            assert record.opt_value == pytest.approx(value, abs=1e-12)
+        norms = [float(np.linalg.norm(d.theta_used)) for d in decisions]
+        if name == "E_bound":
+            assert max(norms) < 0.9 * cfg.S
+        else:
+            assert max(norms) == pytest.approx(cfg.S, abs=1e-12)
 
 
 
