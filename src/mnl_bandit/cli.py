@@ -19,6 +19,7 @@ import numpy as np
 from .harness import (
     CSV_HEADER,
     ExperimentConfig,
+    _config_differences,
     curve_mean_stderr,
     run_many,
     save_runs,
@@ -124,11 +125,6 @@ def _read_curve(path: str) -> np.ndarray:
         return np.array([float(line.split(",")[col]) for line in fh if line.strip()])
 
 
-# Config keys that say which seeds ran and where they were written; runs
-# that differ only in these belong to the same experiment.
-_RUN_SELECTORS = ("seeds", "out_dir")
-
-
 def _mismatch(paths: list[str], curves: list[np.ndarray]) -> str | None:
     """Why the run CSVs cannot be aggregated, or None when they can."""
     if len({len(c) for c in curves}) > 1:
@@ -139,16 +135,14 @@ def _mismatch(paths: list[str], curves: list[np.ndarray]) -> str | None:
         meta = os.path.splitext(p)[0] + ".json"
         if os.path.exists(meta):
             with open(meta) as fh:
-                cfg = json.load(fh)["config"]
-            configs[meta] = {k: v for k, v in cfg.items() if k not in _RUN_SELECTORS}
+                configs[meta] = json.load(fh)["config"]
     if not configs:
         return None
     ref_path, ref = next(iter(configs.items()))
     diffs = [
-        f"{meta} differs from {ref_path} in "
-        + ", ".join(sorted(k for k in ref.keys() | cfg.keys() if ref.get(k) != cfg.get(k)))
+        f"{meta} differs from {ref_path} in " + ", ".join(names)
         for meta, cfg in configs.items()
-        if cfg != ref
+        if (names := _config_differences(ref, cfg))
     ]
     if diffs:
         return "runs were produced under different configs: " + "; ".join(diffs)

@@ -21,16 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimation
 from .choice import AssortmentContexts, finite_number
-from .estimation import (
-    History,
-    MleResult,
-    _Evaluation,
-    _log_likelihood,
-    _segment_exp,
-    fit_mle,
-    matrix_V,
-)
+from .estimation import History, MleResult, _log_likelihood, fit_mle, matrix_V
 
 __all__ = [
     "L_CONST",
@@ -154,19 +147,30 @@ def build_confidence_state(
     )
 
 
+def _in_C(
+    thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
+) -> np.ndarray:
+    """Membership in C of every row of (m, d); False outside the parameter ball.
+
+    One likelihood pass gives every row's g(theta) and H(theta), the
+    Hessians as one stacked matmul.
+    """
+    ctx, n_row = history.ctx_flat, history.row_offers[:, None]
+    _, ez, total = estimation._segment_exp(history, ctx @ thetas.T)
+    mu = ez / total[history.seg_ids]  # (n, m): one column per row of thetas
+    dg = (n_row * mu).T @ ctx + cfg.lam * thetas - state.g_at_hat
+    w = n_row * (mu * (1.0 - mu))
+    H = (w.T[:, None, :] * ctx.T) @ ctx + cfg.lam * np.eye(history.dim)
+    quad = (dg * np.linalg.solve(H, dg[:, :, None])[:, :, 0]).sum(axis=1)
+    in_ball = np.sqrt((thetas * thetas).sum(axis=1)) <= cfg.S * (1.0 + 1e-12)
+    return in_ball & (quad <= state.gamma**2)
+
+
 def in_set_C(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
-    """Membership in the norm-based set; False outside the parameter ball.
-
-    One likelihood pass at ``theta`` gives both g(theta) and H(theta).
-    """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if float(np.linalg.norm(theta)) > cfg.S * (1.0 + 1e-12):
-        return False
-    at = _Evaluation(history, theta, cfg.lam)
-    dg = at.g - state.g_at_hat
-    return float(dg @ np.linalg.solve(at.H, dg)) <= state.gamma**2
+    """Membership in the norm-based set; False outside the parameter ball."""
+    return bool(_in_C(np.asarray(theta, dtype=float).reshape(1, -1), history, cfg, state)[0])
 
 
 def _E_gap(
@@ -261,7 +265,7 @@ def _loss_gradient(thetas: np.ndarray, history: History, lam: float) -> np.ndarr
 
     At a point of E's boundary it is E's outward normal there.
     """
-    _, ez, total = _segment_exp(history, history.ctx_flat @ thetas.T)
+    _, ez, total = estimation._segment_exp(history, history.ctx_flat @ thetas.T)
     mu = ez / total[history.seg_ids]
     resid = history.purchases[:, None] - history.row_offers[:, None] * mu
     return lam * thetas - resid.T @ history.ctx_flat

@@ -90,6 +90,15 @@ def _fmt(x: float) -> str:
 # Smallest value each integer field of ExperimentConfig accepts.
 _INT_MINIMA = dict(d=1, N=1, K=1, T=0, restarts=1, n_dirs=0, refine_top=0)
 
+# Config keys that say which seeds ran and where they were written; runs
+# that differ only in these belong to the same experiment.
+_RUN_SELECTORS = {"seeds", "out_dir"}
+
+
+def _config_differences(a: dict, b: dict) -> list[str]:
+    """Sorted names of the config keys, run selectors aside, where ``a`` and ``b`` differ."""
+    return sorted(k for k in (a.keys() | b.keys()) - _RUN_SELECTORS if a.get(k) != b.get(k))
+
 
 @dataclass
 class ExperimentConfig:
@@ -113,10 +122,7 @@ class ExperimentConfig:
     lambda_override: float | None = None
     restarts: int = 5  # ascent starts: the anchor and the first restarts-1 screening points
     n_dirs: int = 16  # screening boundary points; at least restarts - 1
-    # Assortments refined by ascent after screening.  At most 1, screening
-    # is one static solve per candidate; from 2 on, the leaders are ranked
-    # over every assortment, which enumerates them.
-    refine_top: int = 1
+    refine_top: int = 1  # 1 refines the screening leader by ascent, 0 keeps its value
     track_c_stats: bool = True  # per-round coverage of the norm-based set (covered_C)
     seeds: list[int] = field(default_factory=lambda: [0])
     out_dir: str | None = None
@@ -126,6 +132,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.refine_top > 1:
+            raise ValueError(f"refine_top must be 0 or 1, got {self.refine_top!r}")
         if self.restarts > self.n_dirs + 1:
             raise ValueError(
                 f"restarts must be at most n_dirs + 1 = {self.n_dirs + 1}, got {self.restarts}"
@@ -150,9 +158,7 @@ class ExperimentConfig:
         # then, for a policy that enumerates, the number of assortments.
         self.confidence_config()
         self.instance_config()
-        if self.policy in (PolicyKind.BONUS_UCB, PolicyKind.RANDOM) or (
-            self.policy == PolicyKind.CB_MNL_E and self.refine_top >= 2
-        ):
+        if self.policy in (PolicyKind.BONUS_UCB, PolicyKind.RANDOM):
             assortment_count(self.N, self.K)
 
     @property
@@ -524,13 +530,17 @@ def loglog_slope(curve: np.ndarray) -> float:
 
 
 def summarize_runs(logs: list[RunLog]) -> RunSummary:
-    """Aggregate runs sharing one config: mean/se curves, coverage, tail slope."""
+    """Aggregate runs sharing one config, run selectors aside: mean/se curves,
+    coverage, tail slope."""
     if not logs:
         raise ValueError("no runs to summarize")
     ref = logs[0].cfg.to_dict()
-    for log in logs[1:]:
-        if log.cfg.to_dict() != ref:
-            raise ValueError("runs were produced under different configs")
+    for i, log in enumerate(logs[1:], start=1):
+        if diffs := _config_differences(ref, log.cfg.to_dict()):
+            raise ValueError(
+                f"runs were produced under different configs: run {i} differs from run 0 in "
+                + ", ".join(diffs)
+            )
     curves = np.vstack([log.cum_regret_curve() for log in logs])
     mean, stderr = curve_mean_stderr(curves)
     coverage = sum(log.coverage_all for log in logs) / len(logs)

@@ -5,11 +5,11 @@ size up to K) with the largest expected revenue any candidate parameter in
 the current confidence set gives it.  The max over assortments of the max
 over candidates is the max over candidates of the max over assortments, so
 screening makes one static revenue solve per candidate (``_static_optimum``)
-and enumerates nothing.  Only the bonus baseline, the random baseline and
-refinement of two or more leaders score every assortment, as rows of one
-integer matrix (see ``enumerate_assortments``).  Either way ties go to the
-lexicographically smaller index tuple, a prefix before its extensions, so
-reruns are reproducible.
+and enumerates nothing; at most the leader is then refined by ascent.  Only
+the bonus baseline and the random baseline score every assortment, as rows
+of one integer matrix (see ``enumerate_assortments``).  Either way ties go
+to the lexicographically smaller index tuple, a prefix before its
+extensions, so reruns are reproducible.
 """
 from __future__ import annotations
 
@@ -26,11 +26,12 @@ from .confidence import (
     L_CONST,
     ConfidenceConfig,
     ConfidenceState,
+    _in_C,
     e_boundary_multi,
-    in_set_C,
     max_revenue_over_E,
 )
 from .estimation import History
+from .simulator import sample_ball
 
 __all__ = [
     "PolicyKind",
@@ -133,22 +134,17 @@ def _gather_sum(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _ranked(rows: np.ndarray, values: np.ndarray, top: int) -> np.ndarray:
-    """Indices of the ``top`` best assortments, best first.
+def _best(rows: np.ndarray, values: np.ndarray) -> int:
+    """Index of the best assortment.
 
-    Ranked by (-value, index tuple): exact ties go to the lexicographically
-    smaller tuple, and since the -1 padding sorts before every item, a
-    prefix comes before its extensions as it does for tuples.
+    Exact ties go to the lexicographically smaller index tuple, and since
+    the -1 padding sorts before every item, a prefix comes before its
+    extensions as it does for tuples.
     """
-    top = min(top, len(values))
-    if top <= 0:
-        return np.zeros(0, dtype=np.intp)
-    cut = np.partition(values, len(values) - top)[len(values) - top]
-    cand = np.flatnonzero(values >= cut)
+    cand = np.flatnonzero(values == values.max())
     if len(cand) == 1:
-        return cand
-    order = np.lexsort((*rows[cand].T[::-1], -values[cand]))
-    return cand[order[:top]]
+        return int(cand[0])
+    return int(cand[np.lexsort(rows[cand].T[::-1])[0]])
 
 
 def _attraction(
@@ -168,20 +164,15 @@ def _attraction(
     return ez, ez if prices is None else np.asarray(prices, dtype=float) * ez
 
 
-def _revenues_at_candidates(
-    weights: tuple[np.ndarray, np.ndarray], rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best expected revenue over candidate parameters for every assortment.
+def _revenues(weights: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Expected revenue of every assortment under one parameter.
 
-    ``weights`` are the tables of ``_attraction``; ``rows`` is an
-    assortment matrix in the format of ``enumerate_assortments``.  Returns
-    the best value per assortment and the index of the candidate attaining
-    it (the first among equals).
+    ``weights`` are that parameter's rows of the ``_attraction`` tables,
+    each of shape ``(N,)``; ``rows`` is an assortment matrix in the format
+    of ``enumerate_assortments``.
     """
     ez, pez = weights
-    rev = _gather_sum(pez, rows) / (1.0 + _gather_sum(ez, rows))  # (n_cand, P)
-    which = rev.argmax(axis=0)
-    return rev[which, np.arange(len(rows))], which
+    return _gather_sum(pez, rows) / (1.0 + _gather_sum(ez, rows))
 
 
 def _static_optimum(
@@ -209,7 +200,7 @@ def _static_optimum(
     items has those sets scored exactly, up to ``_NEAR_SETS`` of them.
 
     Returns one row per candidate in the format of ``enumerate_assortments``
-    and its revenue, summed as ``_revenues_at_candidates`` sums it.
+    and its revenue, summed as ``_revenues`` sums it.
     """
     v, pv = weights
     m, N = v.shape
@@ -269,8 +260,8 @@ def _static_optimum(
             local = np.full((len(sets), K), -1, dtype=np.intp)
             for r, chosen in enumerate(sets):
                 local[r, : len(chosen)] = chosen
-            values, _ = _revenues_at_candidates((v[j : j + 1], pv[j : j + 1]), local)
-            best = _ranked(local, values, 1)[0]
+            values = _revenues((v[j], pv[j]), local)
+            best = _best(local, values)
             rows[j], lam[j] = local[best], values[best]
     return rows, lam
 
@@ -289,42 +280,36 @@ def cb_mnl_step(
 ) -> Decision:
     """Optimistic decision over all feasible assortments.
 
-    With ``set_kind="E"`` the assortments are screened against a shared
-    pool of candidates in the convex set: the anchor and the boundary
-    points along ``n_dirs`` seeded directions.  With ``refine_top <= 1``
-    screening is one static solve per candidate: candidate j's optimum
-    attains its value at j, so the leader is the best of those optima and
-    its candidate the first that attains it, as when every assortment is
-    scored against every candidate.  From 2 on, every assortment is
-    scored, so that leaders can be ranked.  The ``refine_top`` best
-    assortments are then refined by the multi-start ascent of
-    ``max_revenue_over_E`` (its default 40 steps; 0 keeps the screening
-    values as they are, a count at least the number of assortments
-    refines every one).  Each ascent starts from the same pool: the
-    anchor, the first ``restarts - 1`` boundary points (so ``restarts``
-    may not exceed ``n_dirs + 1``) and that assortment's screening
-    winner.  Refinement only raises a value, so with ``refine_top <= 1``
-    it never changes the assortment played.
+    Screening makes one static solve per candidate parameter: candidate j's
+    optimum attains its value at j, so the leader is the best of those
+    optima (ties to the smaller index tuple) and its candidate the first
+    that attains it, as when every assortment is scored against every
+    candidate.
+
+    With ``set_kind="E"`` the candidates are the anchor and the boundary
+    points of the convex set along ``n_dirs`` seeded directions.  With
+    ``refine_top=1`` the leader is then refined by the multi-start ascent
+    of ``max_revenue_over_E`` (its default 40 steps) from the anchor, the
+    first ``restarts - 1`` boundary points (so ``restarts`` may not exceed
+    ``n_dirs + 1``) and the leader's own candidate; ``refine_top=0`` keeps
+    the screening value.  Refinement only raises the leader's value, so it
+    never changes the assortment played.
 
     With ``set_kind="C"`` the non-convex set is handled by rejection
-    sampling 512 candidates from an ellipsoid around the MLE and
-    keeping the members, each solved statically; ascent is unreliable
-    there.
+    sampling: 512 uniform draws from an ellipsoid around the MLE are tested
+    in one batched membership pass, and the members join the anchor as
+    candidates.  Ascent is unreliable there, so nothing is refined.
     """
+    if isinstance(refine_top, bool) or refine_top not in (0, 1):
+        raise ValueError(f"refine_top must be 0 or 1, got {refine_top!r}")
     if rng is None:
         rng = np.random.default_rng(0)
 
     if set_kind == "C":
-        cands = [state.anchor]
         radius = 2.0 * (1.0 + 2.0 * cfg.S) * state.gamma
         chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
-        for _ in range(_SET_C_DRAWS):
-            z = rng.standard_normal(history.dim)
-            z *= radius * rng.random() ** (1.0 / history.dim) / float(np.linalg.norm(z))
-            cand = state.theta_hat + chol @ z
-            if in_set_C(cand, history, cfg, state):
-                cands.append(cand)
-        thetas = np.vstack(cands)
+        draws = state.theta_hat + sample_ball(rng, _SET_C_DRAWS, history.dim, radius) @ chol.T
+        thetas = np.vstack([state.anchor[None, :], draws[_in_C(draws, history, cfg, state)]])
     elif set_kind == "E":
         if not 1 <= restarts <= n_dirs + 1:
             raise ValueError(f"restarts must be in [1, n_dirs + 1 = {n_dirs + 1}], got {restarts}")
@@ -334,36 +319,18 @@ def cb_mnl_step(
     else:
         raise ValueError(f"unknown set kind {set_kind!r}")
 
-    weights = _attraction(pool, prices, thetas)
-    if set_kind == "E" and refine_top >= 2:
-        # Ranking several leaders needs every assortment's screening value.
-        rows = enumerate_assortments(len(pool), cfg.K)
-        values, which = _revenues_at_candidates(weights, rows)
-    else:
-        # The max over assortments of the max over candidates is the max
-        # over candidates of one static solve each.
-        rows, values = _static_optimum(weights, prices, cfg.K)
-        which = np.arange(len(rows))
-    if set_kind == "E":
-        # Refine the leaders; a refined parameter joins the candidates.
-        for p in _ranked(rows, values, refine_top):
-            val, th = max_revenue_over_E(
-                AssortmentContexts.from_pool(pool, _as_tuple(rows[p]), prices),
-                history,
-                cfg,
-                state,
-                np.vstack([thetas[:restarts], thetas[which[p]]]),
-            )
-            if val > values[p]:
-                values[p] = val
-                which[p] = len(thetas)
-                thetas = np.vstack([thetas, th])
-    best = _ranked(rows, values, 1)[0]
-    return Decision(
-        AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices),
-        thetas[which[best]],
-        float(values[best]),
-    )
+    # The max over assortments of the max over candidates is the max over
+    # candidates of one static solve each.
+    rows, values = _static_optimum(_attraction(pool, prices, thetas), prices, cfg.K)
+    best = _best(rows, values)
+    assortment = AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices)
+    value, theta = float(values[best]), thetas[best]
+    if set_kind == "E" and refine_top:
+        starts = np.vstack([thetas[:restarts], theta])
+        refined, at = max_revenue_over_E(assortment, history, cfg, state, starts)
+        if refined > value:
+            value, theta = refined, at
+    return Decision(assortment, theta, value)
 
 
 def bonus_ucb_step(
@@ -389,9 +356,9 @@ def bonus_ucb_step(
     item_bonus = c1 * h_norms + c2 * v_norms_sq
 
     rows = enumerate_assortments(len(pool), cfg.K)
-    base, _ = _revenues_at_candidates(_attraction(pool, prices, state.theta_hat), rows)
-    values = base + _gather_sum(item_bonus, rows)
-    best = _ranked(rows, values, 1)[0]
+    ez, pez = _attraction(pool, prices, state.theta_hat)
+    values = _revenues((ez[0], pez[0]), rows) + _gather_sum(item_bonus, rows)
+    best = _best(rows, values)
     return Decision(
         AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices),
         state.theta_hat.copy(),

@@ -96,9 +96,10 @@ class TestRunCommand:
             (None, "No such file"),
             ('{"d": 2, "N": 30, "K": 10, "T": 1, "policy": "random"}',
              "N=30 and K=10 give 53009101 assortments"),
+            ('{"T": 1, "refine_top": 2}', "refine_top must be 0 or 1, got 2"),
         ],
         ids=["bad-field", "nan-price", "removed-field", "not-json", "not-object", "missing",
-             "over-enumeration-guard"],
+             "over-enumeration-guard", "refine-top-2"],
     )
     def test_bad_config_file_fails_before_running(self, tmp_path, capsys, text, problem):
         path = tmp_path / "cfg.json"
@@ -123,8 +124,8 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_runs_a_config_past_the_enumeration_guard(self, tmp_path):
-        # cb_mnl_e with refine_top <= 1 solves the static problem per
-        # candidate, so 53009101 assortments never get enumerated.
+        # cb_mnl_e solves the static problem per candidate, so 53009101
+        # assortments never get enumerated.
         path = tmp_path / "cfg.json"
         path.write_text('{"d": 2, "N": 30, "K": 10, "T": 1}')
         out = tmp_path / "runs"

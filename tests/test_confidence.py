@@ -7,6 +7,7 @@ import pytest
 from mnl_bandit.choice import AssortmentContexts, expected_revenue, revenue_gradient
 from mnl_bandit.confidence import (
     ConfidenceConfig,
+    _in_C,
     _in_E,
     beta_radius,
     build_confidence_state,
@@ -150,6 +151,53 @@ class TestSetMembership:
             outside = np.array([radius + 1e-6, 0.0])
             assert in_set_E(inside, hist, cfg, state)
             assert not in_set_E(outside, hist, cfg, state)
+
+
+def norm_set_reference(theta, hist, cfg, state):
+    """theta in C, one round at a time, and ||g(theta) - g(theta_hat)||^2 in H(theta)^-1."""
+    g, H = cfg.lam * theta, cfg.lam * np.eye(hist.dim)
+    for ass, _ in hist.rounds:
+        x = ass.contexts
+        ez = np.exp(x @ theta)
+        mu = ez / (1.0 + ez.sum())
+        g = g + mu @ x
+        H = H + sum(m * (1.0 - m) * np.outer(row, row) for m, row in zip(mu, x))
+    dg = g - state.g_at_hat
+    quad = float(dg @ np.linalg.solve(H, dg))
+    in_ball = np.linalg.norm(theta) <= cfg.S * (1.0 + 1e-12)
+    return bool(in_ball and quad <= state.gamma**2), quad
+
+
+class TestNormSetBatch:
+    def test_matches_per_row_reference(self):
+        # Repeated offers of one pool plus fresh blocks, so the count-compressed
+        # history weighs its blocks; draws from an ellipsoid around the MLE
+        # wide enough to leave C and the ball.
+        rng = np.random.default_rng(34)
+        seen = set()
+        for d, S in ((1, 5.0), (2, 1.5), (3, 5.0)):
+            cfg = ConfidenceConfig(d=d, K=3, delta=0.1, lam=2.0, S=S)
+            pool = sample_ball(rng, 5, d)
+            hist = History(d)
+            for _ in range(40):
+                ass = AssortmentContexts.from_pool(pool, random_assortment(5, 3, rng))
+                hist.append(ass, int(rng.integers(0, ass.cardinality + 1)))
+            for _ in range(5):
+                hist.append(make_assortment(sample_ball(rng, 2, d)), int(rng.integers(0, 3)))
+            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
+            radius = 3.0 * state.gamma
+            thetas = state.theta_hat + sample_ball(rng, 300, d, radius) @ chol.T
+            got = _in_C(thetas, hist, cfg, state)
+            for theta, member in zip(thetas, got):
+                expected, quad = norm_set_reference(theta, hist, cfg, state)
+                # No draw sits within rounding of C's boundary.
+                assert abs(quad - state.gamma**2) > 1e-9 * state.gamma**2
+                assert member == expected
+                assert in_set_C(theta, hist, cfg, state) == expected
+                in_ball = np.linalg.norm(theta) <= cfg.S
+                seen.add("inside" if expected else "outside C" if in_ball else "outside ball")
+        assert seen == {"inside", "outside C", "outside ball"}
 
 
 class TestDeviationBounds:

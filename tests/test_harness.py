@@ -63,8 +63,8 @@ class TestRunExperiment:
         assert run.total_regret == pytest.approx(cum, abs=1e-9)
 
     def test_regret_bounded_by_prediction_error_when_covered(self):
-        # refine_top=6 refines every assortment of N=3, K=2.
-        run = run_experiment(small_cfg(T=120, refine_top=6, restarts=3), seed=3)
+        # refine_top=1 refines the leader by ascent.
+        run = run_experiment(small_cfg(T=120, refine_top=1, restarts=3), seed=3)
         for r in run.records:
             if r.covered:
                 # Optimism holds up to the precision of the non-concave
@@ -240,6 +240,16 @@ class TestSummarize:
         with pytest.raises(ValueError, match="configs"):
             summarize_runs([l1, l2])
 
+    def test_runs_differing_only_in_seeds_share_a_config(self):
+        # As for `mnl-bandit summarize`: seeds and out_dir select runs of one experiment.
+        logs = run_many(small_cfg(T=10, seeds=[0])) + run_many(
+            small_cfg(T=10, seeds=[1, 2], out_dir="elsewhere")
+        )
+        assert summarize_runs(logs).n_runs == 3
+        other = run_experiment(small_cfg(T=10, n_dirs=7), seed=0)
+        with pytest.raises(ValueError, match="run 3 differs from run 0 in n_dirs$"):
+            summarize_runs(logs + [other])
+
     def test_loglog_slope_on_power_law(self):
         t = np.arange(1, 1001, dtype=float)
         assert loglog_slope(np.sqrt(t)) == pytest.approx(0.5, abs=1e-6)
@@ -398,12 +408,19 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"policy": "bonus_ucb"}, {"policy": "random"}, {"policy": "cb_mnl_e", "refine_top": 2}],
-        ids=["bonus_ucb", "random", "cb_mnl_e-refine_top-2"],
+        [{"policy": "bonus_ucb"}, {"policy": "random"}],
+        ids=["bonus_ucb", "random"],
     )
     def test_enumerating_configs_keep_the_guard(self, kw):
         with pytest.raises(ValueError, match="N=30 and K=10 give 53009101 assortments"):
             small_cfg(N=30, K=10, T=1, **kw)
+
+    def test_rejects_refining_more_than_the_leader(self):
+        # Refinement ranks no leaders, so 2 is out of range, past the
+        # enumeration guard or not.
+        for kw in ({}, {"N": 30, "K": 10, "T": 1}):
+            with pytest.raises(ValueError, match="refine_top must be 0 or 1, got 2"):
+                small_cfg(refine_top=2, **kw)
 
     def test_rejects_more_restarts_than_candidates(self):
         # The ascent starts from the anchor and restarts-1 of the n_dirs=6 screening points.
@@ -411,6 +428,6 @@ class TestConfig:
             small_cfg(restarts=8)
 
     def test_accepts_edge_search_settings(self):
-        for kw in ({"refine_top": 6}, {"refine_top": 0}, {"n_dirs": 0}, {"restarts": 1}):
+        for kw in ({"refine_top": 1}, {"refine_top": 0}, {"n_dirs": 0}, {"restarts": 1}):
             run = run_experiment(small_cfg(T=3, **kw), seed=0)
             assert len(run.records) == 3

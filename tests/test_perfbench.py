@@ -42,14 +42,12 @@ def traced_assortments(**cfg) -> int:
     return tracer.policy_assortments
 
 
-@pytest.mark.parametrize("policy", ["cb_mnl_e", "random"])
+@pytest.mark.parametrize("policy", ["random"])
 def test_tracer_counts_assortments_per_round(policy):
     # The tracer reads the return value of `policy.enumerate_assortments`;
     # this fails if a change to that value breaks the count it reports.
-    # refine_top=2 ranks leaders over every assortment, the one cb_mnl_e
-    # path that still enumerates.
     N, K, T = 5, 3, 4
-    count = traced_assortments(N=N, K=K, T=T, policy=policy, refine_top=2)
+    count = traced_assortments(N=N, K=K, T=T, policy=policy)
     assert count / T == sum(math.comb(N, k) for k in range(1, K + 1))
 
 

@@ -21,8 +21,8 @@ from mnl_bandit.policy import (
     ConfigurationError,
     _as_tuple,
     _attraction,
-    _ranked,
-    _revenues_at_candidates,
+    _best,
+    _revenues,
     bonus_ucb_step,
     cb_mnl_step,
     enumerate_assortments,
@@ -79,11 +79,10 @@ class TestRanking:
         # (0, 1) < (1,) as tuples, although (1,) comes first in row order.
         rows = enumerate_assortments(2, 2)  # (0,), (1,), (0, 1)
         values = np.array([0.1, 0.5, 0.5])
-        assert _as_tuple(rows[_ranked(rows, values, 1)[0]]) == (0, 1)
-        assert as_tuples(rows[_ranked(rows, values, 3)]) == [(0, 1), (1,), (0,)]
+        assert _as_tuple(rows[_best(rows, values)]) == (0, 1)
         # A prefix wins a tie with its extension, as it does for tuples.
         values = np.array([0.5, 0.1, 0.5])
-        assert as_tuples(rows[_ranked(rows, values, 2)]) == [(0,), (0, 1)]
+        assert _as_tuple(rows[_best(rows, values)]) == (0,)
 
     def test_matches_tuple_sort_on_random_ties(self):
         rng = np.random.default_rng(40)
@@ -91,10 +90,9 @@ class TestRanking:
             N = int(rng.integers(1, 7))
             rows = enumerate_assortments(N, int(rng.integers(1, N + 1)))
             values = rng.integers(0, 3, len(rows)) / 2.0  # many exact ties
-            top = int(rng.integers(0, len(rows) + 2))
             tuples = as_tuples(rows)
-            order = sorted(range(len(rows)), key=lambda p: (-values[p], tuples[p]))
-            assert as_tuples(rows[_ranked(rows, values, top)]) == [tuples[p] for p in order[:top]]
+            first = min(range(len(rows)), key=lambda p: (-values[p], tuples[p]))
+            assert tuples[_best(rows, values)] == tuples[first]
 
 
 class TestOracle:
@@ -159,8 +157,7 @@ class TestCbMnlStep:
         pool = sample_ball(self.rng, 4, 2)
         hist, _ = self._burn_in(pool, 12)
         state = self._state(hist)
-        refine_all = len(enumerate_assortments(len(pool), self.cfg.K))
-        for refine_top in (refine_all, 1, 0):
+        for refine_top in (1, 0):
             decision = cb_mnl_step(pool, hist, self.cfg, state,
                                    rng=np.random.default_rng(4),
                                    refine_top=refine_top, n_dirs=6, restarts=2)
@@ -176,9 +173,8 @@ class TestCbMnlStep:
             pytest.skip("reference parameter not covered in this draw")
         best = oracle_assortment(pool, theta_star, 2)
         truth = expected_revenue(AssortmentContexts.from_pool(pool, best), theta_star)
-        refine_all = len(enumerate_assortments(len(pool), self.cfg.K))
         decision = cb_mnl_step(pool, hist, self.cfg, state,
-                               rng=np.random.default_rng(7), refine_top=refine_all, restarts=4)
+                               rng=np.random.default_rng(7), refine_top=1, restarts=4)
         assert decision.optimistic_value >= truth - 1e-9
 
     def test_deterministic_given_seed(self):
@@ -229,6 +225,12 @@ class TestCbMnlStep:
         got = expected_revenue(decision.assortment, decision.theta_used)
         assert decision.optimistic_value == pytest.approx(got, abs=1e-9)
         assert in_set_C(decision.theta_used, hist, self.cfg, state)
+
+    @pytest.mark.parametrize("refine_top", [2, -1, True])
+    def test_refines_at_most_the_leader(self, refine_top):
+        hist = History(2)
+        with pytest.raises(ValueError, match="refine_top"):
+            cb_mnl_step(np.eye(2), hist, self.cfg, self._state(hist), refine_top=refine_top)
 
     def test_unknown_set_kind(self):
         hist = History(2)
@@ -351,29 +353,32 @@ class TestRandomAssortment:
 def enumerated_oracle(pool, theta, K, prices=None):
     """The oracle by brute force: every assortment scored, ties to the smaller tuple."""
     rows = enumerate_assortments(len(pool), K)
-    values, _ = _revenues_at_candidates(_attraction(pool, prices, theta), rows)
-    return _as_tuple(rows[_ranked(rows, values, 1)[0]])
+    ez, pez = _attraction(pool, prices, theta)
+    return _as_tuple(rows[_best(rows, _revenues((ez[0], pez[0]), rows))])
 
 
 def enumerated_decision(pool, history, cfg, state, thetas, set_kind, prices, restarts, refine_top):
-    """The optimistic step's enumeration path, given its candidates.
+    """The optimistic step by brute force, given its candidates.
 
-    Every assortment is scored against every candidate; the ``refine_top``
-    leaders are refined by ascent as ``cb_mnl_step`` refines them.
+    Every assortment is scored against every candidate and keeps its best
+    value and the first candidate attaining it; the leader is refined by
+    ascent as ``cb_mnl_step`` refines it.
     """
     rows = enumerate_assortments(len(pool), cfg.K)
-    values, which = _revenues_at_candidates(_attraction(pool, prices, thetas), rows)
-    if set_kind == "E":
-        for p in _ranked(rows, values, refine_top):
-            val, th = max_revenue_over_E(
-                AssortmentContexts.from_pool(pool, _as_tuple(rows[p]), prices),
-                history, cfg, state, np.vstack([thetas[:restarts], thetas[which[p]]]),
-            )
-            if val > values[p]:
-                values[p], which[p] = val, len(thetas)
-                thetas = np.vstack([thetas, th])
-    best = _ranked(rows, values, 1)[0]
-    return _as_tuple(rows[best]), float(values[best]), thetas[which[best]]
+    ez, pez = _attraction(pool, prices, thetas)
+    rev = np.array([_revenues((ez[j], pez[j]), rows) for j in range(len(thetas))])
+    which = rev.argmax(axis=0)
+    values = rev[which, np.arange(len(rows))]
+    best = _best(rows, values)
+    value, theta = float(values[best]), thetas[which[best]]
+    if set_kind == "E" and refine_top:
+        val, th = max_revenue_over_E(
+            AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices),
+            history, cfg, state, np.vstack([thetas[:restarts], theta]),
+        )
+        if val > value:
+            value, theta = val, th
+    return _as_tuple(rows[best]), value, theta
 
 
 def draw_prices(rng, N):
