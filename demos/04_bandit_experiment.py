@@ -26,9 +26,9 @@ print("\nrun diagnostics (seed 0):")
 print("  kappa estimate:", round(run.kappa_hat, 3))
 print(f"  final radii: gamma={last.gamma:.3f} beta={last.beta:.3f}")
 print(f"  deviation {last.dev_H:.3f} <= bound {last.dev_bound:.3f}")
-rep = elliptical_potential_check(run)
-print(f"  potential {rep.potential_lhs:.3f} <= {rep.potential_rhs:.3f}")
-print(f"  det(V) {rep.det_trace_lhs:.3f} <= {rep.det_trace_rhs:.3f}")
+pot_lhs, pot_rhs, det_lhs, det_rhs = elliptical_potential_check(run)
+print(f"  potential {pot_lhs:.3f} <= {pot_rhs:.3f}")
+print(f"  det(V) {det_lhs:.3f} <= {det_rhs:.3f}")
 
 np.set_printoptions(suppress=True)
 print("\nfirst CSV rows:")

@@ -275,9 +275,9 @@ def elliptical_potential(logs: list[RunLog]) -> CheckResult:
     worst_pot = math.inf
     worst_det = math.inf
     for run in logs:
-        rep = elliptical_potential_check(run)
-        worst_pot = min(worst_pot, rep.potential_rhs - rep.potential_lhs)
-        worst_det = min(worst_det, rep.det_trace_rhs - rep.det_trace_lhs)
+        pot_lhs, pot_rhs, det_lhs, det_rhs = elliptical_potential_check(run)
+        worst_pot = min(worst_pot, pot_rhs - pot_lhs)
+        worst_det = min(worst_det, det_rhs - det_lhs)
     n = len(logs)
     return CheckResult(
         "elliptical potential and determinant-trace",

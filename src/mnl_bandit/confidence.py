@@ -23,7 +23,7 @@ import numpy as np
 
 from . import estimation
 from .choice import AssortmentContexts, finite_number
-from .estimation import History, MleResult, _log_likelihood, fit_mle, matrix_V
+from .estimation import History, MleResult, _log_likelihood, fit_mle
 
 __all__ = [
     "L_CONST",
@@ -90,7 +90,7 @@ def beta_radius(gamma: float, lam: float) -> float:
 
 @dataclass
 class ConfidenceState:
-    """Per-round snapshot: MLE, radii, V, and the likelihood quantities at theta_hat.
+    """Per-round snapshot: MLE, radii, and the likelihood quantities at theta_hat.
 
     ``loss_at_hat``, ``g_at_hat`` and ``H_hat`` read the fit's own
     evaluation at theta_hat (``mle.evaluation``), each derived on first
@@ -101,8 +101,6 @@ class ConfidenceState:
     theta_hat: np.ndarray
     gamma: float
     beta: float
-    V: np.ndarray
-    t: int
     mle: MleResult
     anchor: np.ndarray  # feasible base point for projections: theta_hat pulled into Theta
 
@@ -136,15 +134,7 @@ def build_confidence_state(
         # The ridge keeps theta_hat near Theta, but nothing forces it inside;
         # projections need a base point that is feasible.
         anchor = theta_hat * (cfg.S / norm)
-    return ConfidenceState(
-        theta_hat=theta_hat,
-        gamma=gamma,
-        beta=beta,
-        V=matrix_V(history, cfg.lam),
-        t=t,
-        mle=mle,
-        anchor=anchor,
-    )
+    return ConfidenceState(theta_hat=theta_hat, gamma=gamma, beta=beta, mle=mle, anchor=anchor)
 
 
 def _in_C(
@@ -203,7 +193,7 @@ def in_set_E(
     return bool(_in_E(np.asarray(theta, dtype=float).reshape(-1), history, cfg, state))
 
 
-_BOUNDARY_BISECT = 5  # bisection steps per ray in e_boundary_multi
+_BOUNDARY_BISECT = 5  # most bisection steps per ray in e_boundary_multi
 _PULL_BISECT = 20  # the pull-back brackets E's boundary to 2**-_PULL_BISECT of the chord
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
 
@@ -229,6 +219,12 @@ def e_boundary_multi(
     initial radius guess, which a short verified bracket
     search corrects; every returned point passes the true feasibility test.
     All rays are probed together, one likelihood pass per probe round.
+    A ray's bracket aims at 1e-3 of the ray (the anchor's distance to the
+    sphere) but stops after ``_BOUNDARY_BISECT`` = 5 bisections whatever its
+    width: on the regret config (d=2, N=8, K=2, T=3000, lambda=40, seed 0),
+    18,941 of 24,000 rays end more than 1e-3 of the ray inside their exit
+    from E intersect Theta, those by 0.65% of the ray at the median and 3.1%
+    at most (against a 50-step bisection).
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     norms = np.linalg.norm(dirs, axis=1)

@@ -33,7 +33,7 @@ damped Newton iteration.
 Design matrices:
 
     H(theta) = sum_rows n mu_i(1-mu_i) x x^T + lambda I   (curvature-weighted)
-    V        = sum_rounds sum_i x x^T + lambda I         (unweighted)
+    V        = sum_rows n x x^T + lambda I                (unweighted)
     G(th1, th2) = sum_rows n alpha_i x x^T + lambda I
 
 where alpha_i is the per-item difference quotient
@@ -96,7 +96,6 @@ class History:
         self.purchases = np.empty(0)
         self.starts = np.empty(0, dtype=np.int64)
         self.offers = np.empty(0)
-        self._vsum = np.zeros((self.dim, self.dim))
 
     @property
     def t(self) -> int:
@@ -117,7 +116,6 @@ class History:
         if k == 0:
             return
         ctx = assortment.contexts
-        self._vsum += ctx.T @ ctx
         g = self._blocks.setdefault(ctx.tobytes(), self.n_blocks)
         if g == self.n_blocks:  # first offer of this block
             self.starts = np.append(self.starts, self.n_items)
@@ -142,9 +140,6 @@ class History:
     @property
     def n_blocks(self) -> int:
         return self.offers.shape[0]
-
-    def context_sum_matrix(self) -> np.ndarray:
-        return self._vsum.copy()
 
 
 def _check_theta(history: History, theta: np.ndarray) -> np.ndarray:
@@ -262,8 +257,8 @@ def matrix_H(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
 
 
 def matrix_V(history: History, lam: float) -> np.ndarray:
-    """Unweighted design matrix sum x x^T + lam I."""
-    return history.context_sum_matrix() + lam * np.eye(history.dim)
+    """Unweighted design matrix sum x x^T + lam I, over every offered row."""
+    return _gram(history.ctx_flat, history.row_offers, lam)
 
 
 def matrix_G(

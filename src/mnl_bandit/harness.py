@@ -65,7 +65,6 @@ __all__ = [
     "ExperimentConfig",
     "RoundRecord",
     "RunLog",
-    "EllipticalReport",
     "RunSummary",
     "run_experiment",
     "run_many",
@@ -191,15 +190,6 @@ class ExperimentConfig:
             raise ValueError(f"{', '.join(unknown)} is not a config field")
         return cls(**data)
 
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
 
 @dataclass
 class RoundRecord:
@@ -220,14 +210,6 @@ class RoundRecord:
     # and theta_used on the played assortment, except under bonus_ucb, whose
     # value includes its bonus (not in the CSV).
     pred_error: float = 0.0
-
-
-@dataclass
-class EllipticalReport:
-    potential_lhs: float
-    potential_rhs: float
-    det_trace_lhs: float
-    det_trace_rhs: float
 
 
 @dataclass
@@ -357,7 +339,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     j_sum = np.zeros((cfg.d, cfg.d))
     eye = np.eye(cfg.d)
 
-    oracle_cache: tuple[tuple[int, ...], float] | None = None
+    pool_oracle_value: float | None = None  # a fixed pool's oracle value, solved once
     bound_factor = 2.0 * (1.0 + 2.0 * cfg.S)
 
     for t in range(1, cfg.T + 1):
@@ -382,15 +364,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         if kind is PolicyKind.ORACLE:
             # The decision is this pool's oracle solve and its value at theta_star.
             oracle_value = decision.optimistic_value
-        elif cfg.context_mode == FIXED_POOL and oracle_cache is not None:
-            _, oracle_value = oracle_cache
+        elif pool_oracle_value is not None:
+            oracle_value = pool_oracle_value
         else:
             best_a = oracle_assortment(pool, theta_star, instance.K, instance.prices)
             oracle_value = expected_revenue(
                 AssortmentContexts.from_pool(pool, best_a, instance.prices), theta_star
             )
             if cfg.context_mode == FIXED_POOL:
-                oracle_cache = (best_a, oracle_value)
+                pool_oracle_value = oracle_value
 
         mu = dist.item_probs
         played_value = float(mu @ decision.assortment.prices)
@@ -469,18 +451,19 @@ def run_many(cfg: ExperimentConfig, seeds=None, jobs: int = 1) -> list[RunLog]:
         return list(pool.map(_run_one, [(cfg.to_dict(), s) for s in seeds]))
 
 
-def elliptical_potential_check(run: RunLog, history: History | None = None) -> EllipticalReport:
-    """Verify the potential and determinant-trace inequalities on a finished run.
+def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]:
+    """Both sides of the potential and determinant-trace inequalities on a finished run.
 
     With J_t = H_t(theta_star) built from the rounds actually played,
 
         sum_t min(sum_i ||sqrt(w_i) x_i||^2_{J_t^-1}, 1) <= 2 log(det J_{T+1} / lam^d)
-        det(V_{T+1}) <= (lam + T K / d)^d.
+        det(V_{T+1}) <= (lam + T K / d)^d,
+
+    returned as (potential_lhs, potential_rhs, det_trace_lhs, det_trace_rhs).
     """
+    history = run.history
     if history is None:
-        history = run.history
-    if history is None:
-        raise ValueError("run carries no history; pass one explicitly")
+        raise ValueError("run carries no history")
     d = history.dim
     lam = run.lam
     theta_star = run.theta_star
@@ -502,7 +485,7 @@ def elliptical_potential_check(run: RunLog, history: History | None = None) -> E
     n_rounds = sum(1 for a, _ in history.rounds if a.cardinality)
     k_max = max((a.cardinality for a, _ in history.rounds), default=0)
     dt_rhs = (lam + n_rounds * k_max / d) ** d
-    return EllipticalReport(lhs, rhs, det_v, dt_rhs)
+    return lhs, rhs, det_v, dt_rhs
 
 
 @dataclass

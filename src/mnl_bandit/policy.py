@@ -30,7 +30,7 @@ from .confidence import (
     e_boundary_multi,
     max_revenue_over_E,
 )
-from .estimation import History
+from .estimation import History, matrix_V
 from .simulator import sample_ball
 
 __all__ = [
@@ -350,7 +350,7 @@ def bonus_ucb_step(
     """
     pool = np.asarray(pool, dtype=float)
     h_norms = np.sqrt(np.einsum("nd,nd->n", pool, np.linalg.solve(state.H_hat, pool.T).T))
-    v_norms_sq = np.einsum("nd,nd->n", pool, np.linalg.solve(state.V, pool.T).T)
+    v_norms_sq = np.einsum("nd,nd->n", pool, np.linalg.solve(matrix_V(history, cfg.lam), pool.T).T)
     c1 = (2.0 + 4.0 * cfg.S) * state.gamma
     c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * L_CONST * state.gamma**2
     item_bonus = c1 * h_norms + c2 * v_norms_sq

@@ -359,10 +359,10 @@ def mixed_history(rng, d=2, rounds=300):
 
 
 def per_round_reference(hist, theta, lam):
-    """Likelihood quantities summed one round at a time from ``hist.rounds``."""
+    """Likelihood quantities and V summed one round at a time from ``hist.rounds``."""
     eye = np.eye(hist.dim)
     ll, s, g, r = -0.5 * lam * float(theta @ theta), -lam * theta, lam * theta, 0.0 * theta
-    h, hess = lam * eye, lam * eye
+    h, hess, v = lam * eye, lam * eye, lam * eye
     for ass, y in hist.rounds:
         if not ass.cardinality:
             continue
@@ -377,7 +377,8 @@ def per_round_reference(hist, theta, lam):
         h = h + x.T @ ((mu * (1.0 - mu))[:, None] * x)
         m = mu @ x
         hess = hess + x.T @ (mu[:, None] * x) - np.outer(m, m)
-    return dict(ll=ll, score=s, g=g, reward=r, H=h, hess=hess)
+        v = v + x.T @ x
+    return dict(ll=ll, score=s, g=g, reward=r, H=h, hess=hess, V=v)
 
 
 def per_round_G(hist, th1, th2, lam):
@@ -423,6 +424,7 @@ class TestCompressedHistoryAgainstPerRoundReference:
             assert_rel(hist.purchases @ hist.ctx_flat, ref["reward"])
             assert_rel(matrix_H(hist, theta, self.LAM), ref["H"])
             assert_rel(_nll_hessian(hist, theta, self.LAM), ref["hess"])
+            assert_rel(matrix_V(hist, self.LAM), ref["V"])
         th1, th2 = sample_ball(rng, 2, 2, radius=2.0)
         assert_rel(matrix_G(hist, th1, th2, self.LAM), per_round_G(hist, th1, th2, self.LAM))
 

@@ -1,21 +1,28 @@
-"""The benchmark's tracer still finds every function it wraps."""
+"""The benchmark's tracer still finds every function it wraps, and its workloads still build."""
 import importlib
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from mnl_bandit.harness import ExperimentConfig, run_experiment
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """``perfbench/<name>.py``, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
 
 
 def test_traced_names_resolve():
@@ -29,6 +36,16 @@ def test_traced_names_resolve():
             if obj is None:
                 pytest.fail(f"perfbench traces mnl_bandit.{module}.{attr}, which does not exist")
         assert callable(obj), f"mnl_bandit.{module}.{attr} is not callable"
+
+
+def test_workload_configs_build():
+    # A config field the benchmark sets but the program no longer accepts
+    # must fail here, not as `run` exiting 2 inside a benchmark run.
+    for name, workload in load_perfbench("workloads").WORKLOADS.items():
+        try:
+            ExperimentConfig.from_dict(workload.config)
+        except ValueError as exc:
+            pytest.fail(f"perfbench workload {name}: {exc}")
 
 
 def traced_assortments(**cfg) -> int:

@@ -326,10 +326,11 @@ class TestScorerAgainstReference:
             kappa_hat = float(rng.uniform(1.0, 10.0))
             c1 = (2.0 + 4.0 * cfg.S) * state.gamma
             c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * L_CONST * state.gamma**2
+            v = matrix_V(hist, cfg.lam)
             expected = {
                 a: rev
                 + c1 * sum(np.sqrt(pool[i] @ np.linalg.solve(state.H_hat, pool[i])) for i in a)
-                + c2 * sum(pool[i] @ np.linalg.solve(state.V, pool[i]) for i in a)
+                + c2 * sum(pool[i] @ np.linalg.solve(v, pool[i]) for i in a)
                 for a, rev in reference_revenues(pool, prices, cfg.K, state.theta_hat).items()
             }
             decision = bonus_ucb_step(pool, hist, cfg, state, kappa_hat=kappa_hat, prices=prices)
