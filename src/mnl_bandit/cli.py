@@ -117,12 +117,27 @@ def cmd_check(args) -> int:
 
 
 def _read_curve(path: str) -> np.ndarray:
+    """The ``cum_regret`` column of a run CSV; ValueError naming the file if it is not one."""
+    col = CSV_HEADER.split(",").index("cum_regret")
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path} does not look like a run CSV")
-        col = CSV_HEADER.split(",").index("cum_regret")
-        return np.array([float(line.split(",")[col]) for line in fh if line.strip()])
+        try:
+            if fh.readline().strip() == CSV_HEADER:
+                return np.array([float(line.split(",")[col]) for line in fh if line.strip()])
+        except (IndexError, ValueError):  # a short row, a non-number, or bytes that are not text
+            pass
+    raise ValueError(f"{path} does not look like a run CSV")
+
+
+def _run_config(meta: str) -> dict:
+    """The ``config`` object of a run's metadata JSON; ValueError naming the file otherwise."""
+    with open(meta) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{meta} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
+        raise ValueError(f"{meta} holds no run config")
+    return data["config"]
 
 
 def _mismatch(paths: list[str], curves: list[np.ndarray]) -> str | None:
@@ -134,8 +149,7 @@ def _mismatch(paths: list[str], curves: list[np.ndarray]) -> str | None:
     for p in paths:
         meta = os.path.splitext(p)[0] + ".json"
         if os.path.exists(meta):
-            with open(meta) as fh:
-                configs[meta] = json.load(fh)["config"]
+            configs[meta] = _run_config(meta)
     if not configs:
         return None
     ref_path, ref = next(iter(configs.items()))
@@ -154,8 +168,11 @@ def cmd_summarize(args) -> int:
     if not paths:
         print(f"no run CSVs under {args.runs_dir}", file=sys.stderr)
         return 1
-    curves = [_read_curve(p) for p in paths]
-    problem = _mismatch(paths, curves)
+    try:
+        curves = [_read_curve(p) for p in paths]
+        problem = _mismatch(paths, curves)
+    except (OSError, ValueError) as exc:
+        problem = str(exc)
     if problem:
         print(problem, file=sys.stderr)
         return 1
@@ -179,11 +196,19 @@ def cmd_summarize(args) -> int:
 
 def cmd_instance(args) -> int:
     if args.inspect:
-        inst = Instance.load(args.inspect)
+        try:
+            inst = Instance.load(args.inspect)
+        except (KeyError, OSError, TypeError, ValueError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            print(f"mnl-bandit: invalid instance file {args.inspect}: {detail}", file=sys.stderr)
+            return 2
         data = inst.to_dict()
         data["theta_star_norm"] = float(np.linalg.norm(inst.theta_star))
         print(json.dumps(data, indent=2))
         return 0
+    if args.seed < 0:
+        print(f"mnl-bandit: invalid --seed: must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     cfg = _load_config(args)
     inst = make_instance(cfg.instance_config(), args.seed)
     if args.out:

@@ -12,7 +12,9 @@ E contains C, so any coverage guarantee for C transfers to E, and E is the
 set the decision step optimizes over.  The inner revenue maximization over
 E is NOT a concave problem; ``max_revenue_over_E`` is a multi-start
 projected-ascent heuristic whose result is always a feasible point, never
-an upper bound.
+an upper bound.  It projects each step onto Theta and refuses a step that
+leaves E, so where E binds a start stops short of E's boundary instead of
+sliding along it.
 """
 from __future__ import annotations
 
@@ -163,27 +165,20 @@ def in_set_C(
     return bool(_in_C(np.asarray(theta, dtype=float).reshape(1, -1), history, cfg, state)[0])
 
 
-def _E_gap(
-    thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loss gap loss(theta) - loss(theta_hat) and the ball test ||theta|| <= S,
-    of one parameter (d,) or of every row of (m, d).
-
-    Every membership pass in E intersect Theta is this kernel: one
-    likelihood pass covers all rows, and the squared norms serve both the
-    ridge term of the loss and the ball test.
-    """
-    sq = np.einsum("...d,...d->...", thetas, thetas)
-    ll = _log_likelihood(history, history.ctx_flat @ thetas.T)
-    return 0.5 * cfg.lam * sq - ll - state.loss_at_hat, np.sqrt(sq) <= cfg.S * (1.0 + 1e-12)
-
-
 def _in_E(
     thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> np.ndarray:
-    """Membership in E intersect Theta of one parameter (d,) or of every row of (m, d)."""
-    gap, in_ball = _E_gap(thetas, history, cfg, state)
-    return in_ball & (gap <= state.beta**2)
+    """Membership in E intersect Theta of one parameter (d,) or of every row of (m, d).
+
+    Every membership pass in E intersect Theta is this kernel: one
+    likelihood pass gives every row's loss gap loss(theta) - loss(theta_hat),
+    and the squared norms serve both the ridge term of the loss and the
+    ball test ||theta|| <= S.
+    """
+    sq = np.einsum("...d,...d->...", thetas, thetas)
+    ll = _log_likelihood(history, history.ctx_flat @ thetas.T)
+    gap = 0.5 * cfg.lam * sq - ll - state.loss_at_hat
+    return (np.sqrt(sq) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2)
 
 
 def in_set_E(
@@ -194,7 +189,6 @@ def in_set_E(
 
 
 _BOUNDARY_BISECT = 5  # most bisection steps per ray in e_boundary_multi
-_PULL_BISECT = 20  # the pull-back brackets E's boundary to 2**-_PULL_BISECT of the chord
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
 
 
@@ -256,17 +250,6 @@ def e_boundary_multi(
     return base + lo[:, None] * v
 
 
-def _loss_gradient(thetas: np.ndarray, history: History, lam: float) -> np.ndarray:
-    """Gradient of the penalized log-loss at every row of ``thetas``.
-
-    At a point of E's boundary it is E's outward normal there.
-    """
-    _, ez, total = estimation._segment_exp(history, history.ctx_flat @ thetas.T)
-    mu = ez / total[history.seg_ids]
-    resid = history.purchases[:, None] - history.row_offers[:, None] * mu
-    return lam * thetas - resid.T @ history.ctx_flat
-
-
 def _drop_outward(grads: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Each row of ``grads`` less its part along the matching row of ``normals``
     where that part points outward; a zero normal leaves its row as it is."""
@@ -274,66 +257,6 @@ def _drop_outward(grads: np.ndarray, normals: np.ndarray) -> np.ndarray:
     sq = np.einsum("md,md->m", normals, normals)
     coef = np.where(dot > 0.0, dot / np.where(sq > 0.0, sq, 1.0), 0.0)
     return grads - coef[:, None] * normals
-
-
-def _pull_back(
-    cands: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``cands`` projected onto Theta, if that lies in E, else
-    the last point of E found on the chord from the anchor to it.
-
-    A row past the ball's sphere is scaled onto it (the exact projection);
-    one membership pass then finds the rows that leave E, and only those
-    search their chord, together.  E is convex and holds the anchor, so
-    along a chord the loss gap less beta^2 is convex and changes sign once,
-    at E's boundary.  Each row narrows a bracket on it, whose low end is a
-    verified member (at first the anchor, its gap taken as 0), by regula
-    falsi with the Illinois rule (Dowell & Jarratt, BIT 1971): an end kept
-    twice running has its gap halved.  A secant point keeps half the target
-    width from both ends, so a low end at the boundary closes in one pass.
-    A row whose bracket is wider than 2**-(n // 2) of the chord before its
-    n-th pass bisects instead, so the bracket halves at least every other
-    pass.  A row stops at a bracket of 2**-_PULL_BISECT of the chord and
-    returns its low end.  Overwrites and returns ``cands``, with E's
-    outward normal at the rows it pulled back onto E's boundary and zero
-    rows elsewhere.
-    """
-    norm = np.linalg.norm(cands, axis=1)
-    out = norm > cfg.S
-    cands[out] *= (cfg.S / norm[out])[:, None]
-    normals = np.zeros_like(cands)
-    beta2 = state.beta**2
-    gap, in_ball = _E_gap(cands, history, cfg, state)
-    bad = np.flatnonzero(~(in_ball & (gap <= beta2)))
-    if bad.size:
-        base = state.anchor
-        step = cands[bad] - base
-        lo, hi = np.zeros(bad.size), np.ones(bad.size)
-        f_lo, f_hi = np.full(bad.size, -beta2), gap[bad] - beta2
-        moved = np.zeros(bad.size)  # +1 if the last pass moved lo, -1 if hi
-        tol = 2.0**-_PULL_BISECT
-        rows = np.arange(bad.size)
-        passes = 0
-        while rows.size:
-            passes += 1
-            a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
-            width = b - a
-            sec = a - fa * width / np.where(fb > fa, fb - fa, 1.0)
-            # A row behind the schedule 2**-(passes // 2) bisects.
-            secant = (width <= 0.5 ** (passes // 2)) & (fa < 0.0) & (fb > 0.0)
-            s = np.where(secant, np.clip(sec, a + 0.5 * tol, b - 0.5 * tol), 0.5 * (a + b))
-            gap_s, ball_s = _E_gap(base + s[:, None] * step[rows], history, cfg, state)
-            ok = ball_s & (gap_s <= beta2)
-            side = np.where(ok, 1.0, -1.0)
-            kept = np.where(side == moved[rows], 0.5, 1.0)  # the Illinois halving
-            lo[rows], hi[rows] = np.where(ok, s, a), np.where(ok, b, s)
-            f_lo[rows] = np.where(ok, gap_s - beta2, kept * fa)
-            f_hi[rows] = np.where(ok, kept * fb, gap_s - beta2)
-            moved[rows] = side
-            rows = rows[hi[rows] - lo[rows] > tol]
-        cands[bad] = base + lo[:, None] * step
-        normals[bad] = _loss_gradient(cands[bad], history, cfg.lam)
-    return cands, normals
 
 
 def _revenue_and_gradient(
@@ -369,43 +292,39 @@ def max_revenue_over_E(
     winner).  All starts advance together, but each keeps its own
     step.  A start's first step has length S, the ball's radius, along
     its revenue gradient (a zero gradient stops the start at once).  A
-    step is projected onto Theta in closed form, and a row that then
-    leaves E is pulled back along its chord to the anchor onto E's
-    boundary by a bracketed secant search (``_pull_back``; valid because
-    E is convex), so a step costs one likelihood pass unless E binds.  A
-    start the pull-back left on E's boundary steps along it next: its
-    gradient loses the part along E's outward normal.  A step is taken
-    only if it gains more than 1e-6, and then the step size doubles;
-    otherwise it halves.  A start stops when its projected
-    gradient (on the sphere, less an outward radial part) is shorter than
-    1e-3, its step falls below 1e-4, or after ``max_iter`` steps.  The
-    best start wins, the earliest among equals.  The returned value is
-    attained by the returned parameter, so it never overstates the optimum.
+    step is projected onto Theta in closed form, and one likelihood pass
+    tests every live start's candidate for membership in E.  A step is
+    taken only if its candidate lies in E and gains more than 1e-6, and
+    then the step size doubles; otherwise it halves, so a start that
+    meets E's boundary creeps up to it with shorter steps.  A start stops
+    when its projected gradient (on the sphere, less an outward radial
+    part) is shorter than 1e-3, its step falls below 1e-4, or after
+    ``max_iter`` steps.  The best start wins, the earliest among equals.
+    The returned value is attained by the returned parameter, so it never
+    overstates the optimum.
     """
     theta = np.atleast_2d(np.array(starts, dtype=float))  # a copy: rows move in place
     if theta.size == 0:
         raise ValueError("starts must hold at least one parameter")
     val, grad = _revenue_and_gradient(assortment, theta)
-    normal = np.zeros_like(theta)  # E's outward normal where a start lies on its boundary
     gnorm = np.linalg.norm(grad, axis=1)
     eta = cfg.S / np.where(gnorm > 0.0, gnorm, 1.0)
     live = np.ones(len(theta), dtype=bool)
     for _ in range(max_iter):
-        step = _drop_outward(grad, normal)
         on_sphere = np.einsum("md,md->m", theta, theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
         sphere = np.where(on_sphere[:, None], theta, 0.0)
-        live &= np.linalg.norm(_drop_outward(step, sphere), axis=1) >= _GRAD_TOL
+        live &= np.linalg.norm(_drop_outward(grad, sphere), axis=1) >= _GRAD_TOL
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        cand, cand_normal = _pull_back(
-            theta[rows] + eta[rows, None] * step[rows], history, cfg, state
-        )
+        cand = theta[rows] + eta[rows, None] * grad[rows]
+        norm = np.linalg.norm(cand, axis=1)
+        out = norm > cfg.S
+        cand[out] *= (cfg.S / norm[out])[:, None]
         cand_val, cand_grad = _revenue_and_gradient(assortment, cand)
-        up = cand_val > val[rows] + 1e-6
+        up = (cand_val > val[rows] + 1e-6) & _in_E(cand, history, cfg, state)
         taken, kept = rows[up], rows[~up]
         theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]
-        normal[taken] = cand_normal[up]
         eta[taken] *= 2.0
         eta[kept] *= 0.5
         live[kept] = eta[kept] >= 1e-4

@@ -202,6 +202,32 @@ class TestSummarizeCommand:
         rc = main(["summarize", str(tmp_path / "nope")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "text", ["a,b\n1,2\n", CSV_HEADER + "\n1,2\n", ""], ids=["other-header", "short-row", "empty"]
+    )
+    def test_stray_csv_fails_naming_it(self, tmp_path, config_file, capsys, text):
+        out = tmp_path / "runs"
+        main(["run", "--config", str(config_file), "--seeds", "0", "--out", str(out)])
+        (out / "notes.csv").write_text(text)
+        capsys.readouterr()
+        rc = main(["summarize", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "notes.csv does not look like a run CSV" in err
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", '{"seed": 0}', "[1, 2]"], ids=["not-json", "no-config", "not-object"]
+    )
+    def test_bad_metadata_fails_naming_it(self, tmp_path, config_file, capsys, text):
+        out = tmp_path / "runs"
+        main(["run", "--config", str(config_file), "--seeds", "0..1", "--out", str(out)])
+        (out / "run_cb_mnl_e_seed1.json").write_text(text)
+        capsys.readouterr()
+        rc = main(["summarize", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "run_cb_mnl_e_seed1.json" in err
+
 
 class TestInstanceCommand:
     def test_generate_and_inspect(self, tmp_path, config_file, capsys):
@@ -222,6 +248,43 @@ class TestInstanceCommand:
         main(["instance", "--inspect", str(dest)])
         printed = json.loads(capsys.readouterr().out)
         assert "theta_star_norm" in printed
+
+    @staticmethod
+    def invalid(capsys, argv):
+        """Exit code and stderr of ``instance`` run with ``argv``."""
+        capsys.readouterr()
+        rc = main(["instance", *argv])
+        return rc, capsys.readouterr().err
+
+    def test_inspect_missing_file_fails(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        rc, err = self.invalid(capsys, ["--inspect", str(path)])
+        assert rc == 2
+        assert err.startswith(f"mnl-bandit: invalid instance file {path}")
+
+    def test_inspect_non_json_fails(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text("not json")
+        rc, err = self.invalid(capsys, ["--inspect", str(path)])
+        assert rc == 2
+        assert err.startswith(f"mnl-bandit: invalid instance file {path}")
+
+    def test_inspect_missing_key_fails(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"d": 2}))
+        rc, err = self.invalid(capsys, ["--inspect", str(path)])
+        assert rc == 2
+        assert err.startswith(f"mnl-bandit: invalid instance file {path}")
+        assert "missing key 'pool'" in err
+
+    def test_negative_seed_fails(self, tmp_path, config_file, capsys):
+        dest = tmp_path / "inst.json"
+        rc, err = self.invalid(
+            capsys, ["--config", str(config_file), "--seed", "-1", "--out", str(dest)]
+        )
+        assert rc == 2
+        assert err.startswith("mnl-bandit: invalid --seed")
+        assert not dest.exists()
 
 
 class TestCheckCommand:

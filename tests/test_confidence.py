@@ -18,7 +18,7 @@ from mnl_bandit.confidence import (
     in_set_E,
     max_revenue_over_E,
 )
-from mnl_bandit.estimation import History, _nll_hessian, penalized_log_likelihood, score
+from mnl_bandit.estimation import History, _nll_hessian, penalized_log_likelihood
 from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import (
     InstanceConfig,
@@ -324,46 +324,13 @@ def ascent_starts(hist, cfg, state, restarts, rng, extra=()):
 def reference_ascent(ass, hist, cfg, state, starts, max_iter):
     """The per-start ascent: one start, one step and one scalar membership test at a time."""
     base = state.anchor
-    beta2 = state.beta**2
-
-    def gap(theta):
-        # The loss gap less beta^2, from the penalized log-likelihood.
-        return -penalized_log_likelihood(hist, theta, cfg.lam) - state.loss_at_hat - beta2
 
     def pull(cand):
-        # Projection onto the ball, then, if E is left, regula falsi with the
-        # Illinois rule on the gap along the chord from the anchor: a secant
-        # point keeps 2**-21 from both ends, and the n-th pass bisects if the
-        # bracket is wider than 2**-(n // 2).  A pulled-back point also
-        # returns E's outward normal.
+        # Projection onto the ball, then one scalar membership test in E.
         norm = float(np.linalg.norm(cand))
         if norm > cfg.S:
             cand = cand * (cfg.S / norm)
-        if in_set_E(cand, hist, cfg, state):
-            return cand, None
-        step = cand - base
-        lo, hi, f_lo, f_hi = 0.0, 1.0, -beta2, gap(cand)
-        moved, n = 0, 0
-        while hi - lo > 2.0**-20:
-            n += 1
-            width = hi - lo
-            secant = width <= 0.5 ** (n // 2) and f_lo < 0.0 < f_hi
-            if secant:
-                mid = lo - f_lo * width / (f_hi - f_lo)
-                mid = min(max(mid, lo + 2.0**-21), hi - 2.0**-21)
-            else:
-                mid = 0.5 * (lo + hi)
-            point = base + mid * step
-            if in_set_E(point, hist, cfg, state):
-                lo, f_lo = mid, gap(point)
-                f_hi *= 0.5 if moved == 1 else 1.0
-                moved = 1
-            else:
-                hi, f_hi = mid, gap(point)
-                f_lo *= 0.5 if moved == -1 else 1.0
-                moved = -1
-        point = base + lo * step
-        return point, -score(hist, point, cfg.lam)
+        return cand, in_set_E(cand, hist, cfg, state)
 
     def drop_outward(vec, normal):
         if normal is not None and float(vec @ normal) > 0.0:
@@ -376,18 +343,16 @@ def reference_ascent(ass, hist, cfg, state, starts, max_iter):
         val = expected_revenue(ass, theta)
         grad = revenue_gradient(ass, theta)
         eta = cfg.S / float(np.linalg.norm(grad)) if grad.any() else cfg.S  # a first step of length S
-        normal = None
         for _ in range(max_iter):
-            # Tangent to E's boundary where the start lies on it; the stop also
-            # drops an outward radial part on the ball's sphere.
-            step = drop_outward(revenue_gradient(ass, theta), normal)
+            # The stop drops an outward radial part on the ball's sphere.
+            step = revenue_gradient(ass, theta)
             on_sphere = float(theta @ theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
             if np.linalg.norm(drop_outward(step, theta if on_sphere else None)) < 1e-3:
                 break
-            cand, cand_normal = pull(theta + eta * step)
+            cand, in_e = pull(theta + eta * step)
             cand_val = expected_revenue(ass, cand)
-            if cand_val > val + 1e-6:
-                theta, val, normal = cand, cand_val, cand_normal
+            if in_e and cand_val > val + 1e-6:
+                theta, val = cand, cand_val
                 eta *= 2.0
             else:
                 eta *= 0.5
@@ -536,14 +501,13 @@ class TestMaxRevenueOverE:
         state = build_confidence_state(hist, cfg, t=1)
         assert state.beta * math.sqrt(2.0 / cfg.lam) > 9.0
         passes = []
-        e_gap = confidence._E_gap
+        in_e = confidence._in_E
 
         def counted(*args):
             passes.append(1)
-            return e_gap(*args)
+            return in_e(*args)
 
-        # Every membership pass, the pull-back's included, goes through _E_gap.
-        monkeypatch.setattr(confidence, "_E_gap", counted)
+        monkeypatch.setattr(confidence, "_in_E", counted)
         ass = make_assortment([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
         _, theta = max_revenue_over_E(ass, hist, cfg, state, state.anchor, max_iter=40)
         # The first step, of length S along the gradient, reaches the sphere
@@ -556,16 +520,30 @@ class TestMaxRevenueOverE:
         tangential = grad - (grad @ theta) / (theta @ theta) * theta
         assert float(np.linalg.norm(tangential)) < 1e-3
 
-    def test_never_below_anchor_value(self):
+    @staticmethod
+    def ascent_draws():
+        """Ten draws with lam = 2 and S = 1, then ten with lam 30 or 100, where
+        E lies well inside the ball and binds the ascent."""
         rng = np.random.default_rng(34)
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=2.0, S=1.0)
         for _ in range(10):
             hist = random_history(rng, 2, rounds=15)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             ass = make_assortment(sample_ball(rng, 2, 2))
-            starts = ascent_starts(hist, cfg, state, 3, rng)
+            yield cfg, hist, state, ass, ascent_starts(hist, cfg, state, 3, rng)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lam, S = float(rng.choice([30.0, 100.0])), float(rng.choice([1.0, 2.0]))
+            cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=lam, S=S)
+            hist = random_history(rng, 2, rounds=40)
+            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            ass = make_assortment(sample_ball(rng, 2, 2))
+            yield cfg, hist, state, ass, ascent_starts(hist, cfg, state, 5, rng)
+
+    def test_never_below_anchor_value(self):
+        for cfg, hist, state, ass, starts in self.ascent_draws():
             val, theta = max_revenue_over_E(ass, hist, cfg, state, starts)
-            assert val >= expected_revenue(ass, state.anchor) - 1e-12
+            assert val >= max(expected_revenue(ass, start) for start in starts) - 1e-12
             assert val == pytest.approx(expected_revenue(ass, theta), abs=1e-12)
             assert in_set_E(theta, hist, cfg, state)
 
@@ -600,24 +578,6 @@ class TestMaxRevenueOverE:
                 if in_set_E(cand, hist, cfg, state):
                     assert val >= expected_revenue(ass, cand) - 1e-9, seed
 
-    def test_dominates_boundary_sweep_where_E_binds(self):
-        # With lam 30 or 100, E lies well inside the ball, so the optimum is
-        # on E's boundary; 720 rays from the anchor sample that boundary.
-        ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        rays = np.column_stack([np.cos(ang), np.sin(ang)])
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            lam, S = float(rng.choice([30.0, 100.0])), float(rng.choice([1.0, 2.0]))
-            cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=lam, S=S)
-            hist = random_history(rng, 2, rounds=40)
-            state = build_confidence_state(hist, cfg, t=hist.t + 1)
-            ass = make_assortment(sample_ball(rng, 2, 2))
-            starts = ascent_starts(hist, cfg, state, 5, rng)
-            val, theta = max_revenue_over_E(ass, hist, cfg, state, starts)
-            assert float(np.linalg.norm(theta)) < 0.9 * S
-            sweep = max(expected_revenue(ass, p) for p in e_boundary_multi(hist, cfg, state, rays))
-            assert val >= sweep - 1e-6, seed
-
     def test_converges_within_the_step_cap(self):
         cases = []
         for seed in range(35, 45):
@@ -651,85 +611,6 @@ class TestMaxRevenueOverE:
         for empty in (np.zeros((0, 1)), []):
             with pytest.raises(ValueError, match="starts"):
                 max_revenue_over_E(make_assortment([[1.0]]), hist, cfg, state, empty)
-
-
-class TestPullBack:
-    @staticmethod
-    def ascent_rows(monkeypatch):
-        """The rows the ascent hands ``_pull_back`` on the E-bound draws of
-        ``test_dominates_boundary_sweep_where_E_binds`` (lam 30 or 100, so E
-        lies well inside the ball)."""
-        import mnl_bandit.confidence as confidence
-
-        pull_back = confidence._pull_back
-        seen = []
-
-        def recorded(cands, *args):
-            seen.append(cands.copy())
-            return pull_back(cands, *args)
-
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            lam, S = float(rng.choice([30.0, 100.0])), float(rng.choice([1.0, 2.0]))
-            cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=lam, S=S)
-            hist = random_history(rng, 2, rounds=40)
-            state = build_confidence_state(hist, cfg, t=hist.t + 1)
-            ass = make_assortment(sample_ball(rng, 2, 2))
-            starts = ascent_starts(hist, cfg, state, 5, rng)
-            seen.clear()
-            with monkeypatch.context() as m:
-                m.setattr(confidence, "_pull_back", recorded)
-                max_revenue_over_E(ass, hist, cfg, state, starts)
-            yield cfg, hist, state, np.vstack(seen)
-
-    def test_brackets_the_boundary_to_the_target_width(self, monkeypatch):
-        import mnl_bandit.confidence as confidence
-
-        probes = []
-        e_gap = confidence._E_gap
-
-        def recorded(thetas, *args):
-            probes.append(np.array(thetas, dtype=float))
-            return e_gap(thetas, *args)
-
-        passes = []
-        for cfg, hist, state, cands in self.ascent_rows(monkeypatch):
-            base = state.anchor
-            together, _ = confidence._pull_back(cands.copy(), hist, cfg, state)
-            for cand, batched in zip(cands, together):
-                probes.clear()
-                with monkeypatch.context() as m:
-                    m.setattr(confidence, "_E_gap", recorded)
-                    got, normal = confidence._pull_back(cand[None, :].copy(), hist, cfg, state)
-                got, normal = got[0], normal[0]
-                projected = cand * min(1.0, cfg.S / float(np.linalg.norm(cand)))
-                assert in_set_E(got, hist, cfg, state)
-                if in_set_E(projected, hist, cfg, state):
-                    assert len(probes) == 1 and not normal.any()
-                    np.testing.assert_array_equal(got, projected)
-                    continue
-                # The probes after the first pass lie on the chord from the
-                # anchor to the projected row, which fails; the bracket's high
-                # end is the nearest point of the chord that fails in_set_E.
-                chord = projected - base
-
-                def frac(p):
-                    return float((p - base) @ chord / (chord @ chord))
-
-                hi = min(
-                    [1.0] + [frac(p[0]) for p in probes[1:] if not in_set_E(p[0], hist, cfg, state)]
-                )
-                # 1e-12 covers reading the fractions back from the points.
-                assert hi - frac(got) <= 2.0**-20 + 1e-12
-                assert abs(frac(batched) - frac(got)) <= 2.0**-20 + 1e-12
-                assert normal @ chord > 0.0  # E's outward normal
-                passes.append(len(probes) - 1)
-        mean, most = float(np.mean(passes)), max(passes)
-        assert len(passes) > 500, len(passes)
-        # Twenty halvings took 20 passes.  Here a search averages 5.5 passes
-        # and takes at most 8; the bracket halves at least every other pass,
-        # so none can take more than 40.
-        assert mean <= 8.0 and most <= 40, (mean, most)
 
 
 class TestConfigValidation:

@@ -1,13 +1,16 @@
-"""The benchmark's tracer still finds every function it wraps, and its workloads still build."""
+"""The benchmark's tracer still finds every function it wraps, and its workloads still build and
+pass its output check."""
 import importlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from mnl_bandit.harness import ExperimentConfig, run_experiment
+from mnl_bandit.cli import main
+from mnl_bandit.harness import CSV_HEADER, ExperimentConfig, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,6 +49,22 @@ def test_workload_configs_build():
             ExperimentConfig.from_dict(workload.config)
         except ValueError as exc:
             pytest.fail(f"perfbench workload {name}: {exc}")
+
+
+def test_workloads_pass_the_benchmark_output_check(tmp_path):
+    # The CSV a short run of each workload writes passes the same per-round
+    # check a benchmark run applies, so a broken row fails here first.
+    validate = load_perfbench("validate")
+    T = 3
+    for name, workload in load_perfbench("workloads").WORKLOADS.items():
+        cfg_path, out = tmp_path / f"{name}.json", tmp_path / name
+        cfg_path.write_text(json.dumps(workload.config))
+        argv = ["run", "--config", str(cfg_path), "--T", str(T), "--seeds", "0",
+                "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 0, name
+        csv = (out / f"run_{workload.config['policy']}_seed0.csv").read_text()
+        bad = validate.failed_rounds(csv, CSV_HEADER, T, workload.N, workload.K)
+        assert not bad, f"perfbench workload {name}: rounds {sorted(bad)} fail the output check"
 
 
 def traced_assortments(**cfg) -> int:
