@@ -1,8 +1,9 @@
 """Regularized maximum-likelihood estimation over assortment histories.
 
-The history is count-compressed.  Rounds whose offered context rows are
-bitwise equal share one block, which keeps its rows once, the number of
-rounds n it was offered in, and per row the number of purchases c it drew.
+The history is count-compressed and keeps no per-round log; ``History.t``
+counts the rounds appended.  Rounds whose offered context rows are bitwise
+equal share one block, which keeps its rows once, the number of rounds n
+it was offered in, and per row the number of purchases c it drew.
 The penalized log-likelihood is the full multinomial one (each round
 contributes the log-probability of its outcome, including the no-purchase
 slot), so it is a count-weighted sum over stored rows and blocks,
@@ -75,31 +76,27 @@ class MleResult:
 
 
 class History:
-    """Append-only log of (assortment, outcome) rounds, count-compressed.
+    """Append-only record of (assortment, outcome) rounds, count-compressed.
 
-    ``rounds`` keeps every round exactly as offered.  For the likelihood,
-    rounds whose context arrays are bitwise equal (whatever their item
-    indices) share one block: its rows are stored once (``ctx_flat``, with
+    No round is kept as offered; ``t`` counts the rounds appended.  Rounds
+    whose context arrays are bitwise equal (whatever their item indices)
+    share one block: its rows are stored once (``ctx_flat``, with
     ``seg_ids`` and ``starts`` marking the blocks), with the number of
     rounds it was offered in (``offers``, per block) and the purchases each
     row drew (``purchases``, per row).  With fresh contexts every block is
-    offered once.  Rounds with empty assortments are kept in the log but
+    offered once.  Rounds with empty assortments count in ``t`` but
     contribute nothing to any estimate.
     """
 
     def __init__(self, dim: int):
         self.dim = int(dim)
-        self.rounds: list[tuple[AssortmentContexts, int]] = []
+        self.t = 0
         self._blocks: dict[bytes, int] = {}
         self.ctx_flat = np.empty((0, self.dim))
         self.seg_ids = np.empty(0, dtype=np.int64)
         self.purchases = np.empty(0)
         self.starts = np.empty(0, dtype=np.int64)
         self.offers = np.empty(0)
-
-    @property
-    def t(self) -> int:
-        return len(self.rounds)
 
     def append(self, assortment: AssortmentContexts, outcome: int) -> None:
         outcome = int(outcome)
@@ -111,7 +108,7 @@ class History:
             raise ValueError(
                 f"dimension mismatch: history is d={self.dim}, assortment is d={assortment.dim}"
             )
-        self.rounds.append((assortment, outcome))
+        self.t += 1
         k = assortment.cardinality
         if k == 0:
             return

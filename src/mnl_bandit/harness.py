@@ -151,6 +151,9 @@ class ExperimentConfig:
             or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in self.seeds)
         ):
             raise ValueError(f"seeds must be a nonempty list of integers >= 0, got {self.seeds!r}")
+        if repeated := sorted({s for s in self.seeds if self.seeds.count(s) > 1}):
+            named = ", ".join(map(str, repeated))
+            raise ValueError(f"seeds must not repeat a seed, got {named} more than once")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path or null, got {self.out_dir!r}")
         # delta, lam and S are checked here, then the instance's own fields,
@@ -218,7 +221,7 @@ class RunLog:
     seed: int
     lam: float
     records: list[RoundRecord]
-    theta_star: np.ndarray
+    instance: Instance
     kappa_hat: float
     total_regret: float
     wall_time: float
@@ -279,6 +282,13 @@ class RunLog:
             json.dump(self.metadata(), fh, indent=2)
 
 
+def _oracle(pool: np.ndarray, instance: Instance) -> Decision:
+    """The best assortment of ``pool`` under theta_star, and its revenue there."""
+    best = oracle_assortment(pool, instance.theta_star, instance.K, instance.prices)
+    ass = AssortmentContexts.from_pool(pool, best, instance.prices)
+    return Decision(ass, instance.theta_star.copy(), expected_revenue(ass, instance.theta_star))
+
+
 def _policy_decision(
     kind: PolicyKind,
     pool: np.ndarray,
@@ -307,9 +317,7 @@ def _policy_decision(
     if kind is PolicyKind.BONUS_UCB:
         return bonus_ucb_step(pool, history, ccfg, state, kappa_hat=kappa_hat, prices=prices)
     if kind is PolicyKind.ORACLE:
-        best = oracle_assortment(pool, instance.theta_star, instance.K, prices)
-        ass = AssortmentContexts.from_pool(pool, best, prices)
-        return Decision(ass, instance.theta_star.copy(), expected_revenue(ass, instance.theta_star))
+        return _oracle(pool, instance)
     if kind is PolicyKind.RANDOM:
         a = random_assortment(instance.N, instance.K, rng)
         ass = AssortmentContexts.from_pool(pool, a, prices)
@@ -339,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     j_sum = np.zeros((cfg.d, cfg.d))
     eye = np.eye(cfg.d)
 
-    pool_oracle_value: float | None = None  # a fixed pool's oracle value, solved once
+    oracle: Decision | None = None  # the last pool's oracle; a fixed pool's is solved once
     bound_factor = 2.0 * (1.0 + 2.0 * cfg.S)
 
     for t in range(1, cfg.T + 1):
@@ -362,17 +370,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         outcome = sample_choice(dist, stream(seed, TAG_OUTCOME, t))
 
         if kind is PolicyKind.ORACLE:
-            # The decision is this pool's oracle solve and its value at theta_star.
-            oracle_value = decision.optimistic_value
-        elif pool_oracle_value is not None:
-            oracle_value = pool_oracle_value
-        else:
-            best_a = oracle_assortment(pool, theta_star, instance.K, instance.prices)
-            oracle_value = expected_revenue(
-                AssortmentContexts.from_pool(pool, best_a, instance.prices), theta_star
-            )
-            if cfg.context_mode == FIXED_POOL:
-                pool_oracle_value = oracle_value
+            oracle = decision  # this pool's oracle solve
+        elif oracle is None or cfg.context_mode != FIXED_POOL:
+            oracle = _oracle(pool, instance)
+        oracle_value = oracle.optimistic_value
 
         mu = dist.item_probs
         played_value = float(mu @ decision.assortment.prices)
@@ -420,7 +421,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         seed=seed,
         lam=lam,
         records=records,
-        theta_star=theta_star,
+        instance=instance,
         kappa_hat=kappa,
         total_regret=cum,
         wall_time=time.perf_counter() - t_start,
@@ -460,21 +461,24 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
         det(V_{T+1}) <= (lam + T K / d)^d,
 
     returned as (potential_lhs, potential_rhs, det_trace_lhs, det_trace_rhs).
+    The potential replays the records, rebuilding each played assortment
+    from ``serve_contexts`` (the fixed pool or the regenerated fresh draw);
+    V, the offers T and the widest block K come off the compressed history.
     """
     history = run.history
     if history is None:
         raise ValueError("run carries no history")
     d = history.dim
     lam = run.lam
-    theta_star = run.theta_star
+    instance = run.instance
     j_mat = lam * np.eye(d)
     lhs = 0.0
-    for assortment, _ in history.rounds:
-        if assortment.cardinality == 0:
-            continue
-        mu = choice_probabilities(assortment, theta_star).item_probs
+    for r in run.records:
+        pool = serve_contexts(instance, r.t)
+        ass = AssortmentContexts.from_pool(pool, r.assortment, instance.prices)
+        mu = choice_probabilities(ass, instance.theta_star).item_probs
         w = mu * (1.0 - mu)
-        xt = np.sqrt(w)[:, None] * assortment.contexts
+        xt = np.sqrt(w)[:, None] * ass.contexts
         sol = np.linalg.solve(j_mat, xt.T)
         lhs += min(float(np.einsum("kd,dk->", xt, sol)), 1.0)
         j_mat = j_mat + xt.T @ xt
@@ -482,8 +486,8 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
     rhs = 2.0 * (logdet - d * math.log(lam))
 
     det_v = float(np.linalg.det(matrix_V(history, lam)))
-    n_rounds = sum(1 for a, _ in history.rounds if a.cardinality)
-    k_max = max((a.cardinality for a, _ in history.rounds), default=0)
+    n_rounds = int(history.offers.sum())
+    k_max = int(np.bincount(history.seg_ids).max(initial=0))
     dt_rhs = (lam + n_rounds * k_max / d) ** d
     return lhs, rhs, det_v, dt_rhs
 

@@ -82,7 +82,11 @@ class InstanceConfig:
 
 @dataclass
 class Instance:
-    """Ground truth for one synthetic problem."""
+    """Ground truth for one synthetic problem.
+
+    Construction checks the shape fields by ``InstanceConfig``'s rules, then
+    ``theta_star`` and the pool; a ``ValueError`` names the field.
+    """
 
     d: int
     N: int
@@ -98,8 +102,21 @@ class Instance:
     def __post_init__(self) -> None:
         self.theta_star = np.asarray(self.theta_star, dtype=float).reshape(-1)
         self.prices = np.asarray(self.prices, dtype=float).reshape(-1)
+        InstanceConfig(
+            d=self.d, N=self.N, K=self.K, S=self.S, S_true=self.S_true,
+            context_mode=self.context_mode, prices=self.prices,
+        )
+        if self.theta_star.shape != (self.d,) or not np.isfinite(self.theta_star).all():
+            raise ValueError(
+                f"theta_star must hold d={self.d} finite numbers, got {self.theta_star.tolist()}"
+            )
+        if (self.pool is not None) != (self.context_mode == FIXED_POOL):
+            raise ValueError(f"pool must be given exactly when context_mode is {FIXED_POOL!r}")
         if self.pool is not None:
-            self.pool = np.asarray(self.pool, dtype=float).reshape(self.N, self.d)
+            self.pool = np.asarray(self.pool, dtype=float)
+            if self.pool.size != self.N * self.d or not np.isfinite(self.pool).all():
+                raise ValueError(f"pool must hold N*d={self.N * self.d} finite numbers")
+            self.pool = self.pool.reshape(self.N, self.d)
             norms = np.linalg.norm(self.pool, axis=1)
             if norms.size and float(norms.max()) > 1.0 + 1e-9:
                 raise ValueError("pool context norm exceeds 1")
@@ -123,8 +140,6 @@ class Instance:
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
         pool = data["pool"]
-        if pool is not None:
-            pool = np.asarray(pool, dtype=float).reshape(data["N"], data["d"])
         return cls(
             d=int(data["d"]),
             N=int(data["N"]),

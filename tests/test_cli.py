@@ -11,6 +11,7 @@ from mnl_bandit.cli import main, parse_seeds
 from mnl_bandit.harness import CSV_HEADER, ExperimentConfig, run_experiment, summarize_runs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 class TestParseSeeds:
@@ -71,7 +72,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--T", "-3", "T"), ("--delta", "7", "delta"), ("--policy", "bogus", "policy"),
-         ("--seeds", ",", "seeds")],
+         ("--seeds", ",", "seeds"), ("--seeds", "1,1", "seeds")],
     )
     def test_invalid_override_fails_before_running(
         self, tmp_path, config_file, capsys, flag, value, field
@@ -140,6 +141,20 @@ class TestRunCommand:
         c1 = sorted(out1.glob("*.csv"))[0].read_bytes()
         c2 = sorted(out2.glob("*.csv"))[0].read_bytes()
         assert c1 == c2
+
+
+def test_readme_config_example_builds_and_runs(tmp_path):
+    # The JSON block after "A config file is JSON" in README.md: a renamed or
+    # deleted field fails here until the README follows.
+    example = README.read_text().split("A config file is JSON", 1)[1]
+    example = example.split("```json", 1)[1].split("```", 1)[0]
+    ExperimentConfig.from_dict(json.loads(example))
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    out = tmp_path / "runs"
+    rc = main(["run", "--config", str(path), "--out", str(out), "--T", "2", "--seeds", "0"])
+    assert rc == 0
+    assert len(list(out.glob("*.csv"))) == 1
 
 
 class TestSummarizeCommand:
@@ -276,6 +291,32 @@ class TestInstanceCommand:
         assert rc == 2
         assert err.startswith(f"mnl-bandit: invalid instance file {path}")
         assert "missing key 'pool'" in err
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (dict(theta_star=[0.1, -0.1, 0.0]), "theta_star must hold d=2 finite numbers"),
+            (dict(prices=[1.0]), "prices must be null or a list of N=8 numbers"),
+            (dict(prices=[-1.0] + [1.0] * 7), "prices must be nonnegative"),
+            (dict(K=99), "K must be in [1, N=8]"),
+            (dict(context_mode="bogus"), "context_mode must be"),
+            (dict(S=0.01), "S_true must be in [0, S=0.01]"),
+            (dict(context_mode="fresh_iid"), "pool must be given exactly when"),
+            (dict(theta_star=[float("nan"), 0.1]), "theta_star must hold d=2 finite numbers"),
+            (dict(pool=[float("nan")] * 16), "pool must hold N*d=16 finite numbers"),
+            (dict(pool=[0.1] * 3), "pool must hold N*d=16 finite numbers"),
+        ],
+        ids=["theta-length", "one-price", "negative-price", "K-above-N", "bogus-mode",
+             "S-below-S_true", "fresh-with-pool", "nan-theta", "nan-pool", "short-pool"],
+    )
+    def test_inspect_inconsistent_instance_fails(self, tmp_path, capsys, edit, problem):
+        path = tmp_path / "inst.json"
+        assert main(["instance", "--seed", "0", "--out", str(path)]) == 0
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        rc, err = self.invalid(capsys, ["--inspect", str(path)])
+        assert rc == 2
+        assert err.startswith(f"mnl-bandit: invalid instance file {path}: ")
+        assert problem in err
 
     def test_negative_seed_fails(self, tmp_path, config_file, capsys):
         dest = tmp_path / "inst.json"

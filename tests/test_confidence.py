@@ -34,12 +34,24 @@ def make_assortment(contexts):
     return AssortmentContexts(tuple(range(contexts.shape[0])), contexts, np.ones(contexts.shape[0]))
 
 
-def random_history(rng, d, K=2, rounds=10):
-    hist = History(d)
+def random_rounds(rng, d, K=2, rounds=10):
+    """(assortment, outcome) pairs of random sizes, contexts and outcomes."""
+    out = []
     for _ in range(rounds):
         k = int(rng.integers(1, K + 1))
-        hist.append(make_assortment(sample_ball(rng, k, d)), int(rng.integers(0, k + 1)))
+        out.append((make_assortment(sample_ball(rng, k, d)), int(rng.integers(0, k + 1))))
+    return out
+
+
+def history_of(d, rounds):
+    hist = History(d)
+    for ass, y in rounds:
+        hist.append(ass, y)
     return hist
+
+
+def random_history(rng, d, K=2, rounds=10):
+    return history_of(d, random_rounds(rng, d, K, rounds))
 
 
 def sample_c_members(rng, hist, cfg, state, want, max_tries=5000):
@@ -153,10 +165,10 @@ class TestSetMembership:
             assert not in_set_E(outside, hist, cfg, state)
 
 
-def norm_set_reference(theta, hist, cfg, state):
+def norm_set_reference(theta, rounds, cfg, state):
     """theta in C, one round at a time, and ||g(theta) - g(theta_hat)||^2 in H(theta)^-1."""
-    g, H = cfg.lam * theta, cfg.lam * np.eye(hist.dim)
-    for ass, _ in hist.rounds:
+    g, H = cfg.lam * theta, cfg.lam * np.eye(cfg.d)
+    for ass, _ in rounds:
         x = ass.contexts
         ez = np.exp(x @ theta)
         mu = ez / (1.0 + ez.sum())
@@ -178,19 +190,20 @@ class TestNormSetBatch:
         for d, S in ((1, 5.0), (2, 1.5), (3, 5.0)):
             cfg = ConfidenceConfig(d=d, K=3, delta=0.1, lam=2.0, S=S)
             pool = sample_ball(rng, 5, d)
-            hist = History(d)
+            rounds = []
             for _ in range(40):
                 ass = AssortmentContexts.from_pool(pool, random_assortment(5, 3, rng))
-                hist.append(ass, int(rng.integers(0, ass.cardinality + 1)))
+                rounds.append((ass, int(rng.integers(0, ass.cardinality + 1))))
             for _ in range(5):
-                hist.append(make_assortment(sample_ball(rng, 2, d)), int(rng.integers(0, 3)))
+                rounds.append((make_assortment(sample_ball(rng, 2, d)), int(rng.integers(0, 3))))
+            hist = history_of(d, rounds)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
             radius = 3.0 * state.gamma
             thetas = state.theta_hat + sample_ball(rng, 300, d, radius) @ chol.T
             got = _in_C(thetas, hist, cfg, state)
             for theta, member in zip(thetas, got):
-                expected, quad = norm_set_reference(theta, hist, cfg, state)
+                expected, quad = norm_set_reference(theta, rounds, cfg, state)
                 # No draw sits within rounding of C's boundary.
                 assert abs(quad - state.gamma**2) > 1e-9 * state.gamma**2
                 assert member == expected
@@ -262,9 +275,10 @@ class TestDifferenceQuotientBounds:
         rng = np.random.default_rng(seed)
         theta_star = sample_ball(rng, 1, 2, radius=1.0)[0]
         cfg = ConfidenceConfig(d=2, K=1, delta=0.1, lam=2.0, S=1.0)
-        hist = random_history(rng, 2, K=1, rounds=30)
+        rounds = random_rounds(rng, 2, K=1, rounds=30)
+        hist = history_of(2, rounds)
         state = build_confidence_state(hist, cfg, t=hist.t + 1)
-        return rng, theta_star, cfg, hist, state
+        return rng, theta_star, cfg, hist, state, rounds
 
     def test_alpha_taylor_bound(self):
         from mnl_bandit.choice import choice_probabilities, diag_derivative
@@ -273,12 +287,12 @@ class TestDifferenceQuotientBounds:
         m_const = 0.25
         checked = 0
         for seed in range(8):
-            rng, theta_star, cfg, hist, state = self._setup(40 + seed)
+            rng, theta_star, cfg, hist, state, rounds = self._setup(40 + seed)
             if not in_set_C(theta_star, hist, cfg, state):
                 continue
             h_star = matrix_H(hist, theta_star, cfg.lam)
             for theta in sample_c_members(rng, hist, cfg, state, 25):
-                for ass, _ in hist.rounds[:5]:
+                for ass, _ in rounds[:5]:
                     du = float(ass.contexts[0] @ (theta - theta_star))
                     if abs(du) < 1e-9:
                         continue
@@ -300,7 +314,7 @@ class TestDifferenceQuotientBounds:
 
         checked = 0
         for seed in range(8):
-            rng, _, cfg, hist, state = self._setup(60 + seed)
+            rng, _, cfg, hist, state, _ = self._setup(60 + seed)
             cap = state.gamma + state.gamma**2 / cfg.lam
             for theta in sample_c_members(rng, hist, cfg, state, 25):
                 dg = g_vector(hist, theta, cfg.lam) - state.g_at_hat
@@ -381,13 +395,13 @@ class TestBoundarySearch:
         hist = History(2)
         e_boundary_multi(hist, cfg, build_confidence_state(hist, cfg, t=1), dirs)
         assert rows == [16]
-        # E binds (lam = 200): the bracket pass, then the five bisection rounds.
+        # E binds (lam = 200): the bracket pass, then five bisections of every ray.
         rows.clear()
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
         hist = random_history(np.random.default_rng(38), 2, rounds=40)
         state = build_confidence_state(hist, cfg, t=hist.t + 1)
         edge = e_boundary_multi(hist, cfg, state, dirs)
-        assert rows[0] == 16 and len(rows) == 6
+        assert rows == [16, 8, 8, 8, 8, 8]
         assert _in_E(edge, hist, cfg, state).all()
         assert np.linalg.norm(edge, axis=1).max() < 0.9 * cfg.S
 

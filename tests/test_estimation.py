@@ -307,15 +307,6 @@ class TestHistory:
         with pytest.raises(ValueError, match="dimension"):
             hist.append(make_assortment(np.zeros((1, 3))), 0)
 
-    def test_rounds_stored_exactly_as_offered(self):
-        hist = History(2)
-        ctx = np.array([[0.25, -0.5]])
-        ass = make_assortment(ctx)
-        hist.append(ass, 1)
-        stored, outcome = hist.rounds[0]
-        assert stored is ass
-        assert outcome == 1
-
     def test_empty_assortment_round_contributes_nothing(self):
         hist = History(2)
         hist.append(AssortmentContexts((), np.zeros((0, 2)), np.zeros(0)), 0)
@@ -337,11 +328,15 @@ class TestHistory:
 
 def mixed_history(rng, d=2, rounds=300):
     """Repeated pool assortments, equal blocks under other indices, fresh
-    blocks and empty rounds, with outcomes drawn at a fixed parameter."""
+    blocks and empty rounds, with outcomes drawn at a fixed parameter.
+
+    Returns the history and the list of (assortment, outcome) rounds
+    appended to it, which the history itself does not keep."""
     pool = sample_ball(rng, 5, d)
     theta = sample_ball(rng, 1, d, radius=1.5)[0]
     repeated = [(0, 1), (2,), (1, 3, 4)]
     hist = History(d)
+    log = []
     for t in range(rounds):
         kind = t % 5
         if kind == 0:
@@ -354,16 +349,17 @@ def mixed_history(rng, d=2, rounds=300):
         else:
             ass = make_assortment(sample_ball(rng, int(rng.integers(1, 4)), d))
         probs = choice_probabilities(ass, theta).outcome_probs()
-        hist.append(ass, int(rng.choice(probs.size, p=probs)))
-    return hist
+        log.append((ass, int(rng.choice(probs.size, p=probs))))
+        hist.append(*log[-1])
+    return hist, log
 
 
-def per_round_reference(hist, theta, lam):
-    """Likelihood quantities and V summed one round at a time from ``hist.rounds``."""
-    eye = np.eye(hist.dim)
+def per_round_reference(rounds, theta, lam):
+    """Likelihood quantities and V summed one (assortment, outcome) round at a time."""
+    eye = np.eye(theta.shape[0])
     ll, s, g, r = -0.5 * lam * float(theta @ theta), -lam * theta, lam * theta, 0.0 * theta
     h, hess, v = lam * eye, lam * eye, lam * eye
-    for ass, y in hist.rounds:
+    for ass, y in rounds:
         if not ass.cardinality:
             continue
         dist = choice_probabilities(ass, theta)
@@ -381,9 +377,9 @@ def per_round_reference(hist, theta, lam):
     return dict(ll=ll, score=s, g=g, reward=r, H=h, hess=hess, V=v)
 
 
-def per_round_G(hist, th1, th2, lam):
-    out = lam * np.eye(hist.dim)
-    for ass, _ in hist.rounds:
+def per_round_G(rounds, th1, th2, lam):
+    out = lam * np.eye(th1.shape[0])
+    for ass, _ in rounds:
         if not ass.cardinality:
             continue
         x = ass.contexts
@@ -404,20 +400,20 @@ class TestCompressedHistoryAgainstPerRoundReference:
     LAM = 2.0
 
     def test_blocks_merge_by_contents(self):
-        hist = mixed_history(np.random.default_rng(5))
+        hist, rounds = mixed_history(np.random.default_rng(5))
         fresh = sum(1 for t in range(300) if t % 5 == 4)
         # Three pool assortments (the re-indexed pair merges into (0, 1))
         # plus one block per fresh round.
         assert hist.n_blocks == 3 + fresh
         assert hist.t == 300
         assert float(hist.offers.sum()) == 240.0
-        assert float(hist.purchases.sum()) == sum(1 for _, y in hist.rounds if y)
+        assert float(hist.purchases.sum()) == sum(1 for _, y in rounds if y)
 
     def test_likelihood_family_matches(self):
         rng = np.random.default_rng(6)
-        hist = mixed_history(rng)
+        hist, rounds = mixed_history(rng)
         for theta in sample_ball(rng, 4, 2, radius=2.0):
-            ref = per_round_reference(hist, theta, self.LAM)
+            ref = per_round_reference(rounds, theta, self.LAM)
             assert_rel(penalized_log_likelihood(hist, theta, self.LAM), ref["ll"])
             assert_rel(score(hist, theta, self.LAM), ref["score"])
             assert_rel(g_vector(hist, theta, self.LAM), ref["g"])
@@ -426,29 +422,29 @@ class TestCompressedHistoryAgainstPerRoundReference:
             assert_rel(_nll_hessian(hist, theta, self.LAM), ref["hess"])
             assert_rel(matrix_V(hist, self.LAM), ref["V"])
         th1, th2 = sample_ball(rng, 2, 2, radius=2.0)
-        assert_rel(matrix_G(hist, th1, th2, self.LAM), per_round_G(hist, th1, th2, self.LAM))
+        assert_rel(matrix_G(hist, th1, th2, self.LAM), per_round_G(rounds, th1, th2, self.LAM))
 
     def test_fit_matches_per_round_newton(self):
-        hist = mixed_history(np.random.default_rng(7))
+        hist, rounds = mixed_history(np.random.default_rng(7))
         theta = np.zeros(2)
         for _ in range(50):
-            ref = per_round_reference(hist, theta, self.LAM)
+            ref = per_round_reference(rounds, theta, self.LAM)
             theta = theta + np.linalg.solve(ref["hess"], ref["score"])
         res = fit_mle(hist, self.LAM, tol=1e-11)
         assert res.converged
         assert_rel(res.theta_hat, theta)
 
     def test_boundary_points_match(self):
-        hist = mixed_history(np.random.default_rng(8))
+        hist, rounds = mixed_history(np.random.default_rng(8))
         cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
         state = build_confidence_state(hist, cfg, t=301)
         dirs = np.random.default_rng(9).standard_normal((12, 2))
         got = e_boundary_multi(hist, cfg, state, dirs)
 
         def gap(th):
-            return -per_round_reference(hist, th, self.LAM)["ll"] - state.loss_at_hat
+            return -per_round_reference(rounds, th, self.LAM)["ll"] - state.loss_at_hat
 
-        hess = per_round_reference(hist, state.theta_hat, self.LAM)["hess"]
+        hess = per_round_reference(rounds, state.theta_hat, self.LAM)["hess"]
         beta_sq, base = state.beta**2, state.anchor
         for v, point in zip(dirs / np.linalg.norm(dirs, axis=1)[:, None], got):
             b, c = float(v @ base), float(base @ base) - cfg.S**2
@@ -457,13 +453,9 @@ class TestCompressedHistoryAgainstPerRoundReference:
             lo, hi = (s0, min(1.3 * s0, s_ball)) if gap(base + s0 * v) <= beta_sq else (0.0, s0)
             if gap(base + hi * v) <= beta_sq:
                 lo = hi
-            active = hi > lo
-            for _ in range(5):
-                if not active:
-                    break
+            for _ in range(5):  # a closed bracket stays closed
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if gap(base + mid * v) <= beta_sq else (lo, mid)
-                active = hi - lo > 1e-3 * max(s_ball, 1e-12)
             assert lo > 0.0
             assert_rel(point, base + lo * v)
 
@@ -476,6 +468,7 @@ class TestCompressedHistoryAgainstPerRoundReference:
         assert hist.n_blocks == 3
         assert hist.n_items == 5
         assert float(hist.offers.sum()) == 3000.0
+        assert hist.t == 3000
 
 
 def separate_pass_reference(hist, theta, lam):
@@ -533,7 +526,7 @@ class TestOneEvaluationPerParameter:
     def test_readers_equal_separate_pass_formulas_exactly(self):
         rng = np.random.default_rng(31)
         for seed in range(3):
-            hist = mixed_history(np.random.default_rng(seed))
+            hist, _ = mixed_history(np.random.default_rng(seed))
             for theta in sample_ball(rng, 4, 2, radius=2.0):
                 ref = separate_pass_reference(hist, theta, self.LAM)
                 assert_same_as_reference(
@@ -547,7 +540,7 @@ class TestOneEvaluationPerParameter:
 
     def test_state_reads_the_fit_evaluation_exactly(self):
         for seed in range(3):
-            hist = mixed_history(np.random.default_rng(seed))
+            hist, _ = mixed_history(np.random.default_rng(seed))
             cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
             state = build_confidence_state(hist, cfg, t=301)
             ref = separate_pass_reference(hist, state.theta_hat, self.LAM)
@@ -562,7 +555,7 @@ class TestOneEvaluationPerParameter:
         # Newton from zero takes full steps on these histories, so the
         # iterates are the start plus one accepted candidate per step.
         for seed in range(3):
-            hist = mixed_history(np.random.default_rng(seed))
+            hist, _ = mixed_history(np.random.default_rng(seed))
             kernel_passes.clear()
             res = fit_mle(hist, self.LAM)
             assert res.converged and res.iterations >= 2
@@ -570,7 +563,7 @@ class TestOneEvaluationPerParameter:
             assert np.array_equal(kernel_passes[-1], hist.ctx_flat @ res.theta_hat)
 
     def test_state_and_boundary_search_add_no_pass_at_theta_hat(self, kernel_passes):
-        hist = mixed_history(np.random.default_rng(8))
+        hist, _ = mixed_history(np.random.default_rng(8))
         cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
         fit_mle(hist, cfg.lam)
         fit_passes = len(kernel_passes)
@@ -584,7 +577,7 @@ class TestOneEvaluationPerParameter:
         assert len(kernel_passes) > fit_passes
 
     def test_norm_set_membership_is_one_pass(self, kernel_passes):
-        hist = mixed_history(np.random.default_rng(8))
+        hist, _ = mixed_history(np.random.default_rng(8))
         cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
         state = build_confidence_state(hist, cfg, t=301)
         state.g_at_hat

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mnl_bandit.checks import deviation_bound, elliptical_potential
-from mnl_bandit.choice import AssortmentContexts, expected_revenue
+from mnl_bandit.choice import AssortmentContexts, choice_probabilities, expected_revenue
 from mnl_bandit.confidence import in_set_E
 from mnl_bandit.estimation import History
 from mnl_bandit.harness import (
@@ -23,6 +23,7 @@ from mnl_bandit.harness import (
     save_runs,
     summarize_runs,
 )
+from mnl_bandit.simulator import Instance
 
 
 def small_cfg(**kw):
@@ -189,15 +190,48 @@ class TestEllipticalCheck:
         # One unit context with lam=1: det V_2 = 2 equals the bound exactly.
         hist = History(1)
         hist.append(AssortmentContexts((0,), np.array([[1.0]]), np.ones(1)), 1)
+        instance = Instance(
+            d=1, N=1, K=1, S=1.0, S_true=1.0, theta_star=np.zeros(1), context_mode="fixed_pool",
+            pool=np.ones((1, 1)), prices=np.ones(1), seed=0,
+        )
         run = RunLog(
             cfg=small_cfg(T=1), seed=0, lam=1.0, records=[],
-            theta_star=np.zeros(1), kappa_hat=4.0, total_regret=0.0,
+            instance=instance, kappa_hat=4.0, total_regret=0.0,
             wall_time=0.0, coverage_all=True, mle_failures=0, history=hist,
         )
         _, _, det_lhs, det_rhs = elliptical_potential_check(run)
         assert det_lhs == pytest.approx(2.0, rel=1e-12)
         assert det_rhs == pytest.approx(2.0, rel=1e-12)
         assert elliptical_potential([run]).passed
+
+    def test_replays_the_played_rounds_of_a_fresh_contexts_run(self, monkeypatch):
+        # The history keeps no per-round log, so the check rebuilds each
+        # round's contexts; record what was appended and replay it here.
+        played = []
+        append = History.append
+
+        def recorded(self, assortment, outcome):
+            played.append(assortment)
+            return append(self, assortment, outcome)
+
+        monkeypatch.setattr(History, "append", recorded)
+        run = run_experiment(small_cfg(context_mode="fresh_iid", T=60), seed=3)
+        monkeypatch.undo()
+        assert len(played) == 60 and run.history.n_blocks == 60
+        lam, d, theta_star = run.lam, run.cfg.d, run.instance.theta_star
+        j_mat, lhs, v_mat = lam * np.eye(d), 0.0, lam * np.eye(d)
+        for ass in played:
+            mu = choice_probabilities(ass, theta_star).item_probs
+            xt = np.sqrt(mu * (1.0 - mu))[:, None] * ass.contexts
+            lhs += min(float(np.einsum("kd,dk->", xt, np.linalg.solve(j_mat, xt.T))), 1.0)
+            j_mat = j_mat + xt.T @ xt
+            v_mat = v_mat + ass.contexts.T @ ass.contexts
+        rhs = 2.0 * (np.linalg.slogdet(j_mat)[1] - d * math.log(lam))
+        k_max = max(ass.cardinality for ass in played)
+        pot_lhs, pot_rhs, det_lhs, det_rhs = elliptical_potential_check(run)
+        assert (pot_lhs, pot_rhs) == (lhs, rhs)
+        assert det_lhs == pytest.approx(float(np.linalg.det(v_mat)), rel=1e-12)
+        assert det_rhs == (lam + len(played) * k_max / d) ** d
 
     def test_holds_on_completed_runs(self):
         for policy in ("cb_mnl_e", "random"):
@@ -375,6 +409,8 @@ class TestConfig:
             small_cfg(seeds=[])
         with pytest.raises(ValueError):
             small_cfg(policy="nonsense")
+        with pytest.raises(ValueError, match="seeds must not repeat a seed, got 1 more than once"):
+            small_cfg(seeds=[1, 0, 1])
 
     @pytest.mark.parametrize(
         "field, value",
