@@ -9,7 +9,11 @@ Two sets are maintained over the parameter ball Theta = {||theta|| <= S}:
   (loss = negative penalized log-likelihood), with beta = gamma + gamma^2/lambda.
 
 E contains C, so any coverage guarantee for C transfers to E, and E is the
-set the decision step optimizes over.  The inner revenue maximization over
+set the decision step optimizes over.  Its screening candidates are points
+near E's boundary along rays from the anchor (``e_boundary_multi``).  The
+loss gap is convex along a ray, so after one bracket pass a single chord
+step lands inside E: a search costs at most two likelihood passes, however
+many rays it has.  The inner revenue maximization over
 E is NOT a concave problem; ``max_revenue_over_E`` is a multi-start
 projected-ascent heuristic whose result is always a feasible point, never
 an upper bound.  It projects each step onto Theta and refuses a step that
@@ -145,14 +149,17 @@ def _in_C(
     """Membership in C of every row of (m, d); False outside the parameter ball.
 
     One likelihood pass gives every row's g(theta) and H(theta), the
-    Hessians as one stacked matmul.
+    Hessians as one matmul of the curvature weights with a table of the
+    stored rows' outer products.
     """
     ctx, n_row = history.ctx_flat, history.row_offers[:, None]
     _, ez, total = estimation._segment_exp(history, ctx @ thetas.T)
     mu = ez / total[history.seg_ids]  # (n, m): one column per row of thetas
     dg = (n_row * mu).T @ ctx + cfg.lam * thetas - state.g_at_hat
     w = n_row * (mu * (1.0 - mu))
-    H = (w.T[:, None, :] * ctx.T) @ ctx + cfg.lam * np.eye(history.dim)
+    d = history.dim
+    outer = (ctx[:, :, None] * ctx[:, None, :]).reshape(-1, d * d)  # x x^T of every row
+    H = (w.T @ outer).reshape(-1, d, d) + cfg.lam * np.eye(d)
     quad = (dg * np.linalg.solve(H, dg[:, :, None])[:, :, 0]).sum(axis=1)
     in_ball = np.sqrt((thetas * thetas).sum(axis=1)) <= cfg.S * (1.0 + 1e-12)
     return in_ball & (quad <= state.gamma**2)
@@ -167,28 +174,27 @@ def in_set_C(
 
 def _in_E(
     thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> np.ndarray:
-    """Membership in E intersect Theta of one parameter (d,) or of every row of (m, d).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Membership in E intersect Theta of one parameter (d,) or of every row of (m, d),
+    and each one's loss gap loss(theta) - loss(theta_hat).
 
     Every membership pass in E intersect Theta is this kernel: one
-    likelihood pass gives every row's loss gap loss(theta) - loss(theta_hat),
-    and the squared norms serve both the ridge term of the loss and the
-    ball test ||theta|| <= S.
+    likelihood pass gives every row's loss gap, and the squared norms serve
+    both the ridge term of the loss and the ball test ||theta|| <= S.
     """
     sq = np.einsum("...d,...d->...", thetas, thetas)
     ll = _log_likelihood(history, history.ctx_flat @ thetas.T)
     gap = 0.5 * cfg.lam * sq - ll - state.loss_at_hat
-    return (np.sqrt(sq) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2)
+    return (np.sqrt(sq) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap
 
 
 def in_set_E(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
     """Membership in the convex log-loss sublevel set; False outside the parameter ball."""
-    return bool(_in_E(np.asarray(theta, dtype=float).reshape(-1), history, cfg, state))
+    return bool(_in_E(np.asarray(theta, dtype=float).reshape(-1), history, cfg, state)[0])
 
 
-_BOUNDARY_BISECT = 5  # bisection steps per ray in e_boundary_multi, once any bracket is open
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
 
 
@@ -207,37 +213,49 @@ def e_boundary_multi(
 ) -> np.ndarray:
     """Feasible near-boundary points of E intersect Theta along rays from the anchor.
 
-    The loss is convex with its minimum at theta_hat, so feasibility along a
-    ray from the anchor is an interval.  A quadratic model of the loss at
-    the MLE, with the Hessian of the fit's own evaluation there, gives the
-    initial radius guess, which a short verified bracket
-    search corrects; every returned point passes the true feasibility test.
-    All rays are probed together, one likelihood pass per probe round: one
-    for both bracket probes, then, once any ray's bracket is open, exactly
-    ``_BOUNDARY_BISECT`` = 5 bisections of every ray.  A closed bracket
-    (lo == hi) is a fixed point of a bisection.
+    Along a ray from the anchor, h(s) = loss gap - beta^2 is convex, so
+    feasibility is an interval.  A quadratic model of the loss at the MLE,
+    with the Hessian of the fit's own evaluation there, gives the initial
+    radius guess s0, and one likelihood pass probes every ray at s0 and
+    1.3 s0 (capped at the ball), plus the anchor unless it is theta_hat,
+    where h = -beta^2.  A ray whose probes both pass keeps the outer one; any
+    other ray has an open bracket lo < hi, lo feasible and hi not.  Then,
+    once any bracket is open, a second pass probes every ray where the
+    chord from (lo, h(lo)) to (hi, h(hi)) crosses zero.  The chord lies
+    above the convex h, so that point is inside E in exact arithmetic; it
+    replaces lo only if the pass confirms it, so every returned point
+    passes the true feasibility test.  A call costs one or two passes, and
+    a closed bracket (lo == hi) is a fixed point of the chord step.  A zero
+    direction returns the anchor.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     norms = np.linalg.norm(dirs, axis=1)
-    keep = norms > 0.0
-    v = np.where(keep[:, None], dirs / np.where(keep, norms, 1.0)[:, None], 0.0)
+    v = dirs / np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
     base = state.anchor
-    s_ball = np.where(keep, _ball_exit(base, v, cfg.S), 0.0)
+    s_ball = _ball_exit(base, v, cfg.S)
 
     hess = state.mle.evaluation.nll_hessian
+    beta_sq = state.beta**2
     quad = np.einsum("md,de,me->m", v, hess, v)
-    s_quad = np.sqrt(2.0 * state.beta**2 / np.maximum(quad, 1e-12))
-    s0 = np.minimum(s_quad, s_ball)
+    s0 = np.minimum(np.sqrt(2.0 * beta_sq / np.maximum(quad, 1e-12)), s_ball)
     s1 = np.minimum(1.3 * s0, s_ball)
     # Both bracket probes in one pass; s1 matters only where s0 is feasible.
     probes = base + np.concatenate([s0, s1])[:, None] * np.vstack([v, v])
-    f0, f1 = _in_E(probes, history, cfg, state).reshape(2, -1)
+    at_hat = np.array_equal(base, state.theta_hat)
+    if not at_hat:
+        probes = np.vstack([probes, base])
+    ok, gap = _in_E(probes, history, cfg, state)
+    h = gap - beta_sq
+    m = len(v)
+    f0, f1, h0, h1 = ok[:m], ok[m : 2 * m], h[:m], h[m : 2 * m]
     lo = np.where(f0, np.where(f1, s1, s0), 0.0)
     hi = np.where(f0, s1, s0)
-    for _ in range(_BOUNDARY_BISECT if np.any(hi > lo) else 0):
-        mid = 0.5 * (lo + hi)
-        ok = _in_E(base + mid[:, None] * v, history, cfg, state)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    if (hi > lo).any():
+        h_lo = np.where(f0, h0, -beta_sq if at_hat else h[-1])
+        rise = np.where(f0, h1, h0) - h_lo
+        frac = np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0.0)
+        s = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        lo = np.where(_in_E(base + s[:, None] * v, history, cfg, state)[0], s, lo)
     return base + lo[:, None] * v
 
 
@@ -313,7 +331,7 @@ def max_revenue_over_E(
         out = norm > cfg.S
         cand[out] *= (cfg.S / norm[out])[:, None]
         cand_val, cand_grad = _revenue_and_gradient(assortment, cand)
-        up = (cand_val > val[rows] + 1e-6) & _in_E(cand, history, cfg, state)
+        up = (cand_val > val[rows] + 1e-6) & _in_E(cand, history, cfg, state)[0]
         taken, kept = rows[up], rows[~up]
         theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]
         eta[taken] *= 2.0

@@ -379,6 +379,8 @@ def reference_ascent(ass, hist, cfg, state, starts, max_iter):
 
 class TestBoundarySearch:
     def test_bracket_probes_share_one_membership_pass(self, monkeypatch):
+        import dataclasses
+
         import mnl_bandit.confidence as confidence
 
         rows = []
@@ -395,16 +397,68 @@ class TestBoundarySearch:
         hist = History(2)
         e_boundary_multi(hist, cfg, build_confidence_state(hist, cfg, t=1), dirs)
         assert rows == [16]
-        # E binds (lam = 200): the bracket pass, then five bisections of every ray.
+        # E binds (lam = 200): the bracket pass, then one chord step on every ray.
         rows.clear()
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
         hist = random_history(np.random.default_rng(38), 2, rounds=40)
         state = build_confidence_state(hist, cfg, t=hist.t + 1)
         edge = e_boundary_multi(hist, cfg, state, dirs)
-        assert rows == [16, 8, 8, 8, 8, 8]
-        assert _in_E(edge, hist, cfg, state).all()
+        assert rows == [16, 8]
+        assert _in_E(edge, hist, cfg, state)[0].all()
         assert np.linalg.norm(edge, axis=1).max() < 0.9 * cfg.S
+        # A feasible anchor other than theta_hat joins the bracket pass, which
+        # reads its loss gap instead of taking it as 0.
+        moved = dataclasses.replace(state, anchor=0.5 * state.theta_hat)
+        assert in_set_E(moved.anchor, hist, cfg, state)
+        rows.clear()
+        edge = e_boundary_multi(hist, cfg, moved, dirs)
+        assert rows == [17, 8]
+        assert _in_E(edge, hist, cfg, state)[0].all()
+        # A zero direction is a ray of length 0: it returns the anchor.
+        edge = e_boundary_multi(hist, cfg, moved, np.vstack([dirs[:1], np.zeros((1, 2))]))
+        assert _in_E(edge, hist, cfg, state)[0].all()
+        np.testing.assert_array_equal(edge[1], moved.anchor)
 
+    @pytest.mark.parametrize("seed", [38, 1, 2, 3])
+    def test_chord_points_sit_at_the_exit(self, seed, monkeypatch):
+        import mnl_bandit.confidence as confidence
+
+        passes = []
+        in_e = confidence._in_E
+
+        def recorded(thetas, *args):
+            ok, gap = in_e(thetas, *args)
+            passes.append((thetas.copy(), ok))
+            return ok, gap
+
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((8, 2))
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
+        hist = random_history(rng, 2, rounds=40)
+        state = build_confidence_state(hist, cfg, t=hist.t + 1)
+        monkeypatch.setattr(confidence, "_in_E", recorded)
+        edge = e_boundary_multi(hist, cfg, state, dirs)
+        monkeypatch.undo()
+        assert len(passes) == 2
+
+        base = state.anchor
+        unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        probes, ok = passes[0]
+        s0, s1 = np.linalg.norm(probes - base, axis=1).reshape(2, -1)
+        f0, f1 = ok.reshape(2, -1)
+        lo = np.where(f0, np.where(f1, s1, s0), 0.0)
+        dist = np.linalg.norm(edge - base, axis=1)
+        assert _in_E(edge, hist, cfg, state)[0].all()
+        assert (dist >= lo).all()
+        for v, s in zip(unit, dist):
+            # The exit of E intersect Theta along the ray, by 60 bisections.
+            # Here s0 alone is within 3e-4 of it; the chord step gets within 4e-5.
+            a, b = 0.0, 2.0 * cfg.S
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if in_set_E(base + mid * v, hist, cfg, state) else (a, mid)
+            assert (1.0 - 1e-4) * a <= s <= b
+        assert dist.max() < 0.9 * cfg.S  # E binds on every ray
 
 
 class TestStateIsASnapshot:
@@ -500,7 +554,7 @@ class TestMaxRevenueOverE:
                 1.5 * cfg.S * unit,  # outside the ball
                 sample_ball(rng, 8, 2, radius=cfg.S),
             ])
-            got = _in_E(thetas, hist, cfg, state)
+            got = _in_E(thetas, hist, cfg, state)[0]
             want = [in_set_E(th, hist, cfg, state) for th in thetas]
             assert got.tolist() == want
             assert all(want[1:9]) and not any(want[25:33])

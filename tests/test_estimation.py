@@ -436,28 +436,39 @@ class TestCompressedHistoryAgainstPerRoundReference:
 
     def test_boundary_points_match(self):
         hist, rounds = mixed_history(np.random.default_rng(8))
-        cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
+        # A heavier ridge than the class's, so that E binds on some rays and
+        # the ball on others.
+        lam = 20.0
+        cfg = ConfidenceConfig(d=2, K=3, lam=lam, S=1.0)
         state = build_confidence_state(hist, cfg, t=301)
         dirs = np.random.default_rng(9).standard_normal((12, 2))
         got = e_boundary_multi(hist, cfg, state, dirs)
 
         def gap(th):
-            return -per_round_reference(rounds, th, self.LAM)["ll"] - state.loss_at_hat
+            return -per_round_reference(rounds, th, lam)["ll"] - state.loss_at_hat
 
-        hess = per_round_reference(rounds, state.theta_hat, self.LAM)["hess"]
+        hess = per_round_reference(rounds, state.theta_hat, lam)["hess"]
         beta_sq, base = state.beta**2, state.anchor
+        assert np.array_equal(base, state.theta_hat)  # so the anchor's gap is 0
+        seen = set()
         for v, point in zip(dirs / np.linalg.norm(dirs, axis=1)[:, None], got):
             b, c = float(v @ base), float(base @ base) - cfg.S**2
             s_ball = max(-b + math.sqrt(max(b * b - c, 0.0)), 0.0)
             s0 = min(math.sqrt(2.0 * beta_sq / max(float(v @ hess @ v), 1e-12)), s_ball)
-            lo, hi = (s0, min(1.3 * s0, s_ball)) if gap(base + s0 * v) <= beta_sq else (0.0, s0)
-            if gap(base + hi * v) <= beta_sq:
-                lo = hi
-            for _ in range(5):  # a closed bracket stays closed
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if gap(base + mid * v) <= beta_sq else (lo, mid)
+            s1 = min(1.3 * s0, s_ball)
+            h0, h1 = gap(base + s0 * v) - beta_sq, gap(base + s1 * v) - beta_sq
+            lo, hi, h_lo, h_hi = (s0, s1, h0, h1) if h0 <= 0.0 else (0.0, s0, -beta_sq, h0)
+            if h_hi <= 0.0:
+                lo = hi  # a closed bracket stays closed
+                seen.add("closed")
+            else:  # one chord step, kept only if feasible
+                seen.add("from anchor" if lo == 0.0 else "from s0")
+                s = lo - h_lo * (hi - lo) / (h_hi - h_lo)
+                if gap(base + s * v) <= beta_sq:
+                    lo = s
             assert lo > 0.0
             assert_rel(point, base + lo * v)
+        assert seen == {"closed", "from anchor", "from s0"}
 
     def test_repeated_assortments_stay_three_blocks(self):
         rng = np.random.default_rng(10)

@@ -162,19 +162,48 @@ class TestPlayedTrajectoryPin:
     # float differences cannot move them; a change that alters the played
     # trajectory updates these values and says so in CHANGES.md.
     PINS = {
-        "cb_mnl_e": "92ce40d7eda2645c323f95af89d9975df632a8386c5a81624e92f7f96513a85c",
+        "cb_mnl_e": "ec9565c414bc1fb196ae39d83d194a72728a34e929b4c683eb717d5e5b90e256",
         "random": "ab4b6635678967003bc61e2c72d6fd78b62b2f8ed2ca4249bcad54099d604fac",
     }
 
-    @pytest.mark.parametrize("policy", sorted(PINS))
-    def test_regret_config_plays_the_pinned_trajectory(self, policy):
-        cfg = ExperimentConfig(
+    @staticmethod
+    def regret_cfg(policy):
+        return ExperimentConfig(
             d=2, N=8, K=2, T=300, S=1.0, S_true=1.0, delta=0.1, lambda_override=40.0,
             refine_top=0, n_dirs=8, restarts=1, track_c_stats=False, policy=policy,
         )
-        rows = csv.DictReader(io.StringIO(run_experiment(cfg, seed=0).csv_text()))
+
+    @pytest.mark.parametrize("policy", sorted(PINS))
+    def test_regret_config_plays_the_pinned_trajectory(self, policy):
+        run = run_experiment(self.regret_cfg(policy), seed=0)
+        rows = csv.DictReader(io.StringIO(run.csv_text()))
         played = "".join(f"{r['assortment']},{r['outcome']}\n" for r in rows)
         assert hashlib.sha256(played.encode()).hexdigest() == self.PINS[policy]
+
+    def test_boundary_search_makes_at_most_two_membership_passes(self, monkeypatch):
+        # The bracket pass and at most one chord pass per call, counted on the
+        # run path itself; the benchmark's tracer sees calls, not passes.
+        import mnl_bandit.confidence as confidence
+        import mnl_bandit.policy as policy
+
+        calls, passes = [0], []
+        in_e, search = confidence._in_E, policy.e_boundary_multi
+
+        def counted_in_e(*args):
+            calls[0] += 1
+            return in_e(*args)
+
+        def counted_search(*args):
+            before = calls[0]
+            points = search(*args)
+            passes.append(calls[0] - before)
+            return points
+
+        monkeypatch.setattr(confidence, "_in_E", counted_in_e)
+        monkeypatch.setattr(policy, "e_boundary_multi", counted_search)
+        run_experiment(self.regret_cfg("cb_mnl_e"), seed=0)
+        assert len(passes) == 300
+        assert max(passes) == 2
 
 
 class TestEllipticalCheck:
