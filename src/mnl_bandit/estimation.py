@@ -45,7 +45,6 @@ g(th1) - g(th2) = G(th1, th2)(th1 - th2) exactly away from the fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -120,9 +119,11 @@ class History:
             self.seg_ids = np.append(self.seg_ids, np.full(k, g))
             self.purchases = np.append(self.purchases, np.zeros(k))
             self.ctx_flat = np.vstack([self.ctx_flat, ctx])
-        self.offers[g] += 1.0
+        # The counts are replaced, never written into, so an evaluation made
+        # before this append keeps reading the arrays it was made from.
+        self.offers = _incremented(self.offers, g)
         if outcome:
-            self.purchases[self.starts[g] + outcome - 1] += 1.0
+            self.purchases = _incremented(self.purchases, self.starts[g] + outcome - 1)
 
     @property
     def row_offers(self) -> np.ndarray:
@@ -137,6 +138,13 @@ class History:
     @property
     def n_blocks(self) -> int:
         return self.offers.shape[0]
+
+
+def _incremented(counts: np.ndarray, i: int) -> np.ndarray:
+    """A copy of ``counts`` with entry ``i`` one higher."""
+    out = counts.copy()
+    out[i] += 1.0
+    return out
 
 
 def _check_theta(history: History, theta: np.ndarray) -> np.ndarray:
@@ -175,56 +183,76 @@ def _gram(ctx: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
     return ctx.T @ (w[:, None] * ctx) + lam * np.eye(ctx.shape[1])
 
 
+class _once:
+    """A value computed on first read and then stored on the instance.
+
+    ``functools.cached_property`` without the lock that Python 3.11 takes on
+    every first read.  The value is written to the instance's ``__dict__``
+    under the same name, which later reads find before this descriptor.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Evaluation:
     """Every likelihood quantity at one parameter, from one kernel pass.
 
     The penalized log-likelihood, the score, g, H and the Newton Hessian
     are all read off one ``_segment_exp`` pass; each is derived on first
     read and kept.  The evaluation is a snapshot of the history it was made
-    from: ``History.append`` updates the offer and purchase counts in
-    place, so those are copied, while the stored rows and block bounds are
-    arrays an append replaces and never writes into.
+    from: it keeps the history's arrays, which ``History.append`` replaces
+    and never writes into.
     """
 
     def __init__(self, history: History, theta: np.ndarray, lam: float):
         self.theta = _check_theta(history, theta)
         self.lam = lam
         self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
-        self.offers = history.offers.copy()
-        self.purchases = history.purchases.copy()
+        self.offers, self.purchases = history.offers, history.purchases
         self.u = self.ctx @ self.theta
         self._m, self._ez, self._total = _segment_exp(history, self.u)
 
-    @cached_property
+    @_once
     def log_likelihood(self) -> float:
         """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
         ll = self.purchases @ self.u - self.offers @ (self._m + np.log(self._total))
         return float(ll) - 0.5 * self.lam * float(self.theta @ self.theta)
 
-    @cached_property
+    @_once
     def mu(self) -> np.ndarray:
         """Softmax probability of every stored row."""
         return self._ez / self._total[self.seg_ids]
 
-    @cached_property
+    @_once
     def _n_mu(self) -> np.ndarray:
         """n mu per row, n the offer count of the row's block."""
         return self.offers[self.seg_ids] * self.mu
 
-    @cached_property
+    @_once
     def score(self) -> np.ndarray:
         return (self.purchases - self._n_mu) @ self.ctx - self.lam * self.theta
 
-    @cached_property
+    @_once
     def g(self) -> np.ndarray:
         return self._n_mu @ self.ctx + self.lam * self.theta
 
-    @cached_property
+    @_once
     def H(self) -> np.ndarray:
         mu = self.mu
         return _gram(self.ctx, self.offers[self.seg_ids] * (mu * (1.0 - mu)), self.lam)
 
-    @cached_property
+    @_once
     def nll_hessian(self) -> np.ndarray:
         """Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i, plus lam I."""
         seg_means = np.add.reduceat(self.mu[:, None] * self.ctx, self.starts, axis=0)

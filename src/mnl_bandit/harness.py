@@ -57,8 +57,8 @@ from .simulator import (
     TAG_POLICY,
     estimate_kappa,
     make_instance,
+    round_streams,
     serve_contexts,
-    stream,
 )
 
 __all__ = [
@@ -350,7 +350,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     oracle: Decision | None = None  # the last pool's oracle; a fixed pool's is solved once
     bound_factor = 2.0 * (1.0 + 2.0 * cfg.S)
 
-    for t in range(1, cfg.T + 1):
+    rounds = range(1, cfg.T + 1)
+    policy_streams = round_streams(seed, TAG_POLICY, rounds)
+    outcome_streams = round_streams(seed, TAG_OUTCOME, rounds)
+    for t, rng_policy, rng_outcome in zip(rounds, policy_streams, outcome_streams):
         pool = serve_contexts(instance, t)
         state = build_confidence_state(history, ccfg, t, theta0=theta_warm)
         if not state.mle.converged:
@@ -358,7 +361,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         newton_steps += state.mle.iterations
         theta_warm = state.theta_hat
 
-        rng_policy = stream(seed, TAG_POLICY, t)
         decision = _policy_decision(
             kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy
         )
@@ -367,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         # outcome (as ``environment_step`` does) and serves the regret and
         # the deviation matrix update below.
         dist = choice_probabilities(decision.assortment, theta_star)
-        outcome = sample_choice(dist, stream(seed, TAG_OUTCOME, t))
+        outcome = sample_choice(dist, rng_outcome)
 
         if kind is PolicyKind.ORACLE:
             oracle = decision  # this pool's oracle solve

@@ -110,6 +110,24 @@ class TestRunExperiment:
         assert len(calls) == 50
         assert run.total_regret == 0.0
 
+    def test_fixed_pool_run_builds_no_seed_sequence_per_round(self, monkeypatch):
+        # The per-round policy and outcome streams are reseeded from one
+        # hashed table; only the instance and kappa streams call ``stream``.
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kw):
+            built.append(1)
+            return seed_sequence(*args, **kw)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        counts = []
+        for T in (50, 100):
+            built.clear()
+            run_experiment(small_cfg(policy="random", T=T), seed=4)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
 
 class TestRefinedRounds:
     # Every round refines its leader by ascent (refine_top=1).  The played

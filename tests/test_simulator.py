@@ -9,6 +9,8 @@ from mnl_bandit.policy import enumerate_assortments
 from mnl_bandit.simulator import (
     FIXED_POOL,
     FRESH_IID,
+    TAG_OUTCOME,
+    TAG_POLICY,
     Instance,
     InstanceConfig,
     environment_step,
@@ -16,6 +18,7 @@ from mnl_bandit.simulator import (
     kappa_over_candidates,
     kappa_theta_candidates,
     make_instance,
+    round_streams,
     sample_ball,
     serve_contexts,
     stream,
@@ -64,6 +67,41 @@ class TestServeContexts:
         inst = make_instance(InstanceConfig(), 0)
         with pytest.raises(ValueError):
             serve_contexts(inst, 0)
+
+
+class TestRoundStreams:
+    # Multi-word seeds put four and five words of entropy into the hash.
+    SEEDS = [0, 1, 999, 2**32 + 7, 2**70 + 3]
+    TAGS = [TAG_POLICY, TAG_OUTCOME, 7]
+    ROUNDS = [*range(1, 301), 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_each_round_equals_its_stream(self, seed, tag):
+        for t, rng in zip(self.ROUNDS, round_streams(seed, tag, self.ROUNDS), strict=True):
+            ref = stream(seed, tag, t)
+            assert rng.bit_generator.state == ref.bit_generator.state, t
+            np.testing.assert_array_equal(rng.random(3), ref.random(3))
+            assert rng.integers(36) == ref.integers(36)
+            np.testing.assert_array_equal(rng.standard_normal(2), ref.standard_normal(2))
+
+    def test_a_buffered_half_word_does_not_leak_into_the_next_round(self):
+        # integers(36) draws 32 bits and leaves the other half of a 64-bit
+        # output buffered in PCG64 (has_uint32); the next round drops it.
+        rngs = round_streams(5, TAG_POLICY, range(1, 5))
+        for t, rng in zip(range(1, 5), rngs):
+            assert rng.bit_generator.state == stream(5, TAG_POLICY, t).bit_generator.state
+            rng.integers(36)
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_rounds_beyond_one_key_word_are_rejected(self):
+        with pytest.raises(ValueError, match="rounds"):
+            round_streams(0, TAG_POLICY, [1, 2**32])
+        with pytest.raises(ValueError, match="rounds"):
+            round_streams(0, TAG_POLICY, [-1])
+
+    def test_no_rounds_yield_nothing(self):
+        assert list(round_streams(0, TAG_POLICY, [])) == []
 
 
 class TestEnvironmentStep:
