@@ -9,11 +9,10 @@ Two sets are maintained over the parameter ball Theta = {||theta|| <= S}:
   (loss = negative penalized log-likelihood), with beta = gamma + gamma^2/lambda.
 
 E contains C, so any coverage guarantee for C transfers to E, and E is the
-set the decision step optimizes over.  Its screening candidates are points
-near E's boundary along rays from the anchor (``e_boundary_multi``).  The
-loss gap is convex along a ray, so after one bracket pass a single chord
-step lands inside E: a search costs at most two likelihood passes, however
-many rays it has.  The inner revenue maximization over
+set the decision step optimizes over by default.  Screening candidates in
+either set are points near its boundary along rays from the anchor, from
+one search (``e_boundary_multi``) that costs at most two likelihood
+passes, however many rays it has.  The inner revenue maximization over
 E is NOT a concave problem; ``max_revenue_over_E`` is a multi-start
 projected-ascent heuristic whose result is always a feasible point, never
 an upper bound.  It projects each step onto Theta and refuses a step that
@@ -145,8 +144,9 @@ def build_confidence_state(
 
 def _in_C(
     thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> np.ndarray:
-    """Membership in C of every row of (m, d); False outside the parameter ball.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Membership in C of every row of (m, d), False outside the parameter
+    ball, and each one's ||g(theta) - g(theta_hat)||^2 in the H(theta)^-1 norm.
 
     One likelihood pass gives every row's g(theta) and H(theta), the
     Hessians as one matmul of the curvature weights with a table of the
@@ -162,14 +162,14 @@ def _in_C(
     H = (w.T @ outer).reshape(-1, d, d) + cfg.lam * np.eye(d)
     quad = (dg * np.linalg.solve(H, dg[:, :, None])[:, :, 0]).sum(axis=1)
     in_ball = np.sqrt((thetas * thetas).sum(axis=1)) <= cfg.S * (1.0 + 1e-12)
-    return in_ball & (quad <= state.gamma**2)
+    return in_ball & (quad <= state.gamma**2), quad
 
 
 def in_set_C(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
     """Membership in the norm-based set; False outside the parameter ball."""
-    return bool(_in_C(np.asarray(theta, dtype=float).reshape(1, -1), history, cfg, state)[0])
+    return bool(_in_C(np.asarray(theta, dtype=float).reshape(1, -1), history, cfg, state)[0][0])
 
 
 def _in_E(
@@ -210,24 +210,34 @@ def e_boundary_multi(
     cfg: ConfidenceConfig,
     state: ConfidenceState,
     directions: np.ndarray,
+    set_kind: str = "E",
 ) -> np.ndarray:
-    """Feasible near-boundary points of E intersect Theta along rays from the anchor.
+    """Feasible near-boundary points of E or C (``set_kind``), intersect
+    Theta, along rays from the anchor.
 
-    Along a ray from the anchor, h(s) = loss gap - beta^2 is convex, so
-    feasibility is an interval.  A quadratic model of the loss at the MLE,
-    with the Hessian of the fit's own evaluation there, gives the initial
-    radius guess s0, and one likelihood pass probes every ray at s0 and
-    1.3 s0 (capped at the ball), plus the anchor unless it is theta_hat,
-    where h = -beta^2.  A ray whose probes both pass keeps the outer one; any
-    other ray has an open bracket lo < hi, lo feasible and hi not.  Then,
-    once any bracket is open, a second pass probes every ray where the
-    chord from (lo, h(lo)) to (hi, h(hi)) crosses zero.  The chord lies
-    above the convex h, so that point is inside E in exact arithmetic; it
-    replaces lo only if the pass confirms it, so every returned point
-    passes the true feasibility test.  A call costs one or two passes, and
-    a closed bracket (lo == hi) is a fixed point of the chord step.  A zero
-    direction returns the anchor.
+    Along a ray, h(s) is E's loss gap - beta^2, convex, or C's squared
+    H(theta)^-1 norm of g(theta) - g(theta_hat), less gamma^2.  A quadratic
+    model of the loss at the MLE, with the Hessian of the fit's own
+    evaluation there, gives E's radius guess s0 for either set (it brackets
+    C, inside E, from outside), and one likelihood pass probes every ray at
+    s0 and 1.3 s0 (capped at the ball), plus the anchor unless it is
+    theta_hat, where h = -beta^2 or -gamma^2.  A ray whose probes both pass
+    keeps the outer one; any other ray has an open bracket lo < hi, lo
+    feasible and hi not.  Then, once any bracket is open, a second pass
+    probes every ray where the chord from (lo, h(lo)) to (hi, h(hi))
+    crosses zero.  The chord lies above a convex h, so for E that point is
+    inside in exact arithmetic; it replaces lo only if the set's own kernel
+    confirms it, so every returned point passes the true feasibility test.
+    A call costs one or two passes, and a closed bracket (lo == hi) is a
+    fixed point of the chord step.  A zero direction returns the anchor.
     """
+    # The kernel is looked up per call, so a replaced module attribute is used.
+    if set_kind == "E":
+        member, level = _in_E, state.beta**2
+    elif set_kind == "C":
+        member, level = _in_C, state.gamma**2
+    else:
+        raise ValueError(f"unknown set kind {set_kind!r}")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     norms = np.linalg.norm(dirs, axis=1)
     v = dirs / np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
@@ -235,27 +245,26 @@ def e_boundary_multi(
     s_ball = _ball_exit(base, v, cfg.S)
 
     hess = state.mle.evaluation.nll_hessian
-    beta_sq = state.beta**2
     quad = np.einsum("md,de,me->m", v, hess, v)
-    s0 = np.minimum(np.sqrt(2.0 * beta_sq / np.maximum(quad, 1e-12)), s_ball)
+    s0 = np.minimum(np.sqrt(2.0 * state.beta**2 / np.maximum(quad, 1e-12)), s_ball)
     s1 = np.minimum(1.3 * s0, s_ball)
     # Both bracket probes in one pass; s1 matters only where s0 is feasible.
     probes = base + np.concatenate([s0, s1])[:, None] * np.vstack([v, v])
     at_hat = np.array_equal(base, state.theta_hat)
     if not at_hat:
         probes = np.vstack([probes, base])
-    ok, gap = _in_E(probes, history, cfg, state)
-    h = gap - beta_sq
+    ok, value = member(probes, history, cfg, state)
+    h = value - level
     m = len(v)
     f0, f1, h0, h1 = ok[:m], ok[m : 2 * m], h[:m], h[m : 2 * m]
     lo = np.where(f0, np.where(f1, s1, s0), 0.0)
     hi = np.where(f0, s1, s0)
     if (hi > lo).any():
-        h_lo = np.where(f0, h0, -beta_sq if at_hat else h[-1])
+        h_lo = np.where(f0, h0, -level if at_hat else h[-1])
         rise = np.where(f0, h1, h0) - h_lo
         frac = np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0.0)
         s = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-        lo = np.where(_in_E(base + s[:, None] * v, history, cfg, state)[0], s, lo)
+        lo = np.where(member(base + s[:, None] * v, history, cfg, state)[0], s, lo)
     return base + lo[:, None] * v
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -120,7 +121,7 @@ class ExperimentConfig:
     delta: float = 0.1
     lambda_override: float | None = None
     restarts: int = 5  # ascent starts: the anchor and the first restarts-1 screening points
-    n_dirs: int = 16  # screening boundary points; at least restarts - 1
+    n_dirs: int = 16  # screening boundary points of E or C; at least restarts - 1
     refine_top: int = 1  # 1 refines the screening leader by ascent, 0 keeps its value
     track_c_stats: bool = True  # per-round coverage of the norm-based set (covered_C)
     seeds: list[int] = field(default_factory=lambda: [0])
@@ -151,7 +152,7 @@ class ExperimentConfig:
             or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in self.seeds)
         ):
             raise ValueError(f"seeds must be a nonempty list of integers >= 0, got {self.seeds!r}")
-        if repeated := sorted({s for s in self.seeds if self.seeds.count(s) > 1}):
+        if repeated := sorted(s for s, n in Counter(self.seeds).items() if n > 1):
             named = ", ".join(map(str, repeated))
             raise ValueError(f"seeds must not repeat a seed, got {named} more than once")
         if self.out_dir is not None and not isinstance(self.out_dir, str):

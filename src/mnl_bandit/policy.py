@@ -26,12 +26,10 @@ from .confidence import (
     L_CONST,
     ConfidenceConfig,
     ConfidenceState,
-    _in_C,
     e_boundary_multi,
     max_revenue_over_E,
 )
 from .estimation import History, matrix_V
-from .simulator import sample_ball
 
 __all__ = [
     "PolicyKind",
@@ -46,7 +44,6 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**6
-_SET_C_DRAWS = 512  # ellipsoid draws screened for members of the norm-based set C
 _NEAR_SETS = 10**4  # most sets within rounding of a static optimum that are scored
 _EPS = np.finfo(float).eps / 2  # unit roundoff
 
@@ -286,38 +283,26 @@ def cb_mnl_step(
     that attains it, as when every assortment is scored against every
     candidate.
 
-    With ``set_kind="E"`` the candidates are the anchor and the boundary
-    points of the convex set along ``n_dirs`` seeded directions.  With
-    ``refine_top=1`` the leader is then refined by the multi-start ascent
-    of ``max_revenue_over_E`` (its default 40 steps) from the anchor, the
-    first ``restarts - 1`` boundary points (so ``restarts`` may not exceed
-    ``n_dirs + 1``) and the leader's own candidate; ``refine_top=0`` keeps
-    the screening value.  Refinement only raises the leader's value, so it
-    never changes the assortment played.
-
-    With ``set_kind="C"`` the non-convex set is handled by rejection
-    sampling: 512 uniform draws from an ellipsoid around the MLE are tested
-    in one batched membership pass, and the members join the anchor as
-    candidates.  Ascent is unreliable there, so nothing is refined.
+    The candidates are the anchor and the points near the boundary of the
+    set that ``set_kind`` names, the convex set E or the norm-based set C,
+    along ``n_dirs`` seeded directions (``e_boundary_multi``).  With
+    ``set_kind="E"`` and ``refine_top=1`` the leader is then refined by the
+    multi-start ascent of ``max_revenue_over_E`` (its default 40 steps)
+    from the anchor, the first ``restarts - 1`` boundary points (so
+    ``restarts`` may not exceed ``n_dirs + 1``) and the leader's own
+    candidate; ``refine_top=0`` keeps the screening value.  Refinement
+    only raises the leader's value, so it never changes the assortment
+    played.  C is not convex, so its leader is not refined.
     """
     if isinstance(refine_top, bool) or refine_top not in (0, 1):
         raise ValueError(f"refine_top must be 0 or 1, got {refine_top!r}")
+    if not 1 <= restarts <= n_dirs + 1:
+        raise ValueError(f"restarts must be in [1, n_dirs + 1 = {n_dirs + 1}], got {restarts}")
     if rng is None:
         rng = np.random.default_rng(0)
-
-    if set_kind == "C":
-        radius = 2.0 * (1.0 + 2.0 * cfg.S) * state.gamma
-        chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
-        draws = state.theta_hat + sample_ball(rng, _SET_C_DRAWS, history.dim, radius) @ chol.T
-        thetas = np.vstack([state.anchor[None, :], draws[_in_C(draws, history, cfg, state)]])
-    elif set_kind == "E":
-        if not 1 <= restarts <= n_dirs + 1:
-            raise ValueError(f"restarts must be in [1, n_dirs + 1 = {n_dirs + 1}], got {restarts}")
-        dirs = rng.standard_normal((n_dirs, history.dim))
-        boundary = e_boundary_multi(history, cfg, state, dirs)
-        thetas = np.vstack([state.anchor[None, :], boundary])
-    else:
-        raise ValueError(f"unknown set kind {set_kind!r}")
+    dirs = rng.standard_normal((n_dirs, history.dim))
+    boundary = e_boundary_multi(history, cfg, state, dirs, set_kind)
+    thetas = np.vstack([state.anchor[None, :], boundary])
 
     # The max over assortments of the max over candidates is the max over
     # candidates of one static solve each.

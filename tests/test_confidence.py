@@ -201,9 +201,10 @@ class TestNormSetBatch:
             chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
             radius = 3.0 * state.gamma
             thetas = state.theta_hat + sample_ball(rng, 300, d, radius) @ chol.T
-            got = _in_C(thetas, hist, cfg, state)
-            for theta, member in zip(thetas, got):
+            got, values = _in_C(thetas, hist, cfg, state)
+            for theta, member, value in zip(thetas, got, values):
                 expected, quad = norm_set_reference(theta, rounds, cfg, state)
+                assert value == pytest.approx(quad, rel=1e-9, abs=1e-12)
                 # No draw sits within rounding of C's boundary.
                 assert abs(quad - state.gamma**2) > 1e-9 * state.gamma**2
                 assert member == expected

@@ -4,13 +4,14 @@ import hashlib
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from mnl_bandit.checks import deviation_bound, elliptical_potential
 from mnl_bandit.choice import AssortmentContexts, choice_probabilities, expected_revenue
-from mnl_bandit.confidence import in_set_E
+from mnl_bandit.confidence import in_set_C, in_set_E
 from mnl_bandit.estimation import History
 from mnl_bandit.harness import (
     CSV_HEADER,
@@ -173,6 +174,33 @@ class TestRefinedRounds:
             assert max(norms) == pytest.approx(cfg.S, abs=1e-12)
 
 
+class TestNormSetScreening:
+    def test_every_round_screens_n_dirs_members_of_C(self, monkeypatch):
+        # Every ray of the search ends at a member of C, even at d=5, where C
+        # fills a tiny share of any ellipsoid around the MLE that holds it.
+        import mnl_bandit.harness as harness
+        import mnl_bandit.policy as policy
+
+        cfg = ExperimentConfig(d=5, N=8, K=2, T=20, policy="cb_mnl_c")
+        candidates, members = [], []
+        attraction, step = policy._attraction, harness.cb_mnl_step
+
+        def recorded(pool, prices, thetas):
+            candidates.append(np.array(thetas))
+            return attraction(pool, prices, thetas)
+
+        def checked(pool, history, ccfg, state, **kw):
+            decision = step(pool, history, ccfg, state, **kw)
+            screened = candidates.pop()[1:]  # the anchor leads
+            members.append(sum(in_set_C(theta, history, ccfg, state) for theta in screened))
+            return decision
+
+        monkeypatch.setattr(policy, "_attraction", recorded)
+        monkeypatch.setattr(harness, "cb_mnl_step", checked)
+        run_experiment(cfg, seed=0)
+        assert len(members) == cfg.T
+        assert min(members) >= cfg.n_dirs
+
 
 class TestPlayedTrajectoryPin:
     # SHA-256 of the CSV's assortment and outcome columns of the regret
@@ -180,6 +208,7 @@ class TestPlayedTrajectoryPin:
     # float differences cannot move them; a change that alters the played
     # trajectory updates these values and says so in CHANGES.md.
     PINS = {
+        "cb_mnl_c": "87d73153932057ee991171b929d707745e55ab4d48a734a4f1be02f9391a3dbb",
         "cb_mnl_e": "ec9565c414bc1fb196ae39d83d194a72728a34e929b4c683eb717d5e5b90e256",
         "random": "ab4b6635678967003bc61e2c72d6fd78b62b2f8ed2ca4249bcad54099d604fac",
     }
@@ -200,28 +229,38 @@ class TestPlayedTrajectoryPin:
 
     def test_boundary_search_makes_at_most_two_membership_passes(self, monkeypatch):
         # The bracket pass and at most one chord pass per call, counted on the
-        # run path itself; the benchmark's tracer sees calls, not passes.
+        # run path itself, all with the searched set's own kernel; the
+        # benchmark's tracer sees calls, not passes.
+        import collections
+
         import mnl_bandit.confidence as confidence
         import mnl_bandit.policy as policy
 
-        calls, passes = [0], []
-        in_e, search = confidence._in_E, policy.e_boundary_multi
+        calls, passes = collections.Counter(), []
+        search = policy.e_boundary_multi
 
-        def counted_in_e(*args):
-            calls[0] += 1
-            return in_e(*args)
+        def counting(which, member):
+            def counted(*args):
+                calls[which] += 1
+                return member(*args)
+
+            return counted
 
         def counted_search(*args):
-            before = calls[0]
+            before = calls.copy()
             points = search(*args)
-            passes.append(calls[0] - before)
+            passes.append(calls - before)
             return points
 
-        monkeypatch.setattr(confidence, "_in_E", counted_in_e)
+        for which in ("_in_E", "_in_C"):
+            monkeypatch.setattr(confidence, which, counting(which, getattr(confidence, which)))
         monkeypatch.setattr(policy, "e_boundary_multi", counted_search)
-        run_experiment(self.regret_cfg("cb_mnl_e"), seed=0)
-        assert len(passes) == 300
-        assert max(passes) == 2
+        for name, kernel in (("cb_mnl_e", "_in_E"), ("cb_mnl_c", "_in_C")):
+            passes.clear()
+            run_experiment(self.regret_cfg(name), seed=0)
+            assert len(passes) == 300
+            assert {which for used in passes for which in used} == {kernel}
+            assert max(used[kernel] for used in passes) == 2
 
 
 class TestEllipticalCheck:
@@ -458,6 +497,15 @@ class TestConfig:
             small_cfg(policy="nonsense")
         with pytest.raises(ValueError, match="seeds must not repeat a seed, got 1 more than once"):
             small_cfg(seeds=[1, 0, 1])
+
+    def test_validates_many_seeds_in_one_pass(self):
+        # A list.count per seed made validation quadratic: 5 s at 2 * 10**4 seeds.
+        seeds = list(range(10**5))
+        start = time.perf_counter()
+        assert small_cfg(seeds=seeds).seeds == seeds
+        with pytest.raises(ValueError, match="got 5, 99999 more than once"):
+            small_cfg(seeds=seeds + [99999, 5, 5])
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize(
         "field, value",
