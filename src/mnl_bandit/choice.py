@@ -39,13 +39,44 @@ def finite_number(name: str, value) -> float:
     return float(value)
 
 
+def _assemble(cls, **values):
+    """A ``cls`` holding ``values``, already converted and checked, without ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
+def _check_assortment(indices: tuple[int, ...], ctx: np.ndarray, prices: np.ndarray) -> None:
+    """The checks every assortment passes, on fields already converted.
+
+    One context row and one price per index, distinct indices, row norms
+    at most 1 (up to ``_NORM_TOL``) and no negative price.
+    """
+    k = len(indices)
+    if ctx.shape[0] != k or prices.shape[0] != k:
+        raise ValueError(
+            f"inconsistent assortment: {k} indices, {ctx.shape[0]} context rows, "
+            f"{prices.shape[0]} prices"
+        )
+    if len(set(indices)) != k:
+        raise ValueError(f"duplicate item indices in assortment {indices}")
+    if not k:
+        return
+    # sqrt is monotone, so the largest norm is the root of the largest square.
+    if math.sqrt(np.maximum.reduce(np.add.reduce(ctx * ctx, axis=1))) > 1.0 + _NORM_TOL:
+        raise ValueError("context norm exceeds 1")
+    if np.minimum.reduce(prices) < 0.0:
+        raise ValueError("negative price")
+
+
 @dataclass(frozen=True)
 class AssortmentContexts:
     """Items offered in one round: original indices, attribute rows, prices.
 
     ``contexts`` has one row per item; ``prices`` defaults to 1 for every
     item.  Indices must be distinct and every row must have Euclidean norm
-    at most 1.
+    at most 1.  Both ways to build one, the constructor and ``from_pool``,
+    run the same ``_check_assortment``.
     """
 
     indices: tuple[int, ...]
@@ -60,18 +91,7 @@ class AssortmentContexts:
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(self, "contexts", ctx)
         object.__setattr__(self, "prices", prices)
-        k = len(self.indices)
-        if ctx.shape[0] != k or prices.shape[0] != k:
-            raise ValueError(
-                f"inconsistent assortment: {k} indices, {ctx.shape[0]} context rows, "
-                f"{prices.shape[0]} prices"
-            )
-        if len(set(self.indices)) != k:
-            raise ValueError(f"duplicate item indices in assortment {self.indices}")
-        if k and float(np.max(np.linalg.norm(ctx, axis=1))) > 1.0 + _NORM_TOL:
-            raise ValueError("context norm exceeds 1")
-        if k and float(prices.min()) < 0.0:
-            raise ValueError("negative price")
+        _check_assortment(self.indices, ctx, prices)
 
     @classmethod
     def from_pool(
@@ -80,15 +100,16 @@ class AssortmentContexts:
         indices: tuple[int, ...],
         prices: np.ndarray | None = None,
     ) -> "AssortmentContexts":
-        """Build an assortment by picking rows of an (N, d) context pool."""
-        pool = np.asarray(pool, dtype=float)
-        idx = tuple(int(i) for i in indices)
-        ctx = pool[list(idx)].reshape(len(idx), pool.shape[1])
-        if prices is None:
-            pr = np.ones(len(idx))
-        else:
-            pr = np.asarray(prices, dtype=float)[list(idx)]
-        return cls(idx, ctx, pr)
+        """Build an assortment by picking rows of an (N, d) context pool.
+
+        Picking converts the rows and prices once; they are then checked,
+        not converted again.  An index outside the pool raises IndexError.
+        """
+        idx = tuple(map(int, indices))
+        ctx = np.asarray(pool, dtype=float).take(idx, axis=0)
+        pr = np.ones(len(idx)) if prices is None else np.asarray(prices, dtype=float).take(idx)
+        _check_assortment(idx, ctx, pr)
+        return _assemble(cls, indices=idx, contexts=ctx, prices=pr)
 
     @property
     def cardinality(self) -> int:
@@ -97,6 +118,17 @@ class AssortmentContexts:
     @property
     def dim(self) -> int:
         return self.contexts.shape[1]
+
+
+def _check_probs(item_probs: np.ndarray, no_purchase_prob: float) -> None:
+    """Probabilities that sum to 1 (within 1e-12) and none negative; NaN fails the sum."""
+    total = float(np.add.reduce(item_probs)) + no_purchase_prob
+    if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    # Zero is allowed: at extreme utilities a probability underflows.  A
+    # finite total means every value is finite, so Python's min is exact.
+    if no_purchase_prob < 0.0 or min(item_probs.tolist(), default=0.0) < 0.0:
+        raise ValueError("negative choice probability")
 
 
 @dataclass(frozen=True)
@@ -110,12 +142,7 @@ class ChoiceDistribution:
         probs = np.asarray(self.item_probs, dtype=float).reshape(-1)
         object.__setattr__(self, "item_probs", probs)
         object.__setattr__(self, "no_purchase_prob", float(self.no_purchase_prob))
-        total = float(probs.sum()) + self.no_purchase_prob
-        if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        # Zero is allowed: at extreme utilities a probability underflows.
-        if self.no_purchase_prob < 0.0 or (probs.size and (probs < 0.0).any()):
-            raise ValueError("negative choice probability")
+        _check_probs(probs, self.no_purchase_prob)
 
     def outcome_probs(self) -> np.ndarray:
         """Probabilities indexed by outcome: slot 0 is no purchase."""
@@ -124,11 +151,12 @@ class ChoiceDistribution:
 
 def _utilities(assortment: AssortmentContexts, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    if assortment.cardinality and assortment.dim != theta.shape[0]:
+    ctx = assortment.contexts
+    if ctx.shape[0] and ctx.shape[1] != theta.shape[0]:
         raise ValueError(
-            f"dimension mismatch: contexts are d={assortment.dim}, theta is d={theta.shape[0]}"
+            f"dimension mismatch: contexts are d={ctx.shape[1]}, theta is d={theta.shape[0]}"
         )
-    return assortment.contexts @ theta
+    return ctx @ theta
 
 
 def choice_probabilities(
@@ -138,22 +166,27 @@ def choice_probabilities(
 
     Each item gets exp(u_i) / (1 + sum_j exp(u_j)); the leading 1 is the
     zero-utility no-purchase option.  An empty assortment yields
-    no-purchase probability 1.
+    no-purchase probability 1.  The probabilities are checked as they are
+    computed, the checks ``ChoiceDistribution`` itself makes.
     """
     u = _utilities(assortment, theta)
     if u.size == 0:
-        return ChoiceDistribution(np.zeros(0), 1.0)
-    shift = max(float(u.max()), 0.0)
-    ez = np.exp(u - shift)
-    denom = np.exp(-shift) + ez.sum()
-    return ChoiceDistribution(ez / denom, float(np.exp(-shift) / denom))
+        probs, none = np.zeros(0), 1.0
+    else:
+        shift = max(float(np.maximum.reduce(u)), 0.0)
+        ez = np.exp(u - shift)
+        e0 = np.exp(-shift)
+        denom = e0 + np.add.reduce(ez)
+        probs, none = ez / denom, float(e0 / denom)
+    _check_probs(probs, none)
+    return _assemble(ChoiceDistribution, item_probs=probs, no_purchase_prob=none)
 
 
 def expected_revenue(assortment: AssortmentContexts, theta: np.ndarray) -> float:
     """Price-weighted purchase probability; with unit prices, the total
     probability that anything at all is bought."""
     dist = choice_probabilities(assortment, theta)
-    if assortment.cardinality == 0:
+    if not assortment.indices:
         return 0.0
     return float(dist.item_probs @ assortment.prices)
 

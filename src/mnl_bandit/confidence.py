@@ -28,7 +28,7 @@ import numpy as np
 
 from . import estimation
 from .choice import AssortmentContexts, finite_number
-from .estimation import History, MleResult, _log_likelihood, fit_mle
+from .estimation import History, MleResult, _log_likelihood, _norm, fit_mle
 
 __all__ = [
     "L_CONST",
@@ -134,7 +134,7 @@ def build_confidence_state(
     gamma = gamma_radius(cfg, t)
     beta = beta_radius(gamma, cfg.lam)
     anchor = theta_hat
-    norm = float(np.linalg.norm(theta_hat))
+    norm = _norm(theta_hat)
     if norm > cfg.S:
         # The ridge keeps theta_hat near Theta, but nothing forces it inside;
         # projections need a base point that is feasible.

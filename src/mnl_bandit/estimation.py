@@ -44,6 +44,7 @@ g(th1) - g(th2) = G(th1, th2)(th1 - th2) exactly away from the fallback.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,19 +100,17 @@ class History:
 
     def append(self, assortment: AssortmentContexts, outcome: int) -> None:
         outcome = int(outcome)
-        if not 0 <= outcome <= assortment.cardinality:
+        ctx = assortment.contexts
+        k = len(assortment.indices)
+        if not 0 <= outcome <= k:
+            raise ValueError(f"outcome {outcome} outside 0..{k}")
+        if k and ctx.shape[1] != self.dim:
             raise ValueError(
-                f"outcome {outcome} outside 0..{assortment.cardinality}"
-            )
-        if assortment.cardinality and assortment.dim != self.dim:
-            raise ValueError(
-                f"dimension mismatch: history is d={self.dim}, assortment is d={assortment.dim}"
+                f"dimension mismatch: history is d={self.dim}, assortment is d={ctx.shape[1]}"
             )
         self.t += 1
-        k = assortment.cardinality
         if k == 0:
             return
-        ctx = assortment.contexts
         g = self._blocks.setdefault(ctx.tobytes(), self.n_blocks)
         if g == self.n_blocks:  # first offer of this block
             self.starts = np.append(self.starts, self.n_items)
@@ -147,15 +146,6 @@ def _incremented(counts: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
-def _check_theta(history: History, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != history.dim:
-        raise ValueError(
-            f"dimension mismatch: history is d={history.dim}, theta is d={theta.shape[0]}"
-        )
-    return theta
-
-
 def _segment_exp(history: History, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The segment kernel: per-block shift, shifted exponentials, normalizers.
 
@@ -180,7 +170,9 @@ def _log_likelihood(history: History, u: np.ndarray) -> np.ndarray | float:
 
 def _gram(ctx: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
     """sum_rows w x x^T + lam I, with each row's offer count already in ``w``."""
-    return ctx.T @ (w[:, None] * ctx) + lam * np.eye(ctx.shape[1])
+    gram = ctx.T @ (w[:, None] * ctx)
+    gram.flat[:: gram.shape[0] + 1] += lam  # lam on the diagonal, in place
+    return gram
 
 
 class _once:
@@ -212,11 +204,12 @@ class _Evaluation:
     are all read off one ``_segment_exp`` pass; each is derived on first
     read and kept.  The evaluation is a snapshot of the history it was made
     from: it keeps the history's arrays, which ``History.append`` replaces
-    and never writes into.
+    and never writes into.  ``theta`` must already be a float vector of the
+    history's dimension (``_evaluate`` checks it).
     """
 
     def __init__(self, history: History, theta: np.ndarray, lam: float):
-        self.theta = _check_theta(history, theta)
+        self.theta = theta
         self.lam = lam
         self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
         self.offers, self.purchases = history.offers, history.purchases
@@ -261,24 +254,34 @@ class _Evaluation:
         )
 
 
+def _evaluate(history: History, theta: np.ndarray, lam: float) -> _Evaluation:
+    """The evaluation at ``theta``, once it is checked to be a vector of the history's dimension."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.shape[0] != history.dim:
+        raise ValueError(
+            f"dimension mismatch: history is d={history.dim}, theta is d={theta.shape[0]}"
+        )
+    return _Evaluation(history, theta, lam)
+
+
 def penalized_log_likelihood(history: History, theta: np.ndarray, lam: float) -> float:
     """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
-    return _Evaluation(history, theta, lam).log_likelihood
+    return _evaluate(history, theta, lam).log_likelihood
 
 
 def score(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Gradient of the penalized log-likelihood; zero exactly at the MLE."""
-    return _Evaluation(history, theta, lam).score
+    return _evaluate(history, theta, lam).score
 
 
 def g_vector(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """sum_s sum_i mu_i(X_s theta) x_si + lam theta."""
-    return _Evaluation(history, theta, lam).g
+    return _evaluate(history, theta, lam).g
 
 
 def matrix_H(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Curvature-weighted design matrix sum mu(1-mu) x x^T + lam I."""
-    return _Evaluation(history, theta, lam).H
+    return _evaluate(history, theta, lam).H
 
 
 def matrix_V(history: History, lam: float) -> np.ndarray:
@@ -290,7 +293,7 @@ def matrix_G(
     history: History, theta1: np.ndarray, theta2: np.ndarray, lam: float
 ) -> np.ndarray:
     """Difference-quotient design matrix linking g(th1) - g(th2)."""
-    at1, at2 = _Evaluation(history, theta1, lam), _Evaluation(history, theta2, lam)
+    at1, at2 = _evaluate(history, theta1, lam), _evaluate(history, theta2, lam)
     mu1, mu2 = at1.mu, at2.mu
     den = at2.u - at1.u
     small = np.abs(den) < _ALPHA_FALLBACK_TOL
@@ -300,7 +303,12 @@ def matrix_G(
 
 def _nll_hessian(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Exact Hessian of the negative penalized log-likelihood (PD for lam > 0)."""
-    return _Evaluation(history, theta, lam).nll_hessian
+    return _evaluate(history, theta, lam).nll_hessian
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float vector, as ``np.linalg.norm`` gives it, minus its dispatch."""
+    return math.sqrt(v @ v)
 
 
 def fit_mle(
@@ -321,26 +329,25 @@ def fit_mle(
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1 for a well-posed fit, got {lam}")
     theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
-    ev = _Evaluation(history, theta, lam)
+    ev = _evaluate(history, theta, lam)
     steps = 0
-    while steps < max_iter:
+    while True:
         s = ev.score
-        s_norm = float(np.linalg.norm(s))
-        if s_norm <= tol:
-            return MleResult(ev.theta, s_norm, steps, True, ev)
-        try:
-            step = np.linalg.solve(ev.nll_hessian, s)
-        except np.linalg.LinAlgError:
-            step = s / lam
+        s_norm = _norm(s)
+        if s_norm <= tol or steps >= max_iter:
+            break
+        # The Newton Hessian is a sum of PSD block terms plus lam I with
+        # lam >= 1, so it is positive definite and the solve is regular.
+        step = np.linalg.solve(ev.nll_hessian, s)
         slope = float(s @ step)
         a = 1.0
         moved = False
         while a >= 1e-12:
-            cand = _Evaluation(history, ev.theta + a * step, lam)
+            cand = _Evaluation(history, ev.theta + a * step, lam)  # a d-vector: no check
             if cand.log_likelihood >= ev.log_likelihood + 1e-4 * a * slope:
                 ev, moved = cand, True
                 break
-            if a == 1.0 and float(np.linalg.norm(cand.score)) <= 0.9 * s_norm:
+            if a == 1.0 and _norm(cand.score) <= 0.9 * s_norm:
                 # Near the optimum the objective improvement drowns in
                 # rounding; a contracting score norm is still progress.
                 ev, moved = cand, True
@@ -349,5 +356,4 @@ def fit_mle(
         if not moved:
             break  # line search hit the numerical floor
         steps += 1
-    s_norm = float(np.linalg.norm(ev.score))
     return MleResult(ev.theta, s_norm, steps, s_norm <= tol, ev)

@@ -346,7 +346,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
 
     # Running H(theta_star) over played rounds, for deviation norms.
     j_sum = np.zeros((cfg.d, cfg.d))
-    eye = np.eye(cfg.d)
+    lam_eye = lam * np.eye(cfg.d)
+    track_c = cfg.track_c_stats or kind is PolicyKind.CB_MNL_C
 
     oracle: Decision | None = None  # the last pool's oracle; a fixed pool's is solved once
     bound_factor = 2.0 * (1.0 + 2.0 * cfg.S)
@@ -384,12 +385,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         cum += inst_regret
 
         covered_e = in_set_E(theta_star, history, ccfg, state)
-        track_c = cfg.track_c_stats or kind is PolicyKind.CB_MNL_C
         covered_c = in_set_C(theta_star, history, ccfg, state) if track_c else None
         covered = covered_c if kind is PolicyKind.CB_MNL_C else covered_e
         coverage_all = coverage_all and covered
 
-        j_mat = j_sum + lam * eye
+        j_mat = j_sum + lam_eye
         dtheta = decision.theta_used - theta_star
         dev_h = math.sqrt(max(float(dtheta @ j_mat @ dtheta), 0.0))
         dev_bound = bound_factor * state.gamma
@@ -441,7 +441,12 @@ def _run_one(args) -> RunLog:
 
 
 def run_many(cfg: ExperimentConfig, seeds=None, jobs: int = 1) -> list[RunLog]:
-    """Independent runs across seeds, in up to ``jobs`` processes (at most one per seed)."""
+    """Independent runs across seeds, in up to ``jobs`` processes (at most one per seed).
+
+    A worker task carries the config with its own seed as the seed list, so
+    rebuilding it checks one seed, not all of them; each returned log
+    carries ``cfg`` itself, as a serial run's does.
+    """
     if seeds is None:
         seeds = cfg.seeds
     seeds = list(seeds)
@@ -451,8 +456,13 @@ def run_many(cfg: ExperimentConfig, seeds=None, jobs: int = 1) -> list[RunLog]:
     workers = min(jobs, len(seeds))
     if workers <= 1:
         return [run_experiment(cfg, s) for s in seeds]
+    base = cfg.to_dict()
+    tasks = [({**base, "seeds": [s]}, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, [(cfg.to_dict(), s) for s in seeds]))
+        logs = list(pool.map(_run_one, tasks))
+    for log in logs:
+        log.cfg = cfg
+    return logs
 
 
 def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]:

@@ -23,6 +23,17 @@ def softmax_ref(utilities):
     return [math.exp(u) / den for u in utilities], 1.0 / den
 
 
+def shifted_softmax(u):
+    """The max-shifted softmax written out as numpy arrays: (item probabilities,
+    no-purchase probability), each shifted by max(0, largest utility)."""
+    if u.size == 0:
+        return np.zeros(0), 1.0
+    shift = max(float(u.max()), 0.0)
+    ez = np.exp(u - shift)
+    denom = np.exp(-shift) + ez.sum()
+    return ez / denom, float(np.exp(-shift) / denom)
+
+
 def make_assortment(contexts, prices=None):
     contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
     k = contexts.shape[0]
@@ -92,6 +103,33 @@ class TestChoiceProbabilities:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension"):
             choice_probabilities(TWO_ITEM, np.array([1.0, 2.0]))
+
+    def test_nan_parameter_fails_the_sum_check(self):
+        # The probabilities are checked as they are computed: NaN utilities
+        # give a NaN total, which the sum check rejects.
+        with pytest.raises(ValueError, match="sum"):
+            choice_probabilities(TWO_ITEM, np.array([np.nan]))
+        with pytest.raises(ValueError, match="sum"):
+            expected_revenue(make_assortment([[0.5, 0.0]]), np.array([np.nan, 1.0]))
+
+    def test_bitwise_equal_to_the_max_shifted_softmax(self):
+        rng = np.random.default_rng(17)
+        cases = [
+            (np.zeros((0, 3)), np.array([1.0, -2.0, 0.5])),  # empty assortment
+            (np.array([[1.0], [-1.0], [0.5]]), np.array([800.0])),
+            (np.array([[1.0], [-1.0], [0.5]]), np.array([-800.0])),
+        ]
+        for _ in range(2000):
+            d, k = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+            ctx = sample_ball(rng, k, d) if k else np.zeros((0, d))
+            cases.append((ctx, rng.standard_normal(d) * 10.0 ** int(rng.integers(-3, 4))))
+        for ctx, theta in cases:
+            dist = choice_probabilities(make_assortment(ctx), theta)
+            ref_items, ref_none = shifted_softmax(ctx @ theta)
+            assert dist.item_probs.dtype == np.float64
+            assert dist.item_probs.tobytes() == ref_items.tobytes()
+            assert type(dist.no_purchase_prob) is float
+            assert dist.no_purchase_prob == ref_none
 
     def test_normalization_over_random_draws(self):
         rng = np.random.default_rng(1)
@@ -256,8 +294,68 @@ class TestAssortmentValidation:
         with pytest.raises(ValueError, match="price"):
             AssortmentContexts((0,), np.array([[0.5, 0.0]]), np.array([-1.0]))
 
+    def test_inconsistent_lengths_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            AssortmentContexts((0, 1), np.zeros((1, 2)), np.ones(2))
+        with pytest.raises(ValueError, match="inconsistent"):
+            AssortmentContexts((0,), np.zeros((1, 2)), np.ones(2))
+
     def test_from_pool_picks_rows_and_prices(self):
         pool = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         ass = AssortmentContexts.from_pool(pool, (2, 0), prices=np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(ass.contexts, pool[[2, 0]])
         np.testing.assert_array_equal(ass.prices, [3.0, 1.0])
+
+
+class TestFromPool:
+    """``from_pool`` checks what the constructor checks, with the same errors."""
+
+    POOL = np.array([[0.1, 0.2], [0.3, 0.4], [0.6, 0.8]])  # the last row has norm 1
+
+    def test_duplicate_index_rejected(self):
+        with pytest.raises(ValueError, match="duplicate item indices"):
+            AssortmentContexts.from_pool(self.POOL, (1, 1))
+
+    def test_over_norm_row_rejected(self):
+        pool = np.vstack([self.POOL, [[0.6, 0.8 + 2e-9]]])
+        AssortmentContexts.from_pool(pool, (0, 2))  # norm 1 passes
+        with pytest.raises(ValueError, match="context norm exceeds 1"):
+            AssortmentContexts.from_pool(pool, (0, 3))
+
+    def test_negative_price_rejected(self):
+        prices = np.array([1.0, -0.5, 2.0])
+        AssortmentContexts.from_pool(self.POOL, (0, 2), prices)
+        with pytest.raises(ValueError, match="negative price"):
+            AssortmentContexts.from_pool(self.POOL, (0, 1), prices)
+
+    @pytest.mark.parametrize("indices", [(0, 3), (7,)])
+    def test_out_of_range_index_rejected(self, indices):
+        with pytest.raises(IndexError):
+            AssortmentContexts.from_pool(self.POOL, indices)
+        with pytest.raises(IndexError):
+            AssortmentContexts.from_pool(self.POOL, indices, np.ones(3))
+
+    def test_empty_assortment_keeps_the_dimension(self):
+        ass = AssortmentContexts.from_pool(self.POOL, ())
+        assert ass.indices == ()
+        assert ass.contexts.shape == (0, 2)
+        assert ass.prices.shape == (0,)
+        assert expected_revenue(ass, np.array([1.0, 1.0])) == 0.0
+
+    def test_matches_the_constructor(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n, d = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            pool = sample_ball(rng, n, d)
+            prices = rng.uniform(0.0, 3.0, n)
+            picked = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+            for pr in (None, prices):
+                ass = AssortmentContexts.from_pool(pool, picked, pr)
+                ref = AssortmentContexts(
+                    tuple(picked), pool[picked], np.ones(len(picked)) if pr is None else pr[picked]
+                )
+                assert ass.indices == ref.indices
+                assert all(type(i) is int for i in ass.indices)
+                assert ass.contexts.tobytes() == ref.contexts.tobytes()
+                assert ass.contexts.shape == ref.contexts.shape
+                assert ass.prices.tobytes() == ref.prices.tobytes()

@@ -177,6 +177,20 @@ class TestFitMle:
         assert early > 0
 
 
+    def test_newton_hessian_is_positive_definite(self):
+        # fit_mle solves with this matrix and has no fallback: it is a sum of
+        # positive semidefinite block terms plus lam I, so every eigenvalue
+        # is at least lam >= 1, whatever the history and the parameter.
+        rng = np.random.default_rng(31)
+        for lam in (1.0, 40.0):
+            for _ in range(30):
+                d = int(rng.integers(1, 5))
+                hist = random_history(rng, d, rounds=int(rng.integers(0, 40)))
+                theta = rng.standard_normal(d) * 10.0 ** int(rng.integers(-1, 3))
+                hess = estimation._nll_hessian(hist, theta, lam)
+                assert np.linalg.eigvalsh(hess).min() >= lam * (1.0 - 1e-9)
+
+
 class TestGVector:
     def test_empty_history(self):
         theta = np.array([0.5, -1.0])

@@ -208,8 +208,10 @@ class TestPlayedTrajectoryPin:
     # float differences cannot move them; a change that alters the played
     # trajectory updates these values and says so in CHANGES.md.
     PINS = {
+        "bonus_ucb": "d498b0bf32f99222c9548b02f5ad95520184ccf76f23467a2acf3e22e607aa12",
         "cb_mnl_c": "87d73153932057ee991171b929d707745e55ab4d48a734a4f1be02f9391a3dbb",
         "cb_mnl_e": "ec9565c414bc1fb196ae39d83d194a72728a34e929b4c683eb717d5e5b90e256",
+        "oracle": "7dbbf993e6322cee3f6e4ca8b1c41cad0975b9d0ec9e17fc056b151a7ebafb78",
         "random": "ab4b6635678967003bc61e2c72d6fd78b62b2f8ed2ca4249bcad54099d604fac",
     }
 
@@ -261,6 +263,57 @@ class TestPlayedTrajectoryPin:
             assert len(passes) == 300
             assert {which for used in passes for which in used} == {kernel}
             assert max(used[kernel] for used in passes) == 2
+
+
+    def test_random_round_checks_each_object_once(self, monkeypatch):
+        # A short random run of the regret config.  The fit takes its score
+        # norms without np.linalg.norm, and every assortment and choice
+        # distribution the run builds is checked once, as it is built: none
+        # goes through the dataclass's converting __post_init__.
+        import collections
+
+        import mnl_bandit.choice as choice
+        import mnl_bandit.confidence as confidence
+
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            return counted
+
+        monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
+        fit = confidence.fit_mle
+
+        def counted_fit(*args, **kw):
+            before = calls["norm"]
+            result = fit(*args, **kw)
+            calls["fit"] += 1
+            calls["norm in fit"] += calls["norm"] - before
+            return result
+
+        monkeypatch.setattr(confidence, "fit_mle", counted_fit)
+        for name in ("_check_assortment", "_check_probs"):
+            monkeypatch.setattr(choice, name, counting(name, getattr(choice, name)))
+        assemble = choice._assemble
+
+        def counted_assemble(cls, **values):
+            calls["built " + cls.__name__] += 1
+            return assemble(cls, **values)
+
+        monkeypatch.setattr(choice, "_assemble", counted_assemble)
+        for cls in (choice.AssortmentContexts, choice.ChoiceDistribution):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+
+        T = 60
+        cfg = self.regret_cfg("random")
+        run_experiment(ExperimentConfig.from_dict({**cfg.to_dict(), "T": T}), seed=0)
+        assert calls["fit"] == T and calls["norm in fit"] == 0
+        assert calls["AssortmentContexts"] == calls["ChoiceDistribution"] == 0
+        assert calls["built AssortmentContexts"] == calls["_check_assortment"] >= T
+        assert calls["built ChoiceDistribution"] == calls["_check_probs"] >= 2 * T
 
 
 class TestEllipticalCheck:
@@ -436,16 +489,17 @@ class TestPersistence:
 
 
 class TestRunMany:
-    def test_pool_has_at_most_one_worker_per_seed(self, monkeypatch):
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """Replaces the process pool by one that records its size and tasks
+        and maps in this process, so no worker is started."""
         import mnl_bandit.harness as harness
 
-        sizes = []
+        seen = {"sizes": [], "tasks": []}
 
         class SerialPool:
-            """Records its size and maps in this process, so no worker is started."""
-
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                seen["sizes"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -454,12 +508,30 @@ class TestRunMany:
                 return False
 
             def map(self, fn, items):
+                items = list(items)
+                seen["tasks"].extend(items)
                 return map(fn, items)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        return seen
+
+    def test_pool_has_at_most_one_worker_per_seed(self, serial_pool):
         logs = run_many(small_cfg(T=3, seeds=[0, 1]), jobs=64)
-        assert sizes == [2]
+        assert serial_pool["sizes"] == [2]
         assert [log.seed for log in logs] == [0, 1]
+
+    def test_a_task_carries_only_its_own_seed(self, serial_pool):
+        # The worker rebuilds the config from the task, so a task holding the
+        # whole seed list would check every seed once per seed.
+        seeds = list(range(40))
+        cfg = small_cfg(T=2, seeds=seeds)
+        logs = run_many(cfg, jobs=2)
+        assert [(task_cfg["seeds"], seed) for task_cfg, seed in serial_pool["tasks"]] == [
+            ([s], s) for s in seeds
+        ]
+        assert [log.seed for log in logs] == seeds
+        # The logs carry the caller's config, as serial runs do.
+        assert all(log.cfg is cfg for log in logs)
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_rejects_fewer_than_one_job(self, jobs):
@@ -472,6 +544,7 @@ class TestRunMany:
         parallel = run_many(cfg, jobs=2)
         for a, b in zip(serial, parallel):
             assert a.csv_text() == b.csv_text()
+            assert a.metadata()["config"] == b.metadata()["config"]
 
 
 class TestConfig:
