@@ -6,7 +6,13 @@ import numpy as np
 
 from mnl_bandit import AssortmentContexts, History, fit_mle, g_vector, matrix_H, score
 from mnl_bandit.policy import random_assortment
-from mnl_bandit.simulator import InstanceConfig, environment_step, make_instance, stream
+from mnl_bandit.simulator import (
+    TAG_OUTCOME,
+    InstanceConfig,
+    environment_step,
+    make_instance,
+    stream,
+)
 
 instance = make_instance(InstanceConfig(d=2, N=6, K=2, S=1.0), seed=42)
 print("hidden parameter:", np.round(instance.theta_star, 4))
@@ -18,7 +24,7 @@ theta0 = None
 for t in range(1, 2001):
     picked = random_assortment(6, 2, rng_assort)
     assortment = AssortmentContexts.from_pool(instance.pool, picked, instance.prices)
-    outcome = environment_step(instance, assortment, stream(42, 2, t))
+    outcome = environment_step(instance, assortment, stream(42, TAG_OUTCOME, t))
     history.append(assortment, outcome)
     if t in (50, 200, 800, 2000):
         result = fit_mle(history, lam, theta0=theta0)

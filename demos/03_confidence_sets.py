@@ -16,7 +16,13 @@ from mnl_bandit import (
 )
 from mnl_bandit.confidence import e_boundary_multi
 from mnl_bandit.policy import random_assortment
-from mnl_bandit.simulator import InstanceConfig, environment_step, make_instance, stream
+from mnl_bandit.simulator import (
+    TAG_OUTCOME,
+    InstanceConfig,
+    environment_step,
+    make_instance,
+    stream,
+)
 
 instance = make_instance(InstanceConfig(d=2, N=5, K=2, S=1.0), seed=3)
 cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=5.0, S=1.0)
@@ -30,7 +36,7 @@ rng_assort = stream(3, 7)
 for t in range(1, 201):
     picked = random_assortment(5, 2, rng_assort)
     assortment = AssortmentContexts.from_pool(instance.pool, picked, instance.prices)
-    history.append(assortment, environment_step(instance, assortment, stream(3, 2, t)))
+    history.append(assortment, environment_step(instance, assortment, stream(3, TAG_OUTCOME, t)))
 
 state = build_confidence_state(history, cfg, t=201)
 print("\nafter 200 rounds: gamma =", round(state.gamma, 4), " beta =", round(state.beta, 4))

@@ -35,7 +35,6 @@ from .simulator import (
     InstanceConfig,
     environment_step,
     make_instance,
-    round_streams,
     sample_ball,
     stream,
 )
@@ -227,9 +226,9 @@ def convex_set_contains_norm_set(
         T = 15 + 9 * (snap % 6)
         hist = History(2)
         rng_a = stream(inst_seed, 7)  # a tag no run uses
-        for rng_out in round_streams(inst_seed, TAG_OUTCOME, range(1, T + 1)):
+        for t in range(1, T + 1):
             ass = AssortmentContexts.from_pool(inst.pool, random_assortment(4, 2, rng_a), inst.prices)
-            hist.append(ass, environment_step(inst, ass, rng_out))
+            hist.append(ass, environment_step(inst, ass, stream(inst_seed, TAG_OUTCOME, t)))
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=default_lambda(2, 2, T), S=1.0)
         state = build_confidence_state(hist, cfg, t=T + 1)
         chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))

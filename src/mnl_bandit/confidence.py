@@ -182,7 +182,7 @@ def _in_E(
     likelihood pass gives every row's loss gap, and the squared norms serve
     both the ridge term of the loss and the ball test ||theta|| <= S.
     """
-    sq = np.einsum("...d,...d->...", thetas, thetas)
+    sq = (thetas * thetas).sum(axis=-1)
     ll = _log_likelihood(history, history.ctx_flat @ thetas.T)
     gap = 0.5 * cfg.lam * sq - ll - state.loss_at_hat
     return (np.sqrt(sq) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap

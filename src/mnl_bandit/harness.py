@@ -58,8 +58,8 @@ from .simulator import (
     TAG_POLICY,
     estimate_kappa,
     make_instance,
-    round_streams,
     serve_contexts,
+    stream,
 )
 
 __all__ = [
@@ -352,10 +352,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     oracle: Decision | None = None  # the last pool's oracle; a fixed pool's is solved once
     bound_factor = 2.0 * (1.0 + 2.0 * cfg.S)
 
-    rounds = range(1, cfg.T + 1)
-    policy_streams = round_streams(seed, TAG_POLICY, rounds)
-    outcome_streams = round_streams(seed, TAG_OUTCOME, rounds)
-    for t, rng_policy, rng_outcome in zip(rounds, policy_streams, outcome_streams):
+    rng_policy = stream(seed, TAG_POLICY)
+    rng_outcome = stream(seed, TAG_OUTCOME)
+    for t in range(1, cfg.T + 1):
         pool = serve_contexts(instance, t)
         state = build_confidence_state(history, ccfg, t, theta0=theta_warm)
         if not state.mle.converged:

@@ -1,19 +1,21 @@
 """Synthetic environment: instances, context serving, choice sampling, kappa.
 
-Randomness is organized as independent streams keyed on (seed, purpose,
-round), so any part of a run can be regenerated in isolation and runs
+Randomness is organized as independent streams keyed on (seed, purpose),
+so any purpose's draws can be regenerated without the others and runs
 parallelize without shared state.  ``stream`` defines every stream: a
-NumPy ``SeedSequence`` over the key seeds a ``PCG64``.  A run's per-round
-policy and outcome streams come from ``round_streams``, which hashes the
-keys of all rounds at once with the same ``SeedSequence`` algorithm and
-reseeds one reused ``PCG64`` per round, so each round's generator is in
-exactly the state ``stream(seed, tag, t)`` would give.
+NumPy ``SeedSequence`` over the key seeds a ``PCG64``.  A run draws its
+policy's randomness from one ``stream(seed, TAG_POLICY)`` and its
+consumers' choices from one ``stream(seed, TAG_OUTCOME)``, each taken once
+before the first round.  Each round draws exactly one uniform from the
+outcome stream, so round t's choice reads its t-th draw under every
+policy: policies compared at one seed share their outcome randomness.
+Fresh contexts are keyed per round, ``(seed, TAG_CONTEXTS, t)``, so round
+t's contexts can be served on their own.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "Instance",
     "InstanceConfig",
     "make_instance",
-    "round_streams",
     "serve_contexts",
     "environment_step",
     "estimate_kappa",
@@ -43,109 +44,14 @@ FRESH_IID = "fresh_iid"
 
 
 def stream(seed: int, tag: int, *rest: int) -> np.random.Generator:
-    """Deterministic generator for one purpose inside one seeded run."""
+    """Deterministic generator for one purpose inside one seeded run.
+
+    ``rest`` extends the key, as ``serve_contexts`` does with the round.
+    ``SeedSequence`` zero-pads its entropy to four words, so for seeds
+    below 2**64 the key ``[seed, tag]`` hashes like ``[seed, tag, 0]``: a
+    per-round key starts at round 1, or it repeats the whole-run stream.
+    """
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(tag), *map(int, rest)]))
-
-
-# NumPy's SeedSequence hash (NEP 19 keeps it stable): pool of four 32-bit
-# words, its mixing constants, and PCG64's 128-bit LCG multiplier.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _uint32_words(n: int) -> list[int]:
-    """``n`` as SeedSequence splits an entropy integer: 32-bit words, least significant first."""
-    if n < 0:
-        raise ValueError(f"stream keys must be nonnegative, got {n}")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_words(seed: int, tag: int, rounds: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, tag, t]).generate_state(4, np.uint64)`` for every t of ``rounds``.
-
-    Each round is one lane of a vectorized run of NumPy's algorithm: the
-    entropy words are hashed into a pool of four, the pool is mixed, and
-    eight output words are drawn from it.  The hash constants advance the
-    same way in every lane, so they stay Python ints.  Returns an
-    ``(len(rounds), 4)`` uint64 array.
-    """
-    n = rounds.shape[0]
-    entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed) + _uint32_words(tag)]
-    entropy.append(rounds.astype(np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
-
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = np.empty((n, 2 * _POOL_SIZE), dtype="<u4")
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> _XSHIFT)
-    return state.view("<u8").astype(np.uint64, copy=False)
-
-
-def round_streams(seed: int, tag: int, rounds: Iterable[int]) -> Iterator[np.random.Generator]:
-    """For each round t of ``rounds``, a generator in the state of ``stream(seed, tag, t)``.
-
-    The keys of all rounds are hashed up front into one ``(rounds, 4)``
-    uint64 table (a ``ValueError`` for a round outside 0..2**32 - 1, whose
-    key would take more than one word).  Each round then seeds one reused
-    ``PCG64`` from its row as PCG64 seeds itself from a ``SeedSequence``,
-    so every round yields the same ``Generator`` object: a round's draws
-    must be made before the next round is taken.
-    """
-    rounds = np.fromiter(rounds, dtype=np.int64)
-    if rounds.size and (rounds.min() < 0 or rounds.max() > _MASK32):
-        raise ValueError(f"rounds must lie in 0..{_MASK32}, got {rounds.min()}..{rounds.max()}")
-    return _reseeded(_seed_words(int(seed), int(tag), rounds))
-
-
-def _reseeded(table: np.ndarray) -> Iterator[np.random.Generator]:
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for row in table:
-        s_hi, s_lo, i_hi, i_lo = row.tolist()
-        # PCG64's set-seq seeding: inc = 2 i + 1, then two LCG steps from 0
-        # with the seed s added between them.
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
 
 
 def sample_ball(rng: np.random.Generator, n: int, d: int, radius: float = 1.0) -> np.ndarray:

@@ -32,7 +32,13 @@ from mnl_bandit.harness import (
     summarize_runs,
 )
 from mnl_bandit.policy import random_assortment
-from mnl_bandit.simulator import InstanceConfig, environment_step, make_instance, stream
+from mnl_bandit.simulator import (
+    TAG_OUTCOME,
+    InstanceConfig,
+    environment_step,
+    make_instance,
+    stream,
+)
 
 from conftest import COVERAGE_CFG, JOBS, REGRET_CFG
 
@@ -75,7 +81,7 @@ def test_criterion_03_mle_stationarity_and_consistency():
         for t in range(1, 5001):
             a = random_assortment(8, 2, rng_a)
             ass = AssortmentContexts.from_pool(pool, a, inst.prices)
-            hist.append(ass, environment_step(inst, ass, stream(seed, 2, t)))
+            hist.append(ass, environment_step(inst, ass, stream(seed, TAG_OUTCOME, t)))
             if t in errors:
                 res = fit_mle(hist, lam, theta0=theta0)
                 theta0 = res.theta_hat

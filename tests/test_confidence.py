@@ -21,6 +21,7 @@ from mnl_bandit.confidence import (
 from mnl_bandit.estimation import History, _nll_hessian, penalized_log_likelihood
 from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import (
+    TAG_OUTCOME,
     InstanceConfig,
     environment_step,
     make_instance,
@@ -660,7 +661,7 @@ class TestMaxRevenueOverE:
         for t in range(1, 201):
             picked = random_assortment(5, 2, rng_assort)
             ass = AssortmentContexts.from_pool(instance.pool, picked, instance.prices)
-            hist.append(ass, environment_step(instance, ass, stream(3, 2, t)))
+            hist.append(ass, environment_step(instance, ass, stream(3, TAG_OUTCOME, t)))
         state = build_confidence_state(hist, cfg, t=201)
         ass = AssortmentContexts.from_pool(instance.pool, (0, 1), instance.prices)
         cases.append((ass, hist, cfg, state, 5, 1))

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from mnl_bandit.checks import deviation_bound, elliptical_potential
-from mnl_bandit.choice import AssortmentContexts, choice_probabilities, expected_revenue
+from mnl_bandit.choice import (
+    AssortmentContexts,
+    choice_probabilities,
+    expected_revenue,
+    sample_choice,
+)
 from mnl_bandit.confidence import in_set_C, in_set_E
 from mnl_bandit.estimation import History
 from mnl_bandit.harness import (
@@ -24,7 +29,7 @@ from mnl_bandit.harness import (
     save_runs,
     summarize_runs,
 )
-from mnl_bandit.simulator import Instance
+from mnl_bandit.simulator import TAG_OUTCOME, Instance, stream
 
 
 def small_cfg(**kw):
@@ -112,8 +117,8 @@ class TestRunExperiment:
         assert run.total_regret == 0.0
 
     def test_fixed_pool_run_builds_no_seed_sequence_per_round(self, monkeypatch):
-        # The per-round policy and outcome streams are reseeded from one
-        # hashed table; only the instance and kappa streams call ``stream``.
+        # The policy and outcome generators are taken once a run, so the
+        # instance, kappa, policy and outcome streams are the only four.
         built = []
         seed_sequence = np.random.SeedSequence
 
@@ -208,11 +213,11 @@ class TestPlayedTrajectoryPin:
     # float differences cannot move them; a change that alters the played
     # trajectory updates these values and says so in CHANGES.md.
     PINS = {
-        "bonus_ucb": "d498b0bf32f99222c9548b02f5ad95520184ccf76f23467a2acf3e22e607aa12",
-        "cb_mnl_c": "87d73153932057ee991171b929d707745e55ab4d48a734a4f1be02f9391a3dbb",
-        "cb_mnl_e": "ec9565c414bc1fb196ae39d83d194a72728a34e929b4c683eb717d5e5b90e256",
-        "oracle": "7dbbf993e6322cee3f6e4ca8b1c41cad0975b9d0ec9e17fc056b151a7ebafb78",
-        "random": "ab4b6635678967003bc61e2c72d6fd78b62b2f8ed2ca4249bcad54099d604fac",
+        "bonus_ucb": "daf137c5be4ca2f2a73dca9994c45a4c60545d691791625c4d79cbddfac7341f",
+        "cb_mnl_c": "4b9566a932a25c486ffe277d444980278e5d0338f8034f415b32371ef6652ec1",
+        "cb_mnl_e": "55833adbd75df06d5b7b3ef9224934c44692391d9c5861fa6844e5a1cbd266bc",
+        "oracle": "058d40dc01ec0414844e11cd6f2ea3ab2718f02a6e665f9fce3158e839697efe",
+        "random": "3510052f9893e593a994f3a848addc66ec43a22af9260a3c2df81909484ccbb6",
     }
 
     @staticmethod
@@ -228,6 +233,25 @@ class TestPlayedTrajectoryPin:
         rows = csv.DictReader(io.StringIO(run.csv_text()))
         played = "".join(f"{r['assortment']},{r['outcome']}\n" for r in rows)
         assert hashlib.sha256(played.encode()).hexdigest() == self.PINS[policy]
+
+    @pytest.mark.parametrize("policy", ["oracle", "random"])
+    def test_outcomes_replay_from_one_outcome_stream(self, policy):
+        # Round t's choice is the t-th draw of the run's one outcome stream,
+        # made on the played assortment under theta_star.
+        run = run_experiment(self.regret_cfg(policy), seed=0)
+        inst = run.instance
+        g = stream(0, TAG_OUTCOME)
+        replayed = [
+            sample_choice(
+                choice_probabilities(
+                    AssortmentContexts.from_pool(inst.pool, r.assortment, inst.prices),
+                    inst.theta_star,
+                ),
+                g,
+            )
+            for r in run.records
+        ]
+        assert replayed == [r.outcome for r in run.records]
 
     def test_boundary_search_makes_at_most_two_membership_passes(self, monkeypatch):
         # The bracket pass and at most one chord pass per call, counted on the

@@ -10,7 +10,6 @@ from mnl_bandit.simulator import (
     FIXED_POOL,
     FRESH_IID,
     TAG_OUTCOME,
-    TAG_POLICY,
     Instance,
     InstanceConfig,
     environment_step,
@@ -18,7 +17,6 @@ from mnl_bandit.simulator import (
     kappa_over_candidates,
     kappa_theta_candidates,
     make_instance,
-    round_streams,
     sample_ball,
     serve_contexts,
     stream,
@@ -69,47 +67,12 @@ class TestServeContexts:
             serve_contexts(inst, 0)
 
 
-class TestRoundStreams:
-    # Multi-word seeds put four and five words of entropy into the hash.
-    SEEDS = [0, 1, 999, 2**32 + 7, 2**70 + 3]
-    TAGS = [TAG_POLICY, TAG_OUTCOME, 7]
-    ROUNDS = [*range(1, 301), 2**32 - 1]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("tag", TAGS)
-    def test_each_round_equals_its_stream(self, seed, tag):
-        for t, rng in zip(self.ROUNDS, round_streams(seed, tag, self.ROUNDS), strict=True):
-            ref = stream(seed, tag, t)
-            assert rng.bit_generator.state == ref.bit_generator.state, t
-            np.testing.assert_array_equal(rng.random(3), ref.random(3))
-            assert rng.integers(36) == ref.integers(36)
-            np.testing.assert_array_equal(rng.standard_normal(2), ref.standard_normal(2))
-
-    def test_a_buffered_half_word_does_not_leak_into_the_next_round(self):
-        # integers(36) draws 32 bits and leaves the other half of a 64-bit
-        # output buffered in PCG64 (has_uint32); the next round drops it.
-        rngs = round_streams(5, TAG_POLICY, range(1, 5))
-        for t, rng in zip(range(1, 5), rngs):
-            assert rng.bit_generator.state == stream(5, TAG_POLICY, t).bit_generator.state
-            rng.integers(36)
-            assert rng.bit_generator.state["has_uint32"] == 1
-
-    def test_rounds_beyond_one_key_word_are_rejected(self):
-        with pytest.raises(ValueError, match="rounds"):
-            round_streams(0, TAG_POLICY, [1, 2**32])
-        with pytest.raises(ValueError, match="rounds"):
-            round_streams(0, TAG_POLICY, [-1])
-
-    def test_no_rounds_yield_nothing(self):
-        assert list(round_streams(0, TAG_POLICY, [])) == []
-
-
 class TestEnvironmentStep:
     def test_deterministic_given_stream(self):
         inst = make_instance(InstanceConfig(), 5)
         ass = AssortmentContexts.from_pool(inst.pool, (0, 1))
-        outs1 = [environment_step(inst, ass, stream(5, 2, t)) for t in range(50)]
-        outs2 = [environment_step(inst, ass, stream(5, 2, t)) for t in range(50)]
+        outs1 = [environment_step(inst, ass, stream(5, TAG_OUTCOME, t)) for t in range(50)]
+        outs2 = [environment_step(inst, ass, stream(5, TAG_OUTCOME, t)) for t in range(50)]
         assert outs1 == outs2
 
     def test_deeply_negative_utility_never_sells(self):
@@ -270,8 +233,8 @@ class TestSerialization:
         np.testing.assert_array_equal(inst.pool, clone.pool)
         ass = AssortmentContexts.from_pool(inst.pool, (0, 2))
         for t in range(30):
-            a = environment_step(inst, ass, stream(inst.seed, 2, t))
-            b = environment_step(clone, ass, stream(clone.seed, 2, t))
+            a = environment_step(inst, ass, stream(inst.seed, TAG_OUTCOME, t))
+            b = environment_step(clone, ass, stream(clone.seed, TAG_OUTCOME, t))
             assert a == b
 
     def test_fresh_iid_round_trip(self, tmp_path):
