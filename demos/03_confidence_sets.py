@@ -43,18 +43,14 @@ print("\nafter 200 rounds: gamma =", round(state.gamma, 4), " beta =", round(sta
 print("hidden parameter in the norm-based set:", in_set_C(instance.theta_star, history, cfg, state))
 print("hidden parameter in the convex set:  ", in_set_E(instance.theta_star, history, cfg, state))
 
-# Membership sampling: every norm-set member must lie in the convex set.
-rng = np.random.default_rng(0)
-chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
-inside = 0
-for _ in range(3000):
-    z = rng.standard_normal(2)
-    z *= 1.5 * state.gamma * np.sqrt(rng.random()) / np.linalg.norm(z)
-    cand = state.theta_hat + chol @ z
-    if in_set_C(cand, history, cfg, state):
-        inside += 1
-        assert in_set_E(cand, history, cfg, state)
-print(f"sampled {inside} norm-set members; all were in the convex relaxation")
+# Norm-set members near its boundary, along random rays from the anchor:
+# every one must lie in the convex set.
+rays = np.random.default_rng(0).standard_normal((200, 2))
+members = e_boundary_multi(history, cfg, state, rays, "C")
+members = members[(members != state.anchor).any(axis=1)]
+for theta in members:
+    assert in_set_E(theta, history, cfg, state)
+print(f"found {len(members)} norm-set members; all were in the convex relaxation")
 
 # Optimistic inner maximization over the convex set for one assortment.
 assortment = AssortmentContexts.from_pool(instance.pool, (0, 1), instance.prices)

@@ -22,10 +22,10 @@ from .choice import (
 )
 from .confidence import (
     ConfidenceConfig,
+    _in_E,
     build_confidence_state,
     default_lambda,
-    in_set_C,
-    in_set_E,
+    e_boundary_multi,
 )
 from .estimation import History, fit_mle, g_vector, matrix_G, matrix_H, score
 from .harness import ExperimentConfig, RunLog, elliptical_potential_check, run_experiment
@@ -207,15 +207,17 @@ def g_identity(n_configs: int, seed: int) -> CheckResult:
 
 
 def convex_set_contains_norm_set(
-    n_snapshots: int, per_snapshot: int, seed: int, instance_seed0: int, max_tries: int = 6000
+    n_snapshots: int, per_snapshot: int, seed: int, instance_seed0: int
 ) -> CheckResult:
-    """Every sampled member of the norm-based set C lies in its relaxation E.
+    """Every found member of the norm-based set C lies in its relaxation E.
 
     Snapshot s is a d=2, N=4, K=2 instance (seed ``instance_seed0 + s``)
     after T = 15 + 9 (s mod 6) uniformly random assortments.  Members of C
-    are rejection-sampled from the ellipsoid of radius 1.5 gamma around
-    the MLE in the H_hat^-1 metric; a snapshot that yields fewer than
-    ``per_snapshot`` members in ``max_tries`` draws fails the check.
+    are the points of C's boundary search (``e_boundary_multi``) along
+    ``per_snapshot`` random rays from the anchor; a returned point equal to
+    the anchor is not a member found, and a snapshot that yields fewer than
+    ``per_snapshot`` members fails the check.  One pass of E's kernel tests
+    a snapshot's members.
     """
     rng = np.random.default_rng(seed)
     tested = 0
@@ -231,19 +233,11 @@ def convex_set_contains_norm_set(
             hist.append(ass, environment_step(inst, ass, stream(inst_seed, TAG_OUTCOME, t)))
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=default_lambda(2, 2, T), S=1.0)
         state = build_confidence_state(hist, cfg, t=T + 1)
-        chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
-        members = 0
-        tries = 0
-        while members < per_snapshot and tries < max_tries:
-            tries += 1
-            z = rng.standard_normal(2)
-            z *= 1.5 * state.gamma * math.sqrt(rng.random()) / float(np.linalg.norm(z))
-            cand = state.theta_hat + chol @ z
-            if in_set_C(cand, hist, cfg, state):
-                members += 1
-                tested += 1
-                if not in_set_E(cand, hist, cfg, state):
-                    violations += 1
+        dirs = rng.standard_normal((per_snapshot, 2))
+        points = e_boundary_multi(hist, cfg, state, dirs, "C")
+        members = points[(points != state.anchor).any(axis=1)]
+        tested += len(members)
+        violations += int((~_in_E(members, hist, cfg, state)[0]).sum())
     return CheckResult(
         "convex set contains the norm-based set",
         violations == 0 and tested == n_snapshots * per_snapshot,

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimation
 from .choice import AssortmentContexts, finite_number
-from .estimation import History, MleResult, _log_likelihood, _norm, fit_mle
+from .estimation import History, MleResult, _Evaluation, _norm, fit_mle
 
 __all__ = [
     "L_CONST",
@@ -145,31 +144,23 @@ def build_confidence_state(
 def _in_C(
     thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Membership in C of every row of (m, d), False outside the parameter
-    ball, and each one's ||g(theta) - g(theta_hat)||^2 in the H(theta)^-1 norm.
+    """Membership in C intersect Theta of one parameter (d,) or of every row
+    of (m, d), and each one's ||g(theta) - g(theta_hat)||^2 in the H(theta)^-1 norm.
 
-    One likelihood pass gives every row's g(theta) and H(theta), the
-    Hessians as one matmul of the curvature weights with a table of the
-    stored rows' outer products.
+    One evaluation of the rows gives their g(theta) and H(theta); a single
+    parameter takes one (d, d) Hessian and a plain solve.
     """
-    ctx, n_row = history.ctx_flat, history.row_offers[:, None]
-    _, ez, total = estimation._segment_exp(history, ctx @ thetas.T)
-    mu = ez / total[history.seg_ids]  # (n, m): one column per row of thetas
-    dg = (n_row * mu).T @ ctx + cfg.lam * thetas - state.g_at_hat
-    w = n_row * (mu * (1.0 - mu))
-    d = history.dim
-    outer = (ctx[:, :, None] * ctx[:, None, :]).reshape(-1, d * d)  # x x^T of every row
-    H = (w.T @ outer).reshape(-1, d, d) + cfg.lam * np.eye(d)
-    quad = (dg * np.linalg.solve(H, dg[:, :, None])[:, :, 0]).sum(axis=1)
-    in_ball = np.sqrt((thetas * thetas).sum(axis=1)) <= cfg.S * (1.0 + 1e-12)
-    return in_ball & (quad <= state.gamma**2), quad
+    ev = _Evaluation(history, thetas, cfg.lam)
+    dg = ev.g - state.g_at_hat
+    quad = (dg * np.linalg.solve(ev.H, dg[..., None])[..., 0]).sum(axis=-1)
+    return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (quad <= state.gamma**2), quad
 
 
 def in_set_C(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
     """Membership in the norm-based set; False outside the parameter ball."""
-    return bool(_in_C(np.asarray(theta, dtype=float).reshape(1, -1), history, cfg, state)[0][0])
+    return bool(_in_C(np.asarray(theta, dtype=float).reshape(-1), history, cfg, state)[0])
 
 
 def _in_E(
@@ -179,13 +170,12 @@ def _in_E(
     and each one's loss gap loss(theta) - loss(theta_hat).
 
     Every membership pass in E intersect Theta is this kernel: one
-    likelihood pass gives every row's loss gap, and the squared norms serve
-    both the ridge term of the loss and the ball test ||theta|| <= S.
+    evaluation of the rows gives every loss gap, and the squared norms of
+    its ridge term serve the ball test ||theta|| <= S.
     """
-    sq = (thetas * thetas).sum(axis=-1)
-    ll = _log_likelihood(history, history.ctx_flat @ thetas.T)
-    gap = 0.5 * cfg.lam * sq - ll - state.loss_at_hat
-    return (np.sqrt(sq) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap
+    ev = _Evaluation(history, thetas, cfg.lam)
+    gap = state.mle.evaluation.log_likelihood - ev.log_likelihood  # loss = -log_likelihood
+    return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap
 
 
 def in_set_E(

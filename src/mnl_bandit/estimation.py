@@ -15,14 +15,17 @@ max-shifted segment kernel gives every likelihood quantity its per-block
 log-normalizers and per-row probabilities mu, so a pass costs the number of
 distinct blocks, not the number of rounds.
 
-One pass per parameter: a private evaluation runs the kernel once at a
-theta, and the penalized log-likelihood, score, g, H and the Newton
-Hessian below are all derived from that pass, each on first read.  The
-public functions are thin readers of a fresh evaluation; ``fit_mle``
-evaluates each iterate once and returns the evaluation at theta_hat, which
-the confidence state and the boundary search read instead of passing over
-the history again.  An evaluation is a snapshot: rounds appended after it
-was made do not change what it reports.
+One pass per parameter or stack of parameters: a private evaluation runs
+the kernel once at a theta (d,) or at every row of a stack (m, d), and the
+penalized log-likelihood, score, g, H and the Newton Hessian below are all
+derived from that pass, each on first read, with the stack's leading axis.
+The public functions are thin readers of a fresh single-parameter
+evaluation; ``fit_mle`` evaluates each iterate once and returns the
+evaluation at theta_hat, which the confidence state and the boundary
+search read instead of passing over the history again.  The confidence
+sets' membership kernels read a stacked evaluation of their probes.  An
+evaluation is a snapshot: rounds appended after it was made do not change
+what it reports.
 
 The stationarity condition
 
@@ -162,16 +165,15 @@ def _segment_exp(history: History, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return m, ez, np.exp(-m) + np.add.reduceat(ez, starts, axis=0)
 
 
-def _log_likelihood(history: History, u: np.ndarray) -> np.ndarray | float:
-    """Unpenalized log-likelihood at stored-row utilities ``u`` (see above)."""
-    m, _, total = _segment_exp(history, u)
-    return history.purchases @ u - history.offers @ (m + np.log(total))
-
-
 def _gram(ctx: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
-    """sum_rows w x x^T + lam I, with each row's offer count already in ``w``."""
-    gram = ctx.T @ (w[:, None] * ctx)
-    gram.flat[:: gram.shape[0] + 1] += lam  # lam on the diagonal, in place
+    """sum_rows w x x^T + lam I, with each row's offer count already in ``w``.
+
+    ``w`` holds one weight per stored row (n,), giving a (d, d) matrix, or
+    one row of weights per parameter (m, n), giving (m, d, d).
+    """
+    d = ctx.shape[1]
+    gram = ctx.T @ (w[..., None] * ctx)
+    gram.reshape(-1, d * d)[:, :: d + 1] += lam  # lam on each diagonal, in place
     return gram
 
 
@@ -198,14 +200,17 @@ class _once:
 
 
 class _Evaluation:
-    """Every likelihood quantity at one parameter, from one kernel pass.
+    """Every likelihood quantity at one parameter or a stack, from one kernel pass.
 
-    The penalized log-likelihood, the score, g, H and the Newton Hessian
-    are all read off one ``_segment_exp`` pass; each is derived on first
-    read and kept.  The evaluation is a snapshot of the history it was made
-    from: it keeps the history's arrays, which ``History.append`` replaces
-    and never writes into.  ``theta`` must already be a float vector of the
-    history's dimension (``_evaluate`` checks it).
+    ``theta`` is one parameter (d,) or a stack (m, d); every quantity keeps
+    its leading axis: the penalized log-likelihood is () or (m,), the score
+    and g are (d,) or (m, d), and H is (d, d) or (m, d, d).  The Newton
+    Hessian is read for one parameter only.  All are read off one
+    ``_segment_exp`` pass; each is derived on first read and kept.  The
+    evaluation is a snapshot of the history it was made from: it keeps the
+    history's arrays, which ``History.append`` replaces and never writes
+    into.  ``theta`` must already be float of the history's dimension
+    (``_evaluate`` checks a single parameter).
     """
 
     def __init__(self, history: History, theta: np.ndarray, lam: float):
@@ -213,24 +218,25 @@ class _Evaluation:
         self.lam = lam
         self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
         self.offers, self.purchases = history.offers, history.purchases
-        self.u = self.ctx @ self.theta
+        self.u = self.ctx @ theta.T  # (n,) or (n, m): one column per parameter
+        self.sq_norm = (theta * theta).sum(axis=-1)  # the ridge's, and the confidence sets' ball test's
         self._m, self._ez, self._total = _segment_exp(history, self.u)
 
     @_once
-    def log_likelihood(self) -> float:
+    def log_likelihood(self) -> float | np.ndarray:
         """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
         ll = self.purchases @ self.u - self.offers @ (self._m + np.log(self._total))
-        return float(ll) - 0.5 * self.lam * float(self.theta @ self.theta)
+        return ll - 0.5 * self.lam * self.sq_norm
 
     @_once
     def mu(self) -> np.ndarray:
-        """Softmax probability of every stored row."""
+        """Softmax probability of every stored row, (n,) or (n, m)."""
         return self._ez / self._total[self.seg_ids]
 
     @_once
     def _n_mu(self) -> np.ndarray:
-        """n mu per row, n the offer count of the row's block."""
-        return self.offers[self.seg_ids] * self.mu
+        """n mu per row, n the offer count of the row's block: (n,) or (m, n)."""
+        return self.offers[self.seg_ids] * self.mu.T
 
     @_once
     def score(self) -> np.ndarray:
@@ -242,7 +248,7 @@ class _Evaluation:
 
     @_once
     def H(self) -> np.ndarray:
-        mu = self.mu
+        mu = self.mu.T
         return _gram(self.ctx, self.offers[self.seg_ids] * (mu * (1.0 - mu)), self.lam)
 
     @_once
@@ -266,7 +272,7 @@ def _evaluate(history: History, theta: np.ndarray, lam: float) -> _Evaluation:
 
 def penalized_log_likelihood(history: History, theta: np.ndarray, lam: float) -> float:
     """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
-    return _evaluate(history, theta, lam).log_likelihood
+    return float(_evaluate(history, theta, lam).log_likelihood)
 
 
 def score(history: History, theta: np.ndarray, lam: float) -> np.ndarray:

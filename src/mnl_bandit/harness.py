@@ -210,10 +210,6 @@ class RoundRecord:
     dev_H: float
     dev_bound: float
     covered_C: bool | None = None  # theta_star in the norm-based set (not in the CSV)
-    # |played revenue - optimistic_value|: the revenue gap between theta_star
-    # and theta_used on the played assortment, except under bonus_ucb, whose
-    # value includes its bonus (not in the CSV).
-    pred_error: float = 0.0
 
 
 @dataclass
@@ -228,8 +224,8 @@ class RunLog:
     wall_time: float
     coverage_all: bool
     mle_failures: int
+    history: History
     newton_steps: int = 0  # Newton iterations summed over the run's MLE fits
-    history: History | None = None
 
     def cum_regret_curve(self) -> np.ndarray:
         return np.array([r.cum_regret for r in self.records])
@@ -274,8 +270,8 @@ class RunLog:
             "wall_time_s": self.wall_time,
             "version": __version__,
             # Count-compressed history size: distinct context blocks and their rows.
-            "history_blocks": None if self.history is None else self.history.n_blocks,
-            "history_rows": None if self.history is None else self.history.n_items,
+            "history_blocks": self.history.n_blocks,
+            "history_rows": self.history.n_items,
         }
 
     def save_metadata(self, path) -> None:
@@ -392,7 +388,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         dtheta = decision.theta_used - theta_star
         dev_h = math.sqrt(max(float(dtheta @ j_mat @ dtheta), 0.0))
         dev_bound = bound_factor * state.gamma
-        pred_error = abs(played_value - decision.optimistic_value)
 
         records.append(
             RoundRecord(
@@ -409,7 +404,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
                 dev_H=dev_h,
                 dev_bound=dev_bound,
                 covered_C=covered_c,
-                pred_error=pred_error,
             )
         )
 
@@ -478,8 +472,6 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
     V, the offers T and the widest block K come off the compressed history.
     """
     history = run.history
-    if history is None:
-        raise ValueError("run carries no history")
     d = history.dim
     lam = run.lam
     instance = run.instance

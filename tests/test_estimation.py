@@ -8,6 +8,8 @@ from mnl_bandit import estimation
 from mnl_bandit.choice import AssortmentContexts, choice_probabilities
 from mnl_bandit.confidence import (
     ConfidenceConfig,
+    _in_C,
+    _in_E,
     build_confidence_state,
     e_boundary_multi,
     in_set_C,
@@ -609,6 +611,27 @@ class TestOneEvaluationPerParameter:
         kernel_passes.clear()
         in_set_C(0.5 * state.anchor, hist, cfg, state)
         assert len(kernel_passes) == 1
+        # A stack of parameters costs one pass in either set's kernel.
+        thetas = sample_ball(np.random.default_rng(9), 7, 2, radius=2.0)
+        for kernel in (_in_C, _in_E):
+            kernel_passes.clear()
+            kernel(thetas, hist, cfg, state)
+            assert [u.shape for u in kernel_passes] == [(hist.n_items, 7)]
+
+    @pytest.mark.parametrize("rounds", [0, 300])
+    def test_stacked_evaluation_matches_each_row(self, rounds):
+        hist, _ = mixed_history(np.random.default_rng(4), rounds=rounds)
+        thetas = sample_ball(np.random.default_rng(5), 6, 2, radius=2.0)
+        stacked = estimation._Evaluation(hist, thetas, self.LAM)
+        assert stacked.log_likelihood.shape == (6,)
+        assert stacked.score.shape == stacked.g.shape == (6, 2)
+        assert stacked.H.shape == (6, 2, 2)
+        for i, theta in enumerate(thetas):
+            single = estimation._Evaluation(hist, theta, self.LAM)
+            for key in ("log_likelihood", "score", "g", "H"):
+                np.testing.assert_allclose(
+                    getattr(stacked, key)[i], getattr(single, key), rtol=1e-12, err_msg=key
+                )
 
 
 class TestDimensionCheck:

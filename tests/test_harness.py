@@ -77,7 +77,10 @@ class TestRunExperiment:
                 # Optimism holds up to the precision of the non-concave
                 # inner ascent; the regret decomposition it implies is exact.
                 assert r.opt_value >= r.oracle_value - 5e-3
-                assert r.inst_regret <= r.pred_error + 1e-9
+                # The prediction error |played revenue - opt_value|, with the
+                # played revenue read back as oracle_value - inst_regret.
+                pred_error = abs((r.oracle_value - r.inst_regret) - r.opt_value)
+                assert r.inst_regret <= pred_error + 1e-9
 
     def test_deviation_bound_when_in_set(self):
         run = run_experiment(small_cfg(T=120), seed=4)
@@ -461,6 +464,10 @@ class TestPersistence:
         assert a.csv_text() == b.csv_text()
         text = a.csv_text()
         assert text.splitlines()[0] == CSV_HEADER
+        assert CSV_HEADER == (
+            "t,assortment,outcome,opt_value,oracle_value,inst_regret,cum_regret,"
+            "gamma,beta,covered,dev_H,dev_bound"
+        )
         assert len(text.splitlines()) == 26
 
     def test_csv_parses_back(self, tmp_path):
