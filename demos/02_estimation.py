@@ -20,15 +20,14 @@ print("hidden parameter:", np.round(instance.theta_star, 4))
 history = History(2)
 lam = 2.0
 rng_assort = stream(42, 7)
-theta0 = None
+result = None  # each fit warm-starts from the last one's result
 for t in range(1, 2001):
     picked = random_assortment(6, 2, rng_assort)
     assortment = AssortmentContexts.from_pool(instance.pool, picked, instance.prices)
     outcome = environment_step(instance, assortment, stream(42, TAG_OUTCOME, t))
     history.append(assortment, outcome)
     if t in (50, 200, 800, 2000):
-        result = fit_mle(history, lam, theta0=theta0)
-        theta0 = result.theta_hat
+        result = fit_mle(history, lam, theta0=result)
         err = np.linalg.norm(result.theta_hat - instance.theta_star)
         print(
             f"t={t:5d}  theta_hat={np.round(result.theta_hat, 4)}  "

@@ -96,10 +96,10 @@ def beta_radius(gamma: float, lam: float) -> float:
 class ConfidenceState:
     """Per-round snapshot: MLE, radii, and the likelihood quantities at theta_hat.
 
-    ``loss_at_hat``, ``g_at_hat`` and ``H_hat`` read the fit's own
-    evaluation at theta_hat (``mle.evaluation``), each derived on first
-    read, so they make no pass over the history and describe it as it was
-    when the state was built.
+    ``g_at_hat`` and ``H_hat`` read the fit's own evaluation at theta_hat
+    (``mle.evaluation``, whose ``log_likelihood`` E's loss gap reads), each
+    derived on first read, so they make no pass over the history and
+    describe it as it was when the state was built.
     """
 
     theta_hat: np.ndarray
@@ -107,10 +107,6 @@ class ConfidenceState:
     beta: float
     mle: MleResult
     anchor: np.ndarray  # feasible base point for projections: theta_hat pulled into Theta
-
-    @property
-    def loss_at_hat(self) -> float:
-        return -self.mle.evaluation.log_likelihood
 
     @property
     def g_at_hat(self) -> np.ndarray:
@@ -125,9 +121,13 @@ def build_confidence_state(
     history: History,
     cfg: ConfidenceConfig,
     t: int,
-    theta0: np.ndarray | None = None,
+    theta0: np.ndarray | MleResult | None = None,
 ) -> ConfidenceState:
-    """Fit the MLE, warm-started at ``theta0``, and assemble the snapshot for round t."""
+    """Fit the MLE, warm-started at ``theta0``, and assemble the snapshot for round t.
+
+    ``theta0`` may be the previous round's ``MleResult``; ``fit_mle`` then
+    reuses its evaluation at theta_hat if the history has gained no row.
+    """
     mle = fit_mle(history, cfg.lam, theta0=theta0)
     theta_hat = mle.theta_hat
     gamma = gamma_radius(cfg, t)
@@ -229,7 +229,7 @@ def e_boundary_multi(
     else:
         raise ValueError(f"unknown set kind {set_kind!r}")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = np.sqrt(np.add.reduce(dirs * dirs, axis=1))  # np.linalg.norm's arithmetic
     v = dirs / np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
     base = state.anchor
     s_ball = _ball_exit(base, v, cfg.S)
@@ -240,7 +240,7 @@ def e_boundary_multi(
     s1 = np.minimum(1.3 * s0, s_ball)
     # Both bracket probes in one pass; s1 matters only where s0 is feasible.
     probes = base + np.concatenate([s0, s1])[:, None] * np.vstack([v, v])
-    at_hat = np.array_equal(base, state.theta_hat)
+    at_hat = base is state.theta_hat or np.array_equal(base, state.theta_hat)
     if not at_hat:
         probes = np.vstack([probes, base])
     ok, value = member(probes, history, cfg, state)
@@ -253,7 +253,7 @@ def e_boundary_multi(
         h_lo = np.where(f0, h0, -level if at_hat else h[-1])
         rise = np.where(f0, h1, h0) - h_lo
         frac = np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0.0)
-        s = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        s = lo + np.minimum(np.maximum(frac, 0.0), 1.0) * (hi - lo)
         lo = np.where(member(base + s[:, None] * v, history, cfg, state)[0], s, lo)
     return base + lo[:, None] * v
 

@@ -27,6 +27,12 @@ sets' membership kernels read a stacked evaluation of their probes.  An
 evaluation is a snapshot: rounds appended after it was made do not change
 what it reports.
 
+The kernel's outputs (utilities, block shifts, exponentials, normalizers,
+mu) depend on theta and the stored rows only, not on the counts.  A round
+that repeats a stored block adds no row, so a fit warm-started from the
+previous round's ``MleResult`` recounts that result's evaluation on the
+current counts instead of passing over the history again at its theta_hat.
+
 The stationarity condition
 
     sum_rows (c - n mu_i(theta)) x_i - lambda theta = 0,
@@ -171,9 +177,10 @@ def _gram(ctx: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
     ``w`` holds one weight per stored row (n,), giving a (d, d) matrix, or
     one row of weights per parameter (m, n), giving (m, d, d).
     """
-    d = ctx.shape[1]
     gram = ctx.T @ (w[..., None] * ctx)
-    gram.reshape(-1, d * d)[:, :: d + 1] += lam  # lam on each diagonal, in place
+    diag = gram.diagonal(0, -2, -1)  # read-only as given; gram is fresh, so ours to write
+    diag.setflags(write=True)
+    diag += lam
     return gram
 
 
@@ -219,8 +226,28 @@ class _Evaluation:
         self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
         self.offers, self.purchases = history.offers, history.purchases
         self.u = self.ctx @ theta.T  # (n,) or (n, m): one column per parameter
-        self.sq_norm = (theta * theta).sum(axis=-1)  # the ridge's, and the confidence sets' ball test's
+        # The ridge's and the ball test's; ``.sum`` wraps this same reduction.
+        self.sq_norm = np.add.reduce(theta * theta, axis=-1)
         self._m, self._ez, self._total = _segment_exp(history, self.u)
+
+    def recounted(self, history: History, lam: float) -> "_Evaluation":
+        """The evaluation at this theta on the history's current counts.
+
+        If the history still holds the rows this evaluation was made from
+        (``History.append`` replaces ``ctx_flat`` only when a block arrives),
+        the kernel's outputs and mu are kept and every count-dependent
+        quantity is derived afresh, with no pass over the history; otherwise
+        theta is evaluated anew.
+        """
+        if self.ctx is not history.ctx_flat:
+            return _evaluate(history, self.theta, lam)
+        ev = object.__new__(_Evaluation)
+        ev.theta, ev.lam = self.theta, lam
+        ev.ctx, ev.seg_ids, ev.starts = self.ctx, self.seg_ids, self.starts
+        ev.offers, ev.purchases = history.offers, history.purchases
+        ev.u, ev.sq_norm, ev.mu = self.u, self.sq_norm, self.mu
+        ev._m, ev._ez, ev._total = self._m, self._ez, self._total
+        return ev
 
     @_once
     def log_likelihood(self) -> float | np.ndarray:
@@ -322,7 +349,7 @@ def fit_mle(
     lam: float,
     tol: float = 1e-8,
     max_iter: int = 100,
-    theta0: np.ndarray | None = None,
+    theta0: np.ndarray | MleResult | None = None,
 ) -> MleResult:
     """Damped Newton ascent on the strictly concave penalized log-likelihood.
 
@@ -331,11 +358,19 @@ def fit_mle(
     decides what to do with it.  Each iterate is evaluated once: the
     evaluation of an accepted line-search candidate gives the next step's
     score and Hessian, and the result carries the evaluation at theta_hat.
+    ``theta0`` is a start parameter or a previous fit's result, whose
+    theta_hat is the start; if the history has gained no row since that
+    fit, its evaluation is recounted on the current counts rather than
+    made again.  A full step that brings the score norm to at most 0.9
+    times its last value is taken without reading its log-likelihood.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1 for a well-posed fit, got {lam}")
-    theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
-    ev = _evaluate(history, theta, lam)
+    if isinstance(theta0, MleResult):
+        ev = theta0.evaluation.recounted(history, lam)
+    else:
+        theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
+        ev = _evaluate(history, theta, lam)
     steps = 0
     while True:
         s = ev.score
@@ -350,12 +385,11 @@ def fit_mle(
         moved = False
         while a >= 1e-12:
             cand = _Evaluation(history, ev.theta + a * step, lam)  # a d-vector: no check
-            if cand.log_likelihood >= ev.log_likelihood + 1e-4 * a * slope:
-                ev, moved = cand, True
-                break
-            if a == 1.0 and _norm(cand.score) <= 0.9 * s_norm:
-                # Near the optimum the objective improvement drowns in
-                # rounding; a contracting score norm is still progress.
+            # Near the optimum the objective improvement drowns in rounding;
+            # a contracting score norm is still progress.  The next step
+            # reads that score anyway, so it is tested first.
+            contracts = a == 1.0 and _norm(cand.score) <= 0.9 * s_norm
+            if contracts or float(cand.log_likelihood) >= float(ev.log_likelihood) + 1e-4 * a * slope:
                 ev, moved = cand, True
                 break
             a *= 0.5

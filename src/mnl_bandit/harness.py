@@ -338,7 +338,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     coverage_all = True
     mle_failures = 0
     newton_steps = 0
-    theta_warm = None
+    previous_fit = None  # the last round's MleResult, which warm-starts the next fit
 
     # Running H(theta_star) over played rounds, for deviation norms.
     j_sum = np.zeros((cfg.d, cfg.d))
@@ -352,11 +352,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     rng_outcome = stream(seed, TAG_OUTCOME)
     for t in range(1, cfg.T + 1):
         pool = serve_contexts(instance, t)
-        state = build_confidence_state(history, ccfg, t, theta0=theta_warm)
+        state = build_confidence_state(history, ccfg, t, theta0=previous_fit)
         if not state.mle.converged:
             mle_failures += 1
         newton_steps += state.mle.iterations
-        theta_warm = state.theta_hat
+        previous_fit = state.mle
 
         decision = _policy_decision(
             kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy

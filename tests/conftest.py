@@ -1,9 +1,12 @@
-"""Shared fixtures: the expensive seeded run batches used by several criteria."""
+"""Shared fixtures: the expensive seeded run batches used by several criteria,
+and a counter of likelihood kernel passes."""
 import os
 import time
 
+import numpy as np
 import pytest
 
+from mnl_bandit import estimation
 from mnl_bandit.harness import ExperimentConfig, run_many
 
 JOBS = min(2, os.cpu_count() or 1)
@@ -47,3 +50,17 @@ def regret_runs():
 def random_runs():
     """Matched uniform-policy baseline for criterion 9."""
     return _timed(ExperimentConfig(**REGRET_CFG, policy="random"), REGRET_SEEDS)
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Utilities handed to ``estimation._segment_exp``, one entry per pass."""
+    seen = []
+    real = estimation._segment_exp
+
+    def counting(history, u):
+        seen.append(np.array(u, copy=True))
+        return real(history, u)
+
+    monkeypatch.setattr(estimation, "_segment_exp", counting)
+    return seen

@@ -496,17 +496,18 @@ class TestStateIsASnapshot:
         before = copy.deepcopy(hist)
         state = build_confidence_state(hist, cfg, t=61)
         ref = build_confidence_state(before, cfg, t=61)
-        loss, g, h, probes = ref.loss_at_hat, ref.g_at_hat, ref.H_hat, first_probes(before, ref)
+        ll, g, h = ref.mle.evaluation.log_likelihood, ref.g_at_hat, ref.H_hat
+        probes = first_probes(before, ref)
         hess = ref.mle.evaluation.nll_hessian
 
         hist.append(AssortmentContexts.from_pool(pool, (0, 1)), 1)  # repeats a block
         hist.append(AssortmentContexts.from_pool(pool, (0, 2, 3)), 2)  # adds one
         assert hist.n_blocks == before.n_blocks + 1
         theta_hat = state.theta_hat
-        assert penalized_log_likelihood(hist, theta_hat, cfg.lam) != -loss
+        assert penalized_log_likelihood(hist, theta_hat, cfg.lam) != ll
         assert not np.array_equal(_nll_hessian(hist, theta_hat, cfg.lam), hess)
 
-        assert state.loss_at_hat == loss
+        assert state.mle.evaluation.log_likelihood == ll
         np.testing.assert_array_equal(state.g_at_hat, g)
         np.testing.assert_array_equal(state.H_hat, h)
         np.testing.assert_array_equal(first_probes(hist, state), probes)

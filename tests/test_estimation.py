@@ -461,7 +461,7 @@ class TestCompressedHistoryAgainstPerRoundReference:
         got = e_boundary_multi(hist, cfg, state, dirs)
 
         def gap(th):
-            return -per_round_reference(rounds, th, lam)["ll"] - state.loss_at_hat
+            return state.mle.evaluation.log_likelihood - per_round_reference(rounds, th, lam)["ll"]
 
         hess = per_round_reference(rounds, state.theta_hat, lam)["hess"]
         beta_sq, base = state.beta**2, state.anchor
@@ -533,20 +533,6 @@ def assert_same_as_reference(ll, s, g, h, hess, ref):
         assert np.array_equal(got, ref[key]), key
 
 
-@pytest.fixture
-def kernel_passes(monkeypatch):
-    """Utilities handed to ``estimation._segment_exp``, one entry per pass."""
-    seen = []
-    real = estimation._segment_exp
-
-    def counting(history, u):
-        seen.append(np.array(u, copy=True))
-        return real(history, u)
-
-    monkeypatch.setattr(estimation, "_segment_exp", counting)
-    return seen
-
-
 class TestOneEvaluationPerParameter:
     LAM = 2.0
 
@@ -573,7 +559,6 @@ class TestOneEvaluationPerParameter:
             ref = separate_pass_reference(hist, state.theta_hat, self.LAM)
             ev = state.mle.evaluation
             assert np.array_equal(ev.theta, state.theta_hat)
-            assert state.loss_at_hat == -ref["ll"]
             assert_same_as_reference(
                 ev.log_likelihood, ev.score, state.g_at_hat, state.H_hat, ev.nll_hessian, ref
             )
@@ -596,7 +581,7 @@ class TestOneEvaluationPerParameter:
         fit_passes = len(kernel_passes)
         kernel_passes.clear()
         state = build_confidence_state(hist, cfg, t=301)
-        state.loss_at_hat, state.g_at_hat, state.H_hat
+        state.mle.evaluation.log_likelihood, state.g_at_hat, state.H_hat
         e_boundary_multi(hist, cfg, state, np.random.default_rng(9).standard_normal((12, 2)))
         # The boundary search's membership passes take one column per probe.
         single = [u for u in kernel_passes if u.ndim == 1]
@@ -632,6 +617,70 @@ class TestOneEvaluationPerParameter:
                 np.testing.assert_allclose(
                     getattr(stacked, key)[i], getattr(single, key), rtol=1e-12, err_msg=key
                 )
+
+
+class TestWarmStartFromTheLastFit:
+    LAM = 2.0
+    QUANTITIES = ("log_likelihood", "score", "g", "H", "nll_hessian")
+
+    def test_recount_equals_a_fresh_evaluation(self, kernel_passes):
+        rng = np.random.default_rng(51)
+        for seed in range(3):
+            hist, rounds = mixed_history(np.random.default_rng(seed))
+            theta = sample_ball(rng, 1, 2, radius=2.0)[0]
+            old = estimation._Evaluation(hist, theta, self.LAM)
+            before = separate_pass_reference(hist, theta, self.LAM)
+            ev = old
+            # A stored pool block with a purchase, then an empty assortment:
+            # neither adds a row, and only the counts change.
+            for ass, outcome in ((rounds[1][0], 1), (rounds[0][0], 0)):
+                hist.append(ass, outcome)
+                assert hist.ctx_flat is old.ctx
+                kernel_passes.clear()
+                ev = ev.recounted(hist, self.LAM)
+                assert kernel_passes == []
+                fresh = estimation._Evaluation(hist, theta, self.LAM)
+                for key in self.QUANTITIES:
+                    assert np.array_equal(getattr(ev, key), getattr(fresh, key)), key
+            assert ev.log_likelihood != old.log_likelihood
+            assert_same_as_reference(
+                old.log_likelihood, old.score, old.g, old.H, old.nll_hessian, before
+            )
+
+    def test_fit_from_the_last_result_skips_the_start_pass(self, kernel_passes):
+        for seed in range(3):
+            hist, rounds = mixed_history(np.random.default_rng(seed))
+            last = fit_mle(hist, self.LAM)
+            hist.append(rounds[1][0], 1)  # repeats a stored block
+            kernel_passes.clear()
+            res = fit_mle(hist, self.LAM, theta0=last)
+            assert res.converged and res.iterations >= 1
+            assert len(kernel_passes) == res.iterations
+            kernel_passes.clear()
+            ref = fit_mle(hist, self.LAM, theta0=last.theta_hat)
+            assert len(kernel_passes) == ref.iterations + 1
+            assert np.array_equal(res.theta_hat, ref.theta_hat)
+            assert (res.iterations, res.score_norm) == (ref.iterations, ref.score_norm)
+            # With nothing appended the recounted start has converged already.
+            kernel_passes.clear()
+            again = fit_mle(hist, self.LAM, theta0=res)
+            assert kernel_passes == [] and again.iterations == 0
+            assert np.array_equal(again.theta_hat, res.theta_hat)
+
+    def test_new_rows_or_another_history_take_a_fresh_pass(self, kernel_passes):
+        hist, _ = mixed_history(np.random.default_rng(0))
+        other, _ = mixed_history(np.random.default_rng(1))
+        last = fit_mle(hist, self.LAM)
+        hist.append(make_assortment(sample_ball(np.random.default_rng(2), 2, 2)), 1)
+        for h in (hist, other):
+            kernel_passes.clear()
+            res = fit_mle(h, self.LAM, theta0=last)
+            assert len(kernel_passes) == res.iterations + 1
+            assert np.array_equal(kernel_passes[0], h.ctx_flat @ last.theta_hat)
+            ref = fit_mle(h, self.LAM, theta0=last.theta_hat)
+            assert np.array_equal(res.theta_hat, ref.theta_hat)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fit_mle(History(3), self.LAM, theta0=last)
 
 
 class TestDimensionCheck:

@@ -291,6 +291,30 @@ class TestPlayedTrajectoryPin:
             assert {which for used in passes for which in used} == {kernel}
             assert max(used[kernel] for used in passes) == 2
 
+    def test_fit_passes_are_newton_steps_plus_rounds_with_new_rows(
+        self, monkeypatch, kernel_passes
+    ):
+        # Each fit starts from the last round's result, whose evaluation is
+        # recounted unless a block arrived since: on a fixed pool a round's
+        # fit makes one kernel pass per Newton step.
+        import mnl_bandit.confidence as confidence
+
+        fit = confidence.fit_mle
+        seen = {"passes": 0, "rounds with new rows": 0, "rows": None}
+
+        def counted_fit(history, *args, **kw):
+            seen["rounds with new rows"] += history.ctx_flat is not seen["rows"]
+            seen["rows"] = history.ctx_flat
+            before = len(kernel_passes)
+            result = fit(history, *args, **kw)
+            seen["passes"] += len(kernel_passes) - before
+            return result
+
+        monkeypatch.setattr(confidence, "fit_mle", counted_fit)
+        run = run_experiment(self.regret_cfg("random"), seed=0)
+        assert seen["passes"] == run.newton_steps + seen["rounds with new rows"]
+        assert seen["rounds with new rows"] <= run.history.n_blocks + 1
+
 
     def test_random_round_checks_each_object_once(self, monkeypatch):
         # A short random run of the regret config.  The fit takes its score
