@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import AssortmentContexts, finite_number
-from .estimation import History, MleResult, _Evaluation, _norm, fit_mle
+from .estimation import History, MleResult, _Evaluation, _evaluate, _norm, fit_mle
 
 __all__ = [
     "L_CONST",
@@ -141,48 +141,59 @@ def build_confidence_state(
     return ConfidenceState(theta_hat=theta_hat, gamma=gamma, beta=beta, mle=mle, anchor=anchor)
 
 
-def _in_C(
-    thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
+def _C_member(
+    ev: _Evaluation, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Membership in C intersect Theta of one parameter (d,) or of every row
-    of (m, d), and each one's ||g(theta) - g(theta_hat)||^2 in the H(theta)^-1 norm.
+    """Membership in C intersect Theta of the parameter or stack ``ev`` was made
+    at, and each one's ||g(theta) - g(theta_hat)||^2 in the H(theta)^-1 norm.
 
-    One evaluation of the rows gives their g(theta) and H(theta); a single
-    parameter takes one (d, d) Hessian and a plain solve.
+    The evaluation gives g(theta) and H(theta); a single parameter takes one
+    (d, d) Hessian and a plain solve.
     """
-    ev = _Evaluation(history, thetas, cfg.lam)
     dg = ev.g - state.g_at_hat
     quad = (dg * np.linalg.solve(ev.H, dg[..., None])[..., 0]).sum(axis=-1)
     return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (quad <= state.gamma**2), quad
+
+
+def _in_C(
+    thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_C_member`` of one evaluation of one parameter (d,) or of every row of (m, d)."""
+    return _C_member(_Evaluation(history, thetas, cfg.lam), cfg, state)
 
 
 def in_set_C(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
     """Membership in the norm-based set; False outside the parameter ball."""
-    return bool(_in_C(np.asarray(theta, dtype=float).reshape(-1), history, cfg, state)[0])
+    return bool(_C_member(_evaluate(history, theta, cfg.lam), cfg, state)[0])
+
+
+def _E_member(
+    ev: _Evaluation, cfg: ConfidenceConfig, state: ConfidenceState
+) -> tuple[np.ndarray, np.ndarray]:
+    """Membership in E intersect Theta of the parameter or stack ``ev`` was made
+    at, and each one's loss gap loss(theta) - loss(theta_hat).
+
+    The evaluation's log-likelihood gives the loss gap, and the squared
+    norms of its ridge term serve the ball test ||theta|| <= S.
+    """
+    gap = state.mle.evaluation.log_likelihood - ev.log_likelihood  # loss = -log_likelihood
+    return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap
 
 
 def _in_E(
     thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Membership in E intersect Theta of one parameter (d,) or of every row of (m, d),
-    and each one's loss gap loss(theta) - loss(theta_hat).
-
-    Every membership pass in E intersect Theta is this kernel: one
-    evaluation of the rows gives every loss gap, and the squared norms of
-    its ridge term serve the ball test ||theta|| <= S.
-    """
-    ev = _Evaluation(history, thetas, cfg.lam)
-    gap = state.mle.evaluation.log_likelihood - ev.log_likelihood  # loss = -log_likelihood
-    return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap
+    """``_E_member`` of one evaluation of one parameter (d,) or of every row of (m, d)."""
+    return _E_member(_Evaluation(history, thetas, cfg.lam), cfg, state)
 
 
 def in_set_E(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
     """Membership in the convex log-loss sublevel set; False outside the parameter ball."""
-    return bool(_in_E(np.asarray(theta, dtype=float).reshape(-1), history, cfg, state)[0])
+    return bool(_E_member(_evaluate(history, theta, cfg.lam), cfg, state)[0])
 
 
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter

@@ -10,7 +10,11 @@ per-round trace is written as CSV with the fixed header
 
 and reals printed with 17 significant digits, so reruns are byte-identical.
 Diagnostics that need theta_star (coverage, deviation norms, the potential
-checks) are simulator-side only; the policy never reads them.
+checks) are simulator-side only; the policy never reads them.  A run keeps
+one likelihood evaluation at theta_star, recounted each round, for its
+coverage and its deviation norm's H_t(theta_star), so on a fixed pool it
+passes over the history only when a block arrives; theta_star's choice
+distribution on a fixed pool is computed once per assortment played.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import numpy as np
 from . import __version__
 from .choice import (
     AssortmentContexts,
+    ChoiceDistribution,
     choice_probabilities,
     expected_revenue,
     finite_number,
@@ -35,12 +40,12 @@ from .choice import (
 from .confidence import (
     ConfidenceConfig,
     ConfidenceState,
+    _C_member,
+    _E_member,
     build_confidence_state,
     default_lambda,
-    in_set_C,
-    in_set_E,
 )
-from .estimation import History, matrix_V
+from .estimation import History, _evaluate, matrix_V
 from .policy import (
     Decision,
     PolicyKind,
@@ -339,13 +344,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     mle_failures = 0
     newton_steps = 0
     previous_fit = None  # the last round's MleResult, which warm-starts the next fit
-
-    # Running H(theta_star) over played rounds, for deviation norms.
-    j_sum = np.zeros((cfg.d, cfg.d))
-    lam_eye = lam * np.eye(cfg.d)
+    # theta_star's evaluation, recounted each round: a pass only when a block arrives.
+    at_star = _evaluate(history, theta_star, lam)
     track_c = cfg.track_c_stats or kind is PolicyKind.CB_MNL_C
 
-    oracle: Decision | None = None  # the last pool's oracle; a fixed pool's is solved once
+    # The pool's oracle and theta_star's choice distributions on it, by assortment.
+    oracle: Decision | None = None
+    laws: dict[tuple[int, ...], ChoiceDistribution] = {}
     bound_factor = 2.0 * (1.0 + 2.0 * cfg.S)
 
     rng_policy = stream(seed, TAG_POLICY)
@@ -362,37 +367,38 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy
         )
 
-        # theta_star's distribution on the played assortment draws the
-        # outcome (as ``environment_step`` does) and serves the regret and
-        # the deviation matrix update below.
-        dist = choice_probabilities(decision.assortment, theta_star)
-        outcome = sample_choice(dist, rng_outcome)
-
-        if kind is PolicyKind.ORACLE:
-            oracle = decision  # this pool's oracle solve
-        elif oracle is None or cfg.context_mode != FIXED_POOL:
-            oracle = _oracle(pool, instance)
+        if t == 1 or cfg.context_mode != FIXED_POOL:
+            laws = {}
+            oracle = decision if kind is PolicyKind.ORACLE else _oracle(pool, instance)
         oracle_value = oracle.optimistic_value
 
-        mu = dist.item_probs
-        played_value = float(mu @ decision.assortment.prices)
+        # theta_star's distribution on the played assortment draws the
+        # outcome (as ``environment_step`` does) and serves the regret.
+        played = decision.assortment
+        dist = laws.get(played.indices)
+        if dist is None:
+            dist = laws[played.indices] = choice_probabilities(played, theta_star)
+        outcome = sample_choice(dist, rng_outcome)
+
+        played_value = float(dist.item_probs @ played.prices)
         inst_regret = oracle_value - played_value
         cum += inst_regret
 
-        covered_e = in_set_E(theta_star, history, ccfg, state)
-        covered_c = in_set_C(theta_star, history, ccfg, state) if track_c else None
+        # theta_star's evaluation on the rounds before this one; its H is H_t(theta_star).
+        at_star = at_star.recounted(history, lam)
+        covered_e = bool(_E_member(at_star, ccfg, state)[0])
+        covered_c = bool(_C_member(at_star, ccfg, state)[0]) if track_c else None
         covered = covered_c if kind is PolicyKind.CB_MNL_C else covered_e
         coverage_all = coverage_all and covered
 
-        j_mat = j_sum + lam_eye
         dtheta = decision.theta_used - theta_star
-        dev_h = math.sqrt(max(float(dtheta @ j_mat @ dtheta), 0.0))
+        dev_h = math.sqrt(max(float(dtheta @ at_star.H @ dtheta), 0.0))
         dev_bound = bound_factor * state.gamma
 
         records.append(
             RoundRecord(
                 t=t,
-                assortment=decision.assortment.indices,
+                assortment=played.indices,
                 outcome=outcome,
                 opt_value=decision.optimistic_value,
                 oracle_value=oracle_value,
@@ -407,10 +413,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             )
         )
 
-        history.append(decision.assortment, outcome)
-        w = mu * (1.0 - mu)
-        ctx = decision.assortment.contexts
-        j_sum += ctx.T @ (w[:, None] * ctx)
+        history.append(played, outcome)
 
     return RunLog(
         cfg=cfg,

@@ -134,6 +134,14 @@ class TestSetMembership:
         assert not in_set_C(far, self.hist, self.cfg, self.state)
         assert not in_set_E(far, self.hist, self.cfg, self.state)
 
+    @pytest.mark.parametrize("reader", [in_set_E, in_set_C])
+    def test_wrong_length_theta_names_the_dimensions(self, reader):
+        # The same error the likelihood readers raise, on an empty history too.
+        for hist in (self.hist, History(2)):
+            for bad in (np.zeros(1), np.zeros(3)):
+                with pytest.raises(ValueError, match="dimension mismatch: history is d=2"):
+                    reader(bad, hist, self.cfg, self.state)
+
     def test_c_members_pass_e(self):
         members = sample_c_members(self.rng, self.hist, self.cfg, self.state, 100)
         assert len(members) == 100

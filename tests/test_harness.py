@@ -29,7 +29,28 @@ from mnl_bandit.harness import (
     save_runs,
     summarize_runs,
 )
-from mnl_bandit.simulator import TAG_OUTCOME, Instance, stream
+from mnl_bandit.simulator import TAG_OUTCOME, Instance, serve_contexts, stream
+
+
+def passes_by_side(monkeypatch, kernel_passes, cfg):
+    """A seed-0 run of ``cfg``, the kernel passes its fits made, and the rounds
+    whose stored rows had changed since the last round's fit (round 1 included)."""
+    import mnl_bandit.confidence as confidence
+
+    fit = confidence.fit_mle
+    seen = {"fit passes": 0, "new rows": 0, "rows": None}
+
+    def counted_fit(history, *args, **kw):
+        seen["new rows"] += history.ctx_flat is not seen["rows"]
+        seen["rows"] = history.ctx_flat
+        before = len(kernel_passes)
+        result = fit(history, *args, **kw)
+        seen["fit passes"] += len(kernel_passes) - before
+        return result
+
+    monkeypatch.setattr(confidence, "fit_mle", counted_fit)
+    run = run_experiment(cfg, seed=0)
+    return run, seen["fit passes"], seen["new rows"]
 
 
 def small_cfg(**kw):
@@ -210,6 +231,48 @@ class TestNormSetScreening:
         assert min(members) >= cfg.n_dirs
 
 
+class TestThetaStarDiagnostics:
+    # Coverage and the deviation norm read one evaluation at theta_star,
+    # recounted each round.  A replay rebuilds the history round by round
+    # and checks them against fresh membership tests and against the
+    # running sum of H(theta_star) terms over the rounds played.
+    @pytest.mark.parametrize(
+        "kw", [{}, dict(d=4, N=16, K=4, T=60, context_mode="fresh_iid")], ids=["default", "fresh"]
+    )
+    def test_match_a_replay_of_the_run(self, kw, monkeypatch):
+        import mnl_bandit.harness as harness
+
+        states, used = [], []
+        build, decide = harness.build_confidence_state, harness._policy_decision
+
+        def recorded_build(*args, **kw):
+            states.append(build(*args, **kw))
+            return states[-1]
+
+        def recorded_decide(*args):
+            decision = decide(*args)
+            used.append(decision.theta_used)
+            return decision
+
+        monkeypatch.setattr(harness, "build_confidence_state", recorded_build)
+        monkeypatch.setattr(harness, "_policy_decision", recorded_decide)
+        cfg = ExperimentConfig(**kw)
+        run = run_experiment(cfg, seed=0)
+        inst, ccfg, lam = run.instance, cfg.confidence_config(), run.lam
+        theta_star = inst.theta_star
+        hist, j_mat = History(cfg.d), lam * np.eye(cfg.d)
+        for r, state, theta in zip(run.records, states, used, strict=True):
+            assert r.covered == in_set_E(theta_star, hist, ccfg, state)
+            assert r.covered_C == in_set_C(theta_star, hist, ccfg, state)
+            dtheta = theta - theta_star
+            assert r.dev_H == pytest.approx(math.sqrt(dtheta @ j_mat @ dtheta), rel=1e-12)
+            ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
+            mu = choice_probabilities(ass, theta_star).item_probs
+            j_mat = j_mat + ass.contexts.T @ ((mu * (1.0 - mu))[:, None] * ass.contexts)
+            hist.append(ass, r.outcome)
+        assert len(states) == cfg.T
+
+
 class TestPlayedTrajectoryPin:
     # SHA-256 of the CSV's assortment and outcome columns of the regret
     # config at T=300, seed 0.  Both columns are integers, so last-bit
@@ -315,6 +378,28 @@ class TestPlayedTrajectoryPin:
         assert seen["passes"] == run.newton_steps + seen["rounds with new rows"]
         assert seen["rounds with new rows"] <= run.history.n_blocks + 1
 
+    @pytest.mark.parametrize("track_c", [False, True])
+    def test_run_passes_are_newton_steps_plus_two_a_round_with_new_rows(
+        self, monkeypatch, kernel_passes, track_c
+    ):
+        # theta_star's evaluation is recounted like the fit's start, and C's
+        # coverage reads it too: besides the Newton steps, a round passes over
+        # the history once for the fit's start and once at theta_star, and
+        # only when a block has arrived since the last round.
+        cfg = ExperimentConfig.from_dict(
+            {**self.regret_cfg("random").to_dict(), "track_c_stats": track_c}
+        )
+        run, fit_passes, new_rows = passes_by_side(monkeypatch, kernel_passes, cfg)
+        assert len(kernel_passes) == run.newton_steps + 2 * new_rows
+        assert len(kernel_passes) - fit_passes == new_rows <= run.history.n_blocks + 1
+
+    def test_theta_star_takes_one_pass_a_round_on_fresh_contexts(
+        self, monkeypatch, kernel_passes
+    ):
+        cfg = small_cfg(policy="random", context_mode="fresh_iid", T=40)
+        run, fit_passes, new_rows = passes_by_side(monkeypatch, kernel_passes, cfg)
+        assert new_rows == run.history.n_blocks == cfg.T
+        assert len(kernel_passes) - fit_passes == cfg.T
 
     def test_random_round_checks_each_object_once(self, monkeypatch):
         # A short random run of the regret config.  The fit takes its score
@@ -360,11 +445,14 @@ class TestPlayedTrajectoryPin:
 
         T = 60
         cfg = self.regret_cfg("random")
-        run_experiment(ExperimentConfig.from_dict({**cfg.to_dict(), "T": T}), seed=0)
+        run = run_experiment(ExperimentConfig.from_dict({**cfg.to_dict(), "T": T}), seed=0)
         assert calls["fit"] == T and calls["norm in fit"] == 0
         assert calls["AssortmentContexts"] == calls["ChoiceDistribution"] == 0
         assert calls["built AssortmentContexts"] == calls["_check_assortment"] >= T
-        assert calls["built ChoiceDistribution"] == calls["_check_probs"] >= 2 * T
+        # theta_hat's law each round, the fixed pool's oracle law once, and
+        # theta_star's law once per distinct played assortment.
+        played = {r.assortment for r in run.records}
+        assert calls["built ChoiceDistribution"] == calls["_check_probs"] == T + 1 + len(played)
 
 
 class TestEllipticalCheck:
