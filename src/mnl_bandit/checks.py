@@ -22,12 +22,12 @@ from .choice import (
 )
 from .confidence import (
     ConfidenceConfig,
-    _in_E,
+    _E_member,
     build_confidence_state,
     default_lambda,
     e_boundary_multi,
 )
-from .estimation import History, fit_mle, g_vector, matrix_G, matrix_H, score
+from .estimation import History, _Evaluation, fit_mle, g_vector, matrix_G, matrix_H, score
 from .harness import ExperimentConfig, RunLog, elliptical_potential_check, run_experiment
 from .policy import random_assortment
 from .simulator import (
@@ -237,7 +237,7 @@ def convex_set_contains_norm_set(
         points = e_boundary_multi(hist, cfg, state, dirs, "C")
         members = points[(points != state.anchor).any(axis=1)]
         tested += len(members)
-        violations += int((~_in_E(members, hist, cfg, state)[0]).sum())
+        violations += int((~_E_member(_Evaluation(hist, members, cfg.lam), cfg, state)[0]).sum())
     return CheckResult(
         "convex set contains the norm-based set",
         violations == 0 and tested == n_snapshots * per_snapshot,

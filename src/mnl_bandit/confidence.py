@@ -9,15 +9,17 @@ Two sets are maintained over the parameter ball Theta = {||theta|| <= S}:
   (loss = negative penalized log-likelihood), with beta = gamma + gamma^2/lambda.
 
 E contains C, so any coverage guarantee for C transfers to E, and E is the
-set the decision step optimizes over by default.  Screening candidates in
-either set are points near its boundary along rays from the anchor, from
-one search (``e_boundary_multi``) that costs at most two likelihood
-passes, however many rays it has.  The inner revenue maximization over
-E is NOT a concave problem; ``max_revenue_over_E`` is a multi-start
-projected-ascent heuristic whose result is always a feasible point, never
-an upper bound.  It projects each step onto Theta and refuses a step that
-leaves E, so where E binds a start stops short of E's boundary instead of
-sliding along it.
+set the decision step optimizes over by default.  Membership is one test
+per set (``_E_member``, ``_C_member``) of one likelihood evaluation, at a
+parameter or a stack; each caller evaluates its parameters once.  Screening
+candidates in either set are points near its boundary along rays from the
+anchor, from one search (``e_boundary_multi``) that costs at most two
+likelihood passes, however many rays it has.  The inner revenue
+maximization over E is NOT a concave problem; ``max_revenue_over_E`` is a
+multi-start projected-ascent heuristic whose result is always a feasible
+point, never an upper bound.  It projects each step onto Theta and refuses
+a step that leaves E, so where E binds a start stops short of E's boundary
+instead of sliding along it.
 """
 from __future__ import annotations
 
@@ -155,13 +157,6 @@ def _C_member(
     return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (quad <= state.gamma**2), quad
 
 
-def _in_C(
-    thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_C_member`` of one evaluation of one parameter (d,) or of every row of (m, d)."""
-    return _C_member(_Evaluation(history, thetas, cfg.lam), cfg, state)
-
-
 def in_set_C(
     theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> bool:
@@ -180,13 +175,6 @@ def _E_member(
     """
     gap = state.mle.evaluation.log_likelihood - ev.log_likelihood  # loss = -log_likelihood
     return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap
-
-
-def _in_E(
-    thetas: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_E_member`` of one evaluation of one parameter (d,) or of every row of (m, d)."""
-    return _E_member(_Evaluation(history, thetas, cfg.lam), cfg, state)
 
 
 def in_set_E(
@@ -227,16 +215,17 @@ def e_boundary_multi(
     feasible and hi not.  Then, once any bracket is open, a second pass
     probes every ray where the chord from (lo, h(lo)) to (hi, h(hi))
     crosses zero.  The chord lies above a convex h, so for E that point is
-    inside in exact arithmetic; it replaces lo only if the set's own kernel
+    inside in exact arithmetic; it replaces lo only if the set's own test
+    (``_E_member`` or ``_C_member``, on one evaluation of the pass's probes)
     confirms it, so every returned point passes the true feasibility test.
     A call costs one or two passes, and a closed bracket (lo == hi) is a
     fixed point of the chord step.  A zero direction returns the anchor.
     """
-    # The kernel is looked up per call, so a replaced module attribute is used.
+    # The member test is looked up per call, so a replaced module attribute is used.
     if set_kind == "E":
-        member, level = _in_E, state.beta**2
+        member, level = _E_member, state.beta**2
     elif set_kind == "C":
-        member, level = _in_C, state.gamma**2
+        member, level = _C_member, state.gamma**2
     else:
         raise ValueError(f"unknown set kind {set_kind!r}")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -254,7 +243,7 @@ def e_boundary_multi(
     at_hat = base is state.theta_hat or np.array_equal(base, state.theta_hat)
     if not at_hat:
         probes = np.vstack([probes, base])
-    ok, value = member(probes, history, cfg, state)
+    ok, value = member(_Evaluation(history, probes, cfg.lam), cfg, state)
     h = value - level
     m = len(v)
     f0, f1, h0, h1 = ok[:m], ok[m : 2 * m], h[:m], h[m : 2 * m]
@@ -265,7 +254,8 @@ def e_boundary_multi(
         rise = np.where(f0, h1, h0) - h_lo
         frac = np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0.0)
         s = lo + np.minimum(np.maximum(frac, 0.0), 1.0) * (hi - lo)
-        lo = np.where(member(base + s[:, None] * v, history, cfg, state)[0], s, lo)
+        ok, _ = member(_Evaluation(history, base + s[:, None] * v, cfg.lam), cfg, state)
+        lo = np.where(ok, s, lo)
     return base + lo[:, None] * v
 
 
@@ -341,7 +331,8 @@ def max_revenue_over_E(
         out = norm > cfg.S
         cand[out] *= (cfg.S / norm[out])[:, None]
         cand_val, cand_grad = _revenue_and_gradient(assortment, cand)
-        up = (cand_val > val[rows] + 1e-6) & _in_E(cand, history, cfg, state)[0]
+        in_e = _E_member(_Evaluation(history, cand, cfg.lam), cfg, state)[0]
+        up = (cand_val > val[rows] + 1e-6) & in_e
         taken, kept = rows[up], rows[~up]
         theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]
         eta[taken] *= 2.0

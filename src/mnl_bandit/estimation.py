@@ -335,11 +335,6 @@ def matrix_G(
     return _gram(history.ctx_flat, history.row_offers * alpha, lam)
 
 
-def _nll_hessian(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
-    """Exact Hessian of the negative penalized log-likelihood (PD for lam > 0)."""
-    return _evaluate(history, theta, lam).nll_hessian
-
-
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a float vector, as ``np.linalg.norm`` gives it, minus its dispatch."""
     return math.sqrt(v @ v)

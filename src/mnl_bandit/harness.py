@@ -258,10 +258,6 @@ class RunLog:
             )
         return "\n".join(lines) + "\n"
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
-
     def metadata(self) -> dict:
         return {
             "config": self.cfg.to_dict(),
@@ -278,10 +274,6 @@ class RunLog:
             "history_blocks": self.history.n_blocks,
             "history_rows": self.history.n_items,
         }
-
-    def save_metadata(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2)
 
 
 def _oracle(pool: np.ndarray, instance: Instance) -> Decision:
@@ -568,7 +560,9 @@ def save_runs(logs: list[RunLog], out_dir) -> list[str]:
     for log in logs:
         base = f"run_{log.cfg.policy}_seed{log.seed}"
         csv_path = os.path.join(out_dir, base + ".csv")
-        log.save_csv(csv_path)
-        log.save_metadata(os.path.join(out_dir, base + ".json"))
+        with open(csv_path, "w", newline="") as fh:
+            fh.write(log.csv_text())
+        with open(os.path.join(out_dir, base + ".json"), "w") as fh:
+            json.dump(log.metadata(), fh, indent=2)
         paths.append(csv_path)
     return paths

@@ -1,12 +1,12 @@
 """Shared fixtures: the expensive seeded run batches used by several criteria,
-and a counter of likelihood kernel passes."""
+a counter of likelihood kernel passes and a recorder of set membership tests."""
 import os
 import time
 
 import numpy as np
 import pytest
 
-from mnl_bandit import estimation
+from mnl_bandit import confidence, estimation
 from mnl_bandit.harness import ExperimentConfig, run_many
 
 JOBS = min(2, os.cpu_count() or 1)
@@ -63,4 +63,26 @@ def kernel_passes(monkeypatch):
         return real(history, u)
 
     monkeypatch.setattr(estimation, "_segment_exp", counting)
+    return seen
+
+
+@pytest.fixture
+def member_passes(monkeypatch):
+    """Calls of ``confidence._E_member`` and ``_C_member``, one entry per
+    call: the set ("E" or "C"), the evaluated parameter or stack and the
+    verdict.  ``harness`` binds its own names for theta_star's test, so the
+    entries come from the boundary search, the ascent and ``in_set_*``."""
+    seen = []
+
+    def recorder(kind, real):
+        def recording(ev, cfg, state):
+            ok, value = real(ev, cfg, state)
+            seen.append((kind, np.array(ev.theta, copy=True), ok))
+            return ok, value
+
+        return recording
+
+    for kind in ("E", "C"):
+        name = f"_{kind}_member"
+        monkeypatch.setattr(confidence, name, recorder(kind, getattr(confidence, name)))
     return seen

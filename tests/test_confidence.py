@@ -1,4 +1,5 @@
 """Confidence radii, set membership, and the inner revenue maximization."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from mnl_bandit.choice import AssortmentContexts, expected_revenue, revenue_gradient
 from mnl_bandit.confidence import (
     ConfidenceConfig,
-    _in_C,
-    _in_E,
+    _C_member,
+    _E_member,
     beta_radius,
     build_confidence_state,
     default_lambda,
@@ -18,7 +19,7 @@ from mnl_bandit.confidence import (
     in_set_E,
     max_revenue_over_E,
 )
-from mnl_bandit.estimation import History, _nll_hessian, penalized_log_likelihood
+from mnl_bandit.estimation import History, _Evaluation, _evaluate, penalized_log_likelihood
 from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import (
     TAG_OUTCOME,
@@ -53,6 +54,12 @@ def history_of(d, rounds):
 
 def random_history(rng, d, K=2, rounds=10):
     return history_of(d, random_rounds(rng, d, K, rounds))
+
+
+def with_radius(state, gamma, lam):
+    """``state`` with radii gamma and beta = gamma + gamma^2 / lam, whatever
+    ``gamma_radius`` gives: a test that needs E to bind says how far."""
+    return dataclasses.replace(state, gamma=gamma, beta=beta_radius(gamma, lam))
 
 
 def sample_c_members(rng, hist, cfg, state, want, max_tries=5000):
@@ -210,7 +217,7 @@ class TestNormSetBatch:
             chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
             radius = 3.0 * state.gamma
             thetas = state.theta_hat + sample_ball(rng, 300, d, radius) @ chol.T
-            got, values = _in_C(thetas, hist, cfg, state)
+            got, values = _C_member(_Evaluation(hist, thetas, cfg.lam), cfg, state)
             for theta, member, value in zip(thetas, got, values):
                 expected, quad = norm_set_reference(theta, rounds, cfg, state)
                 assert value == pytest.approx(quad, rel=1e-9, abs=1e-12)
@@ -388,77 +395,60 @@ def reference_ascent(ass, hist, cfg, state, starts, max_iter):
 
 
 class TestBoundarySearch:
-    def test_bracket_probes_share_one_membership_pass(self, monkeypatch):
-        import dataclasses
+    GAMMA = 7.5  # with lam = 200, E binds inside the ball (S = 3) of these 40-round histories
 
-        import mnl_bandit.confidence as confidence
+    def test_bracket_probes_share_one_membership_pass(self, member_passes):
+        def rows():
+            return [len(thetas) for _, thetas, _ in member_passes]
 
-        rows = []
-        in_e = confidence._in_E
-
-        def counted(thetas, *args):
-            rows.append(len(thetas))
-            return in_e(thetas, *args)
-
-        monkeypatch.setattr(confidence, "_in_E", counted)
         dirs = np.random.default_rng(38).standard_normal((8, 2))
         # Only the ball binds: both probes of every ray lie on its sphere and pass.
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=4.0, S=0.5)
         hist = History(2)
         e_boundary_multi(hist, cfg, build_confidence_state(hist, cfg, t=1), dirs)
-        assert rows == [16]
-        # E binds (lam = 200): the bracket pass, then one chord step on every ray.
-        rows.clear()
+        assert rows() == [16]
+        # E binds (lam = 200, gamma = 7.5): the bracket pass, then one chord
+        # step on every ray.
+        member_passes.clear()
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
         hist = random_history(np.random.default_rng(38), 2, rounds=40)
-        state = build_confidence_state(hist, cfg, t=hist.t + 1)
+        state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), self.GAMMA, cfg.lam)
         edge = e_boundary_multi(hist, cfg, state, dirs)
-        assert rows == [16, 8]
-        assert _in_E(edge, hist, cfg, state)[0].all()
+        assert rows() == [16, 8]
+        assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, state)[0].all()
         assert np.linalg.norm(edge, axis=1).max() < 0.9 * cfg.S
         # A feasible anchor other than theta_hat joins the bracket pass, which
         # reads its loss gap instead of taking it as 0.
         moved = dataclasses.replace(state, anchor=0.5 * state.theta_hat)
         assert in_set_E(moved.anchor, hist, cfg, state)
-        rows.clear()
+        member_passes.clear()
         edge = e_boundary_multi(hist, cfg, moved, dirs)
-        assert rows == [17, 8]
-        assert _in_E(edge, hist, cfg, state)[0].all()
+        assert rows() == [17, 8]
+        assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, state)[0].all()
         # A zero direction is a ray of length 0: it returns the anchor.
         edge = e_boundary_multi(hist, cfg, moved, np.vstack([dirs[:1], np.zeros((1, 2))]))
-        assert _in_E(edge, hist, cfg, state)[0].all()
+        assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, state)[0].all()
         np.testing.assert_array_equal(edge[1], moved.anchor)
 
     @pytest.mark.parametrize("seed", [38, 1, 2, 3])
-    def test_chord_points_sit_at_the_exit(self, seed, monkeypatch):
-        import mnl_bandit.confidence as confidence
-
-        passes = []
-        in_e = confidence._in_E
-
-        def recorded(thetas, *args):
-            ok, gap = in_e(thetas, *args)
-            passes.append((thetas.copy(), ok))
-            return ok, gap
-
+    def test_chord_points_sit_at_the_exit(self, seed, member_passes):
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((8, 2))
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
         hist = random_history(rng, 2, rounds=40)
-        state = build_confidence_state(hist, cfg, t=hist.t + 1)
-        monkeypatch.setattr(confidence, "_in_E", recorded)
+        state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), self.GAMMA, cfg.lam)
         edge = e_boundary_multi(hist, cfg, state, dirs)
-        monkeypatch.undo()
+        passes = member_passes[:]  # the bisection below adds its own
         assert len(passes) == 2
 
         base = state.anchor
         unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-        probes, ok = passes[0]
+        _, probes, ok = passes[0]
         s0, s1 = np.linalg.norm(probes - base, axis=1).reshape(2, -1)
         f0, f1 = ok.reshape(2, -1)
         lo = np.where(f0, np.where(f1, s1, s0), 0.0)
         dist = np.linalg.norm(edge - base, axis=1)
-        assert _in_E(edge, hist, cfg, state)[0].all()
+        assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, state)[0].all()
         assert (dist >= lo).all()
         for v, s in zip(unit, dist):
             # The exit of E intersect Theta along the ray, by 60 bisections.
@@ -472,13 +462,11 @@ class TestBoundarySearch:
 
 
 class TestStateIsASnapshot:
-    def test_appends_after_the_build_leave_it_unchanged(self, monkeypatch):
+    def test_appends_after_the_build_leave_it_unchanged(self, member_passes):
         # ``History.append`` updates offer and purchase counts in place, and
         # the state derives its quantities at theta_hat on first read, so
         # nothing is read from ``state`` before the appends.
         import copy
-
-        import mnl_bandit.confidence as confidence
 
         rng = np.random.default_rng(41)
         pool = sample_ball(rng, 4, 2)
@@ -490,16 +478,9 @@ class TestStateIsASnapshot:
 
         def first_probes(h, state):
             # The bracket probes depend on the Hessian at theta_hat, not on h.
-            seen = []
-
-            def recorded(thetas, *args):
-                seen.append(thetas.copy())
-                return _in_E(thetas, *args)
-
-            with monkeypatch.context() as m:
-                m.setattr(confidence, "_in_E", recorded)
-                e_boundary_multi(h, cfg, state, dirs)
-            return seen[0]
+            member_passes.clear()
+            e_boundary_multi(h, cfg, state, dirs)
+            return member_passes[0][1]
 
         before = copy.deepcopy(hist)
         state = build_confidence_state(hist, cfg, t=61)
@@ -513,7 +494,7 @@ class TestStateIsASnapshot:
         assert hist.n_blocks == before.n_blocks + 1
         theta_hat = state.theta_hat
         assert penalized_log_likelihood(hist, theta_hat, cfg.lam) != ll
-        assert not np.array_equal(_nll_hessian(hist, theta_hat, cfg.lam), hess)
+        assert not np.array_equal(_evaluate(hist, theta_hat, cfg.lam).nll_hessian, hess)
 
         assert state.mle.evaluation.log_likelihood == ll
         np.testing.assert_array_equal(state.g_at_hat, g)
@@ -528,10 +509,11 @@ class TestMaxRevenueOverE:
         for draw in range(50):
             d = int(rng.integers(1, 4))
             S = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
-            lam = float(np.exp(rng.uniform(0.0, 6.0)))  # up to about 400, where E binds
+            # Up to about 400: with gamma = 3, E binds in 22 of the 50 draws.
+            lam = float(np.exp(rng.uniform(0.0, 6.0)))
             cfg = ConfidenceConfig(d=d, K=3, delta=0.1, lam=lam, S=S)
             hist = random_history(rng, d, K=3, rounds=int(rng.integers(0, 80)))
-            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), 3.0, lam)
             k = int(rng.integers(1, 4))
             ctx = sample_ball(rng, k, d)
             ass = AssortmentContexts(tuple(range(k)), ctx, rng.uniform(0.2, 3.0, k))
@@ -565,33 +547,23 @@ class TestMaxRevenueOverE:
                 1.5 * cfg.S * unit,  # outside the ball
                 sample_ball(rng, 8, 2, radius=cfg.S),
             ])
-            got = _in_E(thetas, hist, cfg, state)[0]
+            got = _E_member(_Evaluation(hist, thetas, cfg.lam), cfg, state)[0]
             want = [in_set_E(th, hist, cfg, state) for th in thetas]
             assert got.tolist() == want
             assert all(want[1:9]) and not any(want[25:33])
 
-    def test_ball_bound_step_costs_one_membership_pass(self, monkeypatch):
-        import mnl_bandit.confidence as confidence
-
+    def test_ball_bound_step_costs_one_membership_pass(self, member_passes):
         # With no history E is the ball of radius beta * sqrt(2 / lam), about 9.1,
         # so only Theta (S = 0.5) can bind and its exit is exact.
         cfg = ConfidenceConfig(d=3, K=2, delta=0.1, lam=4.0, S=0.5)
         hist = History(3)
         state = build_confidence_state(hist, cfg, t=1)
         assert state.beta * math.sqrt(2.0 / cfg.lam) > 9.0
-        passes = []
-        in_e = confidence._in_E
-
-        def counted(*args):
-            passes.append(1)
-            return in_e(*args)
-
-        monkeypatch.setattr(confidence, "_in_E", counted)
         ass = make_assortment([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
         _, theta = max_revenue_over_E(ass, hist, cfg, state, state.anchor, max_iter=40)
         # The first step, of length S along the gradient, reaches the sphere
         # in one pass; there the gradient is radial, so the start stops.
-        assert len(passes) == 1
+        assert len(member_passes) == 1
         assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
         assert in_set_E(theta, hist, cfg, state)
         grad = revenue_gradient(ass, theta)

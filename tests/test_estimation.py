@@ -1,4 +1,5 @@
 """Estimator math: likelihood, score, Newton fit, design matrices."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,16 @@ from mnl_bandit import estimation
 from mnl_bandit.choice import AssortmentContexts, choice_probabilities
 from mnl_bandit.confidence import (
     ConfidenceConfig,
-    _in_C,
-    _in_E,
+    _C_member,
+    _E_member,
+    beta_radius,
     build_confidence_state,
     e_boundary_multi,
     in_set_C,
 )
 from mnl_bandit.estimation import (
     History,
-    _nll_hessian,
+    _evaluate,
     _segment_exp,
     fit_mle,
     g_vector,
@@ -189,7 +191,7 @@ class TestFitMle:
                 d = int(rng.integers(1, 5))
                 hist = random_history(rng, d, rounds=int(rng.integers(0, 40)))
                 theta = rng.standard_normal(d) * 10.0 ** int(rng.integers(-1, 3))
-                hess = estimation._nll_hessian(hist, theta, lam)
+                hess = _evaluate(hist, theta, lam).nll_hessian
                 assert np.linalg.eigvalsh(hess).min() >= lam * (1.0 - 1e-9)
 
 
@@ -435,7 +437,7 @@ class TestCompressedHistoryAgainstPerRoundReference:
             assert_rel(g_vector(hist, theta, self.LAM), ref["g"])
             assert_rel(hist.purchases @ hist.ctx_flat, ref["reward"])
             assert_rel(matrix_H(hist, theta, self.LAM), ref["H"])
-            assert_rel(_nll_hessian(hist, theta, self.LAM), ref["hess"])
+            assert_rel(_evaluate(hist, theta, self.LAM).nll_hessian, ref["hess"])
             assert_rel(matrix_V(hist, self.LAM), ref["V"])
         th1, th2 = sample_ball(rng, 2, 2, radius=2.0)
         assert_rel(matrix_G(hist, th1, th2, self.LAM), per_round_G(rounds, th1, th2, self.LAM))
@@ -452,11 +454,12 @@ class TestCompressedHistoryAgainstPerRoundReference:
 
     def test_boundary_points_match(self):
         hist, rounds = mixed_history(np.random.default_rng(8))
-        # A heavier ridge than the class's, so that E binds on some rays and
-        # the ball on others.
-        lam = 20.0
+        # A heavier ridge than the class's and a radius of its own, so that E
+        # binds on some rays and the ball on others.
+        lam, gamma = 20.0, 4.5
         cfg = ConfidenceConfig(d=2, K=3, lam=lam, S=1.0)
         state = build_confidence_state(hist, cfg, t=301)
+        state = dataclasses.replace(state, gamma=gamma, beta=beta_radius(gamma, lam))
         dirs = np.random.default_rng(9).standard_normal((12, 2))
         got = e_boundary_multi(hist, cfg, state, dirs)
 
@@ -547,7 +550,7 @@ class TestOneEvaluationPerParameter:
                     score(hist, theta, self.LAM),
                     g_vector(hist, theta, self.LAM),
                     matrix_H(hist, theta, self.LAM),
-                    _nll_hessian(hist, theta, self.LAM),
+                    _evaluate(hist, theta, self.LAM).nll_hessian,
                     ref,
                 )
 
@@ -596,11 +599,12 @@ class TestOneEvaluationPerParameter:
         kernel_passes.clear()
         in_set_C(0.5 * state.anchor, hist, cfg, state)
         assert len(kernel_passes) == 1
-        # A stack of parameters costs one pass in either set's kernel.
+        # A stack of parameters costs one pass, which both sets' tests read.
         thetas = sample_ball(np.random.default_rng(9), 7, 2, radius=2.0)
-        for kernel in (_in_C, _in_E):
-            kernel_passes.clear()
-            kernel(thetas, hist, cfg, state)
+        kernel_passes.clear()
+        ev = estimation._Evaluation(hist, thetas, cfg.lam)
+        for member in (_C_member, _E_member):
+            member(ev, cfg, state)
             assert [u.shape for u in kernel_passes] == [(hist.n_items, 7)]
 
     @pytest.mark.parametrize("rounds", [0, 300])

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ def passes_by_side(monkeypatch, kernel_passes, cfg):
     monkeypatch.setattr(confidence, "fit_mle", counted_fit)
     run = run_experiment(cfg, seed=0)
     return run, seen["fit passes"], seen["new rows"]
+
+
+def pin_gamma(monkeypatch, gamma):
+    """Give every confidence state the radius ``gamma``, whatever
+    ``gamma_radius`` gives: a run that needs E to bind says how far."""
+    import mnl_bandit.confidence as confidence
+
+    monkeypatch.setattr(confidence, "gamma_radius", lambda cfg, t: gamma)
 
 
 def small_cfg(**kw):
@@ -165,7 +174,7 @@ class TestRefinedRounds:
     CONFIGS = {
         # The wide_fresh benchmark shape, shortened; the ball binds.
         "wide_fresh": dict(d=4, N=16, K=4, T=20, context_mode="fresh_iid"),
-        # A large ridge keeps E well inside the ball, so E binds.
+        # A large ridge and a pinned radius keep E well inside the ball, so E binds.
         "E_bound": dict(T=20, lambda_override=100.0),
     }
 
@@ -191,6 +200,8 @@ class TestRefinedRounds:
 
         monkeypatch.setattr(policy, "max_revenue_over_E", counted)
         monkeypatch.setattr(harness, "cb_mnl_step", checked)
+        if name == "E_bound":
+            pin_gamma(monkeypatch, 5.0)
         run = run_experiment(cfg, seed=0)
         assert len(refined) == len(decisions) == cfg.T
         for record, decision in zip(run.records, decisions):
@@ -319,35 +330,29 @@ class TestPlayedTrajectoryPin:
         ]
         assert replayed == [r.outcome for r in run.records]
 
-    def test_boundary_search_makes_at_most_two_membership_passes(self, monkeypatch):
+    def test_boundary_search_makes_at_most_two_membership_passes(
+        self, monkeypatch, member_passes
+    ):
         # The bracket pass and at most one chord pass per call, counted on the
-        # run path itself, all with the searched set's own kernel; the
-        # benchmark's tracer sees calls, not passes.
+        # run path itself, all with the searched set's own test; the
+        # benchmark's tracer sees calls, not passes.  The pinned radius makes
+        # both sets bind inside the ball within the 300 rounds.
         import collections
 
-        import mnl_bandit.confidence as confidence
         import mnl_bandit.policy as policy
 
-        calls, passes = collections.Counter(), []
+        passes = []
         search = policy.e_boundary_multi
 
-        def counting(which, member):
-            def counted(*args):
-                calls[which] += 1
-                return member(*args)
-
-            return counted
-
         def counted_search(*args):
-            before = calls.copy()
+            before = len(member_passes)
             points = search(*args)
-            passes.append(calls - before)
+            passes.append(collections.Counter(kind for kind, _, _ in member_passes[before:]))
             return points
 
-        for which in ("_in_E", "_in_C"):
-            monkeypatch.setattr(confidence, which, counting(which, getattr(confidence, which)))
+        pin_gamma(monkeypatch, 4.5)
         monkeypatch.setattr(policy, "e_boundary_multi", counted_search)
-        for name, kernel in (("cb_mnl_e", "_in_E"), ("cb_mnl_c", "_in_C")):
+        for name, kernel in (("cb_mnl_e", "E"), ("cb_mnl_c", "C")):
             passes.clear()
             run_experiment(self.regret_cfg(name), seed=0)
             assert len(passes) == 300
@@ -584,9 +589,8 @@ class TestPersistence:
 
     def test_csv_parses_back(self, tmp_path):
         run = run_experiment(small_cfg(T=12), seed=10)
-        path = tmp_path / "run.csv"
-        run.save_csv(path)
-        lines = path.read_text().splitlines()
+        [path] = save_runs([run], tmp_path)
+        lines = Path(path).read_text().splitlines()
         header = lines[0].split(",")
         row = dict(zip(header, lines[3].split(",")))
         assert int(row["t"]) == 3
@@ -598,9 +602,8 @@ class TestPersistence:
 
     def test_metadata_fields(self, tmp_path):
         run = run_experiment(small_cfg(T=10), seed=11)
-        path = tmp_path / "meta.json"
-        run.save_metadata(path)
-        meta = json.loads(path.read_text())
+        [path] = save_runs([run], tmp_path)
+        meta = json.loads(Path(path).with_suffix(".json").read_text())
         assert meta["seed"] == 11
         assert meta["kappa_hat"] >= 4.0
         assert meta["config"]["T"] == 10
