@@ -29,7 +29,7 @@ from .confidence import (
 )
 from .estimation import History, _Evaluation, fit_mle, g_vector, matrix_G, matrix_H, score
 from .harness import ExperimentConfig, RunLog, elliptical_potential_check, run_experiment
-from .policy import random_assortment
+from .policy import PolicyKind, random_assortment
 from .simulator import (
     TAG_OUTCOME,
     InstanceConfig,
@@ -53,6 +53,8 @@ __all__ = [
     "deviation_bound",
     "elliptical_potential",
     "coverage",
+    "MATRIX",
+    "MATRIX_SEEDS",
 ]
 
 
@@ -310,6 +312,28 @@ CHECKS = {
     "elliptical_potential": lambda: elliptical_potential([run_experiment(_RANDOM, seed=31)]),
     "coverage_smoke": lambda: coverage([run_experiment(_SMOKE, 300 + i) for i in range(10)]),
 }
+
+
+# The equivalence matrix: named configs that ``mnl-bandit matrix`` runs at
+# MATRIX_SEEDS, so a change states "same behaviour" with ``mnl-bandit diff``
+# against its parent's directory.  Every policy on the regret config, the
+# default config, fresh contexts, C's policy at d=5, the bonus baseline with
+# unequal prices and the gate's coverage config.
+_REGRET_CFG = dict(
+    d=2, N=8, K=2, T=3000, lambda_override=40.0, refine_top=0, n_dirs=8, restarts=1,
+    track_c_stats=False,
+)
+MATRIX = {
+    **{f"regret_{p.value}": ExperimentConfig(**_REGRET_CFG, policy=p.value) for p in PolicyKind},
+    "default": ExperimentConfig(),
+    "fresh": ExperimentConfig(d=4, N=16, K=4, T=150, context_mode="fresh_iid"),
+    "norm_set_d5": ExperimentConfig(d=5, T=200, policy="cb_mnl_c"),
+    "priced_bonus": ExperimentConfig(
+        N=5, T=300, prices=[1.0, 0.5, 2.0, 1.5, 0.8], policy="bonus_ucb"
+    ),
+    "gate_coverage": ExperimentConfig(N=3, refine_top=0, n_dirs=8, restarts=1),
+}
+MATRIX_SEEDS = (0, 1, 2)
 
 
 def run_checks(names: list[str] | None = None) -> list[CheckResult]:

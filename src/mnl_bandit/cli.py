@@ -5,12 +5,15 @@ Subcommands:
     check      numerical property and lemma suites
     summarize  aggregate saved run CSVs
     instance   generate or inspect a serialized instance
+    matrix     run the equivalence matrix into a directory
+    diff       compare two run directories file by file
 """
 from __future__ import annotations
 
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 
@@ -26,7 +29,7 @@ from .harness import (
     summarize_runs,
 )
 from .simulator import Instance, make_instance
-from .checks import CHECKS, run_checks
+from .checks import CHECKS, MATRIX, MATRIX_SEEDS, run_checks
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -220,6 +223,79 @@ def cmd_instance(args) -> int:
     return 0
 
 
+def cmd_matrix(args) -> int:
+    for name, cfg in MATRIX.items():
+        save_runs(run_many(cfg, MATRIX_SEEDS), os.path.join(args.out, name))
+    print(f"wrote {len(MATRIX) * len(MATRIX_SEEDS)} runs to {args.out}")
+    return 0
+
+
+_PLAYS = ("t", "assortment", "outcome", "covered")  # the integer columns
+_REAL_TOL = 1e-9  # how far a reordered sum may move a real
+
+
+def _run_rows(path: str) -> list[list[str]]:
+    """The fields of each row of a run CSV; ValueError naming the file if it is not one."""
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") == CSV_HEADER:
+            rows = [line.rstrip("\n").split(",") for line in fh]
+            if all(len(r) == CSV_HEADER.count(",") + 1 for r in rows):
+                return rows
+    raise ValueError(f"{path} does not look like a run CSV")
+
+
+def _diff_file(a: str, b: str) -> tuple[str, bool]:
+    """How run file ``b`` differs from ``a``, and whether their plays differ."""
+    if a.endswith(".json"):
+        with open(a) as fa, open(b) as fb:
+            ma, mb = json.load(fa), json.load(fb)
+        keys = sorted(k for k in (ma.keys() | mb.keys()) - {"wall_time_s"} if ma.get(k) != mb.get(k))
+        if keys:
+            return f"metadata differs in {', '.join(keys)}", False
+        return "metadata equal apart from wall_time_s", False
+    rows_a, rows_b = _run_rows(a), _run_rows(b)
+    if rows_a == rows_b:
+        return "byte-identical", False
+    names = CSV_HEADER.split(",")
+    plays = [names.index(c) for c in _PLAYS]
+    for i in range(max(len(rows_a), len(rows_b))):
+        if i >= min(len(rows_a), len(rows_b)) or any(rows_a[i][j] != rows_b[i][j] for j in plays):
+            return f"plays differ from round {i + 1}", True
+    worst: dict[str, float] = {}
+    for ra, rb in zip(rows_a, rows_b):
+        for name, x, y in zip(names, ra, rb):
+            if x != y:
+                delta = abs(float(x) - float(y))
+                worst[name] = max(worst.get(name, 0.0), math.inf if math.isnan(delta) else delta)
+    side = "beyond" if max(worst.values()) > _REAL_TOL else "within"
+    moved = ", ".join(f"{name} {v:.2g}" for name, v in worst.items())
+    return f"integer columns identical; reals {side} 1e-9: {moved}", False
+
+
+def cmd_diff(args) -> int:
+    for root in (args.a, args.b):
+        if not os.path.isdir(root):
+            print(f"{root} is not a directory", file=sys.stderr)
+            return 1
+    found = [
+        {os.path.relpath(p, root) for ext in ("csv", "json")
+         for p in glob.glob(os.path.join(root, "**", f"*.{ext}"), recursive=True)}
+        for root in (args.a, args.b)
+    ]
+    bad = 0
+    for rel in sorted(found[0] | found[1]):
+        try:
+            line, differ = _diff_file(os.path.join(args.a, rel), os.path.join(args.b, rel))
+        except FileNotFoundError:
+            line, differ = f"missing in {args.b if rel in found[0] else args.a}", True
+        except (OSError, ValueError) as exc:
+            line, differ = str(exc), True
+        bad += differ
+        print(f"{rel}: {line}")
+    print(f"{len(found[0] | found[1])} files, {bad} missing or with different plays")
+    return 1 if bad else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mnl-bandit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,6 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_inst.add_argument("--out", help="where to write the instance JSON")
     p_inst.add_argument("--inspect", help="print a saved instance")
     p_inst.set_defaults(func=cmd_instance)
+
+    p_matrix = sub.add_parser("matrix", help="run the equivalence matrix")
+    p_matrix.add_argument("--out", required=True, help="directory, one subdirectory per config")
+    p_matrix.set_defaults(func=cmd_matrix)
+
+    p_diff = sub.add_parser("diff", help="compare two run directories; exit 1 if plays differ")
+    p_diff.add_argument("a", help="the reference run directory")
+    p_diff.add_argument("b", help="the run directory compared with it")
+    p_diff.set_defaults(func=cmd_diff)
     return parser
 
 

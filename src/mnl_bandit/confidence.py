@@ -150,7 +150,9 @@ def _C_member(
     at, and each one's ||g(theta) - g(theta_hat)||^2 in the H(theta)^-1 norm.
 
     The evaluation gives g(theta) and H(theta); a single parameter takes one
-    (d, d) Hessian and a plain solve.
+    (d, d) Hessian and a plain solve.  ``ev`` may also be any object with
+    the attributes read here (``g``, ``H``, ``sq_norm``), such as the run's
+    running sums at theta_star over the rounds played.
     """
     dg = ev.g - state.g_at_hat
     quad = (dg * np.linalg.solve(ev.H, dg[..., None])[..., 0]).sum(axis=-1)
@@ -171,7 +173,10 @@ def _E_member(
     at, and each one's loss gap loss(theta) - loss(theta_hat).
 
     The evaluation's log-likelihood gives the loss gap, and the squared
-    norms of its ridge term serve the ball test ||theta|| <= S.
+    norms of its ridge term serve the ball test ||theta|| <= S.  ``ev`` may
+    also be any object with those two attributes (``log_likelihood``,
+    ``sq_norm``), such as the run's running sums at theta_star over the
+    rounds played.
     """
     gap = state.mle.evaluation.log_likelihood - ev.log_likelihood  # loss = -log_likelihood
     return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap

@@ -237,8 +237,8 @@ class _Evaluation:
         (``History.append`` replaces ``ctx_flat`` only when a block arrives),
         the kernel's outputs and mu are kept and every count-dependent
         quantity is derived afresh, with no pass over the history; otherwise
-        theta is evaluated anew.  A fit's warm start and a run's evaluation
-        at theta_star are carried from round to round this way.
+        theta is evaluated anew.  A fit's warm start, its one user, is
+        carried from round to round this way.
         """
         if self.ctx is not history.ctx_flat:
             return _evaluate(history, self.theta, lam)

@@ -11,10 +11,12 @@ per-round trace is written as CSV with the fixed header
 and reals printed with 17 significant digits, so reruns are byte-identical.
 Diagnostics that need theta_star (coverage, deviation norms, the potential
 checks) are simulator-side only; the policy never reads them.  A run keeps
-one likelihood evaluation at theta_star, recounted each round, for its
-coverage and its deviation norm's H_t(theta_star), so on a fixed pool it
-passes over the history only when a block arrives; theta_star's choice
-distribution on a fixed pool is computed once per assortment played.
+theta_star's penalized log-likelihood, g and H_t(theta_star) as running
+sums over the rounds played, for its coverage and its deviation norm, so
+theta_star's side never passes over the history.  Each round adds its terms
+from one record per played assortment, which also holds theta_star's
+choice distribution there; on a fixed pool a record is built once per
+assortment played.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ import numpy as np
 from . import __version__
 from .choice import (
     AssortmentContexts,
-    ChoiceDistribution,
     choice_probabilities,
     expected_revenue,
     finite_number,
@@ -45,7 +46,7 @@ from .confidence import (
     build_confidence_state,
     default_lambda,
 )
-from .estimation import History, _evaluate, matrix_V
+from .estimation import History, _gram, matrix_V
 from .policy import (
     Decision,
     PolicyKind,
@@ -88,8 +89,8 @@ CSV_HEADER = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# One CSV row: integers as such, the assortment as "i|j|...", reals to 17 digits.
+_ROW_FORMAT = "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
 
 
 # Smallest value each integer field of ExperimentConfig accepts.
@@ -237,25 +238,24 @@ class RunLog:
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
-        for r in self.records:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.t),
-                        "|".join(str(i) for i in r.assortment),
-                        str(r.outcome),
-                        _fmt(r.opt_value),
-                        _fmt(r.oracle_value),
-                        _fmt(r.inst_regret),
-                        _fmt(r.cum_regret),
-                        _fmt(r.gamma),
-                        _fmt(r.beta),
-                        str(int(r.covered)),
-                        _fmt(r.dev_H),
-                        _fmt(r.dev_bound),
-                    ]
-                )
+        lines += [
+            _ROW_FORMAT
+            % (
+                r.t,
+                "|".join(map(str, r.assortment)),
+                r.outcome,
+                r.opt_value,
+                r.oracle_value,
+                r.inst_regret,
+                r.cum_regret,
+                r.gamma,
+                r.beta,
+                r.covered,
+                r.dev_H,
+                r.dev_bound,
             )
+            for r in self.records
+        ]
         return "\n".join(lines) + "\n"
 
     def metadata(self) -> dict:
@@ -274,6 +274,48 @@ class RunLog:
             "history_blocks": self.history.n_blocks,
             "history_rows": self.history.n_items,
         }
+
+
+class _StarLaw:
+    """theta_star on one played assortment, from its K rows alone: the choice
+    distribution, and the terms a round on it adds to ``_StarSums``.
+
+    The log-normalizer lse = log(1 + sum_i exp u_i) takes the shift
+    max(0, max u) of ``choice_probabilities`` and the segment kernel, so it
+    stays finite for any utility; the curvature term is ``_Evaluation.H``'s
+    formula on the assortment's rows.
+    """
+
+    def __init__(self, ass: AssortmentContexts, theta_star: np.ndarray):
+        self.dist = choice_probabilities(ass, theta_star)
+        ctx, mu = ass.contexts, self.dist.item_probs
+        self.u = u = ctx @ theta_star
+        shift = float(np.maximum.reduce(u, initial=0.0))
+        self.lse = shift + math.log(math.exp(-shift) + float(np.add.reduce(np.exp(u - shift))))
+        self.g = mu @ ctx  # sum_i mu_i x_i
+        self.H = _gram(ctx, mu * (1.0 - mu), 0.0)  # sum_i mu_i (1 - mu_i) x_i x_i^T
+
+
+class _StarSums:
+    """theta_star's penalized log-likelihood, g and H over the rounds played.
+
+    Running sums, one round added at a time, exposing what ``_E_member``
+    and ``_C_member`` read off an evaluation: ``log_likelihood``,
+    ``sq_norm``, ``g`` and ``H``, which is H_t(theta_star).  They start at
+    the ridge's terms, as an evaluation on an empty history would give.
+    """
+
+    def __init__(self, theta_star: np.ndarray, lam: float):
+        self.sq_norm = np.add.reduce(theta_star * theta_star, axis=-1)  # as ``_Evaluation``'s
+        self.log_likelihood = -0.5 * lam * self.sq_norm
+        self.g = lam * theta_star
+        self.H = lam * np.eye(theta_star.shape[0])
+
+    def add(self, law: _StarLaw, outcome: int) -> None:
+        """Add a round played on ``law``'s assortment that drew ``outcome``."""
+        self.log_likelihood += (law.u[outcome - 1] if outcome else 0.0) - law.lse
+        self.g += law.g
+        self.H += law.H
 
 
 def _oracle(pool: np.ndarray, instance: Instance) -> Decision:
@@ -336,13 +378,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     mle_failures = 0
     newton_steps = 0
     previous_fit = None  # the last round's MleResult, which warm-starts the next fit
-    # theta_star's evaluation, recounted each round: a pass only when a block arrives.
-    at_star = _evaluate(history, theta_star, lam)
+    at_star = _StarSums(theta_star, lam)  # over the rounds before the current one
     track_c = cfg.track_c_stats or kind is PolicyKind.CB_MNL_C
 
-    # The pool's oracle and theta_star's choice distributions on it, by assortment.
+    # The pool's oracle and theta_star's records on it, by assortment.
     oracle: Decision | None = None
-    laws: dict[tuple[int, ...], ChoiceDistribution] = {}
+    laws: dict[tuple[int, ...], _StarLaw] = {}
     bound_factor = 2.0 * (1.0 + 2.0 * cfg.S)
 
     rng_policy = stream(seed, TAG_POLICY)
@@ -367,17 +408,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         # theta_star's distribution on the played assortment draws the
         # outcome (as ``environment_step`` does) and serves the regret.
         played = decision.assortment
-        dist = laws.get(played.indices)
-        if dist is None:
-            dist = laws[played.indices] = choice_probabilities(played, theta_star)
-        outcome = sample_choice(dist, rng_outcome)
+        law = laws.get(played.indices)
+        if law is None:
+            law = laws[played.indices] = _StarLaw(played, theta_star)
+        outcome = sample_choice(law.dist, rng_outcome)
 
-        played_value = float(dist.item_probs @ played.prices)
+        played_value = float(law.dist.item_probs @ played.prices)
         inst_regret = oracle_value - played_value
         cum += inst_regret
 
-        # theta_star's evaluation on the rounds before this one; its H is H_t(theta_star).
-        at_star = at_star.recounted(history, lam)
         covered_e = bool(_E_member(at_star, ccfg, state)[0])
         covered_c = bool(_C_member(at_star, ccfg, state)[0]) if track_c else None
         covered = covered_c if kind is PolicyKind.CB_MNL_C else covered_e
@@ -406,6 +445,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         )
 
         history.append(played, outcome)
+        at_star.add(law, outcome)
 
     return RunLog(
         cfg=cfg,
@@ -475,12 +515,11 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
     for r in run.records:
         pool = serve_contexts(instance, r.t)
         ass = AssortmentContexts.from_pool(pool, r.assortment, instance.prices)
-        mu = choice_probabilities(ass, instance.theta_star).item_probs
-        w = mu * (1.0 - mu)
-        xt = np.sqrt(w)[:, None] * ass.contexts
-        sol = np.linalg.solve(j_mat, xt.T)
-        lhs += min(float(np.einsum("kd,dk->", xt, sol)), 1.0)
-        j_mat = j_mat + xt.T @ xt
+        # The run's curvature term J_A = sum_i w_i x_i x_i^T, w = mu(1 - mu):
+        # sum_i w_i ||x_i||^2 in the J_t^-1 norm is tr(J_t^-1 J_A).
+        j_a = _StarLaw(ass, instance.theta_star).H
+        lhs += min(float(np.trace(np.linalg.solve(j_mat, j_a))), 1.0)
+        j_mat = j_mat + j_a
     _, logdet = np.linalg.slogdet(j_mat)
     rhs = 2.0 * (logdet - d * math.log(lam))
 

@@ -355,3 +355,73 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "run" in proc.stdout and "summarize" in proc.stdout
+
+
+class TestMatrixAndDiff:
+    @pytest.fixture()
+    def run_dir(self, tmp_path, monkeypatch):
+        # The matrix command on a two-config matrix of short runs.
+        import mnl_bandit.cli as cli
+
+        small = dict(d=2, N=3, K=2, T=15, refine_top=0, n_dirs=4, restarts=1)
+        monkeypatch.setattr(cli, "MATRIX", {
+            "e": ExperimentConfig(**small),
+            "random": ExperimentConfig(**small, policy="random"),
+        })
+        monkeypatch.setattr(cli, "MATRIX_SEEDS", (0, 1))
+        assert main(["matrix", "--out", str(tmp_path / "a")]) == 0
+        return tmp_path / "a"
+
+    @staticmethod
+    def copy_with(run_dir, dest, edit):
+        """A copy of ``run_dir`` whose e/ seed-0 CSV has row 5's fields passed through ``edit``."""
+        import shutil
+
+        shutil.copytree(run_dir, dest)
+        path = dest / "e" / "run_cb_mnl_e_seed0.csv"
+        lines = path.read_text().splitlines()
+        fields = dict(zip(CSV_HEADER.split(","), lines[5].split(",")))
+        lines[5] = ",".join(edit(fields).values())
+        path.write_text("\n".join(lines) + "\n")
+        return dest
+
+    def test_a_directory_against_itself(self, run_dir, capsys):
+        capsys.readouterr()
+        assert main(["diff", str(run_dir), str(run_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "8 files, 0 missing or with different plays"
+        assert {line.split(": ", 1)[1] for line in lines[:-1]} == {
+            "byte-identical", "metadata equal apart from wall_time_s"
+        }
+
+    @pytest.mark.parametrize("shift, side", [(0.9e-9, "within"), (1.1e-9, "beyond")])
+    def test_a_moved_real_is_reported_against_1e_9(self, run_dir, tmp_path, capsys, shift, side):
+        def moved(f):
+            return {**f, "dev_H": repr(float(f["dev_H"]) + shift)}
+
+        other = self.copy_with(run_dir, tmp_path / "b", moved)
+        capsys.readouterr()
+        assert main(["diff", str(run_dir), str(other)]) == 0
+        out = capsys.readouterr().out
+        assert f"e/run_cb_mnl_e_seed0.csv: integer columns identical; reals {side} 1e-9: dev_H" in out
+
+    def test_a_changed_outcome_is_a_play_difference(self, run_dir, tmp_path, capsys):
+        def changed(f):
+            return {**f, "outcome": str(1 - min(int(f["outcome"]), 1))}
+
+        other = self.copy_with(run_dir, tmp_path / "b", changed)
+        capsys.readouterr()
+        assert main(["diff", str(run_dir), str(other)]) == 1
+        out = capsys.readouterr().out
+        assert "e/run_cb_mnl_e_seed0.csv: plays differ from round 5" in out
+        assert out.splitlines()[-1] == "8 files, 1 missing or with different plays"
+
+    def test_a_missing_file_is_named(self, run_dir, tmp_path, capsys):
+        other = self.copy_with(run_dir, tmp_path / "b", lambda f: f)
+        (other / "random" / "run_random_seed1.json").unlink()
+        capsys.readouterr()
+        assert main(["diff", str(run_dir), str(other)]) == 1
+        out = capsys.readouterr().out
+        assert f"random/run_random_seed1.json: missing in {other}" in out
+        assert main(["diff", str(run_dir), str(tmp_path / "nowhere")]) == 1
+        assert "nowhere is not a directory" in capsys.readouterr().err

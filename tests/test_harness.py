@@ -18,7 +18,7 @@ from mnl_bandit.choice import (
     sample_choice,
 )
 from mnl_bandit.confidence import in_set_C, in_set_E
-from mnl_bandit.estimation import History
+from mnl_bandit.estimation import History, _evaluate
 from mnl_bandit.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -243,10 +243,11 @@ class TestNormSetScreening:
 
 
 class TestThetaStarDiagnostics:
-    # Coverage and the deviation norm read one evaluation at theta_star,
-    # recounted each round.  A replay rebuilds the history round by round
-    # and checks them against fresh membership tests and against the
-    # running sum of H(theta_star) terms over the rounds played.
+    # Coverage and the deviation norm read running sums at theta_star over
+    # the rounds played, one round's terms added after each append.  A
+    # replay rebuilds the history round by round and checks them against
+    # fresh membership tests and against its own sum of H(theta_star)
+    # terms, and the sums themselves against a fresh evaluation.
     @pytest.mark.parametrize(
         "kw", [{}, dict(d=4, N=16, K=4, T=60, context_mode="fresh_iid")], ids=["default", "fresh"]
     )
@@ -282,6 +283,42 @@ class TestThetaStarDiagnostics:
             j_mat = j_mat + ass.contexts.T @ ((mu * (1.0 - mu))[:, None] * ass.contexts)
             hist.append(ass, r.outcome)
         assert len(states) == cfg.T
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(track_c_stats=True),
+            dict(d=4, N=16, K=4, T=60, context_mode="fresh_iid"),
+            dict(S=3.0, S_true=3.0, T=200),
+        ],
+        ids=["default", "fresh", "S3"],
+    )
+    def test_sums_equal_an_evaluation_on_the_rounds_before(self, kw, monkeypatch):
+        # What theta_star's membership test reads each round, against one
+        # likelihood evaluation at theta_star on the history replayed up to
+        # that round.  At S = 3 theta_star's probabilities are far from 1/2.
+        import mnl_bandit.harness as harness
+
+        seen = []
+        member = harness._E_member
+
+        def recorded(ev, cfg, state):
+            seen.append((float(ev.log_likelihood), ev.g.copy(), ev.H.copy()))
+            return member(ev, cfg, state)
+
+        monkeypatch.setattr(harness, "_E_member", recorded)
+        cfg = ExperimentConfig(**kw)
+        run = run_experiment(cfg, seed=0)
+        inst, lam = run.instance, run.lam
+        hist = History(cfg.d)
+        for r, (ll, g, h_mat) in zip(run.records, seen, strict=True):
+            ev = _evaluate(hist, inst.theta_star, lam)
+            assert ll == pytest.approx(float(ev.log_likelihood), rel=1e-12)
+            np.testing.assert_allclose(g, ev.g, rtol=1e-12)
+            np.testing.assert_allclose(h_mat, ev.H, rtol=1e-12)
+            ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
+            hist.append(ass, r.outcome)
+        assert len(seen) == cfg.T
 
 
 class TestPlayedTrajectoryPin:
@@ -384,27 +421,22 @@ class TestPlayedTrajectoryPin:
         assert seen["rounds with new rows"] <= run.history.n_blocks + 1
 
     @pytest.mark.parametrize("track_c", [False, True])
-    def test_run_passes_are_newton_steps_plus_two_a_round_with_new_rows(
-        self, monkeypatch, kernel_passes, track_c
-    ):
-        # theta_star's evaluation is recounted like the fit's start, and C's
-        # coverage reads it too: besides the Newton steps, a round passes over
-        # the history once for the fit's start and once at theta_star, and
-        # only when a block has arrived since the last round.
+    def test_theta_star_side_makes_no_pass(self, monkeypatch, kernel_passes, track_c):
+        # theta_star's side reads running sums, C's coverage included, so
+        # every pass is the fit's: one per Newton step, and one for the
+        # fit's start in a round whose stored rows changed.
         cfg = ExperimentConfig.from_dict(
             {**self.regret_cfg("random").to_dict(), "track_c_stats": track_c}
         )
         run, fit_passes, new_rows = passes_by_side(monkeypatch, kernel_passes, cfg)
-        assert len(kernel_passes) == run.newton_steps + 2 * new_rows
-        assert len(kernel_passes) - fit_passes == new_rows <= run.history.n_blocks + 1
+        assert len(kernel_passes) == fit_passes == run.newton_steps + new_rows
+        assert new_rows <= run.history.n_blocks + 1
 
-    def test_theta_star_takes_one_pass_a_round_on_fresh_contexts(
-        self, monkeypatch, kernel_passes
-    ):
+    def test_theta_star_side_makes_no_pass_on_fresh_contexts(self, monkeypatch, kernel_passes):
         cfg = small_cfg(policy="random", context_mode="fresh_iid", T=40)
         run, fit_passes, new_rows = passes_by_side(monkeypatch, kernel_passes, cfg)
         assert new_rows == run.history.n_blocks == cfg.T
-        assert len(kernel_passes) - fit_passes == cfg.T
+        assert len(kernel_passes) == fit_passes == run.newton_steps + cfg.T
 
     def test_random_round_checks_each_object_once(self, monkeypatch):
         # A short random run of the regret config.  The fit takes its score
