@@ -22,8 +22,10 @@ import numpy as np
 from .harness import (
     CSV_HEADER,
     ExperimentConfig,
-    _config_differences,
+    check_aggregable,
     curve_mean_stderr,
+    read_run_config,
+    read_run_csv,
     run_many,
     save_runs,
     summarize_runs,
@@ -119,67 +121,20 @@ def cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _read_curve(path: str) -> np.ndarray:
-    """The ``cum_regret`` column of a run CSV; ValueError naming the file if it is not one."""
-    col = CSV_HEADER.split(",").index("cum_regret")
-    with open(path) as fh:
-        try:
-            if fh.readline().strip() == CSV_HEADER:
-                return np.array([float(line.split(",")[col]) for line in fh if line.strip()])
-        except (IndexError, ValueError):  # a short row, a non-number, or bytes that are not text
-            pass
-    raise ValueError(f"{path} does not look like a run CSV")
-
-
-def _run_config(meta: str) -> dict:
-    """The ``config`` object of a run's metadata JSON; ValueError naming the file otherwise."""
-    with open(meta) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{meta} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
-        raise ValueError(f"{meta} holds no run config")
-    return data["config"]
-
-
-def _mismatch(paths: list[str], curves: list[np.ndarray]) -> str | None:
-    """Why the run CSVs cannot be aggregated, or None when they can."""
-    if len({len(c) for c in curves}) > 1:
-        listing = ", ".join(f"{p} ({len(c)} rounds)" for p, c in zip(paths, curves))
-        return f"run CSVs have different lengths: {listing}"
-    configs = {}
-    for p in paths:
-        meta = os.path.splitext(p)[0] + ".json"
-        if os.path.exists(meta):
-            configs[meta] = _run_config(meta)
-    if not configs:
-        return None
-    ref_path, ref = next(iter(configs.items()))
-    diffs = [
-        f"{meta} differs from {ref_path} in " + ", ".join(names)
-        for meta, cfg in configs.items()
-        if (names := _config_differences(ref, cfg))
-    ]
-    if diffs:
-        return "runs were produced under different configs: " + "; ".join(diffs)
-    return None
-
-
 def cmd_summarize(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.runs_dir, "*.csv")))
     if not paths:
         print(f"no run CSVs under {args.runs_dir}", file=sys.stderr)
         return 1
+    col = CSV_HEADER.split(",").index("cum_regret")
+    metas = [m for p in paths if os.path.exists(m := os.path.splitext(p)[0] + ".json")]
     try:
-        curves = [_read_curve(p) for p in paths]
-        problem = _mismatch(paths, curves)
+        curves = {p: np.array([float(r[col]) for r in read_run_csv(p)]) for p in paths}
+        check_aggregable({p: c.size for p, c in curves.items()}, {m: read_run_config(m) for m in metas})
     except (OSError, ValueError) as exc:
-        problem = str(exc)
-    if problem:
-        print(problem, file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
-    mean, stderr = curve_mean_stderr(np.vstack(curves))
+    mean, stderr = curve_mean_stderr(np.vstack(list(curves.values())))
     T = mean.size
     out = {
         "n_runs": len(paths),
@@ -234,16 +189,6 @@ _PLAYS = ("t", "assortment", "outcome", "covered")  # the integer columns
 _REAL_TOL = 1e-9  # how far a reordered sum may move a real
 
 
-def _run_rows(path: str) -> list[list[str]]:
-    """The fields of each row of a run CSV; ValueError naming the file if it is not one."""
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") == CSV_HEADER:
-            rows = [line.rstrip("\n").split(",") for line in fh]
-            if all(len(r) == CSV_HEADER.count(",") + 1 for r in rows):
-                return rows
-    raise ValueError(f"{path} does not look like a run CSV")
-
-
 def _diff_file(a: str, b: str) -> tuple[str, bool]:
     """How run file ``b`` differs from ``a``, and whether their plays differ."""
     if a.endswith(".json"):
@@ -253,7 +198,7 @@ def _diff_file(a: str, b: str) -> tuple[str, bool]:
         if keys:
             return f"metadata differs in {', '.join(keys)}", False
         return "metadata equal apart from wall_time_s", False
-    rows_a, rows_b = _run_rows(a), _run_rows(b)
+    rows_a, rows_b = read_run_csv(a), read_run_csv(b)
     if rows_a == rows_b:
         return "byte-identical", False
     names = CSV_HEADER.split(",")

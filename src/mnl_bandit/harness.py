@@ -27,6 +27,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import compress
 
 import numpy as np
 
@@ -79,6 +80,9 @@ __all__ = [
     "summarize_runs",
     "curve_mean_stderr",
     "save_runs",
+    "read_run_csv",
+    "read_run_config",
+    "check_aggregable",
     "loglog_slope",
     "CSV_HEADER",
 ]
@@ -91,6 +95,7 @@ CSV_HEADER = (
 
 # One CSV row: integers as such, the assortment as "i|j|...", reals to 17 digits.
 _ROW_FORMAT = "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
+_REALS = [f == "%.17g" for f in _ROW_FORMAT.split(",")]  # per column: is it a real?
 
 
 # Smallest value each integer field of ExperimentConfig accepts.
@@ -99,11 +104,6 @@ _INT_MINIMA = dict(d=1, N=1, K=1, T=0, restarts=1, n_dirs=0, refine_top=0)
 # Config keys that say which seeds ran and where they were written; runs
 # that differ only in these belong to the same experiment.
 _RUN_SELECTORS = {"seeds", "out_dir"}
-
-
-def _config_differences(a: dict, b: dict) -> list[str]:
-    """Sorted names of the config keys, run selectors aside, where ``a`` and ``b`` differ."""
-    return sorted(k for k in (a.keys() | b.keys()) - _RUN_SELECTORS if a.get(k) != b.get(k))
 
 
 @dataclass
@@ -554,18 +554,38 @@ def loglog_slope(curve: np.ndarray) -> float:
     return float(coef[0])
 
 
+def check_aggregable(lengths: dict[str, int], configs: dict[str, dict]) -> None:
+    """Raise one ValueError naming every reason the runs cannot be aggregated:
+    more than one length, or configs that differ outside the run selectors.
+
+    Each key names where its value came from: a run CSV in ``lengths``, its
+    metadata JSON in ``configs``, or ``run i`` for an in-memory log.
+    """
+    problems = []
+    if len(set(lengths.values())) > 1:
+        listing = ", ".join(f"{src} ({n} rounds)" for src, n in lengths.items())
+        problems.append(f"runs have different lengths: {listing}")
+    ref_src, ref = next(iter(configs.items()), (None, {}))
+    diffs = []
+    for src, cfg in configs.items():
+        keys = (ref.keys() | cfg.keys()) - _RUN_SELECTORS
+        if differ := sorted(k for k in keys if ref.get(k) != cfg.get(k)):
+            diffs.append(f"{src} differs from {ref_src} in {', '.join(differ)}")
+    if diffs:
+        problems.append("runs were produced under different configs: " + "; ".join(diffs))
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def summarize_runs(logs: list[RunLog]) -> RunSummary:
-    """Aggregate runs sharing one config, run selectors aside: mean/se curves,
-    coverage, tail slope."""
+    """Aggregate runs sharing one length and one config, run selectors aside:
+    mean/se curves, coverage, tail slope."""
     if not logs:
         raise ValueError("no runs to summarize")
-    ref = logs[0].cfg.to_dict()
-    for i, log in enumerate(logs[1:], start=1):
-        if diffs := _config_differences(ref, log.cfg.to_dict()):
-            raise ValueError(
-                f"runs were produced under different configs: run {i} differs from run 0 in "
-                + ", ".join(diffs)
-            )
+    check_aggregable(
+        {f"run {i}": len(log.records) for i, log in enumerate(logs)},
+        {f"run {i}": log.cfg.to_dict() for i, log in enumerate(logs)},
+    )
     curves = np.vstack([log.cum_regret_curve() for log in logs])
     mean, stderr = curve_mean_stderr(curves)
     coverage = sum(log.coverage_all for log in logs) / len(logs)
@@ -590,6 +610,37 @@ def curve_mean_stderr(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n > 1:
         return mean, curves.std(axis=0, ddof=1) / math.sqrt(n)
     return mean, np.zeros_like(mean)
+
+
+def read_run_csv(path: str) -> list[list[str]]:
+    """The fields of each row of a run CSV, as written.
+
+    ValueError naming the file unless its header is ``CSV_HEADER``, every
+    row has one field per column and every real field parses as a number.
+    """
+    try:
+        with open(path) as fh:
+            if fh.readline().rstrip("\n") == CSV_HEADER:
+                rows = [line.rstrip("\n").split(",") for line in fh]
+                if all(len(r) == len(_REALS) for r in rows):
+                    for r in rows:
+                        list(map(float, compress(r, _REALS)))
+                    return rows
+    except ValueError:  # a real that is not a number, or bytes that are not text
+        pass
+    raise ValueError(f"{path} does not look like a run CSV")
+
+
+def read_run_config(path: str) -> dict:
+    """The ``config`` object of a run's metadata JSON; ValueError naming the file otherwise."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or bytes that are not text
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
+        raise ValueError(f"{path} holds no run config")
+    return data["config"]
 
 
 def save_runs(logs: list[RunLog], out_dir) -> list[str]:

@@ -218,7 +218,15 @@ class TestSummarizeCommand:
         assert rc == 1
 
     @pytest.mark.parametrize(
-        "text", ["a,b\n1,2\n", CSV_HEADER + "\n1,2\n", ""], ids=["other-header", "short-row", "empty"]
+        "text",
+        [
+            "a,b\n1,2\n",
+            CSV_HEADER + "\n1,2\n",
+            "",
+            CSV_HEADER + "\n1,0|1,1,0.5,0.5,0,0,1,1,1,0,1,7\n",
+            CSV_HEADER + "\n1,0|1,1,high,0.5,0,0,1,1,1,0,1\n",
+        ],
+        ids=["other-header", "short-row", "empty", "long-row", "non-numeric-real"],
     )
     def test_stray_csv_fails_naming_it(self, tmp_path, config_file, capsys, text):
         out = tmp_path / "runs"
