@@ -76,13 +76,15 @@ class ConfidenceConfig:
 
 
 def gamma_radius(cfg: ConfidenceConfig, t: int) -> float:
-    """Concentration radius for the norm-based set at round t >= 1."""
+    """Radius of the norm-based set at round t >= 1, Faury et al.'s (ICML 2020)
+    with K rows a round: sqrt(lam) (S + 1/2) + (2 / sqrt(lam)) ((d/2) log(1 +
+    L K t / (d lam)) + log(1/delta)) + (2 d / sqrt(lam)) log 2."""
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     lam = cfg.lam
     rl = math.sqrt(lam)
     log_det = 0.5 * cfg.d * math.log1p(L_CONST * cfg.K * t / (cfg.d * lam))
-    return rl / 2.0 + (2.0 / rl) * (log_det - math.log(cfg.delta)) + (2.0 * cfg.d / rl) * math.log(2.0)
+    return rl * (cfg.S + 0.5) + (2.0 / rl) * (log_det - math.log(cfg.delta)) + (2.0 * cfg.d / rl) * math.log(2.0)
 
 
 def beta_radius(gamma: float, lam: float) -> float:

@@ -117,18 +117,9 @@ def test_criterion_05_convex_set_contains_norm_set():
     report(5, res.passed, res.detail)
 
 
-# ROADMAP item 1: the radius gamma starts at sqrt(lam)/2 with no S term, so
-# theta_star can leave the confidence set at t=1.  These cells fail at the
-# gate's 0.85 bar today; once gamma is fixed they pass, and strict mode
-# turns that into a failure until the markers are dropped.
 _ITEM1_CELL = dict(N=8, K=2, policy="cb_mnl_e", refine_top=0, n_dirs=8, restarts=1)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: gamma has no S term, so E misses theta_star at S >= 3",
-)
 @pytest.mark.parametrize("S", [3.0, 5.0])
 def test_coverage_at_larger_norm_bound(S):
     cfg = ExperimentConfig(d=2, T=100, S=S, S_true=S, track_c_stats=False, **_ITEM1_CELL)
@@ -137,11 +128,6 @@ def test_coverage_at_larger_norm_bound(S):
     assert res.passed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: gamma has no S term, so C misses theta_star at d >= 5",
-)
 @pytest.mark.parametrize("d", [5, 8])
 def test_norm_set_coverage_at_larger_dimension(d):
     cfg = ExperimentConfig(d=d, T=150, S=1.0, S_true=1.0, **_ITEM1_CELL)

@@ -80,12 +80,17 @@ def sample_c_members(rng, hist, cfg, state, want, max_tries=5000):
 class TestGammaRadius:
     def test_hand_value_delta_point_one(self):
         cfg = ConfidenceConfig(d=1, K=1, delta=0.1, lam=1.0, S=1.0)
-        # 0.5 + 2 (0.5 ln 1.25 + ln 10) + 2 ln 2
-        assert gamma_radius(cfg, 1) == pytest.approx(6.714608098422192, abs=1e-9)
+        # 1.5 + 2 (0.5 ln 1.25 + ln 10) + 2 ln 2
+        assert gamma_radius(cfg, 1) == pytest.approx(7.714608098422191, abs=1e-9)
 
     def test_hand_value_delta_one(self):
         cfg = ConfidenceConfig(d=1, K=1, delta=1.0, lam=1.0, S=1.0)
-        assert gamma_radius(cfg, 1) == pytest.approx(2.1094379124341005, abs=1e-9)
+        assert gamma_radius(cfg, 1) == pytest.approx(3.1094379124341005, abs=1e-9)
+
+    def test_hand_value_larger_norm_bound(self):
+        # sqrt(lam) (S + 1/2) = 3.5 at S=3; the log terms as at S=1
+        cfg = ConfidenceConfig(d=1, K=1, delta=0.1, lam=1.0, S=3.0)
+        assert gamma_radius(cfg, 1) == pytest.approx(9.714608098422191, abs=1e-9)
 
     def test_monotone_in_round(self):
         cfg = ConfidenceConfig(d=3, K=2, delta=0.05, lam=2.0, S=1.0)

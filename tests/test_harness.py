@@ -328,8 +328,8 @@ class TestPlayedTrajectoryPin:
     # trajectory updates these values and says so in CHANGES.md.
     PINS = {
         "bonus_ucb": "daf137c5be4ca2f2a73dca9994c45a4c60545d691791625c4d79cbddfac7341f",
-        "cb_mnl_c": "4b9566a932a25c486ffe277d444980278e5d0338f8034f415b32371ef6652ec1",
-        "cb_mnl_e": "55833adbd75df06d5b7b3ef9224934c44692391d9c5861fa6844e5a1cbd266bc",
+        "cb_mnl_c": "71ffff382c39c611ad431b7668891b8c62fbded2fbb058f2d25fc463431a3110",
+        "cb_mnl_e": "71ffff382c39c611ad431b7668891b8c62fbded2fbb058f2d25fc463431a3110",
         "oracle": "058d40dc01ec0414844e11cd6f2ea3ab2718f02a6e665f9fce3158e839697efe",
         "random": "3510052f9893e593a994f3a848addc66ec43a22af9260a3c2df81909484ccbb6",
     }
