@@ -20,6 +20,15 @@ multi-start projected-ascent heuristic whose result is always a feasible
 point, never an upper bound.  It projects each step onto Theta and refuses
 a step that leaves E, so where E binds a start stops short of E's boundary
 instead of sliding along it.
+
+Under the fixed radius E often holds all of Theta.  ``_E_holds_ball``
+proves that from a curvature bound: the loss Hessian is at most V =
+sum_rows n x x^T + lambda I at every theta, so by Taylor's theorem at
+theta_hat every theta in Theta has loss gap at most ||score(theta_hat)|| r
++ (1/2) lambda_max(V) r^2 with r = S + ||theta_hat||.  When that bound is
+at most beta^2 less a margin of 1e-6 (beta^2 + |loss(theta_hat)|), which
+covers the rounding in a computed loss gap, the ascent tests its
+candidates against the ball alone and makes no likelihood pass.
 """
 from __future__ import annotations
 
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import AssortmentContexts, finite_number
-from .estimation import History, MleResult, _Evaluation, _evaluate, _norm, fit_mle
+from .estimation import History, MleResult, _Evaluation, _evaluate, _norm, fit_mle, matrix_V
 
 __all__ = [
     "L_CONST",
@@ -145,6 +154,12 @@ def build_confidence_state(
     return ConfidenceState(theta_hat=theta_hat, gamma=gamma, beta=beta, mle=mle, anchor=anchor)
 
 
+def _in_ball(sq_norm: np.ndarray, cfg: ConfidenceConfig) -> np.ndarray:
+    """The ball test ||theta|| <= S on squared norms, with a relative slack of
+    1e-12 so that a point projected onto the sphere passes."""
+    return np.sqrt(sq_norm) <= cfg.S * (1.0 + 1e-12)
+
+
 def _C_member(
     ev: _Evaluation, cfg: ConfidenceConfig, state: ConfidenceState
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +173,7 @@ def _C_member(
     """
     dg = ev.g - state.g_at_hat
     quad = (dg * np.linalg.solve(ev.H, dg[..., None])[..., 0]).sum(axis=-1)
-    return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (quad <= state.gamma**2), quad
+    return _in_ball(ev.sq_norm, cfg) & (quad <= state.gamma**2), quad
 
 
 def in_set_C(
@@ -181,7 +196,7 @@ def _E_member(
     rounds played.
     """
     gap = state.mle.evaluation.log_likelihood - ev.log_likelihood  # loss = -log_likelihood
-    return (np.sqrt(ev.sq_norm) <= cfg.S * (1.0 + 1e-12)) & (gap <= state.beta**2), gap
+    return _in_ball(ev.sq_norm, cfg) & (gap <= state.beta**2), gap
 
 
 def in_set_E(
@@ -189,6 +204,27 @@ def in_set_E(
 ) -> bool:
     """Membership in the convex log-loss sublevel set; False outside the parameter ball."""
     return bool(_E_member(_evaluate(history, theta, cfg.lam), cfg, state)[0])
+
+
+def _E_holds_ball(history: History, cfg: ConfidenceConfig, state: ConfidenceState) -> bool:
+    """A proof that every theta with ||theta|| <= S lies in E, or False.
+
+    The loss's Hessian at any theta is sum_blocks n Cov_block(x) + lam I,
+    and a block's covariance under its choice probabilities mu is at most
+    sum_i mu_i x_i x_i^T <= sum_i x_i x_i^T, so the Hessian is at most V =
+    ``matrix_V(history, lam)`` everywhere.  Taylor's theorem at theta_hat
+    then bounds the loss gap at theta by ||score(theta_hat)|| ||theta -
+    theta_hat|| + (1/2) lambda_max(V) ||theta - theta_hat||^2, and
+    ||theta - theta_hat|| <= r = S + ||theta_hat|| on the ball.  The test
+    holds when that bound is at most beta^2 less a margin of 1e-6 (beta^2 +
+    |loss(theta_hat)|), which covers the rounding in a computed loss gap, so
+    every candidate it certifies also passes ``_E_member``'s float test.
+    """
+    r = cfg.S + _norm(state.theta_hat)
+    lam_max = float(np.linalg.eigvalsh(matrix_V(history, cfg.lam))[-1])
+    level = state.beta**2
+    margin = 1e-6 * (level + abs(float(state.mle.evaluation.log_likelihood)))
+    return state.mle.score_norm * r + 0.5 * lam_max * r * r <= level - margin
 
 
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
@@ -309,7 +345,16 @@ def max_revenue_over_E(
     step.  A start's first step has length S, the ball's radius, along
     its revenue gradient (a zero gradient stops the start at once).  A
     step is projected onto Theta in closed form, and one likelihood pass
-    tests every live start's candidate for membership in E.  A step is
+    tests every live start's candidate for membership in E, unless
+    ``_E_holds_ball`` proves, once per call, that E holds all of Theta.
+    That proof is a curvature bound: the loss Hessian is at most V =
+    sum_rows n x x^T + lam I everywhere, so by Taylor's theorem at
+    theta_hat the loss gap on Theta is at most ||score(theta_hat)|| r +
+    (1/2) lambda_max(V) r^2, r = S + ||theta_hat||, and the proof holds
+    when that is at most beta^2 less a margin of 1e-6 (beta^2 +
+    |loss(theta_hat)|) for rounding.  Then the candidates take the ball
+    test alone, which gives ``_E_member``'s verdicts with no pass over
+    the history.  A step is
     taken only if its candidate lies in E and gains more than 1e-6, and
     then the step size doubles; otherwise it halves, so a start that
     meets E's boundary creeps up to it with shorter steps.  A start stops
@@ -326,6 +371,7 @@ def max_revenue_over_E(
     gnorm = np.linalg.norm(grad, axis=1)
     eta = cfg.S / np.where(gnorm > 0.0, gnorm, 1.0)
     live = np.ones(len(theta), dtype=bool)
+    whole_ball = _E_holds_ball(history, cfg, state)
     for _ in range(max_iter):
         on_sphere = np.einsum("md,md->m", theta, theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
         sphere = np.where(on_sphere[:, None], theta, 0.0)
@@ -338,7 +384,10 @@ def max_revenue_over_E(
         out = norm > cfg.S
         cand[out] *= (cfg.S / norm[out])[:, None]
         cand_val, cand_grad = _revenue_and_gradient(assortment, cand)
-        in_e = _E_member(_Evaluation(history, cand, cfg.lam), cfg, state)[0]
+        if whole_ball:
+            in_e = _in_ball(np.add.reduce(cand * cand, axis=-1), cfg)  # as _Evaluation.sq_norm
+        else:
+            in_e = _E_member(_Evaluation(history, cand, cfg.lam), cfg, state)[0]
         up = (cand_val > val[rows] + 1e-6) & in_e
         taken, kept = rows[up], rows[~up]
         theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]

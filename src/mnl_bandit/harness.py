@@ -25,7 +25,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import compress
 
@@ -484,6 +483,10 @@ def run_many(cfg: ExperimentConfig, seeds=None, jobs: int = 1) -> list[RunLog]:
     workers = min(jobs, len(seeds))
     if workers <= 1:
         return [run_experiment(cfg, s) for s in seeds]
+    # Imported here: the pool's modules (multiprocessing, socket, logging)
+    # would otherwise load with every import of the package.
+    from concurrent.futures import ProcessPoolExecutor
+
     base = cfg.to_dict()
     tasks = [({**base, "seeds": [s]}, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -9,6 +9,7 @@ from mnl_bandit.choice import AssortmentContexts, expected_revenue, revenue_grad
 from mnl_bandit.confidence import (
     ConfidenceConfig,
     _C_member,
+    _E_holds_ball,
     _E_member,
     beta_radius,
     build_confidence_state,
@@ -19,7 +20,13 @@ from mnl_bandit.confidence import (
     in_set_E,
     max_revenue_over_E,
 )
-from mnl_bandit.estimation import History, _Evaluation, _evaluate, penalized_log_likelihood
+from mnl_bandit.estimation import (
+    History,
+    _Evaluation,
+    _evaluate,
+    penalized_log_likelihood,
+    score,
+)
 from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import (
     TAG_OUTCOME,
@@ -557,7 +564,7 @@ class TestMaxRevenueOverE:
             assert got.tolist() == want
             assert all(want[1:9]) and not any(want[25:33])
 
-    def test_ball_bound_step_costs_one_membership_pass(self, member_passes):
+    def test_ball_bound_step_costs_no_membership_pass(self, member_passes):
         # With no history E is the ball of radius beta * sqrt(2 / lam), about 9.1,
         # so only Theta (S = 0.5) can bind and its exit is exact.
         cfg = ConfidenceConfig(d=3, K=2, delta=0.1, lam=4.0, S=0.5)
@@ -566,15 +573,61 @@ class TestMaxRevenueOverE:
         assert state.beta * math.sqrt(2.0 / cfg.lam) > 9.0
         ass = make_assortment([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
         _, theta = max_revenue_over_E(ass, hist, cfg, state, state.anchor, max_iter=40)
-        # The first step, of length S along the gradient, reaches the sphere
-        # in one pass; there the gradient is radial, so the start stops.
-        assert len(member_passes) == 1
+        # E holds the whole ball provably, so the ascent's candidates take
+        # the ball test alone.  The first step, of length S along the
+        # gradient, reaches the sphere; there the gradient is radial, so the
+        # start stops.
+        assert len(member_passes) == 0
         assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
         assert in_set_E(theta, hist, cfg, state)
         grad = revenue_gradient(ass, theta)
         assert grad @ theta > 0.0  # the ball binds
         tangential = grad - (grad @ theta) / (theta @ theta) * theta
         assert float(np.linalg.norm(tangential)) < 1e-3
+
+    def test_ball_certificate_is_sound(self):
+        # The curvature bound ||score(theta_hat)|| r + lambda_max(V) r^2 / 2,
+        # r = S + ||theta_hat||, with V summed here round by round, is at
+        # least the computed loss gap at points of the ball and its sphere.
+        # Wherever _E_holds_ball holds, E's own float test accepts them all.
+        rng = np.random.default_rng(43)
+        outcomes = set()
+        for _ in range(120):
+            d = int(rng.integers(1, 6))
+            S = float(rng.choice([0.5, 1.0, 3.0, 5.0]))
+            lam = float(rng.uniform(1.0, 400.0))
+            cfg = ConfidenceConfig(d=d, K=3, delta=0.1, lam=lam, S=S)
+            n_rounds = int(rng.integers(0, 150))
+            if rng.random() < 0.5:
+                rounds = random_rounds(rng, d, K=3, rounds=n_rounds)  # fresh contexts
+            else:
+                pool = sample_ball(rng, 4, d)  # a fixed pool: blocks repeat
+                rounds = []
+                for _ in range(n_rounds):
+                    k = int(rng.integers(1, 4))
+                    picked = np.sort(rng.choice(4, size=k, replace=False))
+                    rounds.append((make_assortment(pool[picked]), int(rng.integers(0, k + 1))))
+            hist = history_of(d, rounds)
+            state = build_confidence_state(hist, cfg, t=hist.t + 1)
+            # The radius shrunk by up to e^3, so that E fails to hold the ball in some draws.
+            state = with_radius(state, state.gamma * float(np.exp(-rng.uniform(0.0, 3.0))), lam)
+            v_mat = lam * np.eye(d) + sum(
+                (ass.contexts.T @ ass.contexts for ass, _ in rounds), np.zeros((d, d))
+            )
+            r = S + float(np.linalg.norm(state.theta_hat))
+            score_norm = float(np.linalg.norm(score(hist, state.theta_hat, lam)))
+            bound = score_norm * r + 0.5 * float(np.linalg.eigvalsh(v_mat)[-1]) * r * r
+            unit = rng.standard_normal((10, d))
+            unit /= np.linalg.norm(unit, axis=1)[:, None]
+            thetas = np.vstack([sample_ball(rng, 20, d, radius=S), S * unit])
+            ok, gap = _E_member(_Evaluation(hist, thetas, lam), cfg, state)
+            assert gap.max() <= bound + 1e-12 * (1.0 + bound)
+            holds = _E_holds_ball(hist, cfg, state)
+            if holds:
+                assert bound < state.beta**2
+                assert ok.all()
+            outcomes.add(holds)
+        assert outcomes == {True, False}, outcomes
 
     @staticmethod
     def ascent_draws():

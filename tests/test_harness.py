@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -171,6 +174,8 @@ class TestRunExperiment:
 class TestRefinedRounds:
     # Every round refines its leader by ascent (refine_top=1).  The played
     # parameter must lie in E, and the reported value must be its revenue.
+    # Where E provably holds the ball the ascent makes no membership pass;
+    # where E binds it tests its candidates in E.
     CONFIGS = {
         # The wide_fresh benchmark shape, shortened; the ball binds.
         "wide_fresh": dict(d=4, N=16, K=4, T=20, context_mode="fresh_iid"),
@@ -179,7 +184,9 @@ class TestRefinedRounds:
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_played_parameter_is_feasible_and_attains_the_value(self, name, monkeypatch):
+    def test_played_parameter_is_feasible_and_attains_the_value(
+        self, name, monkeypatch, member_passes
+    ):
         import mnl_bandit.harness as harness
         import mnl_bandit.policy as policy
 
@@ -188,8 +195,10 @@ class TestRefinedRounds:
         ascent, step = policy.max_revenue_over_E, harness.cb_mnl_step
 
         def counted(*args, **kw):
-            refined.append(1)
-            return ascent(*args, **kw)
+            before = len(member_passes)
+            result = ascent(*args, **kw)
+            refined.append(len(member_passes) - before)
+            return result
 
         def checked(pool, history, ccfg, state, **kw):
             decision = step(pool, history, ccfg, state, **kw)
@@ -210,8 +219,10 @@ class TestRefinedRounds:
         norms = [float(np.linalg.norm(d.theta_used)) for d in decisions]
         if name == "E_bound":
             assert max(norms) < 0.9 * cfg.S
+            assert min(refined) > 0
         else:
             assert max(norms) == pytest.approx(cfg.S, abs=1e-12)
+            assert sum(refined) == 0
 
 
 class TestNormSetScreening:
@@ -347,6 +358,26 @@ class TestPlayedTrajectoryPin:
         rows = csv.DictReader(io.StringIO(run.csv_text()))
         played = "".join(f"{r['assortment']},{r['outcome']}\n" for r in rows)
         assert hashlib.sha256(played.encode()).hexdigest() == self.PINS[policy]
+
+    # The same config with gamma pinned at 4.5, where E and C both bind inside
+    # the ball before round 300, so each set's own boundary search steers
+    # its policy.  Under the fixed radius neither binds by then, and the
+    # two policies share one pin above.
+    PINNED_GAMMA_PINS = {
+        "cb_mnl_c": "b9575ab3041e1e209ca1dfc4ff034fabc2c7b0fe077dd5fb6181c78e98dd01f2",
+        "cb_mnl_e": "3aebdb5c42d213bc8693c2d902f54a94e0f62e061243dd7c8840b04d1b1d4036",
+    }
+
+    def test_pinned_radius_tells_the_two_sets_apart(self, monkeypatch):
+        pin_gamma(monkeypatch, 4.5)
+        digests = {}
+        for policy in self.PINNED_GAMMA_PINS:
+            run = run_experiment(self.regret_cfg(policy), seed=0)
+            rows = csv.DictReader(io.StringIO(run.csv_text()))
+            played = "".join(f"{r['assortment']},{r['outcome']}\n" for r in rows)
+            digests[policy] = hashlib.sha256(played.encode()).hexdigest()
+        assert digests == self.PINNED_GAMMA_PINS
+        assert digests["cb_mnl_e"] != digests["cb_mnl_c"]
 
     @pytest.mark.parametrize("policy", ["oracle", "random"])
     def test_outcomes_replay_from_one_outcome_stream(self, policy):
@@ -670,8 +701,10 @@ class TestRunMany:
     @pytest.fixture
     def serial_pool(self, monkeypatch):
         """Replaces the process pool by one that records its size and tasks
-        and maps in this process, so no worker is started."""
-        import mnl_bandit.harness as harness
+        and maps in this process, so no worker is started.  ``run_many``
+        imports the pool when it needs one, so the patch goes on the module
+        that it imports from."""
+        import concurrent.futures
 
         seen = {"sizes": [], "tasks": []}
 
@@ -690,7 +723,7 @@ class TestRunMany:
                 seen["tasks"].extend(items)
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return seen
 
     def test_pool_has_at_most_one_worker_per_seed(self, serial_pool):
@@ -723,6 +756,18 @@ class TestRunMany:
         for a, b in zip(serial, parallel):
             assert a.csv_text() == b.csv_text()
             assert a.metadata()["config"] == b.metadata()["config"]
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        # Only run_many with more than one worker needs the pool's modules.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, mnl_bandit; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestConfig:
