@@ -6,9 +6,9 @@ and a consumer buys at most one item.  The no-purchase option has utility
 zero and is outcome index 0 everywhere; item outcomes are 1-based positions
 within the assortment.
 
-All probability computations shift by the maximum utility before
-exponentiating, so chained evaluations stay finite for any |x . theta|
-representable in float64.
+All probability computations go through one kernel, ``_shifted_exp``,
+which shifts by max(0, the largest utility) before exponentiating, so
+chained evaluations stay finite for any |x . theta| representable in float64.
 """
 from __future__ import annotations
 
@@ -144,10 +144,6 @@ class ChoiceDistribution:
         object.__setattr__(self, "no_purchase_prob", float(self.no_purchase_prob))
         _check_probs(probs, self.no_purchase_prob)
 
-    def outcome_probs(self) -> np.ndarray:
-        """Probabilities indexed by outcome: slot 0 is no purchase."""
-        return np.concatenate(([self.no_purchase_prob], self.item_probs))
-
 
 def _utilities(assortment: AssortmentContexts, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -157,6 +153,28 @@ def _utilities(assortment: AssortmentContexts, theta: np.ndarray) -> np.ndarray:
             f"dimension mismatch: contexts are d={ctx.shape[1]}, theta is d={theta.shape[0]}"
         )
     return ctx @ theta
+
+
+def _shifted_exp(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The dense kernel, twin of ``estimation._segment_exp``: (m, ez, e0, total).
+
+    A row of ``u`` (its last axis; any leading shape) holds one assortment's
+    utilities.  Shifted by m = max(0, the row's largest), ``ez = exp(u - m)``,
+    ``e0 = exp(-m)`` and ``total = e0 + sum ez`` stay finite for any utility,
+    and log(1 + sum exp u) is ``m + log(total)``.  An empty row gives total 1.
+    """
+    m = np.maximum.reduce(u, axis=-1, initial=0.0)  # ufunc reduces keep a 1-D call lean
+    ez = np.exp(u - m[..., None])
+    e0 = np.exp(-m)
+    return m, ez, e0, e0 + np.add.reduce(ez, axis=-1)
+
+
+def _distribution(u: np.ndarray) -> tuple[ChoiceDistribution, float, float]:
+    """One row's choice distribution, checked as it is built, and its kernel m and total."""
+    m, ez, e0, total = _shifted_exp(u)
+    probs, none = ez / total, float(e0 / total)
+    _check_probs(probs, none)
+    return _assemble(ChoiceDistribution, item_probs=probs, no_purchase_prob=none), m, total
 
 
 def choice_probabilities(
@@ -169,37 +187,26 @@ def choice_probabilities(
     no-purchase probability 1.  The probabilities are checked as they are
     computed, the checks ``ChoiceDistribution`` itself makes.
     """
-    u = _utilities(assortment, theta)
-    if u.size == 0:
-        probs, none = np.zeros(0), 1.0
-    else:
-        shift = max(float(np.maximum.reduce(u)), 0.0)
-        ez = np.exp(u - shift)
-        e0 = np.exp(-shift)
-        denom = e0 + np.add.reduce(ez)
-        probs, none = ez / denom, float(e0 / denom)
-    _check_probs(probs, none)
-    return _assemble(ChoiceDistribution, item_probs=probs, no_purchase_prob=none)
+    return _distribution(_utilities(assortment, theta))[0]
 
 
 def expected_revenue(assortment: AssortmentContexts, theta: np.ndarray) -> float:
     """Price-weighted purchase probability; with unit prices, the total
     probability that anything at all is bought."""
     dist = choice_probabilities(assortment, theta)
-    if not assortment.indices:
-        return 0.0
     return float(dist.item_probs @ assortment.prices)
 
 
-def revenue_gradient(assortment: AssortmentContexts, theta: np.ndarray) -> np.ndarray:
-    """Gradient of expected_revenue with respect to theta."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    dist = choice_probabilities(assortment, theta)
-    if assortment.cardinality == 0:
-        return np.zeros_like(theta)
-    rev = float(dist.item_probs @ assortment.prices)
-    w = dist.item_probs * (assortment.prices - rev)
-    return w @ assortment.contexts
+def revenue_gradient(
+    assortment: AssortmentContexts, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``expected_revenue`` and its gradient sum_i mu_i (r_i - revenue) x_i at
+    every row of ``thetas`` (any leading shape), from one ``_shifted_exp`` pass."""
+    ctx, prices = assortment.contexts, assortment.prices
+    _, ez, _, total = _shifted_exp(thetas @ ctx.T)
+    mu = ez / total[..., None]
+    rev = mu @ prices
+    return rev, (mu * (prices - rev[..., None])) @ ctx
 
 
 def diag_derivative(assortment: AssortmentContexts, theta: np.ndarray, i: int) -> float:

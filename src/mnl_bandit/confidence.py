@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import AssortmentContexts, finite_number
+from .choice import AssortmentContexts, finite_number, revenue_gradient
 from .estimation import History, MleResult, _Evaluation, _evaluate, _norm, fit_mle, matrix_V
 
 __all__ = [
@@ -311,23 +311,6 @@ def _drop_outward(grads: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return grads - coef[:, None] * normals
 
 
-def _revenue_and_gradient(
-    assortment: AssortmentContexts, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``expected_revenue`` and ``revenue_gradient`` at every row of ``thetas``.
-
-    The same max-shifted softmax as ``choice.choice_probabilities``, with one
-    row of utilities per parameter.
-    """
-    ctx, prices = assortment.contexts, assortment.prices
-    u = thetas @ ctx.T  # (m, k)
-    shift = np.max(u, axis=1, initial=0.0)
-    ez = np.exp(u - shift[:, None])
-    mu = ez / (np.exp(-shift) + ez.sum(axis=1))[:, None]
-    rev = mu @ prices
-    return rev, (mu * (prices - rev[:, None])) @ ctx
-
-
 def max_revenue_over_E(
     assortment: AssortmentContexts,
     history: History,
@@ -367,7 +350,7 @@ def max_revenue_over_E(
     theta = np.atleast_2d(np.array(starts, dtype=float))  # a copy: rows move in place
     if theta.size == 0:
         raise ValueError("starts must hold at least one parameter")
-    val, grad = _revenue_and_gradient(assortment, theta)
+    val, grad = revenue_gradient(assortment, theta)
     gnorm = np.linalg.norm(grad, axis=1)
     eta = cfg.S / np.where(gnorm > 0.0, gnorm, 1.0)
     live = np.ones(len(theta), dtype=bool)
@@ -383,7 +366,7 @@ def max_revenue_over_E(
         norm = np.linalg.norm(cand, axis=1)
         out = norm > cfg.S
         cand[out] *= (cfg.S / norm[out])[:, None]
-        cand_val, cand_grad = _revenue_and_gradient(assortment, cand)
+        cand_val, cand_grad = revenue_gradient(assortment, cand)
         if whole_ball:
             in_e = _in_ball(np.add.reduce(cand * cand, axis=-1), cfg)  # as _Evaluation.sq_norm
         else:

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .choice import (
     AssortmentContexts,
-    choice_probabilities,
+    _distribution,
     expected_revenue,
     finite_number,
     sample_choice,
@@ -279,18 +279,17 @@ class _StarLaw:
     """theta_star on one played assortment, from its K rows alone: the choice
     distribution, and the terms a round on it adds to ``_StarSums``.
 
-    The log-normalizer lse = log(1 + sum_i exp u_i) takes the shift
-    max(0, max u) of ``choice_probabilities`` and the segment kernel, so it
+    One ``choice._shifted_exp`` pass gives both the distribution and the
+    log-normalizer lse = log(1 + sum_i exp u_i) = m + log(total), which
     stays finite for any utility; the curvature term is ``_Evaluation.H``'s
     formula on the assortment's rows.
     """
 
     def __init__(self, ass: AssortmentContexts, theta_star: np.ndarray):
-        self.dist = choice_probabilities(ass, theta_star)
+        self.u = u = ass.contexts @ theta_star
+        self.dist, m, total = _distribution(u)
         ctx, mu = ass.contexts, self.dist.item_probs
-        self.u = u = ctx @ theta_star
-        shift = float(np.maximum.reduce(u, initial=0.0))
-        self.lse = shift + math.log(math.exp(-shift) + float(np.add.reduce(np.exp(u - shift))))
+        self.lse = float(m) + math.log(total)
         self.g = mu @ ctx  # sum_i mu_i x_i
         self.H = _gram(ctx, mu * (1.0 - mu), 0.0)  # sum_i mu_i (1 - mu_i) x_i x_i^T
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import AssortmentContexts, choice_probabilities, finite_number, sample_choice
+from .choice import AssortmentContexts, _shifted_exp, choice_probabilities, finite_number, sample_choice
 
 __all__ = [
     "Instance",
@@ -245,17 +245,16 @@ def kappa_over_candidates(instance: Instance, thetas: np.ndarray, pool: np.ndarr
     U = pool @ thetas.T  # (N, n_cand)
     K = instance.K
     # Offered alone: mu = e^u / (1 + e^u) and 1 - mu = 1 / (1 + e^u).
-    shift = np.maximum(U, 0.0)
-    ez, e0 = np.exp(U - shift), np.exp(-shift)
-    w = [(ez / (e0 + ez)) * (e0 / (e0 + ez))]
+    _, ez, e0, total = _shifted_exp(U[..., None])  # each item its own row
+    w = [(ez[..., 0] / total) * (e0 / total)]
     if K > 1:
         # Beside the K-1 other items of highest utility.  Each such
         # assortment holds the top item, so one shift per candidate serves
         # all.  1 - mu is summed from the other terms of the denominator: by
         # subtraction it cancels to 0 once mu rounds to 1.
         top = np.argsort(-U, axis=0, kind="stable")[:K]  # (K, n_cand)
-        shift = np.maximum(U.max(axis=0), 0.0)
-        ez, e0 = np.exp(U - shift), np.exp(-shift)
+        _, ez, e0, _ = _shifted_exp(U.T)  # one row per candidate
+        ez = ez.T
         # others[r]: the top K but position r.  An item ranked r < K-1 drops
         # itself; any other item sits beside the top K-1 (r = K-1).
         others = (1.0 - np.eye(K)) @ np.take_along_axis(ez, top, axis=0)

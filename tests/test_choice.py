@@ -1,9 +1,13 @@
 """Choice-model math against hand-evaluated and Monte-Carlo oracles."""
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mnl_bandit
 from mnl_bandit.choice import (
     AssortmentContexts,
     ChoiceDistribution,
@@ -180,13 +184,77 @@ class TestExpectedRevenue:
             d = int(rng.integers(1, 5))
             ass = make_assortment(sample_ball(rng, int(rng.integers(1, 4)), d))
             theta = sample_ball(rng, 1, d, radius=2.0)[0]
-            grad = revenue_gradient(ass, theta)
+            rev, (grad,) = revenue_gradient(ass, theta[None])
+            assert rev[0] == pytest.approx(expected_revenue(ass, theta), rel=1e-14)
             h = 1e-6
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
                 fd = (expected_revenue(ass, theta + e) - expected_revenue(ass, theta - e)) / (2 * h)
                 assert grad[j] == pytest.approx(fd, abs=1e-7)
+
+    def test_stacked_gradient_at_extreme_utilities(self):
+        # Utilities of +-800 overflow a raw exp.  Each row of a stacked call
+        # is finite and bit-equal to a call on that row alone.
+        ass = make_assortment([[1.0, 0.0], [0.6, 0.8], [-0.5, 0.5]], prices=[1.0, 2.0, 0.5])
+        thetas = np.array(
+            [[800.0, 0.0], [-800.0, 0.0], [0.0, 800.0], [-600.0, -500.0], [0.3, -1.2]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rev, grad = revenue_gradient(ass, thetas)
+            rows = [revenue_gradient(ass, thetas[i : i + 1]) for i in range(len(thetas))]
+        assert np.isfinite(rev).all() and np.isfinite(grad).all()
+        for i, (rev_i, grad_i) in enumerate(rows):
+            assert np.array_equal(rev_i, rev[i : i + 1])
+            assert np.array_equal(grad_i, grad[i : i + 1])
+        # At theta = (800, 0) item 0 (price 1) sells for sure, at (-800, 0) item 2 (price 0.5).
+        assert rev[:2].tolist() == [1.0, 0.5]
+
+
+def _exp_call_sites(tree: ast.AST):
+    """(enclosing function name, line) of every np.exp, numpy.exp, math.exp or bare exp call."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == "exp"
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("np", "numpy", "math")
+            ) or (isinstance(f, ast.Name) and f.id == "exp"):
+                sites.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return sites
+
+
+def test_exponentials_sit_in_the_kernels():
+    # The dense and segment kernels exponentiate utilities for the whole
+    # package.  Past them only policy._attraction's raw exp (ROADMAP item 1)
+    # and the pure-Python test reference may call exp, so a new
+    # hand-written softmax fails here.
+    allowed = {
+        ("choice", "_shifted_exp"),
+        ("estimation", "_segment_exp"),
+        ("policy", "_attraction"),
+        ("checks", "_softmax_ref"),
+    }
+    seen, stray = set(), []
+    for path in sorted(Path(mnl_bandit.__file__).parent.glob("*.py")):
+        for where, line in _exp_call_sites(ast.parse(path.read_text(), filename=str(path))):
+            if (path.stem, where) in allowed:
+                seen.add((path.stem, where))
+            else:
+                stray.append(f"{path.name}:{line} in {where or 'module scope'}")
+    assert not stray, f"exp outside the kernels: {stray}"
+    assert {("choice", "_shifted_exp"), ("estimation", "_segment_exp")} <= seen
 
 
 class TestDiagDerivatives:

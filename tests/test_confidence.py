@@ -384,11 +384,11 @@ def reference_ascent(ass, hist, cfg, state, starts, max_iter):
     for start in starts:
         theta = np.asarray(start, dtype=float).copy()
         val = expected_revenue(ass, theta)
-        grad = revenue_gradient(ass, theta)
+        grad = revenue_gradient(ass, theta)[1]
         eta = cfg.S / float(np.linalg.norm(grad)) if grad.any() else cfg.S  # a first step of length S
         for _ in range(max_iter):
             # The stop drops an outward radial part on the ball's sphere.
-            step = revenue_gradient(ass, theta)
+            step = revenue_gradient(ass, theta)[1]
             on_sphere = float(theta @ theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
             if np.linalg.norm(drop_outward(step, theta if on_sphere else None)) < 1e-3:
                 break
@@ -580,7 +580,7 @@ class TestMaxRevenueOverE:
         assert len(member_passes) == 0
         assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
         assert in_set_E(theta, hist, cfg, state)
-        grad = revenue_gradient(ass, theta)
+        grad = revenue_gradient(ass, theta)[1]
         assert grad @ theta > 0.0  # the ball binds
         tangential = grad - (grad @ theta) / (theta @ theta) * theta
         assert float(np.linalg.norm(tangential)) < 1e-3

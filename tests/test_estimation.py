@@ -366,7 +366,8 @@ def mixed_history(rng, d=2, rounds=300):
             ass = AssortmentContexts((7, 9), pool[[0, 1]], np.ones(2))
         else:
             ass = make_assortment(sample_ball(rng, int(rng.integers(1, 4)), d))
-        probs = choice_probabilities(ass, theta).outcome_probs()
+        dist = choice_probabilities(ass, theta)
+        probs = np.concatenate(([dist.no_purchase_prob], dist.item_probs))
         log.append((ass, int(rng.choice(probs.size, p=probs))))
         hist.append(*log[-1])
     return hist, log
@@ -382,7 +383,7 @@ def per_round_reference(rounds, theta, lam):
             continue
         dist = choice_probabilities(ass, theta)
         mu, x = dist.item_probs, ass.contexts
-        ll += math.log(dist.outcome_probs()[y])
+        ll += math.log(dist.item_probs[y - 1] if y else dist.no_purchase_prob)
         if y:
             s = s + x[y - 1]
             r = r + x[y - 1]

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from mnl_bandit.harness import (
     CSV_HEADER,
     ExperimentConfig,
     RunLog,
+    _StarLaw,
     elliptical_potential_check,
     loglog_slope,
     run_experiment,
@@ -73,6 +75,16 @@ def small_cfg(**kw):
 
 
 class TestRunExperiment:
+    @pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="ROADMAP item 1")
+    def test_large_radius_runs(self):
+        # The config validator accepts S = 800, but policy._attraction's raw
+        # exp overflows at utilities past about 709; without warnings as
+        # errors the run then fails with IndexError in policy._best.
+        cfg = ExperimentConfig(d=2, N=5, K=2, T=15, S=800.0, S_true=800.0, policy="cb_mnl_e")
+        run = run_experiment(cfg, seed=0)
+        assert len(run.records) == cfg.T
+        assert all(math.isfinite(r.opt_value) for r in run.records)
+
     def test_zero_horizon(self):
         run = run_experiment(small_cfg(T=0), seed=0)
         assert run.records == []
@@ -330,6 +342,25 @@ class TestThetaStarDiagnostics:
             ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
             hist.append(ass, r.outcome)
         assert len(seen) == cfg.T
+
+    @pytest.mark.parametrize("theta_star", [[800.0, 0.0], [-800.0, 0.0], [0.0, -800.0]])
+    def test_log_normalizer_at_extreme_utilities(self, theta_star):
+        # lse = log(1 + sum exp u) overflows a raw exp at u = 800; the shift
+        # m = max(0, max u) keeps it finite and equal to m + log(total).
+        ctx = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.5]])
+        ass = AssortmentContexts((0, 1, 2), ctx, np.ones(3))
+        theta_star = np.array(theta_star)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = _StarLaw(ass, theta_star)
+        u = (ass.contexts @ theta_star).tolist()
+        m = max(0.0, *u)
+        total = math.exp(-m) + sum(math.exp(x - m) for x in u)  # underflows to 0, never overflows
+        assert math.isfinite(law.lse)
+        assert law.lse == pytest.approx(m + math.log(total), rel=1e-15, abs=1e-300)
+        probs = choice_probabilities(ass, theta_star)
+        assert np.array_equal(law.dist.item_probs, probs.item_probs)
+        assert law.dist.no_purchase_prob == probs.no_purchase_prob
 
 
 class TestPlayedTrajectoryPin:
