@@ -53,6 +53,9 @@ __all__ = [
     "deviation_bound",
     "elliptical_potential",
     "coverage",
+    "GATE_SEARCH",
+    "REGRET_CFG",
+    "COVERAGE_CFG",
     "MATRIX",
     "MATRIX_SEEDS",
 ]
@@ -314,24 +317,27 @@ CHECKS = {
 }
 
 
+# The acceptance gate's configs, less their seeds: its search settings
+# (screening along 8 rays, no refinement), the regret config and the
+# coverage config.  The gate's run batches add their seeds to these.
+GATE_SEARCH = dict(refine_top=0, n_dirs=8, restarts=1)
+REGRET_CFG = dict(d=2, N=8, K=2, T=3000, lambda_override=40.0, track_c_stats=False, **GATE_SEARCH)
+COVERAGE_CFG = dict(N=3, T=500, **GATE_SEARCH)
+
 # The equivalence matrix: named configs that ``mnl-bandit matrix`` runs at
 # MATRIX_SEEDS, so a change states "same behaviour" with ``mnl-bandit diff``
 # against its parent's directory.  Every policy on the regret config, the
 # default config, fresh contexts, C's policy at d=5, the bonus baseline with
 # unequal prices and the gate's coverage config.
-_REGRET_CFG = dict(
-    d=2, N=8, K=2, T=3000, lambda_override=40.0, refine_top=0, n_dirs=8, restarts=1,
-    track_c_stats=False,
-)
 MATRIX = {
-    **{f"regret_{p.value}": ExperimentConfig(**_REGRET_CFG, policy=p.value) for p in PolicyKind},
+    **{f"regret_{p.value}": ExperimentConfig(**REGRET_CFG, policy=p.value) for p in PolicyKind},
     "default": ExperimentConfig(),
     "fresh": ExperimentConfig(d=4, N=16, K=4, T=150, context_mode="fresh_iid"),
     "norm_set_d5": ExperimentConfig(d=5, T=200, policy="cb_mnl_c"),
     "priced_bonus": ExperimentConfig(
         N=5, T=300, prices=[1.0, 0.5, 2.0, 1.5, 0.8], policy="bonus_ucb"
     ),
-    "gate_coverage": ExperimentConfig(N=3, refine_top=0, n_dirs=8, restarts=1),
+    "gate_coverage": ExperimentConfig(**COVERAGE_CFG),
 }
 MATRIX_SEEDS = (0, 1, 2)
 

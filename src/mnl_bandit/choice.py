@@ -39,6 +39,13 @@ def finite_number(name: str, value) -> float:
     return float(value)
 
 
+def integer_at_least(name: str, value, least: int) -> int:
+    """``value``; ValueError naming ``name`` unless it is an int >= ``least``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _assemble(cls, **values):
     """A ``cls`` holding ``values``, already converted and checked, without ``__post_init__``."""
     obj = object.__new__(cls)

@@ -168,7 +168,7 @@ def cmd_instance(args) -> int:
         print(f"mnl-bandit: invalid --seed: must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
     cfg = _load_config(args)
-    inst = make_instance(cfg.instance_config(), args.seed)
+    inst = make_instance(cfg, args.seed)
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         inst.save(args.out)

@@ -21,14 +21,9 @@ point, never an upper bound.  It projects each step onto Theta and refuses
 a step that leaves E, so where E binds a start stops short of E's boundary
 instead of sliding along it.
 
-Under the fixed radius E often holds all of Theta.  ``_E_holds_ball``
-proves that from a curvature bound: the loss Hessian is at most V =
-sum_rows n x x^T + lambda I at every theta, so by Taylor's theorem at
-theta_hat every theta in Theta has loss gap at most ||score(theta_hat)|| r
-+ (1/2) lambda_max(V) r^2 with r = S + ||theta_hat||.  When that bound is
-at most beta^2 less a margin of 1e-6 (beta^2 + |loss(theta_hat)|), which
-covers the rounding in a computed loss gap, the ascent tests its
-candidates against the ball alone and makes no likelihood pass.
+Under the fixed radius E often holds all of Theta.  When ``_E_holds_ball``
+proves that, the ascent tests its candidates against the ball alone and
+makes no likelihood pass.
 """
 from __future__ import annotations
 
@@ -37,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import AssortmentContexts, finite_number, revenue_gradient
+from .choice import AssortmentContexts, finite_number, integer_at_least, revenue_gradient
 from .estimation import History, MleResult, _Evaluation, _evaluate, _norm, fit_mle, matrix_V
 
 __all__ = [
@@ -76,6 +71,8 @@ class ConfidenceConfig:
     S: float = 1.0
 
     def __post_init__(self) -> None:
+        integer_at_least("d", self.d, 1)
+        integer_at_least("K", self.K, 1)
         if not 0.0 < finite_number("delta", self.delta) <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if finite_number("lam", self.lam) < 1.0:
@@ -329,15 +326,9 @@ def max_revenue_over_E(
     its revenue gradient (a zero gradient stops the start at once).  A
     step is projected onto Theta in closed form, and one likelihood pass
     tests every live start's candidate for membership in E, unless
-    ``_E_holds_ball`` proves, once per call, that E holds all of Theta.
-    That proof is a curvature bound: the loss Hessian is at most V =
-    sum_rows n x x^T + lam I everywhere, so by Taylor's theorem at
-    theta_hat the loss gap on Theta is at most ||score(theta_hat)|| r +
-    (1/2) lambda_max(V) r^2, r = S + ||theta_hat||, and the proof holds
-    when that is at most beta^2 less a margin of 1e-6 (beta^2 +
-    |loss(theta_hat)|) for rounding.  Then the candidates take the ball
-    test alone, which gives ``_E_member``'s verdicts with no pass over
-    the history.  A step is
+    ``_E_holds_ball`` proves, once per call, that E holds all of Theta;
+    then the candidates take the ball test alone, which gives
+    ``_E_member``'s verdicts with no pass over the history.  A step is
     taken only if its candidate lies in E and gains more than 1e-6, and
     then the step size doubles; otherwise it halves, so a start that
     meets E's boundary creeps up to it with shorter steps.  A start stops

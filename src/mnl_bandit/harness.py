@@ -36,6 +36,7 @@ from .choice import (
     _distribution,
     expected_revenue,
     finite_number,
+    integer_at_least,
     sample_choice,
 )
 from .confidence import (
@@ -97,8 +98,8 @@ _ROW_FORMAT = "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
 _REALS = [f == "%.17g" for f in _ROW_FORMAT.split(",")]  # per column: is it a real?
 
 
-# Smallest value each integer field of ExperimentConfig accepts.
-_INT_MINIMA = dict(d=1, N=1, K=1, T=0, restarts=1, n_dirs=0, refine_top=0)
+# Smallest value each integer run setting accepts; InstanceConfig checks d, N and K.
+_INT_MINIMA = dict(T=0, restarts=1, n_dirs=0, refine_top=0)
 
 # Config keys that say which seeds ran and where they were written; runs
 # that differ only in these belong to the same experiment.
@@ -106,22 +107,15 @@ _RUN_SELECTORS = {"seeds", "out_dir"}
 
 
 @dataclass
-class ExperimentConfig:
-    """Everything a run needs besides the seed; JSON round-trippable.
+class ExperimentConfig(InstanceConfig):
+    """The problem's shape plus everything else a run needs besides the
+    seed; JSON round-trippable.
 
-    Construction validates every field, including the instance and
-    confidence settings derived from them, and raises a ``ValueError``
-    that names the field.
+    Construction validates every field, the confidence settings derived
+    from them included, and raises a ``ValueError`` that names the field.
     """
 
-    d: int = 2
-    N: int = 8
-    K: int = 2
     T: int = 500
-    S: float = 1.0
-    S_true: float = 1.0
-    context_mode: str = FIXED_POOL
-    prices: list[float] | None = None
     policy: str = PolicyKind.CB_MNL_E.value
     delta: float = 0.1
     lambda_override: float | None = None
@@ -133,10 +127,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()  # the shape fields, before ``lam`` reads d and K
         for name, least in _INT_MINIMA.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            integer_at_least(name, getattr(self, name), least)
         if self.refine_top > 1:
             raise ValueError(f"refine_top must be 0 or 1, got {self.refine_top!r}")
         if self.restarts > self.n_dirs + 1:
@@ -162,10 +155,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds must not repeat a seed, got {named} more than once")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path or null, got {self.out_dir!r}")
-        # delta, lam and S are checked here, then the instance's own fields,
-        # then, for a policy that enumerates, the number of assortments.
+        # delta and lam are checked here, then, for a policy that
+        # enumerates, the number of assortments.
         self.confidence_config()
-        self.instance_config()
         if self.policy in (PolicyKind.BONUS_UCB, PolicyKind.RANDOM):
             assortment_count(self.N, self.K)
 
@@ -174,17 +166,6 @@ class ExperimentConfig:
         if self.lambda_override is not None:
             return float(self.lambda_override)
         return default_lambda(self.d, self.K, max(self.T, 1))
-
-    def instance_config(self) -> InstanceConfig:
-        return InstanceConfig(
-            d=self.d,
-            N=self.N,
-            K=self.K,
-            S=self.S,
-            S_true=self.S_true,
-            context_mode=self.context_mode,
-            prices=self.prices,
-        )
 
     def confidence_config(self) -> ConfidenceConfig:
         return ConfidenceConfig(d=self.d, K=self.K, delta=self.delta, lam=self.lam, S=self.S)
@@ -350,8 +331,6 @@ def _policy_decision(
         )
     if kind is PolicyKind.BONUS_UCB:
         return bonus_ucb_step(pool, history, ccfg, state, kappa_hat=kappa_hat, prices=prices)
-    if kind is PolicyKind.ORACLE:
-        return _oracle(pool, instance)
     if kind is PolicyKind.RANDOM:
         a = random_assortment(instance.N, instance.K, rng)
         ass = AssortmentContexts.from_pool(pool, a, prices)
@@ -363,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     """One seeded run; deterministic in (cfg, seed)."""
     t_start = time.perf_counter()
     kind = PolicyKind(cfg.policy)
-    instance = make_instance(cfg.instance_config(), seed)
+    instance = make_instance(cfg, seed)
     ccfg = cfg.confidence_config()
     lam = ccfg.lam
     kappa = estimate_kappa(instance)
@@ -394,13 +373,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         newton_steps += state.mle.iterations
         previous_fit = state.mle
 
-        decision = _policy_decision(
-            kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy
-        )
-
         if t == 1 or cfg.context_mode != FIXED_POOL:
             laws = {}
-            oracle = decision if kind is PolicyKind.ORACLE else _oracle(pool, instance)
+            oracle = _oracle(pool, instance)
+        decision = oracle if kind is PolicyKind.ORACLE else _policy_decision(
+            kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy
+        )
         oracle_value = oracle.optimistic_value
 
         # theta_star's distribution on the played assortment draws the

@@ -16,11 +16,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .choice import AssortmentContexts, _shifted_exp, choice_probabilities, finite_number, sample_choice
+from .choice import (
+    AssortmentContexts,
+    _shifted_exp,
+    choice_probabilities,
+    finite_number,
+    integer_at_least,
+    sample_choice,
+)
 
 __all__ = [
     "Instance",
@@ -64,7 +71,8 @@ def sample_ball(rng: np.random.Generator, n: int, d: int, radius: float = 1.0) -
 
 @dataclass
 class InstanceConfig:
-    """Shape of the synthetic problem; see ``make_instance``."""
+    """Shape of the synthetic problem, checked at construction; ``ExperimentConfig``
+    and ``Instance`` extend it.  See ``make_instance``."""
 
     d: int = 2
     N: int = 8
@@ -75,9 +83,9 @@ class InstanceConfig:
     prices: list[float] | None = None
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.N < 1:
-            raise ValueError(f"d and N must be >= 1, got d={self.d}, N={self.N}")
-        if not 1 <= self.K <= self.N:
+        for name in ("d", "N", "K"):
+            integer_at_least(name, getattr(self, name), 1)
+        if self.K > self.N:
             raise ValueError(f"K must be in [1, N={self.N}], got {self.K}")
         if not 0.0 <= finite_number("S_true", self.S_true) <= finite_number("S", self.S):
             raise ValueError(
@@ -94,32 +102,23 @@ class InstanceConfig:
                 raise ValueError(f"prices must be nonnegative, got {self.prices!r}")
 
 
-@dataclass
-class Instance:
-    """Ground truth for one synthetic problem.
+@dataclass(kw_only=True)
+class Instance(InstanceConfig):
+    """Ground truth for one synthetic problem: its shape and one seed's draws.
 
     Construction checks the shape fields by ``InstanceConfig``'s rules, then
     ``theta_star`` and the pool; a ``ValueError`` names the field.
     """
 
-    d: int
-    N: int
-    K: int
-    S: float
-    S_true: float
     theta_star: np.ndarray
-    context_mode: str
     pool: np.ndarray | None
-    prices: np.ndarray
+    prices: np.ndarray = field()  # required: the config's default of None would carry over
     seed: int
 
     def __post_init__(self) -> None:
         self.theta_star = np.asarray(self.theta_star, dtype=float).reshape(-1)
         self.prices = np.asarray(self.prices, dtype=float).reshape(-1)
-        InstanceConfig(
-            d=self.d, N=self.N, K=self.K, S=self.S, S_true=self.S_true,
-            context_mode=self.context_mode, prices=self.prices,
-        )
+        super().__post_init__()
         if self.theta_star.shape != (self.d,) or not np.isfinite(self.theta_star).all():
             raise ValueError(
                 f"theta_star must hold d={self.d} finite numbers, got {self.theta_star.tolist()}"
@@ -180,21 +179,12 @@ class Instance:
 def make_instance(cfg: InstanceConfig, seed: int) -> Instance:
     """Draw theta_star from the S_true-ball and contexts from the unit ball."""
     rng = stream(seed, TAG_INSTANCE)
+    shape = {f.name: getattr(cfg, f.name) for f in fields(InstanceConfig)}
+    if cfg.prices is None:
+        shape["prices"] = np.ones(cfg.N)
     theta_star = sample_ball(rng, 1, cfg.d, radius=cfg.S_true)[0]
     pool = sample_ball(rng, cfg.N, cfg.d) if cfg.context_mode == FIXED_POOL else None
-    prices = np.ones(cfg.N) if cfg.prices is None else np.asarray(cfg.prices, dtype=float)
-    return Instance(
-        d=cfg.d,
-        N=cfg.N,
-        K=cfg.K,
-        S=cfg.S,
-        S_true=cfg.S_true,
-        theta_star=theta_star,
-        context_mode=cfg.context_mode,
-        pool=pool,
-        prices=prices,
-        seed=int(seed),
-    )
+    return Instance(**shape, theta_star=theta_star, pool=pool, seed=int(seed))
 
 
 def serve_contexts(instance: Instance, t: int) -> np.ndarray:

@@ -6,26 +6,18 @@ import time
 import numpy as np
 import pytest
 
-from mnl_bandit import confidence, estimation
+from mnl_bandit import checks, confidence, estimation
 from mnl_bandit.harness import ExperimentConfig, run_many
 
 JOBS = min(2, os.cpu_count() or 1)
 
+# The gate's configs are ``checks``' own, the ones ``mnl-bandit matrix`` runs,
+# with the gate's seeds.
 COVERAGE_SEEDS = list(range(200))
-COVERAGE_CFG = dict(
-    d=2, N=3, K=2, T=500, S=1.0, S_true=1.0,
-    policy="cb_mnl_e", delta=0.1,
-    refine_top=0, n_dirs=8, restarts=1,
-    seeds=COVERAGE_SEEDS,
-)
+COVERAGE_CFG = dict(**checks.COVERAGE_CFG, seeds=COVERAGE_SEEDS)
 
 REGRET_SEEDS = list(range(20))
-REGRET_CFG = dict(
-    d=2, N=8, K=2, T=3000, S=1.0, S_true=1.0,
-    delta=0.1, lambda_override=40.0,
-    refine_top=0, n_dirs=8, restarts=1, track_c_stats=False,
-    seeds=REGRET_SEEDS,
-)
+REGRET_CFG = dict(**checks.REGRET_CFG, seeds=REGRET_SEEDS)
 
 
 def _timed(cfg: ExperimentConfig, seeds):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mnl_bandit.checks import (
+    GATE_SEARCH,
     convex_set_contains_norm_set,
     coverage,
     derivative_identities,
@@ -117,7 +118,7 @@ def test_criterion_05_convex_set_contains_norm_set():
     report(5, res.passed, res.detail)
 
 
-_ITEM1_CELL = dict(N=8, K=2, policy="cb_mnl_e", refine_top=0, n_dirs=8, restarts=1)
+_ITEM1_CELL = dict(N=8, K=2, policy="cb_mnl_e", **GATE_SEARCH)
 
 
 @pytest.mark.parametrize("S", [3.0, 5.0])

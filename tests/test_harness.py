@@ -1,5 +1,6 @@
 """Experiment loop, regret accounting, checks, persistence, aggregation."""
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,14 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnl_bandit.checks import deviation_bound, elliptical_potential
+from mnl_bandit.checks import REGRET_CFG, deviation_bound, elliptical_potential
 from mnl_bandit.choice import (
     AssortmentContexts,
     choice_probabilities,
     expected_revenue,
     sample_choice,
 )
-from mnl_bandit.confidence import in_set_C, in_set_E
+from mnl_bandit.confidence import ConfidenceConfig, in_set_C, in_set_E
 from mnl_bandit.estimation import History, _evaluate
 from mnl_bandit.harness import (
     CSV_HEADER,
@@ -35,7 +36,7 @@ from mnl_bandit.harness import (
     save_runs,
     summarize_runs,
 )
-from mnl_bandit.simulator import TAG_OUTCOME, Instance, serve_contexts, stream
+from mnl_bandit.simulator import TAG_OUTCOME, Instance, InstanceConfig, serve_contexts, stream
 
 
 def passes_by_side(monkeypatch, kernel_passes, cfg):
@@ -148,7 +149,9 @@ class TestRunExperiment:
         assert len(run.records) == 25
         assert elliptical_potential([run]).passed
 
-    def test_oracle_policy_solves_the_oracle_once_a_round(self, monkeypatch):
+    @staticmethod
+    def oracle_solves(monkeypatch, cfg):
+        """Calls of ``oracle_assortment`` in a seed-0 run of ``cfg``, and the run."""
         import mnl_bandit.harness as harness
 
         calls = []
@@ -159,10 +162,23 @@ class TestRunExperiment:
             return solve(*args)
 
         monkeypatch.setattr(harness, "oracle_assortment", counted)
-        cfg = ExperimentConfig(policy="oracle", context_mode="fresh_iid", T=50)
         run = run_experiment(cfg, seed=0)
-        assert len(calls) == 50
+        return len(calls), run
+
+    def test_oracle_policy_solves_the_oracle_once_a_round(self, monkeypatch):
+        # Fresh contexts serve a new pool every round.
+        cfg = ExperimentConfig(policy="oracle", context_mode="fresh_iid", T=50)
+        calls, run = self.oracle_solves(monkeypatch, cfg)
+        assert calls == 50
         assert run.total_regret == 0.0
+
+    @pytest.mark.parametrize("policy", ["oracle", "random"])
+    def test_fixed_pool_run_solves_the_oracle_once(self, monkeypatch, policy):
+        # The pool's oracle serves the regret of every round and is the
+        # oracle policy's decision, so neither policy solves it again.
+        calls, run = self.oracle_solves(monkeypatch, ExperimentConfig(policy=policy, T=50))
+        assert calls == 1
+        assert (run.total_regret == 0.0) == (policy == "oracle")
 
     def test_fixed_pool_run_builds_no_seed_sequence_per_round(self, monkeypatch):
         # The policy and outcome generators are taken once a run, so the
@@ -364,8 +380,8 @@ class TestThetaStarDiagnostics:
 
 
 class TestPlayedTrajectoryPin:
-    # SHA-256 of the CSV's assortment and outcome columns of the regret
-    # config at T=300, seed 0.  Both columns are integers, so last-bit
+    # SHA-256 of the CSV's assortment and outcome columns of the gate's
+    # regret config at T=300, seed 0.  Both columns are integers, so last-bit
     # float differences cannot move them; a change that alters the played
     # trajectory updates these values and says so in CHANGES.md.
     PINS = {
@@ -378,10 +394,7 @@ class TestPlayedTrajectoryPin:
 
     @staticmethod
     def regret_cfg(policy):
-        return ExperimentConfig(
-            d=2, N=8, K=2, T=300, S=1.0, S_true=1.0, delta=0.1, lambda_override=40.0,
-            refine_top=0, n_dirs=8, restarts=1, track_c_stats=False, policy=policy,
-        )
+        return ExperimentConfig(**{**REGRET_CFG, "T": 300}, policy=policy)
 
     @pytest.mark.parametrize("policy", sorted(PINS))
     def test_regret_config_plays_the_pinned_trajectory(self, policy):
@@ -802,6 +815,19 @@ class TestRunMany:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "cls, required",
+        [(InstanceConfig, {}), (ConfidenceConfig, dict(d=2, K=2)), (ExperimentConfig, {})],
+        ids=["InstanceConfig", "ConfidenceConfig", "ExperimentConfig"],
+    )
+    def test_every_field_rejects_a_foreign_value_by_name(self, cls, required):
+        # Each field checks its own type where it is declared: a value of no
+        # expected type raises a ValueError naming the field, never a
+        # TypeError from a later comparison or an arithmetic error downstream.
+        for f in dataclasses.fields(cls):
+            with pytest.raises(ValueError, match=rf"\b{f.name}\b"):
+                cls(**{**required, f.name: object()})
+
     def test_json_round_trip(self):
         # The path the run metadata and `summarize` take.
         cfg = small_cfg(T=77, policy="bonus_ucb", lambda_override=5.0)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mnl_bandit.checks import MATRIX
 from mnl_bandit.cli import main
 from mnl_bandit.harness import CSV_HEADER, ExperimentConfig, run_experiment
 
@@ -49,6 +50,15 @@ def test_workload_configs_build():
             ExperimentConfig.from_dict(workload.config)
         except ValueError as exc:
             pytest.fail(f"perfbench workload {name}: {exc}")
+
+
+def test_regret_workloads_run_the_matrix_configs():
+    # The gate's regret batches, the equivalence matrix and the benchmark's
+    # regret workloads all run ``checks.REGRET_CFG``: a change to one that
+    # the others do not follow fails here.
+    workloads = load_perfbench("workloads").WORKLOADS
+    for workload, entry in (("regret_e", "regret_cb_mnl_e"), ("regret_random", "regret_random")):
+        assert ExperimentConfig.from_dict(workloads[workload].config) == MATRIX[entry], workload
 
 
 def test_workloads_pass_the_benchmark_output_check(tmp_path):
