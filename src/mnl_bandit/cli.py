@@ -30,6 +30,7 @@ from .harness import (
     save_runs,
     summarize_runs,
 )
+from .policy import ConfigurationError
 from .simulator import Instance, make_instance
 from .checks import CHECKS, MATRIX, MATRIX_SEEDS, run_checks
 
@@ -88,7 +89,11 @@ def cmd_run(args) -> int:
         print(f"mnl-bandit: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     cfg = _load_config(args)
-    logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
+    try:
+        logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
+    except ConfigurationError as exc:  # raised before a run's round 1; nothing is written
+        print(f"mnl-bandit: invalid config: {exc}", file=sys.stderr)
+        return 2
     out_dir = cfg.out_dir or "runs"
     paths = save_runs(logs, out_dir)
     summary = summarize_runs(logs)

@@ -20,9 +20,11 @@ the kernel once at a theta (d,) or at every row of a stack (m, d), and the
 penalized log-likelihood, score, g, H and the Newton Hessian below are all
 derived from that pass, each on first read, with the stack's leading axis.
 The public functions are thin readers of a fresh single-parameter
-evaluation; ``fit_mle`` evaluates each iterate once and returns the
-evaluation at theta_hat, which the confidence state and the boundary
-search read instead of passing over the history again.  The confidence
+evaluation.  ``fit_mle`` makes one pass per iterate, keeps the iterate as
+that pass's arrays and applies the evaluation's own formulas to them; it
+returns the evaluation at theta_hat, assembled from its iterate with no
+pass, which the confidence state and the boundary search read instead of
+passing over the history again.  The confidence
 sets' membership kernels read a stacked evaluation of their probes.  An
 evaluation is a snapshot: rounds appended after it was made do not change
 what it reports.
@@ -206,6 +208,46 @@ class _once:
         return value
 
 
+def _kernel_pass(history: History, theta: np.ndarray) -> tuple:
+    """One pass at ``theta`` (d,) or a stack (m, d): the utilities (n,) or (n,
+    m), the squared norms, and ``_segment_exp``'s shifts, exponentials and
+    normalizers."""
+    u = history.ctx_flat @ theta.T  # one column per parameter
+    # The ridge's and the ball test's; ``.sum`` wraps this same reduction.
+    return (u, np.add.reduce(theta * theta, axis=-1), *_segment_exp(history, u))
+
+
+# The likelihood formulas, each written once; ``_Evaluation`` derives its
+# quantities from them and ``fit_mle`` its iterates'.
+def _log_likelihood(purchases, offers, u, m, total, lam, sq_norm):
+    """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
+    ll = purchases @ u - offers @ (m + np.log(total))
+    return ll - 0.5 * lam * sq_norm
+
+
+def _mu(ez: np.ndarray, total: np.ndarray, seg_ids: np.ndarray) -> np.ndarray:
+    """Softmax probability of every stored row, (n,) or (n, m)."""
+    return ez / total[seg_ids]
+
+
+def _n_mu(row_offers: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """n mu per row, n the offer count of the row's block: (n,) or (m, n)."""
+    return row_offers * mu.T
+
+
+def _score(ctx, purchases, n_mu, lam, theta):
+    """sum_rows (c - n mu) x - lam theta."""
+    return (purchases - n_mu) @ ctx - lam * theta
+
+
+def _newton_hessian(ctx, starts, offers, mu, n_mu, ridge):
+    """Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i, plus
+    ``ridge``, the (d, d) matrix lam I.  Adding it gives the bits ``_gram``'s
+    diagonal add would."""
+    seg_means = np.add.reduceat(mu[:, None] * ctx, starts, axis=0)
+    return ctx.T @ (n_mu[:, None] * ctx) + ridge - seg_means.T @ (offers[:, None] * seg_means)
+
+
 class _Evaluation:
     """Every likelihood quantity at one parameter or a stack, from one kernel pass.
 
@@ -213,79 +255,86 @@ class _Evaluation:
     its leading axis: the penalized log-likelihood is () or (m,), the score
     and g are (d,) or (m, d), and H is (d, d) or (m, d, d).  The Newton
     Hessian is read for one parameter only.  All are read off one
-    ``_segment_exp`` pass; each is derived on first read and kept.  The
-    evaluation is a snapshot of the history it was made from: it keeps the
-    history's arrays, which ``History.append`` replaces and never writes
-    into.  ``theta`` must already be float of the history's dimension
-    (``_evaluate`` checks a single parameter).
+    ``_kernel_pass``; each is derived on first read and kept.  ``kernel``,
+    that pass's outputs at ``theta`` on the history's rows, is taken instead
+    of a pass when given.  The evaluation is a snapshot of the history it
+    was made from: it keeps the history's arrays, which ``History.append``
+    replaces and never writes into.  ``theta`` must already be float of the
+    history's dimension (``_evaluate`` checks a single parameter).
     """
 
-    def __init__(self, history: History, theta: np.ndarray, lam: float):
+    def __init__(self, history: History, theta: np.ndarray, lam: float, kernel: tuple = ()):
         self.theta = theta
         self.lam = lam
         self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
         self.offers, self.purchases = history.offers, history.purchases
-        self.u = self.ctx @ theta.T  # (n,) or (n, m): one column per parameter
-        # The ridge's and the ball test's; ``.sum`` wraps this same reduction.
-        self.sq_norm = np.add.reduce(theta * theta, axis=-1)
-        self._m, self._ez, self._total = _segment_exp(history, self.u)
+        kernel = kernel or _kernel_pass(history, theta)
+        self.u, self.sq_norm, self._m, self._ez, self._total = kernel
 
     def recounted(self, history: History, lam: float) -> "_Evaluation":
         """The evaluation at this theta on the history's current counts.
 
         If the history still holds the rows this evaluation was made from
         (``History.append`` replaces ``ctx_flat`` only when a block arrives),
-        the kernel's outputs and mu are kept and every count-dependent
-        quantity is derived afresh, with no pass over the history; otherwise
-        theta is evaluated anew.  A fit's warm start, its one user, is
-        carried from round to round this way.
+        the kernel's outputs, mu and, at the same lam, the ridge lam I are
+        kept and every count-dependent quantity is derived afresh, with no
+        pass over the history; otherwise theta is evaluated anew.  A fit's
+        warm start, its one user, is carried from round to round this way.
         """
         if self.ctx is not history.ctx_flat:
             return _evaluate(history, self.theta, lam)
-        ev = object.__new__(_Evaluation)
-        ev.theta, ev.lam = self.theta, lam
-        ev.ctx, ev.seg_ids, ev.starts = self.ctx, self.seg_ids, self.starts
-        ev.offers, ev.purchases = history.offers, history.purchases
-        ev.u, ev.sq_norm, ev.mu = self.u, self.sq_norm, self.mu
-        ev._m, ev._ez, ev._total = self._m, self._ez, self._total
+        kernel = (self.u, self.sq_norm, self._m, self._ez, self._total)
+        ev = _Evaluation(history, self.theta, lam, kernel)
+        ev.mu = self.mu
+        if lam == self.lam:
+            ev.ridge = self.ridge
         return ev
 
     @_once
     def log_likelihood(self) -> float | np.ndarray:
         """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
-        ll = self.purchases @ self.u - self.offers @ (self._m + np.log(self._total))
-        return ll - 0.5 * self.lam * self.sq_norm
+        return _log_likelihood(
+            self.purchases, self.offers, self.u, self._m, self._total, self.lam, self.sq_norm
+        )
 
     @_once
     def mu(self) -> np.ndarray:
         """Softmax probability of every stored row, (n,) or (n, m)."""
-        return self._ez / self._total[self.seg_ids]
+        return _mu(self._ez, self._total, self.seg_ids)
 
     @_once
-    def _n_mu(self) -> np.ndarray:
-        """n mu per row, n the offer count of the row's block: (n,) or (m, n)."""
-        return self.offers[self.seg_ids] * self.mu.T
+    def row_offers(self) -> np.ndarray:
+        """Offer count of each stored row's block."""
+        return self.offers[self.seg_ids]
+
+    @_once
+    def n_mu(self) -> np.ndarray:
+        """n mu per row, (n,) or (m, n)."""
+        return _n_mu(self.row_offers, self.mu)
 
     @_once
     def score(self) -> np.ndarray:
-        return (self.purchases - self._n_mu) @ self.ctx - self.lam * self.theta
+        return _score(self.ctx, self.purchases, self.n_mu, self.lam, self.theta)
 
     @_once
     def g(self) -> np.ndarray:
-        return self._n_mu @ self.ctx + self.lam * self.theta
+        return self.n_mu @ self.ctx + self.lam * self.theta
 
     @_once
     def H(self) -> np.ndarray:
         mu = self.mu.T
-        return _gram(self.ctx, self.offers[self.seg_ids] * (mu * (1.0 - mu)), self.lam)
+        return _gram(self.ctx, self.row_offers * (mu * (1.0 - mu)), self.lam)
+
+    @_once
+    def ridge(self) -> np.ndarray:
+        """lam I, (d, d): read-only, since recounted evaluations share it."""
+        ridge = self.lam * np.eye(self.ctx.shape[1])
+        ridge.flags.writeable = False
+        return ridge
 
     @_once
     def nll_hessian(self) -> np.ndarray:
-        """Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i, plus lam I."""
-        seg_means = np.add.reduceat(self.mu[:, None] * self.ctx, self.starts, axis=0)
-        return _gram(self.ctx, self._n_mu, self.lam) - seg_means.T @ (
-            self.offers[:, None] * seg_means
-        )
+        return _newton_hessian(self.ctx, self.starts, self.offers, self.mu, self.n_mu, self.ridge)
 
 
 def _evaluate(history: History, theta: np.ndarray, lam: float) -> _Evaluation:
@@ -351,14 +400,18 @@ def fit_mle(
 
     Converged means the score norm is at most ``tol``; otherwise the best
     iterate found is returned with ``converged=False`` and the caller
-    decides what to do with it.  Each iterate is evaluated once: the
-    evaluation of an accepted line-search candidate gives the next step's
-    score and Hessian, and the result carries the evaluation at theta_hat.
-    ``theta0`` is a start parameter or a previous fit's result, whose
-    theta_hat is the start; if the history has gained no row since that
-    fit, its evaluation is recounted on the current counts rather than
-    made again.  A full step that brings the score norm to at most 0.9
-    times its last value is taken without reading its log-likelihood.
+    decides what to do with it.  Each iterate takes one kernel pass and is
+    kept as that pass's arrays, from which the likelihood formulas give its
+    score, Newton Hessian and, when the line search reads it, its
+    log-likelihood.  The rows' offer counts are gathered once per fit, and
+    the ridge lam I is the start evaluation's.  The result carries the
+    evaluation at theta_hat, assembled from its iterate's arrays with no
+    further pass.  ``theta0`` is a start parameter or a previous fit's
+    result, whose theta_hat is the start; if the history has gained no row
+    since that fit, its evaluation is recounted on the current counts (its
+    ridge kept) rather than made again.  A full step that brings the score
+    norm to at most 0.9 times its last value is taken without reading its
+    log-likelihood.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1 for a well-posed fit, got {lam}")
@@ -367,29 +420,46 @@ def fit_mle(
     else:
         theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
         ev = _evaluate(history, theta, lam)
+    ctx, seg_ids, starts = ev.ctx, ev.seg_ids, ev.starts
+    offers, purchases, n_row = ev.offers, ev.purchases, ev.row_offers
+    # The Newton Hessian is a sum of PSD block terms plus lam I with lam >=
+    # 1, so it is positive definite and the solve is regular.
+    ridge = ev.ridge
+    theta, kernel = ev.theta, (ev.u, ev.sq_norm, ev._m, ev._ez, ev._total)
+    mu, n_mu, s = ev.mu, ev.n_mu, ev.score
+    s_norm = _norm(s)
+    ll = None  # the iterate's log-likelihood, once the line search reads it
     steps = 0
-    while True:
-        s = ev.score
-        s_norm = _norm(s)
-        if s_norm <= tol or steps >= max_iter:
-            break
-        # The Newton Hessian is a sum of PSD block terms plus lam I with
-        # lam >= 1, so it is positive definite and the solve is regular.
-        step = np.linalg.solve(ev.nll_hessian, s)
+    while s_norm > tol and steps < max_iter:
+        step = np.linalg.solve(_newton_hessian(ctx, starts, offers, mu, n_mu, ridge), s)
         slope = float(s @ step)
         a = 1.0
-        moved = False
         while a >= 1e-12:
-            cand = _Evaluation(history, ev.theta + a * step, lam)  # a d-vector: no check
+            cand = theta + a * step
+            c_kernel = c_u, c_sq, c_m, c_ez, c_total = _kernel_pass(history, cand)
+            c_mu = _mu(c_ez, c_total, seg_ids)
+            c_n_mu = _n_mu(n_row, c_mu)
+            c_s = _score(ctx, purchases, c_n_mu, lam, cand)
+            c_norm = _norm(c_s)
             # Near the optimum the objective improvement drowns in rounding;
-            # a contracting score norm is still progress.  The next step
-            # reads that score anyway, so it is tested first.
-            contracts = a == 1.0 and _norm(cand.score) <= 0.9 * s_norm
-            if contracts or float(cand.log_likelihood) >= float(ev.log_likelihood) + 1e-4 * a * slope:
-                ev, moved = cand, True
+            # a contracting score norm is still progress.
+            contracts = a == 1.0 and c_norm <= 0.9 * s_norm
+            if not contracts:
+                if ll is None:
+                    u, sq_norm, m, _, total = kernel
+                    ll = _log_likelihood(purchases, offers, u, m, total, lam, sq_norm)
+                c_ll = _log_likelihood(purchases, offers, c_u, c_m, c_total, lam, c_sq)
+            if contracts or c_ll >= ll + 1e-4 * a * slope:
                 break
             a *= 0.5
-        if not moved:
+        else:
             break  # line search hit the numerical floor
+        theta, kernel, mu, n_mu, s, s_norm = cand, c_kernel, c_mu, c_n_mu, c_s, c_norm
+        ll = None if contracts else c_ll
         steps += 1
-    return MleResult(ev.theta, s_norm, steps, s_norm <= tol, ev)
+    if steps:  # theta_hat's evaluation, from its iterate's arrays
+        ev = _Evaluation(history, theta, lam, kernel)
+        ev.mu, ev.row_offers, ev.n_mu, ev.score, ev.ridge = mu, n_row, n_mu, s, ridge
+    if ll is not None:
+        ev.log_likelihood = ll
+    return MleResult(theta, s_norm, steps, s_norm <= tol, ev)

@@ -14,9 +14,10 @@ checks) are simulator-side only; the policy never reads them.  A run keeps
 theta_star's penalized log-likelihood, g and H_t(theta_star) as running
 sums over the rounds played, for its coverage and its deviation norm, so
 theta_star's side never passes over the history.  Each round adds its terms
-from one record per played assortment, which also holds theta_star's
-choice distribution there; on a fixed pool a record is built once per
-assortment played.
+from one record per played assortment, which also holds the assortment's
+checked contexts and theta_star's choice distribution and revenue there;
+on a fixed pool a record is built once per assortment played, and the
+random baseline and the regret read it in every round that replays it.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ from .confidence import (
 )
 from .estimation import History, _gram, matrix_V
 from .policy import (
+    ConfigurationError,
     Decision,
     PolicyKind,
     assortment_count,
@@ -257,8 +259,9 @@ class RunLog:
 
 
 class _StarLaw:
-    """theta_star on one played assortment, from its K rows alone: the choice
-    distribution, and the terms a round on it adds to ``_StarSums``.
+    """One played assortment's record: its checked contexts, theta_star's
+    choice distribution and revenue there, and the terms a round on it adds
+    to ``_StarSums``, all from its K rows alone.
 
     One ``choice._shifted_exp`` pass gives both the distribution and the
     log-normalizer lse = log(1 + sum_i exp u_i) = m + log(total), which
@@ -267,12 +270,35 @@ class _StarLaw:
     """
 
     def __init__(self, ass: AssortmentContexts, theta_star: np.ndarray):
+        self.ass = ass
         self.u = u = ass.contexts @ theta_star
         self.dist, m, total = _distribution(u)
         ctx, mu = ass.contexts, self.dist.item_probs
+        self.revenue = float(mu @ ass.prices)  # as ``expected_revenue`` gives it
         self.lse = float(m) + math.log(total)
         self.g = mu @ ctx  # sum_i mu_i x_i
         self.H = _gram(ctx, mu * (1.0 - mu), 0.0)  # sum_i mu_i (1 - mu_i) x_i x_i^T
+
+
+class _PoolRecords(dict):
+    """The ``_StarLaw`` of each assortment played from one pool, by its indices.
+
+    A run keeps one for its fixed pool, or a new one for each fresh pool.
+    """
+
+    def __init__(self, pool: np.ndarray, instance: Instance):
+        super().__init__()
+        self.pool, self.instance = pool, instance
+
+    def of(self, indices: tuple[int, ...], ass: AssortmentContexts | None = None) -> _StarLaw:
+        """The record of ``indices``, made on its first appearance from ``ass``
+        or, without it, from the contexts ``from_pool`` picks and checks."""
+        law = self.get(indices)
+        if law is None:
+            if ass is None:
+                ass = AssortmentContexts.from_pool(self.pool, indices, self.instance.prices)
+            law = self[indices] = _StarLaw(ass, self.instance.theta_star)
+        return law
 
 
 class _StarSums:
@@ -314,6 +340,7 @@ def _policy_decision(
     cfg: ExperimentConfig,
     kappa_hat: float,
     rng: np.random.Generator,
+    laws: _PoolRecords,
 ) -> Decision:
     prices = instance.prices
     if kind in (PolicyKind.CB_MNL_E, PolicyKind.CB_MNL_C):
@@ -332,20 +359,28 @@ def _policy_decision(
     if kind is PolicyKind.BONUS_UCB:
         return bonus_ucb_step(pool, history, ccfg, state, kappa_hat=kappa_hat, prices=prices)
     if kind is PolicyKind.RANDOM:
-        a = random_assortment(instance.N, instance.K, rng)
-        ass = AssortmentContexts.from_pool(pool, a, prices)
+        ass = laws.of(random_assortment(instance.N, instance.K, rng)).ass
         return Decision(ass, state.theta_hat.copy(), expected_revenue(ass, state.theta_hat))
     raise ValueError(f"unhandled policy kind {kind}")
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
-    """One seeded run; deterministic in (cfg, seed)."""
+    """One seeded run; deterministic in (cfg, seed).
+
+    ``ConfigurationError`` before round 1 when the policy cannot run on the
+    instance: ``bonus_ucb`` with an infinite curvature estimate.
+    """
     t_start = time.perf_counter()
     kind = PolicyKind(cfg.policy)
     instance = make_instance(cfg, seed)
     ccfg = cfg.confidence_config()
     lam = ccfg.lam
     kappa = estimate_kappa(instance)
+    if kind is PolicyKind.BONUS_UCB and not math.isfinite(kappa):
+        raise ConfigurationError(
+            f"kappa_hat is {kappa} at S={cfg.S} (seed {seed}), and bonus_ucb's bonus "
+            f"scales with it; reduce S"
+        )
 
     history = History(cfg.d)
     records: list[RoundRecord] = []
@@ -360,7 +395,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
 
     # The pool's oracle and theta_star's records on it, by assortment.
     oracle: Decision | None = None
-    laws: dict[tuple[int, ...], _StarLaw] = {}
+    laws: _PoolRecords | None = None
     bound_factor = 2.0 * (1.0 + 2.0 * cfg.S)
 
     rng_policy = stream(seed, TAG_POLICY)
@@ -374,23 +409,21 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         previous_fit = state.mle
 
         if t == 1 or cfg.context_mode != FIXED_POOL:
-            laws = {}
+            laws = _PoolRecords(pool, instance)
             oracle = _oracle(pool, instance)
         decision = oracle if kind is PolicyKind.ORACLE else _policy_decision(
-            kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy
+            kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy, laws
         )
         oracle_value = oracle.optimistic_value
 
         # theta_star's distribution on the played assortment draws the
-        # outcome (as ``environment_step`` does) and serves the regret.
+        # outcome (as ``environment_step`` does), and its revenue there
+        # serves the regret.
         played = decision.assortment
-        law = laws.get(played.indices)
-        if law is None:
-            law = laws[played.indices] = _StarLaw(played, theta_star)
+        law = laws.of(played.indices, played)
         outcome = sample_choice(law.dist, rng_outcome)
 
-        played_value = float(law.dist.item_probs @ played.prices)
-        inst_regret = oracle_value - played_value
+        inst_regret = oracle_value - law.revenue
         cum += inst_regret
 
         covered_e = bool(_E_member(at_star, ccfg, state)[0])

@@ -49,7 +49,8 @@ _EPS = np.finfo(float).eps / 2  # unit roundoff
 
 
 class ConfigurationError(ValueError):
-    """Raised when an instance is too large to enumerate exhaustively."""
+    """Raised when a config cannot be run: an instance too large to enumerate
+    exhaustively, or a ``bonus_ucb`` run whose curvature estimate is infinite."""
 
 
 class PolicyKind(str, Enum):

@@ -115,6 +115,21 @@ class TestRunCommand:
         assert problem in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("S", [700.0, 800.0])
+    def test_bonus_with_infinite_kappa_fails_before_running(self, tmp_path, capsys, S):
+        # At these radii, seed 0's curvature estimate is inf, and the bonus
+        # baseline would write opt_value = inf in every row.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"d": 2, "N": 5, "K": 2, "T": 15, "S": S, "S_true": S, "policy": "bonus_ucb"}
+        ))
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mnl-bandit: invalid config: kappa_hat is inf")
+        assert f"S={S}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_bad_jobs_fails_before_running(self, tmp_path, config_file, capsys, jobs):
         out = tmp_path / "runs"

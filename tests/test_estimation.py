@@ -672,6 +672,34 @@ class TestWarmStartFromTheLastFit:
             assert kernel_passes == [] and again.iterations == 0
             assert np.array_equal(again.theta_hat, res.theta_hat)
 
+    def test_warm_started_fits_of_a_run_evaluate_exactly(self, monkeypatch):
+        # Each round of a random run fits from the last round's result: a
+        # round that adds a block passes over the rows anew, and one that
+        # repeats a block only recounts.  Either way the evaluation the fit
+        # returns, assembled from its last iterate, is theta_hat's exactly.
+        import mnl_bandit.harness as harness
+        from mnl_bandit.checks import REGRET_CFG
+        from mnl_bandit.harness import ExperimentConfig, run_experiment
+
+        build = harness.build_confidence_state
+        kinds = []
+
+        def checked_build(history, ccfg, t, theta0=None):
+            state = build(history, ccfg, t, theta0=theta0)
+            ev = state.mle.evaluation
+            kinds.append(theta0 is not None and theta0.evaluation.ctx is history.ctx_flat)
+            assert np.array_equal(ev.theta, state.theta_hat)
+            assert_same_as_reference(
+                ev.log_likelihood, ev.score, ev.g, ev.H, ev.nll_hessian,
+                separate_pass_reference(history, state.theta_hat, ccfg.lam),
+            )
+            return state
+
+        monkeypatch.setattr(harness, "build_confidence_state", checked_build)
+        run_experiment(ExperimentConfig(**{**REGRET_CFG, "T": 60}, policy="random"), seed=0)
+        assert len(kinds) == 60
+        assert 0 < sum(kinds) < 60  # rounds that recount and rounds that add a block
+
     def test_new_rows_or_another_history_take_a_fresh_pass(self, kernel_passes):
         hist, _ = mixed_history(np.random.default_rng(0))
         other, _ = mixed_history(np.random.default_rng(1))

@@ -442,6 +442,18 @@ class TestPlayedTrajectoryPin:
         ]
         assert replayed == [r.outcome for r in run.records]
 
+    @pytest.mark.parametrize("policy", ["random", "cb_mnl_e"])
+    def test_regret_reads_the_played_revenue_exactly(self, policy):
+        # The regret reads theta_star's revenue off the played assortment's
+        # record, made once per assortment: it is expected_revenue's, bit
+        # for bit, in every round.
+        run = run_experiment(ExperimentConfig(**{**REGRET_CFG, "T": 200}, policy=policy), seed=0)
+        inst = run.instance
+        for r in run.records:
+            ass = AssortmentContexts.from_pool(inst.pool, r.assortment, inst.prices)
+            assert r.oracle_value - r.inst_regret == expected_revenue(ass, inst.theta_star)
+        assert len({r.assortment for r in run.records}) > 1
+
     def test_boundary_search_makes_at_most_two_membership_passes(
         self, monkeypatch, member_passes
     ):
@@ -560,10 +572,12 @@ class TestPlayedTrajectoryPin:
         run = run_experiment(ExperimentConfig.from_dict({**cfg.to_dict(), "T": T}), seed=0)
         assert calls["fit"] == T and calls["norm in fit"] == 0
         assert calls["AssortmentContexts"] == calls["ChoiceDistribution"] == 0
-        assert calls["built AssortmentContexts"] == calls["_check_assortment"] >= T
+        # The contexts of each distinct played assortment are picked and
+        # checked once, in its record, and the fixed pool's oracle once.
+        played = {r.assortment for r in run.records}
+        assert calls["built AssortmentContexts"] == calls["_check_assortment"] == len(played) + 1
         # theta_hat's law each round, the fixed pool's oracle law once, and
         # theta_star's law once per distinct played assortment.
-        played = {r.assortment for r in run.records}
         assert calls["built ChoiceDistribution"] == calls["_check_probs"] == T + 1 + len(played)
 
 
