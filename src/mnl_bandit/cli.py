@@ -30,7 +30,7 @@ from .harness import (
     save_runs,
     summarize_runs,
 )
-from .policy import ConfigurationError
+from .policy import ConfigurationError, PolicyKind
 from .simulator import Instance, make_instance
 from .checks import CHECKS, MATRIX, MATRIX_SEEDS, run_checks
 
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="JSON config file")
     p_run.add_argument("--seeds", help="'a..b', 'a,b,c', or one integer")
     p_run.add_argument("--out", help="output directory")
-    p_run.add_argument("--policy", help="cb_mnl_e | cb_mnl_c | bonus_ucb | oracle | random")
+    p_run.add_argument("--policy", help=" | ".join(kind.value for kind in PolicyKind))
     p_run.add_argument("--T", type=int, help="horizon override")
     p_run.add_argument("--delta", type=float, help="confidence level override")
     p_run.add_argument("--jobs", type=int, default=1, help="worker processes, one per seed at most")

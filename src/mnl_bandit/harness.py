@@ -13,11 +13,11 @@ Diagnostics that need theta_star (coverage, deviation norms, the potential
 checks) are simulator-side only; the policy never reads them.  A run keeps
 theta_star's penalized log-likelihood, g and H_t(theta_star) as running
 sums over the rounds played, for its coverage and its deviation norm, so
-theta_star's side never passes over the history.  Each round adds its terms
-from one record per played assortment, which also holds the assortment's
-checked contexts and theta_star's choice distribution and revenue there;
-on a fixed pool a record is built once per assortment played, and the
-random baseline and the regret read it in every round that replays it.
+theta_star's side never passes over the history.  A policy names the
+assortment it plays by its indices; the assortment's record, one per
+assortment a pool plays (the oracle's too), picks and checks its contexts
+and holds theta_star's law, revenue and round terms there.  On a fixed pool
+each is built once a run, and every later round that plays it reads it.
 """
 from __future__ import annotations
 
@@ -290,13 +290,12 @@ class _PoolRecords(dict):
         super().__init__()
         self.pool, self.instance = pool, instance
 
-    def of(self, indices: tuple[int, ...], ass: AssortmentContexts | None = None) -> _StarLaw:
-        """The record of ``indices``, made on its first appearance from ``ass``
-        or, without it, from the contexts ``from_pool`` picks and checks."""
+    def of(self, indices: tuple[int, ...]) -> _StarLaw:
+        """The record of ``indices``, made on its first appearance from the
+        contexts ``from_pool`` picks and checks."""
         law = self.get(indices)
         if law is None:
-            if ass is None:
-                ass = AssortmentContexts.from_pool(self.pool, indices, self.instance.prices)
+            ass = AssortmentContexts.from_pool(self.pool, indices, self.instance.prices)
             law = self[indices] = _StarLaw(ass, self.instance.theta_star)
         return law
 
@@ -321,13 +320,6 @@ class _StarSums:
         self.log_likelihood += (law.u[outcome - 1] if outcome else 0.0) - law.lse
         self.g += law.g
         self.H += law.H
-
-
-def _oracle(pool: np.ndarray, instance: Instance) -> Decision:
-    """The best assortment of ``pool`` under theta_star, and its revenue there."""
-    best = oracle_assortment(pool, instance.theta_star, instance.K, instance.prices)
-    ass = AssortmentContexts.from_pool(pool, best, instance.prices)
-    return Decision(ass, instance.theta_star.copy(), expected_revenue(ass, instance.theta_star))
 
 
 def _policy_decision(
@@ -360,7 +352,7 @@ def _policy_decision(
         return bonus_ucb_step(pool, history, ccfg, state, kappa_hat=kappa_hat, prices=prices)
     if kind is PolicyKind.RANDOM:
         ass = laws.of(random_assortment(instance.N, instance.K, rng)).ass
-        return Decision(ass, state.theta_hat.copy(), expected_revenue(ass, state.theta_hat))
+        return Decision(ass.indices, state.theta_hat.copy(), expected_revenue(ass, state.theta_hat))
     raise ValueError(f"unhandled policy kind {kind}")
 
 
@@ -410,7 +402,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
 
         if t == 1 or cfg.context_mode != FIXED_POOL:
             laws = _PoolRecords(pool, instance)
-            oracle = _oracle(pool, instance)
+            best = laws.of(oracle_assortment(pool, theta_star, instance.K, instance.prices))
+            oracle = Decision(best.ass.indices, theta_star.copy(), best.revenue)
         decision = oracle if kind is PolicyKind.ORACLE else _policy_decision(
             kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy, laws
         )
@@ -420,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         # outcome (as ``environment_step`` does), and its revenue there
         # serves the regret.
         played = decision.assortment
-        law = laws.of(played.indices, played)
+        law = laws.of(played)
         outcome = sample_choice(law.dist, rng_outcome)
 
         inst_regret = oracle_value - law.revenue
@@ -438,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         records.append(
             RoundRecord(
                 t=t,
-                assortment=played.indices,
+                assortment=played,
                 outcome=outcome,
                 opt_value=decision.optimistic_value,
                 oracle_value=oracle_value,
@@ -453,7 +446,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             )
         )
 
-        history.append(played, outcome)
+        history.append(law.ass, outcome)
         at_star.add(law, outcome)
 
     return RunLog(
@@ -515,9 +508,9 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
         det(V_{T+1}) <= (lam + T K / d)^d,
 
     returned as (potential_lhs, potential_rhs, det_trace_lhs, det_trace_rhs).
-    The potential replays the records, rebuilding each played assortment
-    from ``serve_contexts`` (the fixed pool or the regenerated fresh draw);
-    V, the offers T and the widest block K come off the compressed history.
+    The potential replays the records through one ``_PoolRecords`` per pool,
+    as the run does (the fixed pool, or each regenerated fresh draw); V, the
+    offers T and the widest block K come off the compressed history.
     """
     history = run.history
     d = history.dim
@@ -525,12 +518,13 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
     instance = run.instance
     j_mat = lam * np.eye(d)
     lhs = 0.0
+    laws = None
     for r in run.records:
-        pool = serve_contexts(instance, r.t)
-        ass = AssortmentContexts.from_pool(pool, r.assortment, instance.prices)
+        if laws is None or instance.context_mode != FIXED_POOL:
+            laws = _PoolRecords(serve_contexts(instance, r.t), instance)
         # The run's curvature term J_A = sum_i w_i x_i x_i^T, w = mu(1 - mu):
         # sum_i w_i ||x_i||^2 in the J_t^-1 norm is tr(J_t^-1 J_A).
-        j_a = _StarLaw(ass, instance.theta_star).H
+        j_a = laws.of(r.assortment).H
         lhs += min(float(np.trace(np.linalg.solve(j_mat, j_a))), 1.0)
         j_mat = j_mat + j_a
     _, logdet = np.linalg.slogdet(j_mat)

@@ -9,7 +9,8 @@ and enumerates nothing; at most the leader is then refined by ascent.  Only
 the bonus baseline and the random baseline score every assortment, as rows
 of one integer matrix (see ``enumerate_assortments``).  Either way ties go
 to the lexicographically smaller index tuple, a prefix before its
-extensions, so reruns are reproducible.
+extensions, so reruns are reproducible.  A decision names its assortment
+by its index tuple; the harness picks and checks the contexts.
 """
 from __future__ import annotations
 
@@ -63,7 +64,10 @@ class PolicyKind(str, Enum):
 
 @dataclass
 class Decision:
-    assortment: AssortmentContexts
+    """A round's choice: the assortment, as item indices into the round's
+    pool, and the parameter and value that chose it."""
+
+    assortment: tuple[int, ...]
     theta_used: np.ndarray
     optimistic_value: float
 
@@ -309,14 +313,15 @@ def cb_mnl_step(
     # candidates of one static solve each.
     rows, values = _static_optimum(_attraction(pool, prices, thetas), prices, cfg.K)
     best = _best(rows, values)
-    assortment = AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices)
+    indices = _as_tuple(rows[best])
     value, theta = float(values[best]), thetas[best]
     if set_kind == "E" and refine_top:
+        leader = AssortmentContexts.from_pool(pool, indices, prices)  # the ascent reads its rows
         starts = np.vstack([thetas[:restarts], theta])
-        refined, at = max_revenue_over_E(assortment, history, cfg, state, starts)
+        refined, at = max_revenue_over_E(leader, history, cfg, state, starts)
         if refined > value:
             value, theta = refined, at
-    return Decision(assortment, theta, value)
+    return Decision(indices, theta, value)
 
 
 def bonus_ucb_step(
@@ -345,11 +350,7 @@ def bonus_ucb_step(
     ez, pez = _attraction(pool, prices, state.theta_hat)
     values = _revenues((ez[0], pez[0]), rows) + _gather_sum(item_bonus, rows)
     best = _best(rows, values)
-    return Decision(
-        AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices),
-        state.theta_hat.copy(),
-        float(values[best]),
-    )
+    return Decision(_as_tuple(rows[best]), state.theta_hat.copy(), float(values[best]))
 
 
 def oracle_assortment(

@@ -107,7 +107,7 @@ class Instance(InstanceConfig):
     """Ground truth for one synthetic problem: its shape and one seed's draws.
 
     Construction checks the shape fields by ``InstanceConfig``'s rules, then
-    ``theta_star`` and the pool; a ``ValueError`` names the field.
+    the seed, ``theta_star`` and the pool; a ``ValueError`` names the field.
     """
 
     theta_star: np.ndarray
@@ -119,6 +119,7 @@ class Instance(InstanceConfig):
         self.theta_star = np.asarray(self.theta_star, dtype=float).reshape(-1)
         self.prices = np.asarray(self.prices, dtype=float).reshape(-1)
         super().__post_init__()
+        integer_at_least("seed", self.seed, 0)
         if self.theta_star.shape != (self.d,) or not np.isfinite(self.theta_star).all():
             raise ValueError(
                 f"theta_star must hold d={self.d} finite numbers, got {self.theta_star.tolist()}"
@@ -154,16 +155,16 @@ class Instance(InstanceConfig):
     def from_dict(cls, data: dict) -> "Instance":
         pool = data["pool"]
         return cls(
-            d=int(data["d"]),
-            N=int(data["N"]),
-            K=int(data["K"]),
-            S=float(data["S"]),
-            S_true=float(data["S_true"]),
-            theta_star=np.asarray(data["theta_star"], dtype=float),
+            d=data["d"],
+            N=data["N"],
+            K=data["K"],
+            S=data["S"],
+            S_true=data["S_true"],
+            theta_star=data["theta_star"],
             context_mode=data["context_mode"],
             pool=pool,
-            prices=np.asarray(data["prices"], dtype=float),
-            seed=int(data["seed"]),
+            prices=data["prices"],
+            seed=data["seed"],
         )
 
     def save(self, path) -> None:

@@ -9,6 +9,7 @@ import pytest
 
 from mnl_bandit.cli import main, parse_seeds
 from mnl_bandit.harness import CSV_HEADER, ExperimentConfig, run_experiment, summarize_runs
+from mnl_bandit.policy import PolicyKind
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -56,6 +57,13 @@ class TestRunCommand:
         assert first[0] == CSV_HEADER
         assert len(first) == 13
         assert "mean_final_regret" in capsys.readouterr().out
+
+    def test_policy_help_lists_every_policy(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        listed = " | ".join(kind.value for kind in PolicyKind)
+        assert listed in " ".join(capsys.readouterr().out.split())  # as argparse wraps it
 
     def test_overrides_apply(self, tmp_path, config_file):
         out = tmp_path / "runs"
@@ -328,9 +336,14 @@ class TestInstanceCommand:
             (dict(theta_star=[float("nan"), 0.1]), "theta_star must hold d=2 finite numbers"),
             (dict(pool=[float("nan")] * 16), "pool must hold N*d=16 finite numbers"),
             (dict(pool=[0.1] * 3), "pool must hold N*d=16 finite numbers"),
+            (dict(d=2.7), "d must be an integer >= 1, got 2.7"),
+            (dict(N="8"), "N must be an integer >= 1, got '8'"),
+            (dict(seed=-5), "seed must be an integer >= 0, got -5"),
+            (dict(S="2"), "S must be a finite number, got '2'"),
         ],
         ids=["theta-length", "one-price", "negative-price", "K-above-N", "bogus-mode",
-             "S-below-S_true", "fresh-with-pool", "nan-theta", "nan-pool", "short-pool"],
+             "S-below-S_true", "fresh-with-pool", "nan-theta", "nan-pool", "short-pool",
+             "fractional-d", "string-N", "negative-seed", "string-S"],
     )
     def test_inspect_inconsistent_instance_fails(self, tmp_path, capsys, edit, problem):
         path = tmp_path / "inst.json"

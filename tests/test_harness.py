@@ -36,6 +36,7 @@ from mnl_bandit.harness import (
     save_runs,
     summarize_runs,
 )
+from mnl_bandit.policy import oracle_assortment
 from mnl_bandit.simulator import TAG_OUTCOME, Instance, InstanceConfig, serve_contexts, stream
 
 
@@ -232,7 +233,8 @@ class TestRefinedRounds:
             decision = step(pool, history, ccfg, state, **kw)
             # The history is appended to only after the decision.
             assert in_set_E(decision.theta_used, history, ccfg, state)
-            decisions.append(decision)
+            played = AssortmentContexts.from_pool(pool, decision.assortment, kw["prices"])
+            decisions.append((played, decision.theta_used))
             return decision
 
         monkeypatch.setattr(policy, "max_revenue_over_E", counted)
@@ -241,10 +243,10 @@ class TestRefinedRounds:
             pin_gamma(monkeypatch, 5.0)
         run = run_experiment(cfg, seed=0)
         assert len(refined) == len(decisions) == cfg.T
-        for record, decision in zip(run.records, decisions):
-            value = expected_revenue(decision.assortment, decision.theta_used)
+        for record, (played, theta) in zip(run.records, decisions):
+            value = expected_revenue(played, theta)
             assert record.opt_value == pytest.approx(value, abs=1e-12)
-        norms = [float(np.linalg.norm(d.theta_used)) for d in decisions]
+        norms = [float(np.linalg.norm(theta)) for _, theta in decisions]
         if name == "E_bound":
             assert max(norms) < 0.9 * cfg.S
             assert min(refined) > 0
@@ -525,9 +527,10 @@ class TestPlayedTrajectoryPin:
         assert new_rows == run.history.n_blocks == cfg.T
         assert len(kernel_passes) == fit_passes == run.newton_steps + cfg.T
 
-    def test_random_round_checks_each_object_once(self, monkeypatch):
-        # A short random run of the regret config.  The fit takes its score
-        # norms without np.linalg.norm, and every assortment and choice
+    @pytest.mark.parametrize("policy", ["random", "cb_mnl_e"])
+    def test_round_checks_each_object_once(self, monkeypatch, policy):
+        # A short run of the regret config.  The fit takes its score norms
+        # without np.linalg.norm, and every assortment and choice
         # distribution the run builds is checked once, as it is built: none
         # goes through the dataclass's converting __post_init__.
         import collections
@@ -568,17 +571,21 @@ class TestPlayedTrajectoryPin:
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
 
         T = 60
-        cfg = self.regret_cfg("random")
+        cfg = self.regret_cfg(policy)
         run = run_experiment(ExperimentConfig.from_dict({**cfg.to_dict(), "T": T}), seed=0)
         assert calls["fit"] == T and calls["norm in fit"] == 0
         assert calls["AssortmentContexts"] == calls["ChoiceDistribution"] == 0
-        # The contexts of each distinct played assortment are picked and
-        # checked once, in its record, and the fixed pool's oracle once.
-        played = {r.assortment for r in run.records}
-        assert calls["built AssortmentContexts"] == calls["_check_assortment"] == len(played) + 1
-        # theta_hat's law each round, the fixed pool's oracle law once, and
-        # theta_star's law once per distinct played assortment.
-        assert calls["built ChoiceDistribution"] == calls["_check_probs"] == T + 1 + len(played)
+        # The contexts of each distinct played assortment and of the fixed
+        # pool's oracle are picked and checked once, in its record, which
+        # also holds theta_star's law there.  The random baseline adds
+        # theta_hat's law each round; the optimistic step builds neither.
+        inst = run.instance
+        oracle = oracle_assortment(inst.pool, inst.theta_star, inst.K, inst.prices)
+        records = len({r.assortment for r in run.records} | {oracle})
+        assert records < T
+        assert calls["built AssortmentContexts"] == calls["_check_assortment"] == records
+        laws = records + (T if policy == "random" else 0)
+        assert calls["built ChoiceDistribution"] == calls["_check_probs"] == laws
 
 
 class TestEllipticalCheck:
@@ -608,9 +615,15 @@ class TestEllipticalCheck:
         assert det_rhs == pytest.approx(2.0, rel=1e-12)
         assert elliptical_potential([run]).passed
 
-    def test_replays_the_played_rounds_of_a_fresh_contexts_run(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["fresh_iid", "fixed_pool"])
+    def test_replays_the_played_rounds(self, monkeypatch, mode):
         # The history keeps no per-round log, so the check rebuilds each
         # round's contexts; record what was appended and replay it here.
+        # The check builds one record per assortment a pool plays, as the
+        # run does: each round's on fresh contexts, each distinct one's on
+        # a fixed pool.
+        import mnl_bandit.harness as harness
+
         played = []
         append = History.append
 
@@ -619,9 +632,12 @@ class TestEllipticalCheck:
             return append(self, assortment, outcome)
 
         monkeypatch.setattr(History, "append", recorded)
-        run = run_experiment(small_cfg(context_mode="fresh_iid", T=60), seed=3)
+        run = run_experiment(small_cfg(context_mode=mode, T=60), seed=3)
         monkeypatch.undo()
-        assert len(played) == 60 and run.history.n_blocks == 60
+        distinct = {ass.indices for ass in played}
+        records = 60 if mode == "fresh_iid" else len(distinct)
+        assert len(played) == 60 and run.history.n_blocks == records
+        assert mode == "fresh_iid" or records < 60
         lam, d, theta_star = run.lam, run.cfg.d, run.instance.theta_star
         j_mat, lhs, v_mat = lam * np.eye(d), 0.0, lam * np.eye(d)
         for ass in played:
@@ -632,7 +648,16 @@ class TestEllipticalCheck:
             v_mat = v_mat + ass.contexts.T @ ass.contexts
         rhs = 2.0 * (np.linalg.slogdet(j_mat)[1] - d * math.log(lam))
         k_max = max(ass.cardinality for ass in played)
+        built = []
+        law = harness._StarLaw
+
+        def counted(*args):
+            built.append(1)
+            return law(*args)
+
+        monkeypatch.setattr(harness, "_StarLaw", counted)
         pot_lhs, pot_rhs, det_lhs, det_rhs = elliptical_potential_check(run)
+        assert len(built) == records
         assert (pot_lhs, pot_rhs) == (lhs, rhs)
         assert det_lhs == pytest.approx(float(np.linalg.det(v_mat)), rel=1e-12)
         assert det_rhs == (lam + len(played) * k_max / d) ** d

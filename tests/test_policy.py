@@ -143,7 +143,7 @@ class TestCbMnlStep:
         hist = History(2)
         state = build_confidence_state(hist, cfg, t=1)
         decision = cb_mnl_step(pool, hist, cfg, state, rng=self.rng)
-        assert decision.assortment.indices == (0,)
+        assert decision.assortment == (0,)
 
     def test_symmetric_contexts_tie_break_to_prefix(self):
         pool = np.tile(np.array([[0.4, 0.2]]), (4, 1))
@@ -151,7 +151,7 @@ class TestCbMnlStep:
         state = self._state(hist)
         decision = cb_mnl_step(pool, hist, cfg=self.cfg, state=state,
                                rng=np.random.default_rng(3), refine_top=0, n_dirs=6)
-        assert decision.assortment.indices == (0, 1)
+        assert decision.assortment == (0, 1)
 
     def test_value_attained_by_returned_parameter(self):
         pool = sample_ball(self.rng, 4, 2)
@@ -161,7 +161,8 @@ class TestCbMnlStep:
             decision = cb_mnl_step(pool, hist, self.cfg, state,
                                    rng=np.random.default_rng(4),
                                    refine_top=refine_top, n_dirs=6, restarts=2)
-            got = expected_revenue(decision.assortment, decision.theta_used)
+            played = AssortmentContexts.from_pool(pool, decision.assortment)
+            got = expected_revenue(played, decision.theta_used)
             assert decision.optimistic_value == pytest.approx(got, abs=1e-9)
             assert in_set_E(decision.theta_used, hist, self.cfg, state)
 
@@ -185,7 +186,7 @@ class TestCbMnlStep:
                          refine_top=1, n_dirs=6)
         d2 = cb_mnl_step(pool, hist, self.cfg, state, rng=np.random.default_rng(11),
                          refine_top=1, n_dirs=6)
-        assert d1.assortment.indices == d2.assortment.indices
+        assert d1.assortment == d2.assortment
         assert d1.optimistic_value == d2.optimistic_value
         np.testing.assert_array_equal(d1.theta_used, d2.theta_used)
 
@@ -222,7 +223,8 @@ class TestCbMnlStep:
         state = self._state(hist)
         decision = cb_mnl_step(pool, hist, self.cfg, state, set_kind="C",
                                rng=np.random.default_rng(14))
-        got = expected_revenue(decision.assortment, decision.theta_used)
+        played = AssortmentContexts.from_pool(pool, decision.assortment)
+        got = expected_revenue(played, decision.theta_used)
         assert decision.optimistic_value == pytest.approx(got, abs=1e-9)
         assert in_set_C(decision.theta_used, hist, self.cfg, state)
 
@@ -250,7 +252,7 @@ class TestBonusUcb:
         bonus = bonus_ucb_step(pool, hist, self.cfg, state, kappa_hat=5.0)
         optimistic = cb_mnl_step(pool, hist, self.cfg, state,
                                  rng=np.random.default_rng(0), refine_top=0, n_dirs=4)
-        assert bonus.assortment.indices == optimistic.assortment.indices == (0, 1)
+        assert bonus.assortment == optimistic.assortment == (0, 1)
 
     def test_bonus_is_nonnegative(self):
         rng = np.random.default_rng(15)
@@ -260,7 +262,8 @@ class TestBonusUcb:
             hist.append(AssortmentContexts.from_pool(pool, (0, 1)), 0)
         state = build_confidence_state(hist, self.cfg, t=hist.t + 1)
         decision = bonus_ucb_step(pool, hist, self.cfg, state, kappa_hat=6.0)
-        base = expected_revenue(decision.assortment, state.theta_hat)
+        played = AssortmentContexts.from_pool(pool, decision.assortment)
+        base = expected_revenue(played, state.theta_hat)
         assert decision.optimistic_value >= base - 1e-12
 
     def test_repeated_context_bonus_shrinks(self):
@@ -334,11 +337,10 @@ class TestScorerAgainstReference:
                 for a, rev in reference_revenues(pool, prices, cfg.K, state.theta_hat).items()
             }
             decision = bonus_ucb_step(pool, hist, cfg, state, kappa_hat=kappa_hat, prices=prices)
-            got = decision.assortment.indices
+            got = decision.assortment
             assert got == _argmax_lex(expected)
             # Values reach a few thousand here, so the tolerance is relative.
             assert decision.optimistic_value == pytest.approx(expected[got], rel=1e-12)
-            np.testing.assert_array_equal(decision.assortment.prices, prices[list(got)])
 
 
 class TestRandomAssortment:
@@ -476,7 +478,7 @@ class TestStaticSolveAgainstEnumeration:
             indices, value, theta = enumerated_decision(
                 pool, hist, cfg, state, seen[0], set_kind, prices, restarts, refine_top
             )
-            assert decision.assortment.indices == indices
+            assert decision.assortment == indices
             assert decision.optimistic_value == value
             np.testing.assert_array_equal(decision.theta_used, theta)
 
