@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from .harness import (
-    CSV_HEADER,
+    CSV_COLUMNS,
+    CSV_REALS,
     ExperimentConfig,
     check_aggregable,
     curve_mean_stderr,
@@ -30,7 +31,7 @@ from .harness import (
     save_runs,
     summarize_runs,
 )
-from .policy import ConfigurationError, PolicyKind
+from .policy import PolicyKind
 from .simulator import Instance, make_instance
 from .checks import CHECKS, MATRIX, MATRIX_SEEDS, run_checks
 
@@ -89,11 +90,7 @@ def cmd_run(args) -> int:
         print(f"mnl-bandit: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     cfg = _load_config(args)
-    try:
-        logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
-    except ConfigurationError as exc:  # raised before a run's round 1; nothing is written
-        print(f"mnl-bandit: invalid config: {exc}", file=sys.stderr)
-        return 2
+    logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
     out_dir = cfg.out_dir or "runs"
     paths = save_runs(logs, out_dir)
     summary = summarize_runs(logs)
@@ -131,7 +128,7 @@ def cmd_summarize(args) -> int:
     if not paths:
         print(f"no run CSVs under {args.runs_dir}", file=sys.stderr)
         return 1
-    col = CSV_HEADER.split(",").index("cum_regret")
+    col = CSV_COLUMNS.index("cum_regret")
     metas = [m for p in paths if os.path.exists(m := os.path.splitext(p)[0] + ".json")]
     try:
         curves = {p: np.array([float(r[col]) for r in read_run_csv(p)]) for p in paths}
@@ -161,9 +158,8 @@ def cmd_instance(args) -> int:
     if args.inspect:
         try:
             inst = Instance.load(args.inspect)
-        except (KeyError, OSError, TypeError, ValueError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            print(f"mnl-bandit: invalid instance file {args.inspect}: {detail}", file=sys.stderr)
+        except (OSError, TypeError, ValueError) as exc:
+            print(f"mnl-bandit: invalid instance file {args.inspect}: {exc}", file=sys.stderr)
             return 2
         data = inst.to_dict()
         data["theta_star_norm"] = float(np.linalg.norm(inst.theta_star))
@@ -190,7 +186,6 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-_PLAYS = ("t", "assortment", "outcome", "covered")  # the integer columns
 _REAL_TOL = 1e-9  # how far a reordered sum may move a real
 
 
@@ -206,14 +201,13 @@ def _diff_file(a: str, b: str) -> tuple[str, bool]:
     rows_a, rows_b = read_run_csv(a), read_run_csv(b)
     if rows_a == rows_b:
         return "byte-identical", False
-    names = CSV_HEADER.split(",")
-    plays = [names.index(c) for c in _PLAYS]
+    plays = [j for j, real in enumerate(CSV_REALS) if not real]  # the integer columns
     for i in range(max(len(rows_a), len(rows_b))):
         if i >= min(len(rows_a), len(rows_b)) or any(rows_a[i][j] != rows_b[i][j] for j in plays):
             return f"plays differ from round {i + 1}", True
     worst: dict[str, float] = {}
     for ra, rb in zip(rows_a, rows_b):
-        for name, x, y in zip(names, ra, rb):
+        for name, x, y in zip(CSV_COLUMNS, ra, rb):
             if x != y:
                 delta = abs(float(x) - float(y))
                 worst[name] = max(worst.get(name, 0.0), math.inf if math.isnan(delta) else delta)

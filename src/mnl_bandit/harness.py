@@ -2,13 +2,18 @@
 
 A run is fully determined by (config, seed).  Each round serves contexts,
 fits the MLE, builds the confidence snapshot, lets the policy decide,
-samples the consumer's choice, and appends the round to the history.  The
-per-round trace is written as CSV with the fixed header
+samples the consumer's choice, and appends the round to the history.  A
+config accepts S up to ``S_MAX``, which keeps every exponential of a run in
+float64's range.  The per-round trace is written as CSV.  ``RoundRecord``
+declares its columns, in order, each with its format, and the header, the
+row format and the split into integer and real columns follow from it:
 
     t,assortment,outcome,opt_value,oracle_value,inst_regret,cum_regret,
     gamma,beta,covered,dev_H,dev_bound
 
-and reals printed with 17 significant digits, so reruns are byte-identical.
+Reals are printed with 17 significant digits, so reruns are byte-identical.
+A ``RunLog`` holds the records and reads its total regret and whole-run
+coverage off them; its metadata reads the regularization off the config.
 Diagnostics that need theta_star (coverage, deviation norms, the potential
 checks) are simulator-side only; the policy never reads them.  A run keeps
 theta_star's penalized log-likelihood, g and H_t(theta_star) as running
@@ -28,6 +33,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,7 +56,6 @@ from .confidence import (
 )
 from .estimation import History, _gram, matrix_V
 from .policy import (
-    ConfigurationError,
     Decision,
     PolicyKind,
     assortment_count,
@@ -86,19 +91,27 @@ __all__ = [
     "read_run_config",
     "check_aggregable",
     "loglog_slope",
+    "CSV_COLUMNS",
     "CSV_HEADER",
+    "CSV_REALS",
+    "S_MAX",
 ]
 
-CSV_HEADER = (
-    "t,assortment,outcome,opt_value,oracle_value,inst_regret,cum_regret,"
-    "gamma,beta,covered,dev_H,dev_bound"
-)
-
-
-# One CSV row: integers as such, the assortment as "i|j|...", reals to 17 digits.
-_ROW_FORMAT = "%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
-_REALS = [f == "%.17g" for f in _ROW_FORMAT.split(",")]  # per column: is it a real?
-
+# The largest S a run accepts, so that its arithmetic stays in float64's
+# range (up to about e^709.78).  With ||x|| <= 1 and theta in the S-ball
+# every utility has |u| <= S, so
+# - ``policy._attraction``'s sums over an assortment are at most 1 + K e^S
+#   and K p_max e^S;
+# - an item's share mu and the rest 1 - mu are each at least
+#   e^-S / (1 + K e^S) >= e^-2S / (K + 1), and mu (1 - mu) is at least half
+#   the smaller, so kappa_hat <= 2 (K + 1) e^2S is finite;
+# - ``bonus_ucb``'s bonus adds at most K c2 / lam (||x||^2 in the V^-1 norm
+#   is at most 1 / lam), that is 4 M K kappa_hat (1 + 2S)^2 gamma^2 / lam.
+# At S = 300, e^2S = e^600 leaves a factor above 1e47 for K, the prices and
+# gamma^2 / lam.  ``bonus_ucb`` also scores theta_hat, outside the S-ball:
+# its penalized likelihood is at least the one at 0, so ||theta_hat||^2 <=
+# 2 t log(1 + K) / lam, below 709^2 while t log(1 + K) / lam < 2.5e5.
+S_MAX = 300.0
 
 # Smallest value each integer run setting accepts; InstanceConfig checks d, N and K.
 _INT_MINIMA = dict(T=0, restarts=1, n_dirs=0, refine_top=0)
@@ -155,6 +168,8 @@ class ExperimentConfig(InstanceConfig):
         if repeated := sorted(s for s, n in Counter(self.seeds).items() if n > 1):
             named = ", ".join(map(str, repeated))
             raise ValueError(f"seeds must not repeat a seed, got {named} more than once")
+        if self.S > S_MAX:
+            raise ValueError(f"S must be at most {S_MAX}, which keeps a run in float64's range, got {self.S}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path or null, got {self.out_dir!r}")
         # delta and lam are checked here, then, for a policy that
@@ -183,68 +198,76 @@ class ExperimentConfig(InstanceConfig):
         return cls(**data)
 
 
+_REAL = "%.17g"  # 17 significant digits read back as the same float
+
+
+def _column(fmt: str, text=None):
+    """A run CSV column: the field printed by ``fmt``, after ``text`` if given."""
+    return field(metadata={"format": fmt, "text": text})
+
+
 @dataclass
 class RoundRecord:
-    t: int
-    assortment: tuple[int, ...]
-    outcome: int
-    opt_value: float
-    oracle_value: float
-    inst_regret: float
-    cum_regret: float
-    gamma: float
-    beta: float
-    covered: bool
-    dev_H: float
-    dev_bound: float
+    """One round of a run.  Each field declared by ``_column`` is a column of
+    the run CSV, in declaration order, and declares how it is printed."""
+
+    t: int = _column("%d")
+    assortment: tuple[int, ...] = _column("%s", lambda a: "|".join(map(str, a)))
+    outcome: int = _column("%d")
+    opt_value: float = _column(_REAL)
+    oracle_value: float = _column(_REAL)
+    inst_regret: float = _column(_REAL)
+    cum_regret: float = _column(_REAL)
+    gamma: float = _column(_REAL)
+    beta: float = _column(_REAL)
+    covered: bool = _column("%d")
+    dev_H: float = _column(_REAL)
+    dev_bound: float = _column(_REAL)
     covered_C: bool | None = None  # theta_star in the norm-based set (not in the CSV)
+
+
+_CSV_FIELDS = [f for f in fields(RoundRecord) if "format" in f.metadata]
+CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
+CSV_HEADER = ",".join(CSV_COLUMNS)
+CSV_REALS = tuple(f.metadata["format"] == _REAL for f in _CSV_FIELDS)  # per column: is it a real?
+_ROW_FORMAT = ",".join(f.metadata["format"] for f in _CSV_FIELDS)
 
 
 @dataclass
 class RunLog:
     cfg: ExperimentConfig
     seed: int
-    lam: float
     records: list[RoundRecord]
     instance: Instance
     kappa_hat: float
-    total_regret: float
     wall_time: float
-    coverage_all: bool
     mle_failures: int
     history: History
     newton_steps: int = 0  # Newton iterations summed over the run's MLE fits
+
+    @property
+    def total_regret(self) -> float:
+        return self.records[-1].cum_regret if self.records else 0.0
+
+    @property
+    def coverage_all(self) -> bool:
+        return all(r.covered for r in self.records)
 
     def cum_regret_curve(self) -> np.ndarray:
         return np.array([r.cum_regret for r in self.records])
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        lines += [
-            _ROW_FORMAT
-            % (
-                r.t,
-                "|".join(map(str, r.assortment)),
-                r.outcome,
-                r.opt_value,
-                r.oracle_value,
-                r.inst_regret,
-                r.cum_regret,
-                r.gamma,
-                r.beta,
-                r.covered,
-                r.dev_H,
-                r.dev_bound,
-            )
-            for r in self.records
-        ]
-        return "\n".join(lines) + "\n"
+        columns = []
+        for f in _CSV_FIELDS:
+            values, text = map(attrgetter(f.name), self.records), f.metadata["text"]
+            columns.append(values if text is None else map(text, values))
+        return "\n".join([CSV_HEADER, *map(_ROW_FORMAT.__mod__, zip(*columns))]) + "\n"
 
     def metadata(self) -> dict:
         return {
             "config": self.cfg.to_dict(),
             "seed": self.seed,
-            "lambda": self.lam,
+            "lambda": self.cfg.lam,
             "kappa_hat": self.kappa_hat,
             "total_regret": self.total_regret,
             "coverage_all": self.coverage_all,
@@ -357,32 +380,21 @@ def _policy_decision(
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
-    """One seeded run; deterministic in (cfg, seed).
-
-    ``ConfigurationError`` before round 1 when the policy cannot run on the
-    instance: ``bonus_ucb`` with an infinite curvature estimate.
-    """
+    """One seeded run; deterministic in (cfg, seed)."""
     t_start = time.perf_counter()
     kind = PolicyKind(cfg.policy)
     instance = make_instance(cfg, seed)
     ccfg = cfg.confidence_config()
-    lam = ccfg.lam
     kappa = estimate_kappa(instance)
-    if kind is PolicyKind.BONUS_UCB and not math.isfinite(kappa):
-        raise ConfigurationError(
-            f"kappa_hat is {kappa} at S={cfg.S} (seed {seed}), and bonus_ucb's bonus "
-            f"scales with it; reduce S"
-        )
 
     history = History(cfg.d)
     records: list[RoundRecord] = []
     theta_star = instance.theta_star
     cum = 0.0
-    coverage_all = True
     mle_failures = 0
     newton_steps = 0
     previous_fit = None  # the last round's MleResult, which warm-starts the next fit
-    at_star = _StarSums(theta_star, lam)  # over the rounds before the current one
+    at_star = _StarSums(theta_star, ccfg.lam)  # over the rounds before the current one
     track_c = cfg.track_c_stats or kind is PolicyKind.CB_MNL_C
 
     # The pool's oracle and theta_star's records on it, by assortment.
@@ -422,7 +434,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         covered_e = bool(_E_member(at_star, ccfg, state)[0])
         covered_c = bool(_C_member(at_star, ccfg, state)[0]) if track_c else None
         covered = covered_c if kind is PolicyKind.CB_MNL_C else covered_e
-        coverage_all = coverage_all and covered
 
         dtheta = decision.theta_used - theta_star
         dev_h = math.sqrt(max(float(dtheta @ at_star.H @ dtheta), 0.0))
@@ -452,13 +463,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     return RunLog(
         cfg=cfg,
         seed=seed,
-        lam=lam,
         records=records,
         instance=instance,
         kappa_hat=kappa,
-        total_regret=cum,
         wall_time=time.perf_counter() - t_start,
-        coverage_all=coverage_all,
         mle_failures=mle_failures,
         newton_steps=newton_steps,
         history=history,
@@ -514,7 +522,7 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
     """
     history = run.history
     d = history.dim
-    lam = run.lam
+    lam = run.cfg.lam
     instance = run.instance
     j_mat = lam * np.eye(d)
     lhs = 0.0
@@ -629,9 +637,9 @@ def read_run_csv(path: str) -> list[list[str]]:
         with open(path) as fh:
             if fh.readline().rstrip("\n") == CSV_HEADER:
                 rows = [line.rstrip("\n").split(",") for line in fh]
-                if all(len(r) == len(_REALS) for r in rows):
+                if all(len(r) == len(CSV_REALS) for r in rows):
                     for r in rows:
-                        list(map(float, compress(r, _REALS)))
+                        list(map(float, compress(r, CSV_REALS)))
                     return rows
     except ValueError:  # a real that is not a number, or bytes that are not text
         pass

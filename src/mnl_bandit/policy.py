@@ -51,7 +51,7 @@ _EPS = np.finfo(float).eps / 2  # unit roundoff
 
 class ConfigurationError(ValueError):
     """Raised when a config cannot be run: an instance too large to enumerate
-    exhaustively, or a ``bonus_ucb`` run whose curvature estimate is infinite."""
+    exhaustively."""
 
 
 class PolicyKind(str, Enum):
@@ -158,9 +158,10 @@ def _attraction(
     one row); ``prices=None`` means unit prices.  Both tables are
     ``(n_cand, N)`` raw, unshifted exponentials, which stay finite while
     every |x . theta| is below about 709 (exp overflows float64 past that).
-    With ||x|| <= 1 any candidate of norm below 709 qualifies:
-    confidence-set and S-ball points, theta_star and the ridge-regularized
-    MLE all sit far inside that.
+    With ||x|| <= 1 a candidate in the S-ball (confidence-set points and
+    theta_star) qualifies, and so do the sums over an assortment, since a
+    run's S is at most ``harness.S_MAX`` = 300; the comment there derives
+    that bound and the one on the ridge-regularized MLE's norm.
     """
     ez = np.exp(np.atleast_2d(thetas) @ np.asarray(pool, dtype=float).T)
     return ez, ez if prices is None else np.asarray(prices, dtype=float) * ez

@@ -116,8 +116,8 @@ class Instance(InstanceConfig):
     seed: int
 
     def __post_init__(self) -> None:
-        self.theta_star = np.asarray(self.theta_star, dtype=float).reshape(-1)
-        self.prices = np.asarray(self.prices, dtype=float).reshape(-1)
+        self.theta_star = _real_array("theta_star", self.theta_star).reshape(-1)
+        self.prices = _real_array("prices", self.prices).reshape(-1)
         super().__post_init__()
         integer_at_least("seed", self.seed, 0)
         if self.theta_star.shape != (self.d,) or not np.isfinite(self.theta_star).all():
@@ -127,7 +127,7 @@ class Instance(InstanceConfig):
         if (self.pool is not None) != (self.context_mode == FIXED_POOL):
             raise ValueError(f"pool must be given exactly when context_mode is {FIXED_POOL!r}")
         if self.pool is not None:
-            self.pool = np.asarray(self.pool, dtype=float)
+            self.pool = _real_array("pool", self.pool)
             if self.pool.size != self.N * self.d or not np.isfinite(self.pool).all():
                 raise ValueError(f"pool must hold N*d={self.N * self.d} finite numbers")
             self.pool = self.pool.reshape(self.N, self.d)
@@ -138,34 +138,19 @@ class Instance(InstanceConfig):
             raise ValueError("theta_star norm exceeds S_true")
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "N": self.N,
-            "K": self.K,
-            "S": self.S,
-            "S_true": self.S_true,
-            "theta_star": [float(x) for x in self.theta_star],
-            "context_mode": self.context_mode,
-            "pool": None if self.pool is None else [float(x) for x in self.pool.ravel()],
-            "prices": [float(x) for x in self.prices],
-            "seed": self.seed,
-        }
+        """The fields by name, in declaration order; arrays as flat lists (the pool row by row)."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.ravel().tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
-        pool = data["pool"]
-        return cls(
-            d=data["d"],
-            N=data["N"],
-            K=data["K"],
-            S=data["S"],
-            S_true=data["S_true"],
-            theta_star=data["theta_star"],
-            context_mode=data["context_mode"],
-            pool=pool,
-            prices=data["prices"],
-            seed=data["seed"],
-        )
+        """ValueError naming every field ``data`` lacks and every key that is no field."""
+        names = [f.name for f in fields(cls)]
+        problems = [f"missing key {name!r}" for name in names if name not in data]
+        problems += [f"{key} is not an instance field" for key in sorted(set(data) - set(names))]
+        if problems:
+            raise ValueError("; ".join(problems))
+        return cls(**data)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -175,6 +160,14 @@ class Instance(InstanceConfig):
     def load(cls, path) -> "Instance":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array; ValueError naming ``name`` unless it holds real numbers only."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "fiu":
+        raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    return np.asarray(array, dtype=float)
 
 
 def make_instance(cfg: InstanceConfig, seed: int) -> Instance:

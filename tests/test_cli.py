@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mnl_bandit.cli import main, parse_seeds
-from mnl_bandit.harness import CSV_HEADER, ExperimentConfig, run_experiment, summarize_runs
+from mnl_bandit.harness import CSV_HEADER, S_MAX, ExperimentConfig, run_experiment, summarize_runs
 from mnl_bandit.policy import PolicyKind
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -124,18 +124,20 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("S", [700.0, 800.0])
-    def test_bonus_with_infinite_kappa_fails_before_running(self, tmp_path, capsys, S):
-        # At these radii, seed 0's curvature estimate is inf, and the bonus
-        # baseline would write opt_value = inf in every row.
+    def test_radius_past_the_bound_fails_before_running(self, tmp_path, capsys, S):
+        # At these radii, seed 0's curvature estimate would be inf, and the
+        # bonus baseline would write opt_value = inf in every row.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
             {"d": 2, "N": 5, "K": 2, "T": 15, "S": S, "S_true": S, "policy": "bonus_ucb"}
         ))
         out = tmp_path / "runs"
-        assert main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("mnl-bandit: invalid config: kappa_hat is inf")
-        assert f"S={S}" in err
+        assert err.startswith(f"mnl-bandit: invalid config: S must be at most {S_MAX}")
+        assert f"got {S}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -340,10 +342,15 @@ class TestInstanceCommand:
             (dict(N="8"), "N must be an integer >= 1, got '8'"),
             (dict(seed=-5), "seed must be an integer >= 0, got -5"),
             (dict(S="2"), "S must be a finite number, got '2'"),
+            (dict(theta_star=["0.1", 0.1]), "theta_star must hold real numbers"),
+            (dict(pool=["0.1"] * 16), "pool must hold real numbers"),
+            (dict(prices=[None] * 8), "prices must hold real numbers"),
+            (dict(bogus=1, seeds=[0]), "bogus is not an instance field; seeds is not an instance field"),
         ],
         ids=["theta-length", "one-price", "negative-price", "K-above-N", "bogus-mode",
              "S-below-S_true", "fresh-with-pool", "nan-theta", "nan-pool", "short-pool",
-             "fractional-d", "string-N", "negative-seed", "string-S"],
+             "fractional-d", "string-N", "negative-seed", "string-S", "string-theta",
+             "string-pool", "null-prices", "unknown-keys"],
     )
     def test_inspect_inconsistent_instance_fails(self, tmp_path, capsys, edit, problem):
         path = tmp_path / "inst.json"
@@ -353,6 +360,19 @@ class TestInstanceCommand:
         assert rc == 2
         assert err.startswith(f"mnl-bandit: invalid instance file {path}: ")
         assert problem in err
+
+    def test_inspect_rejects_numbers_written_as_strings(self, tmp_path, capsys):
+        # Every theta_star and price entry as a string of its digits: the
+        # arrays are checked before NumPy could convert them.
+        path = tmp_path / "inst.json"
+        assert main(["instance", "--seed", "0", "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        for name in ("theta_star", "prices"):
+            data[name] = [str(x) for x in data[name]]
+        path.write_text(json.dumps(data))
+        rc, err = self.invalid(capsys, ["--inspect", str(path)])
+        assert rc == 2
+        assert err.startswith(f"mnl-bandit: invalid instance file {path}: theta_star must hold real numbers")
 
     def test_negative_seed_fails(self, tmp_path, config_file, capsys):
         dest = tmp_path / "inst.json"

@@ -25,7 +25,10 @@ from mnl_bandit.choice import (
 from mnl_bandit.confidence import ConfidenceConfig, in_set_C, in_set_E
 from mnl_bandit.estimation import History, _evaluate
 from mnl_bandit.harness import (
+    CSV_COLUMNS,
     CSV_HEADER,
+    CSV_REALS,
+    S_MAX,
     ExperimentConfig,
     RunLog,
     _StarLaw,
@@ -36,8 +39,16 @@ from mnl_bandit.harness import (
     save_runs,
     summarize_runs,
 )
-from mnl_bandit.policy import oracle_assortment
-from mnl_bandit.simulator import TAG_OUTCOME, Instance, InstanceConfig, serve_contexts, stream
+from mnl_bandit.policy import PolicyKind, oracle_assortment
+from mnl_bandit.simulator import (
+    FIXED_POOL,
+    FRESH_IID,
+    TAG_OUTCOME,
+    Instance,
+    InstanceConfig,
+    serve_contexts,
+    stream,
+)
 
 
 def passes_by_side(monkeypatch, kernel_passes, cfg):
@@ -77,15 +88,27 @@ def small_cfg(**kw):
 
 
 class TestRunExperiment:
-    @pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="ROADMAP item 1")
-    def test_large_radius_runs(self):
-        # The config validator accepts S = 800, but policy._attraction's raw
-        # exp overflows at utilities past about 709; without warnings as
-        # errors the run then fails with IndexError in policy._best.
-        cfg = ExperimentConfig(d=2, N=5, K=2, T=15, S=800.0, S_true=800.0, policy="cb_mnl_e")
+    @pytest.mark.parametrize("S", [800.0, 5000.0])
+    @pytest.mark.parametrize("mode", [FIXED_POOL, FRESH_IID])
+    @pytest.mark.parametrize("policy", [kind.value for kind in PolicyKind])
+    def test_large_radius_is_rejected(self, policy, mode, S):
+        # Past S_MAX policy._attraction's raw exp can overflow (at utilities
+        # past about 709) and kappa_hat's mu (1 - mu) can underflow.
+        with pytest.raises(ValueError, match=rf"S must be at most {S_MAX}, .* got {S}"):
+            ExperimentConfig(d=2, N=5, K=2, T=15, S=S, S_true=S, policy=policy, context_mode=mode)
+
+    @pytest.mark.parametrize("mode", [FIXED_POOL, FRESH_IID])
+    @pytest.mark.parametrize("policy", [kind.value for kind in PolicyKind])
+    def test_runs_at_the_radius_bound(self, policy, mode):
+        # Warnings are errors here, so no exponential of the run overflowed.
+        cfg = ExperimentConfig(
+            d=2, N=5, K=2, T=15, S=S_MAX, S_true=S_MAX, policy=policy, context_mode=mode
+        )
         run = run_experiment(cfg, seed=0)
         assert len(run.records) == cfg.T
-        assert all(math.isfinite(r.opt_value) for r in run.records)
+        assert math.isfinite(run.kappa_hat)
+        reals = [name for name, real in zip(CSV_COLUMNS, CSV_REALS) if real]
+        assert all(math.isfinite(getattr(r, name)) for r in run.records for name in reals)
 
     def test_zero_horizon(self):
         run = run_experiment(small_cfg(T=0), seed=0)
@@ -138,7 +161,7 @@ class TestRunExperiment:
         gammas = [r.gamma for r in run.records]
         assert all(b >= a for a, b in zip(gammas, gammas[1:]))
         for r in run.records:
-            assert r.beta == pytest.approx(r.gamma + r.gamma**2 / run.lam, rel=1e-12)
+            assert r.beta == pytest.approx(r.gamma + r.gamma**2 / run.cfg.lam, rel=1e-12)
 
     def test_policies_all_run(self):
         for policy in ("cb_mnl_e", "cb_mnl_c", "bonus_ucb", "oracle", "random"):
@@ -311,7 +334,7 @@ class TestThetaStarDiagnostics:
         monkeypatch.setattr(harness, "_policy_decision", recorded_decide)
         cfg = ExperimentConfig(**kw)
         run = run_experiment(cfg, seed=0)
-        inst, ccfg, lam = run.instance, cfg.confidence_config(), run.lam
+        inst, ccfg, lam = run.instance, cfg.confidence_config(), run.cfg.lam
         theta_star = inst.theta_star
         hist, j_mat = History(cfg.d), lam * np.eye(cfg.d)
         for r, state, theta in zip(run.records, states, used, strict=True):
@@ -350,7 +373,7 @@ class TestThetaStarDiagnostics:
         monkeypatch.setattr(harness, "_E_member", recorded)
         cfg = ExperimentConfig(**kw)
         run = run_experiment(cfg, seed=0)
-        inst, lam = run.instance, run.lam
+        inst, lam = run.instance, run.cfg.lam
         hist = History(cfg.d)
         for r, (ll, g, h_mat) in zip(run.records, seen, strict=True):
             ev = _evaluate(hist, inst.theta_star, lam)
@@ -606,9 +629,9 @@ class TestEllipticalCheck:
             pool=np.ones((1, 1)), prices=np.ones(1), seed=0,
         )
         run = RunLog(
-            cfg=small_cfg(T=1), seed=0, lam=1.0, records=[],
-            instance=instance, kappa_hat=4.0, total_regret=0.0,
-            wall_time=0.0, coverage_all=True, mle_failures=0, history=hist,
+            cfg=small_cfg(T=1, lambda_override=1.0), seed=0, records=[],
+            instance=instance, kappa_hat=4.0,
+            wall_time=0.0, mle_failures=0, history=hist,
         )
         _, _, det_lhs, det_rhs = elliptical_potential_check(run)
         assert det_lhs == pytest.approx(2.0, rel=1e-12)
@@ -638,7 +661,7 @@ class TestEllipticalCheck:
         records = 60 if mode == "fresh_iid" else len(distinct)
         assert len(played) == 60 and run.history.n_blocks == records
         assert mode == "fresh_iid" or records < 60
-        lam, d, theta_star = run.lam, run.cfg.d, run.instance.theta_star
+        lam, d, theta_star = run.cfg.lam, run.cfg.d, run.instance.theta_star
         j_mat, lhs, v_mat = lam * np.eye(d), 0.0, lam * np.eye(d)
         for ass in played:
             mu = choice_probabilities(ass, theta_star).item_probs
