@@ -33,7 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import AssortmentContexts, finite_number, integer_at_least, revenue_gradient
-from .estimation import History, MleResult, _Evaluation, _evaluate, _norm, fit_mle, matrix_V
+from .estimation import (
+    History,
+    MleResult,
+    _eigvalsh,
+    _Evaluation,
+    _evaluate,
+    _norm,
+    _row_norms,
+    _solve,
+    fit_mle,
+    matrix_V,
+)
 
 __all__ = [
     "L_CONST",
@@ -169,7 +180,7 @@ def _C_member(
     running sums at theta_star over the rounds played.
     """
     dg = ev.g - state.g_at_hat
-    quad = (dg * np.linalg.solve(ev.H, dg[..., None])[..., 0]).sum(axis=-1)
+    quad = (dg * _solve(ev.H, dg[..., None])[..., 0]).sum(axis=-1)
     return _in_ball(ev.sq_norm, cfg) & (quad <= state.gamma**2), quad
 
 
@@ -218,7 +229,7 @@ def _E_holds_ball(history: History, cfg: ConfidenceConfig, state: ConfidenceStat
     every candidate it certifies also passes ``_E_member``'s float test.
     """
     r = cfg.S + _norm(state.theta_hat)
-    lam_max = float(np.linalg.eigvalsh(matrix_V(history, cfg.lam))[-1])
+    lam_max = float(_eigvalsh(matrix_V(history, cfg.lam))[-1])
     level = state.beta**2
     margin = 1e-6 * (level + abs(float(state.mle.evaluation.log_likelihood)))
     return state.mle.score_norm * r + 0.5 * lam_max * r * r <= level - margin
@@ -268,8 +279,9 @@ def e_boundary_multi(
         member, level = _C_member, state.gamma**2
     else:
         raise ValueError(f"unknown set kind {set_kind!r}")
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    norms = np.sqrt(np.add.reduce(dirs * dirs, axis=1))  # np.linalg.norm's arithmetic
+    dirs = np.asarray(directions, dtype=float)
+    dirs = dirs.reshape(-1, dirs.shape[-1])  # one direction is one row
+    norms = _row_norms(dirs)
     v = dirs / np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
     base = state.anchor
     s_ball = _ball_exit(base, v, cfg.S)
@@ -279,10 +291,10 @@ def e_boundary_multi(
     s0 = np.minimum(np.sqrt(2.0 * state.beta**2 / np.maximum(quad, 1e-12)), s_ball)
     s1 = np.minimum(1.3 * s0, s_ball)
     # Both bracket probes in one pass; s1 matters only where s0 is feasible.
-    probes = base + np.concatenate([s0, s1])[:, None] * np.vstack([v, v])
+    probes = base + np.concatenate((s0, s1))[:, None] * np.concatenate((v, v))
     at_hat = base is state.theta_hat or np.array_equal(base, state.theta_hat)
     if not at_hat:
-        probes = np.vstack([probes, base])
+        probes = np.concatenate((probes, base[None]))
     ok, value = member(_Evaluation(history, probes, cfg.lam), cfg, state)
     h = value - level
     m = len(v)
@@ -292,7 +304,7 @@ def e_boundary_multi(
     if (hi > lo).any():
         h_lo = np.where(f0, h0, -level if at_hat else h[-1])
         rise = np.where(f0, h1, h0) - h_lo
-        frac = np.divide(-h_lo, rise, out=np.zeros_like(rise), where=rise > 0.0)
+        frac = np.divide(-h_lo, rise, out=np.zeros(m), where=rise > 0.0)
         s = lo + np.minimum(np.maximum(frac, 0.0), 1.0) * (hi - lo)
         ok, _ = member(_Evaluation(history, base + s[:, None] * v, cfg.lam), cfg, state)
         lo = np.where(ok, s, lo)
@@ -338,23 +350,24 @@ def max_revenue_over_E(
     The returned value is attained by the returned parameter, so it never
     overstates the optimum.
     """
-    theta = np.atleast_2d(np.array(starts, dtype=float))  # a copy: rows move in place
+    theta = np.array(starts, dtype=float)  # a copy: rows move in place
     if theta.size == 0:
         raise ValueError("starts must hold at least one parameter")
+    theta = theta.reshape(-1, theta.shape[-1])  # one start is one row
     val, grad = revenue_gradient(assortment, theta)
-    gnorm = np.linalg.norm(grad, axis=1)
+    gnorm = _row_norms(grad)
     eta = cfg.S / np.where(gnorm > 0.0, gnorm, 1.0)
     live = np.ones(len(theta), dtype=bool)
     whole_ball = _E_holds_ball(history, cfg, state)
     for _ in range(max_iter):
         on_sphere = np.einsum("md,md->m", theta, theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
         sphere = np.where(on_sphere[:, None], theta, 0.0)
-        live &= np.linalg.norm(_drop_outward(grad, sphere), axis=1) >= _GRAD_TOL
-        rows = np.flatnonzero(live)
+        live &= _row_norms(_drop_outward(grad, sphere)) >= _GRAD_TOL
+        rows = live.nonzero()[0]
         if rows.size == 0:
             break
         cand = theta[rows] + eta[rows, None] * grad[rows]
-        norm = np.linalg.norm(cand, axis=1)
+        norm = _row_norms(cand)
         out = norm > cfg.S
         cand[out] *= (cfg.S / norm[out])[:, None]
         cand_val, cand_grad = revenue_gradient(assortment, cand)

@@ -59,6 +59,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs behind np.linalg.solve and eigvalsh
 
 from .choice import AssortmentContexts
 
@@ -124,11 +125,11 @@ class History:
             return
         g = self._blocks.setdefault(ctx.tobytes(), self.n_blocks)
         if g == self.n_blocks:  # first offer of this block
-            self.starts = np.append(self.starts, self.n_items)
-            self.offers = np.append(self.offers, 0.0)
-            self.seg_ids = np.append(self.seg_ids, np.full(k, g))
-            self.purchases = np.append(self.purchases, np.zeros(k))
-            self.ctx_flat = np.vstack([self.ctx_flat, ctx])
+            self.starts = np.concatenate((self.starts, (self.n_items,)))
+            self.offers = np.concatenate((self.offers, (0.0,)))
+            self.seg_ids = np.concatenate((self.seg_ids, (g,) * k))
+            self.purchases = np.concatenate((self.purchases, np.zeros(k)))
+            self.ctx_flat = np.concatenate((self.ctx_flat, ctx))
         # The counts are replaced, never written into, so an evaluation made
         # before this append keeps reading the arrays it was made from.
         self.offers = _incremented(self.offers, g)
@@ -389,6 +390,32 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a float matrix, as ``np.linalg.norm(x,
+    axis=1)`` gives it (the same arithmetic), minus its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for float64 arrays, from the LAPACK gufunc it
+    calls and with its bits, minus its checks, coercion and error state.
+
+    ``b`` is one right-hand side (a vector, ``solve1``) or a matrix of them
+    (``solve``), either under any stack axes ``a`` has, as ``np.linalg.solve``
+    decides.  Every caller passes lam I plus a sum of PSD terms, with lam >=
+    1, so ``a`` is positive definite and the solve is regular.  A singular
+    ``a`` gives NaN and a ``RuntimeWarning`` (invalid value), not
+    ``LinAlgError``; the test suite turns that warning into an error.
+    """
+    return (_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve)(a, b)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` for a float64 array, ascending, from its LAPACK
+    gufunc and with its bits; ``a`` is lam I plus a PSD sum, as for ``_solve``."""
+    return _umath_linalg.eigvalsh_lo(a)
+
+
 def fit_mle(
     history: History,
     lam: float,
@@ -431,7 +458,7 @@ def fit_mle(
     ll = None  # the iterate's log-likelihood, once the line search reads it
     steps = 0
     while s_norm > tol and steps < max_iter:
-        step = np.linalg.solve(_newton_hessian(ctx, starts, offers, mu, n_mu, ridge), s)
+        step = _solve(_newton_hessian(ctx, starts, offers, mu, n_mu, ridge), s)
         slope = float(s @ step)
         a = 1.0
         while a >= 1e-12:

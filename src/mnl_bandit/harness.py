@@ -3,8 +3,9 @@
 A run is fully determined by (config, seed).  Each round serves contexts,
 fits the MLE, builds the confidence snapshot, lets the policy decide,
 samples the consumer's choice, and appends the round to the history.  A
-config accepts S up to ``S_MAX``, which keeps every exponential of a run in
-float64's range.  The per-round trace is written as CSV.  ``RoundRecord``
+config accepts S up to ``S_MAX`` and prices up to ``PRICE_MAX``, which
+keeps every exponential and every price-weighted sum of a run in float64's
+range.  The per-round trace is written as CSV.  ``RoundRecord``
 declares its columns, in order, each with its format, and the header, the
 row format and the split into integer and real columns follow from it:
 
@@ -54,7 +55,7 @@ from .confidence import (
     build_confidence_state,
     default_lambda,
 )
-from .estimation import History, _gram, matrix_V
+from .estimation import History, _gram, _solve, matrix_V
 from .policy import (
     Decision,
     PolicyKind,
@@ -95,6 +96,7 @@ __all__ = [
     "CSV_HEADER",
     "CSV_REALS",
     "S_MAX",
+    "PRICE_MAX",
 ]
 
 # The largest S a run accepts, so that its arithmetic stays in float64's
@@ -112,6 +114,22 @@ __all__ = [
 # its penalized likelihood is at least the one at 0, so ||theta_hat||^2 <=
 # 2 t log(1 + K) / lam, below 709^2 while t log(1 + K) / lam < 2.5e5.
 S_MAX = 300.0
+
+# The largest price a run accepts.  Prices scale the revenue side alone,
+# and with p_max <= PRICE_MAX and S <= S_MAX (e^S < 2e130)
+# - ``policy._attraction``'s price-weighted sums, at most K p_max e^S, are
+#   below 2e149 K, and ``policy._static_optimum``'s Dinkelbach scores
+#   v_i (p_i - lam), at most 2 p_max e^S in size, below 4e149;
+# - ``_static_optimum``'s tau = 32 (K + 2) u p_max (1 + K v_max), u the unit
+#   roundoff and v_max <= e^S, is below 64 (K + 2) u K p_max e^S < 2e136 K^2;
+# - the ascent's revenue gradient has norm at most p_max, so its square is
+#   at most 1e38, and T rounds of regret sum to at most T p_max.
+# ``bonus_ucb``'s theta_hat, outside the S-ball, is covered as far as its
+# unit-price sums are: its price-weighted sums are at most K p_max
+# e^||theta_hat||, finite while ||theta_hat|| < 666 - log K, which the bound
+# on ||theta_hat|| above gives while t log(1 + K) / lam < 2.1e5 (K <= 10^6,
+# as the enumeration guard has it for that policy).
+PRICE_MAX = 1e19
 
 # Smallest value each integer run setting accepts; InstanceConfig checks d, N and K.
 _INT_MINIMA = dict(T=0, restarts=1, n_dirs=0, refine_top=0)
@@ -170,6 +188,11 @@ class ExperimentConfig(InstanceConfig):
             raise ValueError(f"seeds must not repeat a seed, got {named} more than once")
         if self.S > S_MAX:
             raise ValueError(f"S must be at most {S_MAX}, which keeps a run in float64's range, got {self.S}")
+        if self.prices is not None and max(self.prices) > PRICE_MAX:
+            raise ValueError(
+                f"prices must be at most {PRICE_MAX:g}, which keeps a run in float64's range, "
+                f"got {float(max(self.prices))!r}"
+            )
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path or null, got {self.out_dir!r}")
         # delta and lam are checked here, then, for a policy that
@@ -370,6 +393,7 @@ def _policy_decision(
             restarts=cfg.restarts,
             n_dirs=cfg.n_dirs,
             refine_top=cfg.refine_top,
+            contexts_of=lambda indices: laws.of(indices).ass,
         )
     if kind is PolicyKind.BONUS_UCB:
         return bonus_ucb_step(pool, history, ccfg, state, kappa_hat=kappa_hat, prices=prices)
@@ -533,7 +557,7 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
         # The run's curvature term J_A = sum_i w_i x_i x_i^T, w = mu(1 - mu):
         # sum_i w_i ||x_i||^2 in the J_t^-1 norm is tr(J_t^-1 J_A).
         j_a = laws.of(r.assortment).H
-        lhs += min(float(np.trace(np.linalg.solve(j_mat, j_a))), 1.0)
+        lhs += min(float(np.trace(_solve(j_mat, j_a))), 1.0)
         j_mat = j_mat + j_a
     _, logdet = np.linalg.slogdet(j_mat)
     rhs = 2.0 * (logdet - d * math.log(lam))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +31,7 @@ from .confidence import (
     e_boundary_multi,
     max_revenue_over_E,
 )
-from .estimation import History, matrix_V
+from .estimation import History, _solve, matrix_V
 
 __all__ = [
     "PolicyKind",
@@ -143,7 +144,7 @@ def _best(rows: np.ndarray, values: np.ndarray) -> int:
     the -1 padding sorts before every item, a prefix comes before its
     extensions as it does for tuples.
     """
-    cand = np.flatnonzero(values == values.max())
+    cand = (values == values.max()).nonzero()[0]
     if len(cand) == 1:
         return int(cand[0])
     return int(cand[np.lexsort(rows[cand].T[::-1])[0]])
@@ -160,10 +161,12 @@ def _attraction(
     every |x . theta| is below about 709 (exp overflows float64 past that).
     With ||x|| <= 1 a candidate in the S-ball (confidence-set points and
     theta_star) qualifies, and so do the sums over an assortment, since a
-    run's S is at most ``harness.S_MAX`` = 300; the comment there derives
-    that bound and the one on the ridge-regularized MLE's norm.
+    run's S is at most ``harness.S_MAX`` = 300 and its prices at most
+    ``harness.PRICE_MAX`` = 1e19; the comments there derive those bounds
+    and the one on the ridge-regularized MLE's norm.
     """
-    ez = np.exp(np.atleast_2d(thetas) @ np.asarray(pool, dtype=float).T)
+    thetas = np.asarray(thetas)
+    ez = np.exp(thetas.reshape(-1, thetas.shape[-1]) @ np.asarray(pool, dtype=float).T)
     return ez, ez if prices is None else np.asarray(prices, dtype=float) * ez
 
 
@@ -246,12 +249,12 @@ def _static_optimum(
     low, high = bounds[:, 0], bounds[:, 1] if K < N else np.zeros(m)
     # An item is near when low - tau <= score <= high + tau, which needs
     # low - high <= tau; where every price is 0, tau = 0 flags nothing.
-    flagged = np.flatnonzero(low - high < tau)
+    flagged = (low - high < tau).nonzero()[0]
     if flagged.size:
         near = (score >= low[:, None] - tau) & (score <= high[:, None] + tau)
         for j in flagged[near[flagged].any(axis=1)]:
-            sure = np.flatnonzero(score[j] > high[j] + tau)
-            maybe = np.flatnonzero(near[j])
+            sure = (score[j] > high[j] + tau).nonzero()[0]
+            maybe = near[j].nonzero()[0]
             free = K - len(sure)
             if sum(math.comb(len(maybe), k) for k in range(free + 1)) > _NEAR_SETS:
                 continue
@@ -280,6 +283,7 @@ def cb_mnl_step(
     restarts: int = 5,
     n_dirs: int = 16,
     refine_top: int = 1,
+    contexts_of: Callable[[tuple[int, ...]], AssortmentContexts] | None = None,
 ) -> Decision:
     """Optimistic decision over all feasible assortments.
 
@@ -298,7 +302,11 @@ def cb_mnl_step(
     ``restarts`` may not exceed ``n_dirs + 1``) and the leader's own
     candidate; ``refine_top=0`` keeps the screening value.  Refinement
     only raises the leader's value, so it never changes the assortment
-    played.  C is not convex, so its leader is not refined.
+    played.  C is not convex, so its leader is not refined.  The ascent
+    reads the leader's contexts from ``contexts_of(indices)``: the harness
+    passes the round's own record of the assortment, which the round then
+    plays, so its rows are picked once; by default they are picked from
+    the pool with ``AssortmentContexts.from_pool``.
     """
     if isinstance(refine_top, bool) or refine_top not in (0, 1):
         raise ValueError(f"refine_top must be 0 or 1, got {refine_top!r}")
@@ -308,7 +316,7 @@ def cb_mnl_step(
         rng = np.random.default_rng(0)
     dirs = rng.standard_normal((n_dirs, history.dim))
     boundary = e_boundary_multi(history, cfg, state, dirs, set_kind)
-    thetas = np.vstack([state.anchor[None, :], boundary])
+    thetas = np.concatenate((state.anchor[None], boundary))
 
     # The max over assortments of the max over candidates is the max over
     # candidates of one static solve each.
@@ -317,8 +325,11 @@ def cb_mnl_step(
     indices = _as_tuple(rows[best])
     value, theta = float(values[best]), thetas[best]
     if set_kind == "E" and refine_top:
-        leader = AssortmentContexts.from_pool(pool, indices, prices)  # the ascent reads its rows
-        starts = np.vstack([thetas[:restarts], theta])
+        if contexts_of is None:
+            leader = AssortmentContexts.from_pool(pool, indices, prices)
+        else:
+            leader = contexts_of(indices)
+        starts = np.concatenate((thetas[:restarts], theta[None]))
         refined, at = max_revenue_over_E(leader, history, cfg, state, starts)
         if refined > value:
             value, theta = refined, at
@@ -341,8 +352,8 @@ def bonus_ucb_step(
     with M = ``L_CONST``.
     """
     pool = np.asarray(pool, dtype=float)
-    h_norms = np.sqrt(np.einsum("nd,nd->n", pool, np.linalg.solve(state.H_hat, pool.T).T))
-    v_norms_sq = np.einsum("nd,nd->n", pool, np.linalg.solve(matrix_V(history, cfg.lam), pool.T).T)
+    h_norms = np.sqrt(np.einsum("nd,nd->n", pool, _solve(state.H_hat, pool.T).T))
+    v_norms_sq = np.einsum("nd,nd->n", pool, _solve(matrix_V(history, cfg.lam), pool.T).T)
     c1 = (2.0 + 4.0 * cfg.S) * state.gamma
     c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * L_CONST * state.gamma**2
     item_bonus = c1 * h_norms + c2 * v_norms_sq

@@ -28,6 +28,7 @@ from .choice import (
     integer_at_least,
     sample_choice,
 )
+from .estimation import _row_norms
 
 __all__ = [
     "Instance",
@@ -64,7 +65,7 @@ def stream(seed: int, tag: int, *rest: int) -> np.random.Generator:
 def sample_ball(rng: np.random.Generator, n: int, d: int, radius: float = 1.0) -> np.ndarray:
     """Exactly uniform draws from the d-ball: normalized Gaussian times U^(1/d)."""
     g = rng.standard_normal((n, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g /= _row_norms(g)[:, None]
     r = radius * rng.random(n) ** (1.0 / d)
     return g * r[:, None]
 

@@ -1,5 +1,7 @@
 """Shared fixtures: the expensive seeded run batches used by several criteria,
-a counter of likelihood kernel passes and a recorder of set membership tests."""
+a counter of likelihood kernel passes, a recorder of set membership tests and
+a counter of numpy's Python-level wrappers."""
+import collections
 import os
 import time
 
@@ -56,6 +58,36 @@ def kernel_passes(monkeypatch):
 
     monkeypatch.setattr(estimation, "_segment_exp", counting)
     return seen
+
+
+# numpy's Python-level wrappers that a round calls the kernels of instead.
+WRAPPERS = (
+    (np.linalg, "solve"),
+    (np.linalg, "eigvalsh"),
+    (np.linalg, "norm"),
+    (np, "vstack"),
+    (np, "atleast_2d"),
+    (np, "append"),
+    (np, "flatnonzero"),
+)
+
+
+@pytest.fixture
+def wrapper_calls(monkeypatch):
+    """Calls of each of ``WRAPPERS`` by name, from the package or anything else
+    that looks the name up on numpy while the test runs."""
+    calls = collections.Counter()
+
+    def counter(name, real):
+        def counted(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        return counted
+
+    for owner, name in WRAPPERS:
+        monkeypatch.setattr(owner, name, counter(name, getattr(owner, name)))
+    return calls
 
 
 @pytest.fixture

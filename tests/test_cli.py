@@ -140,6 +140,20 @@ class TestRunCommand:
         assert f"got {S}" in err
         assert not out.exists()
 
+    def test_price_past_the_bound_fails_before_running(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"d": 2, "N": 5, "K": 2, "T": 5, "prices": [1e308] * 5, "policy": "oracle"}
+        ))
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mnl-bandit: invalid config: prices must be at most 1e+19")
+        assert "got 1e+308" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_bad_jobs_fails_before_running(self, tmp_path, config_file, capsys, jobs):
         out = tmp_path / "runs"

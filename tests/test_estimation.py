@@ -1,6 +1,7 @@
 """Estimator math: likelihood, score, Newton fit, design matrices."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from mnl_bandit.confidence import (
 )
 from mnl_bandit.estimation import (
     History,
+    _eigvalsh,
     _evaluate,
+    _row_norms,
     _segment_exp,
+    _solve,
     fit_mle,
     g_vector,
     matrix_G,
@@ -731,3 +735,66 @@ class TestDimensionCheck:
         for bad in (np.zeros(2), np.zeros(4)):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 fit_mle(hist, 1.0, theta0=bad)
+
+
+def ridged_psd(rng, lead, d):
+    """lam I plus a PSD sum, lam >= 1: the matrices the LAPACK helpers are given."""
+    a = rng.standard_normal((*lead, d, 3 * d))
+    lam = 1.0 + 40.0 * rng.random((*lead, 1, 1))
+    return a @ np.swapaxes(a, -1, -2) + lam * np.eye(d)
+
+
+class TestLapackHelpers:
+    # The helpers call the gufuncs np.linalg.solve and eigvalsh call, so
+    # they must return the very same bits on the inputs the package gives.
+    CASES = {
+        "vector": ((), lambda rng, d: rng.standard_normal(d)),
+        "matrix": ((), lambda rng, d: rng.standard_normal((d, 4))),
+        "column_stack": ((6,), lambda rng, d: rng.standard_normal((6, d, 1))),
+        "vector_stack": ((6,), lambda rng, d: rng.standard_normal(d)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solve_is_numpy_solve_bit_for_bit(self, case):
+        lead, rhs = self.CASES[case]
+        rng = np.random.default_rng(20)
+        for d in (1, 2, 3, 5, 8):
+            for _ in range(50):
+                a, b = ridged_psd(rng, lead, d), rhs(rng, d)
+                expect = np.linalg.solve(a, b)
+                got = _solve(a, b)
+                assert got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes()
+
+    def test_solve_takes_a_transposed_right_hand_side(self):
+        # bonus_ucb solves against pool.T, a non-contiguous view.
+        rng = np.random.default_rng(21)
+        a, pool = ridged_psd(rng, (), 3), rng.standard_normal((7, 3))
+        assert _solve(a, pool.T).tobytes() == np.linalg.solve(a, pool.T).tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (6,)], ids=["single", "stack"])
+    def test_eigvalsh_is_numpy_eigvalsh_bit_for_bit(self, lead):
+        rng = np.random.default_rng(22)
+        for d in (1, 2, 3, 5, 8):
+            for _ in range(50):
+                a = ridged_psd(rng, lead, d)
+                assert _eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+    @pytest.mark.parametrize("rhs", [np.ones(2), np.ones((2, 1))], ids=["vector", "matrix"])
+    def test_singular_matrix_is_not_silent(self, rhs):
+        # Not LinAlgError as from np.linalg.solve: LAPACK's failure raises
+        # the invalid-value warning, an error under the suite's filters.
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                _solve(singular, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.isnan(_solve(singular, rhs)).all()
+
+    def test_row_norms_are_numpy_norms_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for d in (1, 2, 4, 9):
+            x = rng.standard_normal((500, d)) * 10.0 ** rng.integers(-5, 5, (500, 1))
+            assert _row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()

@@ -28,6 +28,7 @@ from mnl_bandit.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
     CSV_REALS,
+    PRICE_MAX,
     S_MAX,
     ExperimentConfig,
     RunLog,
@@ -109,6 +110,30 @@ class TestRunExperiment:
         assert math.isfinite(run.kappa_hat)
         reals = [name for name, real in zip(CSV_COLUMNS, CSV_REALS) if real]
         assert all(math.isfinite(getattr(r, name)) for r in run.records for name in reals)
+
+    @pytest.mark.parametrize("policy", [kind.value for kind in PolicyKind])
+    def test_large_price_is_rejected(self, policy):
+        # At S = 1 a price of 1e308 overflows policy._attraction's
+        # price-weighted sum.
+        with pytest.raises(ValueError, match=r"prices must be at most 1e\+19, .* got 1e\+308"):
+            ExperimentConfig(d=2, N=5, K=2, T=15, prices=[1.0, 1e308, 1.0, 1.0, 1.0], policy=policy)
+
+    @pytest.mark.parametrize("S", [1.0, S_MAX])
+    @pytest.mark.parametrize("mode", [FIXED_POOL, FRESH_IID])
+    @pytest.mark.parametrize("policy", [kind.value for kind in PolicyKind])
+    def test_runs_at_the_price_bound(self, policy, mode, S):
+        # Warnings are errors here, so no price-weighted sum, squared
+        # gradient or rounding bound of the run overflowed.  Unequal prices
+        # take the static solve through Dinkelbach's iteration.
+        prices = [PRICE_MAX * f for f in (1.0, 0.5, 0.25, 0.8, 0.6)]
+        cfg = ExperimentConfig(
+            d=2, N=5, K=2, T=15, S=S, S_true=S, prices=prices, policy=policy, context_mode=mode
+        )
+        run = run_experiment(cfg, seed=0)
+        assert len(run.records) == cfg.T
+        reals = [name for name, real in zip(CSV_COLUMNS, CSV_REALS) if real]
+        assert all(math.isfinite(getattr(r, name)) for r in run.records for name in reals)
+        assert max(r.oracle_value for r in run.records) > 1e17
 
     def test_zero_horizon(self):
         run = run_experiment(small_cfg(T=0), seed=0)
@@ -276,6 +301,31 @@ class TestRefinedRounds:
         else:
             assert max(norms) == pytest.approx(cfg.S, abs=1e-12)
             assert sum(refined) == 0
+
+    def test_leader_contexts_come_from_the_round_record(self, monkeypatch):
+        # The ascent reads the leader's contexts from the record the round
+        # then plays, so each fresh pool picks the rows of its oracle and of
+        # its played assortment once: one pick a round where they agree.
+        import mnl_bandit.choice as choice
+
+        picks = []
+        pick = choice.AssortmentContexts.from_pool.__func__
+
+        def counted(cls, pool, indices, prices=None):
+            picks.append(tuple(indices))
+            return pick(cls, pool, indices, prices)
+
+        monkeypatch.setattr(choice.AssortmentContexts, "from_pool", classmethod(counted))
+        cfg = ExperimentConfig(**self.CONFIGS["wide_fresh"])
+        run = run_experiment(cfg, seed=0)
+        inst = run.instance
+
+        def oracle(t):
+            return oracle_assortment(serve_contexts(inst, t), inst.theta_star, inst.K, inst.prices)
+
+        distinct = [{r.assortment, oracle(r.t)} for r in run.records]
+        assert len(picks) == sum(map(len, distinct))
+        assert any(len(pair) == 2 for pair in distinct)
 
 
 class TestNormSetScreening:
@@ -609,6 +659,38 @@ class TestPlayedTrajectoryPin:
         assert calls["built AssortmentContexts"] == calls["_check_assortment"] == records
         laws = records + (T if policy == "random" else 0)
         assert calls["built ChoiceDistribution"] == calls["_check_probs"] == laws
+
+
+class TestRoundsSkipNumpyWrappers:
+    # From round 1's contexts on, a run calls the kernels behind numpy's
+    # Python-level wrappers (np.linalg.solve, eigvalsh and norm, vstack,
+    # atleast_2d, append, flatnonzero), never the wrappers: the refined
+    # ascent, both sets' boundary searches, theta_star's C test, the bonus
+    # solves, Dinkelbach's iteration and fresh contexts all run here.
+    @pytest.mark.parametrize("mode", [FIXED_POOL, FRESH_IID])
+    @pytest.mark.parametrize("policy", [kind.value for kind in PolicyKind])
+    def test_no_round_calls_a_wrapper(self, monkeypatch, wrapper_calls, policy, mode):
+        import collections
+
+        import mnl_bandit.harness as harness
+
+        counts = []  # the wrapper calls so far, as each round serves its contexts
+        serve = harness.serve_contexts
+
+        def serving(instance, t):
+            counts.append(collections.Counter(wrapper_calls))
+            return serve(instance, t)
+
+        monkeypatch.setattr(harness, "serve_contexts", serving)
+        cfg = ExperimentConfig(
+            d=2, N=5, K=2, T=25, prices=[1.0, 0.5, 2.0, 1.5, 0.8], policy=policy, context_mode=mode
+        )
+        run_experiment(cfg, seed=0)
+        counts.append(collections.Counter(wrapper_calls))
+        assert len(counts) == cfg.T + 1
+        # The instance's own checks, before round 1, show the counter sees them.
+        assert counts[0]["norm"] > 0
+        assert [after - counts[0] for after in counts[1:]] == [collections.Counter()] * cfg.T
 
 
 class TestEllipticalCheck:
