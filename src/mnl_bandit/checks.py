@@ -9,6 +9,7 @@ scales and seeds, so each statement and its bar exist once.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,13 @@ from .choice import (
 )
 from .confidence import (
     ConfidenceConfig,
+    _ball_exit,
+    _chord_proved,
+    _chord_zero,
+    _E_holds_ball,
     _E_member,
+    _gap_margin,
+    beta_radius,
     build_confidence_state,
     default_lambda,
     e_boundary_multi,
@@ -50,6 +57,7 @@ __all__ = [
     "psd_ordering",
     "g_identity",
     "convex_set_contains_norm_set",
+    "certificate_soundness",
     "deviation_bound",
     "elliptical_potential",
     "coverage",
@@ -251,6 +259,92 @@ def convex_set_contains_norm_set(
     )
 
 
+def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
+    """Every point a proof of E membership certifies passes ``_E_member``'s float test.
+
+    History h has 0-149 rounds of 1-3 items in dimension 1-5, with fresh
+    rows every round or, for odd h, rows from a fixed pool of 4, so that
+    blocks repeat; S is 1, 3 or 5, lam the horizon default or one drawn in
+    [1, 400), and the radius gamma_radius's shrunk by up to e^3, so that E
+    fails to hold the ball in some histories.  Where
+    ``ConfidenceState.ball_in_E`` or ``_E_holds_ball`` proves that E holds
+    the ball, 20 points of the ball and 10 of its sphere are tested.  On 8
+    random rays from the anchor, wherever E binds inside the ball, a
+    bracket lo < hi around E's exit, lo feasible and hi not, gives a chord
+    point, which is tested where ``_chord_proved`` certifies it.  The check
+    fails on any violation, or unless the whole-ball proofs both hold and
+    fail somewhere and the chord proof certifies some point.
+    """
+    rng = np.random.default_rng(seed)
+    violations = held = by_V = chords = 0
+    for h in range(n_histories):
+        d = int(rng.integers(1, 6))
+        S = float(rng.choice([1.0, 3.0, 5.0]))
+        rounds = int(rng.integers(0, 150))
+        if h % 2:
+            pool = sample_ball(rng, 4, d)
+            hist = History(d)
+            for _ in range(rounds):
+                k = int(rng.integers(1, 4))
+                picked = tuple(np.sort(rng.choice(4, size=k, replace=False)).tolist())
+                hist.append(AssortmentContexts.from_pool(pool, picked), int(rng.integers(0, k + 1)))
+        else:
+            hist = _random_history(rng, d, rounds, 3)
+        if rng.random() < 0.5:
+            lam = default_lambda(d, 3, max(rounds, 1))
+        else:
+            lam = float(rng.uniform(1.0, 400.0))
+        cfg = ConfidenceConfig(d=d, K=3, lam=lam, S=S)
+        state = build_confidence_state(hist, cfg, t=hist.t + 1)
+        gamma = state.gamma * math.e ** -float(rng.uniform(0.0, 3.0))
+        state = dataclasses.replace(state, gamma=gamma, beta=beta_radius(gamma, lam))
+        v_holds = _E_holds_ball(hist, cfg, state)
+        held += state.ball_in_E
+        by_V += v_holds
+        if state.ball_in_E or v_holds:
+            unit = rng.standard_normal((10, d))
+            unit /= np.linalg.norm(unit, axis=1)[:, None]
+            points = np.concatenate((sample_ball(rng, 20, d, radius=S), S * unit))
+            violations += int((~_E_member(_Evaluation(hist, points, lam), cfg, state)[0]).sum())
+
+        # Brackets around E's exit along each ray where E binds inside the
+        # ball, from 40 bisections, widened by 1e-9 to 1e-1 of the ray's
+        # length in the ball: narrow ones put the chord point within
+        # rounding of the boundary, where only the margin keeps the proof sound.
+        rays = rng.standard_normal((8, d))
+        rays /= np.linalg.norm(rays, axis=1)[:, None]
+        base = state.anchor
+        s_ball = _ball_exit(base, rays, S)
+
+        def member(steps, dirs):
+            ok, gap = _E_member(_Evaluation(hist, base + steps[:, None] * dirs, lam), cfg, state)
+            return ok, gap - state.beta**2
+
+        binds = ~member(s_ball, rays)[0]
+        v, a, b = rays[binds], np.zeros(int(binds.sum())), s_ball[binds]
+        if len(v):
+            for _ in range(40):
+                mid = 0.5 * (a + b)
+                inside = member(mid, v)[0]
+                a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+            width = s_ball[binds] * 10.0 ** -rng.uniform(1.0, 9.0, len(v))
+            lo = np.maximum(a - width * rng.random(len(v)), 0.0)
+            hi = np.minimum(b + width * rng.random(len(v)), s_ball[binds])
+            ok, h_ends = member(np.concatenate((lo, hi)), np.concatenate((v, v)))
+            s = _chord_zero(lo, hi, h_ends[: len(v)], h_ends[len(v) :])
+            proved = _chord_proved(lo, hi, s, lam, _gap_margin(state))
+            proved &= ok[: len(v)] & ~ok[len(v) :]  # a bracket: lo feasible, hi not
+            chords += int(proved.sum())
+            violations += int((~member(s[proved], v[proved])[0]).sum())
+    return CheckResult(
+        "proofs of E membership are sound",
+        violations == 0 and 0 < held < n_histories and 0 < by_V < n_histories and chords > 0,
+        f"{violations} violations; of {n_histories} histories the whole-ball proof held "
+        f"in {held} and the V bound in {by_V}; the chord proof certified {chords} points",
+        violations,
+    )
+
+
 def deviation_bound(logs: list[RunLog]) -> CheckResult:
     """dev_H <= dev_bound in every round whose confidence set held theta_star."""
     checked = 0
@@ -311,6 +405,7 @@ CHECKS = {
     "g_identity": lambda: g_identity(100, seed=23),
     "lemma2_psd": lambda: psd_ordering(200, seed=19),
     "lemma8_inclusion": lambda: convex_set_contains_norm_set(10, 20, seed=29, instance_seed0=100),
+    "certificate_soundness": lambda: certificate_soundness(120, seed=47),
     "lemma5_bound": lambda: deviation_bound([run_experiment(_SMOKE, seed=37)]),
     "elliptical_potential": lambda: elliptical_potential([run_experiment(_RANDOM, seed=31)]),
     "coverage_smoke": lambda: coverage([run_experiment(_SMOKE, 300 + i) for i in range(10)]),

@@ -25,7 +25,7 @@ from .harness import (
     ExperimentConfig,
     check_aggregable,
     curve_mean_stderr,
-    read_run_config,
+    read_run_metadata,
     read_run_csv,
     run_many,
     save_runs,
@@ -129,10 +129,13 @@ def cmd_summarize(args) -> int:
         print(f"no run CSVs under {args.runs_dir}", file=sys.stderr)
         return 1
     col = CSV_COLUMNS.index("cum_regret")
-    metas = [m for p in paths if os.path.exists(m := os.path.splitext(p)[0] + ".json")]
+    json_of = {p: os.path.splitext(p)[0] + ".json" for p in paths}
+    metas = [m for m in json_of.values() if os.path.exists(m)]
     try:
         curves = {p: np.array([float(r[col]) for r in read_run_csv(p)]) for p in paths}
-        check_aggregable({p: c.size for p, c in curves.items()}, {m: read_run_config(m) for m in metas})
+        metadata = {m: read_run_metadata(m) for m in metas}
+        configs = {m: d["config"] for m, d in metadata.items()}
+        check_aggregable({p: c.size for p, c in curves.items()}, configs)
     except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -143,6 +146,8 @@ def cmd_summarize(args) -> int:
         "T": T,
         "final_mean_regret": float(mean[-1]) if T else 0.0,
         "final_stderr": float(stderr[-1]) if T else 0.0,
+        # Per run CSV: rounds with theta_star in C, null where not tested or not recorded.
+        "covered_C_rounds": [metadata.get(json_of[p], {}).get("covered_C_rounds") for p in paths],
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -14,16 +14,21 @@ per set (``_E_member``, ``_C_member``) of one likelihood evaluation, at a
 parameter or a stack; each caller evaluates its parameters once.  Screening
 candidates in either set are points near its boundary along rays from the
 anchor, from one search (``e_boundary_multi``) that costs at most two
-likelihood passes, however many rays it has.  The inner revenue
+likelihood passes, however many rays it has, and for E none where a
+proof shows its probes inside.  The inner revenue
 maximization over E is NOT a concave problem; ``max_revenue_over_E`` is a
 multi-start projected-ascent heuristic whose result is always a feasible
 point, never an upper bound.  It projects each step onto Theta and refuses
 a step that leaves E, so where E binds a start stops short of E's boundary
 instead of sliding along it.
 
-Under the fixed radius E often holds all of Theta.  When ``_E_holds_ball``
-proves that, the ascent tests its candidates against the ball alone and
-makes no likelihood pass.
+Under the fixed radius E often holds all of Theta.  Each state carries a
+proof of that from theta_hat's own evaluation (``ConfidenceState.ball_in_E``,
+by the loss's generalized self-concordance), made on first read with no
+pass; where it holds, the boundary search returns its outer probes and the
+ascent tests its candidates against the ball alone, with no likelihood
+pass.  The ascent falls back on a second proof, from the design matrix V
+(``_E_holds_ball``).
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import AssortmentContexts, finite_number, integer_at_least, revenue_gradient
+from .choice import _NORM_TOL, AssortmentContexts, finite_number, integer_at_least, revenue_gradient
 from .estimation import (
     History,
     MleResult,
@@ -40,8 +45,10 @@ from .estimation import (
     _Evaluation,
     _evaluate,
     _norm,
+    _once,
     _row_norms,
     _solve,
+    _sq_norm,
     fit_mle,
     matrix_V,
 )
@@ -64,6 +71,8 @@ __all__ = [
 # Upper bound L on the diagonal derivative mu(1 - mu) <= 1/4, used by the
 # radius gamma and by the bonus baseline.
 L_CONST = 0.25
+
+_EXP_MAX = 700.0  # below the log of float64's largest number, about 709.8
 
 
 def default_lambda(d: int, K: int, T: int) -> float:
@@ -118,16 +127,17 @@ class ConfidenceState:
     """Per-round snapshot: MLE, radii, and the likelihood quantities at theta_hat.
 
     ``g_at_hat`` and ``H_hat`` read the fit's own evaluation at theta_hat
-    (``mle.evaluation``, whose ``log_likelihood`` E's loss gap reads), each
-    derived on first read, so they make no pass over the history and
-    describe it as it was when the state was built.
+    (``mle.evaluation``, whose ``log_likelihood`` E's loss gap reads), and
+    ``anchor`` and ``ball_in_E`` read it and the ball's radius ``S``; each
+    is derived on first read, so none makes a pass over the history and
+    all describe it as it was when the state was built.
     """
 
     theta_hat: np.ndarray
     gamma: float
     beta: float
     mle: MleResult
-    anchor: np.ndarray  # feasible base point for projections: theta_hat pulled into Theta
+    S: float  # the radius of Theta
 
     @property
     def g_at_hat(self) -> np.ndarray:
@@ -136,6 +146,53 @@ class ConfidenceState:
     @property
     def H_hat(self) -> np.ndarray:
         return self.mle.evaluation.H
+
+    @_once
+    def anchor(self) -> np.ndarray:
+        """Feasible base point for projections: theta_hat pulled into Theta."""
+        norm = _norm(self.theta_hat)
+        if norm > self.S:
+            # The ridge keeps theta_hat near Theta, but nothing forces it
+            # inside; projections need a base point that is feasible.
+            return self.theta_hat * (self.S / norm)
+        return self.theta_hat
+
+    @_once
+    def ball_in_E(self) -> bool:
+        """A proof that every theta with ||theta|| <= S lies in E, or False,
+        from theta_hat's own evaluation with no pass over the history.
+
+        Along D = theta - theta_hat a block's log-partition phi has
+        |phi^(3)| <= R phi'', R the range of the utility changes x . D with
+        the no-purchase option at 0, since a third central moment is at most
+        the range times the variance.  With ||x|| <= 1 + ``choice._NORM_TOL``
+        and ||D|| <= r = S + ||theta_hat|| on the ball, R <= z = 2 r (1 +
+        ``_NORM_TOL``), so the data part of the loss Hessian grows at most by
+        e^{z s} along the segment: the generalized self-concordance of
+        logistic-type losses (Bach 2010; Faury et al., ICML 2020).  Taylor's
+        theorem at theta_hat then bounds the loss gap by ||score|| r +
+        (lambda_max(``nll_hessian``) - lam) psi(z) r^2 + lam r^2 / 2, with
+        psi(z) = (e^z - 1 - z) / z^2.  The proof holds when that is at most
+        beta^2 less ``_gap_margin``, which covers the rounding in a computed
+        loss gap, so every point of the ball passes ``_E_member``'s float
+        test.
+        """
+        ev = self.mle.evaluation
+        r = self.S + _norm(self.theta_hat)
+        curv = float(_eigvalsh(ev.nll_hessian)[-1]) - ev.lam  # the data part's largest curvature
+        bound = self.mle.score_norm * r + 0.5 * ev.lam * r * r
+        if curv > 0.0:
+            z = 2.0 * r * (1.0 + _NORM_TOL)
+            if z > _EXP_MAX:
+                return False  # e^z overflows: no data curvature leaves a proof
+            bound += curv * (math.expm1(z) - z) / (z * z) * r * r
+        return bound <= self.beta**2 - _gap_margin(self)
+
+
+def _gap_margin(state: ConfidenceState) -> float:
+    """1e-6 (beta^2 + |loss(theta_hat)|): an allowance for the rounding in a
+    computed loss gap, by which a proof's bound must clear E's level."""
+    return 1e-6 * (state.beta**2 + abs(float(state.mle.evaluation.log_likelihood)))
 
 
 def build_confidence_state(
@@ -150,16 +207,8 @@ def build_confidence_state(
     reuses its evaluation at theta_hat if the history has gained no row.
     """
     mle = fit_mle(history, cfg.lam, theta0=theta0)
-    theta_hat = mle.theta_hat
     gamma = gamma_radius(cfg, t)
-    beta = beta_radius(gamma, cfg.lam)
-    anchor = theta_hat
-    norm = _norm(theta_hat)
-    if norm > cfg.S:
-        # The ridge keeps theta_hat near Theta, but nothing forces it inside;
-        # projections need a base point that is feasible.
-        anchor = theta_hat * (cfg.S / norm)
-    return ConfidenceState(theta_hat=theta_hat, gamma=gamma, beta=beta, mle=mle, anchor=anchor)
+    return ConfidenceState(mle.theta_hat, gamma, beta_radius(gamma, cfg.lam), mle, cfg.S)
 
 
 def _in_ball(sq_norm: np.ndarray, cfg: ConfidenceConfig) -> np.ndarray:
@@ -215,7 +264,8 @@ def in_set_E(
 
 
 def _E_holds_ball(history: History, cfg: ConfidenceConfig, state: ConfidenceState) -> bool:
-    """A proof that every theta with ||theta|| <= S lies in E, or False.
+    """A second proof that every theta with ||theta|| <= S lies in E, or
+    False: the ascent's fallback where ``ConfidenceState.ball_in_E`` fails.
 
     The loss's Hessian at any theta is sum_blocks n Cov_block(x) + lam I,
     and a block's covariance under its choice probabilities mu is at most
@@ -224,15 +274,13 @@ def _E_holds_ball(history: History, cfg: ConfidenceConfig, state: ConfidenceStat
     then bounds the loss gap at theta by ||score(theta_hat)|| ||theta -
     theta_hat|| + (1/2) lambda_max(V) ||theta - theta_hat||^2, and
     ||theta - theta_hat|| <= r = S + ||theta_hat|| on the ball.  The test
-    holds when that bound is at most beta^2 less a margin of 1e-6 (beta^2 +
-    |loss(theta_hat)|), which covers the rounding in a computed loss gap, so
-    every candidate it certifies also passes ``_E_member``'s float test.
+    holds when that bound is at most beta^2 less ``_gap_margin``, so every
+    candidate it certifies also passes ``_E_member``'s float test.  V takes
+    a pass over the history's rows.
     """
     r = cfg.S + _norm(state.theta_hat)
     lam_max = float(_eigvalsh(matrix_V(history, cfg.lam))[-1])
-    level = state.beta**2
-    margin = 1e-6 * (level + abs(float(state.mle.evaluation.log_likelihood)))
-    return state.mle.score_norm * r + 0.5 * lam_max * r * r <= level - margin
+    return state.mle.score_norm * r + 0.5 * lam_max * r * r <= state.beta**2 - _gap_margin(state)
 
 
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
@@ -259,18 +307,25 @@ def e_boundary_multi(
     H(theta)^-1 norm of g(theta) - g(theta_hat), less gamma^2.  A quadratic
     model of the loss at the MLE, with the Hessian of the fit's own
     evaluation there, gives E's radius guess s0 for either set (it brackets
-    C, inside E, from outside), and one likelihood pass probes every ray at
-    s0 and 1.3 s0 (capped at the ball), plus the anchor unless it is
-    theta_hat, where h = -beta^2 or -gamma^2.  A ray whose probes both pass
-    keeps the outer one; any other ray has an open bracket lo < hi, lo
-    feasible and hi not.  Then, once any bracket is open, a second pass
-    probes every ray where the chord from (lo, h(lo)) to (hi, h(hi))
-    crosses zero.  The chord lies above a convex h, so for E that point is
-    inside in exact arithmetic; it replaces lo only if the set's own test
-    (``_E_member`` or ``_C_member``, on one evaluation of the pass's probes)
-    confirms it, so every returned point passes the true feasibility test.
-    A call costs one or two passes, and a closed bracket (lo == hi) is a
-    fixed point of the chord step.  A zero direction returns the anchor.
+    C, inside E, from outside), and each ray is probed at s0 and 1.3 s0
+    (capped at the ball).  Where ``ConfidenceState.ball_in_E`` proves that E
+    holds the ball, every probe of E is inside and the outer ones are
+    returned with no pass.  Otherwise one likelihood pass tests every probe,
+    plus the anchor unless it is theta_hat, where h = -beta^2 or -gamma^2;
+    if every probe passes, the outer ones are returned.  A ray whose probes
+    both pass keeps the outer one; any other ray has an open bracket lo <
+    hi, lo feasible and hi not.  Then the chord from (lo, h(lo)) to (hi,
+    h(hi)) crosses zero at a point s of each ray.  The chord lies above a
+    convex h, so for E that point is inside in exact arithmetic; it
+    replaces lo only if the set's own test (``_E_member`` or ``_C_member``,
+    on one evaluation of every ray's chord point) confirms it, so every
+    returned point passes the true feasibility test.  For E that second pass
+    is skipped where it is proved: the loss is lam-strongly convex, so
+    along a unit ray h(s) <= chord(s) - (lam/2)(s - lo)(hi - s), and where
+    that bound clears ``_gap_margin`` at every ray's chord point each one
+    is inside.  A call costs at most two passes, none where proved, and a
+    closed bracket (lo == hi) is a fixed point of the chord step.  A zero
+    direction returns the anchor.
     """
     # The member test is looked up per call, so a replaced module attribute is used.
     if set_kind == "E":
@@ -290,25 +345,50 @@ def e_boundary_multi(
     quad = np.einsum("md,de,me->m", v, hess, v)
     s0 = np.minimum(np.sqrt(2.0 * state.beta**2 / np.maximum(quad, 1e-12)), s_ball)
     s1 = np.minimum(1.3 * s0, s_ball)
+    if set_kind == "E" and state.ball_in_E:
+        return base + s1[:, None] * v  # the outer probes, as the pass below gives them
     # Both bracket probes in one pass; s1 matters only where s0 is feasible.
     probes = base + np.concatenate((s0, s1))[:, None] * np.concatenate((v, v))
     at_hat = base is state.theta_hat or np.array_equal(base, state.theta_hat)
     if not at_hat:
         probes = np.concatenate((probes, base[None]))
     ok, value = member(_Evaluation(history, probes, cfg.lam), cfg, state)
-    h = value - level
     m = len(v)
+    if ok[: 2 * m].all():
+        return probes[m : 2 * m]
+    h = value - level
     f0, f1, h0, h1 = ok[:m], ok[m : 2 * m], h[:m], h[m : 2 * m]
     lo = np.where(f0, np.where(f1, s1, s0), 0.0)
     hi = np.where(f0, s1, s0)
     if (hi > lo).any():
         h_lo = np.where(f0, h0, -level if at_hat else h[-1])
-        rise = np.where(f0, h1, h0) - h_lo
-        frac = np.divide(-h_lo, rise, out=np.zeros(m), where=rise > 0.0)
-        s = lo + np.minimum(np.maximum(frac, 0.0), 1.0) * (hi - lo)
+        s = _chord_zero(lo, hi, h_lo, np.where(f0, h1, h0))
+        if set_kind == "E" and _chord_proved(lo, hi, s, cfg.lam, _gap_margin(state)).all():
+            return base + s[:, None] * v
         ok, _ = member(_Evaluation(history, base + s[:, None] * v, cfg.lam), cfg, state)
         lo = np.where(ok, s, lo)
     return base + lo[:, None] * v
+
+
+def _chord_zero(lo: np.ndarray, hi: np.ndarray, h_lo: np.ndarray, h_hi: np.ndarray) -> np.ndarray:
+    """Where the chord from (lo, h_lo) to (hi, h_hi) crosses zero on each
+    ray, clamped to [lo, hi]; lo where the chord does not rise."""
+    rise = h_hi - h_lo
+    frac = np.divide(-h_lo, rise, out=np.zeros(len(lo)), where=rise > 0.0)
+    return lo + np.minimum(np.maximum(frac, 0.0), 1.0) * (hi - lo)
+
+
+def _chord_proved(
+    lo: np.ndarray, hi: np.ndarray, s: np.ndarray, lam: float, margin: float
+) -> np.ndarray:
+    """Per ray, whether lam-strong convexity proves its chord point ``s`` inside E.
+
+    On a unit ray h(s) <= chord(s) - (lam/2)(s - lo)(hi - s), and the
+    chord is 0 at ``s``, so h(s) < -``margin`` wherever (lam/2)(s - lo)(hi
+    - s) exceeds the margin; a closed bracket's point is lo, feasible
+    already.
+    """
+    return (hi <= lo) | (0.5 * lam * (s - lo) * (hi - s) > margin)
 
 
 def _drop_outward(grads: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -338,8 +418,9 @@ def max_revenue_over_E(
     its revenue gradient (a zero gradient stops the start at once).  A
     step is projected onto Theta in closed form, and one likelihood pass
     tests every live start's candidate for membership in E, unless
-    ``_E_holds_ball`` proves, once per call, that E holds all of Theta;
-    then the candidates take the ball test alone, which gives
+    ``ConfidenceState.ball_in_E`` or, failing it, ``_E_holds_ball``
+    proves, once per call, that E holds all of Theta; then the candidates
+    take the ball test alone, which gives
     ``_E_member``'s verdicts with no pass over the history.  A step is
     taken only if its candidate lies in E and gains more than 1e-6, and
     then the step size doubles; otherwise it halves, so a start that
@@ -358,7 +439,7 @@ def max_revenue_over_E(
     gnorm = _row_norms(grad)
     eta = cfg.S / np.where(gnorm > 0.0, gnorm, 1.0)
     live = np.ones(len(theta), dtype=bool)
-    whole_ball = _E_holds_ball(history, cfg, state)
+    whole_ball = state.ball_in_E or _E_holds_ball(history, cfg, state)
     for _ in range(max_iter):
         on_sphere = np.einsum("md,md->m", theta, theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
         sphere = np.where(on_sphere[:, None], theta, 0.0)
@@ -372,7 +453,7 @@ def max_revenue_over_E(
         cand[out] *= (cfg.S / norm[out])[:, None]
         cand_val, cand_grad = revenue_gradient(assortment, cand)
         if whole_ball:
-            in_e = _in_ball(np.add.reduce(cand * cand, axis=-1), cfg)  # as _Evaluation.sq_norm
+            in_e = _in_ball(_sq_norm(cand), cfg)
         else:
             in_e = _E_member(_Evaluation(history, cand, cfg.lam), cfg, state)[0]
         up = (cand_val > val[rows] + 1e-6) & in_e

@@ -21,10 +21,12 @@ penalized log-likelihood, score, g, H and the Newton Hessian below are all
 derived from that pass, each on first read, with the stack's leading axis.
 The public functions are thin readers of a fresh single-parameter
 evaluation.  ``fit_mle`` makes one pass per iterate, keeps the iterate as
-that pass's arrays and applies the evaluation's own formulas to them; it
-returns the evaluation at theta_hat, assembled from its iterate with no
-pass, which the confidence state and the boundary search read instead of
-passing over the history again.  The confidence
+that pass's arrays and applies the evaluation's own formulas to them,
+forming only what its step reads: an iterate whose full step contracts the
+score norm forms no log-likelihood and no squared norm.  It returns the
+evaluation at theta_hat, assembled from its iterate with no pass, which
+the confidence state, its whole-ball proof and the boundary search read
+instead of passing over the history again.  The confidence
 sets' membership kernels read a stacked evaluation of their probes.  An
 evaluation is a snapshot: rounds appended after it was made do not change
 what it reports.
@@ -211,11 +213,15 @@ class _once:
 
 def _kernel_pass(history: History, theta: np.ndarray) -> tuple:
     """One pass at ``theta`` (d,) or a stack (m, d): the utilities (n,) or (n,
-    m), the squared norms, and ``_segment_exp``'s shifts, exponentials and
-    normalizers."""
+    m) and ``_segment_exp``'s shifts, exponentials and normalizers."""
     u = history.ctx_flat @ theta.T  # one column per parameter
-    # The ridge's and the ball test's; ``.sum`` wraps this same reduction.
-    return (u, np.add.reduce(theta * theta, axis=-1), *_segment_exp(history, u))
+    return (u, *_segment_exp(history, u))
+
+
+def _sq_norm(theta: np.ndarray) -> float | np.ndarray:
+    """||theta||^2, () for one parameter or (m,) for a stack: the ridge's and
+    the ball test's.  ``.sum`` wraps this same reduction."""
+    return np.add.reduce(theta * theta, axis=-1)
 
 
 # The likelihood formulas, each written once; ``_Evaluation`` derives its
@@ -270,7 +276,7 @@ class _Evaluation:
         self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
         self.offers, self.purchases = history.offers, history.purchases
         kernel = kernel or _kernel_pass(history, theta)
-        self.u, self.sq_norm, self._m, self._ez, self._total = kernel
+        self.u, self._m, self._ez, self._total = kernel
 
     def recounted(self, history: History, lam: float) -> "_Evaluation":
         """The evaluation at this theta on the history's current counts.
@@ -284,12 +290,17 @@ class _Evaluation:
         """
         if self.ctx is not history.ctx_flat:
             return _evaluate(history, self.theta, lam)
-        kernel = (self.u, self.sq_norm, self._m, self._ez, self._total)
+        kernel = (self.u, self._m, self._ez, self._total)
         ev = _Evaluation(history, self.theta, lam, kernel)
         ev.mu = self.mu
         if lam == self.lam:
             ev.ridge = self.ridge
         return ev
+
+    @_once
+    def sq_norm(self) -> float | np.ndarray:
+        """||theta||^2, () or (m,)."""
+        return _sq_norm(self.theta)
 
     @_once
     def log_likelihood(self) -> float | np.ndarray:
@@ -429,16 +440,17 @@ def fit_mle(
     iterate found is returned with ``converged=False`` and the caller
     decides what to do with it.  Each iterate takes one kernel pass and is
     kept as that pass's arrays, from which the likelihood formulas give its
-    score, Newton Hessian and, when the line search reads it, its
-    log-likelihood.  The rows' offer counts are gathered once per fit, and
+    score and Newton Hessian; its log-likelihood, with the squared norm the
+    ridge reads, and the step's Armijo slope are formed only when the line
+    search reads them.  The rows' offer counts are gathered once per fit, and
     the ridge lam I is the start evaluation's.  The result carries the
     evaluation at theta_hat, assembled from its iterate's arrays with no
     further pass.  ``theta0`` is a start parameter or a previous fit's
     result, whose theta_hat is the start; if the history has gained no row
     since that fit, its evaluation is recounted on the current counts (its
     ridge kept) rather than made again.  A full step that brings the score
-    norm to at most 0.9 times its last value is taken without reading its
-    log-likelihood.
+    norm to at most 0.9 times its last value is taken without reading a
+    log-likelihood, so a fit whose steps all contract forms none.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1 for a well-posed fit, got {lam}")
@@ -452,18 +464,18 @@ def fit_mle(
     # The Newton Hessian is a sum of PSD block terms plus lam I with lam >=
     # 1, so it is positive definite and the solve is regular.
     ridge = ev.ridge
-    theta, kernel = ev.theta, (ev.u, ev.sq_norm, ev._m, ev._ez, ev._total)
+    theta, kernel = ev.theta, (ev.u, ev._m, ev._ez, ev._total)
     mu, n_mu, s = ev.mu, ev.n_mu, ev.score
     s_norm = _norm(s)
     ll = None  # the iterate's log-likelihood, once the line search reads it
     steps = 0
     while s_norm > tol and steps < max_iter:
         step = _solve(_newton_hessian(ctx, starts, offers, mu, n_mu, ridge), s)
-        slope = float(s @ step)
+        slope = None  # s . step, once the line search reads it
         a = 1.0
         while a >= 1e-12:
-            cand = theta + a * step
-            c_kernel = c_u, c_sq, c_m, c_ez, c_total = _kernel_pass(history, cand)
+            cand = theta + step if a == 1.0 else theta + a * step  # 1.0 * step is step
+            c_kernel = c_u, c_m, c_ez, c_total = _kernel_pass(history, cand)
             c_mu = _mu(c_ez, c_total, seg_ids)
             c_n_mu = _n_mu(n_row, c_mu)
             c_s = _score(ctx, purchases, c_n_mu, lam, cand)
@@ -471,12 +483,15 @@ def fit_mle(
             # Near the optimum the objective improvement drowns in rounding;
             # a contracting score norm is still progress.
             contracts = a == 1.0 and c_norm <= 0.9 * s_norm
-            if not contracts:
-                if ll is None:
-                    u, sq_norm, m, _, total = kernel
-                    ll = _log_likelihood(purchases, offers, u, m, total, lam, sq_norm)
-                c_ll = _log_likelihood(purchases, offers, c_u, c_m, c_total, lam, c_sq)
-            if contracts or c_ll >= ll + 1e-4 * a * slope:
+            if contracts:
+                break
+            if ll is None:
+                u, m, _, total = kernel
+                ll = _log_likelihood(purchases, offers, u, m, total, lam, _sq_norm(theta))
+            if slope is None:
+                slope = float(s @ step)
+            c_ll = _log_likelihood(purchases, offers, c_u, c_m, c_total, lam, _sq_norm(cand))
+            if c_ll >= ll + 1e-4 * a * slope:
                 break
             a *= 0.5
         else:

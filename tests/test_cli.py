@@ -208,6 +208,9 @@ class TestSummarizeCommand:
         assert data["n_runs"] == 3
         assert data["T"] == 12
         assert "final_mean_regret" in printed
+        metas = [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
+        assert data["covered_C_rounds"] == [m["covered_C_rounds"] for m in metas]
+        assert all(isinstance(n, int) for n in data["covered_C_rounds"])
 
     def test_mean_and_stderr_match_summarize_runs(self, tmp_path, config_file, capsys):
         out = tmp_path / "runs"

@@ -25,7 +25,6 @@ from mnl_bandit.estimation import (
     _Evaluation,
     _evaluate,
     penalized_log_likelihood,
-    score,
 )
 from mnl_bandit.policy import random_assortment
 from mnl_bandit.simulator import (
@@ -414,28 +413,48 @@ class TestBoundarySearch:
             return [len(thetas) for _, thetas, _ in member_passes]
 
         dirs = np.random.default_rng(38).standard_normal((8, 2))
-        # Only the ball binds: both probes of every ray lie on its sphere and pass.
+        # Only the ball binds: both probes of every ray lie on its sphere.  With
+        # no history the whole-ball proof holds, so the outer probes are
+        # returned with no pass.
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=4.0, S=0.5)
         hist = History(2)
-        e_boundary_multi(hist, cfg, build_confidence_state(hist, cfg, t=1), dirs)
-        assert rows() == [16]
+        state = build_confidence_state(hist, cfg, t=1)
+        edge = e_boundary_multi(hist, cfg, state, dirs)
+        assert state.ball_in_E and rows() == []
+        np.testing.assert_allclose(np.linalg.norm(edge, axis=1), cfg.S, rtol=1e-12)
+        # Its twin: 40 rounds at gamma = 1.2, where the proof fails and every
+        # probe passes the bracket pass, which returns its outer probes.
+        hist = random_history(np.random.default_rng(38), 2, rounds=40)
+        state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), 1.2, cfg.lam)
+        edge = e_boundary_multi(hist, cfg, state, dirs)
+        assert not state.ball_in_E and rows() == [16]
+        assert member_passes[0][2].all()
+        np.testing.assert_array_equal(edge, member_passes[0][1][8:])
         # E binds (lam = 200, gamma = 7.5): the bracket pass, then one chord
-        # step on every ray.
+        # step on every ray, whose points lam-strong convexity proves inside.
         member_passes.clear()
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
         hist = random_history(np.random.default_rng(38), 2, rounds=40)
         state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), self.GAMMA, cfg.lam)
         edge = e_boundary_multi(hist, cfg, state, dirs)
-        assert rows() == [16, 8]
+        assert rows() == [16]
         assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, state)[0].all()
         assert np.linalg.norm(edge, axis=1).max() < 0.9 * cfg.S
+        # Its twin at gamma = 3, where the proof fails on some ray: the chord
+        # pass tests every ray's chord point.
+        member_passes.clear()
+        tight = with_radius(state, 3.0, cfg.lam)
+        edge = e_boundary_multi(hist, cfg, tight, dirs)
+        assert rows() == [16, 8]
+        assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, tight)[0].all()
         # A feasible anchor other than theta_hat joins the bracket pass, which
         # reads its loss gap instead of taking it as 0.
-        moved = dataclasses.replace(state, anchor=0.5 * state.theta_hat)
+        moved = dataclasses.replace(state)
+        moved.anchor = 0.5 * state.theta_hat
         assert in_set_E(moved.anchor, hist, cfg, state)
         member_passes.clear()
         edge = e_boundary_multi(hist, cfg, moved, dirs)
-        assert rows() == [17, 8]
+        assert rows() == [17]
         assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, state)[0].all()
         # A zero direction is a ray of length 0: it returns the anchor.
         edge = e_boundary_multi(hist, cfg, moved, np.vstack([dirs[:1], np.zeros((1, 2))]))
@@ -444,33 +463,38 @@ class TestBoundarySearch:
 
     @pytest.mark.parametrize("seed", [38, 1, 2, 3])
     def test_chord_points_sit_at_the_exit(self, seed, member_passes):
+        # At gamma = 7.5 lam-strong convexity proves every chord point
+        # inside, so the bracket pass is the only one; at gamma = 3 the proof
+        # fails on some ray, and a second pass tests the chord points.
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((8, 2))
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
         hist = random_history(rng, 2, rounds=40)
-        state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), self.GAMMA, cfg.lam)
-        edge = e_boundary_multi(hist, cfg, state, dirs)
-        passes = member_passes[:]  # the bisection below adds its own
-        assert len(passes) == 2
+        fitted = build_confidence_state(hist, cfg, t=hist.t + 1)
+        for gamma, passes in ((self.GAMMA, 1), (3.0, 2)):
+            state = with_radius(fitted, gamma, cfg.lam)
+            member_passes.clear()
+            edge = e_boundary_multi(hist, cfg, state, dirs)
+            assert len(member_passes) == passes  # the bisection below adds its own
 
-        base = state.anchor
-        unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-        _, probes, ok = passes[0]
-        s0, s1 = np.linalg.norm(probes - base, axis=1).reshape(2, -1)
-        f0, f1 = ok.reshape(2, -1)
-        lo = np.where(f0, np.where(f1, s1, s0), 0.0)
-        dist = np.linalg.norm(edge - base, axis=1)
-        assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, state)[0].all()
-        assert (dist >= lo).all()
-        for v, s in zip(unit, dist):
-            # The exit of E intersect Theta along the ray, by 60 bisections.
-            # Here s0 alone is within 3e-4 of it; the chord step gets within 4e-5.
-            a, b = 0.0, 2.0 * cfg.S
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                a, b = (mid, b) if in_set_E(base + mid * v, hist, cfg, state) else (a, mid)
-            assert (1.0 - 1e-4) * a <= s <= b
-        assert dist.max() < 0.9 * cfg.S  # E binds on every ray
+            base = state.anchor
+            unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+            _, probes, ok = member_passes[0]
+            s0, s1 = np.linalg.norm(probes - base, axis=1).reshape(2, -1)
+            f0, f1 = ok.reshape(2, -1)
+            lo = np.where(f0, np.where(f1, s1, s0), 0.0)
+            dist = np.linalg.norm(edge - base, axis=1)
+            assert _E_member(_Evaluation(hist, edge, cfg.lam), cfg, state)[0].all()
+            assert (dist >= lo).all()
+            for v, s in zip(unit, dist):
+                # The exit of E intersect Theta along the ray, by 60 bisections.
+                # Here s0 alone is within 3e-4 of it; the chord step gets within 4e-5.
+                a, b = 0.0, 2.0 * cfg.S
+                for _ in range(60):
+                    mid = 0.5 * (a + b)
+                    a, b = (mid, b) if in_set_E(base + mid * v, hist, cfg, state) else (a, mid)
+                assert (1.0 - 1e-4) * a <= s <= b
+            assert dist.max() < 0.9 * cfg.S  # E binds on every ray
 
 
 class TestStateIsASnapshot:
@@ -489,10 +513,13 @@ class TestStateIsASnapshot:
         dirs = rng.standard_normal((8, 2))
 
         def first_probes(h, state):
-            # The bracket probes depend on the Hessian at theta_hat, not on h.
+            # The whole-ball proof holds, so the search returns its outer
+            # probes with no pass; they depend on the Hessian at theta_hat,
+            # not on h.
             member_passes.clear()
-            e_boundary_multi(h, cfg, state, dirs)
-            return member_passes[0][1]
+            probes = e_boundary_multi(h, cfg, state, dirs)
+            assert state.ball_in_E and member_passes == []
+            return probes
 
         before = copy.deepcopy(hist)
         state = build_confidence_state(hist, cfg, t=61)
@@ -577,57 +604,23 @@ class TestMaxRevenueOverE:
         # the ball test alone.  The first step, of length S along the
         # gradient, reaches the sphere; there the gradient is radial, so the
         # start stops.
-        assert len(member_passes) == 0
+        assert state.ball_in_E and len(member_passes) == 0
         assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
         assert in_set_E(theta, hist, cfg, state)
         grad = revenue_gradient(ass, theta)[1]
         assert grad @ theta > 0.0  # the ball binds
         tangential = grad - (grad @ theta) / (theta @ theta) * theta
         assert float(np.linalg.norm(tangential)) < 1e-3
-
-    def test_ball_certificate_is_sound(self):
-        # The curvature bound ||score(theta_hat)|| r + lambda_max(V) r^2 / 2,
-        # r = S + ||theta_hat||, with V summed here round by round, is at
-        # least the computed loss gap at points of the ball and its sphere.
-        # Wherever _E_holds_ball holds, E's own float test accepts them all.
-        rng = np.random.default_rng(43)
-        outcomes = set()
-        for _ in range(120):
-            d = int(rng.integers(1, 6))
-            S = float(rng.choice([0.5, 1.0, 3.0, 5.0]))
-            lam = float(rng.uniform(1.0, 400.0))
-            cfg = ConfidenceConfig(d=d, K=3, delta=0.1, lam=lam, S=S)
-            n_rounds = int(rng.integers(0, 150))
-            if rng.random() < 0.5:
-                rounds = random_rounds(rng, d, K=3, rounds=n_rounds)  # fresh contexts
-            else:
-                pool = sample_ball(rng, 4, d)  # a fixed pool: blocks repeat
-                rounds = []
-                for _ in range(n_rounds):
-                    k = int(rng.integers(1, 4))
-                    picked = np.sort(rng.choice(4, size=k, replace=False))
-                    rounds.append((make_assortment(pool[picked]), int(rng.integers(0, k + 1))))
-            hist = history_of(d, rounds)
-            state = build_confidence_state(hist, cfg, t=hist.t + 1)
-            # The radius shrunk by up to e^3, so that E fails to hold the ball in some draws.
-            state = with_radius(state, state.gamma * float(np.exp(-rng.uniform(0.0, 3.0))), lam)
-            v_mat = lam * np.eye(d) + sum(
-                (ass.contexts.T @ ass.contexts for ass, _ in rounds), np.zeros((d, d))
-            )
-            r = S + float(np.linalg.norm(state.theta_hat))
-            score_norm = float(np.linalg.norm(score(hist, state.theta_hat, lam)))
-            bound = score_norm * r + 0.5 * float(np.linalg.eigvalsh(v_mat)[-1]) * r * r
-            unit = rng.standard_normal((10, d))
-            unit /= np.linalg.norm(unit, axis=1)[:, None]
-            thetas = np.vstack([sample_ball(rng, 20, d, radius=S), S * unit])
-            ok, gap = _E_member(_Evaluation(hist, thetas, lam), cfg, state)
-            assert gap.max() <= bound + 1e-12 * (1.0 + bound)
-            holds = _E_holds_ball(hist, cfg, state)
-            if holds:
-                assert bound < state.beta**2
-                assert ok.all()
-            outcomes.add(holds)
-        assert outcomes == {True, False}, outcomes
+        # Its twin: 10 rounds at gamma = 0.8, where neither proof holds, so
+        # every step's candidates take a membership pass, 5 in all.
+        hist = random_history(np.random.default_rng(44), 3, rounds=10)
+        state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), 0.8, cfg.lam)
+        member_passes.clear()
+        _, theta = max_revenue_over_E(ass, hist, cfg, state, state.anchor, max_iter=40)
+        assert not state.ball_in_E and not _E_holds_ball(hist, cfg, state)
+        assert len(member_passes) == 5
+        assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
+        assert in_set_E(theta, hist, cfg, state)
 
     @staticmethod
     def ascent_draws():

@@ -1,4 +1,5 @@
 """Estimator math: likelihood, score, Newton fit, design matrices."""
+import collections
 import dataclasses
 import math
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mnl_bandit import estimation
-from mnl_bandit.choice import AssortmentContexts, choice_probabilities
+from mnl_bandit.choice import AssortmentContexts, choice_probabilities, sample_choice
 from mnl_bandit.confidence import (
     ConfidenceConfig,
     _C_member,
@@ -582,6 +583,34 @@ class TestOneEvaluationPerParameter:
             assert len(kernel_passes) == res.iterations + 1
             assert np.array_equal(kernel_passes[-1], hist.ctx_flat @ res.theta_hat)
 
+    def test_contracting_fit_forms_no_log_likelihood_or_squared_norm(self, monkeypatch):
+        # On a fixed pool every full Newton step from zero contracts the score
+        # norm, so the fit reads neither the objective nor the ridge's
+        # ||theta||^2; its result derives both on first read.
+        formed = collections.Counter()
+        for name in ("_log_likelihood", "_sq_norm"):
+            real = getattr(estimation, name)
+
+            def counted(*args, name=name, real=real):
+                formed[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(estimation, name, counted)
+        rng = np.random.default_rng(12)
+        pool = sample_ball(rng, 4, 2)
+        theta = sample_ball(rng, 1, 2)[0]
+        hist = History(2)
+        for _ in range(200):
+            ass = AssortmentContexts.from_pool(pool, [(0, 1), (2,), (1, 2, 3)][int(rng.integers(3))])
+            hist.append(ass, sample_choice(choice_probabilities(ass, theta), rng))
+        res = fit_mle(hist, self.LAM)
+        assert res.converged and res.iterations >= 2
+        assert not formed
+        ev = res.evaluation
+        assert "log_likelihood" not in vars(ev) and "sq_norm" not in vars(ev)
+        assert ev.log_likelihood == penalized_log_likelihood(hist, res.theta_hat, self.LAM)
+        assert formed == {"_log_likelihood": 2, "_sq_norm": 2}
+
     def test_state_and_boundary_search_add_no_pass_at_theta_hat(self, kernel_passes):
         hist, _ = mixed_history(np.random.default_rng(8))
         cfg = ConfidenceConfig(d=2, K=3, lam=self.LAM, S=2.0)
@@ -590,10 +619,16 @@ class TestOneEvaluationPerParameter:
         kernel_passes.clear()
         state = build_confidence_state(hist, cfg, t=301)
         state.mle.evaluation.log_likelihood, state.g_at_hat, state.H_hat
-        e_boundary_multi(hist, cfg, state, np.random.default_rng(9).standard_normal((12, 2)))
-        # The boundary search's membership passes take one column per probe.
+        dirs = np.random.default_rng(9).standard_normal((12, 2))
+        e_boundary_multi(hist, cfg, state, dirs)
+        # The whole-ball proof reads the fit's evaluation, so the search adds no pass.
+        assert state.ball_in_E and len(kernel_passes) == fit_passes
+        # Where a small radius defeats the proof, the search's membership
+        # passes take one column per probe.
+        tight = dataclasses.replace(state, beta=1.0)
+        e_boundary_multi(hist, cfg, tight, dirs)
         single = [u for u in kernel_passes if u.ndim == 1]
-        assert len(single) == fit_passes
+        assert not tight.ball_in_E and len(single) == fit_passes
         assert len(kernel_passes) > fit_passes
 
     def test_norm_set_membership_is_one_pass(self, kernel_passes):

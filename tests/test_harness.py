@@ -535,28 +535,36 @@ class TestPlayedTrajectoryPin:
         # The bracket pass and at most one chord pass per call, counted on the
         # run path itself, all with the searched set's own test; the
         # benchmark's tracer sees calls, not passes.  The pinned radius makes
-        # both sets bind inside the ball within the 300 rounds.
+        # both sets bind inside the ball within the 300 rounds.  E's search
+        # makes no pass in a round whose whole-ball proof holds, and its
+        # chord pass only where lam-strong convexity leaves a chord point
+        # unproved; C's has neither proof.
         import collections
 
         import mnl_bandit.policy as policy
 
-        passes = []
+        passes, proved = [], []
         search = policy.e_boundary_multi
 
-        def counted_search(*args):
+        def counted_search(history, cfg, state, *args):
             before = len(member_passes)
-            points = search(*args)
+            points = search(history, cfg, state, *args)
             passes.append(collections.Counter(kind for kind, _, _ in member_passes[before:]))
+            proved.append(state.ball_in_E)
             return points
 
         pin_gamma(monkeypatch, 4.5)
         monkeypatch.setattr(policy, "e_boundary_multi", counted_search)
-        for name, kernel in (("cb_mnl_e", "E"), ("cb_mnl_c", "C")):
+        cases = (("cb_mnl_e", "E", {0: 26, 1: 266, 2: 8}), ("cb_mnl_c", "C", {2: 300}))
+        for name, kernel, counts in cases:
             passes.clear()
+            proved.clear()
             run_experiment(self.regret_cfg(name), seed=0)
             assert len(passes) == 300
             assert {which for used in passes for which in used} == {kernel}
-            assert max(used[kernel] for used in passes) == 2
+            assert collections.Counter(used[kernel] for used in passes) == counts
+            if kernel == "E":
+                assert [used[kernel] == 0 for used in passes] == proved
 
     def test_fit_passes_are_newton_steps_plus_rounds_with_new_rows(
         self, monkeypatch, kernel_passes
@@ -863,6 +871,21 @@ class TestPersistence:
         assert meta["history_rows"] == run.history.n_items
         assert meta["newton_steps"] == run.newton_steps > 0
         assert run_experiment(small_cfg(T=0), seed=11).metadata()["newton_steps"] == 0
+
+    @pytest.mark.parametrize(
+        "kw, tracked",
+        [({}, True), ({"track_c_stats": False}, False),
+         ({"track_c_stats": False, "policy": "cb_mnl_c"}, True)],
+        ids=["default", "untracked", "norm_set_policy"],
+    )
+    def test_metadata_counts_rounds_with_theta_star_in_C(self, kw, tracked, tmp_path):
+        run = run_experiment(small_cfg(T=30, **kw), seed=3)
+        [path] = save_runs([run], tmp_path)
+        count = json.loads(Path(path).with_suffix(".json").read_text())["covered_C_rounds"]
+        if tracked:
+            assert count == sum(r.covered_C for r in run.records) > 0
+        else:
+            assert count is None and {r.covered_C for r in run.records} == {None}
 
     def test_history_size_fixed_pool_bounded_by_assortment_count(self):
         run = run_experiment(small_cfg(N=4, K=2, T=60), seed=2)

@@ -23,6 +23,7 @@ from mnl_bandit.policy import (
     _attraction,
     _best,
     _revenues,
+    _static_optimum,
     bonus_ucb_step,
     cb_mnl_step,
     enumerate_assortments,
@@ -440,6 +441,23 @@ class TestStaticSolveAgainstEnumeration:
         theta = np.array([50.0])
         assert enumerated_oracle(pool, theta, 2, prices) == (0, 2)
         assert oracle_assortment(pool, theta, 2, prices) == (0, 2)
+
+    def test_zero_parameter_near_sets_match_brute_force(self):
+        # At theta = 0, every run's round 1, every attraction is 1: with equal
+        # prices every item is near the optimum, and at N=16, K=4 the near
+        # sets are all 2516 assortments.  The solve's set and value are the
+        # ones scoring every assortment gives, bit for bit.
+        rng = np.random.default_rng(52)
+        pool = sample_ball(rng, 16, 4)
+        theta = np.zeros(4)
+        rows = enumerate_assortments(16, 4)
+        for prices in (None, np.full(16, 2.5), rng.uniform(0.1, 5.0, 16)):
+            ez, pez = _attraction(pool, prices, theta)
+            values = _revenues((ez[0], pez[0]), rows)
+            best = _best(rows, values)
+            got, value = _static_optimum(_attraction(pool, prices, theta), prices, 4)
+            assert _as_tuple(got[0]) == _as_tuple(rows[best])
+            assert value[0] == values[best]
 
     @pytest.mark.parametrize("set_kind, refine_top", [("E", 0), ("E", 1), ("C", 0)])
     def test_step_matches_enumeration_path(self, monkeypatch, set_kind, refine_top):
