@@ -252,7 +252,7 @@ class RoundRecord:
     covered: bool = _column("%d")
     dev_H: float = _column(_REAL)
     dev_bound: float = _column(_REAL)
-    covered_C: bool | None = None  # theta_star in the norm-based set (not in the CSV)
+    covered_C: bool | None = None  # theta_star in C: not in the CSV, counted in the metadata
 
 
 _CSV_FIELDS = [f for f in fields(RoundRecord) if "format" in f.metadata]
@@ -282,11 +282,6 @@ class RunLog:
     def coverage_all(self) -> bool:
         return all(r.covered for r in self.records)
 
-    @property
-    def covered_C_rounds(self) -> int | None:
-        """Rounds whose norm-based set held theta_star; None where the run did not test it."""
-        return sum(r.covered_C for r in self.records) if self.cfg.tracks_C else None
-
     def cum_regret_curve(self) -> np.ndarray:
         return np.array([r.cum_regret for r in self.records])
 
@@ -298,6 +293,8 @@ class RunLog:
         return "\n".join([CSV_HEADER, *map(_ROW_FORMAT.__mod__, zip(*columns))]) + "\n"
 
     def metadata(self) -> dict:
+        # Rounds whose norm-based set held theta_star; None where the run did not test it.
+        covered_c = sum(r.covered_C for r in self.records) if self.cfg.tracks_C else None
         return {
             "config": self.cfg.to_dict(),
             "seed": self.seed,
@@ -305,7 +302,7 @@ class RunLog:
             "kappa_hat": self.kappa_hat,
             "total_regret": self.total_regret,
             "coverage_all": self.coverage_all,
-            "covered_C_rounds": self.covered_C_rounds,
+            "covered_C_rounds": covered_c,
             "mle_failures": self.mle_failures,
             "newton_steps": self.newton_steps,
             "wall_time_s": self.wall_time,
