@@ -26,9 +26,7 @@ Under the fixed radius E often holds all of Theta.  Each state carries a
 proof of that from theta_hat's own evaluation (``ConfidenceState.ball_in_E``,
 by the loss's generalized self-concordance), made on first read with no
 pass; where it holds, the boundary search returns its outer probes and the
-ascent tests its candidates against the ball alone, with no likelihood
-pass.  The ascent falls back on a second proof, from the design matrix V
-(``_E_holds_ball``).
+ascent's candidates, projected onto Theta, need no test at all.
 """
 from __future__ import annotations
 
@@ -48,9 +46,7 @@ from .estimation import (
     _once,
     _row_norms,
     _solve,
-    _sq_norm,
     fit_mle,
-    matrix_V,
 )
 
 __all__ = [
@@ -263,26 +259,6 @@ def in_set_E(
     return bool(_E_member(_evaluate(history, theta, cfg.lam), cfg, state)[0])
 
 
-def _E_holds_ball(history: History, cfg: ConfidenceConfig, state: ConfidenceState) -> bool:
-    """A second proof that every theta with ||theta|| <= S lies in E, or
-    False: the ascent's fallback where ``ConfidenceState.ball_in_E`` fails.
-
-    The loss's Hessian at any theta is sum_blocks n Cov_block(x) + lam I,
-    and a block's covariance under its choice probabilities mu is at most
-    sum_i mu_i x_i x_i^T <= sum_i x_i x_i^T, so the Hessian is at most V =
-    ``matrix_V(history, lam)`` everywhere.  Taylor's theorem at theta_hat
-    then bounds the loss gap at theta by ||score(theta_hat)|| ||theta -
-    theta_hat|| + (1/2) lambda_max(V) ||theta - theta_hat||^2, and
-    ||theta - theta_hat|| <= r = S + ||theta_hat|| on the ball.  The test
-    holds when that bound is at most beta^2 less ``_gap_margin``, so every
-    candidate it certifies also passes ``_E_member``'s float test.  V takes
-    a pass over the history's rows.
-    """
-    r = cfg.S + _norm(state.theta_hat)
-    lam_max = float(_eigvalsh(matrix_V(history, cfg.lam))[-1])
-    return state.mle.score_norm * r + 0.5 * lam_max * r * r <= state.beta**2 - _gap_margin(state)
-
-
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
 
 
@@ -418,10 +394,8 @@ def max_revenue_over_E(
     its revenue gradient (a zero gradient stops the start at once).  A
     step is projected onto Theta in closed form, and one likelihood pass
     tests every live start's candidate for membership in E, unless
-    ``ConfidenceState.ball_in_E`` or, failing it, ``_E_holds_ball``
-    proves, once per call, that E holds all of Theta; then the candidates
-    take the ball test alone, which gives
-    ``_E_member``'s verdicts with no pass over the history.  A step is
+    ``ConfidenceState.ball_in_E`` proves that E holds all of Theta; then
+    every projected candidate is in E and none is tested.  A step is
     taken only if its candidate lies in E and gains more than 1e-6, and
     then the step size doubles; otherwise it halves, so a start that
     meets E's boundary creeps up to it with shorter steps.  A start stops
@@ -439,7 +413,6 @@ def max_revenue_over_E(
     gnorm = _row_norms(grad)
     eta = cfg.S / np.where(gnorm > 0.0, gnorm, 1.0)
     live = np.ones(len(theta), dtype=bool)
-    whole_ball = state.ball_in_E or _E_holds_ball(history, cfg, state)
     for _ in range(max_iter):
         on_sphere = np.einsum("md,md->m", theta, theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
         sphere = np.where(on_sphere[:, None], theta, 0.0)
@@ -452,11 +425,9 @@ def max_revenue_over_E(
         out = norm > cfg.S
         cand[out] *= (cfg.S / norm[out])[:, None]
         cand_val, cand_grad = revenue_gradient(assortment, cand)
-        if whole_ball:
-            in_e = _in_ball(_sq_norm(cand), cfg)
-        else:
-            in_e = _E_member(_Evaluation(history, cand, cfg.lam), cfg, state)[0]
-        up = (cand_val > val[rows] + 1e-6) & in_e
+        up = cand_val > val[rows] + 1e-6
+        if not state.ball_in_E:
+            up &= _E_member(_Evaluation(history, cand, cfg.lam), cfg, state)[0]
         taken, kept = rows[up], rows[~up]
         theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]
         eta[taken] *= 2.0

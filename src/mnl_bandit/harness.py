@@ -62,6 +62,7 @@ from .policy import (
     assortment_count,
     bonus_ucb_step,
     cb_mnl_step,
+    check_search,
     oracle_assortment,
     random_assortment,
 )
@@ -163,12 +164,7 @@ class ExperimentConfig(InstanceConfig):
         super().__post_init__()  # the shape fields, before ``lam`` reads d and K
         for name, least in _INT_MINIMA.items():
             integer_at_least(name, getattr(self, name), least)
-        if self.refine_top > 1:
-            raise ValueError(f"refine_top must be 0 or 1, got {self.refine_top!r}")
-        if self.restarts > self.n_dirs + 1:
-            raise ValueError(
-                f"restarts must be at most n_dirs + 1 = {self.n_dirs + 1}, got {self.restarts}"
-            )
+        check_search(self.restarts, self.n_dirs, self.refine_top)
         if self.lambda_override is not None:
             if finite_number("lambda_override", self.lambda_override) < 1.0:
                 raise ValueError(f"lambda_override must be >= 1 or null, got {self.lambda_override}")

@@ -39,6 +39,7 @@ __all__ = [
     "ConfigurationError",
     "assortment_count",
     "enumerate_assortments",
+    "check_search",
     "cb_mnl_step",
     "bonus_ucb_step",
     "oracle_assortment",
@@ -294,6 +295,16 @@ def _near_sets(sure: np.ndarray, maybe: np.ndarray, K: int, N: int) -> np.ndarra
     return rows
 
 
+def check_search(restarts: int, n_dirs: int, refine_top: int) -> None:
+    """The search settings' rules, for ``cb_mnl_step`` and ``ExperimentConfig``:
+    ``refine_top`` is 0 or 1, and ``restarts`` is in [1, n_dirs + 1], since
+    the ascent starts from the anchor and the first restarts - 1 screening points."""
+    if isinstance(refine_top, bool) or refine_top not in (0, 1):
+        raise ValueError(f"refine_top must be 0 or 1, got {refine_top!r}")
+    if not 1 <= restarts <= n_dirs + 1:
+        raise ValueError(f"restarts must be in [1, n_dirs + 1 = {n_dirs + 1}], got {restarts}")
+
+
 def cb_mnl_step(
     pool: np.ndarray,
     history: History,
@@ -330,10 +341,7 @@ def cb_mnl_step(
     plays, so its rows are picked once; by default they are picked from
     the pool with ``AssortmentContexts.from_pool``.
     """
-    if isinstance(refine_top, bool) or refine_top not in (0, 1):
-        raise ValueError(f"refine_top must be 0 or 1, got {refine_top!r}")
-    if not 1 <= restarts <= n_dirs + 1:
-        raise ValueError(f"restarts must be in [1, n_dirs + 1 = {n_dirs + 1}], got {restarts}")
+    check_search(restarts, n_dirs, refine_top)
     if rng is None:
         rng = np.random.default_rng(0)
     dirs = rng.standard_normal((n_dirs, history.dim))

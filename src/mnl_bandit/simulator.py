@@ -261,9 +261,6 @@ def estimate_kappa(instance: Instance, grid_size: int = 256) -> float:
     the max over assortments and items is exact at every N and K (see
     ``kappa_over_candidates``).
     """
-    if instance.context_mode == FIXED_POOL:
-        pool = instance.pool
-    else:
-        pool = serve_contexts(instance, 1)
+    pool = serve_contexts(instance, 1)  # the fixed pool, or round 1's fresh draws
     thetas = kappa_theta_candidates(instance, grid_size, pool)
     return kappa_over_candidates(instance, thetas, pool)

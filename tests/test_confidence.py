@@ -9,7 +9,6 @@ from mnl_bandit.choice import AssortmentContexts, expected_revenue, revenue_grad
 from mnl_bandit.confidence import (
     ConfidenceConfig,
     _C_member,
-    _E_holds_ball,
     _E_member,
     beta_radius,
     build_confidence_state,
@@ -24,6 +23,7 @@ from mnl_bandit.estimation import (
     History,
     _Evaluation,
     _evaluate,
+    matrix_V,
     penalized_log_likelihood,
 )
 from mnl_bandit.policy import random_assortment
@@ -611,15 +611,32 @@ class TestMaxRevenueOverE:
         assert grad @ theta > 0.0  # the ball binds
         tangential = grad - (grad @ theta) / (theta @ theta) * theta
         assert float(np.linalg.norm(tangential)) < 1e-3
-        # Its twin: 10 rounds at gamma = 0.8, where neither proof holds, so
+        # Its twin: 10 rounds at gamma = 0.8, where the proof fails, so
         # every step's candidates take a membership pass, 5 in all.
         hist = random_history(np.random.default_rng(44), 3, rounds=10)
         state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), 0.8, cfg.lam)
         member_passes.clear()
         _, theta = max_revenue_over_E(ass, hist, cfg, state, state.anchor, max_iter=40)
-        assert not state.ball_in_E and not _E_holds_ball(hist, cfg, state)
+        assert not state.ball_in_E
         assert len(member_passes) == 5
         assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
+        assert in_set_E(theta, hist, cfg, state)
+
+    def test_unproved_ball_takes_membership_passes(self, member_passes):
+        # 100 rounds at S = 3 and the default config's lam, where the
+        # whole-ball proof fails but a cruder bound from the design matrix V
+        # (the loss Hessian is at most V everywhere) would hold: the ascent
+        # reads the proof alone, so it tests its candidates in E.
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=default_lambda(2, 2, 500), S=3.0)
+        hist = random_history(np.random.default_rng(40), 2, rounds=100)
+        state = build_confidence_state(hist, cfg, t=hist.t + 1)
+        r = cfg.S + float(np.linalg.norm(state.theta_hat))
+        lam_max = float(np.linalg.eigvalsh(matrix_V(hist, cfg.lam))[-1])
+        assert not state.ball_in_E
+        assert state.mle.score_norm * r + 0.5 * lam_max * r * r < state.beta**2
+        ass = make_assortment(sample_ball(np.random.default_rng(41), 2, 2))
+        _, theta = max_revenue_over_E(ass, hist, cfg, state, state.anchor)
+        assert len(member_passes) > 0
         assert in_set_E(theta, hist, cfg, state)
 
     @staticmethod

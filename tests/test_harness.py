@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnl_bandit.checks import REGRET_CFG, deviation_bound, elliptical_potential
+from mnl_bandit.checks import MATRIX, REGRET_CFG, deviation_bound, elliptical_potential
 from mnl_bandit.choice import (
     AssortmentContexts,
     choice_probabilities,
@@ -301,6 +301,26 @@ class TestRefinedRounds:
         else:
             assert max(norms) == pytest.approx(cfg.S, abs=1e-12)
             assert sum(refined) == 0
+
+    def test_large_radius_matrix_entry_reaches_the_membership_pass(
+        self, monkeypatch, member_passes
+    ):
+        # The matrix's large_radius entry (S = 3) has rounds whose whole-ball
+        # proof fails, so ``mnl-bandit diff`` sees the ascent's membership pass.
+        import mnl_bandit.policy as policy
+
+        ascent, refined = policy.max_revenue_over_E, []
+
+        def counted(*args, **kw):
+            before = len(member_passes)
+            result = ascent(*args, **kw)
+            refined.append(len(member_passes) - before)
+            return result
+
+        monkeypatch.setattr(policy, "max_revenue_over_E", counted)
+        run_experiment(MATRIX["large_radius"], seed=0)
+        assert len(refined) == MATRIX["large_radius"].T
+        assert sum(refined) >= 1
 
     def test_leader_contexts_come_from_the_round_record(self, monkeypatch):
         # The ascent reads the leader's contexts from the record the round
