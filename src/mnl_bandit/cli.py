@@ -231,6 +231,9 @@ def cmd_diff(args) -> int:
          for p in glob.glob(os.path.join(root, "**", f"*.{ext}"), recursive=True)}
         for root in (args.a, args.b)
     ]
+    if not found[0] | found[1]:
+        print(f"no run files in {args.a} or {args.b}", file=sys.stderr)
+        return 1
     bad = 0
     for rel in sorted(found[0] | found[1]):
         try:

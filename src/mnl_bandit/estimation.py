@@ -16,26 +16,26 @@ log-normalizers and per-row probabilities mu, so a pass costs the number of
 distinct blocks, not the number of rounds.
 
 One pass per parameter or stack of parameters: a private evaluation runs
-the kernel once at a theta (d,) or at every row of a stack (m, d), and the
-penalized log-likelihood, score, g, H and the Newton Hessian below are all
-derived from that pass, each on first read, with the stack's leading axis.
-The public functions are thin readers of a fresh single-parameter
-evaluation.  ``fit_mle`` makes one pass per iterate, keeps the iterate as
-that pass's arrays and applies the evaluation's own formulas to them,
-forming only what its step reads: an iterate whose full step contracts the
-score norm forms no log-likelihood and no squared norm.  It returns the
-evaluation at theta_hat, assembled from its iterate with no pass, which
-the confidence state, its whole-ball proof and the boundary search read
-instead of passing over the history again.  The confidence
-sets' membership kernels read a stacked evaluation of their probes.  An
+the kernel once at a theta (d,) or at every row of a stack (m, d), keeping
+its utilities, block shifts, normalizers and mu, and the penalized
+log-likelihood, score, g, H and the Newton Hessian below are all derived
+from that pass, each on first read, with the stack's leading axis.  The
+public functions are thin readers of a fresh single-parameter evaluation.
+``fit_mle``'s iterates and line-search candidates are evaluations too, one
+pass each, and each forms only what the step reads: an iterate whose full
+step contracts the score norm forms no log-likelihood and no squared norm.
+The fit returns its last iterate, the evaluation at theta_hat, which the
+confidence state, its whole-ball proof and the boundary search read
+instead of passing over the history again.  The confidence sets'
+membership kernels read a stacked evaluation of their probes.  An
 evaluation is a snapshot: rounds appended after it was made do not change
 what it reports.
 
-The kernel's outputs (utilities, block shifts, exponentials, normalizers,
-mu) depend on theta and the stored rows only, not on the counts.  A round
-that repeats a stored block adds no row, so a fit warm-started from the
-previous round's ``MleResult`` recounts that result's evaluation on the
-current counts instead of passing over the history again at its theta_hat.
+The kernel's outputs (utilities, block shifts, normalizers, mu) depend on
+theta and the stored rows only, not on the counts.  A round that repeats a
+stored block adds no row, so a fit warm-started from the previous round's
+``MleResult`` recounts that result's evaluation on the current counts
+instead of passing over the history again at its theta_hat.
 
 The stationarity condition
 
@@ -211,48 +211,16 @@ class _once:
         return value
 
 
-def _kernel_pass(history: History, theta: np.ndarray) -> tuple:
-    """One pass at ``theta`` (d,) or a stack (m, d): the utilities (n,) or (n,
-    m) and ``_segment_exp``'s shifts, exponentials and normalizers."""
-    u = history.ctx_flat @ theta.T  # one column per parameter
-    return (u, *_segment_exp(history, u))
-
-
 def _sq_norm(theta: np.ndarray) -> float | np.ndarray:
     """||theta||^2, () for one parameter or (m,) for a stack: the ridge's and
     the ball test's.  ``.sum`` wraps this same reduction."""
     return np.add.reduce(theta * theta, axis=-1)
 
 
-# The likelihood formulas, each written once; ``_Evaluation`` derives its
-# quantities from them and ``fit_mle`` its iterates'.
 def _log_likelihood(purchases, offers, u, m, total, lam, sq_norm):
     """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
     ll = purchases @ u - offers @ (m + np.log(total))
     return ll - 0.5 * lam * sq_norm
-
-
-def _mu(ez: np.ndarray, total: np.ndarray, seg_ids: np.ndarray) -> np.ndarray:
-    """Softmax probability of every stored row, (n,) or (n, m)."""
-    return ez / total[seg_ids]
-
-
-def _n_mu(row_offers: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """n mu per row, n the offer count of the row's block: (n,) or (m, n)."""
-    return row_offers * mu.T
-
-
-def _score(ctx, purchases, n_mu, lam, theta):
-    """sum_rows (c - n mu) x - lam theta."""
-    return (purchases - n_mu) @ ctx - lam * theta
-
-
-def _newton_hessian(ctx, starts, offers, mu, n_mu, ridge):
-    """Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i, plus
-    ``ridge``, the (d, d) matrix lam I.  Adding it gives the bits ``_gram``'s
-    diagonal add would."""
-    seg_means = np.add.reduceat(mu[:, None] * ctx, starts, axis=0)
-    return ctx.T @ (n_mu[:, None] * ctx) + ridge - seg_means.T @ (offers[:, None] * seg_means)
 
 
 class _Evaluation:
@@ -261,13 +229,15 @@ class _Evaluation:
     ``theta`` is one parameter (d,) or a stack (m, d); every quantity keeps
     its leading axis: the penalized log-likelihood is () or (m,), the score
     and g are (d,) or (m, d), and H is (d, d) or (m, d, d).  The Newton
-    Hessian is read for one parameter only.  All are read off one
-    ``_kernel_pass``; each is derived on first read and kept.  ``kernel``,
-    that pass's outputs at ``theta`` on the history's rows, is taken instead
-    of a pass when given.  The evaluation is a snapshot of the history it
-    was made from: it keeps the history's arrays, which ``History.append``
-    replaces and never writes into.  ``theta`` must already be float of the
-    history's dimension (``_evaluate`` checks a single parameter).
+    Hessian is read for one parameter only.  Construction runs the kernel
+    pass (utilities, then ``_segment_exp``) and keeps its outputs u, the
+    block shifts and normalizers, and mu; every other quantity is derived
+    from them on first read and kept.  ``kernel``, those four outputs at
+    ``theta`` on the history's rows, is taken instead of a pass when given.
+    The evaluation is a snapshot of the history it was made from: it keeps
+    the history's arrays, which ``History.append`` replaces and never writes
+    into.  ``theta`` must already be float of the history's dimension
+    (``_evaluate`` checks a single parameter).
     """
 
     def __init__(self, history: History, theta: np.ndarray, lam: float, kernel: tuple = ()):
@@ -275,24 +245,26 @@ class _Evaluation:
         self.lam = lam
         self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
         self.offers, self.purchases = history.offers, history.purchases
-        kernel = kernel or _kernel_pass(history, theta)
-        self.u, self._m, self._ez, self._total = kernel
+        if kernel:
+            self.u, self._m, self._total, self.mu = kernel
+        else:
+            self.u = u = self.ctx @ theta.T  # one column per parameter
+            self._m, ez, self._total = _segment_exp(history, u)
+            self.mu = ez / self._total[self.seg_ids]  # softmax of every row, (n,) or (n, m)
 
     def recounted(self, history: History, lam: float) -> "_Evaluation":
         """The evaluation at this theta on the history's current counts.
 
         If the history still holds the rows this evaluation was made from
         (``History.append`` replaces ``ctx_flat`` only when a block arrives),
-        the kernel's outputs, mu and, at the same lam, the ridge lam I are
-        kept and every count-dependent quantity is derived afresh, with no
-        pass over the history; otherwise theta is evaluated anew.  A fit's
-        warm start, its one user, is carried from round to round this way.
+        the kernel's outputs and, at the same lam, the ridge lam I are kept
+        and every count-dependent quantity is derived afresh, with no pass
+        over the history; otherwise theta is evaluated anew.  A fit's warm
+        start, its one user, is carried from round to round this way.
         """
         if self.ctx is not history.ctx_flat:
             return _evaluate(history, self.theta, lam)
-        kernel = (self.u, self._m, self._ez, self._total)
-        ev = _Evaluation(history, self.theta, lam, kernel)
-        ev.mu = self.mu
+        ev = _Evaluation(history, self.theta, lam, (self.u, self._m, self._total, self.mu))
         if lam == self.lam:
             ev.ridge = self.ridge
         return ev
@@ -310,23 +282,19 @@ class _Evaluation:
         )
 
     @_once
-    def mu(self) -> np.ndarray:
-        """Softmax probability of every stored row, (n,) or (n, m)."""
-        return _mu(self._ez, self._total, self.seg_ids)
-
-    @_once
     def row_offers(self) -> np.ndarray:
         """Offer count of each stored row's block."""
         return self.offers[self.seg_ids]
 
     @_once
     def n_mu(self) -> np.ndarray:
-        """n mu per row, (n,) or (m, n)."""
-        return _n_mu(self.row_offers, self.mu)
+        """n mu per row, n the offer count of the row's block: (n,) or (m, n)."""
+        return self.row_offers * self.mu.T
 
     @_once
     def score(self) -> np.ndarray:
-        return _score(self.ctx, self.purchases, self.n_mu, self.lam, self.theta)
+        """sum_rows (c - n mu) x - lam theta."""
+        return (self.purchases - self.n_mu) @ self.ctx - self.lam * self.theta
 
     @_once
     def g(self) -> np.ndarray:
@@ -346,7 +314,11 @@ class _Evaluation:
 
     @_once
     def nll_hessian(self) -> np.ndarray:
-        return _newton_hessian(self.ctx, self.starts, self.offers, self.mu, self.n_mu, self.ridge)
+        """Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i,
+        plus ``ridge``.  Adding it gives the bits ``_gram``'s diagonal add would."""
+        ctx = self.ctx
+        seg_means = np.add.reduceat(self.mu[:, None] * ctx, self.starts, axis=0)
+        return ctx.T @ (self.n_mu[:, None] * ctx) + self.ridge - seg_means.T @ (self.offers[:, None] * seg_means)
 
 
 def _evaluate(history: History, theta: np.ndarray, lam: float) -> _Evaluation:
@@ -438,19 +410,18 @@ def fit_mle(
 
     Converged means the score norm is at most ``tol``; otherwise the best
     iterate found is returned with ``converged=False`` and the caller
-    decides what to do with it.  Each iterate takes one kernel pass and is
-    kept as that pass's arrays, from which the likelihood formulas give its
-    score and Newton Hessian; its log-likelihood, with the squared norm the
-    ridge reads, and the step's Armijo slope are formed only when the line
-    search reads them.  The rows' offer counts are gathered once per fit, and
-    the ridge lam I is the start evaluation's.  The result carries the
-    evaluation at theta_hat, assembled from its iterate's arrays with no
-    further pass.  ``theta0`` is a start parameter or a previous fit's
-    result, whose theta_hat is the start; if the history has gained no row
-    since that fit, its evaluation is recounted on the current counts (its
-    ridge kept) rather than made again.  A full step that brings the score
-    norm to at most 0.9 times its last value is taken without reading a
-    log-likelihood, so a fit whose steps all contract forms none.
+    decides what to do with it.  Every iterate, each line-search candidate
+    included, is an evaluation, one kernel pass each; the step reads its
+    score and Newton Hessian, and the line search reads its log-likelihood
+    (with the squared norm the ridge reads) only for the Armijo test.  A
+    full step that brings the score norm to at most 0.9 times its last
+    value is taken without that test, so a fit whose steps all contract
+    forms no log-likelihood.  The candidates share the start's row offer
+    counts and ridge lam I.  The result carries the last iterate, the
+    evaluation at theta_hat.  ``theta0`` is a start parameter or a previous
+    fit's result, whose theta_hat is the start; if the history has gained
+    no row since that fit, its evaluation is recounted on the current
+    counts (its ridge kept) rather than made again.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1 for a well-posed fit, got {lam}")
@@ -459,49 +430,27 @@ def fit_mle(
     else:
         theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
         ev = _evaluate(history, theta, lam)
-    ctx, seg_ids, starts = ev.ctx, ev.seg_ids, ev.starts
-    offers, purchases, n_row = ev.offers, ev.purchases, ev.row_offers
-    # The Newton Hessian is a sum of PSD block terms plus lam I with lam >=
-    # 1, so it is positive definite and the solve is regular.
-    ridge = ev.ridge
-    theta, kernel = ev.theta, (ev.u, ev._m, ev._ez, ev._total)
-    mu, n_mu, s = ev.mu, ev.n_mu, ev.score
-    s_norm = _norm(s)
-    ll = None  # the iterate's log-likelihood, once the line search reads it
+    s_norm = _norm(ev.score)
     steps = 0
     while s_norm > tol and steps < max_iter:
-        step = _solve(_newton_hessian(ctx, starts, offers, mu, n_mu, ridge), s)
-        slope = None  # s . step, once the line search reads it
+        # The Newton Hessian is a sum of PSD block terms plus lam I with lam
+        # >= 1, so it is positive definite and the solve is regular.
+        step = _solve(ev.nll_hessian, ev.score)
         a = 1.0
         while a >= 1e-12:
-            cand = theta + step if a == 1.0 else theta + a * step  # 1.0 * step is step
-            c_kernel = c_u, c_m, c_ez, c_total = _kernel_pass(history, cand)
-            c_mu = _mu(c_ez, c_total, seg_ids)
-            c_n_mu = _n_mu(n_row, c_mu)
-            c_s = _score(ctx, purchases, c_n_mu, lam, cand)
-            c_norm = _norm(c_s)
+            theta = ev.theta + step if a == 1.0 else ev.theta + a * step  # 1.0 * step is step
+            cand = _Evaluation(history, theta, lam)
+            cand.row_offers, cand.ridge = ev.row_offers, ev.ridge
+            c_norm = _norm(cand.score)
             # Near the optimum the objective improvement drowns in rounding;
             # a contracting score norm is still progress.
-            contracts = a == 1.0 and c_norm <= 0.9 * s_norm
-            if contracts:
+            if a == 1.0 and c_norm <= 0.9 * s_norm:
                 break
-            if ll is None:
-                u, m, _, total = kernel
-                ll = _log_likelihood(purchases, offers, u, m, total, lam, _sq_norm(theta))
-            if slope is None:
-                slope = float(s @ step)
-            c_ll = _log_likelihood(purchases, offers, c_u, c_m, c_total, lam, _sq_norm(cand))
-            if c_ll >= ll + 1e-4 * a * slope:
+            if cand.log_likelihood >= ev.log_likelihood + 1e-4 * a * float(ev.score @ step):
                 break
             a *= 0.5
         else:
             break  # line search hit the numerical floor
-        theta, kernel, mu, n_mu, s, s_norm = cand, c_kernel, c_mu, c_n_mu, c_s, c_norm
-        ll = None if contracts else c_ll
+        ev, s_norm = cand, c_norm
         steps += 1
-    if steps:  # theta_hat's evaluation, from its iterate's arrays
-        ev = _Evaluation(history, theta, lam, kernel)
-        ev.mu, ev.row_offers, ev.n_mu, ev.score, ev.ridge = mu, n_row, n_mu, s, ridge
-    if ll is not None:
-        ev.log_likelihood = ll
-    return MleResult(theta, s_norm, steps, s_norm <= tol, ev)
+    return MleResult(ev.theta, s_norm, steps, s_norm <= tol, ev)

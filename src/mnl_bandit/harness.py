@@ -162,6 +162,8 @@ class ExperimentConfig(InstanceConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()  # the shape fields, before ``lam`` reads d and K
+        if self.prices is not None:  # a list, as JSON gives it back
+            self.prices = self.prices.tolist() if isinstance(self.prices, np.ndarray) else list(self.prices)
         for name, least in _INT_MINIMA.items():
             integer_at_least(name, getattr(self, name), least)
         check_search(self.restarts, self.n_dirs, self.refine_top)
@@ -179,6 +181,7 @@ class ExperimentConfig(InstanceConfig):
             or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in self.seeds)
         ):
             raise ValueError(f"seeds must be a nonempty list of integers >= 0, got {self.seeds!r}")
+        self.seeds = list(self.seeds)
         if repeated := sorted(s for s, n in Counter(self.seeds).items() if n > 1):
             named = ", ".join(map(str, repeated))
             raise ValueError(f"seeds must not repeat a seed, got {named} more than once")

@@ -498,3 +498,14 @@ class TestMatrixAndDiff:
         assert f"random/run_random_seed1.json: missing in {other}" in out
         assert main(["diff", str(run_dir), str(tmp_path / "nowhere")]) == 1
         assert "nowhere is not a directory" in capsys.readouterr().err
+
+    def test_directories_with_no_run_file_fail(self, tmp_path, capsys):
+        # An empty or mistyped matrix directory must not pass as equivalent.
+        a, b = tmp_path / "a", tmp_path / "b"
+        (a / "e").mkdir(parents=True)
+        b.mkdir()
+        (b / "notes.txt").write_text("not a run\n")
+        assert main(["diff", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"no run files in {a} or {b}\n"
+        assert captured.out == ""

@@ -1,8 +1,10 @@
 """Estimator math: likelihood, score, Newton fit, design matrices."""
+import ast
 import collections
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -753,6 +755,102 @@ class TestWarmStartFromTheLastFit:
             assert np.array_equal(res.theta_hat, ref.theta_hat)
         with pytest.raises(ValueError, match="dimension mismatch"):
             fit_mle(History(3), self.LAM, theta0=last)
+
+
+class TestBacktrackedFit:
+    LAM = 1.0
+    START = np.array([-10.0, 0.0])
+
+    @staticmethod
+    def history():
+        # From START the Newton Hessian is nearly lam I, so the full step
+        # overshoots far past the optimum and the line search must halve it.
+        hist = History(2)
+        one = make_assortment([[1.0, 0.0]])
+        two = make_assortment([[0.6, 0.8], [-0.8, 0.6]])
+        for t in range(100):
+            hist.append(one, t % 2)
+            hist.append(two, t % 3)
+        return hist
+
+    def assert_is_reference(self, res, hist):
+        ev = res.evaluation
+        assert ev.theta is res.theta_hat
+        # The line search read the returned iterate's log-likelihood, which
+        # the evaluation keeps.
+        assert "log_likelihood" in vars(ev)
+        assert_same_as_reference(
+            ev.log_likelihood, ev.score, ev.g, ev.H, ev.nll_hessian,
+            separate_pass_reference(hist, res.theta_hat, self.LAM),
+        )
+
+    def test_halved_step_is_accepted_and_evaluated_exactly(self, kernel_passes):
+        hist = self.history()
+        start = _evaluate(hist, self.START, self.LAM)
+        step = _solve(start.nll_hessian, start.score)
+        kernel_passes.clear()
+        res = fit_mle(hist, self.LAM, theta0=self.START, max_iter=1)
+        assert res.iterations == 1 and not res.converged
+        # The start, then the candidates at a = 1, 1/2, ... down to the one accepted.
+        a = 0.5 ** (len(kernel_passes) - 2)
+        assert a < 1.0
+        assert np.array_equal(res.theta_hat, self.START + a * step)
+        assert np.array_equal(kernel_passes[-1], hist.ctx_flat @ res.theta_hat)
+        self.assert_is_reference(res, hist)
+        # The whole fit takes that step first and converges.
+        first = list(kernel_passes)
+        kernel_passes.clear()
+        full = fit_mle(hist, self.LAM, theta0=self.START)
+        assert full.converged and full.iterations > 1
+        assert all(map(np.array_equal, first, kernel_passes[: len(first)]))
+        ev = full.evaluation
+        assert_same_as_reference(
+            ev.log_likelihood, ev.score, ev.g, ev.H, ev.nll_hessian,
+            separate_pass_reference(hist, full.theta_hat, self.LAM),
+        )
+
+    def test_fit_stopped_at_the_step_floor_returns_its_last_iterate(self, kernel_passes, monkeypatch):
+        # Halving a Newton step on a float64 history ends at a candidate the
+        # Armijo test accepts, at worst one that leaves theta as it is, so no
+        # history is known to reach the floor.  Here every point but the
+        # start is made impossible.
+        hist = self.history()
+        u_start = hist.ctx_flat @ self.START
+        real = estimation._log_likelihood
+
+        def lowered(purchases, offers, u, *rest):
+            return real(purchases, offers, u, *rest) if np.array_equal(u, u_start) else -math.inf
+
+        monkeypatch.setattr(estimation, "_log_likelihood", lowered)
+        kernel_passes.clear()
+        res = fit_mle(hist, self.LAM, theta0=self.START)
+        assert res.iterations == 0 and not res.converged
+        # The start and one candidate per halving, a = 1 down to 2^-39 >= 1e-12.
+        assert len(kernel_passes) == 41
+        assert np.array_equal(res.theta_hat, self.START)
+        self.assert_is_reference(res, hist)
+
+
+def test_segment_kernel_runs_only_in_the_evaluation():
+    # Every likelihood pass in the package is an evaluation: _segment_exp is
+    # called from _Evaluation.__init__ and nowhere else, so a second pipeline
+    # threading the kernel's arrays by hand fails here.
+    sites = []
+
+    def visit(node, where, stem):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "_segment_exp":
+                sites.append((stem, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, stem)
+
+    for path in sorted(Path(estimation.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None, path.stem)
+    assert sites == [("estimation", "_Evaluation.__init__")]
 
 
 class TestDimensionCheck:

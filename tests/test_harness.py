@@ -1021,6 +1021,25 @@ class TestConfig:
         clone = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert clone.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize(
+        "prices, seeds",
+        [((1.0, 0.5, 2.0), (0, 1)), (np.array([1.0, 0.5, 2.0]), [0, 1])],
+        ids=["tuples", "array"],
+    )
+    def test_sequence_fields_are_stored_as_lists(self, tmp_path, prices, seeds):
+        # Prices given as a tuple or an array, and seeds as a tuple, read back
+        # from JSON as the same config, and the runs summarize and save.
+        cfg = small_cfg(T=5, prices=prices, seeds=seeds)
+        assert cfg.prices == [1.0, 0.5, 2.0] and cfg.seeds == [0, 1]
+        assert all(type(p) is float for p in cfg.prices)
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        logs = run_many(cfg)
+        assert isinstance(logs[0].instance.prices, np.ndarray)
+        assert summarize_runs(logs).n_runs == 2
+        for path in save_runs(logs, tmp_path):
+            with open(path[: -len(".csv")] + ".json") as fh:
+                assert json.load(fh)["config"]["prices"] == [1.0, 0.5, 2.0]
+
     def test_default_lambda_uses_horizon(self):
         cfg = small_cfg(T=3000, N=8)
         assert cfg.lam == pytest.approx(2 * math.log(2 * 3000))
