@@ -27,6 +27,7 @@ from .confidence import (
     _chord_proved,
     _chord_zero,
     _E_member,
+    _E_proved,
     _gap_margin,
     beta_radius,
     build_confidence_state,
@@ -270,12 +271,19 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
     of the ball and 10 of its sphere are tested.  On 8 random rays from the
     anchor, wherever E binds inside the ball, a bracket lo < hi around E's
     exit, lo feasible and hi not, gives a chord point, which is tested
-    where ``_chord_proved`` certifies it.  The check fails on any
+    where ``_chord_proved`` certifies it.  Every point tested on those rays
+    (the ball's exits, the bisection's midpoints, the brackets' ends and the
+    chord points) is also one where ``_E_proved`` may certify membership
+    from the point's own score, and each point it certifies is tested.  The
+    bisection's midpoints close in on E's boundary from both sides, so
+    where the data adds little curvature to the ridge the score's bound is
+    tight there and only the margin keeps it sound.  The check fails on any
     violation, or unless the whole-ball proof both holds and fails
-    somewhere and the chord proof certifies some point.
+    somewhere, the chord proof certifies some point and the score proof
+    both certifies and fails to certify some point.
     """
     rng = np.random.default_rng(seed)
-    violations = held = chords = 0
+    violations = held = chords = scored = unscored = 0
     for h in range(n_histories):
         d = int(rng.integers(1, 6))
         S = float(rng.choice([1.0, 3.0, 5.0]))
@@ -314,7 +322,13 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
         s_ball = _ball_exit(base, rays, S)
 
         def member(steps, dirs):
-            ok, gap = _E_member(_Evaluation(hist, base + steps[:, None] * dirs, lam), cfg, state)
+            nonlocal violations, scored, unscored
+            ev = _Evaluation(hist, base + steps[:, None] * dirs, lam)
+            ok, gap = _E_member(ev, cfg, state)
+            proved = _E_proved(ev, cfg, state)
+            violations += int((proved & ~ok).sum())
+            scored += int(proved.sum())
+            unscored += int((~proved).sum())
             return ok, gap - state.beta**2
 
         binds = ~member(s_ball, rays)[0]
@@ -335,9 +349,10 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
             violations += int((~member(s[proved], v[proved])[0]).sum())
     return CheckResult(
         "proofs of E membership are sound",
-        violations == 0 and 0 < held < n_histories and chords > 0,
+        violations == 0 and 0 < held < n_histories and chords > 0 and scored > 0 and unscored > 0,
         f"{violations} violations; the whole-ball proof held in {held} of {n_histories} "
-        f"histories; the chord proof certified {chords} points",
+        f"histories; the chord proof certified {chords} points; the score proof "
+        f"certified {scored} of {scored + unscored}",
         violations,
     )
 
@@ -420,8 +435,10 @@ COVERAGE_CFG = dict(N=3, T=500, **GATE_SEARCH)
 # MATRIX_SEEDS, so a change states "same behaviour" with ``mnl-bandit diff``
 # against its parent's directory.  Every policy on the regret config, the
 # default config, fresh contexts, C's policy at d=5, the bonus baseline with
-# unequal prices, the gate's coverage config and the default config at
-# S = 3, where the whole-ball proof fails and the ascent tests E.
+# unequal prices, the gate's coverage config, the default config at S = 3,
+# where the whole-ball proof fails and the ascent tests E, and the default
+# config at lam = 1, whose weak ridge lets theta_hat leave the ball, so the
+# anchor is theta_hat projected onto it.
 MATRIX = {
     **{f"regret_{p.value}": ExperimentConfig(**REGRET_CFG, policy=p.value) for p in PolicyKind},
     "default": ExperimentConfig(),
@@ -432,6 +449,7 @@ MATRIX = {
     ),
     "gate_coverage": ExperimentConfig(**COVERAGE_CFG),
     "large_radius": ExperimentConfig(S=3.0, S_true=3.0),
+    "small_ridge": ExperimentConfig(lambda_override=1.0, T=300),
 }
 MATRIX_SEEDS = (0, 1, 2)
 

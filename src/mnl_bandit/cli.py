@@ -85,13 +85,28 @@ def _load_config(args) -> ExperimentConfig:
         raise SystemExit(2) from None
 
 
+def _check_out(path: str, directory: bool) -> None:
+    """Exit 2 with a message naming ``path`` unless a directory (``directory``)
+    or a file can be written there, before anything runs: an existing
+    ``path`` must be of that kind, and the nearest existing one of its
+    ancestors a directory."""
+    where, want_dir = path, directory
+    while not os.path.exists(where):
+        where, want_dir = os.path.dirname(os.path.abspath(where)), True
+    if os.path.isdir(where) != want_dir:
+        kind = "not a directory" if want_dir else "a directory"
+        print(f"mnl-bandit: invalid output path {path}: {where} is {kind}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"mnl-bandit: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     cfg = _load_config(args)
-    logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
     out_dir = cfg.out_dir or "runs"
+    _check_out(out_dir, directory=True)
+    logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
     paths = save_runs(logs, out_dir)
     summary = summarize_runs(logs)
     print(f"wrote {len(paths)} runs to {out_dir}")
@@ -124,6 +139,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    if args.out:
+        _check_out(os.path.join(args.out, "summary.json"), directory=False)
     paths = sorted(glob.glob(os.path.join(args.runs_dir, "*.csv")))
     if not paths:
         print(f"no run CSVs under {args.runs_dir}", file=sys.stderr)
@@ -174,6 +191,8 @@ def cmd_instance(args) -> int:
         print(f"mnl-bandit: invalid --seed: must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
     cfg = _load_config(args)
+    if args.out:
+        _check_out(args.out, directory=False)
     inst = make_instance(cfg, args.seed)
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -185,6 +204,8 @@ def cmd_instance(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    for name in MATRIX:
+        _check_out(os.path.join(args.out, name), directory=True)
     for name, cfg in MATRIX.items():
         save_runs(run_many(cfg, MATRIX_SEEDS), os.path.join(args.out, name))
     print(f"wrote {len(MATRIX) * len(MATRIX_SEEDS)} runs to {args.out}")

@@ -27,6 +27,13 @@ proof of that from theta_hat's own evaluation (``ConfidenceState.ball_in_E``,
 by the loss's generalized self-concordance), made on first read with no
 pass; where it holds, the boundary search returns its outer probes and the
 ascent's candidates, projected onto Theta, need no test at all.
+
+A parameter's own score can prove it inside E without theta_hat's
+log-likelihood (``_E_proved``): the penalized log-likelihood is
+lam-strongly concave, so the loss gap at theta is at most
+||score(theta)||^2 / (2 lam).  A run tries this on theta_star's running
+score each round before the exact test, which then reads theta_hat's
+log-likelihood only where the proof fails.
 """
 from __future__ import annotations
 
@@ -46,6 +53,7 @@ from .estimation import (
     _once,
     _row_norms,
     _solve,
+    _sq_norm,
     fit_mle,
 )
 
@@ -185,10 +193,17 @@ class ConfidenceState:
         return bound <= self.beta**2 - _gap_margin(self)
 
 
-def _gap_margin(state: ConfidenceState) -> float:
+def _gap_margin(state: ConfidenceState, log_likelihood: float | None = None) -> float:
     """1e-6 (beta^2 + |loss(theta_hat)|): an allowance for the rounding in a
-    computed loss gap, by which a proof's bound must clear E's level."""
-    return 1e-6 * (state.beta**2 + abs(float(state.mle.evaluation.log_likelihood)))
+    computed loss gap, by which a proof's bound must clear E's level.
+
+    ``log_likelihood``, if given, stands in for theta_hat's, so that a
+    caller that has not formed theta_hat's can use a larger one instead;
+    a stack of them gives one margin each.
+    """
+    if log_likelihood is None:
+        log_likelihood = float(state.mle.evaluation.log_likelihood)
+    return 1e-6 * (state.beta**2 + abs(log_likelihood))
 
 
 def build_confidence_state(
@@ -250,6 +265,28 @@ def _E_member(
     """
     gap = state.mle.evaluation.log_likelihood - ev.log_likelihood  # loss = -log_likelihood
     return _in_ball(ev.sq_norm, cfg) & (gap <= state.beta**2), gap
+
+
+def _E_proved(ev, cfg: ConfidenceConfig, state: ConfidenceState) -> np.ndarray:
+    """For the parameter or each row of the stack ``ev`` was made at, a proof
+    from its own score that its loss gap is within E's level, or False; the
+    ball test is the caller's.
+
+    The penalized log-likelihood LL is lam-strongly concave, so at any theta
+    LL(theta') <= LL(theta) + score . (theta' - theta) - (lam/2)||theta' -
+    theta||^2 <= LL(theta) + ||score||^2 / (2 lam) for every theta', theta_hat
+    included: the loss gap is at most ||score(theta)||^2 / (2 lam), whether
+    or not the fit converged.  The proof holds when that is at most beta^2
+    less ``_gap_margin`` with |LL(theta)| in place of |LL(theta_hat)|.
+    Where the gap is positive that margin is the larger, since every LL is
+    at most 0 and there LL(theta_hat) > LL(theta); where it is not, the
+    float test clears beta^2 by more than its rounding.  So where the proof
+    holds the parameter passes ``_E_member``'s float test, and theta_hat's
+    LL is never formed.  ``ev`` is any object with ``score`` and
+    ``log_likelihood``, such as the run's running sums at theta_star.
+    """
+    bound = _sq_norm(ev.score) / (2.0 * cfg.lam)
+    return bound <= state.beta**2 - _gap_margin(state, ev.log_likelihood)
 
 
 def in_set_E(

@@ -17,9 +17,16 @@ A ``RunLog`` holds the records and reads its total regret and whole-run
 coverage off them; its metadata reads the regularization off the config.
 Diagnostics that need theta_star (coverage, deviation norms, the potential
 checks) are simulator-side only; the policy never reads them.  A run keeps
-theta_star's penalized log-likelihood, g and H_t(theta_star) as running
-sums over the rounds played, for its coverage and its deviation norm, so
-theta_star's side never passes over the history.  A policy names the
+theta_star's penalized log-likelihood, g, H_t(theta_star) and the sum of
+the purchased items' contexts as running sums over the rounds played, for
+its coverage and its deviation norm, so theta_star's side never passes
+over the history.  Its score is that purchase sum minus g.  E's coverage
+flag is first decided by ``confidence._E_proved`` from that score: the
+penalized log-likelihood is lam-strongly concave, so theta_star's loss gap
+is at most ||score||^2 / (2 lam), and where that clears beta^2 by
+``confidence._gap_margin`` theta_star is in E.  Only where it does not
+does ``_E_member`` read theta_hat's log-likelihood; theta_star's ball test
+is made once a run, since theta_star is fixed.  A policy names the
 assortment it plays by its indices; the assortment's record, one per
 assortment a pool plays (the oracle's too), picks and checks its contexts
 and holds theta_star's law, revenue and round terms there.  On a fixed pool
@@ -52,6 +59,8 @@ from .confidence import (
     ConfidenceState,
     _C_member,
     _E_member,
+    _E_proved,
+    _in_ball,
     build_confidence_state,
     default_lambda,
 )
@@ -355,12 +364,14 @@ class _PoolRecords(dict):
 
 
 class _StarSums:
-    """theta_star's penalized log-likelihood, g and H over the rounds played.
+    """theta_star's penalized log-likelihood, g, H and score over the rounds played.
 
-    Running sums, one round added at a time, exposing what ``_E_member``
-    and ``_C_member`` read off an evaluation: ``log_likelihood``,
-    ``sq_norm``, ``g`` and ``H``, which is H_t(theta_star).  They start at
-    the ridge's terms, as an evaluation on an empty history would give.
+    Running sums, one round added at a time, exposing what ``_E_member``,
+    ``_C_member`` and ``_E_proved`` read off an evaluation:
+    ``log_likelihood``, ``sq_norm``, ``g``, ``H``, which is H_t(theta_star),
+    and ``score``.  They start at the ridge's terms, as an evaluation on an
+    empty history would give.  The score, sum_rows (c - n mu) x - lam
+    theta_star, is the running sum of the purchased items' contexts less g.
     """
 
     def __init__(self, theta_star: np.ndarray, lam: float):
@@ -368,10 +379,17 @@ class _StarSums:
         self.log_likelihood = -0.5 * lam * self.sq_norm
         self.g = lam * theta_star
         self.H = lam * np.eye(theta_star.shape[0])
+        self.purchased = np.zeros(theta_star.shape[0])  # sum of the purchased items' contexts
+
+    @property
+    def score(self) -> np.ndarray:
+        return self.purchased - self.g
 
     def add(self, law: _StarLaw, outcome: int) -> None:
         """Add a round played on ``law``'s assortment that drew ``outcome``."""
         self.log_likelihood += (law.u[outcome - 1] if outcome else 0.0) - law.lse
+        if outcome:
+            self.purchased += law.ass.contexts[outcome - 1]
         self.g += law.g
         self.H += law.H
 
@@ -427,6 +445,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     newton_steps = 0
     previous_fit = None  # the last round's MleResult, which warm-starts the next fit
     at_star = _StarSums(theta_star, ccfg.lam)  # over the rounds before the current one
+    star_in_ball = bool(_in_ball(at_star.sq_norm, ccfg))  # theta_star is fixed: one test a run
     track_c = cfg.tracks_C
 
     # The pool's oracle and theta_star's records on it, by assortment.
@@ -463,7 +482,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         inst_regret = oracle_value - law.revenue
         cum += inst_regret
 
-        covered_e = bool(_E_member(at_star, ccfg, state)[0])
+        # The score's proof first: it forms no log-likelihood at theta_hat.
+        covered_e = star_in_ball and bool(
+            _E_proved(at_star, ccfg, state) or _E_member(at_star, ccfg, state)[0]
+        )
         covered_c = bool(_C_member(at_star, ccfg, state)[0]) if track_c else None
         covered = covered_c if kind is PolicyKind.CB_MNL_C else covered_e
 

@@ -401,6 +401,55 @@ class TestInstanceCommand:
         assert not dest.exists()
 
 
+class TestOutputPaths:
+    # An output path that cannot be written fails with exit code 2, naming
+    # it, before any run starts or any input is read.
+    @pytest.fixture()
+    def no_runs(self, monkeypatch):
+        import mnl_bandit.cli as cli
+
+        def refused(*args, **kw):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_many", refused)
+        monkeypatch.setattr(cli, "make_instance", refused)
+
+    @staticmethod
+    def refused(capsys, argv, path):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mnl-bandit: invalid output path {path}")
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_run_into_a_file_fails_before_running(
+        self, tmp_path, config_file, capsys, no_runs, below
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "runs" if below else taken
+        self.refused(capsys, ["run", "--config", str(config_file), "--out", str(out)], out)
+        assert taken.read_text() == "kept\n"
+
+    def test_matrix_into_a_file_fails_before_running(self, tmp_path, capsys, no_runs):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        self.refused(capsys, ["matrix", "--out", str(taken)], taken)
+
+    def test_summarize_into_a_file_fails(self, tmp_path, config_file, capsys):
+        runs = tmp_path / "runs"
+        main(["run", "--config", str(config_file), "--out", str(runs)])
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        self.refused(capsys, ["summarize", str(runs), "--out", str(taken)], taken)
+        assert taken.read_text() == "kept\n"
+
+    def test_instance_onto_a_directory_fails(self, tmp_path, config_file, capsys, no_runs):
+        self.refused(capsys, ["instance", "--config", str(config_file), "--out", str(tmp_path)], tmp_path)
+
+
 class TestCheckCommand:
     def test_selected_checks_pass(self, capsys):
         rc = main(["check", "--only", "probability_normalization,g_identity"])

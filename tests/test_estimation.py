@@ -169,10 +169,11 @@ class TestFitMle:
             fit_mle(History(2), 0.5)
 
     def test_iterations_count_newton_steps_taken(self):
-        # With tol=0 no fit converges: each one either uses up max_iter or
-        # stops where the line search hits its floor.  The reported count is
-        # the steps taken, so a fit that stops before 60 steps reports the
-        # same count and parameter under a cap of 60 as under 100.
+        # With tol=0 a fit converges only where its score norm is exactly
+        # 0.0, and here every fit that stops early does so converged; the
+        # others use up max_iter.  The reported count is the steps taken, so
+        # a fit that stops before 60 steps reports the same count and
+        # parameter under a cap of 60 as under 100.
         rng = np.random.default_rng(23)
         early = 0
         for _ in range(50):
@@ -181,10 +182,11 @@ class TestFitMle:
             capped = fit_mle(hist, 1.0, tol=0.0, max_iter=60)
             if full.iterations < 60:
                 early += 1
+                assert full.converged and full.score_norm == 0.0
                 np.testing.assert_array_equal(capped.theta_hat, full.theta_hat)
                 assert capped.iterations == full.iterations
             else:
-                assert capped.iterations == 60
+                assert full.iterations == 100 and capped.iterations == 60
         assert early > 0
 
 

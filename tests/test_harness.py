@@ -23,7 +23,7 @@ from mnl_bandit.choice import (
     sample_choice,
 )
 from mnl_bandit.confidence import ConfidenceConfig, in_set_C, in_set_E
-from mnl_bandit.estimation import History, _evaluate
+from mnl_bandit.estimation import History, _evaluate, score
 from mnl_bandit.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -322,6 +322,28 @@ class TestRefinedRounds:
         assert len(refined) == MATRIX["large_radius"].T
         assert sum(refined) >= 1
 
+    def test_small_ridge_matrix_entry_reaches_the_anchor_projection(self, monkeypatch):
+        # The matrix's small_ridge entry (lam = 1) has rounds whose theta_hat
+        # lies outside the ball, so ``mnl-bandit diff`` sees the anchor's
+        # projection onto it, which the boundary search reads every round.
+        import mnl_bandit.harness as harness
+
+        states, build = [], harness.build_confidence_state
+
+        def recorded(*args, **kw):
+            states.append(build(*args, **kw))
+            return states[-1]
+
+        monkeypatch.setattr(harness, "build_confidence_state", recorded)
+        cfg = MATRIX["small_ridge"]
+        run_experiment(cfg, seed=0)
+        assert len(states) == cfg.T
+        assert all("anchor" in vars(state) for state in states)
+        projected = [state for state in states if state.anchor is not state.theta_hat]
+        assert projected
+        for state in projected:
+            assert np.linalg.norm(state.anchor) == pytest.approx(cfg.S, rel=1e-12)
+
     def test_leader_contexts_come_from_the_round_record(self, monkeypatch):
         # The ascent reads the leader's contexts from the record the round
         # then plays, so each fresh pool picks the rows of its oracle and of
@@ -346,6 +368,24 @@ class TestRefinedRounds:
         distinct = [{r.assortment, oracle(r.t)} for r in run.records]
         assert len(picks) == sum(map(len, distinct))
         assert any(len(pair) == 2 for pair in distinct)
+
+
+class TestPrefixInvariance:
+    # With the ridge fixed by lambda_override nothing in a round depends on
+    # the horizon, so a run of n rounds is the first n rounds of a longer
+    # one.  Under the default lam, which grows with T, it cannot hold.
+    @pytest.mark.parametrize("mode", [FIXED_POOL, FRESH_IID])
+    @pytest.mark.parametrize("policy", [kind.value for kind in PolicyKind])
+    def test_short_run_is_the_prefix_of_a_long_one(self, policy, mode):
+        shape = dict(d=2, N=5, K=2, n_dirs=8, lambda_override=10.0, policy=policy, context_mode=mode)
+        n = 40
+        for seed in (0, 1):
+            short = run_experiment(ExperimentConfig(**shape, T=n), seed)
+            long = run_experiment(ExperimentConfig(**shape, T=2 * n), seed)
+            lines = long.csv_text().splitlines(keepends=True)
+            assert short.csv_text() == "".join(lines[: n + 1])  # the header and n rows
+            assert short.total_regret == long.records[n - 1].cum_regret
+            assert short.kappa_hat == long.kappa_hat
 
 
 class TestNormSetScreening:
@@ -428,31 +468,96 @@ class TestThetaStarDiagnostics:
         ids=["default", "fresh", "S3"],
     )
     def test_sums_equal_an_evaluation_on_the_rounds_before(self, kw, monkeypatch):
-        # What theta_star's membership test reads each round, against one
-        # likelihood evaluation at theta_star on the history replayed up to
-        # that round.  At S = 3 theta_star's probabilities are far from 1/2.
+        # What theta_star's coverage tests read each round, recorded as each
+        # round's terms are about to be added, against one likelihood
+        # evaluation at theta_star on the history replayed up to that round.
+        # The running score is the score there.  At S = 3 theta_star's
+        # probabilities are far from 1/2.
         import mnl_bandit.harness as harness
 
         seen = []
-        member = harness._E_member
+        add = harness._StarSums.add
 
-        def recorded(ev, cfg, state):
-            seen.append((float(ev.log_likelihood), ev.g.copy(), ev.H.copy()))
-            return member(ev, cfg, state)
+        def recorded(sums, law, outcome):
+            seen.append((float(sums.log_likelihood), sums.g.copy(), sums.H.copy(), sums.score))
+            return add(sums, law, outcome)
 
-        monkeypatch.setattr(harness, "_E_member", recorded)
+        monkeypatch.setattr(harness._StarSums, "add", recorded)
         cfg = ExperimentConfig(**kw)
         run = run_experiment(cfg, seed=0)
         inst, lam = run.instance, run.cfg.lam
         hist = History(cfg.d)
-        for r, (ll, g, h_mat) in zip(run.records, seen, strict=True):
+        for r, (ll, g, h_mat, star_score) in zip(run.records, seen, strict=True):
             ev = _evaluate(hist, inst.theta_star, lam)
             assert ll == pytest.approx(float(ev.log_likelihood), rel=1e-12)
             np.testing.assert_allclose(g, ev.g, rtol=1e-12)
             np.testing.assert_allclose(h_mat, ev.H, rtol=1e-12)
+            # The score is a difference of two sums of g's size, so its
+            # rounding is measured on g's scale.
+            ref = score(hist, inst.theta_star, lam)
+            np.testing.assert_allclose(star_score, ref, rtol=0.0, atol=1e-12 * np.abs(g).max())
             ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
             hist.append(ass, r.outcome)
         assert len(seen) == cfg.T
+
+    def test_member_test_decides_where_the_score_proof_fails(self, monkeypatch):
+        # A pinned small radius narrows E, so theta_star's score proof fails
+        # in some rounds.  The exact test decides those rounds and only
+        # those, and in every round the flag is a direct membership test's.
+        import mnl_bandit.harness as harness
+
+        states, proofs, decided = [], [], []
+        build, proved, member = harness.build_confidence_state, harness._E_proved, harness._E_member
+
+        def recorded_build(*args, **kw):
+            states.append(build(*args, **kw))
+            return states[-1]
+
+        def recorded_proof(*args):
+            proofs.append(proved(*args))
+            return proofs[-1]
+
+        def recorded_member(*args):
+            decided.append(len(proofs) - 1)  # the round whose proof just failed
+            return member(*args)
+
+        monkeypatch.setattr(harness, "build_confidence_state", recorded_build)
+        monkeypatch.setattr(harness, "_E_proved", recorded_proof)
+        monkeypatch.setattr(harness, "_E_member", recorded_member)
+        pin_gamma(monkeypatch, 0.3)
+        cfg = ExperimentConfig(T=100, policy="random")
+        run = run_experiment(cfg, seed=0)
+        inst, ccfg = run.instance, cfg.confidence_config()
+        hist = History(cfg.d)
+        for r, state, held in zip(run.records, states, proofs, strict=True):
+            assert r.covered == in_set_E(inst.theta_star, hist, ccfg, state)
+            assert r.covered or not held
+            ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
+            hist.append(ass, r.outcome)
+        assert decided == [i for i, held in enumerate(proofs) if not held]
+        unproved = [r.covered for r, held in zip(run.records, proofs) if not held]
+        assert 0 < len(unproved) < cfg.T
+        assert any(unproved) and not all(unproved)
+
+    @pytest.mark.parametrize("policy, formed", [("random", 0), ("cb_mnl_e", 5409)])
+    def test_log_likelihoods_formed_on_the_regret_config(self, monkeypatch, policy, formed):
+        # Seed 0 of the regret config, the benchmark's regret workloads.  The
+        # random baseline makes no boundary search, and theta_star's score
+        # proof holds every round, so no log-likelihood is formed; E's
+        # search reads theta_hat's and its probes'.
+        import mnl_bandit.estimation as estimation
+
+        calls = []
+        real = estimation._log_likelihood
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(estimation, "_log_likelihood", counted)
+        run = run_experiment(MATRIX[f"regret_{policy}"], seed=0)
+        assert len(calls) == formed
+        assert run.coverage_all
 
     @pytest.mark.parametrize("theta_star", [[800.0, 0.0], [-800.0, 0.0], [0.0, -800.0]])
     def test_log_normalizer_at_extreme_utilities(self, theta_star):
