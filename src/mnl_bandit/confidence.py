@@ -32,8 +32,8 @@ A parameter's own score can prove it inside E without theta_hat's
 log-likelihood (``_E_proved``): the penalized log-likelihood is
 lam-strongly concave, so the loss gap at theta is at most
 ||score(theta)||^2 / (2 lam).  A run tries this on theta_star's running
-score each round before the exact test, which then reads theta_hat's
-log-likelihood only where the proof fails.
+score in each round that has not formed theta_hat's log-likelihood, and
+the exact test, which reads it, decides only where the proof fails.
 """
 from __future__ import annotations
 

@@ -21,12 +21,14 @@ theta_star's penalized log-likelihood, g, H_t(theta_star) and the sum of
 the purchased items' contexts as running sums over the rounds played, for
 its coverage and its deviation norm, so theta_star's side never passes
 over the history.  Its score is that purchase sum minus g.  E's coverage
-flag is first decided by ``confidence._E_proved`` from that score: the
-penalized log-likelihood is lam-strongly concave, so theta_star's loss gap
-is at most ||score||^2 / (2 lam), and where that clears beta^2 by
-``confidence._gap_margin`` theta_star is in E.  Only where it does not
-does ``_E_member`` read theta_hat's log-likelihood; theta_star's ball test
-is made once a run, since theta_star is fixed.  A policy names the
+flag is decided by ``confidence._E_proved`` from that score where the
+round has not formed theta_hat's log-likelihood: the penalized
+log-likelihood is lam-strongly concave, so theta_star's loss gap is at
+most ||score||^2 / (2 lam), and where that clears beta^2 by
+``confidence._gap_margin`` theta_star is in E.  Only where it does not, or
+where theta_hat's log-likelihood is formed already and reading it costs
+less than the proof, does ``_E_member`` decide; theta_star's ball test is
+made once a run, since theta_star is fixed.  A policy names the
 assortment it plays by its indices; the assortment's record, one per
 assortment a pool plays (the oracle's too), picks and checks its contexts
 and holds theta_star's law, revenue and round terms there.  On a fixed pool
@@ -482,10 +484,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         inst_regret = oracle_value - law.revenue
         cum += inst_regret
 
-        # The score's proof first: it forms no log-likelihood at theta_hat.
-        covered_e = star_in_ball and bool(
-            _E_proved(at_star, ccfg, state) or _E_member(at_star, ccfg, state)[0]
-        )
+        # The score's proof spares forming theta_hat's log-likelihood; where
+        # the round has formed it already (E's boundary search reads it),
+        # the exact test costs less than the proof.
+        if not star_in_ball:
+            covered_e = False
+        elif "log_likelihood" not in vars(state.mle.evaluation) and _E_proved(at_star, ccfg, state):
+            covered_e = True
+        else:
+            covered_e = bool(_E_member(at_star, ccfg, state)[0])
         covered_c = bool(_C_member(at_star, ccfg, state)[0]) if track_c else None
         covered = covered_c if kind is PolicyKind.CB_MNL_C else covered_e
 

@@ -539,24 +539,35 @@ class TestThetaStarDiagnostics:
         assert 0 < len(unproved) < cfg.T
         assert any(unproved) and not all(unproved)
 
-    @pytest.mark.parametrize("policy, formed", [("random", 0), ("cb_mnl_e", 5409)])
-    def test_log_likelihoods_formed_on_the_regret_config(self, monkeypatch, policy, formed):
+    @pytest.mark.parametrize(
+        "policy, formed, tried", [("random", 0, 3000), ("cb_mnl_e", 5409, 0)]
+    )
+    def test_log_likelihoods_formed_on_the_regret_config(self, monkeypatch, policy, formed, tried):
         # Seed 0 of the regret config, the benchmark's regret workloads.  The
         # random baseline makes no boundary search, and theta_star's score
-        # proof holds every round, so no log-likelihood is formed; E's
-        # search reads theta_hat's and its probes'.
+        # proof holds every round, so no log-likelihood is formed.  E's
+        # search reads theta_hat's and its probes', and with theta_hat's
+        # formed before coverage is tested the proof is never tried.
+        import collections
+
         import mnl_bandit.estimation as estimation
+        import mnl_bandit.harness as harness
 
-        calls = []
-        real = estimation._log_likelihood
+        calls = collections.Counter()
 
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
 
-        monkeypatch.setattr(estimation, "_log_likelihood", counted)
+            return counted
+
+        monkeypatch.setattr(
+            estimation, "_log_likelihood", counting("formed", estimation._log_likelihood)
+        )
+        monkeypatch.setattr(harness, "_E_proved", counting("tried", harness._E_proved))
         run = run_experiment(MATRIX[f"regret_{policy}"], seed=0)
-        assert len(calls) == formed
+        assert calls["formed"] == formed and calls["tried"] == tried
         assert run.coverage_all
 
     @pytest.mark.parametrize("theta_star", [[800.0, 0.0], [-800.0, 0.0], [0.0, -800.0]])
