@@ -149,10 +149,8 @@ def _random_history(rng, d, rounds, k_max) -> History:
     """Rounds of 1..k_max random items with uniform outcomes."""
     hist = History(d)
     for _ in range(rounds):
-        k = int(rng.integers(1, k_max + 1))
-        ctx = sample_ball(rng, k, d)
-        ass = AssortmentContexts(tuple(range(k)), ctx, np.ones(k))
-        hist.append(ass, int(rng.integers(0, k + 1)))
+        ass = _random_assortment(rng, d, k_max)
+        hist.append(ass, int(rng.integers(0, ass.cardinality + 1)))
     return hist
 
 
@@ -247,10 +245,10 @@ def convex_set_contains_norm_set(
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=default_lambda(2, 2, T), S=1.0)
         state = build_confidence_state(hist, cfg, t=T + 1)
         dirs = rng.standard_normal((per_snapshot, 2))
-        points = e_boundary_multi(hist, cfg, state, dirs, "C")
+        points = e_boundary_multi(hist, state, directions=dirs, set_kind="C")
         members = points[(points != state.anchor).any(axis=1)]
         tested += len(members)
-        violations += int((~_E_member(_Evaluation(hist, members, cfg.lam), cfg, state)[0]).sum())
+        violations += int((~_E_member(_Evaluation(hist, members, cfg.lam), state)[0]).sum())
     return CheckResult(
         "convex set contains the norm-based set",
         violations == 0 and tested == n_snapshots * per_snapshot,
@@ -277,10 +275,14 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
     from the point's own score, and each point it certifies is tested.  The
     bisection's midpoints close in on E's boundary from both sides, so
     where the data adds little curvature to the ridge the score's bound is
-    tight there and only the margin keeps it sound.  The check fails on any
-    violation, or unless the whole-ball proof both holds and fails
-    somewhere, the chord proof certifies some point and the score proof
-    both certifies and fails to certify some point.
+    tight there and only the margin keeps it sound.  n_histories / 3 empty
+    histories, from a generator of their own, make the bound the loss gap
+    in exact arithmetic: with theta_hat = 0 both are lam ||theta||^2 / 2,
+    and the 81 points within 40 ulps of E's radius, set inside Theta, on a
+    ray are tested where ``_E_proved`` certifies them.  The check fails on
+    any violation, or unless on the nonempty histories the whole-ball proof
+    both holds and fails somewhere, the chord proof certifies some point and
+    the score proof both certifies and fails to certify some point.
     """
     rng = np.random.default_rng(seed)
     violations = held = chords = scored = unscored = 0
@@ -301,8 +303,7 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
             lam = default_lambda(d, 3, max(rounds, 1))
         else:
             lam = float(rng.uniform(1.0, 400.0))
-        cfg = ConfidenceConfig(d=d, K=3, lam=lam, S=S)
-        state = build_confidence_state(hist, cfg, t=hist.t + 1)
+        state = build_confidence_state(hist, ConfidenceConfig(d=d, K=3, lam=lam, S=S), t=hist.t + 1)
         gamma = state.gamma * math.e ** -float(rng.uniform(0.0, 3.0))
         state = dataclasses.replace(state, gamma=gamma, beta=beta_radius(gamma, lam))
         held += state.ball_in_E
@@ -310,7 +311,7 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
             unit = rng.standard_normal((10, d))
             unit /= np.linalg.norm(unit, axis=1)[:, None]
             points = np.concatenate((sample_ball(rng, 20, d, radius=S), S * unit))
-            violations += int((~_E_member(_Evaluation(hist, points, lam), cfg, state)[0]).sum())
+            violations += int((~_E_member(_Evaluation(hist, points, lam), state)[0]).sum())
 
         # Brackets around E's exit along each ray where E binds inside the
         # ball, from 40 bisections, widened by 1e-9 to 1e-1 of the ray's
@@ -324,8 +325,8 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
         def member(steps, dirs):
             nonlocal violations, scored, unscored
             ev = _Evaluation(hist, base + steps[:, None] * dirs, lam)
-            ok, gap = _E_member(ev, cfg, state)
-            proved = _E_proved(ev, cfg, state)
+            ok, gap = _E_member(ev, state)
+            proved = _E_proved(ev, state)
             violations += int((proved & ~ok).sum())
             scored += int(proved.sum())
             unscored += int((~proved).sum())
@@ -347,12 +348,27 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
             proved &= ok[: len(v)] & ~ok[len(v) :]  # a bracket: lo feasible, hi not
             chords += int(proved.sum())
             violations += int((~member(s[proved], v[proved])[0]).sum())
+
+    rng, near_proved = np.random.default_rng([seed, 1]), 0
+    for _ in range(n_histories // 3):
+        d, lam = int(rng.integers(1, 6)), float(rng.uniform(1.0, 400.0))
+        hist = History(d)
+        state = build_confidence_state(hist, ConfidenceConfig(d=d, K=3, lam=lam, S=5.0), t=1)
+        edge = float(rng.uniform(0.5, 4.5))  # E's radius sqrt(2 beta^2 / lam), inside Theta
+        state = dataclasses.replace(state, beta=edge * math.sqrt(0.5 * lam))
+        ray = rng.standard_normal(d)
+        radii = edge + np.arange(-40, 41) * np.spacing(edge)
+        ev = _Evaluation(hist, radii[:, None] * (ray / np.linalg.norm(ray)), lam)
+        proved = _E_proved(ev, state)
+        violations += int((proved & ~_E_member(ev, state)[0]).sum())
+        near_proved += int(proved.sum())
     return CheckResult(
         "proofs of E membership are sound",
         violations == 0 and 0 < held < n_histories and chords > 0 and scored > 0 and unscored > 0,
         f"{violations} violations; the whole-ball proof held in {held} of {n_histories} "
         f"histories; the chord proof certified {chords} points; the score proof "
-        f"certified {scored} of {scored + unscored}",
+        f"certified {scored} of {scored + unscored}, and {near_proved} of "
+        f"{81 * (n_histories // 3)} points within 40 ulps of E's boundary on empty histories",
         violations,
     )
 

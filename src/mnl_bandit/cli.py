@@ -28,6 +28,7 @@ from .harness import (
     read_run_metadata,
     read_run_csv,
     run_many,
+    run_paths,
     save_runs,
     summarize_runs,
 )
@@ -99,13 +100,21 @@ def _check_out(path: str, directory: bool) -> None:
         raise SystemExit(2)
 
 
+def _check_runs(out_dir: str, policy: str, seeds) -> None:
+    """``_check_out`` on ``out_dir`` and on each file ``save_runs`` writes there."""
+    _check_out(out_dir, directory=True)
+    for seed in seeds:
+        for path in run_paths(out_dir, policy, seed):
+            _check_out(path, directory=False)
+
+
 def cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"mnl-bandit: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     cfg = _load_config(args)
     out_dir = cfg.out_dir or "runs"
-    _check_out(out_dir, directory=True)
+    _check_runs(out_dir, cfg.policy, cfg.seeds)
     logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
     paths = save_runs(logs, out_dir)
     summary = summarize_runs(logs)
@@ -204,8 +213,8 @@ def cmd_instance(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    for name in MATRIX:
-        _check_out(os.path.join(args.out, name), directory=True)
+    for name, cfg in MATRIX.items():
+        _check_runs(os.path.join(args.out, name), cfg.policy, MATRIX_SEEDS)
     for name, cfg in MATRIX.items():
         save_runs(run_many(cfg, MATRIX_SEEDS), os.path.join(args.out, name))
     print(f"wrote {len(MATRIX) * len(MATRIX_SEEDS)} runs to {args.out}")

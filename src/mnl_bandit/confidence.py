@@ -9,18 +9,20 @@ Two sets are maintained over the parameter ball Theta = {||theta|| <= S}:
   (loss = negative penalized log-likelihood), with beta = gamma + gamma^2/lambda.
 
 E contains C, so any coverage guarantee for C transfers to E, and E is the
-set the decision step optimizes over by default.  Membership is one test
-per set (``_E_member``, ``_C_member``) of one likelihood evaluation, at a
-parameter or a stack; each caller evaluates its parameters once.  Screening
-candidates in either set are points near its boundary along rays from the
-anchor, from one search (``e_boundary_multi``) that costs at most two
-likelihood passes, however many rays it has, and for E none where a
-proof shows its probes inside.  The inner revenue
-maximization over E is NOT a concave problem; ``max_revenue_over_E`` is a
-multi-start projected-ascent heuristic whose result is always a feasible
-point, never an upper bound.  It projects each step onto Theta and refuses
-a step that leaves E, so where E binds a start stops short of E's boundary
-instead of sliding along it.
+set the decision step optimizes over by default.  Every set test, proof,
+search and policy step takes a round's snapshot (``ConfidenceState``) and
+reads S, lam and K from the config it holds, so the two cannot disagree.
+Membership is one test per set (``_E_member``, ``_C_member``) of one
+likelihood evaluation, at a parameter or a stack; each caller evaluates
+its parameters once.  Screening candidates in either set are points near
+its boundary along rays from the anchor, from one search
+(``e_boundary_multi``) that costs at most two likelihood passes, however
+many rays it has, and for E none where a proof shows its probes inside.
+The inner revenue maximization over E is NOT a concave problem;
+``max_revenue_over_E`` is a multi-start projected-ascent heuristic whose
+result is always a feasible point, never an upper bound.  It projects
+each step onto Theta and refuses a step that leaves E, so where E binds a
+start stops short of E's boundary instead of sliding along it.
 
 Under the fixed radius E often holds all of Theta.  Each state carries a
 proof of that from theta_hat's own evaluation (``ConfidenceState.ball_in_E``,
@@ -31,9 +33,7 @@ ascent's candidates, projected onto Theta, need no test at all.
 A parameter's own score can prove it inside E without theta_hat's
 log-likelihood (``_E_proved``): the penalized log-likelihood is
 lam-strongly concave, so the loss gap at theta is at most
-||score(theta)||^2 / (2 lam).  A run tries this on theta_star's running
-score in each round that has not formed theta_hat's log-likelihood, and
-the exact test, which reads it, decides only where the proof fails.
+||score(theta)||^2 / (2 lam).  A run tries it on theta_star's running score.
 """
 from __future__ import annotations
 
@@ -128,20 +128,20 @@ def beta_radius(gamma: float, lam: float) -> float:
 
 @dataclass
 class ConfidenceState:
-    """Per-round snapshot: MLE, radii, and the likelihood quantities at theta_hat.
-
-    ``g_at_hat`` and ``H_hat`` read the fit's own evaluation at theta_hat
-    (``mle.evaluation``, whose ``log_likelihood`` E's loss gap reads), and
-    ``anchor`` and ``ball_in_E`` read it and the ball's radius ``S``; each
-    is derived on first read, so none makes a pass over the history and
-    all describe it as it was when the state was built.
+    """Per-round snapshot: MLE, radii, the likelihood quantities at theta_hat
+    and ``cfg``, the config it was built from, whose S, lam and K every
+    reader of the state uses.  ``g_at_hat`` and ``H_hat`` read the fit's own
+    evaluation at theta_hat (``mle.evaluation``, whose ``log_likelihood``
+    E's loss gap reads), and ``anchor`` and ``ball_in_E`` read it and
+    ``cfg.S``; each is derived on first read, so none makes a pass over the
+    history and all describe it as it was when the state was built.
     """
 
     theta_hat: np.ndarray
     gamma: float
     beta: float
     mle: MleResult
-    S: float  # the radius of Theta
+    cfg: ConfidenceConfig
 
     @property
     def g_at_hat(self) -> np.ndarray:
@@ -154,11 +154,11 @@ class ConfidenceState:
     @_once
     def anchor(self) -> np.ndarray:
         """Feasible base point for projections: theta_hat pulled into Theta."""
-        norm = _norm(self.theta_hat)
-        if norm > self.S:
+        norm, S = _norm(self.theta_hat), self.cfg.S
+        if norm > S:
             # The ridge keeps theta_hat near Theta, but nothing forces it
             # inside; projections need a base point that is feasible.
-            return self.theta_hat * (self.S / norm)
+            return self.theta_hat * (S / norm)
         return self.theta_hat
 
     @_once
@@ -182,7 +182,7 @@ class ConfidenceState:
         test.
         """
         ev = self.mle.evaluation
-        r = self.S + _norm(self.theta_hat)
+        r = self.cfg.S + _norm(self.theta_hat)
         curv = float(_eigvalsh(ev.nll_hessian)[-1]) - ev.lam  # the data part's largest curvature
         bound = self.mle.score_norm * r + 0.5 * ev.lam * r * r
         if curv > 0.0:
@@ -219,55 +219,46 @@ def build_confidence_state(
     """
     mle = fit_mle(history, cfg.lam, theta0=theta0)
     gamma = gamma_radius(cfg, t)
-    return ConfidenceState(mle.theta_hat, gamma, beta_radius(gamma, cfg.lam), mle, cfg.S)
+    return ConfidenceState(mle.theta_hat, gamma, beta_radius(gamma, cfg.lam), mle, cfg)
 
 
-def _in_ball(sq_norm: np.ndarray, cfg: ConfidenceConfig) -> np.ndarray:
+def _in_ball(sq_norm: np.ndarray, S: float) -> np.ndarray:
     """The ball test ||theta|| <= S on squared norms, with a relative slack of
     1e-12 so that a point projected onto the sphere passes."""
-    return np.sqrt(sq_norm) <= cfg.S * (1.0 + 1e-12)
+    return np.sqrt(sq_norm) <= S * (1.0 + 1e-12)
 
 
-def _C_member(
-    ev: _Evaluation, cfg: ConfidenceConfig, state: ConfidenceState
-) -> tuple[np.ndarray, np.ndarray]:
+def _C_member(ev: _Evaluation, state: ConfidenceState) -> tuple[np.ndarray, np.ndarray]:
     """Membership in C intersect Theta of the parameter or stack ``ev`` was made
     at, and each one's ||g(theta) - g(theta_hat)||^2 in the H(theta)^-1 norm.
 
     The evaluation gives g(theta) and H(theta); a single parameter takes one
-    (d, d) Hessian and a plain solve.  ``ev`` may also be any object with
-    the attributes read here (``g``, ``H``, ``sq_norm``), such as the run's
-    running sums at theta_star over the rounds played.
+    (d, d) Hessian and a plain solve.  ``ev`` may be any object with ``g``,
+    ``H`` and ``sq_norm``, as ``harness._StarSums`` is.
     """
     dg = ev.g - state.g_at_hat
     quad = (dg * _solve(ev.H, dg[..., None])[..., 0]).sum(axis=-1)
-    return _in_ball(ev.sq_norm, cfg) & (quad <= state.gamma**2), quad
+    return _in_ball(ev.sq_norm, state.cfg.S) & (quad <= state.gamma**2), quad
 
 
-def in_set_C(
-    theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> bool:
-    """Membership in the norm-based set; False outside the parameter ball."""
-    return bool(_C_member(_evaluate(history, theta, cfg.lam), cfg, state)[0])
+def in_set_C(theta: np.ndarray, history: History, state: ConfidenceState) -> bool:
+    """Membership in the norm-based set of ``state``; False outside the parameter ball."""
+    return bool(_C_member(_evaluate(history, theta, state.cfg.lam), state)[0])
 
 
-def _E_member(
-    ev: _Evaluation, cfg: ConfidenceConfig, state: ConfidenceState
-) -> tuple[np.ndarray, np.ndarray]:
+def _E_member(ev: _Evaluation, state: ConfidenceState) -> tuple[np.ndarray, np.ndarray]:
     """Membership in E intersect Theta of the parameter or stack ``ev`` was made
     at, and each one's loss gap loss(theta) - loss(theta_hat).
 
     The evaluation's log-likelihood gives the loss gap, and the squared
     norms of its ridge term serve the ball test ||theta|| <= S.  ``ev`` may
-    also be any object with those two attributes (``log_likelihood``,
-    ``sq_norm``), such as the run's running sums at theta_star over the
-    rounds played.
+    be any object with those two attributes, as ``harness._StarSums`` is.
     """
     gap = state.mle.evaluation.log_likelihood - ev.log_likelihood  # loss = -log_likelihood
-    return _in_ball(ev.sq_norm, cfg) & (gap <= state.beta**2), gap
+    return _in_ball(ev.sq_norm, state.cfg.S) & (gap <= state.beta**2), gap
 
 
-def _E_proved(ev, cfg: ConfidenceConfig, state: ConfidenceState) -> np.ndarray:
+def _E_proved(ev, state: ConfidenceState) -> np.ndarray:
     """For the parameter or each row of the stack ``ev`` was made at, a proof
     from its own score that its loss gap is within E's level, or False; the
     ball test is the caller's.
@@ -283,17 +274,15 @@ def _E_proved(ev, cfg: ConfidenceConfig, state: ConfidenceState) -> np.ndarray:
     float test clears beta^2 by more than its rounding.  So where the proof
     holds the parameter passes ``_E_member``'s float test, and theta_hat's
     LL is never formed.  ``ev`` is any object with ``score`` and
-    ``log_likelihood``, such as the run's running sums at theta_star.
+    ``log_likelihood``, as ``harness._StarSums`` is.
     """
-    bound = _sq_norm(ev.score) / (2.0 * cfg.lam)
+    bound = _sq_norm(ev.score) / (2.0 * state.cfg.lam)
     return bound <= state.beta**2 - _gap_margin(state, ev.log_likelihood)
 
 
-def in_set_E(
-    theta: np.ndarray, history: History, cfg: ConfidenceConfig, state: ConfidenceState
-) -> bool:
-    """Membership in the convex log-loss sublevel set; False outside the parameter ball."""
-    return bool(_E_member(_evaluate(history, theta, cfg.lam), cfg, state)[0])
+def in_set_E(theta: np.ndarray, history: History, state: ConfidenceState) -> bool:
+    """Membership in the convex set E of ``state``; False outside the parameter ball."""
+    return bool(_E_member(_evaluate(history, theta, state.cfg.lam), state)[0])
 
 
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
@@ -307,11 +296,7 @@ def _ball_exit(base: np.ndarray, v: np.ndarray, S: float) -> np.ndarray:
 
 
 def e_boundary_multi(
-    history: History,
-    cfg: ConfidenceConfig,
-    state: ConfidenceState,
-    directions: np.ndarray,
-    set_kind: str = "E",
+    history: History, state: ConfidenceState, directions: np.ndarray, set_kind: str = "E"
 ) -> np.ndarray:
     """Feasible near-boundary points of E or C (``set_kind``), intersect
     Theta, along rays from the anchor.
@@ -351,8 +336,8 @@ def e_boundary_multi(
     dirs = dirs.reshape(-1, dirs.shape[-1])  # one direction is one row
     norms = _row_norms(dirs)
     v = dirs / np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
-    base = state.anchor
-    s_ball = _ball_exit(base, v, cfg.S)
+    base, lam = state.anchor, state.cfg.lam
+    s_ball = _ball_exit(base, v, state.cfg.S)
 
     hess = state.mle.evaluation.nll_hessian
     quad = np.einsum("md,de,me->m", v, hess, v)
@@ -365,7 +350,7 @@ def e_boundary_multi(
     at_hat = base is state.theta_hat or np.array_equal(base, state.theta_hat)
     if not at_hat:
         probes = np.concatenate((probes, base[None]))
-    ok, value = member(_Evaluation(history, probes, cfg.lam), cfg, state)
+    ok, value = member(_Evaluation(history, probes, lam), state)
     m = len(v)
     if ok[: 2 * m].all():
         return probes[m : 2 * m]
@@ -376,9 +361,9 @@ def e_boundary_multi(
     if (hi > lo).any():
         h_lo = np.where(f0, h0, -level if at_hat else h[-1])
         s = _chord_zero(lo, hi, h_lo, np.where(f0, h1, h0))
-        if set_kind == "E" and _chord_proved(lo, hi, s, cfg.lam, _gap_margin(state)).all():
+        if set_kind == "E" and _chord_proved(lo, hi, s, lam, _gap_margin(state)).all():
             return base + s[:, None] * v
-        ok, _ = member(_Evaluation(history, base + s[:, None] * v, cfg.lam), cfg, state)
+        ok, _ = member(_Evaluation(history, base + s[:, None] * v, lam), state)
         lo = np.where(ok, s, lo)
     return base + lo[:, None] * v
 
@@ -416,7 +401,6 @@ def _drop_outward(grads: np.ndarray, normals: np.ndarray) -> np.ndarray:
 def max_revenue_over_E(
     assortment: AssortmentContexts,
     history: History,
-    cfg: ConfidenceConfig,
     state: ConfidenceState,
     starts: np.ndarray,
     max_iter: int = 40,
@@ -446,12 +430,13 @@ def max_revenue_over_E(
     if theta.size == 0:
         raise ValueError("starts must hold at least one parameter")
     theta = theta.reshape(-1, theta.shape[-1])  # one start is one row
+    S, lam = state.cfg.S, state.cfg.lam
     val, grad = revenue_gradient(assortment, theta)
     gnorm = _row_norms(grad)
-    eta = cfg.S / np.where(gnorm > 0.0, gnorm, 1.0)
+    eta = S / np.where(gnorm > 0.0, gnorm, 1.0)
     live = np.ones(len(theta), dtype=bool)
     for _ in range(max_iter):
-        on_sphere = np.einsum("md,md->m", theta, theta) >= (cfg.S * (1.0 - 1e-9)) ** 2
+        on_sphere = np.einsum("md,md->m", theta, theta) >= (S * (1.0 - 1e-9)) ** 2
         sphere = np.where(on_sphere[:, None], theta, 0.0)
         live &= _row_norms(_drop_outward(grad, sphere)) >= _GRAD_TOL
         rows = live.nonzero()[0]
@@ -459,12 +444,12 @@ def max_revenue_over_E(
             break
         cand = theta[rows] + eta[rows, None] * grad[rows]
         norm = _row_norms(cand)
-        out = norm > cfg.S
-        cand[out] *= (cfg.S / norm[out])[:, None]
+        out = norm > S
+        cand[out] *= (S / norm[out])[:, None]
         cand_val, cand_grad = revenue_gradient(assortment, cand)
         up = cand_val > val[rows] + 1e-6
         if not state.ball_in_E:
-            up &= _E_member(_Evaluation(history, cand, cfg.lam), cfg, state)[0]
+            up &= _E_member(_Evaluation(history, cand, lam), state)[0]
         taken, kept = rows[up], rows[~up]
         theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]
         eta[taken] *= 2.0

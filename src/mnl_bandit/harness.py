@@ -21,14 +21,12 @@ theta_star's penalized log-likelihood, g, H_t(theta_star) and the sum of
 the purchased items' contexts as running sums over the rounds played, for
 its coverage and its deviation norm, so theta_star's side never passes
 over the history.  Its score is that purchase sum minus g.  E's coverage
-flag is decided by ``confidence._E_proved`` from that score where the
-round has not formed theta_hat's log-likelihood: the penalized
-log-likelihood is lam-strongly concave, so theta_star's loss gap is at
-most ||score||^2 / (2 lam), and where that clears beta^2 by
-``confidence._gap_margin`` theta_star is in E.  Only where it does not, or
-where theta_hat's log-likelihood is formed already and reading it costs
-less than the proof, does ``_E_member`` decide; theta_star's ball test is
-made once a run, since theta_star is fixed.  A policy names the
+flag, which every policy but ``cb_mnl_c`` records, is proved from that
+score by ``confidence._E_proved`` where the round has not formed
+theta_hat's log-likelihood; ``_E_member`` decides only where the proof
+fails, or where that log-likelihood is formed already and reading it
+costs less than the proof.  theta_star's ball test is made once a run,
+since theta_star is fixed.  A policy names the
 assortment it plays by its indices; the assortment's record, one per
 assortment a pool plays (the oracle's too), picks and checks its contexts
 and holds theta_star's law, revenue and round terms there.  On a fixed pool
@@ -99,6 +97,7 @@ __all__ = [
     "elliptical_potential_check",
     "summarize_runs",
     "curve_mean_stderr",
+    "run_paths",
     "save_runs",
     "read_run_csv",
     "read_run_metadata",
@@ -400,7 +399,6 @@ def _policy_decision(
     kind: PolicyKind,
     pool: np.ndarray,
     history: History,
-    ccfg: ConfidenceConfig,
     state: ConfidenceState,
     instance: Instance,
     cfg: ExperimentConfig,
@@ -411,20 +409,12 @@ def _policy_decision(
     prices = instance.prices
     if kind in (PolicyKind.CB_MNL_E, PolicyKind.CB_MNL_C):
         return cb_mnl_step(
-            pool,
-            history,
-            ccfg,
-            state,
-            set_kind="E" if kind is PolicyKind.CB_MNL_E else "C",
-            rng=rng,
-            prices=prices,
-            restarts=cfg.restarts,
-            n_dirs=cfg.n_dirs,
-            refine_top=cfg.refine_top,
-            contexts_of=lambda indices: laws.of(indices).ass,
+            pool, history, state, set_kind="E" if kind is PolicyKind.CB_MNL_E else "C",
+            rng=rng, prices=prices, restarts=cfg.restarts, n_dirs=cfg.n_dirs,
+            refine_top=cfg.refine_top, contexts_of=lambda indices: laws.of(indices).ass,
         )
     if kind is PolicyKind.BONUS_UCB:
-        return bonus_ucb_step(pool, history, ccfg, state, kappa_hat=kappa_hat, prices=prices)
+        return bonus_ucb_step(pool, history, state, kappa_hat=kappa_hat, prices=prices)
     if kind is PolicyKind.RANDOM:
         ass = laws.of(random_assortment(instance.N, instance.K, rng)).ass
         return Decision(ass.indices, state.theta_hat, expected_revenue(ass, state.theta_hat))
@@ -447,7 +437,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
     newton_steps = 0
     previous_fit = None  # the last round's MleResult, which warm-starts the next fit
     at_star = _StarSums(theta_star, ccfg.lam)  # over the rounds before the current one
-    star_in_ball = bool(_in_ball(at_star.sq_norm, ccfg))  # theta_star is fixed: one test a run
+    star_in_ball = bool(_in_ball(at_star.sq_norm, ccfg.S))  # theta_star is fixed: one test a run
     track_c = cfg.tracks_C
 
     # The pool's oracle and theta_star's records on it, by assortment.
@@ -470,7 +460,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             best = laws.of(oracle_assortment(pool, theta_star, instance.K, instance.prices))
             oracle = Decision(best.ass.indices, theta_star.copy(), best.revenue)
         decision = oracle if kind is PolicyKind.ORACLE else _policy_decision(
-            kind, pool, history, ccfg, state, instance, cfg, kappa, rng_policy, laws
+            kind, pool, history, state, instance, cfg, kappa, rng_policy, laws
         )
         oracle_value = oracle.optimistic_value
 
@@ -487,14 +477,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
         # The score's proof spares forming theta_hat's log-likelihood; where
         # the round has formed it already (E's boundary search reads it),
         # the exact test costs less than the proof.
-        if not star_in_ball:
-            covered_e = False
-        elif "log_likelihood" not in vars(state.mle.evaluation) and _E_proved(at_star, ccfg, state):
-            covered_e = True
+        covered_c = bool(_C_member(at_star, state)[0]) if track_c else None
+        if kind is PolicyKind.CB_MNL_C:  # the covered column is C's flag: E's is not decided
+            covered = covered_c
+        elif not star_in_ball:
+            covered = False
+        elif "log_likelihood" not in vars(state.mle.evaluation) and _E_proved(at_star, state):
+            covered = True
         else:
-            covered_e = bool(_E_member(at_star, ccfg, state)[0])
-        covered_c = bool(_C_member(at_star, ccfg, state)[0]) if track_c else None
-        covered = covered_c if kind is PolicyKind.CB_MNL_C else covered_e
+            covered = bool(_E_member(at_star, state)[0])
 
         dtheta = decision.theta_used - theta_star
         dev_h = math.sqrt(max(float(dtheta @ at_star.H @ dtheta), 0.0))
@@ -719,16 +710,21 @@ def read_run_metadata(path: str) -> dict:
     return data
 
 
+def run_paths(out_dir, policy: str, seed: int) -> tuple[str, str]:
+    """The CSV and metadata JSON paths ``save_runs`` gives a run of ``policy`` at ``seed``."""
+    base = os.path.join(out_dir, f"run_{policy}_seed{seed}")
+    return base + ".csv", base + ".json"
+
+
 def save_runs(logs: list[RunLog], out_dir) -> list[str]:
     """Write per-run CSV and metadata JSON files; returns the CSV paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for log in logs:
-        base = f"run_{log.cfg.policy}_seed{log.seed}"
-        csv_path = os.path.join(out_dir, base + ".csv")
+        csv_path, json_path = run_paths(out_dir, log.cfg.policy, log.seed)
         with open(csv_path, "w", newline="") as fh:
             fh.write(log.csv_text())
-        with open(os.path.join(out_dir, base + ".json"), "w") as fh:
+        with open(json_path, "w") as fh:
             json.dump(log.metadata(), fh, indent=2)
         paths.append(csv_path)
     return paths

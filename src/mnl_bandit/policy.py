@@ -24,13 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .choice import AssortmentContexts
-from .confidence import (
-    L_CONST,
-    ConfidenceConfig,
-    ConfidenceState,
-    e_boundary_multi,
-    max_revenue_over_E,
-)
+from .confidence import L_CONST, ConfidenceState, e_boundary_multi, max_revenue_over_E
 from .estimation import History, _solve, matrix_V
 
 __all__ = [
@@ -308,7 +302,6 @@ def check_search(restarts: int, n_dirs: int, refine_top: int) -> None:
 def cb_mnl_step(
     pool: np.ndarray,
     history: History,
-    cfg: ConfidenceConfig,
     state: ConfidenceState,
     set_kind: str = "E",
     rng: np.random.Generator | None = None,
@@ -339,18 +332,19 @@ def cb_mnl_step(
     reads the leader's contexts from ``contexts_of(indices)``: the harness
     passes the round's own record of the assortment, which the round then
     plays, so its rows are picked once; by default they are picked from
-    the pool with ``AssortmentContexts.from_pool``.
+    the pool with ``AssortmentContexts.from_pool``.  K is ``state.cfg.K``.
     """
     check_search(restarts, n_dirs, refine_top)
     if rng is None:
         rng = np.random.default_rng(0)
     dirs = rng.standard_normal((n_dirs, history.dim))
-    boundary = e_boundary_multi(history, cfg, state, dirs, set_kind)
+    # By keyword, where perfbench/tracer.py reads the directions.
+    boundary = e_boundary_multi(history, state, directions=dirs, set_kind=set_kind)
     thetas = np.concatenate((state.anchor[None], boundary))
 
     # The max over assortments of the max over candidates is the max over
     # candidates of one static solve each.
-    rows, values = _static_optimum(_attraction(pool, prices, thetas), prices, cfg.K)
+    rows, values = _static_optimum(_attraction(pool, prices, thetas), prices, state.cfg.K)
     best = _best(rows, values)
     indices = _as_tuple(rows[best])
     value, theta = float(values[best]), thetas[best]
@@ -360,7 +354,7 @@ def cb_mnl_step(
         else:
             leader = contexts_of(indices)
         starts = np.concatenate((thetas[:restarts], theta[None]))
-        refined, at = max_revenue_over_E(leader, history, cfg, state, starts)
+        refined, at = max_revenue_over_E(leader, history, state, starts)
         if refined > value:
             value, theta = refined, at
     return Decision(indices, theta, value)
@@ -369,7 +363,6 @@ def cb_mnl_step(
 def bonus_ucb_step(
     pool: np.ndarray,
     history: History,
-    cfg: ConfidenceConfig,
     state: ConfidenceState,
     kappa_hat: float,
     prices: np.ndarray | None = None,
@@ -379,16 +372,17 @@ def bonus_ucb_step(
     bonus(A) = (2+4S) gamma sum_i ||x_i||_{H_hat^-1}
              + 4 kappa_hat (1+2S)^2 M gamma^2 sum_i ||x_i||^2_{V^-1},
 
-    with M = ``L_CONST``.
+    with M = ``L_CONST`` and S, lam and K read from ``state.cfg``.
     """
+    S = state.cfg.S
     pool = np.asarray(pool, dtype=float)
     h_norms = np.sqrt(np.einsum("nd,nd->n", pool, _solve(state.H_hat, pool.T).T))
-    v_norms_sq = np.einsum("nd,nd->n", pool, _solve(matrix_V(history, cfg.lam), pool.T).T)
-    c1 = (2.0 + 4.0 * cfg.S) * state.gamma
-    c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * L_CONST * state.gamma**2
+    v_norms_sq = np.einsum("nd,nd->n", pool, _solve(matrix_V(history, state.cfg.lam), pool.T).T)
+    c1 = (2.0 + 4.0 * S) * state.gamma
+    c2 = 4.0 * kappa_hat * (1.0 + 2.0 * S) ** 2 * L_CONST * state.gamma**2
     item_bonus = c1 * h_norms + c2 * v_norms_sq
 
-    rows = enumerate_assortments(len(pool), cfg.K)
+    rows = enumerate_assortments(len(pool), state.cfg.K)
     ez, pez = _attraction(pool, prices, state.theta_hat)
     values = _revenues((ez[0], pez[0]), rows) + _gather_sum(item_bonus, rows)
     best = _best(rows, values)

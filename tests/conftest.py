@@ -99,8 +99,8 @@ def member_passes(monkeypatch):
     seen = []
 
     def recorder(kind, real):
-        def recording(ev, cfg, state):
-            ok, value = real(ev, cfg, state)
+        def recording(ev, state):
+            ok, value = real(ev, state)
             seen.append((kind, np.array(ev.theta, copy=True), ok))
             return ok, value
 

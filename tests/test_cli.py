@@ -433,6 +433,22 @@ class TestOutputPaths:
         self.refused(capsys, ["run", "--config", str(config_file), "--out", str(out)], out)
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_run_onto_a_directory_named_as_a_run_file_fails_before_running(
+        self, tmp_path, config_file, capsys, no_runs, suffix
+    ):
+        out = tmp_path / "runs"
+        taken = out / f"run_cb_mnl_e_seed0{suffix}"
+        taken.mkdir(parents=True)
+        self.refused(capsys, ["run", "--config", str(config_file), "--out", str(out)], taken)
+
+    def test_matrix_onto_a_directory_named_as_a_run_file_fails_before_running(
+        self, tmp_path, capsys, no_runs
+    ):
+        taken = tmp_path / "default" / "run_cb_mnl_e_seed2.csv"
+        taken.mkdir(parents=True)
+        self.refused(capsys, ["matrix", "--out", str(tmp_path)], taken)
+
     def test_matrix_into_a_file_fails_before_running(self, tmp_path, capsys, no_runs):
         taken = tmp_path / "taken"
         taken.write_text("kept\n")

@@ -471,7 +471,7 @@ class TestCompressedHistoryAgainstPerRoundReference:
         state = build_confidence_state(hist, cfg, t=301)
         state = dataclasses.replace(state, gamma=gamma, beta=beta_radius(gamma, lam))
         dirs = np.random.default_rng(9).standard_normal((12, 2))
-        got = e_boundary_multi(hist, cfg, state, dirs)
+        got = e_boundary_multi(hist, state, dirs)
 
         def gap(th):
             return state.mle.evaluation.log_likelihood - per_round_reference(rounds, th, lam)["ll"]
@@ -624,13 +624,13 @@ class TestOneEvaluationPerParameter:
         state = build_confidence_state(hist, cfg, t=301)
         state.mle.evaluation.log_likelihood, state.g_at_hat, state.H_hat
         dirs = np.random.default_rng(9).standard_normal((12, 2))
-        e_boundary_multi(hist, cfg, state, dirs)
+        e_boundary_multi(hist, state, dirs)
         # The whole-ball proof reads the fit's evaluation, so the search adds no pass.
         assert state.ball_in_E and len(kernel_passes) == fit_passes
         # Where a small radius defeats the proof, the search's membership
         # passes take one column per probe.
         tight = dataclasses.replace(state, beta=1.0)
-        e_boundary_multi(hist, cfg, tight, dirs)
+        e_boundary_multi(hist, tight, dirs)
         single = [u for u in kernel_passes if u.ndim == 1]
         assert not tight.ball_in_E and len(single) == fit_passes
         assert len(kernel_passes) > fit_passes
@@ -641,14 +641,14 @@ class TestOneEvaluationPerParameter:
         state = build_confidence_state(hist, cfg, t=301)
         state.g_at_hat
         kernel_passes.clear()
-        in_set_C(0.5 * state.anchor, hist, cfg, state)
+        in_set_C(0.5 * state.anchor, hist, state)
         assert len(kernel_passes) == 1
         # A stack of parameters costs one pass, which both sets' tests read.
         thetas = sample_ball(np.random.default_rng(9), 7, 2, radius=2.0)
         kernel_passes.clear()
         ev = estimation._Evaluation(hist, thetas, cfg.lam)
         for member in (_C_member, _E_member):
-            member(ev, cfg, state)
+            member(ev, state)
             assert [u.shape for u in kernel_passes] == [(hist.n_items, 7)]
 
     @pytest.mark.parametrize("rounds", [0, 300])

@@ -277,10 +277,10 @@ class TestRefinedRounds:
             refined.append(len(member_passes) - before)
             return result
 
-        def checked(pool, history, ccfg, state, **kw):
-            decision = step(pool, history, ccfg, state, **kw)
+        def checked(pool, history, state, **kw):
+            decision = step(pool, history, state, **kw)
             # The history is appended to only after the decision.
-            assert in_set_E(decision.theta_used, history, ccfg, state)
+            assert in_set_E(decision.theta_used, history, state)
             played = AssortmentContexts.from_pool(pool, decision.assortment, kw["prices"])
             decisions.append((played, decision.theta_used))
             return decision
@@ -403,10 +403,10 @@ class TestNormSetScreening:
             candidates.append(np.array(thetas))
             return attraction(pool, prices, thetas)
 
-        def checked(pool, history, ccfg, state, **kw):
-            decision = step(pool, history, ccfg, state, **kw)
+        def checked(pool, history, state, **kw):
+            decision = step(pool, history, state, **kw)
             screened = candidates.pop()[1:]  # the anchor leads
-            members.append(sum(in_set_C(theta, history, ccfg, state) for theta in screened))
+            members.append(sum(in_set_C(theta, history, state) for theta in screened))
             return decision
 
         monkeypatch.setattr(policy, "_attraction", recorded)
@@ -444,12 +444,12 @@ class TestThetaStarDiagnostics:
         monkeypatch.setattr(harness, "_policy_decision", recorded_decide)
         cfg = ExperimentConfig(**kw)
         run = run_experiment(cfg, seed=0)
-        inst, ccfg, lam = run.instance, cfg.confidence_config(), run.cfg.lam
+        inst, lam = run.instance, run.cfg.lam
         theta_star = inst.theta_star
         hist, j_mat = History(cfg.d), lam * np.eye(cfg.d)
         for r, state, theta in zip(run.records, states, used, strict=True):
-            assert r.covered == in_set_E(theta_star, hist, ccfg, state)
-            assert r.covered_C == in_set_C(theta_star, hist, ccfg, state)
+            assert r.covered == in_set_E(theta_star, hist, state)
+            assert r.covered_C == in_set_C(theta_star, hist, state)
             dtheta = theta - theta_star
             assert r.dev_H == pytest.approx(math.sqrt(dtheta @ j_mat @ dtheta), rel=1e-12)
             ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
@@ -527,10 +527,10 @@ class TestThetaStarDiagnostics:
         pin_gamma(monkeypatch, 0.3)
         cfg = ExperimentConfig(T=100, policy="random")
         run = run_experiment(cfg, seed=0)
-        inst, ccfg = run.instance, cfg.confidence_config()
+        inst = run.instance
         hist = History(cfg.d)
         for r, state, held in zip(run.records, states, proofs, strict=True):
-            assert r.covered == in_set_E(inst.theta_star, hist, ccfg, state)
+            assert r.covered == in_set_E(inst.theta_star, hist, state)
             assert r.covered or not held
             ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
             hist.append(ass, r.outcome)
@@ -538,6 +538,19 @@ class TestThetaStarDiagnostics:
         unproved = [r.covered for r, held in zip(run.records, proofs) if not held]
         assert 0 < len(unproved) < cfg.T
         assert any(unproved) and not all(unproved)
+
+    def test_cb_mnl_c_decides_no_E_flag(self, monkeypatch):
+        # Under cb_mnl_c the covered column is C's flag, so theta_star's E
+        # flag is neither proved nor tested.
+        import mnl_bandit.harness as harness
+
+        def refused(*args):
+            raise AssertionError("a cb_mnl_c run decided theta_star's E flag")
+
+        monkeypatch.setattr(harness, "_E_proved", refused)
+        monkeypatch.setattr(harness, "_E_member", refused)
+        run = run_experiment(ExperimentConfig(T=40, policy="cb_mnl_c"), seed=0)
+        assert [r.covered for r in run.records] == [r.covered_C for r in run.records]
 
     @pytest.mark.parametrize(
         "policy, formed, tried", [("random", 0, 3000), ("cb_mnl_e", 5409, 0)]
@@ -682,9 +695,9 @@ class TestPlayedTrajectoryPin:
         passes, proved = [], []
         search = policy.e_boundary_multi
 
-        def counted_search(history, cfg, state, *args):
+        def counted_search(history, state, **kw):
             before = len(member_passes)
-            points = search(history, cfg, state, *args)
+            points = search(history, state, **kw)
             passes.append(collections.Counter(kind for kind, _, _ in member_passes[before:]))
             proved.append(state.ball_in_E)
             return points

@@ -77,15 +77,20 @@ def test_workloads_pass_the_benchmark_output_check(tmp_path):
         assert not bad, f"perfbench workload {name}: rounds {sorted(bad)} fail the output check"
 
 
-def traced_assortments(**cfg) -> int:
-    """Assortments the tracer counts as enumerated by policy steps in one run."""
+def traced_run(**cfg):
+    """The tracer after one seed-0 run of a d=2 config with 4 search directions."""
     tracer = load_tracer().Tracer(run_id=0)
     tracer.install()
     try:
         run_experiment(ExperimentConfig(d=2, n_dirs=4, restarts=1, **cfg), seed=0)
     finally:
         tracer.uninstall()
-    return tracer.policy_assortments
+    return tracer
+
+
+def traced_assortments(**cfg) -> int:
+    """Assortments the tracer counts as enumerated by policy steps in one run."""
+    return traced_run(**cfg).policy_assortments
 
 
 @pytest.mark.parametrize("policy", ["random"])
@@ -101,3 +106,15 @@ def test_tracer_counts_assortments_per_round(policy):
 def test_tracer_counts_no_assortments_for_the_static_solve(policy):
     # The default config (refine_top=1) screens by one static solve per candidate.
     assert traced_assortments(N=5, K=3, T=4, policy=policy) == 0
+
+
+def test_tracer_counts_every_boundary_direction():
+    # The tracer reads `confidence.e_boundary_multi`'s directions as its fourth
+    # positional argument, or as the `directions` keyword when fewer are
+    # positional: a call that passes `set_kind` fourth counts one direction a
+    # call, and one that passes the directions third raises KeyError.
+    n_dirs, T = 4, 4
+    tracer = traced_run(N=5, K=3, T=T, policy="cb_mnl_e")
+    calls = list(tracer.span_name).count(tracer.names.index("confidence.e_boundary_multi"))
+    assert calls == T
+    assert tracer.dirs == n_dirs * calls
