@@ -41,6 +41,6 @@ print("score norm at MLE:", np.linalg.norm(score(history, final.theta_hat, lam))
 print(
     "g(theta_hat) vs observed reward sum:",
     np.round(g_vector(history, final.theta_hat, lam), 4),
-    np.round(history.purchases @ history.ctx_flat, 4),
+    np.round(history.rows.purchases @ history.rows.ctx_flat, 4),
 )
 print("design matrix H(theta_hat):\n", np.round(matrix_H(history, final.theta_hat, lam), 3))

@@ -245,10 +245,10 @@ def convex_set_contains_norm_set(
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=default_lambda(2, 2, T), S=1.0)
         state = build_confidence_state(hist, cfg, t=T + 1)
         dirs = rng.standard_normal((per_snapshot, 2))
-        points = e_boundary_multi(hist, state, directions=dirs, set_kind="C")
+        points = e_boundary_multi(state, directions=dirs, set_kind="C")
         members = points[(points != state.anchor).any(axis=1)]
         tested += len(members)
-        violations += int((~_E_member(_Evaluation(hist, members, cfg.lam), state)[0]).sum())
+        violations += int((~_E_member(_Evaluation(hist.rows, members, cfg.lam), state)[0]).sum())
     return CheckResult(
         "convex set contains the norm-based set",
         violations == 0 and tested == n_snapshots * per_snapshot,
@@ -311,7 +311,7 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
             unit = rng.standard_normal((10, d))
             unit /= np.linalg.norm(unit, axis=1)[:, None]
             points = np.concatenate((sample_ball(rng, 20, d, radius=S), S * unit))
-            violations += int((~_E_member(_Evaluation(hist, points, lam), state)[0]).sum())
+            violations += int((~_E_member(_Evaluation(hist.rows, points, lam), state)[0]).sum())
 
         # Brackets around E's exit along each ray where E binds inside the
         # ball, from 40 bisections, widened by 1e-9 to 1e-1 of the ray's
@@ -324,7 +324,7 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
 
         def member(steps, dirs):
             nonlocal violations, scored, unscored
-            ev = _Evaluation(hist, base + steps[:, None] * dirs, lam)
+            ev = _Evaluation(hist.rows, base + steps[:, None] * dirs, lam)
             ok, gap = _E_member(ev, state)
             proved = _E_proved(ev, state)
             violations += int((proved & ~ok).sum())
@@ -358,7 +358,7 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
         state = dataclasses.replace(state, beta=edge * math.sqrt(0.5 * lam))
         ray = rng.standard_normal(d)
         radii = edge + np.arange(-40, 41) * np.spacing(edge)
-        ev = _Evaluation(hist, radii[:, None] * (ray / np.linalg.norm(ray)), lam)
+        ev = _Evaluation(hist.rows, radii[:, None] * (ray / np.linalg.norm(ray)), lam)
         proved = _E_proved(ev, state)
         violations += int((proved & ~_E_member(ev, state)[0]).sum())
         near_proved += int(proved.sum())

@@ -11,7 +11,8 @@ Two sets are maintained over the parameter ball Theta = {||theta|| <= S}:
 E contains C, so any coverage guarantee for C transfers to E, and E is the
 set the decision step optimizes over by default.  Every set test, proof,
 search and policy step takes a round's snapshot (``ConfidenceState``) and
-reads S, lam and K from the config it holds, so the two cannot disagree.
+nothing beside it: S, lam and K come from its config and the rows from its
+fit's evaluation, so a candidate and theta_hat are compared on one history.
 Membership is one test per set (``_E_member``, ``_C_member``) of one
 likelihood evaluation, at a parameter or a stack; each caller evaluates
 its parameters once.  Screening candidates in either set are points near
@@ -132,9 +133,9 @@ class ConfidenceState:
     and ``cfg``, the config it was built from, whose S, lam and K every
     reader of the state uses.  ``g_at_hat`` and ``H_hat`` read the fit's own
     evaluation at theta_hat (``mle.evaluation``, whose ``log_likelihood``
-    E's loss gap reads), and ``anchor`` and ``ball_in_E`` read it and
-    ``cfg.S``; each is derived on first read, so none makes a pass over the
-    history and all describe it as it was when the state was built.
+    E's loss gap reads and whose ``rows`` every candidate is evaluated on),
+    and ``anchor`` and ``ball_in_E`` read it and ``cfg.S``; each is derived
+    on first read with no pass, all as of the state's build.
     """
 
     theta_hat: np.ndarray
@@ -216,7 +217,10 @@ def build_confidence_state(
 
     ``theta0`` may be the previous round's ``MleResult``; ``fit_mle`` then
     reuses its evaluation at theta_hat if the history has gained no row.
+    ``cfg.d`` sizes the radius and the search directions: it must be the history's.
     """
+    if cfg.d != history.dim:
+        raise ValueError(f"dimension mismatch: history is d={history.dim}, config is d={cfg.d}")
     mle = fit_mle(history, cfg.lam, theta0=theta0)
     gamma = gamma_radius(cfg, t)
     return ConfidenceState(mle.theta_hat, gamma, beta_radius(gamma, cfg.lam), mle, cfg)
@@ -241,9 +245,9 @@ def _C_member(ev: _Evaluation, state: ConfidenceState) -> tuple[np.ndarray, np.n
     return _in_ball(ev.sq_norm, state.cfg.S) & (quad <= state.gamma**2), quad
 
 
-def in_set_C(theta: np.ndarray, history: History, state: ConfidenceState) -> bool:
+def in_set_C(theta: np.ndarray, state: ConfidenceState) -> bool:
     """Membership in the norm-based set of ``state``; False outside the parameter ball."""
-    return bool(_C_member(_evaluate(history, theta, state.cfg.lam), state)[0])
+    return bool(_C_member(_evaluate(state.mle.evaluation.rows, theta, state.cfg.lam), state)[0])
 
 
 def _E_member(ev: _Evaluation, state: ConfidenceState) -> tuple[np.ndarray, np.ndarray]:
@@ -280,9 +284,9 @@ def _E_proved(ev, state: ConfidenceState) -> np.ndarray:
     return bound <= state.beta**2 - _gap_margin(state, ev.log_likelihood)
 
 
-def in_set_E(theta: np.ndarray, history: History, state: ConfidenceState) -> bool:
+def in_set_E(theta: np.ndarray, state: ConfidenceState) -> bool:
     """Membership in the convex set E of ``state``; False outside the parameter ball."""
-    return bool(_E_member(_evaluate(history, theta, state.cfg.lam), state)[0])
+    return bool(_E_member(_evaluate(state.mle.evaluation.rows, theta, state.cfg.lam), state)[0])
 
 
 _GRAD_TOL = 1e-3  # an ascent start stops once its projected gradient is shorter
@@ -295,9 +299,7 @@ def _ball_exit(base: np.ndarray, v: np.ndarray, S: float) -> np.ndarray:
     return np.maximum(-b + np.sqrt(np.maximum(b * b - c, 0.0)), 0.0)
 
 
-def e_boundary_multi(
-    history: History, state: ConfidenceState, directions: np.ndarray, set_kind: str = "E"
-) -> np.ndarray:
+def e_boundary_multi(state: ConfidenceState, directions: np.ndarray, set_kind: str = "E") -> np.ndarray:
     """Feasible near-boundary points of E or C (``set_kind``), intersect
     Theta, along rays from the anchor.
 
@@ -350,7 +352,7 @@ def e_boundary_multi(
     at_hat = base is state.theta_hat or np.array_equal(base, state.theta_hat)
     if not at_hat:
         probes = np.concatenate((probes, base[None]))
-    ok, value = member(_Evaluation(history, probes, lam), state)
+    ok, value = member(_Evaluation(state.mle.evaluation.rows, probes, lam), state)
     m = len(v)
     if ok[: 2 * m].all():
         return probes[m : 2 * m]
@@ -363,7 +365,7 @@ def e_boundary_multi(
         s = _chord_zero(lo, hi, h_lo, np.where(f0, h1, h0))
         if set_kind == "E" and _chord_proved(lo, hi, s, lam, _gap_margin(state)).all():
             return base + s[:, None] * v
-        ok, _ = member(_Evaluation(history, base + s[:, None] * v, lam), state)
+        ok, _ = member(_Evaluation(state.mle.evaluation.rows, base + s[:, None] * v, lam), state)
         lo = np.where(ok, s, lo)
     return base + lo[:, None] * v
 
@@ -400,7 +402,6 @@ def _drop_outward(grads: np.ndarray, normals: np.ndarray) -> np.ndarray:
 
 def max_revenue_over_E(
     assortment: AssortmentContexts,
-    history: History,
     state: ConfidenceState,
     starts: np.ndarray,
     max_iter: int = 40,
@@ -449,7 +450,7 @@ def max_revenue_over_E(
         cand_val, cand_grad = revenue_gradient(assortment, cand)
         up = cand_val > val[rows] + 1e-6
         if not state.ball_in_E:
-            up &= _E_member(_Evaluation(history, cand, lam), state)[0]
+            up &= _E_member(_Evaluation(state.mle.evaluation.rows, cand, lam), state)[0]
         taken, kept = rows[up], rows[~up]
         theta[taken], val[taken], grad[taken] = cand[up], cand_val[up], cand_grad[up]
         eta[taken] *= 2.0

@@ -28,8 +28,8 @@ The fit returns its last iterate, the evaluation at theta_hat, which the
 confidence state, its whole-ball proof and the boundary search read
 instead of passing over the history again.  The confidence sets'
 membership kernels read a stacked evaluation of their probes.  An
-evaluation is a snapshot: rounds appended after it was made do not change
-what it reports.
+evaluation keeps the history's ``Rows``, a snapshot that ``History.append``
+replaces and never writes into, so later rounds do not change what it reports.
 
 The kernel's outputs (utilities, block shifts, normalizers, mu) depend on
 theta and the stored rows only, not on the counts.  A round that repeats a
@@ -66,6 +66,7 @@ from numpy.linalg import _umath_linalg  # the LAPACK gufuncs behind np.linalg.so
 from .choice import AssortmentContexts
 
 __all__ = [
+    "Rows",
     "History",
     "MleResult",
     "penalized_log_likelihood",
@@ -87,106 +88,6 @@ class MleResult:
     iterations: int  # Newton steps actually taken
     converged: bool
     evaluation: "_Evaluation" = field(repr=False)  # every likelihood quantity at theta_hat
-
-
-class History:
-    """Append-only record of (assortment, outcome) rounds, count-compressed.
-
-    No round is kept as offered; ``t`` counts the rounds appended.  Rounds
-    whose context arrays are bitwise equal (whatever their item indices)
-    share one block: its rows are stored once (``ctx_flat``, with
-    ``seg_ids`` and ``starts`` marking the blocks), with the number of
-    rounds it was offered in (``offers``, per block) and the purchases each
-    row drew (``purchases``, per row).  With fresh contexts every block is
-    offered once.  Rounds with empty assortments count in ``t`` but
-    contribute nothing to any estimate.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-        self.t = 0
-        self._blocks: dict[bytes, int] = {}
-        self.ctx_flat = np.empty((0, self.dim))
-        self.seg_ids = np.empty(0, dtype=np.int64)
-        self.purchases = np.empty(0)
-        self.starts = np.empty(0, dtype=np.int64)
-        self.offers = np.empty(0)
-
-    def append(self, assortment: AssortmentContexts, outcome: int) -> None:
-        outcome = int(outcome)
-        ctx = assortment.contexts
-        k = len(assortment.indices)
-        if not 0 <= outcome <= k:
-            raise ValueError(f"outcome {outcome} outside 0..{k}")
-        if k and ctx.shape[1] != self.dim:
-            raise ValueError(
-                f"dimension mismatch: history is d={self.dim}, assortment is d={ctx.shape[1]}"
-            )
-        self.t += 1
-        if k == 0:
-            return
-        g = self._blocks.setdefault(ctx.tobytes(), self.n_blocks)
-        if g == self.n_blocks:  # first offer of this block
-            self.starts = np.concatenate((self.starts, (self.n_items,)))
-            self.offers = np.concatenate((self.offers, (0.0,)))
-            self.seg_ids = np.concatenate((self.seg_ids, (g,) * k))
-            self.purchases = np.concatenate((self.purchases, np.zeros(k)))
-            self.ctx_flat = np.concatenate((self.ctx_flat, ctx))
-        # The counts are replaced, never written into, so an evaluation made
-        # before this append keeps reading the arrays it was made from.
-        self.offers = _incremented(self.offers, g)
-        if outcome:
-            self.purchases = _incremented(self.purchases, self.starts[g] + outcome - 1)
-
-    @property
-    def row_offers(self) -> np.ndarray:
-        """Offer count of each stored row's block."""
-        return self.offers[self.seg_ids]
-
-    @property
-    def n_items(self) -> int:
-        """Stored context rows; a block offered many times counts once."""
-        return self.ctx_flat.shape[0]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.offers.shape[0]
-
-
-def _incremented(counts: np.ndarray, i: int) -> np.ndarray:
-    """A copy of ``counts`` with entry ``i`` one higher."""
-    out = counts.copy()
-    out[i] += 1.0
-    return out
-
-
-def _segment_exp(history: History, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The segment kernel: per-block shift, shifted exponentials, normalizers.
-
-    ``u`` holds one utility per stored row, or an (n, m) matrix with one
-    column per parameter.  Each block is shifted by m = max(0, its largest
-    utility), so ``exp(u - m)`` per row and ``total = exp(-m) + sum exp(u -
-    m)`` per block stay finite for any utility float64 can hold; the block's
-    log(1 + sum exp u) is ``m + log(total)`` and a row's probability is its
-    exponential over its block's total.
-    """
-    starts = history.starts
-    m = np.maximum(np.maximum.reduceat(u, starts, axis=0), 0.0)
-    ez = np.exp(u - m[history.seg_ids])
-    return m, ez, np.exp(-m) + np.add.reduceat(ez, starts, axis=0)
-
-
-def _gram(ctx: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
-    """sum_rows w x x^T + lam I, with each row's offer count already in ``w``.
-
-    ``w`` holds one weight per stored row (n,), giving a (d, d) matrix, or
-    one row of weights per parameter (m, n), giving (m, d, d).
-    """
-    gram = ctx.T @ (w[..., None] * ctx)
-    diag = gram.diagonal(0, -2, -1)  # read-only as given; gram is fresh, so ours to write
-    diag.setflags(write=True)
-    diag += lam
-    return gram
 
 
 class _once:
@@ -211,6 +112,112 @@ class _once:
         return value
 
 
+class Rows:
+    """One snapshot of a history's stored rows and counts, never written
+    after construction: ``ctx_flat`` holds each block's rows once, ``seg_ids``
+    each row's block, ``starts`` each block's first row, ``offers`` each
+    block's offer count and ``purchases`` each row's purchase count."""
+
+    def __init__(self, ctx_flat, seg_ids, starts, offers, purchases):
+        self.ctx_flat, self.seg_ids, self.starts = ctx_flat, seg_ids, starts
+        self.offers, self.purchases = offers, purchases
+        self.n_items, self.dim = ctx_flat.shape  # a block offered many times counts once
+        self.n_blocks = offers.shape[0]
+
+    @_once
+    def row_offers(self) -> np.ndarray:
+        """Offer count of each stored row's block, shared by every evaluation on these rows."""
+        return self.offers[self.seg_ids]
+
+
+class History:
+    """Append-only record of (assortment, outcome) rounds, count-compressed.
+
+    No round is kept as offered; ``t`` counts the rounds appended.  Rounds
+    whose context arrays are bitwise equal (whatever their item indices)
+    share one block, stored once with its offer count and per-row
+    purchases.  ``rows`` is the current ``Rows``; each append replaces it.
+    With fresh contexts every block is offered once.  Rounds with empty
+    assortments count in ``t`` but contribute nothing to any estimate.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = int(dim)
+        self.t = 0
+        self._blocks: dict[bytes, int] = {}
+        index = np.empty(0, dtype=np.int64)
+        self.rows = Rows(np.empty((0, self.dim)), index, index, np.empty(0), np.empty(0))
+
+    def append(self, assortment: AssortmentContexts, outcome: int) -> None:
+        outcome = int(outcome)
+        ctx = assortment.contexts
+        k = len(assortment.indices)
+        if not 0 <= outcome <= k:
+            raise ValueError(f"outcome {outcome} outside 0..{k}")
+        if k and ctx.shape[1] != self.dim:
+            raise ValueError(
+                f"dimension mismatch: history is d={self.dim}, assortment is d={ctx.shape[1]}"
+            )
+        self.t += 1
+        if k == 0:
+            return
+        r = self.rows
+        ctx_flat, seg_ids, starts = r.ctx_flat, r.seg_ids, r.starts
+        offers, purchases = r.offers, r.purchases
+        g = self._blocks.setdefault(ctx.tobytes(), r.n_blocks)
+        if g == r.n_blocks:  # first offer of this block
+            starts = np.concatenate((starts, (r.n_items,)))
+            offers = np.concatenate((offers, (0.0,)))
+            seg_ids = np.concatenate((seg_ids, (g,) * k))
+            purchases = np.concatenate((purchases, np.zeros(k)))
+            ctx_flat = np.concatenate((ctx_flat, ctx))
+        offers = _incremented(offers, g)
+        if outcome:
+            purchases = _incremented(purchases, starts[g] + outcome - 1)
+        self.rows = Rows(ctx_flat, seg_ids, starts, offers, purchases)
+
+    @property
+    def n_items(self) -> int:
+        """Stored context rows; a block offered many times counts once."""
+        return self.rows.n_items
+
+
+def _incremented(counts: np.ndarray, i: int) -> np.ndarray:
+    """A copy of ``counts`` with entry ``i`` one higher."""
+    out = counts.copy()
+    out[i] += 1.0
+    return out
+
+
+def _segment_exp(rows: Rows, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segment kernel: per-block shift, shifted exponentials, normalizers.
+
+    ``u`` holds one utility per stored row, or an (n, m) matrix with one
+    column per parameter.  Each block is shifted by m = max(0, its largest
+    utility), so ``exp(u - m)`` per row and ``total = exp(-m) + sum exp(u -
+    m)`` per block stay finite for any utility float64 can hold; the block's
+    log(1 + sum exp u) is ``m + log(total)`` and a row's probability is its
+    exponential over its block's total.
+    """
+    starts = rows.starts
+    m = np.maximum(np.maximum.reduceat(u, starts, axis=0), 0.0)
+    ez = np.exp(u - m[rows.seg_ids])
+    return m, ez, np.exp(-m) + np.add.reduceat(ez, starts, axis=0)
+
+
+def _gram(ctx: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
+    """sum_rows w x x^T + lam I, with each row's offer count already in ``w``.
+
+    ``w`` holds one weight per stored row (n,), giving a (d, d) matrix, or
+    one row of weights per parameter (m, n), giving (m, d, d).
+    """
+    gram = ctx.T @ (w[..., None] * ctx)
+    diag = gram.diagonal(0, -2, -1)  # read-only as given; gram is fresh, so ours to write
+    diag.setflags(write=True)
+    diag += lam
+    return gram
+
+
 def _sq_norm(theta: np.ndarray) -> float | np.ndarray:
     """||theta||^2, () for one parameter or (m,) for a stack: the ridge's and
     the ball test's.  ``.sum`` wraps this same reduction."""
@@ -233,38 +240,35 @@ class _Evaluation:
     pass (utilities, then ``_segment_exp``) and keeps its outputs u, the
     block shifts and normalizers, and mu; every other quantity is derived
     from them on first read and kept.  ``kernel``, those four outputs at
-    ``theta`` on the history's rows, is taken instead of a pass when given.
-    The evaluation is a snapshot of the history it was made from: it keeps
-    the history's arrays, which ``History.append`` replaces and never writes
-    into.  ``theta`` must already be float of the history's dimension
-    (``_evaluate`` checks a single parameter).
+    ``theta`` on ``rows``, is taken instead of a pass when given.  ``rows``
+    is a snapshot no append writes into, and ``theta`` must already be float
+    of its dimension (``_evaluate`` checks a single parameter).
     """
 
-    def __init__(self, history: History, theta: np.ndarray, lam: float, kernel: tuple = ()):
+    def __init__(self, rows: Rows, theta: np.ndarray, lam: float, kernel: tuple = ()):
         self.theta = theta
         self.lam = lam
-        self.ctx, self.seg_ids, self.starts = history.ctx_flat, history.seg_ids, history.starts
-        self.offers, self.purchases = history.offers, history.purchases
+        self.rows = rows
         if kernel:
             self.u, self._m, self._total, self.mu = kernel
         else:
-            self.u = u = self.ctx @ theta.T  # one column per parameter
-            self._m, ez, self._total = _segment_exp(history, u)
-            self.mu = ez / self._total[self.seg_ids]  # softmax of every row, (n,) or (n, m)
+            self.u = u = rows.ctx_flat @ theta.T  # one column per parameter
+            self._m, ez, self._total = _segment_exp(rows, u)
+            self.mu = ez / self._total[rows.seg_ids]  # softmax of every row, (n,) or (n, m)
 
-    def recounted(self, history: History, lam: float) -> "_Evaluation":
-        """The evaluation at this theta on the history's current counts.
+    def recounted(self, rows: Rows, lam: float) -> "_Evaluation":
+        """The evaluation at this theta on ``rows``, a later snapshot's counts.
 
-        If the history still holds the rows this evaluation was made from
+        If ``rows`` holds the context rows this evaluation was made from
         (``History.append`` replaces ``ctx_flat`` only when a block arrives),
         the kernel's outputs and, at the same lam, the ridge lam I are kept
         and every count-dependent quantity is derived afresh, with no pass
-        over the history; otherwise theta is evaluated anew.  A fit's warm
+        over the rows; otherwise theta is evaluated anew.  A fit's warm
         start, its one user, is carried from round to round this way.
         """
-        if self.ctx is not history.ctx_flat:
-            return _evaluate(history, self.theta, lam)
-        ev = _Evaluation(history, self.theta, lam, (self.u, self._m, self._total, self.mu))
+        if self.rows.ctx_flat is not rows.ctx_flat:
+            return _evaluate(rows, self.theta, lam)
+        ev = _Evaluation(rows, self.theta, lam, (self.u, self._m, self._total, self.mu))
         if lam == self.lam:
             ev.ridge = self.ridge
         return ev
@@ -278,37 +282,32 @@ class _Evaluation:
     def log_likelihood(self) -> float | np.ndarray:
         """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
         return _log_likelihood(
-            self.purchases, self.offers, self.u, self._m, self._total, self.lam, self.sq_norm
+            self.rows.purchases, self.rows.offers, self.u, self._m, self._total, self.lam, self.sq_norm
         )
-
-    @_once
-    def row_offers(self) -> np.ndarray:
-        """Offer count of each stored row's block."""
-        return self.offers[self.seg_ids]
 
     @_once
     def n_mu(self) -> np.ndarray:
         """n mu per row, n the offer count of the row's block: (n,) or (m, n)."""
-        return self.row_offers * self.mu.T
+        return self.rows.row_offers * self.mu.T
 
     @_once
     def score(self) -> np.ndarray:
         """sum_rows (c - n mu) x - lam theta."""
-        return (self.purchases - self.n_mu) @ self.ctx - self.lam * self.theta
+        return (self.rows.purchases - self.n_mu) @ self.rows.ctx_flat - self.lam * self.theta
 
     @_once
     def g(self) -> np.ndarray:
-        return self.n_mu @ self.ctx + self.lam * self.theta
+        return self.n_mu @ self.rows.ctx_flat + self.lam * self.theta
 
     @_once
     def H(self) -> np.ndarray:
-        mu = self.mu.T
-        return _gram(self.ctx, self.row_offers * (mu * (1.0 - mu)), self.lam)
+        mu, rows = self.mu.T, self.rows
+        return _gram(rows.ctx_flat, rows.row_offers * (mu * (1.0 - mu)), self.lam)
 
     @_once
     def ridge(self) -> np.ndarray:
         """lam I, (d, d): read-only, since recounted evaluations share it."""
-        ridge = self.lam * np.eye(self.ctx.shape[1])
+        ridge = self.lam * np.eye(self.rows.dim)
         ridge.flags.writeable = False
         return ridge
 
@@ -316,56 +315,56 @@ class _Evaluation:
     def nll_hessian(self) -> np.ndarray:
         """Per block, n (sum_i mu_i x_i x_i^T - m m^T) with m = sum_i mu_i x_i,
         plus ``ridge``.  Adding it gives the bits ``_gram``'s diagonal add would."""
-        ctx = self.ctx
-        seg_means = np.add.reduceat(self.mu[:, None] * ctx, self.starts, axis=0)
-        return ctx.T @ (self.n_mu[:, None] * ctx) + self.ridge - seg_means.T @ (self.offers[:, None] * seg_means)
+        ctx, starts, offers = self.rows.ctx_flat, self.rows.starts, self.rows.offers
+        seg_means = np.add.reduceat(self.mu[:, None] * ctx, starts, axis=0)
+        return ctx.T @ (self.n_mu[:, None] * ctx) + self.ridge - seg_means.T @ (offers[:, None] * seg_means)
 
 
-def _evaluate(history: History, theta: np.ndarray, lam: float) -> _Evaluation:
-    """The evaluation at ``theta``, once it is checked to be a vector of the history's dimension."""
+def _evaluate(rows: Rows, theta: np.ndarray, lam: float) -> _Evaluation:
+    """The evaluation at ``theta``, once it is checked to be a vector of the rows' dimension."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != history.dim:
+    if theta.shape[0] != rows.dim:
         raise ValueError(
-            f"dimension mismatch: history is d={history.dim}, theta is d={theta.shape[0]}"
+            f"dimension mismatch: history is d={rows.dim}, theta is d={theta.shape[0]}"
         )
-    return _Evaluation(history, theta, lam)
+    return _Evaluation(rows, theta, lam)
 
 
 def penalized_log_likelihood(history: History, theta: np.ndarray, lam: float) -> float:
     """Log-probability of the observed outcomes minus (lam/2)||theta||^2."""
-    return float(_evaluate(history, theta, lam).log_likelihood)
+    return float(_evaluate(history.rows, theta, lam).log_likelihood)
 
 
 def score(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Gradient of the penalized log-likelihood; zero exactly at the MLE."""
-    return _evaluate(history, theta, lam).score
+    return _evaluate(history.rows, theta, lam).score
 
 
 def g_vector(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """sum_s sum_i mu_i(X_s theta) x_si + lam theta."""
-    return _evaluate(history, theta, lam).g
+    return _evaluate(history.rows, theta, lam).g
 
 
 def matrix_H(history: History, theta: np.ndarray, lam: float) -> np.ndarray:
     """Curvature-weighted design matrix sum mu(1-mu) x x^T + lam I."""
-    return _evaluate(history, theta, lam).H
+    return _evaluate(history.rows, theta, lam).H
 
 
-def matrix_V(history: History, lam: float) -> np.ndarray:
+def matrix_V(rows: Rows, lam: float) -> np.ndarray:
     """Unweighted design matrix sum x x^T + lam I, over every offered row."""
-    return _gram(history.ctx_flat, history.row_offers, lam)
+    return _gram(rows.ctx_flat, rows.row_offers, lam)
 
 
 def matrix_G(
     history: History, theta1: np.ndarray, theta2: np.ndarray, lam: float
 ) -> np.ndarray:
     """Difference-quotient design matrix linking g(th1) - g(th2)."""
-    at1, at2 = _evaluate(history, theta1, lam), _evaluate(history, theta2, lam)
+    at1, at2 = (_evaluate(history.rows, theta, lam) for theta in (theta1, theta2))
     mu1, mu2 = at1.mu, at2.mu
     den = at2.u - at1.u
     small = np.abs(den) < _ALPHA_FALLBACK_TOL
     alpha = np.where(small, mu1 * (1.0 - mu1), (mu2 - mu1) / np.where(small, 1.0, den))
-    return _gram(history.ctx_flat, history.row_offers * alpha, lam)
+    return _gram(at1.rows.ctx_flat, at1.rows.row_offers * alpha, lam)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -416,20 +415,21 @@ def fit_mle(
     (with the squared norm the ridge reads) only for the Armijo test.  A
     full step that brings the score norm to at most 0.9 times its last
     value is taken without that test, so a fit whose steps all contract
-    forms no log-likelihood.  The candidates share the start's row offer
-    counts and ridge lam I.  The result carries the last iterate, the
-    evaluation at theta_hat.  ``theta0`` is a start parameter or a previous
-    fit's result, whose theta_hat is the start; if the history has gained
-    no row since that fit, its evaluation is recounted on the current
-    counts (its ridge kept) rather than made again.
+    forms no log-likelihood.  The candidates share the start's ridge lam I,
+    and its row offer counts as every evaluation on the same ``Rows`` does.
+    The result carries the last iterate, the evaluation at theta_hat.
+    ``theta0`` is a start parameter or a previous fit's result, whose
+    theta_hat is the start; if the history has gained no row since that
+    fit, its evaluation is recounted on the current counts (its ridge kept)
+    rather than made again.
     """
     if lam < 1.0:
         raise ValueError(f"lam must be >= 1 for a well-posed fit, got {lam}")
     if isinstance(theta0, MleResult):
-        ev = theta0.evaluation.recounted(history, lam)
+        ev = theta0.evaluation.recounted(history.rows, lam)
     else:
         theta = np.zeros(history.dim) if theta0 is None else np.array(theta0, dtype=float)
-        ev = _evaluate(history, theta, lam)
+        ev = _evaluate(history.rows, theta, lam)
     s_norm = _norm(ev.score)
     steps = 0
     while s_norm > tol and steps < max_iter:
@@ -439,8 +439,8 @@ def fit_mle(
         a = 1.0
         while a >= 1e-12:
             theta = ev.theta + step if a == 1.0 else ev.theta + a * step  # 1.0 * step is step
-            cand = _Evaluation(history, theta, lam)
-            cand.row_offers, cand.ridge = ev.row_offers, ev.ridge
+            cand = _Evaluation(ev.rows, theta, lam)
+            cand.ridge = ev.ridge
             c_norm = _norm(cand.score)
             # Near the optimum the objective improvement drowns in rounding;
             # a contracting score norm is still progress.

@@ -317,8 +317,8 @@ class RunLog:
             "wall_time_s": self.wall_time,
             "version": __version__,
             # Count-compressed history size: distinct context blocks and their rows.
-            "history_blocks": self.history.n_blocks,
-            "history_rows": self.history.n_items,
+            "history_blocks": self.history.rows.n_blocks,
+            "history_rows": self.history.rows.n_items,
         }
 
 
@@ -398,7 +398,6 @@ class _StarSums:
 def _policy_decision(
     kind: PolicyKind,
     pool: np.ndarray,
-    history: History,
     state: ConfidenceState,
     instance: Instance,
     cfg: ExperimentConfig,
@@ -409,12 +408,12 @@ def _policy_decision(
     prices = instance.prices
     if kind in (PolicyKind.CB_MNL_E, PolicyKind.CB_MNL_C):
         return cb_mnl_step(
-            pool, history, state, set_kind="E" if kind is PolicyKind.CB_MNL_E else "C",
+            pool, state, set_kind="E" if kind is PolicyKind.CB_MNL_E else "C",
             rng=rng, prices=prices, restarts=cfg.restarts, n_dirs=cfg.n_dirs,
             refine_top=cfg.refine_top, contexts_of=lambda indices: laws.of(indices).ass,
         )
     if kind is PolicyKind.BONUS_UCB:
-        return bonus_ucb_step(pool, history, state, kappa_hat=kappa_hat, prices=prices)
+        return bonus_ucb_step(pool, state, kappa_hat=kappa_hat, prices=prices)
     if kind is PolicyKind.RANDOM:
         ass = laws.of(random_assortment(instance.N, instance.K, rng)).ass
         return Decision(ass.indices, state.theta_hat, expected_revenue(ass, state.theta_hat))
@@ -460,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> RunLog:
             best = laws.of(oracle_assortment(pool, theta_star, instance.K, instance.prices))
             oracle = Decision(best.ass.indices, theta_star.copy(), best.revenue)
         decision = oracle if kind is PolicyKind.ORACLE else _policy_decision(
-            kind, pool, history, state, instance, cfg, kappa, rng_policy, laws
+            kind, pool, state, instance, cfg, kappa, rng_policy, laws
         )
         oracle_value = oracle.optimistic_value
 
@@ -572,8 +571,8 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
     as the run does (the fixed pool, or each regenerated fresh draw); V, the
     offers T and the widest block K come off the compressed history.
     """
-    history = run.history
-    d = history.dim
+    rows = run.history.rows
+    d = rows.dim
     lam = run.cfg.lam
     instance = run.instance
     j_mat = lam * np.eye(d)
@@ -590,9 +589,9 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
     _, logdet = np.linalg.slogdet(j_mat)
     rhs = 2.0 * (logdet - d * math.log(lam))
 
-    det_v = float(np.linalg.det(matrix_V(history, lam)))
-    n_rounds = int(history.offers.sum())
-    k_max = int(np.bincount(history.seg_ids).max(initial=0))
+    det_v = float(np.linalg.det(matrix_V(rows, lam)))
+    n_rounds = int(rows.offers.sum())
+    k_max = int(np.bincount(rows.seg_ids).max(initial=0))
     dt_rhs = (lam + n_rounds * k_max / d) ** d
     return lhs, rhs, det_v, dt_rhs
 

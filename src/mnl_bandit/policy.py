@@ -25,7 +25,7 @@ import numpy as np
 
 from .choice import AssortmentContexts
 from .confidence import L_CONST, ConfidenceState, e_boundary_multi, max_revenue_over_E
-from .estimation import History, _solve, matrix_V
+from .estimation import _solve, matrix_V
 
 __all__ = [
     "PolicyKind",
@@ -301,7 +301,6 @@ def check_search(restarts: int, n_dirs: int, refine_top: int) -> None:
 
 def cb_mnl_step(
     pool: np.ndarray,
-    history: History,
     state: ConfidenceState,
     set_kind: str = "E",
     rng: np.random.Generator | None = None,
@@ -332,14 +331,14 @@ def cb_mnl_step(
     reads the leader's contexts from ``contexts_of(indices)``: the harness
     passes the round's own record of the assortment, which the round then
     plays, so its rows are picked once; by default they are picked from
-    the pool with ``AssortmentContexts.from_pool``.  K is ``state.cfg.K``.
+    the pool with ``AssortmentContexts.from_pool``.  K and d are ``state.cfg``'s.
     """
     check_search(restarts, n_dirs, refine_top)
     if rng is None:
         rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_dirs, history.dim))
+    dirs = rng.standard_normal((n_dirs, state.cfg.d))
     # By keyword, where perfbench/tracer.py reads the directions.
-    boundary = e_boundary_multi(history, state, directions=dirs, set_kind=set_kind)
+    boundary = e_boundary_multi(state, directions=dirs, set_kind=set_kind)
     thetas = np.concatenate((state.anchor[None], boundary))
 
     # The max over assortments of the max over candidates is the max over
@@ -354,7 +353,7 @@ def cb_mnl_step(
         else:
             leader = contexts_of(indices)
         starts = np.concatenate((thetas[:restarts], theta[None]))
-        refined, at = max_revenue_over_E(leader, history, state, starts)
+        refined, at = max_revenue_over_E(leader, state, starts)
         if refined > value:
             value, theta = refined, at
     return Decision(indices, theta, value)
@@ -362,7 +361,6 @@ def cb_mnl_step(
 
 def bonus_ucb_step(
     pool: np.ndarray,
-    history: History,
     state: ConfidenceState,
     kappa_hat: float,
     prices: np.ndarray | None = None,
@@ -372,12 +370,13 @@ def bonus_ucb_step(
     bonus(A) = (2+4S) gamma sum_i ||x_i||_{H_hat^-1}
              + 4 kappa_hat (1+2S)^2 M gamma^2 sum_i ||x_i||^2_{V^-1},
 
-    with M = ``L_CONST`` and S, lam and K read from ``state.cfg``.
+    with M = ``L_CONST``, S, lam and K from ``state.cfg`` and V on the state's rows.
     """
     S = state.cfg.S
     pool = np.asarray(pool, dtype=float)
     h_norms = np.sqrt(np.einsum("nd,nd->n", pool, _solve(state.H_hat, pool.T).T))
-    v_norms_sq = np.einsum("nd,nd->n", pool, _solve(matrix_V(history, state.cfg.lam), pool.T).T)
+    v_mat = matrix_V(state.mle.evaluation.rows, state.cfg.lam)
+    v_norms_sq = np.einsum("nd,nd->n", pool, _solve(v_mat, pool.T).T)
     c1 = (2.0 + 4.0 * S) * state.gamma
     c2 = 4.0 * kappa_hat * (1.0 + 2.0 * S) ** 2 * L_CONST * state.gamma**2
     item_bonus = c1 * h_norms + c2 * v_norms_sq

@@ -52,9 +52,9 @@ def kernel_passes(monkeypatch):
     seen = []
     real = estimation._segment_exp
 
-    def counting(history, u):
+    def counting(rows, u):
         seen.append(np.array(u, copy=True))
-        return real(history, u)
+        return real(rows, u)
 
     monkeypatch.setattr(estimation, "_segment_exp", counting)
     return seen

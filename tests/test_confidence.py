@@ -1,10 +1,13 @@
 """Confidence radii, set membership, and the inner revenue maximization."""
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mnl_bandit
 from mnl_bandit.choice import AssortmentContexts, expected_revenue, revenue_gradient
 from mnl_bandit.confidence import (
     ConfidenceConfig,
@@ -78,7 +81,7 @@ def sample_c_members(rng, hist, cfg, state, want, max_tries=5000):
         z = rng.standard_normal(hist.dim)
         z *= 1.5 * state.gamma * rng.random() ** (1.0 / hist.dim) / float(np.linalg.norm(z))
         cand = state.theta_hat + chol @ z
-        if in_set_C(cand, hist, state):
+        if in_set_C(cand, state):
             members.append(cand)
     return members
 
@@ -144,26 +147,27 @@ class TestSetMembership:
         self.state = build_confidence_state(self.hist, self.cfg, t=self.hist.t + 1)
 
     def test_mle_in_both_sets(self):
-        assert in_set_C(self.state.theta_hat, self.hist, self.state)
-        assert in_set_E(self.state.theta_hat, self.hist, self.state)
+        assert in_set_C(self.state.theta_hat, self.state)
+        assert in_set_E(self.state.theta_hat, self.state)
 
     def test_outside_parameter_ball_rejected(self):
         far = np.array([2.0, 0.0])
-        assert not in_set_C(far, self.hist, self.state)
-        assert not in_set_E(far, self.hist, self.state)
+        assert not in_set_C(far, self.state)
+        assert not in_set_E(far, self.state)
 
     @pytest.mark.parametrize("reader", [in_set_E, in_set_C])
     def test_wrong_length_theta_names_the_dimensions(self, reader):
         # The same error the likelihood readers raise, on an empty history too.
-        for hist in (self.hist, History(2)):
+        empty = build_confidence_state(History(2), self.cfg, t=1)
+        for state in (self.state, empty):
             for bad in (np.zeros(1), np.zeros(3)):
                 with pytest.raises(ValueError, match="dimension mismatch: history is d=2"):
-                    reader(bad, hist, self.state)
+                    reader(bad, state)
 
     def test_c_members_pass_e(self):
         members = sample_c_members(self.rng, self.hist, self.cfg, self.state, 100)
         assert len(members) == 100
-        assert all(in_set_E(th, self.hist, self.state) for th in members)
+        assert all(in_set_E(th, self.state) for th in members)
 
     def test_e_is_convex_on_midpoints(self):
         rng = np.random.default_rng(31)
@@ -172,13 +176,13 @@ class TestSetMembership:
         while len(members) < 60 and tries < 4000:
             tries += 1
             cand = sample_ball(rng, 1, 2, radius=self.cfg.S)[0]
-            if in_set_E(cand, self.hist, self.state):
+            if in_set_E(cand, self.state):
                 members.append(cand)
         assert len(members) == 60
         for _ in range(1000):
             a, b = rng.integers(len(members), size=2)
             mid = 0.5 * (members[a] + members[b])
-            assert in_set_E(mid, self.hist, self.state)
+            assert in_set_E(mid, self.state)
 
     def test_empty_history_e_ball_boundary(self):
         for S, lam in ((200.0, 1.0), (50.0, 1.0), (3.0, 2.0)):
@@ -188,8 +192,8 @@ class TestSetMembership:
             radius = min(S, state.beta * math.sqrt(2.0 / lam))
             inside = np.array([radius - 1e-6, 0.0])
             outside = np.array([radius + 1e-6, 0.0])
-            assert in_set_E(inside, hist, state)
-            assert not in_set_E(outside, hist, state)
+            assert in_set_E(inside, state)
+            assert not in_set_E(outside, state)
 
 
 def norm_set_reference(theta, rounds, cfg, state):
@@ -228,14 +232,14 @@ class TestNormSetBatch:
             chol = np.linalg.cholesky(np.linalg.inv(state.H_hat))
             radius = 3.0 * state.gamma
             thetas = state.theta_hat + sample_ball(rng, 300, d, radius) @ chol.T
-            got, values = _C_member(_Evaluation(hist, thetas, cfg.lam), state)
+            got, values = _C_member(_Evaluation(hist.rows, thetas, cfg.lam), state)
             for theta, member, value in zip(thetas, got, values):
                 expected, quad = norm_set_reference(theta, rounds, cfg, state)
                 assert value == pytest.approx(quad, rel=1e-9, abs=1e-12)
                 # No draw sits within rounding of C's boundary.
                 assert abs(quad - state.gamma**2) > 1e-9 * state.gamma**2
                 assert member == expected
-                assert in_set_C(theta, hist, state) == expected
+                assert in_set_C(theta, state) == expected
                 in_ball = np.linalg.norm(theta) <= cfg.S
                 seen.add("inside" if expected else "outside C" if in_ball else "outside ball")
         assert seen == {"inside", "outside C", "outside ball"}
@@ -256,7 +260,7 @@ class TestDeviationBounds:
             cfg = ConfidenceConfig(d=d, K=2, delta=0.1, lam=2.0, S=1.0)
             hist = random_history(rng, d, rounds=30)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
-            if not in_set_C(theta_star, hist, state):
+            if not in_set_C(theta_star, state):
                 continue
             h_star = matrix_H(hist, theta_star, cfg.lam)
             bound = 2.0 * (1.0 + 2.0 * cfg.S) * state.gamma
@@ -277,13 +281,13 @@ class TestDeviationBounds:
             cfg = ConfidenceConfig(d=d, K=2, delta=0.1, lam=2.0, S=1.0)
             hist = random_history(rng, d, rounds=30)
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
-            if not in_set_C(theta_star, hist, state):
+            if not in_set_C(theta_star, state):
                 continue
             h_star = matrix_H(hist, theta_star, cfg.lam)
             bound = (2.0 + 2.0 * cfg.S) * state.gamma + 2.0 * math.sqrt(1.0 + cfg.S) * state.beta
             dirs = rng.standard_normal((40, d))
-            for th in e_boundary_multi(hist, state, dirs):
-                assert in_set_E(th, hist, state)
+            for th in e_boundary_multi(state, dirs):
+                assert in_set_E(th, state)
                 dev = math.sqrt((th - theta_star) @ h_star @ (th - theta_star))
                 assert dev <= bound
                 checked += 1
@@ -316,7 +320,7 @@ class TestDifferenceQuotientBounds:
         checked = 0
         for seed in range(8):
             rng, theta_star, cfg, hist, state, rounds = self._setup(40 + seed)
-            if not in_set_C(theta_star, hist, state):
+            if not in_set_C(theta_star, state):
                 continue
             h_star = matrix_H(hist, theta_star, cfg.lam)
             for theta in sample_c_members(rng, hist, cfg, state, 25):
@@ -359,7 +363,7 @@ def ascent_starts(hist, cfg, state, restarts, rng, extra=()):
     starts = [state.anchor]
     if restarts > 1:
         dirs = rng.standard_normal((restarts - 1, hist.dim))
-        starts.extend(e_boundary_multi(hist, state, dirs))
+        starts.extend(e_boundary_multi(state, dirs))
     return np.vstack(starts + list(extra))
 
 
@@ -372,7 +376,7 @@ def reference_ascent(ass, hist, cfg, state, starts, max_iter):
         norm = float(np.linalg.norm(cand))
         if norm > cfg.S:
             cand = cand * (cfg.S / norm)
-        return cand, in_set_E(cand, hist, state)
+        return cand, in_set_E(cand, state)
 
     def drop_outward(vec, normal):
         if normal is not None and float(vec @ normal) > 0.0:
@@ -419,14 +423,14 @@ class TestBoundarySearch:
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=4.0, S=0.5)
         hist = History(2)
         state = build_confidence_state(hist, cfg, t=1)
-        edge = e_boundary_multi(hist, state, dirs)
+        edge = e_boundary_multi(state, dirs)
         assert state.ball_in_E and rows() == []
         np.testing.assert_allclose(np.linalg.norm(edge, axis=1), cfg.S, rtol=1e-12)
         # Its twin: 40 rounds at gamma = 1.2, where the proof fails and every
         # probe passes the bracket pass, which returns its outer probes.
         hist = random_history(np.random.default_rng(38), 2, rounds=40)
         state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), 1.2, cfg.lam)
-        edge = e_boundary_multi(hist, state, dirs)
+        edge = e_boundary_multi(state, dirs)
         assert not state.ball_in_E and rows() == [16]
         assert member_passes[0][2].all()
         np.testing.assert_array_equal(edge, member_passes[0][1][8:])
@@ -436,29 +440,29 @@ class TestBoundarySearch:
         cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=200.0, S=3.0)
         hist = random_history(np.random.default_rng(38), 2, rounds=40)
         state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), self.GAMMA, cfg.lam)
-        edge = e_boundary_multi(hist, state, dirs)
+        edge = e_boundary_multi(state, dirs)
         assert rows() == [16]
-        assert _E_member(_Evaluation(hist, edge, cfg.lam), state)[0].all()
+        assert _E_member(_Evaluation(hist.rows, edge, cfg.lam), state)[0].all()
         assert np.linalg.norm(edge, axis=1).max() < 0.9 * cfg.S
         # Its twin at gamma = 3, where the proof fails on some ray: the chord
         # pass tests every ray's chord point.
         member_passes.clear()
         tight = with_radius(state, 3.0, cfg.lam)
-        edge = e_boundary_multi(hist, tight, dirs)
+        edge = e_boundary_multi(tight, dirs)
         assert rows() == [16, 8]
-        assert _E_member(_Evaluation(hist, edge, cfg.lam), tight)[0].all()
+        assert _E_member(_Evaluation(hist.rows, edge, cfg.lam), tight)[0].all()
         # A feasible anchor other than theta_hat joins the bracket pass, which
         # reads its loss gap instead of taking it as 0.
         moved = dataclasses.replace(state)
         moved.anchor = 0.5 * state.theta_hat
-        assert in_set_E(moved.anchor, hist, state)
+        assert in_set_E(moved.anchor, state)
         member_passes.clear()
-        edge = e_boundary_multi(hist, moved, dirs)
+        edge = e_boundary_multi(moved, dirs)
         assert rows() == [17]
-        assert _E_member(_Evaluation(hist, edge, cfg.lam), state)[0].all()
+        assert _E_member(_Evaluation(hist.rows, edge, cfg.lam), state)[0].all()
         # A zero direction is a ray of length 0: it returns the anchor.
-        edge = e_boundary_multi(hist, moved, np.vstack([dirs[:1], np.zeros((1, 2))]))
-        assert _E_member(_Evaluation(hist, edge, cfg.lam), state)[0].all()
+        edge = e_boundary_multi(moved, np.vstack([dirs[:1], np.zeros((1, 2))]))
+        assert _E_member(_Evaluation(hist.rows, edge, cfg.lam), state)[0].all()
         np.testing.assert_array_equal(edge[1], moved.anchor)
 
     @pytest.mark.parametrize("seed", [38, 1, 2, 3])
@@ -474,7 +478,7 @@ class TestBoundarySearch:
         for gamma, passes in ((self.GAMMA, 1), (3.0, 2)):
             state = with_radius(fitted, gamma, cfg.lam)
             member_passes.clear()
-            edge = e_boundary_multi(hist, state, dirs)
+            edge = e_boundary_multi(state, dirs)
             assert len(member_passes) == passes  # the bisection below adds its own
 
             base = state.anchor
@@ -484,7 +488,7 @@ class TestBoundarySearch:
             f0, f1 = ok.reshape(2, -1)
             lo = np.where(f0, np.where(f1, s1, s0), 0.0)
             dist = np.linalg.norm(edge - base, axis=1)
-            assert _E_member(_Evaluation(hist, edge, cfg.lam), state)[0].all()
+            assert _E_member(_Evaluation(hist.rows, edge, cfg.lam), state)[0].all()
             assert (dist >= lo).all()
             for v, s in zip(unit, dist):
                 # The exit of E intersect Theta along the ray, by 60 bisections.
@@ -492,7 +496,7 @@ class TestBoundarySearch:
                 a, b = 0.0, 2.0 * cfg.S
                 for _ in range(60):
                     mid = 0.5 * (a + b)
-                    a, b = (mid, b) if in_set_E(base + mid * v, hist, state) else (a, mid)
+                    a, b = (mid, b) if in_set_E(base + mid * v, state) else (a, mid)
                 assert (1.0 - 1e-4) * a <= s <= b
             assert dist.max() < 0.9 * cfg.S  # E binds on every ray
 
@@ -512,12 +516,11 @@ class TestStateIsASnapshot:
         cfg = ConfidenceConfig(d=2, K=3, delta=0.1, lam=200.0, S=3.0)
         dirs = rng.standard_normal((8, 2))
 
-        def first_probes(h, state):
+        def first_probes(state):
             # The whole-ball proof holds, so the search returns its outer
-            # probes with no pass; they depend on the Hessian at theta_hat,
-            # not on h.
+            # probes with no pass; they depend on the Hessian at theta_hat.
             member_passes.clear()
-            probes = e_boundary_multi(h, state, dirs)
+            probes = e_boundary_multi(state, dirs)
             assert state.ball_in_E and member_passes == []
             return probes
 
@@ -525,20 +528,59 @@ class TestStateIsASnapshot:
         state = build_confidence_state(hist, cfg, t=61)
         ref = build_confidence_state(before, cfg, t=61)
         ll, g, h = ref.mle.evaluation.log_likelihood, ref.g_at_hat, ref.H_hat
-        probes = first_probes(before, ref)
+        probes = first_probes(ref)
         hess = ref.mle.evaluation.nll_hessian
 
         hist.append(AssortmentContexts.from_pool(pool, (0, 1)), 1)  # repeats a block
         hist.append(AssortmentContexts.from_pool(pool, (0, 2, 3)), 2)  # adds one
-        assert hist.n_blocks == before.n_blocks + 1
+        assert hist.rows.n_blocks == before.rows.n_blocks + 1
         theta_hat = state.theta_hat
         assert penalized_log_likelihood(hist, theta_hat, cfg.lam) != ll
-        assert not np.array_equal(_evaluate(hist, theta_hat, cfg.lam).nll_hessian, hess)
+        assert not np.array_equal(_evaluate(hist.rows, theta_hat, cfg.lam).nll_hessian, hess)
 
         assert state.mle.evaluation.log_likelihood == ll
         np.testing.assert_array_equal(state.g_at_hat, g)
         np.testing.assert_array_equal(state.H_hat, h)
-        np.testing.assert_array_equal(first_probes(hist, state), probes)
+        np.testing.assert_array_equal(first_probes(state), probes)
+
+    def test_set_tests_and_search_read_the_rows_it_was_built_on(self):
+        rng = np.random.default_rng(42)
+        pool = sample_ball(rng, 4, 2)
+        hist = History(2)
+
+        def play(rounds):
+            for _ in range(rounds):
+                ass = AssortmentContexts.from_pool(pool, random_assortment(4, 2, rng))
+                hist.append(ass, int(rng.integers(0, ass.cardinality + 1)))
+
+        play(40)
+        cfg = ConfidenceConfig(d=2, K=2, delta=0.1, lam=2.0, S=3.0)
+        state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), 1.2, cfg.lam)
+        rows = state.mle.evaluation.rows
+        assert rows is hist.rows and not state.ball_in_E
+        names = ("ctx_flat", "seg_ids", "starts", "offers", "purchases")
+        copies = {name: getattr(rows, name).copy() for name in names}
+        thetas = state.theta_hat + sample_ball(rng, 60, 2, radius=2.0)
+        dirs = rng.standard_normal((16, 2))
+
+        def readings():
+            bits = [(in_set_E(th, state), in_set_C(th, state)) for th in thetas]
+            return bits, [e_boundary_multi(state, directions=dirs, set_kind=k) for k in "EC"]
+
+        bits, points = readings()
+        assert {e for e, _ in bits} == {True, False} and {c for _, c in bits} == {True, False}
+
+        play(60)  # repeated blocks: new counts only
+        hist.append(make_assortment(sample_ball(rng, 2, 2)), 1)  # a block of new rows
+        assert hist.rows.n_items > rows.n_items and hist.rows.n_blocks > rows.n_blocks
+        assert penalized_log_likelihood(hist, state.theta_hat, cfg.lam) != state.mle.evaluation.log_likelihood
+
+        bits_after, points_after = readings()
+        assert bits_after == bits
+        for got, want in zip(points_after, points, strict=True):
+            np.testing.assert_array_equal(got, want)
+        for name in names:
+            np.testing.assert_array_equal(getattr(rows, name), copies[name])
 
 
 class TestMaxRevenueOverE:
@@ -558,11 +600,11 @@ class TestMaxRevenueOverE:
             ass = AssortmentContexts(tuple(range(k)), ctx, rng.uniform(0.2, 3.0, k))
             restarts = int(rng.integers(1, 7))
             extra_dirs = rng.standard_normal((int(rng.integers(0, 3)), d))
-            extra = list(e_boundary_multi(hist, state, extra_dirs))
+            extra = list(e_boundary_multi(state, extra_dirs))
             max_iter = int(rng.choice([5, 40, 200]))
             starts = ascent_starts(hist, cfg, state, restarts, np.random.default_rng(draw), extra)
             want_val, want_theta = reference_ascent(ass, hist, cfg, state, starts, max_iter)
-            val, theta = max_revenue_over_E(ass, hist, state, starts, max_iter=max_iter)
+            val, theta = max_revenue_over_E(ass, state, starts, max_iter=max_iter)
             assert val == pytest.approx(want_val, abs=1e-12)
             np.testing.assert_allclose(theta, want_theta, rtol=0.0, atol=1e-12)
             inside_ball += float(np.linalg.norm(theta)) < 0.9 * S
@@ -576,7 +618,7 @@ class TestMaxRevenueOverE:
             hist = random_history(rng, 2, rounds=int(rng.integers(0, 60)))
             state = build_confidence_state(hist, cfg, t=hist.t + 1)
             dirs = rng.standard_normal((8, 2))
-            edge = e_boundary_multi(hist, state, dirs)
+            edge = e_boundary_multi(state, dirs)
             unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
             thetas = np.vstack([
                 state.anchor,
@@ -586,8 +628,8 @@ class TestMaxRevenueOverE:
                 1.5 * cfg.S * unit,  # outside the ball
                 sample_ball(rng, 8, 2, radius=cfg.S),
             ])
-            got = _E_member(_Evaluation(hist, thetas, cfg.lam), state)[0]
-            want = [in_set_E(th, hist, state) for th in thetas]
+            got = _E_member(_Evaluation(hist.rows, thetas, cfg.lam), state)[0]
+            want = [in_set_E(th, state) for th in thetas]
             assert got.tolist() == want
             assert all(want[1:9]) and not any(want[25:33])
 
@@ -599,14 +641,14 @@ class TestMaxRevenueOverE:
         state = build_confidence_state(hist, cfg, t=1)
         assert state.beta * math.sqrt(2.0 / cfg.lam) > 9.0
         ass = make_assortment([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
-        _, theta = max_revenue_over_E(ass, hist, state, state.anchor, max_iter=40)
+        _, theta = max_revenue_over_E(ass, state, state.anchor, max_iter=40)
         # E holds the whole ball provably, so the ascent's candidates take
         # the ball test alone.  The first step, of length S along the
         # gradient, reaches the sphere; there the gradient is radial, so the
         # start stops.
         assert state.ball_in_E and len(member_passes) == 0
         assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
-        assert in_set_E(theta, hist, state)
+        assert in_set_E(theta, state)
         grad = revenue_gradient(ass, theta)[1]
         assert grad @ theta > 0.0  # the ball binds
         tangential = grad - (grad @ theta) / (theta @ theta) * theta
@@ -616,11 +658,11 @@ class TestMaxRevenueOverE:
         hist = random_history(np.random.default_rng(44), 3, rounds=10)
         state = with_radius(build_confidence_state(hist, cfg, t=hist.t + 1), 0.8, cfg.lam)
         member_passes.clear()
-        _, theta = max_revenue_over_E(ass, hist, state, state.anchor, max_iter=40)
+        _, theta = max_revenue_over_E(ass, state, state.anchor, max_iter=40)
         assert not state.ball_in_E
         assert len(member_passes) == 5
         assert abs(float(np.linalg.norm(theta)) - cfg.S) <= 1e-12
-        assert in_set_E(theta, hist, state)
+        assert in_set_E(theta, state)
 
     def test_unproved_ball_takes_membership_passes(self, member_passes):
         # 100 rounds at S = 3 and the default config's lam, where the
@@ -631,13 +673,13 @@ class TestMaxRevenueOverE:
         hist = random_history(np.random.default_rng(40), 2, rounds=100)
         state = build_confidence_state(hist, cfg, t=hist.t + 1)
         r = cfg.S + float(np.linalg.norm(state.theta_hat))
-        lam_max = float(np.linalg.eigvalsh(matrix_V(hist, cfg.lam))[-1])
+        lam_max = float(np.linalg.eigvalsh(matrix_V(hist.rows, cfg.lam))[-1])
         assert not state.ball_in_E
         assert state.mle.score_norm * r + 0.5 * lam_max * r * r < state.beta**2
         ass = make_assortment(sample_ball(np.random.default_rng(41), 2, 2))
-        _, theta = max_revenue_over_E(ass, hist, state, state.anchor)
+        _, theta = max_revenue_over_E(ass, state, state.anchor)
         assert len(member_passes) > 0
-        assert in_set_E(theta, hist, state)
+        assert in_set_E(theta, state)
 
     @staticmethod
     def ascent_draws():
@@ -661,10 +703,10 @@ class TestMaxRevenueOverE:
 
     def test_never_below_anchor_value(self):
         for cfg, hist, state, ass, starts in self.ascent_draws():
-            val, theta = max_revenue_over_E(ass, hist, state, starts)
+            val, theta = max_revenue_over_E(ass, state, starts)
             assert val >= max(expected_revenue(ass, start) for start in starts) - 1e-12
             assert val == pytest.approx(expected_revenue(ass, theta), abs=1e-12)
-            assert in_set_E(theta, hist, state)
+            assert in_set_E(theta, state)
 
     def test_empty_history_single_item_reaches_sigma_S(self):
         for S in (0.5, 1.0):
@@ -673,7 +715,7 @@ class TestMaxRevenueOverE:
             state = build_confidence_state(hist, cfg, t=1)
             ass = make_assortment([[1.0]])
             starts = ascent_starts(hist, cfg, state, 3, np.random.default_rng(0))
-            val, theta = max_revenue_over_E(ass, hist, state, starts)
+            val, theta = max_revenue_over_E(ass, state, starts)
             assert val == pytest.approx(1.0 / (1.0 + math.exp(-S)), abs=1e-6)
             assert theta[0] == pytest.approx(S, abs=1e-4)
 
@@ -691,10 +733,10 @@ class TestMaxRevenueOverE:
         for seed in range(35, 75):
             rng, cfg, hist, state, ass = self.ball_bound_draw(seed)
             starts = ascent_starts(hist, cfg, state, 6, rng)
-            val, _ = max_revenue_over_E(ass, hist, state, starts)
+            val, _ = max_revenue_over_E(ass, state, starts)
             for _ in range(200):
                 cand = sample_ball(rng, 1, 2, radius=cfg.S)[0]
-                if in_set_E(cand, hist, state):
+                if in_set_E(cand, state):
                     assert val >= expected_revenue(ass, cand) - 1e-9, seed
 
     def test_converges_within_the_step_cap(self):
@@ -717,7 +759,7 @@ class TestMaxRevenueOverE:
         for ass, hist, cfg, state, restarts, seed in cases:
             starts = ascent_starts(hist, cfg, state, restarts, np.random.default_rng(seed))
             short, long_ = (
-                max_revenue_over_E(ass, hist, state, starts, max_iter=max_iter)
+                max_revenue_over_E(ass, state, starts, max_iter=max_iter)
                 for max_iter in (40, 400)
             )
             assert abs(float(np.linalg.norm(long_[1])) - cfg.S) <= 1e-9
@@ -729,10 +771,16 @@ class TestMaxRevenueOverE:
         state = build_confidence_state(hist, cfg, t=1)
         for empty in (np.zeros((0, 1)), []):
             with pytest.raises(ValueError, match="starts"):
-                max_revenue_over_E(make_assortment([[1.0]]), hist, state, empty)
+                max_revenue_over_E(make_assortment([[1.0]]), state, empty)
 
 
 class TestConfigValidation:
+    def test_state_rejects_a_config_of_another_dimension(self):
+        # The config's d sizes the radius and the policy's search directions.
+        for d in (1, 5):
+            with pytest.raises(ValueError, match="history is d=2, config is d=" + str(d)):
+                build_confidence_state(History(2), ConfidenceConfig(d=d, K=2), t=1)
+
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             ConfidenceConfig(d=1, K=1, delta=0.0)
@@ -740,3 +788,39 @@ class TestConfigValidation:
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
             ConfidenceConfig(d=1, K=1, lam=0.5)
+
+
+def _annotated_names(annotation) -> set[str]:
+    """Every class name an annotation mentions, string annotations included."""
+    if annotation is None:
+        return set()
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= _annotated_names(ast.parse(node.value, mode="eval").body)
+    return names
+
+
+def test_no_function_takes_a_history_beside_a_state():
+    # A state carries its rows (``state.mle.evaluation.rows``): a function
+    # that also takes a History has a second source, which an append moves
+    # away from the state's.
+    both, seen = [], set()
+    for path in sorted(Path(mnl_bandit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                kinds = {
+                    kind for p in params if p is not None
+                    for kind in _annotated_names(p.annotation) & {"History", "ConfidenceState"}
+                }
+                seen |= kinds
+                if len(kinds) == 2:
+                    both.append(f"{path.name}:{node.lineno} {node.name}")
+    assert seen == {"History", "ConfidenceState"}
+    assert not both, f"History beside ConfidenceState: {both}"

@@ -200,7 +200,7 @@ class TestFitMle:
                 d = int(rng.integers(1, 5))
                 hist = random_history(rng, d, rounds=int(rng.integers(0, 40)))
                 theta = rng.standard_normal(d) * 10.0 ** int(rng.integers(-1, 3))
-                hess = _evaluate(hist, theta, lam).nll_hessian
+                hess = _evaluate(hist.rows, theta, lam).nll_hessian
                 assert np.linalg.eigvalsh(hess).min() >= lam * (1.0 - 1e-9)
 
 
@@ -224,7 +224,7 @@ class TestGVector:
             hist = random_history(rng, 2, rounds=25)
             res = fit_mle(hist, 1.0, tol=1e-10)
             np.testing.assert_allclose(
-                g_vector(hist, res.theta_hat, 1.0), hist.purchases @ hist.ctx_flat, atol=1e-8
+                g_vector(hist, res.theta_hat, 1.0), hist.rows.purchases @ hist.rows.ctx_flat, atol=1e-8
             )
 
 
@@ -251,7 +251,7 @@ class TestDesignMatrices:
     def test_V_single_item(self):
         hist = History(1)
         hist.append(make_assortment([[1.0]]), 0)
-        v = matrix_V(hist, 1.0)
+        v = matrix_V(hist.rows, 1.0)
         assert v[0, 0] == pytest.approx(2.0, rel=1e-14)
 
     def test_H_dominated_by_V(self):
@@ -260,7 +260,7 @@ class TestDesignMatrices:
             d = int(rng.integers(1, 5))
             hist = random_history(rng, d, rounds=int(rng.integers(1, 12)))
             theta = sample_ball(rng, 1, d, radius=2.0)[0]
-            diff = matrix_V(hist, 1.0) - matrix_H(hist, theta, 1.0)
+            diff = matrix_V(hist.rows, 1.0) - matrix_H(hist, theta, 1.0)
             assert float(np.linalg.eigvalsh(diff)[0]) >= -1e-9
 
 
@@ -350,7 +350,7 @@ class TestHistory:
             hist.append(make_assortment(sample_ball(rng, k, 2)), 0)
             total += k
         assert hist.n_items == total
-        assert hist.ctx_flat.shape == (total, 2)
+        assert hist.rows.ctx_flat.shape == (total, 2)
 
 
 def mixed_history(rng, d=2, rounds=300):
@@ -432,10 +432,10 @@ class TestCompressedHistoryAgainstPerRoundReference:
         fresh = sum(1 for t in range(300) if t % 5 == 4)
         # Three pool assortments (the re-indexed pair merges into (0, 1))
         # plus one block per fresh round.
-        assert hist.n_blocks == 3 + fresh
+        assert hist.rows.n_blocks == 3 + fresh
         assert hist.t == 300
-        assert float(hist.offers.sum()) == 240.0
-        assert float(hist.purchases.sum()) == sum(1 for _, y in rounds if y)
+        assert float(hist.rows.offers.sum()) == 240.0
+        assert float(hist.rows.purchases.sum()) == sum(1 for _, y in rounds if y)
 
     def test_likelihood_family_matches(self):
         rng = np.random.default_rng(6)
@@ -445,10 +445,10 @@ class TestCompressedHistoryAgainstPerRoundReference:
             assert_rel(penalized_log_likelihood(hist, theta, self.LAM), ref["ll"])
             assert_rel(score(hist, theta, self.LAM), ref["score"])
             assert_rel(g_vector(hist, theta, self.LAM), ref["g"])
-            assert_rel(hist.purchases @ hist.ctx_flat, ref["reward"])
+            assert_rel(hist.rows.purchases @ hist.rows.ctx_flat, ref["reward"])
             assert_rel(matrix_H(hist, theta, self.LAM), ref["H"])
-            assert_rel(_evaluate(hist, theta, self.LAM).nll_hessian, ref["hess"])
-            assert_rel(matrix_V(hist, self.LAM), ref["V"])
+            assert_rel(_evaluate(hist.rows, theta, self.LAM).nll_hessian, ref["hess"])
+            assert_rel(matrix_V(hist.rows, self.LAM), ref["V"])
         th1, th2 = sample_ball(rng, 2, 2, radius=2.0)
         assert_rel(matrix_G(hist, th1, th2, self.LAM), per_round_G(rounds, th1, th2, self.LAM))
 
@@ -471,7 +471,7 @@ class TestCompressedHistoryAgainstPerRoundReference:
         state = build_confidence_state(hist, cfg, t=301)
         state = dataclasses.replace(state, gamma=gamma, beta=beta_radius(gamma, lam))
         dirs = np.random.default_rng(9).standard_normal((12, 2))
-        got = e_boundary_multi(hist, state, dirs)
+        got = e_boundary_multi(state, dirs)
 
         def gap(th):
             return state.mle.evaluation.log_likelihood - per_round_reference(rounds, th, lam)["ll"]
@@ -505,9 +505,9 @@ class TestCompressedHistoryAgainstPerRoundReference:
         hist = History(2)
         for t in range(3000):
             hist.append(AssortmentContexts.from_pool(pool, [(0,), (1, 2), (0, 3)][t % 3]), t % 2)
-        assert hist.n_blocks == 3
+        assert hist.rows.n_blocks == 3
         assert hist.n_items == 5
-        assert float(hist.offers.sum()) == 3000.0
+        assert float(hist.rows.offers.sum()) == 3000.0
         assert hist.t == 3000
 
 
@@ -516,27 +516,27 @@ def separate_pass_reference(hist, theta, lam):
     formulas written out one by one as they stood before one evaluation
     served them all.  The shared evaluation must match them bit for bit."""
     theta = np.asarray(theta, dtype=float)
-    ctx, n_row = hist.ctx_flat, hist.row_offers
+    ctx, n_row = hist.rows.ctx_flat, hist.rows.row_offers
 
     def row_mu():
-        _, ez, total = _segment_exp(hist, ctx @ theta)
-        return ez / total[hist.seg_ids]
+        _, ez, total = _segment_exp(hist.rows, ctx @ theta)
+        return ez / total[hist.rows.seg_ids]
 
     def gram(w):
         w = n_row * w
         return ctx.T @ (w[:, None] * ctx) + lam * np.eye(hist.dim)
 
     u = ctx @ theta
-    m, _, total = _segment_exp(hist, u)
-    ll = hist.purchases @ u - hist.offers @ (m + np.log(total))
+    m, _, total = _segment_exp(hist.rows, u)
+    ll = hist.rows.purchases @ u - hist.rows.offers @ (m + np.log(total))
     mu = row_mu()
-    seg_means = np.add.reduceat(mu[:, None] * ctx, hist.starts, axis=0)
+    seg_means = np.add.reduceat(mu[:, None] * ctx, hist.rows.starts, axis=0)
     return dict(
         ll=float(ll) - 0.5 * lam * float(theta @ theta),
-        score=(hist.purchases - n_row * row_mu()) @ ctx - lam * theta,
+        score=(hist.rows.purchases - n_row * row_mu()) @ ctx - lam * theta,
         g=(n_row * row_mu()) @ ctx + lam * theta,
         H=gram(mu * (1.0 - mu)),
-        hess=gram(mu) - seg_means.T @ (hist.offers[:, None] * seg_means),
+        hess=gram(mu) - seg_means.T @ (hist.rows.offers[:, None] * seg_means),
     )
 
 
@@ -560,7 +560,7 @@ class TestOneEvaluationPerParameter:
                     score(hist, theta, self.LAM),
                     g_vector(hist, theta, self.LAM),
                     matrix_H(hist, theta, self.LAM),
-                    _evaluate(hist, theta, self.LAM).nll_hessian,
+                    _evaluate(hist.rows, theta, self.LAM).nll_hessian,
                     ref,
                 )
 
@@ -585,7 +585,7 @@ class TestOneEvaluationPerParameter:
             res = fit_mle(hist, self.LAM)
             assert res.converged and res.iterations >= 2
             assert len(kernel_passes) == res.iterations + 1
-            assert np.array_equal(kernel_passes[-1], hist.ctx_flat @ res.theta_hat)
+            assert np.array_equal(kernel_passes[-1], hist.rows.ctx_flat @ res.theta_hat)
 
     def test_contracting_fit_forms_no_log_likelihood_or_squared_norm(self, monkeypatch):
         # On a fixed pool every full Newton step from zero contracts the score
@@ -624,13 +624,13 @@ class TestOneEvaluationPerParameter:
         state = build_confidence_state(hist, cfg, t=301)
         state.mle.evaluation.log_likelihood, state.g_at_hat, state.H_hat
         dirs = np.random.default_rng(9).standard_normal((12, 2))
-        e_boundary_multi(hist, state, dirs)
+        e_boundary_multi(state, dirs)
         # The whole-ball proof reads the fit's evaluation, so the search adds no pass.
         assert state.ball_in_E and len(kernel_passes) == fit_passes
         # Where a small radius defeats the proof, the search's membership
         # passes take one column per probe.
         tight = dataclasses.replace(state, beta=1.0)
-        e_boundary_multi(hist, tight, dirs)
+        e_boundary_multi(tight, dirs)
         single = [u for u in kernel_passes if u.ndim == 1]
         assert not tight.ball_in_E and len(single) == fit_passes
         assert len(kernel_passes) > fit_passes
@@ -641,12 +641,12 @@ class TestOneEvaluationPerParameter:
         state = build_confidence_state(hist, cfg, t=301)
         state.g_at_hat
         kernel_passes.clear()
-        in_set_C(0.5 * state.anchor, hist, state)
+        in_set_C(0.5 * state.anchor, state)
         assert len(kernel_passes) == 1
         # A stack of parameters costs one pass, which both sets' tests read.
         thetas = sample_ball(np.random.default_rng(9), 7, 2, radius=2.0)
         kernel_passes.clear()
-        ev = estimation._Evaluation(hist, thetas, cfg.lam)
+        ev = estimation._Evaluation(hist.rows, thetas, cfg.lam)
         for member in (_C_member, _E_member):
             member(ev, state)
             assert [u.shape for u in kernel_passes] == [(hist.n_items, 7)]
@@ -655,12 +655,12 @@ class TestOneEvaluationPerParameter:
     def test_stacked_evaluation_matches_each_row(self, rounds):
         hist, _ = mixed_history(np.random.default_rng(4), rounds=rounds)
         thetas = sample_ball(np.random.default_rng(5), 6, 2, radius=2.0)
-        stacked = estimation._Evaluation(hist, thetas, self.LAM)
+        stacked = estimation._Evaluation(hist.rows, thetas, self.LAM)
         assert stacked.log_likelihood.shape == (6,)
         assert stacked.score.shape == stacked.g.shape == (6, 2)
         assert stacked.H.shape == (6, 2, 2)
         for i, theta in enumerate(thetas):
-            single = estimation._Evaluation(hist, theta, self.LAM)
+            single = estimation._Evaluation(hist.rows, theta, self.LAM)
             for key in ("log_likelihood", "score", "g", "H"):
                 np.testing.assert_allclose(
                     getattr(stacked, key)[i], getattr(single, key), rtol=1e-12, err_msg=key
@@ -676,18 +676,18 @@ class TestWarmStartFromTheLastFit:
         for seed in range(3):
             hist, rounds = mixed_history(np.random.default_rng(seed))
             theta = sample_ball(rng, 1, 2, radius=2.0)[0]
-            old = estimation._Evaluation(hist, theta, self.LAM)
+            old = estimation._Evaluation(hist.rows, theta, self.LAM)
             before = separate_pass_reference(hist, theta, self.LAM)
             ev = old
             # A stored pool block with a purchase, then an empty assortment:
             # neither adds a row, and only the counts change.
             for ass, outcome in ((rounds[1][0], 1), (rounds[0][0], 0)):
                 hist.append(ass, outcome)
-                assert hist.ctx_flat is old.ctx
+                assert hist.rows.ctx_flat is old.rows.ctx_flat
                 kernel_passes.clear()
-                ev = ev.recounted(hist, self.LAM)
+                ev = ev.recounted(hist.rows, self.LAM)
                 assert kernel_passes == []
-                fresh = estimation._Evaluation(hist, theta, self.LAM)
+                fresh = estimation._Evaluation(hist.rows, theta, self.LAM)
                 for key in self.QUANTITIES:
                     assert np.array_equal(getattr(ev, key), getattr(fresh, key)), key
             assert ev.log_likelihood != old.log_likelihood
@@ -730,7 +730,7 @@ class TestWarmStartFromTheLastFit:
         def checked_build(history, ccfg, t, theta0=None):
             state = build(history, ccfg, t, theta0=theta0)
             ev = state.mle.evaluation
-            kinds.append(theta0 is not None and theta0.evaluation.ctx is history.ctx_flat)
+            kinds.append(theta0 is not None and theta0.evaluation.rows.ctx_flat is history.rows.ctx_flat)
             assert np.array_equal(ev.theta, state.theta_hat)
             assert_same_as_reference(
                 ev.log_likelihood, ev.score, ev.g, ev.H, ev.nll_hessian,
@@ -752,7 +752,7 @@ class TestWarmStartFromTheLastFit:
             kernel_passes.clear()
             res = fit_mle(h, self.LAM, theta0=last)
             assert len(kernel_passes) == res.iterations + 1
-            assert np.array_equal(kernel_passes[0], h.ctx_flat @ last.theta_hat)
+            assert np.array_equal(kernel_passes[0], h.rows.ctx_flat @ last.theta_hat)
             ref = fit_mle(h, self.LAM, theta0=last.theta_hat)
             assert np.array_equal(res.theta_hat, ref.theta_hat)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -788,7 +788,7 @@ class TestBacktrackedFit:
 
     def test_halved_step_is_accepted_and_evaluated_exactly(self, kernel_passes):
         hist = self.history()
-        start = _evaluate(hist, self.START, self.LAM)
+        start = _evaluate(hist.rows, self.START, self.LAM)
         step = _solve(start.nll_hessian, start.score)
         kernel_passes.clear()
         res = fit_mle(hist, self.LAM, theta0=self.START, max_iter=1)
@@ -797,7 +797,7 @@ class TestBacktrackedFit:
         a = 0.5 ** (len(kernel_passes) - 2)
         assert a < 1.0
         assert np.array_equal(res.theta_hat, self.START + a * step)
-        assert np.array_equal(kernel_passes[-1], hist.ctx_flat @ res.theta_hat)
+        assert np.array_equal(kernel_passes[-1], hist.rows.ctx_flat @ res.theta_hat)
         self.assert_is_reference(res, hist)
         # The whole fit takes that step first and converges.
         first = list(kernel_passes)
@@ -817,7 +817,7 @@ class TestBacktrackedFit:
         # history is known to reach the floor.  Here every point but the
         # start is made impossible.
         hist = self.history()
-        u_start = hist.ctx_flat @ self.START
+        u_start = hist.rows.ctx_flat @ self.START
         real = estimation._log_likelihood
 
         def lowered(purchases, offers, u, *rest):

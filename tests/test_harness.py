@@ -61,8 +61,8 @@ def passes_by_side(monkeypatch, kernel_passes, cfg):
     seen = {"fit passes": 0, "new rows": 0, "rows": None}
 
     def counted_fit(history, *args, **kw):
-        seen["new rows"] += history.ctx_flat is not seen["rows"]
-        seen["rows"] = history.ctx_flat
+        seen["new rows"] += history.rows.ctx_flat is not seen["rows"]
+        seen["rows"] = history.rows.ctx_flat
         before = len(kernel_passes)
         result = fit(history, *args, **kw)
         seen["fit passes"] += len(kernel_passes) - before
@@ -277,10 +277,9 @@ class TestRefinedRounds:
             refined.append(len(member_passes) - before)
             return result
 
-        def checked(pool, history, state, **kw):
-            decision = step(pool, history, state, **kw)
-            # The history is appended to only after the decision.
-            assert in_set_E(decision.theta_used, history, state)
+        def checked(pool, state, **kw):
+            decision = step(pool, state, **kw)
+            assert in_set_E(decision.theta_used, state)
             played = AssortmentContexts.from_pool(pool, decision.assortment, kw["prices"])
             decisions.append((played, decision.theta_used))
             return decision
@@ -403,10 +402,10 @@ class TestNormSetScreening:
             candidates.append(np.array(thetas))
             return attraction(pool, prices, thetas)
 
-        def checked(pool, history, state, **kw):
-            decision = step(pool, history, state, **kw)
+        def checked(pool, state, **kw):
+            decision = step(pool, state, **kw)
             screened = candidates.pop()[1:]  # the anchor leads
-            members.append(sum(in_set_C(theta, history, state) for theta in screened))
+            members.append(sum(in_set_C(theta, state) for theta in screened))
             return decision
 
         monkeypatch.setattr(policy, "_attraction", recorded)
@@ -448,8 +447,11 @@ class TestThetaStarDiagnostics:
         theta_star = inst.theta_star
         hist, j_mat = History(cfg.d), lam * np.eye(cfg.d)
         for r, state, theta in zip(run.records, states, used, strict=True):
-            assert r.covered == in_set_E(theta_star, hist, state)
-            assert r.covered_C == in_set_C(theta_star, hist, state)
+            # The sets read the state's own rows: the replayed history's up to round t.
+            for name in ("ctx_flat", "offers", "purchases"):
+                np.testing.assert_array_equal(getattr(state.mle.evaluation.rows, name), getattr(hist.rows, name))
+            assert r.covered == in_set_E(theta_star, state)
+            assert r.covered_C == in_set_C(theta_star, state)
             dtheta = theta - theta_star
             assert r.dev_H == pytest.approx(math.sqrt(dtheta @ j_mat @ dtheta), rel=1e-12)
             ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
@@ -488,7 +490,7 @@ class TestThetaStarDiagnostics:
         inst, lam = run.instance, run.cfg.lam
         hist = History(cfg.d)
         for r, (ll, g, h_mat, star_score) in zip(run.records, seen, strict=True):
-            ev = _evaluate(hist, inst.theta_star, lam)
+            ev = _evaluate(hist.rows, inst.theta_star, lam)
             assert ll == pytest.approx(float(ev.log_likelihood), rel=1e-12)
             np.testing.assert_allclose(g, ev.g, rtol=1e-12)
             np.testing.assert_allclose(h_mat, ev.H, rtol=1e-12)
@@ -530,7 +532,7 @@ class TestThetaStarDiagnostics:
         inst = run.instance
         hist = History(cfg.d)
         for r, state, held in zip(run.records, states, proofs, strict=True):
-            assert r.covered == in_set_E(inst.theta_star, hist, state)
+            assert r.covered == in_set_E(inst.theta_star, state)
             assert r.covered or not held
             ass = AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices)
             hist.append(ass, r.outcome)
@@ -695,9 +697,9 @@ class TestPlayedTrajectoryPin:
         passes, proved = [], []
         search = policy.e_boundary_multi
 
-        def counted_search(history, state, **kw):
+        def counted_search(state, **kw):
             before = len(member_passes)
-            points = search(history, state, **kw)
+            points = search(state, **kw)
             passes.append(collections.Counter(kind for kind, _, _ in member_passes[before:]))
             proved.append(state.ball_in_E)
             return points
@@ -727,8 +729,8 @@ class TestPlayedTrajectoryPin:
         seen = {"passes": 0, "rounds with new rows": 0, "rows": None}
 
         def counted_fit(history, *args, **kw):
-            seen["rounds with new rows"] += history.ctx_flat is not seen["rows"]
-            seen["rows"] = history.ctx_flat
+            seen["rounds with new rows"] += history.rows.ctx_flat is not seen["rows"]
+            seen["rows"] = history.rows.ctx_flat
             before = len(kernel_passes)
             result = fit(history, *args, **kw)
             seen["passes"] += len(kernel_passes) - before
@@ -737,7 +739,7 @@ class TestPlayedTrajectoryPin:
         monkeypatch.setattr(confidence, "fit_mle", counted_fit)
         run = run_experiment(self.regret_cfg("random"), seed=0)
         assert seen["passes"] == run.newton_steps + seen["rounds with new rows"]
-        assert seen["rounds with new rows"] <= run.history.n_blocks + 1
+        assert seen["rounds with new rows"] <= run.history.rows.n_blocks + 1
 
     @pytest.mark.parametrize("track_c", [False, True])
     def test_theta_star_side_makes_no_pass(self, monkeypatch, kernel_passes, track_c):
@@ -749,12 +751,12 @@ class TestPlayedTrajectoryPin:
         )
         run, fit_passes, new_rows = passes_by_side(monkeypatch, kernel_passes, cfg)
         assert len(kernel_passes) == fit_passes == run.newton_steps + new_rows
-        assert new_rows <= run.history.n_blocks + 1
+        assert new_rows <= run.history.rows.n_blocks + 1
 
     def test_theta_star_side_makes_no_pass_on_fresh_contexts(self, monkeypatch, kernel_passes):
         cfg = small_cfg(policy="random", context_mode="fresh_iid", T=40)
         run, fit_passes, new_rows = passes_by_side(monkeypatch, kernel_passes, cfg)
-        assert new_rows == run.history.n_blocks == cfg.T
+        assert new_rows == run.history.rows.n_blocks == cfg.T
         assert len(kernel_passes) == fit_passes == run.newton_steps + cfg.T
 
     @pytest.mark.parametrize("policy", ["random", "cb_mnl_e"])
@@ -898,7 +900,7 @@ class TestEllipticalCheck:
         monkeypatch.undo()
         distinct = {ass.indices for ass in played}
         records = 60 if mode == "fresh_iid" else len(distinct)
-        assert len(played) == 60 and run.history.n_blocks == records
+        assert len(played) == 60 and run.history.rows.n_blocks == records
         assert mode == "fresh_iid" or records < 60
         lam, d, theta_star = run.cfg.lam, run.cfg.d, run.instance.theta_star
         j_mat, lhs, v_mat = lam * np.eye(d), 0.0, lam * np.eye(d)
@@ -1016,7 +1018,7 @@ class TestPersistence:
         assert meta["kappa_hat"] >= 4.0
         assert meta["config"]["T"] == 10
         assert "wall_time_s" in meta and "version" in meta
-        assert meta["history_blocks"] == run.history.n_blocks
+        assert meta["history_blocks"] == run.history.rows.n_blocks
         assert meta["history_rows"] == run.history.n_items
         assert meta["newton_steps"] == run.newton_steps > 0
         assert run_experiment(small_cfg(T=0), seed=11).metadata()["newton_steps"] == 0

@@ -143,14 +143,14 @@ class TestCbMnlStep:
         pool = np.array([[0.5, 0.1]])
         hist = History(2)
         state = build_confidence_state(hist, cfg, t=1)
-        decision = cb_mnl_step(pool, hist, state, rng=self.rng)
+        decision = cb_mnl_step(pool, state, rng=self.rng)
         assert decision.assortment == (0,)
 
     def test_symmetric_contexts_tie_break_to_prefix(self):
         pool = np.tile(np.array([[0.4, 0.2]]), (4, 1))
         hist = History(2)
         state = self._state(hist)
-        decision = cb_mnl_step(pool, hist, state=state,
+        decision = cb_mnl_step(pool, state=state,
                                rng=np.random.default_rng(3), refine_top=0, n_dirs=6)
         assert decision.assortment == (0, 1)
 
@@ -159,23 +159,23 @@ class TestCbMnlStep:
         hist, _ = self._burn_in(pool, 12)
         state = self._state(hist)
         for refine_top in (1, 0):
-            decision = cb_mnl_step(pool, hist, state,
+            decision = cb_mnl_step(pool, state,
                                    rng=np.random.default_rng(4),
                                    refine_top=refine_top, n_dirs=6, restarts=2)
             played = AssortmentContexts.from_pool(pool, decision.assortment)
             got = expected_revenue(played, decision.theta_used)
             assert decision.optimistic_value == pytest.approx(got, abs=1e-9)
-            assert in_set_E(decision.theta_used, hist, state)
+            assert in_set_E(decision.theta_used, state)
 
     def test_optimism_dominates_truth_when_covered(self):
         pool = sample_ball(np.random.default_rng(5), 4, 2)
         hist, theta_star = self._burn_in(pool, 25, seed=6)
         state = self._state(hist)
-        if not in_set_E(theta_star, hist, state):
+        if not in_set_E(theta_star, state):
             pytest.skip("reference parameter not covered in this draw")
         best = oracle_assortment(pool, theta_star, 2)
         truth = expected_revenue(AssortmentContexts.from_pool(pool, best), theta_star)
-        decision = cb_mnl_step(pool, hist, state,
+        decision = cb_mnl_step(pool, state,
                                rng=np.random.default_rng(7), refine_top=1, restarts=4)
         assert decision.optimistic_value >= truth - 1e-9
 
@@ -183,9 +183,9 @@ class TestCbMnlStep:
         pool = sample_ball(np.random.default_rng(8), 4, 2)
         hist, _ = self._burn_in(pool, 10, seed=9)
         state = self._state(hist)
-        d1 = cb_mnl_step(pool, hist, state, rng=np.random.default_rng(11),
+        d1 = cb_mnl_step(pool, state, rng=np.random.default_rng(11),
                          refine_top=1, n_dirs=6)
-        d2 = cb_mnl_step(pool, hist, state, rng=np.random.default_rng(11),
+        d2 = cb_mnl_step(pool, state, rng=np.random.default_rng(11),
                          refine_top=1, n_dirs=6)
         assert d1.assortment == d2.assortment
         assert d1.optimistic_value == d2.optimistic_value
@@ -199,22 +199,22 @@ class TestCbMnlStep:
         calls = []
         search = confidence.e_boundary_multi
 
-        def counted(history, state, directions, **kw):
+        def counted(state, directions, **kw):
             calls.append(len(directions))
-            return search(history, state, directions, **kw)
+            return search(state, directions, **kw)
 
         monkeypatch.setattr(confidence, "e_boundary_multi", counted)
         monkeypatch.setattr(policy, "e_boundary_multi", counted)
         pool = sample_ball(np.random.default_rng(15), 4, 2)
         hist, _ = self._burn_in(pool, 10, seed=16)
-        cb_mnl_step(pool, hist, self._state(hist), rng=np.random.default_rng(17),
+        cb_mnl_step(pool, self._state(hist), rng=np.random.default_rng(17),
                     refine_top=1, n_dirs=6, restarts=5)
         assert calls == [6]
 
     def test_rejects_more_restarts_than_screening_points(self):
         hist = History(2)
         with pytest.raises(ValueError, match="restarts"):
-            cb_mnl_step(np.eye(2), hist, self._state(hist), n_dirs=3, restarts=5)
+            cb_mnl_step(np.eye(2), self._state(hist), n_dirs=3, restarts=5)
 
     def test_c_set_variant_returns_member_value(self):
         from mnl_bandit.confidence import in_set_C
@@ -222,24 +222,24 @@ class TestCbMnlStep:
         pool = sample_ball(np.random.default_rng(12), 3, 2)
         hist, _ = self._burn_in(pool, 15, seed=13)
         state = self._state(hist)
-        decision = cb_mnl_step(pool, hist, state, set_kind="C",
+        decision = cb_mnl_step(pool, state, set_kind="C",
                                rng=np.random.default_rng(14))
         played = AssortmentContexts.from_pool(pool, decision.assortment)
         got = expected_revenue(played, decision.theta_used)
         assert decision.optimistic_value == pytest.approx(got, abs=1e-9)
-        assert in_set_C(decision.theta_used, hist, state)
+        assert in_set_C(decision.theta_used, state)
 
     @pytest.mark.parametrize("refine_top", [2, -1, True])
     def test_refines_at_most_the_leader(self, refine_top):
         hist = History(2)
         with pytest.raises(ValueError, match="refine_top"):
-            cb_mnl_step(np.eye(2), hist, self._state(hist), refine_top=refine_top)
+            cb_mnl_step(np.eye(2), self._state(hist), refine_top=refine_top)
 
     def test_unknown_set_kind(self):
         hist = History(2)
         state = self._state(hist)
         with pytest.raises(ValueError, match="set kind"):
-            cb_mnl_step(np.zeros((2, 2)), hist, state, set_kind="X")
+            cb_mnl_step(np.zeros((2, 2)), state, set_kind="X")
 
 
 class TestBonusUcb:
@@ -250,8 +250,8 @@ class TestBonusUcb:
         pool = np.tile(np.array([[0.4, 0.2]]), (3, 1))
         hist = History(2)
         state = build_confidence_state(hist, self.cfg, t=1)
-        bonus = bonus_ucb_step(pool, hist, state, kappa_hat=5.0)
-        optimistic = cb_mnl_step(pool, hist, state,
+        bonus = bonus_ucb_step(pool, state, kappa_hat=5.0)
+        optimistic = cb_mnl_step(pool, state,
                                  rng=np.random.default_rng(0), refine_top=0, n_dirs=4)
         assert bonus.assortment == optimistic.assortment == (0, 1)
 
@@ -262,7 +262,7 @@ class TestBonusUcb:
         for _ in range(10):
             hist.append(AssortmentContexts.from_pool(pool, (0, 1)), 0)
         state = build_confidence_state(hist, self.cfg, t=hist.t + 1)
-        decision = bonus_ucb_step(pool, hist, state, kappa_hat=6.0)
+        decision = bonus_ucb_step(pool, state, kappa_hat=6.0)
         played = AssortmentContexts.from_pool(pool, decision.assortment)
         base = expected_revenue(played, state.theta_hat)
         assert decision.optimistic_value >= base - 1e-12
@@ -272,7 +272,7 @@ class TestBonusUcb:
         ass = AssortmentContexts.from_pool(pool, (0, 1))
 
         def v_term(hist):
-            v = matrix_V(hist, self.cfg.lam)
+            v = matrix_V(hist.rows, self.cfg.lam)
             return sum(x @ np.linalg.solve(v, x) for x in pool)
 
         hist = History(2)
@@ -330,14 +330,14 @@ class TestScorerAgainstReference:
             kappa_hat = float(rng.uniform(1.0, 10.0))
             c1 = (2.0 + 4.0 * cfg.S) * state.gamma
             c2 = 4.0 * kappa_hat * (1.0 + 2.0 * cfg.S) ** 2 * L_CONST * state.gamma**2
-            v = matrix_V(hist, cfg.lam)
+            v = matrix_V(hist.rows, cfg.lam)
             expected = {
                 a: rev
                 + c1 * sum(np.sqrt(pool[i] @ np.linalg.solve(state.H_hat, pool[i])) for i in a)
                 + c2 * sum(pool[i] @ np.linalg.solve(v, pool[i]) for i in a)
                 for a, rev in reference_revenues(pool, prices, cfg.K, state.theta_hat).items()
             }
-            decision = bonus_ucb_step(pool, hist, state, kappa_hat=kappa_hat, prices=prices)
+            decision = bonus_ucb_step(pool, state, kappa_hat=kappa_hat, prices=prices)
             got = decision.assortment
             assert got == _argmax_lex(expected)
             # Values reach a few thousand here, so the tolerance is relative.
@@ -361,7 +361,7 @@ def enumerated_oracle(pool, theta, K, prices=None):
     return _as_tuple(rows[_best(rows, _revenues((ez[0], pez[0]), rows))])
 
 
-def enumerated_decision(pool, history, cfg, state, thetas, set_kind, prices, restarts, refine_top):
+def enumerated_decision(pool, cfg, state, thetas, set_kind, prices, restarts, refine_top):
     """The optimistic step by brute force, given its candidates.
 
     Every assortment is scored against every candidate and keeps its best
@@ -378,7 +378,7 @@ def enumerated_decision(pool, history, cfg, state, thetas, set_kind, prices, res
     if set_kind == "E" and refine_top:
         val, th = max_revenue_over_E(
             AssortmentContexts.from_pool(pool, _as_tuple(rows[best]), prices),
-            history, state, np.vstack([thetas[:restarts], theta]),
+            state, np.vstack([thetas[:restarts], theta]),
         )
         if val > value:
             value, theta = val, th
@@ -489,12 +489,12 @@ class TestStaticSolveAgainstEnumeration:
             n_dirs = int(rng.integers(0, 8))
             restarts = 1 + min(n_dirs, 2)
             seen.clear()
-            decision = cb_mnl_step(pool, hist, state, set_kind=set_kind,
+            decision = cb_mnl_step(pool, state, set_kind=set_kind,
                                    rng=np.random.default_rng(int(rng.integers(1 << 30))),
                                    prices=prices, restarts=restarts, n_dirs=n_dirs,
                                    refine_top=refine_top)
             indices, value, theta = enumerated_decision(
-                pool, hist, cfg, state, seen[0], set_kind, prices, restarts, refine_top
+                pool, cfg, state, seen[0], set_kind, prices, restarts, refine_top
             )
             assert decision.assortment == indices
             assert decision.optimistic_value == value
