@@ -260,29 +260,29 @@ def convex_set_contains_norm_set(
 def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
     """Every point a proof of E membership certifies passes ``_E_member``'s float test.
 
-    History h has 0-149 rounds of 1-3 items in dimension 1-5, with fresh
-    rows every round or, for odd h, rows from a fixed pool of 4, so that
-    blocks repeat; S is 1, 3 or 5, lam the horizon default or one drawn in
-    [1, 400), and the radius gamma_radius's shrunk by up to e^3, so that E
-    fails to hold the ball in some histories.  Where
-    ``ConfidenceState.ball_in_E`` proves that E holds the ball, 20 points
-    of the ball and 10 of its sphere are tested.  On 8 random rays from the
-    anchor, wherever E binds inside the ball, a bracket lo < hi around E's
-    exit, lo feasible and hi not, gives a chord point, which is tested
-    where ``_chord_proved`` certifies it.  Every point tested on those rays
-    (the ball's exits, the bisection's midpoints, the brackets' ends and the
-    chord points) is also one where ``_E_proved`` may certify membership
+    History h has 0-149 rounds of 1-3 items in dimension 1-5, with fresh rows
+    every round or, for odd h, rows from a fixed pool of 4, so that blocks
+    repeat; S is 1, 3 or 5, lam the horizon default or one drawn in [1, 400),
+    and the radius gamma_radius's shrunk by up to e^3, so that E fails to
+    hold the ball in some histories.  Where ``ConfidenceState.ball_in_E``
+    proves that E holds the ball, 20 points of the ball and 10 of its sphere
+    must pass and those 10 scaled by 1 + 1e-9 must fail.  On 8 random rays
+    from the anchor, wherever E binds inside the ball, a bracket lo < hi
+    around E's exit, lo feasible and hi not, gives a chord point, which is
+    tested where ``_chord_proved`` certifies it.  Every point tested on those
+    rays (the ball's exits, the bisection's midpoints, the brackets' ends and
+    the chord points) is also one where ``_E_proved`` may certify membership
     from the point's own score, and each point it certifies is tested.  The
-    bisection's midpoints close in on E's boundary from both sides, so
-    where the data adds little curvature to the ridge the score's bound is
-    tight there and only the margin keeps it sound.  n_histories / 3 empty
-    histories, from a generator of their own, make the bound the loss gap
-    in exact arithmetic: with theta_hat = 0 both are lam ||theta||^2 / 2,
-    and the 81 points within 40 ulps of E's radius, set inside Theta, on a
-    ray are tested where ``_E_proved`` certifies them.  The check fails on
-    any violation, or unless on the nonempty histories the whole-ball proof
-    both holds and fails somewhere, the chord proof certifies some point and
-    the score proof both certifies and fails to certify some point.
+    bisection's midpoints close in on E's boundary from both sides, so where
+    the data adds little curvature to the ridge the score's bound is tight
+    there and only the margin keeps it sound.  n_histories / 3 empty
+    histories, from a generator of their own, make the bound the loss gap in
+    exact arithmetic: with theta_hat = 0 both are lam ||theta||^2 / 2, and
+    the 81 points within 40 ulps of E's radius, set inside Theta, on a ray
+    are tested where ``_E_proved`` certifies them.  The check fails on any
+    violation, or unless on the nonempty histories the whole-ball proof both
+    holds and fails somewhere, the chord proof certifies some point and the
+    score proof both certifies and fails to certify some point.
     """
     rng = np.random.default_rng(seed)
     violations = held = chords = scored = unscored = 0
@@ -310,8 +310,9 @@ def certificate_soundness(n_histories: int, seed: int) -> CheckResult:
         if state.ball_in_E:
             unit = rng.standard_normal((10, d))
             unit /= np.linalg.norm(unit, axis=1)[:, None]
-            points = np.concatenate((sample_ball(rng, 20, d, radius=S), S * unit))
-            violations += int((~_E_member(_Evaluation(hist.rows, points, lam), state)[0]).sum())
+            points = np.concatenate((sample_ball(rng, 20, d, radius=S), S * unit, S * (1 + 1e-9) * unit))
+            ok = _E_member(_Evaluation(hist.rows, points, lam), state)[0]
+            violations += int((~ok[:30]).sum() + ok[30:].sum())  # the last 10 lie outside the ball
 
         # Brackets around E's exit along each ray where E binds inside the
         # ball, from 40 bisections, widened by 1e-9 to 1e-1 of the ray's

@@ -1,9 +1,9 @@
 """Command line interface: run experiments, check properties, summarize, inspect.
 
 Subcommands:
-    run        one config across many seeds, CSV + metadata per run
+    run        one config across many seeds, CSV + metadata per run, and their summary
     check      numerical property and lemma suites
-    summarize  aggregate saved run CSVs
+    summarize  the same summary (``harness.RunSummary.report``) of saved run files
     instance   generate or inspect a serialized instance
     matrix     run the equivalence matrix into a directory
     diff       compare two run directories file by file
@@ -23,8 +23,7 @@ from .harness import (
     CSV_COLUMNS,
     CSV_REALS,
     ExperimentConfig,
-    check_aggregable,
-    curve_mean_stderr,
+    aggregate_runs,
     read_run_metadata,
     read_run_csv,
     run_many,
@@ -117,14 +116,10 @@ def cmd_run(args) -> int:
     _check_runs(out_dir, cfg.policy, cfg.seeds)
     logs = run_many(cfg, cfg.seeds, jobs=args.jobs)
     paths = save_runs(logs, out_dir)
-    summary = summarize_runs(logs)
+    # In the order ``summarize`` reads the CSVs, so that both print the same figures.
+    summary = summarize_runs([log for _, log in sorted(zip(paths, logs))])
     print(f"wrote {len(paths)} runs to {out_dir}")
-    print(
-        f"policy={cfg.policy} T={cfg.T} seeds={len(cfg.seeds)} "
-        f"mean_final_regret={summary.final_mean_regret:.4f} "
-        f"coverage_rate={summary.coverage_rate:.3f} "
-        f"tail_slope={summary.loglog_slope:.3f}"
-    )
+    print(json.dumps(summary.report(), indent=2))
     return 0
 
 
@@ -154,27 +149,19 @@ def cmd_summarize(args) -> int:
     if not paths:
         print(f"no run CSVs under {args.runs_dir}", file=sys.stderr)
         return 1
-    col = CSV_COLUMNS.index("cum_regret")
-    json_of = {p: os.path.splitext(p)[0] + ".json" for p in paths}
-    metas = [m for m in json_of.values() if os.path.exists(m)]
+    regret, covered = CSV_COLUMNS.index("cum_regret"), CSV_COLUMNS.index("covered")
+    curves, coverage, metadata = {}, {}, {}
     try:
-        curves = {p: np.array([float(r[col]) for r in read_run_csv(p)]) for p in paths}
-        metadata = {m: read_run_metadata(m) for m in metas}
-        configs = {m: d["config"] for m, d in metadata.items()}
-        check_aggregable({p: c.size for p, c in curves.items()}, configs)
+        for p in paths:
+            rows = read_run_csv(p)
+            curves[p] = np.array([float(r[regret]) for r in rows])
+            coverage[p] = all(r[covered] == "1" for r in rows)  # as ``RunLog.coverage_all``
+            meta = os.path.splitext(p)[0] + ".json"
+            metadata[meta] = read_run_metadata(meta) if os.path.exists(meta) else None
+        out = aggregate_runs(curves, coverage, metadata).report()
     except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    mean, stderr = curve_mean_stderr(np.vstack(list(curves.values())))
-    T = mean.size
-    out = {
-        "n_runs": len(paths),
-        "T": T,
-        "final_mean_regret": float(mean[-1]) if T else 0.0,
-        "final_stderr": float(stderr[-1]) if T else 0.0,
-        # Per run CSV: rounds with theta_star in C, null where not tested or not recorded.
-        "covered_C_rounds": [metadata.get(json_of[p], {}).get("covered_C_rounds") for p in paths],
-    }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         dest = os.path.join(args.out, "summary.json")
@@ -227,8 +214,7 @@ _REAL_TOL = 1e-9  # how far a reordered sum may move a real
 def _diff_file(a: str, b: str) -> tuple[str, bool]:
     """How run file ``b`` differs from ``a``, and whether their plays differ."""
     if a.endswith(".json"):
-        with open(a) as fa, open(b) as fb:
-            ma, mb = json.load(fa), json.load(fb)
+        ma, mb = read_run_metadata(a), read_run_metadata(b)
         keys = sorted(k for k in (ma.keys() | mb.keys()) - {"wall_time_s"} if ma.get(k) != mb.get(k))
         if keys:
             return f"metadata differs in {', '.join(keys)}", False

@@ -31,6 +31,8 @@ assortment it plays by its indices; the assortment's record, one per
 assortment a pool plays (the oracle's too), picks and checks its contexts
 and holds theta_star's law, revenue and round terms there.  On a fixed pool
 each is built once a run, and every later round that plays it reads it.
+``aggregate_runs`` is the one summary of runs, fed logs by ``summarize_runs``
+and run files by ``mnl-bandit summarize``; ``run`` and ``summarize`` print it.
 """
 from __future__ import annotations
 
@@ -95,13 +97,12 @@ __all__ = [
     "run_experiment",
     "run_many",
     "elliptical_potential_check",
+    "aggregate_runs",
     "summarize_runs",
-    "curve_mean_stderr",
     "run_paths",
     "save_runs",
     "read_run_csv",
     "read_run_metadata",
-    "check_aggregable",
     "loglog_slope",
     "CSV_COLUMNS",
     "CSV_HEADER",
@@ -598,13 +599,22 @@ def elliptical_potential_check(run: RunLog) -> tuple[float, float, float, float]
 
 @dataclass
 class RunSummary:
+    """A set of runs' figures; ``run`` and ``summarize`` print its ``report``."""
+
     n_runs: int
     T: int
-    mean_cum_regret: np.ndarray
-    stderr_cum_regret: np.ndarray
-    coverage_rate: float
+    coverage_rate: float  # the share of runs whose every round was covered
     final_mean_regret: float
-    loglog_slope: float
+    final_stderr: float  # zero for one run
+    loglog_slope: float  # of the mean curve; NaN at T <= 1
+    covered_C_rounds: list[int | None]  # per run; None where C was not tested or not recorded
+    mean_cum_regret: np.ndarray = field(repr=False)  # the curves stay out of the report
+    stderr_cum_regret: np.ndarray = field(repr=False)
+
+    def report(self) -> dict:
+        """The scalar fields in declaration order, a slope that is not finite as None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        return {**out, "loglog_slope": self.loglog_slope if math.isfinite(self.loglog_slope) else None}
 
 
 def loglog_slope(curve: np.ndarray) -> float:
@@ -620,62 +630,55 @@ def loglog_slope(curve: np.ndarray) -> float:
     return float(coef[0])
 
 
-def check_aggregable(lengths: dict[str, int], configs: dict[str, dict]) -> None:
-    """Raise one ValueError naming every reason the runs cannot be aggregated:
-    more than one length, or configs that differ outside the run selectors.
+def aggregate_runs(curves: dict[str, np.ndarray], covered: dict[str, bool], metadata: dict) -> RunSummary:
+    """The summary of runs that share one length and one config, run selectors aside.
 
-    Each key names where its value came from: a run CSV in ``lengths``, its
-    metadata JSON in ``configs``, or ``run i`` for an in-memory log.
+    Each argument has one entry per run, in one order, keyed by its source:
+    the cum-regret curve and whether every round was covered by its CSV
+    (``run i`` for a log), the metadata or None by its JSON.  Where runs
+    differ, one ValueError names each length by CSV and each config by JSON.
     """
+    if not curves:
+        raise ValueError("no runs to summarize")
     problems = []
-    if len(set(lengths.values())) > 1:
-        listing = ", ".join(f"{src} ({n} rounds)" for src, n in lengths.items())
+    if len({c.size for c in curves.values()}) > 1:
+        listing = ", ".join(f"{src} ({c.size} rounds)" for src, c in curves.items())
         problems.append(f"runs have different lengths: {listing}")
+    configs = {src: m["config"] for src, m in metadata.items() if m is not None}
     ref_src, ref = next(iter(configs.items()), (None, {}))
     diffs = []
     for src, cfg in configs.items():
-        keys = (ref.keys() | cfg.keys()) - _RUN_SELECTORS
-        if differ := sorted(k for k in keys if ref.get(k) != cfg.get(k)):
+        if differ := sorted(k for k in (ref.keys() | cfg.keys()) - _RUN_SELECTORS if ref.get(k) != cfg.get(k)):
             diffs.append(f"{src} differs from {ref_src} in {', '.join(differ)}")
     if diffs:
         problems.append("runs were produced under different configs: " + "; ".join(diffs))
     if problems:
         raise ValueError("; ".join(problems))
+    stack = np.vstack(list(curves.values()))
+    n, T = stack.shape
+    mean = stack.mean(axis=0)
+    stderr = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return RunSummary(
+        n_runs=n,
+        T=T,
+        coverage_rate=sum(covered.values()) / n,
+        final_mean_regret=float(mean[-1]) if T else 0.0,
+        final_stderr=float(stderr[-1]) if T else 0.0,
+        loglog_slope=loglog_slope(mean),
+        covered_C_rounds=[None if m is None else m.get("covered_C_rounds") for m in metadata.values()],
+        mean_cum_regret=mean,
+        stderr_cum_regret=stderr,
+    )
 
 
 def summarize_runs(logs: list[RunLog]) -> RunSummary:
-    """Aggregate runs sharing one length and one config, run selectors aside:
-    mean/se curves, coverage, tail slope."""
-    if not logs:
-        raise ValueError("no runs to summarize")
-    check_aggregable(
-        {f"run {i}": len(log.records) for i, log in enumerate(logs)},
-        {f"run {i}": log.cfg.to_dict() for i, log in enumerate(logs)},
+    """``aggregate_runs`` over in-memory logs, the i-th keyed ``run i``."""
+    keys = [f"run {i}" for i in range(len(logs))]
+    return aggregate_runs(
+        dict(zip(keys, (log.cum_regret_curve() for log in logs))),
+        dict(zip(keys, (log.coverage_all for log in logs))),
+        dict(zip(keys, (log.metadata() for log in logs))),
     )
-    curves = np.vstack([log.cum_regret_curve() for log in logs])
-    mean, stderr = curve_mean_stderr(curves)
-    coverage = sum(log.coverage_all for log in logs) / len(logs)
-    return RunSummary(
-        n_runs=len(logs),
-        T=curves.shape[1],
-        mean_cum_regret=mean,
-        stderr_cum_regret=stderr,
-        coverage_rate=coverage,
-        final_mean_regret=float(mean[-1]) if mean.size else 0.0,
-        loglog_slope=loglog_slope(mean),
-    )
-
-
-def curve_mean_stderr(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-round mean and standard error of equal-length curves, one per row.
-
-    The standard error is zero for a single curve.
-    """
-    n = curves.shape[0]
-    mean = curves.mean(axis=0)
-    if n > 1:
-        return mean, curves.std(axis=0, ddof=1) / math.sqrt(n)
-    return mean, np.zeros_like(mean)
 
 
 def read_run_csv(path: str) -> list[list[str]]:

@@ -56,7 +56,7 @@ class TestRunCommand:
         first = csvs[0].read_text().splitlines()
         assert first[0] == CSV_HEADER
         assert len(first) == 13
-        assert "mean_final_regret" in capsys.readouterr().out
+        assert "final_mean_regret" in capsys.readouterr().out
 
     def test_policy_help_lists_every_policy(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -223,6 +223,51 @@ class TestSummarizeCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["final_mean_regret"] == float(summary.mean_cum_regret[-1])
         assert data["final_stderr"] == float(summary.stderr_cum_regret[-1])
+
+    # The report's keys in order: a new figure is a deliberate edit here, as a new CSV column is.
+    REPORT_KEYS = [
+        "n_runs", "T", "coverage_rate", "final_mean_regret", "final_stderr",
+        "loglog_slope", "covered_C_rounds",
+    ]
+
+    @staticmethod
+    def run_and_summarize(capsys, argv, out):
+        """The JSON objects that ``run`` with ``argv`` and ``summarize`` of ``out`` print."""
+        capsys.readouterr()
+        assert main(["run", *argv, "--out", str(out)]) == 0
+        wrote, printed = capsys.readouterr().out.split("\n", 1)
+        assert wrote.startswith("wrote ") and wrote.endswith(f" runs to {out}")
+        assert main(["summarize", str(out)]) == 0
+        return json.loads(printed), json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("seeds", ["0..2", "0..11"])
+    def test_run_prints_what_summarize_prints(self, tmp_path, config_file, capsys, seeds):
+        # At 0..11 summarize reads seed 10's CSV before seed 2's, and the mean
+        # moves in its last bit unless run sums the runs in that order too.
+        argv = ["--config", str(config_file), "--seeds", seeds]
+        ran, summarized = self.run_and_summarize(capsys, argv, tmp_path / "runs")
+        assert ran == summarized
+        assert list(ran) == self.REPORT_KEYS
+        assert ran["n_runs"] == len(parse_seeds(seeds)) and ran["T"] == 12
+        assert all(isinstance(ran[k], float) for k in self.REPORT_KEYS[2:6])
+
+    def test_one_round_reports_a_null_slope(self, tmp_path, config_file, capsys):
+        argv = ["--config", str(config_file), "--seeds", "0..1", "--T", "1"]
+        ran, summarized = self.run_and_summarize(capsys, argv, tmp_path / "runs")
+        assert ran == summarized
+        assert ran["T"] == 1 and ran["loglog_slope"] is None
+        for data in (ran, summarized):
+            json.dumps(data, allow_nan=False)
+
+    def test_csvs_without_metadata_summarize(self, tmp_path, config_file, capsys):
+        # Coverage comes off the covered column; covered_C_rounds is null without a JSON.
+        out = tmp_path / "runs"
+        ran, _ = self.run_and_summarize(capsys, ["--config", str(config_file), "--seeds", "0..2"], out)
+        for meta in out.glob("*.json"):
+            meta.unlink()
+        assert main(["summarize", str(out)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {**ran, "covered_C_rounds": [None, None, None]}
 
     def test_runs_of_different_lengths_fail(self, tmp_path, config_file, capsys):
         out = tmp_path / "runs"
@@ -563,6 +608,19 @@ class TestMatrixAndDiff:
         assert f"random/run_random_seed1.json: missing in {other}" in out
         assert main(["diff", str(run_dir), str(tmp_path / "nowhere")]) == 1
         assert "nowhere is not a directory" in capsys.readouterr().err
+
+    def test_a_metadata_json_that_is_no_object_differs(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        (a / "run_x_seed0.json").write_text("[1, 2]")
+        (b / "run_x_seed0.json").write_text('{"config": {}}')
+        assert main(["diff", str(a), str(b)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            f"run_x_seed0.json: {a / 'run_x_seed0.json'} holds no run config",
+            "1 files, 1 missing or with different plays",
+        ]
 
     def test_directories_with_no_run_file_fail(self, tmp_path, capsys):
         # An empty or mistyped matrix directory must not pass as equivalent.

@@ -47,6 +47,7 @@ from mnl_bandit.simulator import (
     TAG_OUTCOME,
     Instance,
     InstanceConfig,
+    make_instance,
     serve_contexts,
     stream,
 )
@@ -649,17 +650,29 @@ class TestPlayedTrajectoryPin:
         assert digests == self.PINNED_GAMMA_PINS
         assert digests["cb_mnl_e"] != digests["cb_mnl_c"]
 
-    @pytest.mark.parametrize("policy", ["oracle", "random"])
-    def test_outcomes_replay_from_one_outcome_stream(self, policy):
-        # Round t's choice is the t-th draw of the run's one outcome stream,
-        # made on the played assortment under theta_star.
-        run = run_experiment(self.regret_cfg(policy), seed=0)
+    @pytest.mark.parametrize(
+        "policy, mode",
+        [
+            pytest.param(kind.value, mode, id=kind.value if mode == FIXED_POOL else f"{kind.value}-{mode}")
+            for mode in (FIXED_POOL, FRESH_IID)
+            for kind in PolicyKind
+        ],
+    )
+    def test_outcomes_replay_from_one_outcome_stream(self, policy, mode):
+        # Every policy at one seed meets one instance, made from the shape
+        # and the seed alone, and round t's choice is the t-th draw of the
+        # run's one outcome stream, made on the assortment played from round
+        # t's contexts under theta_star.
+        cfg = dataclasses.replace(self.regret_cfg(policy), context_mode=mode)
+        run = run_experiment(cfg, seed=0)
         inst = run.instance
+        shape = InstanceConfig(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(InstanceConfig)})
+        assert inst.to_dict() == make_instance(shape, 0).to_dict()
         g = stream(0, TAG_OUTCOME)
         replayed = [
             sample_choice(
                 choice_probabilities(
-                    AssortmentContexts.from_pool(inst.pool, r.assortment, inst.prices),
+                    AssortmentContexts.from_pool(serve_contexts(inst, r.t), r.assortment, inst.prices),
                     inst.theta_star,
                 ),
                 g,

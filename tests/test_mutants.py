@@ -99,6 +99,8 @@ MUTANTS = [
     ("score_bound_x0.9", lambda mp: install(mp, "_E_proved", score_proof(0.9)), None),
     ("ball_without_psi", lambda mp: install_ball_proof(mp, ball_proof(psi_term=False)), None),
     ("chord_without_margin", lambda mp: install(mp, "_chord_proved", chord_proof(margin=False)), None),
+    # The whole-ball part's sphere points scaled by 1 + 1e-9 lie outside the ball.
+    ("ball_test_slack_1e-6", lambda mp: install(mp, "_in_ball", ball_test(1e-6)), None),
     ("ball_z_is_r", lambda mp: install_ball_proof(mp, ball_proof(z_scale=1.0)),
      f"{_WHOLE_BALL_SAMPLES}; z = r needs histories where the data's curvature dominates"),
     ("ball_psi_x0.9", lambda mp: install_ball_proof(mp, ball_proof(psi_scale=0.9)),
@@ -109,9 +111,6 @@ MUTANTS = [
      "a fit that converges has a score near 0, which hides the dropped term"),
     ("chord_credit_lam", lambda mp: install(mp, "_chord_proved", chord_proof(credit=1.0)), _CHORD_MARGIN),
     ("chord_credit_0.55lam", lambda mp: install(mp, "_chord_proved", chord_proof(credit=0.55)), _CHORD_MARGIN),
-    ("ball_test_slack_1e-6", lambda mp: install(mp, "_in_ball", ball_test(1e-6)),
-     "a looser ball test only widens what _E_member accepts, and the check "
-     "counts points that a proof certifies and _E_member rejects"),
 ]
 
 
